@@ -1,4 +1,4 @@
-"""Compiled query execution: cached rule plans over slot registers.
+"""Compiled query execution: cached rule plans as generated join kernels.
 
 This layer sits between the fixpoint evaluators (``tp``, ``seminaive``,
 ``greedy``) and the raw relations.  Per rule — and per *seed shape*, the
@@ -11,33 +11,31 @@ set of variables a semi-naive delta seed pre-binds — it compiles once:
   ranked by the estimated cardinality of their indexed lookup instead of
   by the legacy bound-variable count.  ``plan="off"`` preserves the
   legacy :func:`~repro.engine.grounding.schedule` order exactly.
-* a **slot program**: every rule variable gets a register slot, and each
-  subgoal becomes a step with precomputed bound/free argument positions,
-  constant checks, duplicate-variable checks, head projection, and (for
-  aggregate subgoals) the grouping/local split and conjunct order — the
-  work the interpreted path redoes for every binding.
+* a **kernel**: one generated Python function for that order — nested
+  loops over indexed lookups with every rule variable a local variable,
+  lookup keys as tuple displays, built-ins as native expressions, and
+  aggregate interiors appending their multiset values directly.  Bound
+  and free argument positions, constant and duplicate-variable checks,
+  the grouping/local split and the conjunct order are all decided while
+  generating, so nothing is interpreted per binding.  A kernel returns
+  the rule's ground head atoms as a list, in join order.
 
 Plans are cached on the :class:`~repro.datalog.program.Program`
 (``program ⋅ rule ⋅ pre-bound variables ⋅ mode``), so ``apply_tp`` and the
-delta-driven evaluators stop re-deriving join orders on every call.
-Lookups go through the relations' persistent incremental indexes
+delta-driven evaluators stop re-deriving join orders on every call;
+kernel functions are memoised process-wide by their source text, which
+names no predicate and no constant, so structurally equal rules share
+one.  Lookups go through the relations' persistent incremental indexes
 (:class:`~repro.engine.interpretation.Relation`), which survive across
 fixpoint rounds.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import perf_counter
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from zlib import crc32
 
 from repro.aggregates.base import EmptyAggregateError
 from repro.datalog.atoms import (
@@ -50,20 +48,21 @@ from repro.datalog.atoms import (
 from repro.datalog.errors import SafetyError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Variable, evaluate_expr
+from repro.datalog.terms import (
+    ArithExpr,
+    Constant,
+    UnboundVariableError,
+    Variable,
+)
 from repro.engine.grounding import (
     Bindings,
     EvalContext,
-    _compare,
     schedule,
     subgoal_readiness,
 )
 from repro.testing import faults as _faults
-from repro.engine.interpretation import Key, Relation
+from repro.engine.interpretation import Key
 from repro.util.multiset import FrozenMultiset
-
-#: Register value for an unbound variable.
-_UNSET = object()
 
 #: Plan modes: "smart" = selectivity-aware join order; "off" = legacy
 #: schedule order (escape hatch; still compiled and indexed).
@@ -90,356 +89,361 @@ def _check_pushdown_mode(mode: str) -> str:
     return mode
 
 
-class _SlotView:
-    """A read-only Variable→value mapping over a register array, for
-    :func:`~repro.datalog.terms.evaluate_expr`."""
-
-    __slots__ = ("_slot_of", "_regs")
-
-    def __init__(self, slot_of: Dict[Variable, int], regs: List[Any]) -> None:
-        self._slot_of = slot_of
-        self._regs = regs
-
-    def __getitem__(self, var: Variable) -> Any:
-        slot = self._slot_of.get(var)
-        if slot is None:
-            raise KeyError(var)
-        value = self._regs[slot]
-        if value is _UNSET:
-            raise KeyError(var)
-        return value
-
-    def __contains__(self, var: object) -> bool:
-        try:
-            self[var]  # type: ignore[index]
-        except KeyError:
-            return False
-        return True
-
-    def get(self, var: Variable, default: Any = None) -> Any:
-        try:
-            return self[var]
-        except KeyError:
-            return default
-
-
 # ---------------------------------------------------------------------------
-# Compiled steps
+# Kernel generation
 # ---------------------------------------------------------------------------
 
 
-class _AtomStep:
-    """A positive, non-default atom compiled to an indexed join."""
+def _unbound(name: str) -> Any:
+    raise UnboundVariableError(name)
 
-    __slots__ = (
-        "predicate",
-        "positions",
-        "value_parts",
-        "writes",
-        "dup_checks",
-        "check_only",
-        "mode",
-    )
 
-    def __init__(
-        self,
-        predicate: str,
-        positions: Tuple[int, ...],
-        value_parts: Tuple[Tuple[bool, Any], ...],
-        writes: Tuple[Tuple[int, int], ...],
-        dup_checks: Tuple[Tuple[int, int], ...],
-        mode: str = "positive",
-    ) -> None:
-        self.predicate = predicate
-        self.positions = positions  # bound argument positions (sorted)
-        #: parallel to positions: (is_slot, slot-or-constant-value)
-        self.value_parts = value_parts
-        self.writes = writes  # (row position, destination slot)
-        self.dup_checks = dup_checks  # (row position, earlier row position)
-        self.check_only = not writes and not dup_checks
-        self.mode = mode  # "positive" | "aggregate" (oracle routing)
+#: Globals shared by every generated kernel.  Everything rule-specific —
+#: predicate names, constants, aggregate functions — reaches a kernel
+#: through its ``consts`` argument, so the source text (and hence the
+#: memoised function) is shared by structurally equal rules.
+_KERNEL_GLOBALS: Dict[str, Any] = {
+    "EmptyAggregateError": EmptyAggregateError,
+    "FrozenMultiset": FrozenMultiset,
+    "SafetyError": SafetyError,
+    "faults": _faults,
+    "unbound": _unbound,
+}
 
-    def prepare(self, ctx: EvalContext) -> Relation:
-        return ctx.relation(self.predicate, mode=self.mode)
+@lru_cache(maxsize=512)
+def _kernel(source: str) -> Any:
+    """The function for one generated kernel source, memoised
+    process-wide and bounded (as ``re`` bounds its pattern cache)."""
+    scope: Dict[str, Any] = {}
+    # A per-source file name keeps distinct kernels apart in profiles.
+    filename = f"<rule-kernel {crc32(source.encode()):08x}>"
+    exec(compile(source, filename, "exec"), _KERNEL_GLOBALS, scope)
+    return scope["kernel"]
 
-    def run(
-        self, regs: List[Any], rel: Relation, ctx: EvalContext, out: List[List[Any]]
-    ) -> None:
-        if self.positions:
-            key = tuple(
-                regs[payload] if is_slot else payload
-                for is_slot, payload in self.value_parts
-            )
-            rows: Sequence[Key] = rel.lookup(self.positions, key)
+
+def _display(items: Sequence[str]) -> str:
+    """Source of a tuple display (or unpacking target) over ``items``."""
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+#: Loops per generated function.  CPython rejects more than 20 statically
+#: nested blocks, so deeper joins go on in a nested function.
+_MAX_LOOPS = 16
+
+
+class _KernelWriter:
+    """Accumulates one rule's kernel: straight-line nested loops with
+    registers as local variables.  ``fail`` is the statement that drops
+    the current binding (``return out`` before the first loop,
+    ``continue`` inside one); ``None`` — the top of an aggregate
+    interior, where neither applies — makes :meth:`require` nest an
+    ``if`` instead."""
+
+    def __init__(self, rule: Rule, program: Program) -> None:
+        self.rule = rule
+        self.program = program
+        self.consts: List[Any] = []  # unpacked into c0, c1, ... per firing
+        self.prologue: List[str] = []  # seed reads and relation fetches
+        self.body: List[str] = []
+        self.depth = 1
+        self.loops = 0
+        self.fail: Optional[str] = "return out"
+        self.aggregates = 0
+        #: (depth, call) of each nested function still being written.
+        self.spills: List[Tuple[int, str]] = []
+
+    def const(self, value: Any) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def line(self, text: str) -> None:
+        self.body.append("    " * self.depth + text)
+
+    def require(self, condition: str) -> None:
+        """Go on with the current binding only if ``condition`` holds."""
+        if self.fail is None:
+            self.line(f"if {condition}:")
+            self.depth += 1
         else:
-            rows = rel.rows_list()
-        if self.check_only:
-            if rows:
-                out.append(regs)
-            return
-        writes = self.writes
-        dups = self.dup_checks
-        for row in rows:
-            if dups:
-                ok = True
-                for pos, pos0 in dups:
-                    if row[pos] != row[pos0]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            new = regs[:]
-            for pos, slot in writes:
-                new[slot] = row[pos]
-            out.append(new)
+            self.line(f"if not ({condition}): {self.fail}")
 
+    def loop(self, header: str) -> None:
+        if self.loops == _MAX_LOOPS:
+            # Registers bound so far are read through the closure.
+            name = f"deeper{len(self.spills)}"
+            self.line(f"def {name}():")
+            self.spills.append((self.depth, f"{name}()"))
+            self.depth += 1
+            self.loops = 0
+        self.line(header)
+        self.depth += 1
+        self.loops += 1
+        self.fail = "continue"
 
-class _DefaultAtomStep:
-    """A default-value cost atom with its key bound: core-or-default read."""
+    def dedent(self, depth: int) -> None:
+        """Back out to ``depth``, calling the nested functions left."""
+        while self.spills and self.spills[-1][0] >= depth:
+            self.depth, call = self.spills.pop()
+            self.line(call)
+        self.depth = depth
 
-    __slots__ = ("predicate", "key_parts", "cost_kind", "cost_payload", "mode")
+    def term(self, arg: Any, regs: Dict[Variable, str]) -> str:
+        return self.const(arg.value) if isinstance(arg, Constant) else regs[arg]
 
-    def __init__(
+    def key(self, args: Sequence[Any], regs: Dict[Variable, str]) -> str:
+        """A tuple display over ``args``."""
+        return _display([self.term(a, regs) for a in args])
+
+    def fetch(self, predicate: str, mode: str, attr: str = "") -> str:
+        """Hoist ``ctx.relation(predicate, mode=mode)<attr>`` into the
+        prologue (one oracle-routed fetch per firing); its local name."""
+        name = f"f{len(self.prologue)}"
+        kwarg = "" if mode == "positive" else f", mode={mode!r}"
+        self.prologue.append(
+            f"{name} = ctx.relation({self.const(predicate)}{kwarg}){attr}"
+        )
+        return name
+
+    def source(self) -> str:
+        self.dedent(1)
+        lines = ["def kernel(ctx, seed, consts):"]
+        if self.consts:
+            names = _display([f"c{n}" for n in range(len(self.consts))])
+            lines.append(f"    {names} = consts")
+        lines += [f"    {text}" for text in self.prologue]
+        lines += ["    out = []", "    emit = out.append"]
+        lines += self.body
+        lines.append("    return out")
+        return "\n".join(lines) + "\n"
+
+    # -- subgoals ------------------------------------------------------------
+
+    def atom(
         self,
-        predicate: str,
-        key_parts: Tuple[Tuple[bool, Any], ...],
-        cost_kind: str,  # "const" | "bound" | "free"
-        cost_payload: Any,
+        atom: Atom,
+        regs: Dict[Variable, str],
+        bound: set,
         mode: str = "positive",
     ) -> None:
-        self.predicate = predicate
-        self.key_parts = key_parts
-        self.cost_kind = cost_kind
-        self.cost_payload = cost_payload
-        self.mode = mode
-
-    def prepare(self, ctx: EvalContext) -> Relation:
-        return ctx.relation(self.predicate, mode=self.mode)
-
-    def run(
-        self, regs: List[Any], rel: Relation, ctx: EvalContext, out: List[List[Any]]
-    ) -> None:
-        key = tuple(
-            regs[payload] if is_slot else payload
-            for is_slot, payload in self.key_parts
-        )
-        value = rel.cost_of(key)
-        assert value is not None  # default predicates always have a value
-        kind = self.cost_kind
-        if kind == "free":
-            new = regs[:]
-            new[self.cost_payload] = value
-            out.append(new)
-        elif kind == "bound":
-            if regs[self.cost_payload] == value:
-                out.append(regs)
-        else:  # const
-            if self.cost_payload == value:
-                out.append(regs)
-
-
-class _NegatedStep:
-    """Ground negation: satisfied iff the ground atom is absent."""
-
-    __slots__ = ("predicate", "arg_parts", "is_cost")
-
-    def __init__(
-        self,
-        predicate: str,
-        arg_parts: Tuple[Tuple[bool, Any], ...],
-        is_cost: bool,
-    ) -> None:
-        self.predicate = predicate
-        self.arg_parts = arg_parts
-        self.is_cost = is_cost
-
-    def prepare(self, ctx: EvalContext) -> Relation:
-        return ctx.relation(self.predicate, mode="negated")
-
-    def run(
-        self, regs: List[Any], rel: Relation, ctx: EvalContext, out: List[List[Any]]
-    ) -> None:
-        values = tuple(
-            regs[payload] if is_slot else payload
-            for is_slot, payload in self.arg_parts
-        )
-        if self.is_cost:
-            if rel.cost_of(values[:-1]) != values[-1]:
-                out.append(regs)
-        elif values not in rel.tuples:
-            out.append(regs)
-
-
-class _BuiltinStep:
-    """``lhs op rhs``, either a filter (all bound) or a ``V = expr`` assign."""
-
-    __slots__ = ("op", "lhs", "rhs", "slot_of", "assign_slot", "assign_expr")
-
-    def __init__(
-        self,
-        sg: BuiltinSubgoal,
-        slot_of: Dict[Variable, int],
-        assign_slot: Optional[int],
-        assign_expr: Any,
-    ) -> None:
-        self.op = sg.op
-        self.lhs = sg.lhs
-        self.rhs = sg.rhs
-        self.slot_of = slot_of
-        self.assign_slot = assign_slot  # destination slot, or None for filters
-        self.assign_expr = assign_expr  # the bound side, when assigning
-
-    def prepare(self, ctx: EvalContext) -> None:
-        return None
-
-    def run(
-        self, regs: List[Any], _state: None, ctx: EvalContext, out: List[List[Any]]
-    ) -> None:
-        view = _SlotView(self.slot_of, regs)
-        try:
-            if self.assign_slot is not None:
-                value = evaluate_expr(self.assign_expr, view)
-                new = regs[:]
-                new[self.assign_slot] = value
-                out.append(new)
-                return
-            left = evaluate_expr(self.lhs, view)
-            right = evaluate_expr(self.rhs, view)
-        except ZeroDivisionError:
+        """A positive atom (body subgoal or aggregate-interior conjunct):
+        a core-or-default read for default-value predicates, otherwise an
+        indexed join on the bound argument positions."""
+        decl = self.program.decl(atom.predicate)
+        if decl.has_default:
+            cost_of = self.fetch(atom.predicate, mode, ".cost_of")
+            value = f"{cost_of}({self.key(atom.args[: decl.key_arity], regs)})"
+            cost = atom.args[-1]
+            if isinstance(cost, Constant) or cost in bound:
+                self.require(f"{self.term(cost, regs)} == {value}")
+            else:
+                self.line(f"{regs[cost]} = {value}")
             return
-        try:
-            satisfied = _compare(self.op, left, right)
-        except TypeError:
-            satisfied = False  # incomparable values never satisfy a built-in
-        if satisfied:
-            out.append(regs)
-
-
-class _AggregateStep:
-    """An aggregate subgoal with its grouping/local split, conjunct order
-    and aggregate function resolved at compile time (Definition 2.4).
-
-    The interior conjunction is itself compiled: the conjuncts run as
-    atom steps over a private register array (grouping variables copied
-    in from the outer registers at entry), so per-group re-aggregation
-    does no bindings-dict work at all."""
-
-    __slots__ = (
-        "function",
-        "entry_copies",  # ((outer slot, inner slot), ...) bound grouping
-        "inner_steps",
-        "inner_nslots",
-        "multiset_slot",  # inner slot of the multiset variable, or None
-        "free_group_pairs",  # ((outer slot, inner slot), ...) =r grouping
-        "restricted",
-        "result_kind",  # "const" | "bound" | "free"
-        "result_payload",
-    )
-
-    def __init__(
-        self,
-        function: Any,
-        entry_copies: Tuple[Tuple[int, int], ...],
-        inner_steps: Tuple[Any, ...],
-        inner_nslots: int,
-        multiset_slot: Optional[int],
-        free_group_pairs: Tuple[Tuple[int, int], ...],
-        restricted: bool,
-        result_kind: str,
-        result_payload: Any,
-    ) -> None:
-        self.function = function
-        self.entry_copies = entry_copies
-        self.inner_steps = inner_steps
-        self.inner_nslots = inner_nslots
-        self.multiset_slot = multiset_slot
-        self.free_group_pairs = free_group_pairs
-        self.restricted = restricted
-        self.result_kind = result_kind
-        self.result_payload = result_payload
-
-    def prepare(self, ctx: EvalContext) -> None:
-        return None
-
-    def _detail(self) -> str:
-        """The aggregate's name, for fault-seam matching."""
-        fn = self.function
-        return getattr(fn, "name", None) or type(fn).__name__
-
-    def _project(self, rows: Sequence[List[Any]]) -> FrozenMultiset:
-        """SQL projection onto the multiset variable, duplicates retained;
-        implicit boolean aggregation counts each solution as 'true'."""
-        mslot = self.multiset_slot
-        if mslot is not None:
-            return FrozenMultiset(r[mslot] for r in rows)
-        return FrozenMultiset([1] * len(rows))
-
-    def _emit(
-        self,
-        regs: List[Any],
-        value: Any,
-        group: Optional[Tuple[Any, ...]],
-        out: List[List[Any]],
-    ) -> None:
-        kind = self.result_kind
-        if kind == "bound":
-            if regs[self.result_payload] != value:
-                return
-        elif kind == "const":
-            if self.result_payload != value:
-                return
-        if group is None and kind != "free":
-            out.append(regs)
+        positions: List[int] = []
+        dup_checks: List[str] = []
+        writes: List[str] = []
+        first_seen: Dict[Variable, int] = {}
+        for pos, arg in enumerate(atom.args):
+            if isinstance(arg, Constant) or arg in bound:
+                positions.append(pos)
+            elif arg in first_seen:
+                dup_checks.append(
+                    f"if row[{pos}] != row[{first_seen[arg]}]: continue"
+                )
+            else:
+                first_seen[arg] = pos
+                writes.append(f"{regs[arg]} = row[{pos}]")
+        if positions:
+            lookup = self.fetch(atom.predicate, mode, ".lookup")
+            bound_args = [atom.args[pos] for pos in positions]
+            rows = f"{lookup}({tuple(positions)!r}, {self.key(bound_args, regs)})"
+        else:
+            rows = self.fetch(atom.predicate, mode, ".rows_list") + "()"
+        if not writes:
+            self.require(rows)  # pure existence check
             return
-        new = regs[:]
-        if group is not None:
-            for (outer_slot, _), component in zip(self.free_group_pairs, group):
-                new[outer_slot] = component
-        if kind == "free":
-            new[self.result_payload] = value
-        out.append(new)
+        self.loop(f"for row in {rows}:")
+        for text in dup_checks + writes:
+            self.line(text)
 
-    def run(
-        self, regs: List[Any], _state: None, ctx: EvalContext, out: List[List[Any]]
+    def negated(self, atom: Atom, regs: Dict[Variable, str]) -> None:
+        """Ground negation: satisfied iff the ground atom is absent."""
+        if self.program.decl(atom.predicate).is_cost_predicate:
+            cost_of = self.fetch(atom.predicate, "negated", ".cost_of")
+            self.require(
+                f"{cost_of}({self.key(atom.args[:-1], regs)}) "
+                f"!= {self.term(atom.args[-1], regs)}"
+            )
+        else:
+            rel = self.fetch(atom.predicate, "negated")
+            self.require(f"{self.key(atom.args, regs)} not in {rel}.tuples")
+
+    def expr(self, expr: Any, regs: Dict[Variable, str], bound: set) -> str:
+        if isinstance(expr, Constant):
+            return self.const(expr.value)
+        if isinstance(expr, Variable):
+            if expr in bound:
+                return regs[expr]
+            return f"unbound({self.const(expr.name)})"
+        left = self.expr(expr.left, regs, bound)
+        return f"({left} {expr.op} {self.expr(expr.right, regs, bound)})"
+
+    def arithmetic(self, assignments: Sequence[str]) -> None:
+        """Evaluate; a division by zero drops the binding, any other
+        error (``TypeError`` on mixed operands) propagates."""
+        self.line("try:")
+        for text in assignments:
+            self.line(f"    {text}")
+        self.line("except ZeroDivisionError:")
+        self.line(f"    {self.fail}")
+
+    def builtin(
+        self, sg: BuiltinSubgoal, regs: Dict[Variable, str], bound: set
     ) -> None:
-        inner: List[Any] = [_UNSET] * self.inner_nslots
-        for outer_slot, inner_slot in self.entry_copies:
-            inner[inner_slot] = regs[outer_slot]
-        solutions: List[List[Any]] = [inner]
-        for step in self.inner_steps:
-            state = step.prepare(ctx)
-            nxt: List[List[Any]] = []
-            run = step.run
-            for r in solutions:
-                run(r, state, ctx, nxt)
-            solutions = nxt
-            if not solutions:
-                break
-        if self.free_group_pairs:
+        """``lhs op rhs``: a ``V = expr`` assignment when one side is an
+        unbound variable, otherwise a filter."""
+        for target, value in ((sg.lhs, sg.rhs), (sg.rhs, sg.lhs)):
+            if (
+                sg.op == "="
+                and isinstance(target, Variable)
+                and target not in bound
+            ):
+                assign = f"{regs[target]} = {self.expr(value, regs, bound)}"
+                if isinstance(value, ArithExpr):
+                    self.arithmetic([assign])
+                else:
+                    self.line(assign)
+                return
+        left = self.expr(sg.lhs, regs, bound)
+        right = self.expr(sg.rhs, regs, bound)
+        if isinstance(sg.lhs, ArithExpr) or isinstance(sg.rhs, ArithExpr):
+            self.arithmetic([f"lhs = {left}", f"rhs = {right}"])
+            left, right = "lhs", "rhs"
+        # Incomparable values never satisfy a built-in; the comparison has
+        # its own ``try`` so a TypeError *inside* arithmetic still raises.
+        op = "==" if sg.op == "=" else sg.op
+        self.line("try:")
+        self.line(f"    if not ({left} {op} {right}): {self.fail}")
+        self.line("except TypeError:")
+        self.line(f"    {self.fail}")
+
+    def aggregate(
+        self, sg: AggregateSubgoal, regs: Dict[Variable, str], bound: set
+    ) -> None:
+        """An aggregate subgoal (Definition 2.4): the interior conjunction
+        runs as nested loops over private registers, appending the
+        multiset value directly; the function is applied once per group."""
+        grouping = self.rule.grouping_variables(sg)
+        free_grouping = sorted(
+            (v for v in grouping if v not in bound), key=lambda v: v.name
+        )
+        if free_grouping and not sg.restricted:
+            raise SafetyError(
+                f"'='-form aggregate {sg} evaluated with unbound grouping "
+                f"variables "
+                f"{', '.join(v.name for v in free_grouping)} "
+                f"(range restriction violated)"
+            )
+        n = self.aggregates
+        self.aggregates += 1
+        # Bound grouping variables read the outer registers; every other
+        # conjunct variable gets a private one — including the multiset
+        # variable even if bound outside (the projection retains
+        # duplicates over the full solution set, Definition 2.4).
+        inner = {v: regs[v] for v in grouping if v in bound}
+        inner_bound = set(inner)
+        for conjunct in sg.conjuncts:
+            for v in conjunct.variables():
+                inner.setdefault(v, f"a{n}_{len(inner)}")
+        # SQL projection onto the multiset variable, duplicates retained;
+        # implicit boolean aggregation counts each solution as 'true'.
+        value = inner[sg.multiset_var] if sg.multiset_var is not None else "1"
+        if free_grouping:
             # =r subgoal generating its grouping bindings: aggregate each
             # group of the inner solutions separately.
-            groups: Dict[Tuple[Any, ...], List[List[Any]]] = {}
-            for solution in solutions:
-                group_key = tuple(
-                    solution[inner_slot]
-                    for _, inner_slot in self.free_group_pairs
-                )
-                groups.setdefault(group_key, []).append(solution)
-            for group_key, group_rows in groups.items():
-                if _faults._ACTIVE is not None:  # fault-injection seam
-                    _faults.trip("aggregate_apply", self._detail())
-                value = self.function(self._project(group_rows))
-                self._emit(regs, value, group_key, out)
-            return
-        if self.restricted and not solutions:
-            return
-        if _faults._ACTIVE is not None:  # fault-injection seam
-            _faults.trip("aggregate_apply", self._detail())
-        try:
-            value = self.function(self._project(solutions))
-        except EmptyAggregateError:
-            return
-        self._emit(regs, value, None, out)
+            self.line(f"g{n} = {{}}")
+            collect = (
+                f"g{n}.setdefault({self.key(free_grouping, inner)}, [])"
+                f".append({value})"
+            )
+        else:
+            self.line(f"m{n} = []")
+            collect = f"m{n}.append({value})"
+        depth, loops, fail = self.depth, self.loops, self.fail
+        self.fail = None
+        for conjunct in _order_conjuncts(
+            sg.conjuncts, self.program, frozenset(inner_bound)
+        ):
+            self.atom(conjunct, inner, inner_bound, "aggregate")
+            inner_bound |= conjunct.variable_set()
+        self.line(collect)
+        self.dedent(depth)
+        self.loops, self.fail = loops, fail
+        if free_grouping:
+            group = _display([regs[v] for v in free_grouping])
+            self.loop(f"for {group}, m{n} in g{n}.items():")
+        elif sg.restricted:
+            self.require(f"m{n}")
+        function = self.program.aggregate_function(sg.function)
+        detail = getattr(function, "name", None) or type(function).__name__
+        self.line("if faults._ACTIVE is not None:")  # fault-injection seam
+        self.line(f"    faults.trip('aggregate_apply', {self.const(detail)})")
+        result = sg.result
+        check = isinstance(result, Constant) or result in bound
+        target = f"v{n}" if check else regs[result]
+        apply = f"{target} = {self.const(function)}(FrozenMultiset(m{n}))"
+        if free_grouping:
+            self.line(apply)
+        else:
+            self.line("try:")
+            self.line(f"    {apply}")
+            self.line("except EmptyAggregateError:")
+            self.line(f"    {self.fail}")
+        if check:
+            self.line(f"if {self.term(result, regs)} != v{n}: {self.fail}")
+
+
+def _lower(
+    rule: Rule,
+    program: Program,
+    order: Sequence[Subgoal],
+    pre_bound: FrozenSet[Variable],
+) -> Tuple[str, Tuple[Any, ...]]:
+    """Lower ``rule`` under the join ``order`` to ``(kernel source,
+    consts)``; ``kernel(ctx, seed, consts)`` returns the list of
+    ``(head predicate, ground argument tuple)`` pairs."""
+    regs: Dict[Variable, str] = {}
+    for var in rule.head.variables():
+        regs.setdefault(var, f"r{len(regs)}")
+    for sg in rule.body:
+        for var in sorted(sg.variable_set(), key=lambda v: v.name):
+            regs.setdefault(var, f"r{len(regs)}")
+    w = _KernelWriter(rule, program)
+    for var in sorted(pre_bound, key=lambda v: v.name):
+        if var in regs:
+            w.prologue.append(f"{regs[var]} = seed[{w.const(var)}]")
+    bound: set = set(pre_bound)
+    for sg in order:
+        if isinstance(sg, AtomSubgoal):
+            if sg.negated:
+                w.negated(sg.atom, regs)
+            else:
+                w.atom(sg.atom, regs, bound)
+        elif isinstance(sg, BuiltinSubgoal):
+            w.builtin(sg, regs, bound)
+        elif isinstance(sg, AggregateSubgoal):
+            w.aggregate(sg, regs, bound)
+        else:  # pragma: no cover - exhaustive
+            raise TypeError(f"unknown subgoal type {type(sg).__name__}")
+        ready = subgoal_readiness(sg, rule, program, bound)
+        if ready is not None:
+            bound |= ready[1]
+    head = rule.head
+    if all(isinstance(a, Constant) or a in bound for a in head.args):
+        w.line(f"emit(({w.const(head.predicate)}, {w.key(head.args, regs)}))")
+    else:
+        message = f"head variable of {rule} unbound after body evaluation"
+        w.line(f"raise SafetyError({w.const(message)})")
+    return w.source(), tuple(w.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -448,170 +452,38 @@ class _AggregateStep:
 
 
 class RulePlan:
-    """One rule compiled against a fixed pre-bound variable set."""
+    """One rule compiled against a fixed pre-bound variable set: the join
+    order plus the generated kernel and the constants it runs with.  The
+    kernel's source is not retained; :meth:`source` regenerates it."""
 
-    __slots__ = (
-        "rule",
-        "mode",
-        "order",
-        "steps",
-        "nslots",
-        "slot_of",
-        "seed_slots",
-        "head_predicate",
-        "head_parts",
-    )
+    __slots__ = ("rule", "mode", "order", "pre_bound", "kernel", "consts")
 
     def __init__(
         self,
         rule: Rule,
         mode: str,
         order: List[Subgoal],
-        steps: List[Any],
-        nslots: int,
-        slot_of: Dict[Variable, int],
-        head_parts: Tuple[Tuple[bool, Any], ...],
+        pre_bound: FrozenSet[Variable],
+        kernel: Any,
+        consts: Tuple[Any, ...],
     ) -> None:
         self.rule = rule
         self.mode = mode
         self.order = order
-        self.steps = steps
-        self.nslots = nslots
-        self.slot_of = slot_of
-        self.head_predicate = rule.head.predicate
-        self.head_parts = head_parts
+        self.pre_bound = pre_bound
+        self.kernel = kernel
+        self.consts = consts
 
     def execute(
         self, ctx: EvalContext, seed: Optional[Bindings] = None
-    ) -> Iterator[Tuple[str, Key]]:
-        """Enumerate ``(head predicate, ground argument tuple)`` pairs."""
-        regs: List[Any] = [_UNSET] * self.nslots
-        if seed:
-            slot_of = self.slot_of
-            for var, value in seed.items():
-                slot = slot_of.get(var)
-                if slot is not None:
-                    regs[slot] = value
-        current: List[List[Any]] = [regs]
-        for step in self.steps:
-            state = step.prepare(ctx)
-            nxt: List[List[Any]] = []
-            run = step.run
-            for r in current:
-                run(r, state, ctx, nxt)
-            if not nxt:
-                return
-            current = nxt
-        predicate = self.head_predicate
-        head_parts = self.head_parts
-        rule = self.rule
-        for r in current:
-            values = []
-            for is_slot, payload in head_parts:
-                if is_slot:
-                    value = r[payload]
-                    if value is _UNSET:
-                        raise SafetyError(
-                            f"head variable of {rule} unbound after body "
-                            f"evaluation"
-                        )
-                    values.append(value)
-                else:
-                    values.append(payload)
-            yield predicate, tuple(values)
+    ) -> List[Tuple[str, Key]]:
+        """The ``(head predicate, ground argument tuple)`` pairs derived
+        under ``ctx``, in join order."""
+        return self.kernel(ctx, seed, self.consts)
 
-
-def _parts_for(
-    args: Sequence[Any],
-    slot_of: Dict[Variable, int],
-    positions: Sequence[int],
-) -> Tuple[Tuple[bool, Any], ...]:
-    """(is_slot, slot-or-value) per argument position."""
-    parts = []
-    for pos in positions:
-        arg = args[pos]
-        if isinstance(arg, Constant):
-            parts.append((False, arg.value))
-        else:
-            parts.append((True, slot_of[arg]))
-    return tuple(parts)
-
-
-def _compile_positive_atom(
-    atom: Atom,
-    program: Program,
-    slot_of: Dict[Variable, int],
-    bound: set,
-    mode: str = "positive",
-) -> Any:
-    """Compile a positive atom (a body subgoal or an aggregate-interior
-    conjunct) into an :class:`_AtomStep` / :class:`_DefaultAtomStep`."""
-    decl = program.decl(atom.predicate)
-    if decl.has_default:
-        cost_term = atom.args[-1]
-        if isinstance(cost_term, Constant):
-            kind, payload = "const", cost_term.value
-        elif cost_term in bound:
-            kind, payload = "bound", slot_of[cost_term]
-        else:
-            kind, payload = "free", slot_of[cost_term]
-        return _DefaultAtomStep(
-            atom.predicate,
-            _parts_for(atom.args, slot_of, range(decl.key_arity)),
-            kind,
-            payload,
-            mode,
-        )
-    bound_positions: List[int] = []
-    writes: List[Tuple[int, int]] = []
-    dup_checks: List[Tuple[int, int]] = []
-    first_seen: Dict[Variable, int] = {}
-    for pos, arg in enumerate(atom.args):
-        if isinstance(arg, Constant) or arg in bound:
-            bound_positions.append(pos)
-        elif arg in first_seen:
-            dup_checks.append((pos, first_seen[arg]))
-        else:
-            first_seen[arg] = pos
-            writes.append((pos, slot_of[arg]))
-    positions = tuple(bound_positions)
-    return _AtomStep(
-        atom.predicate,
-        positions,
-        _parts_for(atom.args, slot_of, positions),
-        tuple(writes),
-        tuple(dup_checks),
-        mode,
-    )
-
-
-def _compile_atom(
-    sg: AtomSubgoal,
-    program: Program,
-    slot_of: Dict[Variable, int],
-    bound: set,
-) -> Any:
-    atom = sg.atom
-    if sg.negated:
-        return _NegatedStep(
-            atom.predicate,
-            _parts_for(atom.args, slot_of, range(len(atom.args))),
-            program.decl(atom.predicate).is_cost_predicate,
-        )
-    return _compile_positive_atom(atom, program, slot_of, bound)
-
-
-def _compile_builtin(
-    sg: BuiltinSubgoal, slot_of: Dict[Variable, int], bound: set
-) -> _BuiltinStep:
-    assign_slot: Optional[int] = None
-    assign_expr: Any = None
-    if sg.op == "=":
-        if isinstance(sg.lhs, Variable) and sg.lhs not in bound:
-            assign_slot, assign_expr = slot_of[sg.lhs], sg.rhs
-        elif isinstance(sg.rhs, Variable) and sg.rhs not in bound:
-            assign_slot, assign_expr = slot_of[sg.rhs], sg.lhs
-    return _BuiltinStep(sg, slot_of, assign_slot, assign_expr)
+    def source(self, program: Program) -> str:
+        """The kernel's generated source (for tests and docs)."""
+        return _lower(self.rule, program, self.order, self.pre_bound)[0]
 
 
 def _order_conjuncts(
@@ -645,78 +517,6 @@ def _order_conjuncts(
                 f"{[str(c) for c in remaining]}"
             )
     return tuple(ordered)
-
-
-def _compile_aggregate(
-    sg: AggregateSubgoal,
-    rule: Rule,
-    program: Program,
-    slot_of: Dict[Variable, int],
-    bound: set,
-) -> _AggregateStep:
-    grouping = rule.grouping_variables(sg)
-    bound_grouping = sorted(
-        (v for v in grouping if v in bound), key=lambda v: v.name
-    )
-    free_grouping = sorted(
-        (v for v in grouping if v not in bound), key=lambda v: v.name
-    )
-    if free_grouping and not sg.restricted:
-        raise SafetyError(
-            f"'='-form aggregate {sg} evaluated with unbound grouping "
-            f"variables "
-            f"{', '.join(v.name for v in free_grouping)} "
-            f"(range restriction violated)"
-        )
-    # Private register space for the interior: grouping variables first
-    # (copied from the outer registers at entry when bound), then every
-    # conjunct variable — including the multiset variable, which is
-    # deliberately *not* copied in even if bound outside (the projection
-    # retains duplicates over the full solution set, Definition 2.4).
-    inner_slot_of: Dict[Variable, int] = {}
-    for v in bound_grouping:
-        inner_slot_of.setdefault(v, len(inner_slot_of))
-    for conjunct in sg.conjuncts:
-        for v in conjunct.variables():
-            inner_slot_of.setdefault(v, len(inner_slot_of))
-    entry_copies = tuple(
-        (slot_of[v], inner_slot_of[v]) for v in bound_grouping
-    )
-    inner_bound: set = set(bound_grouping)
-    inner_steps: List[Any] = []
-    for conjunct in _order_conjuncts(
-        sg.conjuncts, program, frozenset(inner_bound)
-    ):
-        inner_steps.append(
-            _compile_positive_atom(
-                conjunct, program, inner_slot_of, inner_bound, "aggregate"
-            )
-        )
-        inner_bound |= conjunct.variable_set()
-    multiset_slot = (
-        inner_slot_of[sg.multiset_var] if sg.multiset_var is not None else None
-    )
-    free_group_pairs = tuple(
-        (slot_of[v], inner_slot_of[v]) for v in free_grouping
-    )
-    result = sg.result
-    if isinstance(result, Constant):
-        result_kind, result_payload = "const", result.value
-    elif result in bound:
-        result_kind, result_payload = "bound", slot_of[result]
-    else:
-        result_kind, result_payload = "free", slot_of[result]
-    return _AggregateStep(
-        program.aggregate_function(sg.function),
-        entry_copies,
-        tuple(inner_steps),
-        len(inner_slot_of),
-        multiset_slot,
-        free_group_pairs,
-        sg.restricted,
-        result_kind,
-        result_payload,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -822,41 +622,8 @@ def compile_rule(
 ) -> RulePlan:
     """Compile ``rule`` against the given pre-bound variable set."""
     order = plan_order(rule, program, pre_bound, mode=mode, ctx=ctx)
-    slot_of: Dict[Variable, int] = {}
-    for var in rule.head.variables():
-        slot_of.setdefault(var, len(slot_of))
-    for sg in rule.body:
-        for var in sorted(sg.variable_set(), key=lambda v: v.name):
-            slot_of.setdefault(var, len(slot_of))
-    bound: set = set(pre_bound)
-    steps: List[Any] = []
-    for sg in order:
-        if isinstance(sg, AtomSubgoal):
-            steps.append(_compile_atom(sg, program, slot_of, bound))
-        elif isinstance(sg, BuiltinSubgoal):
-            steps.append(_compile_builtin(sg, slot_of, bound))
-        elif isinstance(sg, AggregateSubgoal):
-            steps.append(_compile_aggregate(sg, rule, program, slot_of, bound))
-        else:  # pragma: no cover - exhaustive
-            raise TypeError(f"unknown subgoal type {type(sg).__name__}")
-        ready = subgoal_readiness(sg, rule, program, bound)
-        if ready is not None:
-            bound |= ready[1]
-    head_parts = []
-    for arg in rule.head.args:
-        if isinstance(arg, Constant):
-            head_parts.append((False, arg.value))
-        else:
-            head_parts.append((True, slot_of[arg]))
-    return RulePlan(
-        rule,
-        mode,
-        order,
-        steps,
-        len(slot_of),
-        slot_of,
-        tuple(head_parts),
-    )
+    source, consts = _lower(rule, program, order, pre_bound)
+    return RulePlan(rule, mode, order, pre_bound, _kernel(source), consts)
 
 
 def get_plan(
@@ -877,17 +644,13 @@ def get_plan(
     When the context carries an enabled tracer (:mod:`repro.obs`), cache
     probes are counted as plan-cache hits/misses.
     """
-    cache: Dict[Tuple[int, FrozenSet[str], str], RulePlan]
+    cache: Dict[Tuple[int, FrozenSet[Variable], str], RulePlan]
     cache = program.__dict__.setdefault("_exec_plan_cache", {})
-    cache_key = (
-        id(rule),
-        frozenset(v.name for v in pre_bound),
-        _check_mode(mode),
-    )
+    cache_key = (id(rule), pre_bound, mode)
     plan = cache.get(cache_key)
     if ctx is not None and ctx.tracer.enabled:
         ctx.tracer.count_plan(plan is not None)
-    if plan is None:
+    if plan is None:  # an unknown mode never hits: plan_order rejects it
         plan = compile_rule(rule, program, pre_bound, mode=mode, ctx=ctx)
         cache[cache_key] = plan
     return plan
@@ -935,25 +698,27 @@ def run_rule(
     *,
     seed: Optional[Bindings] = None,
     mode: str = "smart",
-) -> Iterator[Tuple[str, Key]]:
-    """Enumerate the ground head atoms ``rule`` derives under ``ctx``.
+    pre_bound: Optional[FrozenSet[Variable]] = None,
+) -> List[Tuple[str, Key]]:
+    """The ground head atoms ``rule`` derives under ``ctx``.
 
     ``seed`` pre-binds variables (semi-naive delta seeds); the plan is
     compiled once per distinct seed *shape* and cached on the program.
+    ``pre_bound`` is that shape, ``frozenset(seed)`` — the delta-driven
+    evaluators fire one seed source many times and pass it precomputed.
 
-    With an enabled tracer on the context the execution is materialised
-    eagerly so its wall time and derived-atom count can be charged to the
-    rule (``tracer.record_rule``); the untraced path stays lazy and pays
-    only the ``enabled`` check.
+    With an enabled tracer on the context the run's wall time and
+    derived-atom count are charged to the rule (``tracer.record_rule``).
     """
     if _faults._ACTIVE is not None:  # fault-injection seam
         _faults.trip("rule_firing", rule.head.predicate)
-    pre_bound = frozenset(seed) if seed else frozenset()
+    if pre_bound is None:
+        pre_bound = frozenset(seed) if seed else frozenset()
     plan = get_plan(ctx.program, rule, pre_bound, mode=mode, ctx=ctx)
     tracer = ctx.tracer
     if not tracer.enabled:
         return plan.execute(ctx, seed)
     t0 = perf_counter()
-    derived = list(plan.execute(ctx, seed))
+    derived = plan.execute(ctx, seed)
     tracer.record_rule(rule, len(derived), perf_counter() - t0)
-    return iter(derived)
+    return derived

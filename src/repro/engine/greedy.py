@@ -181,9 +181,13 @@ def greedy_fixpoint(
             settled_count += 1
             delta: DeltaRows = {predicate: [args]}
             for rule in rules:
-                for seed_bindings in _delta_seeds(rule, cdb, delta):
+                for shape, seed_bindings in _delta_seeds(rule, cdb, delta):
                     for head_pred, head_args in run_rule(
-                        rule, ctx, seed=seed_bindings, mode=plan
+                        rule,
+                        ctx,
+                        seed=seed_bindings,
+                        mode=plan,
+                        pre_bound=shape,
                     ):
                         head_rel = j.relation(head_pred)
                         if head_args[:-1] in head_rel.costs:

@@ -106,14 +106,6 @@ class EvalContext:
             return rel.rows_list()
         return rel.lookup(bound_positions, bound_values)
 
-    def note_insert(self, predicate: str, row: Tuple) -> None:
-        """Deprecated no-op, kept for API compatibility.
-
-        Indexes live on the relations and are maintained by the mutator
-        methods (``add_tuple``/``set_cost``), so in-place inserts no
-        longer need a context notification.
-        """
-
 
 # ---------------------------------------------------------------------------
 # Scheduling

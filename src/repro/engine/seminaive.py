@@ -85,13 +85,15 @@ def _delta_between(old: Interpretation, new: Interpretation) -> DeltaRows:
 
 #: One compiled seed source: (predicate, arity, constant checks as
 #: (position, value), duplicate-variable checks as (position, first
-#: position), seed writes as (variable, position)).
+#: position), seed writes as (variable, position), seed shape — the
+#: written variables, i.e. the plan-cache key of every seed it yields).
 _SeedPlan = Tuple[
     str,
     int,
     Tuple[Tuple[int, Any], ...],
     Tuple[Tuple[int, int], ...],
     Tuple[Tuple[Variable, int], ...],
+    FrozenSet[Variable],
 ]
 
 
@@ -121,6 +123,7 @@ def _row_seed_plan(atom: Atom, keep: Optional[FrozenSet[Variable]]) -> _SeedPlan
         tuple(checks),
         tuple(dups),
         tuple(writes),
+        frozenset(var for var, _ in writes),
     )
 
 
@@ -146,8 +149,10 @@ def _seed_plans(rule: Rule, cdb: FrozenSet[str]) -> List[_SeedPlan]:
 
 def _delta_seeds(
     rule: Rule, cdb: FrozenSet[str], delta: DeltaRows
-) -> Iterator[Bindings]:
-    """Pinned initial bindings for re-evaluating ``rule``.
+) -> Iterator[Tuple[FrozenSet[Variable], Bindings]]:
+    """Pinned initial bindings for re-evaluating ``rule``, each paired
+    with its shape (``run_rule``'s ``pre_bound``, computed once per seed
+    source rather than once per changed row).
 
     For a positive CDB atom subgoal the changed row binds the subgoal's
     variables directly; for a CDB aggregate subgoal the changed conjunct
@@ -161,7 +166,9 @@ def _delta_seeds(
     so equal item sets mean equal seeds).
     """
     seen: Set[FrozenSet[Tuple[Variable, Any]]] = set()
-    for predicate, arity, checks, dups, writes in _seed_plans(rule, cdb):
+    for predicate, arity, checks, dups, writes, shape in _seed_plans(
+        rule, cdb
+    ):
         rows = delta.get(predicate)
         if not rows:
             continue
@@ -184,7 +191,7 @@ def _delta_seeds(
             fingerprint = frozenset(seed.items())
             if fingerprint not in seen:
                 seen.add(fingerprint)
-                yield seed
+                yield shape, seed
 
 
 def _apply_derivation(
@@ -325,12 +332,16 @@ def seminaive_fixpoint(
             t_round = tracer.clock() if track else 0.0
             derived: List[Tuple[str, Tuple[Any, ...]]] = []
             for rule in dependent_rules:
-                for seed in _delta_seeds(rule, cdb, delta):
+                for shape, seed in _delta_seeds(rule, cdb, delta):
                     if supervise:
                         # Rule-firing boundary: ``j`` is untouched until
                         # the whole round's derivations apply below.
                         supervisor.poll(scc, iterations)
-                    derived.extend(run_rule(rule, ctx, seed=seed, mode=plan))
+                    derived.extend(
+                        run_rule(
+                            rule, ctx, seed=seed, mode=plan, pre_bound=shape
+                        )
+                    )
             new_delta: DeltaRows = {}
             new_atoms = changed_atoms = 0
             count = track or supervise

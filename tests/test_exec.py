@@ -5,6 +5,10 @@ reference path in :mod:`repro.engine.grounding`:
 
 * ``run_rule`` enumerates exactly the heads ``evaluate_body`` +
   ``ground_head`` produce, with and without seeds, in both plan modes;
+* the generated kernels agree with it for every subgoal kind and edge
+  (defaults, negation, ``=``/``=r`` aggregates, arithmetic errors, oracle
+  routing), probe the indexes exactly as often, keep the fault seams, and
+  are shared process-wide by structurally equal rules;
 * ``plan="off"`` reproduces the legacy ``schedule`` order verbatim;
 * plans are cached per (rule, seed shape, mode) on the program;
 * relation-owned indexes stay equal to a from-scratch rebuild across
@@ -13,14 +17,21 @@ reference path in :mod:`repro.engine.grounding`:
   duplicate-variable positions in changed rows.
 """
 
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
+from repro.engine import exec as exec_layer
 from repro.engine.exec import (
     PLAN_MODES,
     clear_plan_cache,
+    compile_rule,
     get_plan,
     plan_order,
     run_rule,
@@ -31,14 +42,22 @@ from repro.engine.grounding import (
     ground_head,
     schedule,
 )
-from repro.engine.interpretation import INDEX_STATS, Interpretation
+from repro.engine.interpretation import (
+    INDEX_STATS,
+    IndexStats,
+    Interpretation,
+    use_index_stats,
+)
+from repro.obs.tracer import Tracer
 from repro.engine.seminaive import _delta_seeds
 from repro.programs import (
+    ALL_PROGRAMS,
     circuit,
     company_control,
     party_invitations,
     shortest_path,
 )
+from repro.testing.faults import Fault, FaultInjected, FaultPlan, inject
 from repro.workloads import (
     random_circuit,
     random_digraph,
@@ -141,6 +160,379 @@ class TestRunRuleEquivalence:
         program, ctx = setup("p(X) <- e(X, X).", {"e": [("a", "a")]})
         with pytest.raises(ValueError):
             list(run_rule(program.rules[0], ctx, mode="fancy"))
+
+
+def assert_kernel_matches_legacy(rule, ctx, seed=None):
+    """Both plan modes derive what the interpreted reference derives;
+    ``plan="off"`` shares its join order, hence also its output order."""
+    legacy = [
+        ground_head(rule, b) for b in evaluate_body(rule, ctx, initial=seed)
+    ]
+    assert run_rule(rule, ctx, seed=seed, mode="off") == legacy
+    assert heads_via_exec(rule, ctx, seed=seed) == sorted(legacy, key=repr)
+    return legacy
+
+
+class TestKernelEdges:
+    """Kernel vs ``heads_via_legacy`` for every subgoal kind and edge."""
+
+    DEFAULTS = (
+        "@default t/2 : naturals_le.\n@pred w/1.\n@cost v/2 : naturals_le.\n"
+    )
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("w(X), t(X, 0)", [("p", ("b",))]),  # const cost: core or default
+            ("w(X), t(X, 3)", [("p", ("a",))]),
+            ("v(X, C), t(X, C)", [("p", ("a",))]),  # bound cost
+        ],
+    )
+    def test_default_atom_checks(self, body, expected):
+        program, ctx = setup(
+            self.DEFAULTS + f"p(X) <- {body}.",
+            {"w": [("a",), ("b",)], "t": [("a", 3)], "v": [("a", 3), ("b", 2)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == expected
+
+    def test_default_atom_free_cost_reads_core_or_default(self):
+        program, ctx = setup(
+            self.DEFAULTS + "@cost q/2 : naturals_le.\nq(X, C) <- w(X), t(X, C).",
+            {"w": [("a",), ("b",)], "t": [("a", 3)]},
+        )
+        assert sorted(assert_kernel_matches_legacy(program.rules[0], ctx)) == [
+            ("q", ("a", 3)),
+            ("q", ("b", 0)),
+        ]
+
+    def test_negation_on_ordinary_and_cost_predicates(self):
+        program, ctx = setup(
+            "@cost c/2 : naturals_le.\n"
+            "p(X) <- e(X, Y), not r(X, Y).\n"
+            "q(X) <- e(X, Y), not c(X, Y).",
+            {"e": [(1, 2), (3, 4)], "r": [(1, 2)], "c": [(1, 2), (3, 5)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", (3,))
+        ]
+        # A cost atom is absent unless stored with exactly that value.
+        assert assert_kernel_matches_legacy(program.rules[1], ctx) == [
+            ("q", (3,))
+        ]
+
+    def test_restricted_aggregate_generates_grouping_bindings(self):
+        program, ctx = setup(
+            "@cost q/3 : reals_ge.\n@cost p/2 : reals_ge.\n"
+            "p(X, C) <- C =r min{D : q(X, Y, D)}.",
+            {"q": [("a", 1, 5.0), ("b", 1, 2.0), ("a", 2, 3.0)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", ("a", 3.0)),
+            ("p", ("b", 2.0)),
+        ]
+
+    def test_restricted_aggregate_with_bound_result(self):
+        program, ctx = setup(
+            "p(a) <- 2 =r count{q(X)}.\nr(N) <- w(N), N =r count{q(X)}.",
+            {"q": [(1,), (2,)], "w": [(2,), (3,)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", ("a",))
+        ]
+        assert assert_kernel_matches_legacy(program.rules[1], ctx) == [
+            ("r", (2,))
+        ]
+
+    def test_plain_aggregate_over_empty_interior(self):
+        """``=`` applies F to the empty multiset: ``count`` gives 0, ``min``
+        the range's bottom, and ``average`` raises EmptyAggregateError —
+        no binding, not an error.  ``=r`` never sees the empty multiset."""
+        program, ctx = setup(
+            "@cost n/2 : naturals_le.\n@cost m/2 : reals_ge.\n"
+            "@cost a/2 : reals_le.\n@cost r/2 : reals_ge.\n"
+            "@cost q/2 : reals_ge.\n"
+            "n(X, N) <- w(X), N = count{q(X, D)}.\n"
+            "m(X, C) <- w(X), C = min{D : q(X, D)}.\n"
+            "a(X, C) <- w(X), C = average{D : q(X, D)}.\n"
+            "r(X, C) <- w(X), C =r min{D : q(X, D)}.",
+            {"w": [("a",), ("b",)], "q": [("a", 4.0)]},
+        )
+        count_rule, min_rule, average_rule, restricted_rule = program.rules
+        assert sorted(assert_kernel_matches_legacy(count_rule, ctx)) == [
+            ("n", ("a", 1)),
+            ("n", ("b", 0)),
+        ]
+        assert sorted(assert_kernel_matches_legacy(min_rule, ctx)) == [
+            ("m", ("a", 4.0)),
+            ("m", ("b", float("inf"))),
+        ]
+        assert assert_kernel_matches_legacy(average_rule, ctx) == [
+            ("a", ("a", 4.0))
+        ]
+        assert assert_kernel_matches_legacy(restricted_rule, ctx) == [
+            ("r", ("a", 4.0))
+        ]
+
+    def test_multiset_keeps_duplicates_and_shadows_outer_variable(self):
+        """The multiset variable is private to the interior even when a
+        variable of that name is bound outside (Definition 2.4)."""
+        program, ctx = setup(
+            "@cost q/3 : naturals_le.\n@cost p/2 : naturals_le.\n"
+            "p(X, N) <- w(X, D), N =r sum{D : q(X, Y, D)}.",
+            {"w": [("a", 1)], "q": [("a", 1, 2), ("a", 2, 2), ("a", 3, 1)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", ("a", 5))
+        ]
+
+    def test_duplicate_variables_and_head_constants(self):
+        program, ctx = setup(
+            "p(X, k, 7) <- e(X, X, Y), e(Y, Z, Z).",
+            {"e": [(1, 1, 2), (2, 3, 3), (1, 2, 2), (2, 3, 4)]},
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", (1, "k", 7))
+        ]
+
+    def test_seeded_kernel_reads_the_seed(self):
+        program, ctx = setup(
+            "p(X, Z, C) <- e(X, Y), e(Y, Z), C = X + Z.",
+            {"e": [(1, 2), (2, 3), (2, 4), (5, 2)]},
+        )
+        seed = {Variable("Y"): 2, Variable("X"): 5}
+        assert assert_kernel_matches_legacy(program.rules[0], ctx, seed) == [
+            ("p", (5, 3, 8)),
+            ("p", (5, 4, 9)),
+        ]
+
+    def test_division_by_zero_drops_the_binding(self):
+        program, ctx = setup(
+            "p(X, C) <- e(X, Y), C = X / Y.\nq(X) <- e(X, Y), X / Y > 1.",
+            {"e": [(4, 2), (1, 0), (6, 3)]},
+        )
+        assert sorted(assert_kernel_matches_legacy(program.rules[0], ctx)) == [
+            ("p", (4, 2.0)),
+            ("p", (6, 2.0)),
+        ]
+        assert sorted(assert_kernel_matches_legacy(program.rules[1], ctx)) == [
+            ("q", (4,)),
+            ("q", (6,)),
+        ]
+
+    def test_incomparable_filter_operands_are_unsatisfied(self):
+        program, ctx = setup(
+            "p(X) <- e(X, Y), X < Y.", {"e": [(1, 2), (1, "a"), ("b", 3)]}
+        )
+        assert assert_kernel_matches_legacy(program.rules[0], ctx) == [
+            ("p", (1,))
+        ]
+
+    @pytest.mark.parametrize("body", ["C = X + Y", "X + Y > 0"])
+    def test_type_error_inside_arithmetic_propagates(self, body):
+        program, ctx = setup(
+            f"p(X) <- e(X, Y), {body}.", {"e": [(1, 2), (1, "a")]}
+        )
+        rule = program.rules[0]
+        with pytest.raises(TypeError):
+            heads_via_legacy(rule, ctx)
+        for mode in PLAN_MODES:
+            with pytest.raises(TypeError):
+                run_rule(rule, ctx, mode=mode)
+
+    def test_unbound_head_variable_raises_only_when_the_body_holds(self):
+        program, ctx = setup("p(X, Y) <- q(X).", {"q": []})
+        rule = program.rules[0]
+        assert run_rule(rule, ctx) == []
+        ctx.i.add_fact("q", 1)
+        with pytest.raises(SafetyError):
+            run_rule(rule, ctx)
+        with pytest.raises(SafetyError):
+            heads_via_legacy(rule, ctx)
+
+    def test_oracle_routing(self):
+        """``negation_source``/``aggregate_source`` redirect exactly the
+        negated subgoals and the aggregate interiors."""
+        source = (
+            "p(X) <- e(X), not r(X).\n"
+            "c(N) <- N = count{e(X)}.\n"
+            "d(X) <- e(X)."
+        )
+        program, ctx = setup(source, {"e": [(1,), (2,)], "r": [(1,)]})
+        oracle = Interpretation(program.declarations)
+        for row in [(1,), (2,), (3,)]:
+            oracle.add_fact("e", *row)
+        oracle.add_fact("r", 2)
+        routed = EvalContext(
+            program,
+            program.idb_predicates,
+            ctx.j,
+            ctx.i,
+            negation_source=oracle,
+            aggregate_source=oracle,
+        )
+        negation, count, positive = program.rules
+        assert assert_kernel_matches_legacy(negation, routed) == [("p", (1,))]
+        assert assert_kernel_matches_legacy(count, routed) == [("c", (3,))]
+        assert len(assert_kernel_matches_legacy(positive, routed)) == 2
+        assert assert_kernel_matches_legacy(negation, ctx) == [("p", (2,))]
+        assert assert_kernel_matches_legacy(count, ctx) == [("c", (2,))]
+
+    def test_join_deeper_than_the_block_limit(self):
+        """CPython allows 20 nested blocks per function; longer joins go
+        on in a nested function."""
+        n = 2 * exec_layer._MAX_LOOPS + 3
+        chain = ", ".join(f"e(X{k}, X{k + 1})" for k in range(n))
+        program, ctx = setup(
+            f"p(X0, X{n}) <- {chain}.", {"e": [(1, 2), (2, 1), (2, 3)]}
+        )
+        assert len(assert_kernel_matches_legacy(program.rules[0], ctx)) == 3
+
+
+def _constants(program):
+    """Every constant the program's rules mention."""
+    found = set()
+    for rule in program.rules:
+        atoms = [rule.head]
+        for sg in rule.body:
+            if isinstance(sg, AtomSubgoal):
+                atoms.append(sg.atom)
+            elif isinstance(sg, AggregateSubgoal):
+                atoms.extend(sg.conjuncts)
+        for atom in atoms:
+            found.update(a.value for a in atom.args if isinstance(a, Constant))
+    return sorted(found, key=repr)
+
+
+@st.composite
+def catalog_states(draw):
+    """A catalog program and a random interpretation of *all* its
+    predicates (so recursive bodies have something to join)."""
+    paper = draw(st.sampled_from(ALL_PROGRAMS))
+    program = paper.database().program
+    values = st.sampled_from(_constants(program) + [0, 1, 2, 3])
+    state = Interpretation(program.declarations)
+    for name, decl in sorted(program.declarations.items()):
+        costs = [v for v in (0, 1, 2, 0.5, 2.5) if decl.lattice and v in decl.lattice]
+        row = st.tuples(
+            *[values] * decl.key_arity,
+            *([st.sampled_from(costs)] if decl.is_cost_predicate else []),
+        )
+        for args in draw(st.lists(row, max_size=6)):
+            state.add_fact(name, *args, strict=False)
+    return program, state
+
+
+class TestCatalogKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(catalog_states())
+    def test_smart_off_and_grounding_agree(self, case):
+        program, state = case
+        cdb = frozenset(program.declarations)
+        ctx = EvalContext(program, cdb, state, Interpretation(program.declarations))
+        for rule in program.rules:
+            if not rule.is_fact:
+                assert_kernel_matches_legacy(rule, ctx)
+
+
+class TestKernelProbes:
+    """A kernel makes exactly the interpreter's index probes."""
+
+    #: (hits, misses, scans, builds), (plan-cache hits, misses) per driver,
+    #: as measured on the step interpreter these kernels replaced.
+    PINNED = {
+        "seminaive": ((41, 3, 3, 3), (30, 5)),
+        "naive": ((41, 1, 17, 1), (21, 3)),
+        "greedy": ((31, 3, 3, 3), (23, 5)),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_example_3_1_index_stats_pinned(self, method):
+        """A kernel that skips or repeats a ``lookup`` moves these."""
+        arcs = [("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 5.0), ("c", "a", 1.0)]
+        tracer = Tracer()
+        result = shortest_path.database({"arc": arcs}).solve(
+            method=method, pushdown="off", tracer=tracer
+        )
+        assert result.model.total_size() == 29
+        stats = tracer.index_stats
+        assert stats.invalidations == 0
+        assert (
+            (stats.hits, stats.misses, stats.scans, stats.builds),
+            (tracer.plan_hits, tracer.plan_misses),
+        ) == self.PINNED[method]
+
+    def test_one_lookup_per_binding_per_step(self):
+        program, ctx = setup(
+            "p(X, Z) <- e(X, Y), f(Y, Z).",
+            {"e": [(1, 2), (3, 4), (5, 6)], "f": [(2, 7), (4, 8)]},
+        )
+        stats = IndexStats()
+        with use_index_stats(stats):
+            run_rule(program.rules[0], ctx, mode="off")
+            run_rule(program.rules[0], ctx, mode="off")
+        # Per run: one scan-backed enumeration of e (materialised once),
+        # then one f lookup per e row; the first builds the index.
+        assert stats.snapshot() == {
+            "hits": 5,
+            "misses": 1,
+            "builds": 1,
+            "invalidations": 0,
+            "scans": 1,
+        }
+
+
+class TestFaultSeams:
+    SOURCE = "@cost n/2 : naturals_le.\nn(X, N) <- w(X), N = count{q(X, Y)}."
+
+    def test_rule_firing_seam_trips(self):
+        program, ctx = setup(self.SOURCE, {"w": [("a",)], "q": [("a", 1)]})
+        plan = FaultPlan([Fault("rule_firing", match="n")])
+        with inject(plan), pytest.raises(FaultInjected):
+            run_rule(program.rules[0], ctx)
+        assert plan.log == [("rule_firing", "n")]
+
+    def test_aggregate_apply_seam_trips_once_per_group(self):
+        program, ctx = setup(
+            self.SOURCE, {"w": [("a",), ("b",), ("c",)], "q": [("a", 1)]}
+        )
+        plan = FaultPlan([Fault("aggregate_apply", at=3, match="count")])
+        with inject(plan), pytest.raises(FaultInjected):
+            run_rule(program.rules[0], ctx)
+        assert plan.log == [("rule_firing", "n")] + [
+            ("aggregate_apply", "count")
+        ] * 3
+
+
+class TestKernelMemo:
+    def test_renamed_predicates_share_one_code_object(self):
+        first = parse_program("p(X, c, Z) <- e(X, Y), f(Y, Z), X < 3.")
+        second = parse_program("q(X, d, Z) <- g(X, Y), h(Y, Z), X < 9.")
+        plans = [compile_rule(p.rules[0], p) for p in (first, second)]
+        assert plans[0].kernel is plans[1].kernel
+        assert plans[0].consts != plans[1].consts
+        assert plans[0].source(first) == plans[1].source(second)
+        for name in ("p", "e", "f", "q", "g", "h"):
+            assert f"'{name}'" not in plans[0].source(first)
+
+    def test_plan_retains_no_source_or_steps(self):
+        program = parse_program("p(X) <- e(X, Y).")
+        plan = compile_rule(program.rules[0], program)
+        assert not hasattr(plan, "steps")
+        assert not any(
+            isinstance(getattr(plan, slot), str) and "def kernel" in getattr(plan, slot)
+            for slot in plan.__slots__
+        )
+        assert plan.source(program).startswith("def kernel(ctx, seed, consts):")
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        assert exec_layer._kernel.cache_info().maxsize == 512
+        small = lru_cache(maxsize=4)(exec_layer._kernel.__wrapped__)
+        monkeypatch.setattr(exec_layer, "_kernel", small)
+        for width in range(1, 9):
+            chain = ", ".join(f"e(X{k}, X{k + 1})" for k in range(width))
+            program = parse_program(f"p(X0) <- {chain}.")
+            compile_rule(program.rules[0], program)
+        assert small.cache_info().currsize == 4
 
 
 class TestPlanOrder:
@@ -295,13 +687,20 @@ class TestIncrementalIndexes:
         assert INDEX_STATS.builds == 1
 
 
+def _seeds(rule, cdb, delta):
+    """The seed bindings alone (each comes paired with its shape)."""
+    pairs = list(_delta_seeds(rule, cdb, delta))
+    assert all(shape == frozenset(seed) for shape, seed in pairs)
+    return [seed for _, seed in pairs]
+
+
 class TestDeltaSeeds:
     def test_duplicate_rows_deduplicated(self):
         program = parse_program("p(X, Z) <- e(X, Y), e(Y, Z).")
         rule = program.rules[0]
         cdb = frozenset({"e", "p"})
         delta = {"e": [(1, 2), (1, 2), (1, 2)]}
-        seeds = list(_delta_seeds(rule, cdb, delta))
+        seeds = _seeds(rule, cdb, delta)
         # Two subgoals x three identical rows collapse to two seed shapes:
         # {X:1, Y:2} (first subgoal) and {Y:1, Z:2} (second subgoal).
         assert len(seeds) == 2
@@ -313,21 +712,21 @@ class TestDeltaSeeds:
     def test_symmetric_subgoals_share_one_seed(self):
         program = parse_program("p(X, Y) <- e(X, Y), e(Y, X).")
         rule = program.rules[0]
-        seeds = list(_delta_seeds(rule, frozenset({"e", "p"}), {"e": [(1, 1)]}))
+        seeds = _seeds(rule, frozenset({"e", "p"}), {"e": [(1, 1)]})
         assert seeds == [{Variable("X"): 1, Variable("Y"): 1}]
 
     def test_constant_positions_filter_rows(self):
         program = parse_program("p(X) <- e(a, X).")
         rule = program.rules[0]
         delta = {"e": [("a", 1), ("b", 2)]}
-        seeds = list(_delta_seeds(rule, frozenset({"e", "p"}), delta))
+        seeds = _seeds(rule, frozenset({"e", "p"}), delta)
         assert seeds == [{Variable("X"): 1}]
 
     def test_duplicate_variable_positions_filter_rows(self):
         program = parse_program("p(X) <- e(X, X).")
         rule = program.rules[0]
         delta = {"e": [(1, 1), (1, 2)]}
-        seeds = list(_delta_seeds(rule, frozenset({"e", "p"}), delta))
+        seeds = _seeds(rule, frozenset({"e", "p"}), delta)
         assert seeds == [{Variable("X"): 1}]
 
     def test_aggregate_conjunct_projects_to_grouping(self):
@@ -337,6 +736,6 @@ class TestDeltaSeeds:
         )
         rule = program.rules[0]
         delta = {"q": [("a", 3.0), ("a", 5.0)]}
-        seeds = list(_delta_seeds(rule, frozenset({"q", "p"}), delta))
+        seeds = _seeds(rule, frozenset({"q", "p"}), delta)
         # Both rows fall in group X=a: one seed, projected off D.
         assert seeds == [{Variable("X"): "a"}]
