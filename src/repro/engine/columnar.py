@@ -563,6 +563,19 @@ class ColumnarRelation(Relation):
             raise
         return True
 
+    def join_rows(self, rows: Any, *, strict: bool = False) -> List[Key]:
+        if self._cost_col is None:
+            return [row for row in rows if self.add_tuple(row)]
+        lattice = self.decl.lattice
+        assert lattice is not None
+        changed: List[Key] = []
+        for row in rows:
+            key = row[:-1]
+            lattice.validate(row[-1])
+            if self.set_cost(key, row[-1], strict=strict):
+                changed.append(key + (self.cost_of(key),))
+        return changed
+
     def merge_tuples(self, keys: Any) -> None:
         # Hashes are computed up front so an iterable (or a key) that
         # raises mid-iteration mutates nothing, matching the base class.

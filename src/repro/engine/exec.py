@@ -17,8 +17,11 @@ set of variables a semi-naive delta seed pre-binds — it compiles once:
   aggregate interiors appending their multiset values directly.  Bound
   and free argument positions, constant and duplicate-variable checks,
   the grouping/local split and the conjunct order are all decided while
-  generating, so nothing is interpreted per binding.  A kernel returns
-  the rule's ground head atoms as a list, in join order.
+  generating, so nothing is interpreted per binding.  A seeded kernel
+  is *set-at-a-time*: after its hoisted prologue it loops over a list
+  of positional seed tuples, so one call evaluates a whole delta batch.
+  A kernel returns the rule's ground head rows as a list, in seed then
+  join order.
 
 Plans are cached on the :class:`~repro.datalog.program.Program`
 (``program ⋅ rule ⋅ pre-bound variables ⋅ mode``), so ``apply_tp`` and the
@@ -55,7 +58,6 @@ from repro.datalog.terms import (
     Variable,
 )
 from repro.engine.grounding import (
-    Bindings,
     EvalContext,
     schedule,
     subgoal_readiness,
@@ -142,8 +144,8 @@ class _KernelWriter:
     def __init__(self, rule: Rule, program: Program) -> None:
         self.rule = rule
         self.program = program
-        self.consts: List[Any] = []  # unpacked into c0, c1, ... per firing
-        self.prologue: List[str] = []  # seed reads and relation fetches
+        self.consts: List[Any] = []  # unpacked into c0, c1, ... per call
+        self.prologue: List[str] = []  # relation fetches
         self.body: List[str] = []
         self.depth = 1
         self.loops = 0
@@ -196,7 +198,7 @@ class _KernelWriter:
 
     def fetch(self, predicate: str, mode: str, attr: str = "") -> str:
         """Hoist ``ctx.relation(predicate, mode=mode)<attr>`` into the
-        prologue (one oracle-routed fetch per firing); its local name."""
+        prologue (one oracle-routed fetch per call); its local name."""
         name = f"f{len(self.prologue)}"
         kwarg = "" if mode == "positive" else f", mode={mode!r}"
         self.prologue.append(
@@ -206,7 +208,7 @@ class _KernelWriter:
 
     def source(self) -> str:
         self.dedent(1)
-        lines = ["def kernel(ctx, seed, consts):"]
+        lines = ["def kernel(ctx, seeds, consts):"]
         if self.consts:
             names = _display([f"c{n}" for n in range(len(self.consts))])
             lines.append(f"    {names} = consts")
@@ -409,8 +411,9 @@ def _lower(
     pre_bound: FrozenSet[Variable],
 ) -> Tuple[str, Tuple[Any, ...]]:
     """Lower ``rule`` under the join ``order`` to ``(kernel source,
-    consts)``; ``kernel(ctx, seed, consts)`` returns the list of
-    ``(head predicate, ground argument tuple)`` pairs."""
+    consts)``; ``kernel(ctx, seeds, consts)`` returns the list of ground
+    head rows.  With ``pre_bound`` variables the kernel's outermost loop
+    runs over ``seeds``, tuples in :func:`seed_columns` order."""
     regs: Dict[Variable, str] = {}
     for var in rule.head.variables():
         regs.setdefault(var, f"r{len(regs)}")
@@ -418,9 +421,13 @@ def _lower(
         for var in sorted(sg.variable_set(), key=lambda v: v.name):
             regs.setdefault(var, f"r{len(regs)}")
     w = _KernelWriter(rule, program)
-    for var in sorted(pre_bound, key=lambda v: v.name):
-        if var in regs:
-            w.prologue.append(f"{regs[var]} = seed[{w.const(var)}]")
+    if pre_bound:
+        # A seed column the rule never mentions binds a throwaway name.
+        columns = [
+            regs.get(var, f"_{n}")
+            for n, var in enumerate(seed_columns(pre_bound))
+        ]
+        w.loop(f"for {_display(columns)} in seeds:")
     bound: set = set(pre_bound)
     for sg in order:
         if isinstance(sg, AtomSubgoal):
@@ -439,7 +446,7 @@ def _lower(
             bound |= ready[1]
     head = rule.head
     if all(isinstance(a, Constant) or a in bound for a in head.args):
-        w.line(f"emit(({w.const(head.predicate)}, {w.key(head.args, regs)}))")
+        w.line(f"emit({w.key(head.args, regs)})")
     else:
         message = f"head variable of {rule} unbound after body evaluation"
         w.line(f"raise SafetyError({w.const(message)})")
@@ -475,11 +482,12 @@ class RulePlan:
         self.consts = consts
 
     def execute(
-        self, ctx: EvalContext, seed: Optional[Bindings] = None
-    ) -> List[Tuple[str, Key]]:
-        """The ``(head predicate, ground argument tuple)`` pairs derived
-        under ``ctx``, in join order."""
-        return self.kernel(ctx, seed, self.consts)
+        self, ctx: EvalContext, seeds: Optional[Sequence[Key]] = None
+    ) -> List[Key]:
+        """The ground rows of the rule's head predicate derived under
+        ``ctx`` — for every seed in turn when the plan is seeded — in
+        join order."""
+        return self.kernel(ctx, seeds, self.consts)
 
     def source(self, program: Program) -> str:
         """The kernel's generated source (for tests and docs)."""
@@ -692,33 +700,39 @@ def get_pushdown(program: Program, classification: Any = None) -> Any:
     return cached
 
 
+def seed_columns(pre_bound: FrozenSet[Variable]) -> Tuple[Variable, ...]:
+    """The column order of positional seed tuples for a seed shape."""
+    return tuple(sorted(pre_bound, key=lambda v: v.name))
+
+
 def run_rule(
     rule: Rule,
     ctx: EvalContext,
     *,
-    seed: Optional[Bindings] = None,
     mode: str = "smart",
-    pre_bound: Optional[FrozenSet[Variable]] = None,
-) -> List[Tuple[str, Key]]:
-    """The ground head atoms ``rule`` derives under ``ctx``.
+    pre_bound: FrozenSet[Variable] = frozenset(),
+    seeds: Optional[Sequence[Key]] = None,
+) -> List[Key]:
+    """The ground rows of ``rule``'s head predicate derived under ``ctx``.
 
-    ``seed`` pre-binds variables (semi-naive delta seeds); the plan is
-    compiled once per distinct seed *shape* and cached on the program.
-    ``pre_bound`` is that shape, ``frozenset(seed)`` — the delta-driven
-    evaluators fire one seed source many times and pass it precomputed.
+    ``seeds`` is a batch of semi-naive delta seeds: tuples binding the
+    ``pre_bound`` variables in :func:`seed_columns` order.  The rule
+    fires once per seed inside one kernel call (once in all when the
+    plan is unseeded); the plan is compiled once per distinct seed
+    *shape* and cached on the program.
 
-    With an enabled tracer on the context the run's wall time and
-    derived-atom count are charged to the rule (``tracer.record_rule``).
+    With an enabled tracer on the context the call's wall time, firings
+    and derived-row count are charged to the rule (``tracer.record_rule``).
     """
-    if _faults._ACTIVE is not None:  # fault-injection seam
-        _faults.trip("rule_firing", rule.head.predicate)
-    if pre_bound is None:
-        pre_bound = frozenset(seed) if seed else frozenset()
+    firings = len(seeds) if seeds is not None and pre_bound else 1
+    if _faults._ACTIVE is not None:  # fault-injection seam, one hit per firing
+        for _ in range(firings):
+            _faults.trip("rule_firing", rule.head.predicate)
     plan = get_plan(ctx.program, rule, pre_bound, mode=mode, ctx=ctx)
     tracer = ctx.tracer
     if not tracer.enabled:
-        return plan.execute(ctx, seed)
+        return plan.execute(ctx, seeds)
     t0 = perf_counter()
-    derived = plan.execute(ctx, seed)
-    tracer.record_rule(rule, len(derived), perf_counter() - t0)
+    derived = plan.execute(ctx, seeds)
+    tracer.record_rule(rule, len(derived), perf_counter() - t0, firings)
     return derived

@@ -32,11 +32,10 @@ from typing import Any, List, Optional, Tuple
 from repro.analysis.dependencies import Component
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
-from repro.engine.exec import run_rule
 from repro.engine.grounding import EvalContext
 from repro.engine.interpretation import Interpretation
 from repro.engine.naive import FixpointResult
-from repro.engine.seminaive import DeltaRows, _delta_seeds
+from repro.engine.seminaive import DeltaDispatch
 from repro.engine.supervisor import (
     NULL_SUPERVISOR,
     SolveInterrupt,
@@ -115,12 +114,10 @@ def greedy_fixpoint(
         # Checkpointed greedy atoms were settled, hence final: restore
         # them as settled so re-derivation cannot revise them.
         for name, rel in initial.relations.items():
-            if name not in cdb or not len(rel):
-                continue
-            target = j.relation(name)
-            for key, value in rel.costs.items():
-                target.set_cost(key, value, strict=False)
+            if name in cdb and len(rel):
+                j.relation(name).join_rows(rel.rows())
     ctx = EvalContext(program, cdb, j, i, tracer=tracer)
+    dispatch = DeltaDispatch(rules, cdb)
     track = tracer.enabled
     supervise = supervisor.active
 
@@ -179,19 +176,10 @@ def greedy_fixpoint(
             # so the long-lived context sees the settled atom immediately.
             rel.set_cost(key, value, strict=False)
             settled_count += 1
-            delta: DeltaRows = {predicate: [args]}
-            for rule in rules:
-                for shape, seed_bindings in _delta_seeds(rule, cdb, delta):
-                    for head_pred, head_args in run_rule(
-                        rule,
-                        ctx,
-                        seed=seed_bindings,
-                        mode=plan,
-                        pre_bound=shape,
-                    ):
-                        head_rel = j.relation(head_pred)
-                        if head_args[:-1] in head_rel.costs:
-                            continue
+            for head_pred, rows in dispatch.fire({predicate: [args]}, ctx, plan):
+                head_costs = j.relation(head_pred).costs
+                for head_args in rows:
+                    if head_args[:-1] not in head_costs:
                         push(head_pred, head_args)
             if track:
                 settle_wall = round(tracer.clock() - t_settle, 6)

@@ -23,7 +23,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.datalog.errors import CostConsistencyError, ProgramError
 from repro.datalog.program import PredicateDecl
@@ -121,6 +123,17 @@ def use_index_stats(stats: IndexStats) -> Iterator[IndexStats]:
         _ACTIVE_STATS.reset(token)
 
 
+def row_projector(positions: Tuple[int, ...]) -> Callable[[Key], Key]:
+    """``row -> tuple(row[p] for p in positions)`` without a per-row
+    generator (index bucket keys, delta-seed projection)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return lambda row: ()
+
+
 @dataclass
 class Relation:
     """The extension of one predicate inside an interpretation.
@@ -128,10 +141,10 @@ class Relation:
     Beyond the raw ``tuples``/``costs`` containers, a relation owns its
     *persistent incremental indexes*: hash indexes keyed by argument
     positions that are built lazily on first lookup and then maintained in
-    place by :meth:`add_tuple`/:meth:`set_cost`.  They survive across
-    fixpoint rounds — a semi-naive round touches only its delta instead of
-    re-hashing every relation (see docs/PERFORMANCE.md).  Code that
-    mutates ``tuples``/``costs`` directly must call
+    place by :meth:`add_tuple`/:meth:`set_cost`/:meth:`join_rows`.  They
+    survive across fixpoint rounds — a semi-naive round touches only its
+    delta instead of re-hashing every relation (see docs/PERFORMANCE.md).
+    Code that mutates ``tuples``/``costs`` directly must call
     :meth:`invalidate_indexes` afterwards (or use the mutator methods).
     """
 
@@ -257,6 +270,95 @@ class Relation:
             self.invalidate_indexes()
             raise
         return True
+
+    def join_rows(self, rows: Iterable[Key], *, strict: bool = False) -> List[Key]:
+        """Join full ``rows`` (the cost column last for cost predicates)
+        into the relation; the rows that changed it, as stored after
+        joining, in order.
+
+        The one bulk mutator: per row exactly ``lattice.validate`` plus
+        :meth:`set_cost` (or :meth:`add_tuple`), including index and
+        row-cache upkeep, the ``index_update`` fault seam and
+        invalidate-on-exception — with everything that is per relation
+        (containers, lattice functions, live indexes, row cache, fault
+        plan) read once per call instead of once per row.
+        """
+        changed: List[Key] = []
+        keyers = [
+            (row_projector(positions), index)
+            for positions, index in self._indexes.items()
+        ]
+        live = self._rows_cache_gen == self.generation
+        cache = self._rows_cache if live else None
+        seam = _faults._ACTIVE is not None
+        name = self.decl.name
+        tuples, costs = self.tuples, self.costs
+        lattice = self.decl.lattice
+        has_default = self.decl.has_default
+        if lattice is not None:
+            validate, join, bottom = lattice.validate, lattice.join, lattice.bottom
+        try:
+            for row in rows:
+                replaced = None
+                if lattice is None:
+                    if row in tuples:
+                        continue
+                    tuples.add(row)
+                else:
+                    key, value = row[:-1], row[-1]
+                    validate(value)
+                    existing = costs.get(key)
+                    if has_default and value == bottom:
+                        # The default is implicit, never stored.
+                        if strict and existing is not None and existing != value:
+                            raise CostConsistencyError(
+                                f"{name}{key}: derived both "
+                                f"{existing!r} and default {value!r}"
+                            )
+                        continue
+                    if existing is None:
+                        costs[key] = value
+                    elif existing == value:
+                        continue
+                    elif strict:
+                        raise CostConsistencyError(
+                            f"{name}{key}: derived both {existing!r} and "
+                            f"{value!r} in one T_P application"
+                        )
+                    else:
+                        # The lub runs before any mutation (see set_cost).
+                        joined = join(existing, value)
+                        if joined == existing:
+                            continue
+                        costs[key] = joined
+                        replaced, row = key + (existing,), key + (joined,)
+                changed.append(row)
+                try:
+                    if seam:
+                        _faults.trip("index_update", name, self)
+                    if replaced is None:
+                        if cache is not None:
+                            cache.append(row)
+                        for keyer, index in keyers:
+                            index.setdefault(keyer(row), []).append(row)
+                    else:
+                        cache = self._rows_cache = None
+                        for keyer, index in keyers:
+                            bucket = index.get(keyer(replaced))
+                            if bucket is not None:
+                                try:
+                                    bucket.remove(replaced)
+                                except ValueError:  # pragma: no cover - defensive
+                                    pass
+                            index.setdefault(keyer(row), []).append(row)
+                except BaseException:
+                    self.invalidate_indexes()
+                    raise
+        finally:
+            self.generation += len(changed)
+            if cache is not None and cache is self._rows_cache:
+                self._rows_cache_gen = self.generation
+        return changed
 
     def merge_tuples(self, keys: Set[Key]) -> None:
         """Bulk-union ordinary tuples; invalidates live indexes.
@@ -510,6 +612,24 @@ class Interpretation:
             else:
                 target.merge_tuples(rel.tuples)
         return out
+
+    def absorb(self, other: "Interpretation") -> None:
+        """``self ← self ⊔ other`` in place, without copying either side.
+
+        An empty relation of the same storage class *adopts* ``other``'s
+        relation object, warm indexes included (the two interpretations
+        then share it — callers own both sides, as the solver does with
+        its state and a finished component); a non-empty one is joined
+        through :meth:`Relation.join_rows`.
+        """
+        for name, rel in other.relations.items():
+            if not len(rel):
+                continue
+            target = self.relation(name)
+            if not len(target) and type(target) is type(rel):
+                self.relations[name] = rel
+            else:
+                target.join_rows(rel.rows())
 
     def meet(self, other: "Interpretation") -> "Interpretation":
         """``self ⊓ other`` per Theorem 3.1's construction.

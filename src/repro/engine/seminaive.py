@@ -25,16 +25,18 @@ tests across the paper's example programs and randomized workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
-from repro.engine.exec import run_rule
-from repro.engine.grounding import Bindings, EvalContext
-from repro.engine.interpretation import Interpretation
+from repro.engine.exec import run_rule, seed_columns
+from repro.engine.grounding import EvalContext
+from repro.engine.interpretation import Interpretation, Key, row_projector
 from repro.engine.naive import FixpointResult
 from repro.engine.supervisor import (
     NULL_SUPERVISOR,
@@ -47,168 +49,175 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 DeltaRows = Dict[str, List[Tuple[Any, ...]]]
 
 
-def _match_row(atom: Atom, row: Tuple[Any, ...]) -> Optional[Bindings]:
-    """Bindings making ``atom`` equal to the concrete ``row``, or None."""
-    if len(atom.args) != len(row):
-        return None
-    bindings: Bindings = {}
-    for arg, value in zip(atom.args, row):
-        if isinstance(arg, Constant):
-            if arg.value != value:
-                return None
-        else:
-            existing = bindings.get(arg)
-            if existing is None:
-                bindings[arg] = value
-            elif existing != value:
-                return None
-    return bindings
-
-
 def _delta_between(old: Interpretation, new: Interpretation) -> DeltaRows:
     """Rows of ``new`` that are absent from or different in ``old``."""
     delta: DeltaRows = {}
     for name, rel in new.relations.items():
         old_rel = old.relations[name]
-        rows: List[Tuple[Any, ...]] = []
         if rel.is_cost:
-            for key, value in rel.costs.items():
-                if old_rel.costs.get(key) != value:
-                    rows.append(key + (value,))
+            old_costs = old_rel.costs
+            rows = [
+                key + (value,)
+                for key, value in rel.costs.items()
+                if old_costs.get(key) != value
+            ]
         else:
-            for key in rel.tuples - old_rel.tuples:
-                rows.append(key)
+            rows = list(rel.tuples - old_rel.tuples)
         if rows:
             delta[name] = rows
     return delta
 
 
-#: One compiled seed source: (predicate, arity, constant checks as
-#: (position, value), duplicate-variable checks as (position, first
-#: position), seed writes as (variable, position), seed shape — the
-#: written variables, i.e. the plan-cache key of every seed it yields).
-_SeedPlan = Tuple[
-    str,
-    int,
-    Tuple[Tuple[int, Any], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[Variable, int], ...],
-    FrozenSet[Variable],
-]
+#: Seeds per kernel call.  The supervisor is polled between slices, so
+#: this bounds cancel latency; it is large enough to amortise the call.
+SEED_SLICE = 64
 
 
-def _row_seed_plan(atom: Atom, keep: Optional[FrozenSet[Variable]]) -> _SeedPlan:
-    """Compile ``atom`` into a row → seed-bindings extractor.
+class SeedSource:
+    """One way a changed row re-fires a rule: a positive CDB body atom,
+    or a CDB conjunct of an aggregate subgoal, compiled into a row →
+    seed-tuple extractor.
 
-    ``keep`` restricts the seed to a variable subset (aggregate grouping
-    projection); constant and duplicate-occurrence checks still cover
-    every position, exactly like :func:`_match_row`.
+    For a body atom the changed row binds the atom's variables directly;
+    for an aggregate conjunct it is projected onto the *grouping*
+    variables, seeding re-aggregation of exactly the affected groups.
+    The full body is then re-evaluated around the seed (the pinned
+    subgoal re-matches via an index hit, which keeps the original rule's
+    grouping/local classification intact).
     """
-    checks: List[Tuple[int, Any]] = []
-    dups: List[Tuple[int, int]] = []
-    writes: List[Tuple[Variable, int]] = []
-    first: Dict[Variable, int] = {}
-    for pos, arg in enumerate(atom.args):
-        if isinstance(arg, Constant):
-            checks.append((pos, arg.value))
-        elif arg in first:
-            dups.append((pos, first[arg]))
+
+    __slots__ = (
+        "rule", "predicate", "rank", "shape", "group", "checks", "dups", "project",
+    )  # fmt: skip
+
+    def __init__(
+        self, rule: Rule, rank: int, atom: Atom, keep: Optional[FrozenSet[Variable]]
+    ) -> None:
+        self.rule = rule
+        self.predicate = atom.predicate
+        #: Position in rule-major, body order: the derivation order.
+        self.rank = rank
+        #: Constant checks ``(position, value)`` and repeated-variable
+        #: checks ``(position, first position)`` a row must pass.
+        checks: List[Tuple[int, Any]] = []
+        dups: List[Tuple[int, int]] = []
+        first: Dict[Variable, int] = {}
+        for pos, arg in enumerate(atom.args):
+            if isinstance(arg, Constant):
+                checks.append((pos, arg.value))
+            elif arg in first:
+                dups.append((pos, first[arg]))
+            else:
+                first[arg] = pos
+        self.checks, self.dups = checks, dups
+        #: The seeded variables — the plan-cache key of every batch.
+        self.shape = frozenset(v for v in first if keep is None or v in keep)
+        columns = seed_columns(self.shape)
+        self.project = row_projector(tuple(first[v] for v in columns))
+        #: Index of the dedup set shared with the rule's other sources of
+        #: this shape (equal seeds fire once); -1 when there is none.
+        self.group = -1
+
+    def seeds(self, rows: List[Key], seen: Optional[Set[Key]]) -> List[Key]:
+        """The distinct seed tuples of ``rows`` not in ``seen``, in row
+        order; ``seen`` (the source's group, if any) is updated."""
+        if self.checks or self.dups:
+            checks, dups = self.checks, self.dups
+            rows = [
+                row
+                for row in rows
+                if all(row[pos] == value for pos, value in checks)
+                and all(row[pos] == row[pos0] for pos, pos0 in dups)
+            ]
+        seeds = dict.fromkeys(map(self.project, rows))
+        if seen is None:
+            return list(seeds)
+        fresh = [seed for seed in seeds if seed not in seen]
+        seen.update(fresh)
+        return fresh
+
+
+class DeltaDispatch:
+    """The delta-dispatch table of one component: changed predicate →
+    the seed sources it re-fires, compiled once and used by both
+    delta-driven evaluators (semi-naive rounds, greedy settles)."""
+
+    def __init__(self, rules: Sequence[Rule], cdb: FrozenSet[str]) -> None:
+        self.by_predicate: Dict[str, List[SeedSource]] = {}
+        groups: Dict[Tuple[int, FrozenSet[Variable]], List[SeedSource]] = {}
+        rank = 0
+        for rule in rules:
+            for sg in rule.body:
+                if isinstance(sg, AtomSubgoal) and not sg.negated:
+                    pinned = [(sg.atom, None)]
+                elif isinstance(sg, AggregateSubgoal):
+                    grouping = rule.grouping_variables(sg)
+                    pinned = [(c, grouping) for c in sg.conjuncts]
+                else:
+                    continue
+                for atom, keep in pinned:
+                    if atom.predicate not in cdb:
+                        continue
+                    source = SeedSource(rule, rank, atom, keep)
+                    rank += 1
+                    self.by_predicate.setdefault(atom.predicate, []).append(source)
+                    groups.setdefault((id(rule), source.shape), []).append(source)
+        shared = [group for group in groups.values() if len(group) > 1]
+        for index, group in enumerate(shared):
+            for source in group:
+                source.group = index
+
+    def batches(self, delta: DeltaRows) -> List[Tuple[SeedSource, List[Key]]]:
+        """``(seed source, its distinct seeds)`` for the changed rows of
+        ``delta``, in derivation order: rule, then source, then row."""
+        hit: Sequence[SeedSource]
+        if len(delta) == 1:
+            (predicate,) = delta
+            hit = self.by_predicate.get(predicate, ())
         else:
-            first[arg] = pos
-            if keep is None or arg in keep:
-                writes.append((arg, pos))
-    return (
-        atom.predicate,
-        len(atom.args),
-        tuple(checks),
-        tuple(dups),
-        tuple(writes),
-        frozenset(var for var, _ in writes),
-    )
+            hit = sorted(
+                (s for p in delta for s in self.by_predicate.get(p, ())),
+                key=attrgetter("rank"),
+            )
+        seen: Dict[int, Set[Key]] = {}
+        out: List[Tuple[SeedSource, List[Key]]] = []
+        for source in hit:
+            group = source.group
+            seeds = source.seeds(
+                delta[source.predicate],
+                seen.setdefault(group, set()) if group >= 0 else None,
+            )
+            if seeds:
+                out.append((source, seeds))
+        return out
 
-
-def _seed_plans(rule: Rule, cdb: FrozenSet[str]) -> List[_SeedPlan]:
-    """The rule's compiled seed sources, cached on the rule object."""
-    cache: Dict[FrozenSet[str], List[_SeedPlan]]
-    cache = rule.__dict__.setdefault("_delta_seed_plans", {})
-    plans = cache.get(cdb)
-    if plans is None:
-        plans = []
-        for sg in rule.body:
-            if isinstance(sg, AtomSubgoal) and not sg.negated:
-                if sg.atom.predicate in cdb:
-                    plans.append(_row_seed_plan(sg.atom, None))
-            elif isinstance(sg, AggregateSubgoal):
-                grouping = rule.grouping_variables(sg)
-                for conjunct in sg.conjuncts:
-                    if conjunct.predicate in cdb:
-                        plans.append(_row_seed_plan(conjunct, grouping))
-        cache[cdb] = plans
-    return plans
-
-
-def _delta_seeds(
-    rule: Rule, cdb: FrozenSet[str], delta: DeltaRows
-) -> Iterator[Tuple[FrozenSet[Variable], Bindings]]:
-    """Pinned initial bindings for re-evaluating ``rule``, each paired
-    with its shape (``run_rule``'s ``pre_bound``, computed once per seed
-    source rather than once per changed row).
-
-    For a positive CDB atom subgoal the changed row binds the subgoal's
-    variables directly; for a CDB aggregate subgoal the changed conjunct
-    row is projected onto the *grouping* variables, seeding re-aggregation
-    of exactly the affected groups.  The full body is then re-evaluated
-    around the seed (the pinned subgoal re-matches via an index hit, which
-    keeps the original rule's grouping/local classification intact).
-
-    Seeds are deduplicated by a frozenset-of-items fingerprint — an
-    order-free O(k) key (a bindings dict cannot bind one variable twice,
-    so equal item sets mean equal seeds).
-    """
-    seen: Set[FrozenSet[Tuple[Variable, Any]]] = set()
-    for predicate, arity, checks, dups, writes, shape in _seed_plans(
-        rule, cdb
-    ):
-        rows = delta.get(predicate)
-        if not rows:
-            continue
-        for row in rows:
-            if len(row) != arity:
-                continue
-            ok = True
-            for pos, value in checks:
-                if row[pos] != value:
-                    ok = False
-                    break
-            if ok:
-                for pos, pos0 in dups:
-                    if row[pos] != row[pos0]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            seed = {var: row[pos] for var, pos in writes}
-            fingerprint = frozenset(seed.items())
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                yield shape, seed
-
-
-def _apply_derivation(
-    target: Interpretation, predicate: str, args: Tuple[Any, ...]
-) -> bool:
-    """Join one derived head atom into ``target``; True if it changed.
-
-    Routed through the relation mutators so the persistent indexes stay
-    consistent across rounds (``set_cost(strict=False)`` joins on
-    conflict, which is exactly the semi-naive merge semantics).
-    """
-    rel = target.relation(predicate)
-    if rel.is_cost:
-        assert rel.decl.lattice is not None
-        rel.decl.lattice.validate(args[-1])
-        return rel.set_cost(args[:-1], args[-1], strict=False)
-    return rel.add_tuple(args)
+    def fire(
+        self,
+        delta: DeltaRows,
+        ctx: EvalContext,
+        mode: str,
+        poll: Optional[Callable[[], None]] = None,
+    ) -> List[Tuple[str, List[Key]]]:
+        """Re-fire every rule the changed rows of ``delta`` can touch:
+        ``(head predicate, derived rows)`` per kernel call, in derivation
+        order.  ``poll`` runs before each kernel call, so at most
+        :data:`SEED_SLICE` seeds apart."""
+        derived: List[Tuple[str, List[Key]]] = []
+        for source, seeds in self.batches(delta):
+            rule = source.rule
+            for start in range(0, len(seeds), SEED_SLICE):
+                if poll is not None:
+                    poll()
+                rows = run_rule(
+                    rule,
+                    ctx,
+                    mode=mode,
+                    pre_bound=source.shape,
+                    seeds=seeds[start : start + SEED_SLICE],
+                )
+                if rows:
+                    derived.append((rule.head.predicate, rows))
+        return derived
 
 
 def seminaive_fixpoint(
@@ -228,7 +237,7 @@ def seminaive_fixpoint(
     """Delta-driven fixpoint of one monotonic component.
 
     ``strict`` governs the *first* round's cost-consistency check (later
-    rounds always join — see ``_apply_derivation``).  The solver passes
+    rounds always join — ``Relation.join_rows``).  The solver passes
     ``strict=False`` for components holding an aggregate-pushdown
     frontier predicate, whose rules *intentionally* derive conflicting
     per-key costs for the lattice join to collapse.
@@ -238,13 +247,14 @@ def seminaive_fixpoint(
     to the next round split into new atoms and changed-cost (lattice
     merge) atoms.
 
-    An active ``supervisor`` is polled at each rule/seed boundary and
-    consulted per round; an interrupt escapes with the last consistent
-    ``J`` and the pending delta frontier attached.  ``initial`` resumes
-    from a checkpointed lower bound: round 0 re-derives over it (one
-    full ``T_P`` application, joined in), so a stale or missing frontier
-    cannot lose derivations — semi-naive pinning is only a shortcut for
-    work the full round would repeat.
+    An active ``supervisor`` is polled between kernel calls (at most
+    :data:`SEED_SLICE` seeds apart) and consulted per round; an
+    interrupt escapes with the last consistent ``J`` and the pending
+    delta frontier attached.  ``initial`` resumes from a checkpointed
+    lower bound: round 0 re-derives over it (one full ``T_P``
+    application, joined in), so a stale or missing frontier cannot lose
+    derivations — semi-naive pinning is only a shortcut for work the
+    full round would repeat.
     """
     rules = [r for r in program.rules if r.head.predicate in cdb]
     resumed = initial is not None
@@ -310,16 +320,15 @@ def seminaive_fixpoint(
                 total_atoms=j.total_size(),
             )
 
-        # Rules that read no CDB predicate can never fire on a delta.
-        dependent_rules = [
-            r for r in rules if any(p in cdb for p in r.body_predicates())
-        ]
+        dispatch = DeltaDispatch(rules, cdb)
+        # ``j`` is untouched until a whole round's derivations apply, so
+        # every poll sees a round-boundary state.
+        poll = (lambda: supervisor.poll(scc, iterations)) if supervise else None
 
         # One context for the whole fixpoint: the persistent indexes on
         # the relations of ``j`` and ``i`` survive across rounds and are
-        # updated in place by ``_apply_derivation``'s mutator calls, so
-        # each round touches only its delta instead of re-hashing every
-        # relation.
+        # updated in place by ``join_rows``, so each round touches only
+        # its delta instead of re-hashing every relation.
         ctx = EvalContext(program, cdb, j, i, tracer=tracer)
 
         while delta:
@@ -330,41 +339,19 @@ def seminaive_fixpoint(
                     ascending=True,
                 )
             t_round = tracer.clock() if track else 0.0
-            derived: List[Tuple[str, Tuple[Any, ...]]] = []
-            for rule in dependent_rules:
-                for shape, seed in _delta_seeds(rule, cdb, delta):
-                    if supervise:
-                        # Rule-firing boundary: ``j`` is untouched until
-                        # the whole round's derivations apply below.
-                        supervisor.poll(scc, iterations)
-                    derived.extend(
-                        run_rule(
-                            rule, ctx, seed=seed, mode=plan, pre_bound=shape
-                        )
-                    )
+            derived = dispatch.fire(delta, ctx, plan, poll)
             new_delta: DeltaRows = {}
             new_atoms = changed_atoms = 0
-            count = track or supervise
-            for predicate, args in derived:
+            for predicate, rows in derived:
                 rel = j.relation(predicate)
-                if count:
-                    existed = (
-                        args[:-1] in rel.costs
-                        if rel.is_cost
-                        else args in rel.tuples
-                    )
-                if _apply_derivation(j, predicate, args):
-                    if count:
-                        if existed:
-                            changed_atoms += 1
-                        else:
-                            new_atoms += 1
-                    if rel.is_cost:
-                        key = args[:-1]
-                        row = key + (rel.costs[key],)  # value after joining
-                    else:
-                        row = args
-                    new_delta.setdefault(predicate, []).append(row)
+                size = len(rel)
+                changed = rel.join_rows(rows)
+                if changed:
+                    new_delta.setdefault(predicate, []).extend(changed)
+                    # A changed row either added a key or joined into one.
+                    added = len(rel) - size
+                    new_atoms += added
+                    changed_atoms += len(changed) - added
             delta = new_delta
             trajectory.append(j.total_size())
             iterations += 1

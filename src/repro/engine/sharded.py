@@ -151,13 +151,7 @@ def _interpretation_rows(
 def _merge_rows(target: Interpretation, rows: RowBatch) -> None:
     """Lattice-join row batches into ``target`` (the barrier merge)."""
     for name, batch in rows.items():
-        rel = target.relation(name)
-        if rel.is_cost:
-            for row in batch:
-                rel.set_cost(row[:-1], row[-1], strict=False)
-        else:
-            for row in batch:
-                rel.add_tuple(row)
+        target.relation(name).join_rows(batch)
 
 
 def _run_shard(

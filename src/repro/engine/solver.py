@@ -235,15 +235,8 @@ def _component_initial(
     initial = Interpretation(program.declarations, storage=state.storage)
     for predicate in component.cdb:
         src = state.relations.get(predicate)
-        if src is None or not len(src):
-            continue
-        dst = initial.relation(predicate)
-        if src.is_cost:
-            for key, value in src.costs.items():
-                dst.set_cost(key, value, strict=False)
-        else:
-            for key in src.tuples:
-                dst.add_tuple(key)
+        if src is not None and len(src):
+            initial.relation(predicate).join_rows(src.rows())
     return initial
 
 
@@ -604,7 +597,9 @@ def _solve_traced(
                 atoms=fixpoint.interpretation.total_size(),
                 wall_s=round(tracer.clock() - t_scc, 6),
             )
-        state = state.join(fixpoint.interpretation)
+        # ``state`` is this solve's own copy (``with_storage``), so the
+        # finished component folds in without a copy of either side.
+        state.absorb(fixpoint.interpretation)
         result.components.append(component)
         result.component_methods.append(chosen)
         result.component_results.append(fixpoint)

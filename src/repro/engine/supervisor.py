@@ -253,7 +253,8 @@ class Supervisor:
     :attr:`base_atoms` / :attr:`watch_spiral` before each component; the
     evaluators call the two check methods:
 
-    * :meth:`poll` — at rule-firing boundaries (and per greedy pop):
+    * :meth:`poll` — between kernel calls (per rule, per slice of a
+      semi-naive seed batch) and per greedy pop:
       cancellation on every call, the deadline every
       ``_POLL_STRIDE`` calls;
     * :meth:`on_round` — at iteration boundaries, with the round's delta
@@ -369,7 +370,7 @@ class Supervisor:
     def poll(
         self, scc: Optional[int] = None, iteration: Optional[int] = None
     ) -> None:
-        """Cheap check at rule-firing boundaries (and per greedy pop)."""
+        """Cheap check between kernel calls (and per greedy pop)."""
         if not self.active:
             return
         self._check_cancel(scc, iteration)

@@ -77,12 +77,7 @@ def apply_tp(
     for rule in rules:
         if check:
             supervisor.poll(scc)
-        for predicate, args in run_rule(rule, ctx, mode=plan):
-            rel = out.relation(predicate)
-            if rel.is_cost:
-                assert rel.decl.lattice is not None
-                rel.decl.lattice.validate(args[-1])
-                rel.set_cost(args[:-1], args[-1], strict=strict)
-            else:
-                rel.add_tuple(args)
+        rows = run_rule(rule, ctx, mode=plan)
+        if rows:
+            out.relation(rule.head.predicate).join_rows(rows, strict=strict)
     return out

@@ -31,6 +31,11 @@ NEG_INF = float("-inf")
 
 def _is_real(value: Any) -> bool:
     """Accept ints and floats (including infinities), reject NaN and bools."""
+    kind = type(value)
+    if kind is float:  # exact types first: the per-derived-row hot path
+        return value == value
+    if kind is int:
+        return True
     if isinstance(value, bool):
         return False
     if not isinstance(value, (int, float)):

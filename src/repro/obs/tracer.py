@@ -174,21 +174,25 @@ class Tracer:
 
     # -- counter primitives ----------------------------------------------------
 
-    def record_rule(self, rule: Any, derived: int, wall_s: float) -> None:
-        """Aggregate one compiled-executor run of ``rule``.
+    def record_rule(
+        self, rule: Any, derived: int, wall_s: float, firings: int = 1
+    ) -> None:
+        """Aggregate one kernel call of ``rule``: ``firings`` seeds
+        evaluated (1 for an unseeded run), ``derived`` head rows.
 
         Callers guard on ``enabled``; stats are keyed by rule identity
         and flushed as ``rule_profile`` events by the solver.
         """
         entry = self._rule_stats.get(id(rule))
         if entry is None:
-            self._rule_stats[id(rule)] = [rule, 1, derived, wall_s]
+            self._rule_stats[id(rule)] = [rule, firings, derived, wall_s]
         else:
-            entry[1] += 1
+            entry[1] += firings
             entry[2] += derived
             entry[3] += wall_s
         m = self.metrics
-        m.counter("rule.firings").inc()
+        m.counter("rule.firings").inc(firings)
+        m.counter("rule.kernel_calls").inc()
         m.counter("rule.derived").inc(derived)
         m.histogram("rule.derived_per_firing").observe(float(derived))
         m.timer("rule.wall_s").observe(wall_s)

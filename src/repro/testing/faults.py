@@ -9,13 +9,15 @@ seams:
 
 ``rule_firing``
     entry of :func:`repro.engine.exec.run_rule` — one hit per rule
-    execution (naive/seminaive/greedy all funnel through it);
+    firing, so one per seed of a delta batch (naive/seminaive/greedy
+    all funnel through it);
 ``aggregate_apply``
     immediately before an aggregate function is applied to a group's
     multiset inside the compiled executor;
 ``index_update``
-    inside ``Relation._on_insert`` / ``Relation._on_replace`` — the
-    incremental index maintenance a torn update would corrupt.
+    inside ``Relation._on_insert`` / ``Relation._on_replace`` and the
+    same step of ``Relation.join_rows`` — the incremental index
+    maintenance a torn update would corrupt.
 
 Injection is **deterministic**: a :class:`Fault` fires on the *N*-th
 matching hit (``at``, 1-based), optionally filtered by a substring of

@@ -18,6 +18,12 @@ Two invariants the engine's correctness arguments lean on:
    stray ``time.time()`` in a fixpoint loop silently escapes both the
    budget machinery and the telemetry timebase.
 
+3. **One delta path, documented as generated.**  The per-seed
+   evaluators (``_delta_seeds`` / ``_match_row`` / ``_apply_derivation``,
+   a kernel reading ``seed[...]``) are gone, not forked, and the kernel
+   source docs/PERFORMANCE.md prints is the source the compiler
+   generates today.
+
 The checks are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
@@ -29,7 +35,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 #: Files allowed to touch the raw containers: the helpers' home module
 #: (the mutators themselves plus interpretation-level join/copy, whose
@@ -125,3 +132,38 @@ def test_allowlist_is_not_stale():
             f"allowlist entry {rel} no longer touches the raw containers; "
             f"remove it"
         )
+
+
+PER_SEED_PATH = [
+    re.compile(r"_delta_seeds|_apply_derivation|_match_row"),
+    re.compile(r"\bseed\["),
+]
+
+
+def test_the_per_seed_path_is_gone():
+    offenders = []
+    for path in _source_files():
+        offenders.extend(_violations(path, PER_SEED_PATH))
+    assert not offenders, (
+        "tuple-at-a-time delta evaluation is back (seeds are batched: "
+        "DeltaDispatch, run_rule(seeds=...), Relation.join_rows):\n  "
+        + "\n  ".join(offenders)
+    )
+
+
+def test_documented_kernel_is_the_generated_kernel():
+    """docs/PERFORMANCE.md §2 prints Example 3.1's recursive rule under
+    the seed shape a changed ``s`` row produces."""
+    from repro.datalog.terms import Variable
+    from repro.engine.exec import compile_rule
+    from repro.programs import shortest_path
+
+    text = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+    printed = re.findall(r"```python\n(def kernel\(.*?)```", text, re.DOTALL)
+    program = shortest_path.database().program
+    rule = program.rules[1]
+    assert str(rule).startswith("path(X, Z, Y, C) <- s(X, Z, C1)")
+    shape = frozenset(map(Variable, ("X", "Z", "C1")))
+    plan = compile_rule(rule, program, shape)
+    assert printed == [plan.source(program)]
+    assert f"`consts = {plan.consts!r}`" in text

@@ -4,7 +4,8 @@ Covers the contract between :mod:`repro.engine.exec` and the interpreted
 reference path in :mod:`repro.engine.grounding`:
 
 * ``run_rule`` enumerates exactly the heads ``evaluate_body`` +
-  ``ground_head`` produce, with and without seeds, in both plan modes;
+  ``ground_head`` produce, unseeded and over seed batches, in both plan
+  modes;
 * the generated kernels agree with it for every subgoal kind and edge
   (defaults, negation, ``=``/``=r`` aggregates, arithmetic errors, oracle
   routing), probe the indexes exactly as often, keep the fault seams, and
@@ -13,7 +14,7 @@ reference path in :mod:`repro.engine.grounding`:
 * plans are cached per (rule, seed shape, mode) on the program;
 * relation-owned indexes stay equal to a from-scratch rebuild across
   in-place mutations (the incremental-maintenance invariant);
-* ``_delta_seeds`` deduplicates seeds and honours constant /
+* the delta-dispatch table deduplicates seeds and honours constant /
   duplicate-variable positions in changed rows.
 """
 
@@ -35,6 +36,7 @@ from repro.engine.exec import (
     get_plan,
     plan_order,
     run_rule,
+    seed_columns,
 )
 from repro.engine.grounding import (
     EvalContext,
@@ -49,7 +51,7 @@ from repro.engine.interpretation import (
     use_index_stats,
 )
 from repro.obs.tracer import Tracer
-from repro.engine.seminaive import _delta_seeds
+from repro.engine.seminaive import DeltaDispatch
 from repro.programs import (
     ALL_PROGRAMS,
     circuit,
@@ -57,7 +59,13 @@ from repro.programs import (
     party_invitations,
     shortest_path,
 )
-from repro.testing.faults import Fault, FaultInjected, FaultPlan, inject
+from repro.testing.faults import (
+    Fault,
+    FaultInjected,
+    FaultPlan,
+    check_relation_indexes,
+    inject,
+)
 from repro.workloads import (
     random_circuit,
     random_digraph,
@@ -105,8 +113,23 @@ def heads_via_legacy(rule, ctx, seed=None):
     )
 
 
+def fire(rule, ctx, seeds=(), mode="smart"):
+    """``(head predicate, row)`` pairs of one kernel call over ``seeds``
+    (binding dicts of one shape; none = the unseeded plan), in order."""
+    shape = frozenset(seeds[0]) if seeds else frozenset()
+    columns = seed_columns(shape)
+    rows = run_rule(
+        rule,
+        ctx,
+        mode=mode,
+        pre_bound=shape,
+        seeds=[tuple(seed[var] for var in columns) for seed in seeds],
+    )
+    return [(rule.head.predicate, row) for row in rows]
+
+
 def heads_via_exec(rule, ctx, seed=None, mode="smart"):
-    return sorted(run_rule(rule, ctx, seed=seed, mode=mode), key=repr)
+    return sorted(fire(rule, ctx, [seed] if seed else (), mode), key=repr)
 
 
 class TestRunRuleEquivalence:
@@ -168,7 +191,7 @@ def assert_kernel_matches_legacy(rule, ctx, seed=None):
     legacy = [
         ground_head(rule, b) for b in evaluate_body(rule, ctx, initial=seed)
     ]
-    assert run_rule(rule, ctx, seed=seed, mode="off") == legacy
+    assert fire(rule, ctx, [seed] if seed else (), mode="off") == legacy
     assert heads_via_exec(rule, ctx, seed=seed) == sorted(legacy, key=repr)
     return legacy
 
@@ -388,6 +411,138 @@ class TestKernelEdges:
         assert len(assert_kernel_matches_legacy(program.rules[0], ctx)) == 3
 
 
+def assert_batches_match_legacy(program, ctx, delta):
+    """Each seed batch the dispatch table cuts from ``delta``, fired as
+    one kernel call, derives what the interpreted reference derives seed
+    by seed — in the same order under ``plan="off"``.  Returns the
+    ``(rule head, seeds)`` pairs fired."""
+    fired = []
+    for source, seeds in DeltaDispatch(program.rules, ctx.cdb).batches(delta):
+        rule = source.rule
+        bindings = [dict(zip(seed_columns(source.shape), seed)) for seed in seeds]
+        legacy = [
+            ground_head(rule, b)
+            for seed in bindings
+            for b in evaluate_body(rule, ctx, initial=seed)
+        ]
+        assert fire(rule, ctx, bindings, mode="off") == legacy
+        assert sorted(fire(rule, ctx, bindings), key=repr) == sorted(
+            legacy, key=repr
+        )
+        fired.append((rule.head.predicate, seeds))
+    return fired
+
+
+class TestBatchedKernels:
+    """One kernel call per seed batch == the reference, seed by seed."""
+
+    def full_delta(self, ctx):
+        return {
+            name: list(rel.rows())
+            for name, rel in ctx.i.relations.items()
+            if len(rel)
+        }
+
+    @pytest.mark.parametrize(
+        "source, facts",
+        [
+            (  # joins, an assignment, arithmetic
+                "p(X, Z, C) <- e(X, Y), e(Y, Z), C = X + Z.",
+                {"e": [(1, 2), (2, 3), (2, 4), (5, 2), (4, 1)]},
+            ),
+            (  # a default-value atom, negation, a filter that can raise
+                "@default t/2 : naturals_le.\n@cost q/2 : naturals_le.\n"
+                "q(X, C) <- w(X), t(X, C), not r(X), 6 / X > 1.",
+                {"w": [(0,), (1,), (2,), (3,)], "t": [(1, 3)], "r": [(3,)]},
+            ),
+            (  # '=' aggregate: seeded through the atom and the conjunct
+                "@cost n/2 : naturals_le.\n"
+                "n(X, N) <- w(X), N = count{q(X, Y)}.",
+                {"w": [("a",), ("b",)], "q": [("a", 1), ("a", 2), ("c", 1)]},
+            ),
+            (  # '=r' aggregate, grouping bound by the seed
+                "@cost q/3 : reals_ge.\n@cost p/2 : reals_ge.\n"
+                "p(X, C) <- C =r min{D : q(X, Y, D)}.",
+                {"q": [("a", 1, 5.0), ("b", 1, 2.0), ("a", 2, 3.0)]},
+            ),
+            (  # '=r' aggregate generating a grouping variable per seed
+                "@cost q/3 : reals_ge.\n@cost p/3 : reals_ge.\n"
+                "p(X, Z, C) <- w(X), C =r min{D : q(X, Z, D)}.",
+                {
+                    "w": [("a",), ("b",), ("c",)],
+                    "q": [("a", 1, 5.0), ("a", 2, 2.0), ("b", 1, 3.0)],
+                },
+            ),
+            (  # seed atoms with a constant and a repeated variable
+                "p(X, Y) <- e(a, X, X), f(X, Y).",
+                {
+                    "e": [("a", 1, 1), ("a", 1, 2), ("b", 3, 3), ("a", 4, 4)],
+                    "f": [(1, 7), (4, 8), (4, 9), (3, 0)],
+                },
+            ),
+            (shortest_path.source, {"arc": [("a", "b", 1.0), ("b", "a", 2.0)]}),
+        ],
+    )
+    def test_every_subgoal_kind(self, source, facts):
+        program, ctx = setup(source, facts)
+        # Every predicate is "changed": seed every body atom and conjunct.
+        ctx.cdb = frozenset(program.declarations)
+        ctx.j = ctx.i
+        if "arc" in facts:
+            for path in [("a", "direct", "b", 1.0), ("b", "direct", "a", 2.0)]:
+                ctx.i.add_fact("path", *path)
+            ctx.i.add_fact("s", "a", "b", 1.0)
+        fired = assert_batches_match_legacy(program, ctx, self.full_delta(ctx))
+        assert fired and any(len(seeds) > 1 for _, seeds in fired)
+
+    def test_grouping_projection_collapses_rows_into_one_seed(self):
+        program, ctx = setup(
+            "@cost q/3 : reals_ge.\n@cost p/2 : reals_ge.\n"
+            "p(X, C) <- C =r min{D : q(X, Y, D)}.",
+            {"q": [("a", 1, 5.0), ("a", 2, 3.0), ("b", 1, 2.0), ("a", 3, 9.0)]},
+        )
+        ctx.cdb, ctx.j = frozenset({"p", "q"}), ctx.i
+        delta = {"q": list(ctx.i.relation("q").rows())}
+        assert assert_batches_match_legacy(program, ctx, delta) == [
+            ("p", [("a",), ("b",)])
+        ]
+
+    def test_same_shape_sources_deduplicate_across_sources(self):
+        program, ctx = setup(
+            "r(X, Y) <- p(X, Y), p(Y, X).",
+            {"p": [(1, 1), (1, 2), (2, 1), (3, 4)]},
+        )
+        ctx.cdb, ctx.j = frozenset({"p", "r"}), ctx.i
+        delta = {"p": [(1, 1), (1, 2), (3, 4)]}
+        # Columns are (X, Y).  The second source reads the rows as
+        # (Y, X): (1, 1) repeats the first source's seed and fires once.
+        assert assert_batches_match_legacy(program, ctx, delta) == [
+            ("r", [(1, 1), (1, 2), (3, 4)]),
+            ("r", [(2, 1), (4, 3)]),
+        ]
+
+    def test_seed_loop_in_front_of_a_join_deeper_than_the_block_limit(self):
+        n = exec_layer._MAX_LOOPS + 4
+        chain = ", ".join(f"e(X{k}, X{k + 1})" for k in range(n))
+        program, ctx = setup(
+            f"p(X0, X{n}) <- d(X0), {chain}.",
+            {"e": [(1, 2), (2, 1), (2, 3)], "d": [(1,), (2,), (3,)]},
+        )
+        ctx.cdb, ctx.j = frozenset({"d", "p"}), ctx.i
+        source = get_plan(
+            program, program.rules[0], frozenset({Variable("X0")}), mode="off"
+        ).source(program)
+        assert source.count("for ") == n + 1 and "def deeper0():" in source
+        assert source.index("for (r0,) in seeds:") < source.index("for row in")
+        fired = assert_batches_match_legacy(program, ctx, {"d": [(1,), (2,), (3,)]})
+        assert fired == [("p", [(1,), (2,), (3,)])]
+
+    def test_unmentioned_seed_column_is_ignored(self):
+        program, ctx = setup("p(X) <- e(X, Y).", {"e": [(1, 2), (3, 4)]})
+        seeds = [{Variable("Q"): 0, Variable("X"): 3}, {Variable("Q"): 1, Variable("X"): 1}]
+        assert fire(program.rules[0], ctx, seeds) == [("p", (3,)), ("p", (1,))]
+
+
 def _constants(program):
     """Every constant the program's rules mention."""
     found = set()
@@ -432,17 +587,26 @@ class TestCatalogKernels:
         for rule in program.rules:
             if not rule.is_fact:
                 assert_kernel_matches_legacy(rule, ctx)
+        delta = {
+            name: list(rel.rows())
+            for name, rel in state.relations.items()
+            if len(rel)
+        }
+        assert_batches_match_legacy(program, ctx, delta)
 
 
 class TestKernelProbes:
     """A kernel makes exactly the interpreter's index probes."""
 
-    #: (hits, misses, scans, builds), (plan-cache hits, misses) per driver,
-    #: as measured on the step interpreter these kernels replaced.
+    #: (hits, misses, scans, builds), (plan-cache hits, misses),
+    #: (rule.firings, rule.derived) per driver, as measured on the step
+    #: interpreter these kernels replaced — except semi-naive's
+    #: plan-cache hits, 30 there: one probe per kernel call, and a
+    #: kernel call now evaluates a round's whole seed batch.
     PINNED = {
-        "seminaive": ((41, 3, 3, 3), (30, 5)),
-        "naive": ((41, 1, 17, 1), (21, 3)),
-        "greedy": ((31, 3, 3, 3), (23, 5)),
+        "seminaive": ((41, 3, 3, 3), (5, 5), (35, 40)),
+        "naive": ((41, 1, 17, 1), (21, 3), (24, 139)),
+        "greedy": ((31, 3, 3, 3), (23, 5), (28, 32)),
     }
 
     @pytest.mark.parametrize("method", sorted(PINNED))
@@ -456,9 +620,11 @@ class TestKernelProbes:
         assert result.model.total_size() == 29
         stats = tracer.index_stats
         assert stats.invalidations == 0
+        metrics = tracer.metrics.snapshot()
         assert (
             (stats.hits, stats.misses, stats.scans, stats.builds),
             (tracer.plan_hits, tracer.plan_misses),
+            (metrics["rule.firings"]["value"], metrics["rule.derived"]["value"]),
         ) == self.PINNED[method]
 
     def test_one_lookup_per_binding_per_step(self):
@@ -503,6 +669,48 @@ class TestFaultSeams:
         ] * 3
 
 
+    def test_rule_firing_seam_trips_once_per_seed_of_a_batch(self):
+        program, ctx = setup(self.SOURCE, {"w": [("a",), ("b",)], "q": [("a", 1)]})
+        seeds = [{Variable("X"): x} for x in "abc"]
+        plan = FaultPlan()
+        with inject(plan):
+            assert fire(program.rules[0], ctx, seeds) == [
+                ("n", ("a", 1)),
+                ("n", ("b", 0)),
+            ]
+        assert plan.seam_counts() == {"rule_firing": 3, "aggregate_apply": 2}
+        plan = FaultPlan([Fault("rule_firing", at=3)])
+        with inject(plan), pytest.raises(FaultInjected):
+            fire(program.rules[0], ctx, seeds)
+        assert plan.log == [("rule_firing", "n")] * 3
+
+    def test_aggregate_apply_seam_trips_inside_a_batch(self):
+        program, ctx = setup(self.SOURCE, {"w": [("a",), ("b",)], "q": [("a", 1)]})
+        seeds = [{Variable("X"): x} for x in "ab"]
+        plan = FaultPlan([Fault("aggregate_apply", at=2, match="count")])
+        with inject(plan), pytest.raises(FaultInjected):
+            fire(program.rules[0], ctx, seeds)
+        assert plan.seam_counts() == {"rule_firing": 2, "aggregate_apply": 2}
+
+    def test_index_update_seam_trips_per_changed_row_of_join_rows(self):
+        program, ctx = setup(self.SOURCE, {})
+        rel = ctx.j.relation("n")
+        rel.join_rows([("a", 1), ("b", 2)])
+        rel.lookup((0,), ("a",))
+        rel.rows_list()
+        rows = [("a", 1), ("c", 3), ("b", 5), ("d", 4)]  # unchanged, new, joined, new
+        plan = FaultPlan([Fault("index_update", at=3)])
+        with inject(plan), pytest.raises(FaultInjected):
+            rel.join_rows(rows)
+        assert plan.log == [("index_update", "n")] * 3
+        # The mutation the fault interrupted stays applied; the derived
+        # structures were dropped and rebuild from the containers.
+        assert dict(rel.costs) == {("a",): 1, ("b",): 5, ("c",): 3, ("d",): 4}
+        assert rel._indexes == {} and rel._rows_cache is None
+        assert check_relation_indexes(rel) == []
+        assert sorted(rel.lookup((0,), ("d",))) == [("d", 4)]
+
+
 class TestKernelMemo:
     def test_renamed_predicates_share_one_code_object(self):
         first = parse_program("p(X, c, Z) <- e(X, Y), f(Y, Z), X < 3.")
@@ -522,7 +730,7 @@ class TestKernelMemo:
             isinstance(getattr(plan, slot), str) and "def kernel" in getattr(plan, slot)
             for slot in plan.__slots__
         )
-        assert plan.source(program).startswith("def kernel(ctx, seed, consts):")
+        assert plan.source(program).startswith("def kernel(ctx, seeds, consts):")
 
     def test_memo_stays_bounded(self, monkeypatch):
         assert exec_layer._kernel.cache_info().maxsize == 512
@@ -688,10 +896,13 @@ class TestIncrementalIndexes:
 
 
 def _seeds(rule, cdb, delta):
-    """The seed bindings alone (each comes paired with its shape)."""
-    pairs = list(_delta_seeds(rule, cdb, delta))
-    assert all(shape == frozenset(seed) for shape, seed in pairs)
-    return [seed for _, seed in pairs]
+    """Every seed the dispatch table extracts from ``delta``, as a
+    bindings dict (batches carry positional tuples in column order)."""
+    return [
+        dict(zip(seed_columns(source.shape), seed))
+        for source, seeds in DeltaDispatch([rule], cdb).batches(delta)
+        for seed in seeds
+    ]
 
 
 class TestDeltaSeeds:

@@ -143,6 +143,45 @@ class TestJoinMeet:
         assert met.leq(a) and met.leq(b)
 
 
+class TestAbsorb:
+    """``absorb`` is ``join`` in place: adopt into empty, join otherwise."""
+
+    def test_equals_join(self):
+        a = interp(s=[("a", "b", 5), ("x", "y", 1)], edge=[("p", "q")])
+        b = interp(s=[("a", "b", 3), ("c", "d", 2)], t=[("w", 1)])
+        expected = a.join(b)
+        a.absorb(b)
+        assert a == expected
+
+    def test_empty_target_adopts_the_relation_with_its_indexes(self):
+        state = interp(edge=[("p", "q")])
+        component = interp(s=[("a", "b", 5)])
+        rel = component.relation("s")
+        rel.lookup((0,), ("a",))  # a warm index
+        state.absorb(component)
+        assert state.relation("s") is rel
+        assert (0,) in state.relation("s")._indexes
+        assert state.relation("edge") is not component.relation("edge")
+
+    def test_non_empty_target_joins_and_keeps_its_own_relation(self):
+        state = interp(s=[("a", "b", 5)])
+        own = state.relation("s")
+        own.lookup((0,), ("a",))
+        component = interp(s=[("a", "b", 3), ("a", "c", 1)])
+        state.absorb(component)
+        assert state.relation("s") is own
+        assert sorted(own.lookup((0,), ("a",))) == [("a", "b", 3), ("a", "c", 1)]
+        assert component["s"] == {("a", "b"): 3, ("a", "c"): 1}
+
+    def test_other_storage_class_is_joined_not_adopted(self):
+        state = interp()
+        component = Interpretation(DECLS, storage="columnar")
+        component.add_fact("s", "a", "b", 5)
+        state.absorb(component)
+        assert type(state.relation("s")) is type(state.relation("edge"))
+        assert state["s"] == {("a", "b"): 5}
+
+
 values = st.integers(0, 5)
 keys = st.sampled_from([("a", "b"), ("b", "c"), ("c", "a")])
 cost_maps = st.dictionaries(keys, values, max_size=3)

@@ -135,3 +135,89 @@ class TestProposition61:
         for predicate, key in wf.undefined:
             rel = ours.relation(predicate)
             assert key in rel.costs  # we decide it
+
+
+class TestStateAbsorbsComponents:
+    """The solver folds each finished component into its own state in
+    place (``Interpretation.absorb``)."""
+
+    SOURCE = """
+        @cost road/3 : reals_ge.
+        @cost best/3 : reals_ge.
+        @cost hops/2 : naturals_le.
+        near(X, Y) <- road(X, Y, C).
+        near(X, Y) <- near(X, Z), road(Z, Y, C).
+        best(X, Y, C) <- C =r min{D : road(X, Y, D)}.
+        hops(X, N) <- near(X, Y), N = count{near(X, Z)}.
+    """
+    ROADS = [("a", "b", 5), ("b", "c", 2), ("c", "a", 1)]
+
+    def edb(self, program):
+        edb = Interpretation(program.declarations)
+        for road in self.ROADS:
+            edb.add_fact("road", *road)
+        edb.add_fact("near", "z", "z")  # an EDB fact of a derived predicate
+        return edb
+
+    @pytest.mark.parametrize("method", ["naive", "seminaive", "auto"])
+    def test_callers_edb_is_never_mutated(self, method):
+        program = parse_program(self.SOURCE)
+        edb = self.edb(program)
+        before = str(edb)
+        relations = dict(edb.relations)
+        result = solve(program, edb, method=method)
+        assert str(edb) == before
+        assert all(edb.relations[name] is rel for name, rel in relations.items())
+        assert all(
+            result.model.relations[name] is not rel
+            for name, rel in relations.items()
+        )
+        # ``near`` had an EDB row, so the component joined into the
+        # state's own relation; ``best`` was empty and is adopted.
+        assert ("z", "z") in result.model["near"]
+        assert len(result.model["near"]) == 10
+        assert result.model["best"] == {(u, v): c for u, v, c in self.ROADS}
+
+    def test_popping_aux_predicates_leaves_component_results_intact(self):
+        from repro.programs import shortest_path
+
+        arcs = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 1.0)]
+        result = shortest_path.database({"arc": arcs}).solve(method="seminaive")
+        assert "path__frontier" not in result.model.relations
+        frontier = [
+            fixpoint.interpretation.relations["path__frontier"]
+            for fixpoint in result.component_results
+        ]
+        assert any(len(rel) for rel in frontier)
+        plain = shortest_path.database({"arc": arcs}).solve(
+            method="seminaive", pushdown="off"
+        )
+        assert result.model == plain.model
+
+    @pytest.mark.parametrize("method", ["naive", "seminaive", "greedy"])
+    def test_resume_over_a_checkpoint_still_joins(self, method):
+        """A resumed solve's state already holds the component's
+        checkpointed atoms (a non-empty target), so the finished
+        component is joined, not adopted."""
+        from repro import Budget
+        from repro.programs import shortest_path
+
+        arcs = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 1.0), ("d", "a", 4.0)]
+        full = shortest_path.database({"arc": arcs}).solve(
+            method=method, pushdown="off"
+        )
+        partial = shortest_path.database({"arc": arcs}).solve(
+            method=method, pushdown="off", budget=Budget(max_iterations=2)
+        )
+        assert not partial.complete
+        resumed = shortest_path.database({"arc": arcs}).resume(
+            partial.checkpoint, method=method, pushdown="off"
+        )
+        assert resumed.complete
+        assert resumed.model == full.model
+        held = [n for n, rel in partial.model.relations.items() if len(rel)]
+        assert len(held) > 1  # more than the EDB: derived atoms came back
+        for name in held:
+            for fixpoint in resumed.component_results:
+                derived = fixpoint.interpretation.relations[name]
+                assert derived is not resumed.model.relations[name]

@@ -1,5 +1,8 @@
 """Concrete lattices: orders, bounds, joins/meets, membership (Figure 1)."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from repro.lattices import (
@@ -19,6 +22,40 @@ from repro.lattices import (
     PowersetUnion,
 )
 from repro.util.multiset import FrozenMultiset
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class TestNumericMembershipPinned:
+    """``x in lattice`` for every numeric lattice, pinned value by value
+    (``_is_real`` answers exact ``int``/``float`` before its
+    ``isinstance`` probes; subclasses and look-alikes take those)."""
+
+    VALUES = [
+        True, False, float("nan"), _Float("nan"), INF, NEG_INF,
+        0, 1, -1, 2.5, -2.5, 0.5,
+        _Int(3), _Int(-3), _Float(2.5), _Float(-2.5),
+        Fraction(1, 2), Decimal("1.5"), "1", None,
+    ]  # fmt: skip
+    T, F = True, False
+    EXPECTED = {
+        REALS_LE: [F, F, F, F, T, T, T, T, T, T, T, T, T, T, T, T, F, F, F, F],
+        REALS_GE: [F, F, F, F, T, T, T, T, T, T, T, T, T, T, T, T, F, F, F, F],
+        NONNEG_REALS_LE: [F, F, F, F, T, F, T, T, F, T, F, T, T, F, T, F, F, F, F, F],
+        POS_INTS_LE: [F, F, F, F, T, F, F, T, F, F, F, F, T, F, F, F, F, F, F, F],
+        NATURALS_LE: [F, F, F, F, T, F, T, T, F, F, F, F, T, F, F, F, F, F, F, F],
+        BoundedReals(0, 1): [F, F, F, F, F, F, T, T, F, F, F, T, F, F, F, F, F, F, F, F],
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("lattice", list(EXPECTED), ids=lambda l: l.name)
+    def test_membership_table(self, lattice):
+        assert [v in lattice for v in self.VALUES] == self.EXPECTED[lattice]
 
 
 class TestAscendingReals:

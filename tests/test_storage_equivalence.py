@@ -19,7 +19,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import Database
+from repro.datalog.errors import CostConsistencyError
+from repro.datalog.parser import parse_program
+from repro.engine.interpretation import make_relation
 from repro.programs import company_control, shortest_path
+from repro.testing import check_relation_indexes
 from repro.workloads import (
     ROAD_NETWORK_PROGRAM,
     company_control_oracle,
@@ -159,3 +163,67 @@ def test_mixed_type_constants_stay_bit_identical():
         "edge": [(1, "a"), ("a", 2), (2, 1 << 70), (1 << 70, "ü")],
     }
     assert_storage_agrees(source, facts, methods=("naive", "seminaive"))
+
+
+# -- the bulk mutator ----------------------------------------------------------
+
+JOIN_ROWS_DECLS = """
+    @pred e/2.
+    @cost c/2 : reals_ge.
+    @default t/2 : naturals_le.
+"""
+_small = st.integers(0, 3)
+JOIN_ROWS_BATCHES = {
+    "e": st.lists(st.tuples(_small, st.sampled_from(["a", "b", 1, 1.0]))),
+    "c": st.lists(st.tuples(_small, st.sampled_from([0, 1, 2.5, 7.0]))),
+    "t": st.lists(st.tuples(_small, st.integers(0, 3))),  # 0 = the default
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    predicate=st.sampled_from(sorted(JOIN_ROWS_BATCHES)),
+    data=st.data(),
+    strict=st.booleans(),
+)
+def test_join_rows_agrees_with_boxed_and_with_the_row_mutators(
+    predicate, data, strict
+):
+    """``join_rows`` on either backend == validate + ``set_cost`` /
+    ``add_tuple`` row by row: same changed-row lists (values as stored
+    after joining), same contents, same error at the same row, and live
+    indexes and row cache equal to a rebuild — over an ordinary, a cost
+    and a default-value predicate."""
+    decl = parse_program(JOIN_ROWS_DECLS).declarations[predicate]
+    batches = data.draw(st.lists(JOIN_ROWS_BATCHES[predicate], max_size=3))
+
+    def row_by_row(rel, rows):
+        changed = []
+        for row in rows:
+            if not rel.is_cost:
+                if rel.add_tuple(row):
+                    changed.append(row)
+                continue
+            decl.lattice.validate(row[-1])
+            if rel.set_cost(row[:-1], row[-1], strict=strict):
+                changed.append(row[:-1] + (rel.cost_of(row[:-1]),))
+        return changed
+
+    outcomes = []
+    for storage, bulk in (("boxed", True), ("columnar", True), ("boxed", False)):
+        rel = make_relation(decl, storage)
+        log = []
+        for rows in batches:
+            rel.lookup((0,), (0,))  # keep an index and the row cache live
+            rel.rows_list()
+            try:
+                log.append(
+                    rel.join_rows(rows, strict=strict)
+                    if bulk
+                    else row_by_row(rel, rows)
+                )
+            except CostConsistencyError as error:
+                log.append(str(error))
+            assert check_relation_indexes(rel) == []
+        outcomes.append((repr(log), sorted(map(repr, rel.rows()))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
