@@ -9,7 +9,6 @@ Usage::
     python -m repro explain program.mad "s(a, c)"
     python -m repro validate-trace out.jsonl
     python -m repro postmortem repro-postmortem.jsonl
-    python -m repro trend BENCH_*.json
     python -m repro analyze program.mad
     python -m repro optimize program.mad
     python -m repro shard-plan program.mad [--format json]
@@ -44,13 +43,11 @@ log-linear histograms with p50/p95/p99 — as text, JSON, or Prometheus
 exposition.  Every traced solve carries a flight recorder (a bounded
 ring of the last events); when a solve ends abnormally the ring is
 dumped to ``--flight PATH`` (default ``repro-postmortem.jsonl``) and
-``postmortem`` renders the debrief.  ``trend`` aggregates a committed
-``BENCH_*.json`` trajectory into per-workload time series with
-regression flags (docs/PERFORMANCE.md).
+``postmortem`` renders the debrief.
 
 Optimizer surfaces (docs/OPTIMIZATION.md): ``optimize`` prints the
 aggregate-pushdown verdicts (MAD8xx) to stderr and the rewritten
-program to stdout; ``solve``/``profile``/``explain``/``bench`` take
+program to stdout; ``solve``/``profile``/``explain`` take
 ``--pushdown off`` to disable the same plan-layer rewrite (the model is
 identical either way).
 
@@ -233,7 +230,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 max_iterations=hard_cap,
                 plan=args.plan,
                 pushdown=args.pushdown,
-                storage=args.storage,
                 shards=args.shards,
                 workers=args.workers,
                 tracer=tracer,
@@ -312,7 +308,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             plan=args.plan,
             pushdown=args.pushdown,
-            storage=args.storage,
             shards=args.shards,
             workers=args.workers,
             tracer=tracer,
@@ -389,7 +384,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             plan=args.plan,
             pushdown=args.pushdown,
-            storage=args.storage,
             shards=args.shards,
             workers=args.workers,
             tracer=tracer,
@@ -422,47 +416,6 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     print(render_postmortem(header, events, tail=args.tail))
-    return EXIT_OK
-
-
-def cmd_trend(args: argparse.Namespace) -> int:
-    """Aggregate a ``BENCH_*.json`` trajectory into per-workload series.
-
-    Exit code is 0 even when steps regress (the table flags them);
-    ``--strict`` turns flagged regressions into exit 1 for CI gates.
-    """
-    import glob
-    import os
-
-    from repro.bench import (
-        bench_report_order,
-        collect_trend,
-        render_trend,
-        trend_regressions,
-    )
-
-    paths = list(args.files)
-    if not paths:
-        paths = glob.glob(os.path.join(args.dir, "BENCH_*.json"))
-    if args.select != "all":
-        quick = args.select == "quick"
-        paths = [
-            p for p in paths if ("_quick" in os.path.basename(p)) == quick
-        ]
-    if not paths:
-        raise CliUsageError(
-            f"no bench reports found (looked for BENCH_*.json in "
-            f"{args.dir!r}); run 'repro bench --out BENCH_N.json' first"
-        )
-    trend = collect_trend(bench_report_order(paths))
-    if args.format == "json":
-        import json as _json
-
-        print(_json.dumps(trend, indent=2, sort_keys=True))
-    else:
-        print(render_trend(trend, tolerance=args.tolerance))
-    if args.strict and trend_regressions(trend, tolerance=args.tolerance):
-        return 1
     return EXIT_OK
 
 
@@ -700,7 +653,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
     from repro.repl import run_repl
 
     db = _load_database(args)
-    return run_repl(db, storage=args.storage, method=args.method)
+    return run_repl(db, method=args.method)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -762,7 +715,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir or None,
             default_method=args.method,
             default_plan=args.plan,
-            storage=args.storage,
         ),
     )
 
@@ -792,77 +744,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(_serve())
     return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_reports,
-        load_report,
-        run_suite,
-        write_report,
-    )
-
-    def progress(name: str, record) -> None:
-        stats = record["index_stats"]
-        hitmiss = (
-            f"idx hit/miss={stats['hits']}/{stats['misses']}"
-            if stats
-            else f"status={record.get('status', 'complete')}"
-        )
-        print(
-            f"{name:24s} n={record['size']:<4d} {record['wall_s']:8.4f}s  "
-            f"rounds={record['rounds']:<6d} atoms={record['atoms']:<7d} "
-            f"{hitmiss}",
-            file=sys.stderr,
-        )
-
-    from repro.engine.supervisor import CancelToken, sigint_cancels
-
-    cancel = CancelToken()
-    try:
-        # SIGINT/SIGTERM cancel the batch run cooperatively: the suite
-        # stops between repetitions and the partial report (marked
-        # "cancelled") is still written/printed below.
-        with sigint_cancels(cancel):
-            report = run_suite(
-                quick=args.quick,
-                plan=args.plan,
-                pushdown=args.pushdown,
-                storage=args.storage,
-                repeat=args.repeat,
-                only=args.workload or None,
-                progress=progress,
-                timeout=args.timeout,
-                cancel=cancel,
-            )
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
-    if report.get("cancelled"):
-        print("% bench run cancelled; partial report", file=sys.stderr)
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        import json as _json
-
-        print(_json.dumps(report, indent=2, sort_keys=True))
-    if report.get("cancelled"):
-        return EXIT_BUDGET
-    if args.compare:
-        problems = compare_reports(
-            load_report(args.compare),
-            report,
-            tolerance=args.tolerance,
-            mem_tolerance=args.mem_tolerance,
-        )
-        if problems:
-            for problem in problems:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"within {args.tolerance:g}x of {args.compare}", file=sys.stderr
-        )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -967,14 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'off' evaluates the program as written — the model is "
         "identical either way",
     )
-    solve.add_argument(
-        "--storage",
-        choices=["boxed", "columnar"],
-        default="boxed",
-        help="relation backend (docs/STORAGE.md): 'columnar' stores "
-        "typed column arrays instead of boxed dict/set containers — "
-        "the model is bit-identical either way",
-    )
     solve.add_argument("--query", help="print only this predicate")
     solve.add_argument(
         "--explain",
@@ -1037,9 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--workers", type=int, default=None)
     profile.add_argument(
         "--pushdown", choices=["auto", "off"], default="auto"
-    )
-    profile.add_argument(
-        "--storage", choices=["boxed", "columnar"], default="boxed"
     )
     profile.add_argument(
         "--top",
@@ -1135,9 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--pushdown", choices=["auto", "off"], default="auto"
     )
     metrics.add_argument(
-        "--storage", choices=["boxed", "columnar"], default="boxed"
-    )
-    metrics.add_argument(
         "--format",
         choices=["text", "json", "prometheus"],
         default="text",
@@ -1159,44 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="events to show from the end of the ring (default 10)",
     )
     postmortem.set_defaults(handler=cmd_postmortem)
-
-    trend = sub.add_parser(
-        "trend",
-        help="aggregate committed BENCH_*.json reports into per-workload "
-        "time series with step-regression flags "
-        "(docs/PERFORMANCE.md)",
-    )
-    trend.add_argument(
-        "files",
-        nargs="*",
-        help="bench reports in trajectory order (default: BENCH_*.json "
-        "in --dir, numerically ordered)",
-    )
-    trend.add_argument(
-        "--dir", default=".", help="where to glob BENCH_*.json (default .)"
-    )
-    trend.add_argument(
-        "--select",
-        choices=["all", "quick", "full"],
-        default="all",
-        help="restrict to quick or full-size reports (default: all)",
-    )
-    trend.add_argument(
-        "--format", choices=["text", "json"], default="text"
-    )
-    trend.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="flag a step as a regression past this slowdown factor "
-        "between consecutive same-size runs (default 3.0)",
-    )
-    trend.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when any step is flagged (default: always exit 0)",
-    )
-    trend.set_defaults(handler=cmd_trend)
 
     analyze = sub.add_parser(
         "analyze", help="run the static pipeline (Defs 2.5, 2.10, 4.5)"
@@ -1282,9 +1111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["naive", "seminaive", "greedy", "auto"],
         default="auto",
-    )
-    repl.add_argument(
-        "--storage", choices=["boxed", "columnar"], default="boxed"
     )
     repl.set_defaults(handler=cmd_repl)
 
@@ -1386,77 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "request because budgeted solves never fork "
         "(docs/PARALLELISM.md)",
     )
-    serve.add_argument(
-        "--storage", choices=["boxed", "columnar"], default="boxed"
-    )
     serve.set_defaults(handler=cmd_serve)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the tracked scaling workloads headlessly and write a "
-        "machine-readable report (see docs/PERFORMANCE.md)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small sizes for CI smoke runs",
-    )
-    bench.add_argument(
-        "--plan", choices=["smart", "off", "sharded"], default="smart"
-    )
-    bench.add_argument(
-        "--pushdown", choices=["auto", "off"], default="auto"
-    )
-    bench.add_argument(
-        "--storage",
-        choices=["boxed", "columnar"],
-        default="boxed",
-        help="relation backend for every workload (docs/STORAGE.md); "
-        "the *_columnar workloads pin columnar regardless, so a default "
-        "run already records a boxed/columnar pair per dataset workload",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="take the best of N runs per workload (default 3)",
-    )
-    bench.add_argument(
-        "--workload",
-        action="append",
-        help="run only this workload (repeatable)",
-    )
-    bench.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="budget each workload solve; overrunning workloads are "
-        "recorded with their supervisor status instead of hanging CI",
-    )
-    bench.add_argument(
-        "--out", help="write the JSON report here instead of stdout"
-    )
-    bench.add_argument(
-        "--compare",
-        help="fail (exit 1) when a workload regresses past --tolerance "
-        "times this baseline report, or derives a different model",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="slowdown factor tolerated by --compare (default 3.0)",
-    )
-    bench.add_argument(
-        "--mem-tolerance",
-        type=float,
-        default=2.0,
-        help="memory-growth factor tolerated by --compare on "
-        "mem_peak_bytes / bytes_per_atom (default 2.0; allocation "
-        "counts are steadier than wall time, so the gate is tighter)",
-    )
-    bench.set_defaults(handler=cmd_bench)
     return parser
 
 

@@ -28,7 +28,6 @@ def solve_program(
     check: str = "strict",
     method: str = "naive",
     max_iterations: int = 100_000,
-    storage: str = "boxed",
     name: str = "program",
     tracer: Optional[Tracer] = None,
 ) -> SolveResult:
@@ -54,6 +53,5 @@ def solve_program(
         check=check,  # type: ignore[arg-type]
         method=method,  # type: ignore[arg-type]
         max_iterations=max_iterations,
-        storage=storage,
         tracer=tracer,
     )

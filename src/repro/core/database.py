@@ -277,17 +277,15 @@ class Database:
                     )
         return self._program_cache
 
-    def edb(self, *, storage: str = "boxed") -> Interpretation:
+    def edb(self) -> Interpretation:
         """The extensional database as an interpretation.
 
         Facts of rule-defined predicates live in the program as fact rules
-        (see :attr:`program`) and are excluded here.  ``storage`` selects
-        the relation representation (``"boxed"`` | ``"columnar"``, see
-        docs/STORAGE.md).
+        (see :attr:`program`) and are excluded here.
         """
         program = self.program
         head_predicates = {r.head.predicate for r in self._rules}
-        interp = Interpretation(program.declarations, storage=storage)
+        interp = Interpretation(program.declarations)
         for predicate, args in self._facts:
             if predicate not in head_predicates:
                 interp.add_fact(predicate, *args)
@@ -330,7 +328,6 @@ class Database:
         max_iterations: int = 100_000,
         plan: str = "smart",
         pushdown: str = "auto",
-        storage: str = "boxed",
         shards: Optional[int] = None,
         workers: Optional[int] = None,
         tracer: Optional["Tracer"] = None,
@@ -351,20 +348,16 @@ class Database:
         identical either way.  ``plan="sharded"`` runs analyzer-certified
         components hash-partitioned across ``workers`` processes
         (``shards`` partitions) — see docs/PARALLELISM.md; the model is
-        bit-identical to the sequential plans.  ``storage="columnar"``
-        stores relations as typed column-major arrays instead of boxed
-        dict/set containers (docs/STORAGE.md); the model is bit-identical
-        to ``storage="boxed"``.
+        bit-identical to the sequential plans.
         """
         result = solve(
             self.program,
-            self.edb(storage=storage),
+            self.edb(),
             check=check,
             method=method,
             max_iterations=max_iterations,
             plan=plan,
             pushdown=pushdown,
-            storage=storage,
             shards=shards,
             workers=workers,
             tracer=tracer,

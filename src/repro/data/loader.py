@@ -3,11 +3,8 @@
 The loaders here exist so real datasets enter the engine *without* ever
 materialising a Python list of row tuples: each file row is decoded,
 validated, written into its relation via the ordinary mutators
-(``add_tuple`` / ``set_cost``) and immediately discarded.  Under
-``storage="columnar"`` (:mod:`repro.engine.columnar`) the values land
-straight in typed column arrays, so loading a million-edge graph costs
-column buffers plus the row-id table — not a million boxed tuples.  See
-docs/STORAGE.md for the memory numbers.
+(``add_tuple`` / ``set_cost``) and immediately discarded.  See
+docs/STORAGE.md.
 
 Two formats:
 

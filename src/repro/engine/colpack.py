@@ -7,17 +7,15 @@ column-wise first ships typed buffers instead:
 
 * ``'q'`` — exact machine ints as ``array('q')`` bytes;
 * ``'d'`` — floats as ``array('d')`` bytes (bit-exact, NaN included —
-  transport only cares about value fidelity, unlike
-  :mod:`repro.engine.columnar`'s membership semantics);
+  transport only cares about value fidelity);
 * ``'s'`` — the column's unique strings once, plus an ``array('q')`` of
   ids;
 * ``'o'`` — the boxed fallback, a plain pickled list (``bool`` and every
   other kind land here: ``True`` must round-trip as ``True``, not ``1``).
 
-The encoding is independent of the relations' storage mode — boxed and
-columnar solves both benefit — and lossless: ``unpack_rows(pack_rows(b))``
-reproduces the batch bit-identically (row order included, which shard
-merge order depends on for reproducible telemetry).
+The encoding is lossless: ``unpack_rows(pack_rows(b))`` reproduces the
+batch bit-identically (row order included, which shard merge order
+depends on for reproducible telemetry).
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ def greedy_fixpoint(
     assume_invariant: bool = False,
     max_pops: int = 10_000_000,
     plan: str = "smart",
-    storage: str = "boxed",
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
@@ -109,7 +108,7 @@ def greedy_fixpoint(
         )
     cdb = component.cdb
     rules = list(component.rules)
-    j = Interpretation(program.declarations, storage=storage)
+    j = Interpretation(program.declarations)
     if initial is not None:
         # Checkpointed greedy atoms were settled, hence final: restore
         # them as settled so re-derivation cannot revise them.

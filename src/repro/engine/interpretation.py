@@ -33,29 +33,6 @@ from repro.testing import faults as _faults
 
 Key = Tuple[Any, ...]
 
-#: Storage modes: "boxed" = the dict/set representation below;
-#: "columnar" = typed column-major arrays behind the same Relation API
-#: (:mod:`repro.engine.columnar`), with boxed per-column fallback for
-#: values the typed columns cannot hold.  See docs/STORAGE.md.
-STORAGE_MODES = ("boxed", "columnar")
-
-
-def _check_storage_mode(storage: str) -> str:
-    if storage not in STORAGE_MODES:
-        raise ValueError(
-            f"unknown storage mode {storage!r}; expected one of {STORAGE_MODES}"
-        )
-    return storage
-
-
-def make_relation(decl: PredicateDecl, storage: str = "boxed") -> "Relation":
-    """An empty relation for ``decl`` under the given storage mode."""
-    if _check_storage_mode(storage) == "columnar":
-        from repro.engine.columnar import ColumnarRelation
-
-        return ColumnarRelation.empty(decl)
-    return Relation.empty(decl)
-
 
 @dataclass
 class IndexStats:
@@ -179,20 +156,16 @@ class Relation:
         """
         out = Relation(self.decl, set(self.tuples), dict(self.costs))
         if warm:
-            out._adopt_hot_state(self)
+            # Same logical rows, so the derived structures carry over.
+            out.generation = self.generation
+            out._indexes = {
+                positions: {key: list(bucket) for key, bucket in index.items()}
+                for positions, index in self._indexes.items()
+            }
+            if self._rows_cache is not None:
+                out._rows_cache = list(self._rows_cache)
+                out._rows_cache_gen = self._rows_cache_gen
         return out
-
-    def _adopt_hot_state(self, source: "Relation") -> None:
-        """Clone ``source``'s live indexes and row cache (the copies hold
-        the same logical rows, so the derived structures carry over)."""
-        self.generation = source.generation
-        self._indexes = {
-            positions: {key: list(bucket) for key, bucket in index.items()}
-            for positions, index in source._indexes.items()
-        }
-        if source._rows_cache is not None:
-            self._rows_cache = list(source._rows_cache)
-            self._rows_cache_gen = source._rows_cache_gen
 
     @property
     def is_cost(self) -> bool:
@@ -364,9 +337,11 @@ class Relation:
         """Bulk-union ordinary tuples; invalidates live indexes.
 
         ``keys`` is materialized first so an iterable that raises
-        mid-iteration mutates nothing.
+        mid-iteration mutates nothing; an empty merge touches nothing.
         """
         pending = keys if isinstance(keys, (set, frozenset)) else set(keys)
+        if not pending:
+            return
         try:
             self.tuples |= pending
         finally:
@@ -504,52 +479,22 @@ def delta_counts(
 
 
 class Interpretation:
-    """A (finite-core) aggregate Herbrand interpretation.
+    """A (finite-core) aggregate Herbrand interpretation."""
 
-    ``storage`` selects the per-relation representation: ``"boxed"``
-    (dict/set, the default) or ``"columnar"`` (typed column-major
-    arrays, :mod:`repro.engine.columnar`).  The two are bit-identical
-    behind the Relation API; see docs/STORAGE.md.
-    """
-
-    def __init__(
-        self,
-        declarations: Mapping[str, PredicateDecl],
-        *,
-        storage: str = "boxed",
-    ) -> None:
-        self.storage = _check_storage_mode(storage)
+    def __init__(self, declarations: Mapping[str, PredicateDecl]) -> None:
         self.declarations = dict(declarations)
         self.relations: Dict[str, Relation] = {
-            name: make_relation(decl, storage)
+            name: Relation.empty(decl)
             for name, decl in self.declarations.items()
         }
 
     # -- construction ------------------------------------------------------------
 
     def copy(self, warm: bool = False) -> "Interpretation":
-        out = Interpretation(self.declarations, storage=self.storage)
+        out = Interpretation(self.declarations)
         out.relations = {
             name: rel.copy(warm=warm) for name, rel in self.relations.items()
         }
-        return out
-
-    def with_storage(self, storage: str) -> "Interpretation":
-        """This interpretation's contents under ``storage``.
-
-        Returns a plain copy when the mode already matches; otherwise a
-        converted copy (``self`` is unchanged either way).
-        """
-        if _check_storage_mode(storage) == self.storage:
-            return self.copy()
-        out = Interpretation(self.declarations, storage=storage)
-        for name, rel in self.relations.items():
-            target = out.relation(name)
-            if rel.is_cost:
-                for key, value in rel.costs.items():
-                    target.set_cost(key, value, strict=False)
-            else:
-                target.merge_tuples(rel.tuples)
         return out
 
     def relation(self, predicate: str) -> Relation:
@@ -616,17 +561,17 @@ class Interpretation:
     def absorb(self, other: "Interpretation") -> None:
         """``self ← self ⊔ other`` in place, without copying either side.
 
-        An empty relation of the same storage class *adopts* ``other``'s
-        relation object, warm indexes included (the two interpretations
-        then share it — callers own both sides, as the solver does with
-        its state and a finished component); a non-empty one is joined
-        through :meth:`Relation.join_rows`.
+        An empty relation *adopts* ``other``'s relation object, warm
+        indexes included (the two interpretations then share it — callers
+        own both sides, as the solver does with its state and a finished
+        component); a non-empty one is joined through
+        :meth:`Relation.join_rows`.
         """
         for name, rel in other.relations.items():
             if not len(rel):
                 continue
             target = self.relation(name)
-            if not len(target) and type(target) is type(rel):
+            if not len(target):
                 self.relations[name] = rel
             else:
                 target.join_rows(rel.rows())
@@ -639,7 +584,7 @@ class Interpretation:
         predicates an absent key reads as bottom, so the meet of a core
         entry with an absent one is bottom and leaves the core.
         """
-        out = Interpretation(self.declarations, storage=self.storage)
+        out = Interpretation(self.declarations)
         for name, rel in self.relations.items():
             other_rel = other.relation(name)
             target = out.relation(name)

@@ -53,7 +53,6 @@ def kleene_fixpoint(
     strict: bool = True,
     on_step: Optional[Callable[[int, Interpretation], None]] = None,
     plan: str = "smart",
-    storage: str = "boxed",
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
@@ -83,7 +82,7 @@ def kleene_fixpoint(
     j = (
         initial.copy()
         if resumed
-        else Interpretation(program.declarations, storage=storage)
+        else Interpretation(program.declarations)
     )
     ascending = True
     trajectory: List[int] = []
@@ -99,7 +98,6 @@ def kleene_fixpoint(
                 i,
                 strict=strict,
                 plan=plan,
-                storage=storage,
                 tracer=tracer,
                 supervisor=supervisor,
                 scc=scc,

@@ -228,7 +228,6 @@ def seminaive_fixpoint(
     max_iterations: int = 100_000,
     strict: bool = True,
     plan: str = "smart",
-    storage: str = "boxed",
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
@@ -261,7 +260,7 @@ def seminaive_fixpoint(
     start = (
         initial.copy()
         if resumed
-        else Interpretation(program.declarations, storage=storage)
+        else Interpretation(program.declarations)
     )
     track = tracer.enabled
     supervise = supervisor.active
@@ -283,7 +282,6 @@ def seminaive_fixpoint(
             i,
             strict=strict and not resumed,
             plan=plan,
-            storage=storage,
             tracer=tracer,
             supervisor=supervisor,
             scc=scc,

@@ -123,7 +123,6 @@ class _ForkContext:
     method: str  # "seminaive" | "kleene"
     max_iterations: int
     plan: str
-    storage: str
     traced: bool  # parent solve is traced → workers relay telemetry
 
 
@@ -175,7 +174,7 @@ def _run_shard(
     # the mergeable instruments and rule stats accumulate, which is
     # exactly what can be shipped back as plain data.
     tracer = Tracer(collect=False) if ctx.traced else NULL_TRACER
-    initial = Interpretation(ctx.program.declarations, storage=ctx.storage)
+    initial = Interpretation(ctx.program.declarations)
     _merge_rows(initial, unpack_rows(packed))
     if ctx.method == "kleene":
         fixpoint = kleene_fixpoint(
@@ -185,7 +184,6 @@ def _run_shard(
             max_iterations=ctx.max_iterations,
             strict=False,
             plan=ctx.plan,
-            storage=ctx.storage,
             tracer=tracer,
             supervisor=NULL_SUPERVISOR,
             initial=initial,
@@ -198,7 +196,6 @@ def _run_shard(
             max_iterations=ctx.max_iterations,
             strict=False,
             plan=ctx.plan,
-            storage=ctx.storage,
             tracer=tracer,
             supervisor=NULL_SUPERVISOR,
             initial=initial,
@@ -256,7 +253,6 @@ def sharded_fixpoint(
     max_iterations: int = 100_000,
     strict: bool = True,
     plan: str = "smart",
-    storage: str = "boxed",
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
@@ -299,7 +295,7 @@ def sharded_fixpoint(
             bucket = partitions.setdefault(shard_of(row[pos], shards), {})
             bucket.setdefault(name, []).append(row)
 
-    merged = Interpretation(program.declarations, storage=storage)
+    merged = Interpretation(program.declarations)
     _merge_rows(merged, _interpretation_rows(seeds, cdb))
 
     statuses: List[str] = []
@@ -315,7 +311,6 @@ def sharded_fixpoint(
             method="kleene" if method in ("naive", "kleene") else "seminaive",
             max_iterations=max_iterations,
             plan=plan,
-            storage=storage,
             traced=traced,
         )
         try:

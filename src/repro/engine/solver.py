@@ -47,8 +47,7 @@ from repro.engine.exec import _check_pushdown_mode, get_pushdown
 from repro.engine.interpretation import (
     IndexStats,
     Interpretation,
-    _check_storage_mode,
-    make_relation,
+    Relation,
     use_index_stats,
 )
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
@@ -151,7 +150,6 @@ def solve(
     max_iterations: int = 100_000,
     plan: str = "smart",
     pushdown: str = "auto",
-    storage: str = "boxed",
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     tracer: Optional[Tracer] = None,
@@ -185,13 +183,6 @@ def solve(
     ``"off"`` evaluates the program exactly as written.  The static
     checks (``check``) always run against the *original* program.
 
-    ``storage`` selects the relation representation
-    (:mod:`repro.engine.interpretation`): ``"boxed"`` (dict/set,
-    default) or ``"columnar"`` (typed column-major arrays,
-    docs/STORAGE.md).  The model is bit-identical either way; a boxed
-    ``edb`` passed to a columnar solve (or vice versa) is converted on
-    entry.
-
     ``tracer`` opts the solve into the telemetry layer
     (:mod:`repro.obs`); the resulting digest lands on
     :attr:`SolveResult.telemetry`.
@@ -217,7 +208,6 @@ def solve(
             max_iterations=max_iterations,
             plan=plan,
             pushdown=pushdown,
-            storage=storage,
             shards=shards,
             workers=workers,
             tracer=t,
@@ -232,7 +222,7 @@ def _component_initial(
 ) -> Interpretation:
     """The restriction of ``state`` to the component's CDB predicates —
     the evaluator's resume seed (the rest of ``state`` is its ``I``)."""
-    initial = Interpretation(program.declarations, storage=state.storage)
+    initial = Interpretation(program.declarations)
     for predicate in component.cdb:
         src = state.relations.get(predicate)
         if src is not None and len(src):
@@ -249,7 +239,6 @@ def _solve_traced(
     max_iterations: int,
     plan: str,
     pushdown: str = "auto",
-    storage: str = "boxed",
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     tracer: Tracer,
@@ -369,11 +358,8 @@ def _solve_traced(
                 eval_program, classification=eval_classification
             )
 
-    storage = _check_storage_mode(storage)
     state = (
-        edb.with_storage(storage)
-        if edb is not None
-        else Interpretation(program.declarations, storage=storage)
+        edb.copy() if edb is not None else Interpretation(program.declarations)
     )
     if resume is not None:
         # The checkpoint state already contains the EDB it was solved
@@ -386,7 +372,7 @@ def _solve_traced(
     for name in aux_predicates:
         decl = eval_program.declarations[name]
         state.declarations[name] = decl
-        state.relations[name] = make_relation(decl, storage)
+        state.relations[name] = Relation.empty(decl)
     result = SolveResult(model=state, analysis=analysis, program=program)
     for index, component in enumerate(condense(eval_program)):
         chosen = (
@@ -465,7 +451,6 @@ def _solve_traced(
                     max_iterations=max_iterations,
                     strict=strict_costs,
                     plan=exec_plan,
-                    storage=storage,
                     tracer=tracer,
                     scc=index,
                     supervisor=supervisor,
@@ -478,7 +463,6 @@ def _solve_traced(
                     state,
                     assume_invariant=True,
                     plan=exec_plan,
-                    storage=storage,
                     tracer=tracer,
                     scc=index,
                     supervisor=supervisor,
@@ -491,7 +475,6 @@ def _solve_traced(
                 max_iterations=max_iterations,
                 strict=strict_costs,
                 plan=exec_plan,
-                storage=storage,
                 tracer=tracer,
                 scc=index,
                 supervisor=supervisor,
@@ -515,7 +498,6 @@ def _solve_traced(
                         max_iterations=max_iterations,
                         strict=strict_costs,
                         plan=exec_plan,
-                        storage=storage,
                         tracer=tracer,
                         scc=index,
                         supervisor=supervisor,
@@ -597,7 +579,7 @@ def _solve_traced(
                 atoms=fixpoint.interpretation.total_size(),
                 wall_s=round(tracer.clock() - t_scc, 6),
             )
-        # ``state`` is this solve's own copy (``with_storage``), so the
+        # ``state`` is this solve's own copy (``edb.copy()``), so the
         # finished component folds in without a copy of either side.
         state.absorb(fixpoint.interpretation)
         result.components.append(component)

@@ -38,7 +38,6 @@ def apply_tp(
     negation_source: Optional[Interpretation] = None,
     aggregate_source: Optional[Interpretation] = None,
     plan: str = "smart",
-    storage: str = "boxed",
     tracer: Tracer = NULL_TRACER,
     supervisor: Supervisor = NULL_SUPERVISOR,
     scc: Optional[int] = None,
@@ -52,10 +51,7 @@ def apply_tp(
     ``aggregate_source`` fix those subgoal kinds to an oracle
     interpretation (reducts, Sections 5.3–5.5).  Rule bodies run through
     the compiled execution layer (:mod:`repro.engine.exec`); ``plan``
-    selects the join-ordering mode (``"smart"`` | ``"off"``) and
-    ``storage`` the representation of the staging interpretation
-    (``"boxed"`` | ``"columnar"``, docs/STORAGE.md) — evaluators whose
-    iterate *is* the staging output thread their own mode through.
+    selects the join-ordering mode (``"smart"`` | ``"off"``).
 
     An active ``supervisor`` is polled between rules (a rule-firing
     boundary): the staging interpretation ``out`` is discarded on
@@ -72,7 +68,7 @@ def apply_tp(
         aggregate_source=aggregate_source,
         tracer=tracer,
     )
-    out = Interpretation(program.declarations, storage=storage)
+    out = Interpretation(program.declarations)
     check = supervisor.active
     for rule in rules:
         if check:

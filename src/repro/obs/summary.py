@@ -184,8 +184,8 @@ class TelemetrySummary:
         return out
 
     def to_report_dict(self) -> Dict[str, Any]:
-        """The compact form stored in ``repro bench`` reports (no
-        per-iteration rows; SCC rows keep the iteration counts)."""
+        """The compact form (no per-iteration rows; SCC rows keep the
+        iteration counts)."""
         return {
             "version": self.version,
             "program": self.program,

@@ -13,9 +13,9 @@ Input is interpreted line by line:
 * **Dot commands.**  ``.load FILE`` (rule file), ``.csv PRED FILE``
   (bulk CSV facts), ``.jsonl FILE`` (bulk JSONL facts), ``.solve``
   (compute the model, print one summary line), ``.query PRED`` (rows of
-  one predicate from the last solve), ``.storage [boxed|columnar]`` and
-  ``.method [naive|seminaive|greedy|auto]`` (show or set the solve
-  knobs), ``.help``, ``.quit``.
+  one predicate from the last solve), ``.method
+  [naive|seminaive|greedy|auto]`` (show or set the evaluator),
+  ``.help``, ``.quit``.
 
 Errors never kill the shell: they print as one ``error:`` line on the
 output stream and the loop continues, so a broken line in a piped
@@ -25,11 +25,10 @@ script leaves a visible trace instead of a half-dead session.
 from __future__ import annotations
 
 import sys
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, Optional
 
 from repro.core.database import Database
 from repro.datalog.errors import ReproError
-from repro.engine.interpretation import STORAGE_MODES
 
 _METHODS = ("naive", "seminaive", "greedy", "auto")
 
@@ -40,7 +39,6 @@ rule text        load rules/facts (multi-line; a line ending in '.' submits)
 .jsonl FILE      bulk-load JSONL facts ({"predicate": ..., "row": [...]})
 .solve           compute the model; prints 'model: N atoms ...'
 .query PRED      print PRED's rows from the last solve
-.storage [MODE]  show or set the storage mode (boxed | columnar)
 .method [NAME]   show or set the evaluator (naive|seminaive|greedy|auto)
 .help            this text
 .quit            leave"""
@@ -53,14 +51,12 @@ class Repl:
         self,
         db: Optional[Database] = None,
         *,
-        storage: str = "boxed",
         method: str = "auto",
         input_stream: Optional[IO[str]] = None,
         output_stream: Optional[IO[str]] = None,
         interactive: Optional[bool] = None,
     ) -> None:
         self.db = db if db is not None else Database(name="repl")
-        self.storage = storage
         self.method = method
         self.input = input_stream if input_stream is not None else sys.stdin
         self.output = (
@@ -162,13 +158,11 @@ class Repl:
                 raise ReproError(f"usage: .solve, got {line!r}")
             result = self.db.solve(
                 method=self.method,  # type: ignore[arg-type]
-                storage=self.storage,
             )
             self._print(
                 f"model: {result.model.total_size()} atoms in "
                 f"{len(result.components)} components "
-                f"({result.total_iterations} iterations, "
-                f"storage={self.storage})"
+                f"({result.total_iterations} iterations)"
             )
         elif name == ".query":
             self._one_arg(name, args, "PRED")
@@ -179,10 +173,8 @@ class Repl:
                 rendered = ", ".join(map(repr, row))
                 self._print(f"{args[0]}({rendered})")
             self._print(f"% {len(rel)} rows")
-        elif name == ".storage":
-            self._knob(args, "storage", STORAGE_MODES)
         elif name == ".method":
-            self._knob(args, "method", _METHODS)
+            self._method(args)
         else:
             raise ReproError(f"unknown command {name!r}; try .help")
         return True
@@ -191,22 +183,21 @@ class Repl:
         if len(args) != 1:
             raise ReproError(f"usage: {name} {what}")
 
-    def _knob(self, args: List[str], attr: str, allowed: Sequence[str]) -> None:
+    def _method(self, args: List[str]) -> None:
         if not args:
-            self._print(f"{attr} = {getattr(self, attr)}")
+            self._print(f"method = {self.method}")
             return
-        if len(args) != 1 or args[0] not in allowed:
+        if len(args) != 1 or args[0] not in _METHODS:
             raise ReproError(
-                f".{attr} takes one of: {', '.join(allowed)}"
+                f".method takes one of: {', '.join(_METHODS)}"
             )
-        setattr(self, attr, args[0])
-        self._print(f"{attr} = {args[0]}")
+        self.method = args[0]
+        self._print(f"method = {args[0]}")
 
 
 def run_repl(
     db: Optional[Database] = None,
     *,
-    storage: str = "boxed",
     method: str = "auto",
     input_stream: Optional[IO[str]] = None,
     output_stream: Optional[IO[str]] = None,
@@ -214,7 +205,6 @@ def run_repl(
     """Run a shell to EOF / ``.quit``; returns the process exit code."""
     return Repl(
         db,
-        storage=storage,
         method=method,
         input_stream=input_stream,
         output_stream=output_stream,

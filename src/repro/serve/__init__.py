@@ -16,8 +16,8 @@ A stdlib-only asyncio HTTP/JSON server hosting named databases
   load shedding past the bound), ``/healthz`` / ``/readyz`` /
   ``/metrics`` endpoints and SIGTERM drain-and-checkpoint;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking
-  ``http.client`` wrapper the tests, the CI smoke job and the
-  ``serve_load`` bench workload drive the server with.
+  ``http.client`` wrapper the tests and the CI smoke job drive the
+  server with.
 """
 
 from repro.serve.client import ServeClient

@@ -2,9 +2,9 @@
 
 :class:`ServeClient` wraps :mod:`http.client` (stdlib, one connection
 per call — the server closes connections after each response anyway).
-It is what the tests, the CI ``serve-smoke`` job and the ``serve_load``
-bench workload drive the server with; it is *not* a supported public
-SDK, just enough client to exercise every status the server emits.
+It is what the tests and the CI ``serve-smoke`` job drive the server
+with; it is *not* a supported public SDK, just enough client to
+exercise every status the server emits.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class ServeClient:
         **options: Any,
     ) -> Tuple[int, Dict[str, Any]]:
         """POST ``/solve/<database>``; extra options pass through
-        (``method=``, ``plan=``, ``storage=``)."""
+        (``method=``, ``plan=``)."""
         payload: Dict[str, Any] = dict(options)
         if query is not None:
             payload["query"] = query

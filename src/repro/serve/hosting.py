@@ -2,21 +2,20 @@
 
 A :class:`HostedDatabase` wraps one :class:`repro.core.database.Database`
 for concurrent serving: the program is assembled once (the ``Database``
-caches it) and the extensional database is materialized once per storage
-mode, behind a lock, so a request never re-streams bulk CSV/JSONL
-sources.  Every request then solves over the shared materialization —
-safe because :func:`repro.engine.solver.solve` copies its EDB on entry
-(``with_storage`` always copies), so concurrent solves read one
-immutable snapshot and write only their private copies.  The shared
-snapshot is kept **warm** (row caches materialized, generation-counted)
-so concurrent readers share the cached row sets instead of each paying
-the first-materialization cost.
+caches it) and the extensional database is materialized once, behind a
+lock, so a request never re-streams bulk CSV/JSONL sources.  Every
+request then solves over the shared materialization — safe because
+:func:`repro.engine.solver.solve` copies its EDB on entry, so
+concurrent solves read one immutable snapshot and write only their
+private copies.  The shared snapshot is kept **warm** (row caches
+materialized, generation-counted) so concurrent readers share the
+cached row sets instead of each paying the first-materialization cost.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.database import Database
 from repro.datalog.program import Program
@@ -26,34 +25,32 @@ __all__ = ["HostedDatabase", "host_program_text"]
 
 
 class HostedDatabase:
-    """One named database plus its per-storage EDB snapshots."""
+    """One named database plus its shared EDB snapshot."""
 
     def __init__(self, name: str, db: Database) -> None:
         self.name = name
         self.db = db
         self._lock = threading.Lock()
-        self._snapshots: Dict[str, Interpretation] = {}
+        self._snapshot: Optional[Interpretation] = None
 
     @property
     def program(self) -> Program:
         """The assembled program (cached by the ``Database``)."""
         return self.db.program
 
-    def snapshot(self, storage: str = "boxed") -> Interpretation:
-        """The shared read snapshot of the EDB under ``storage``.
+    def snapshot(self) -> Interpretation:
+        """The shared read snapshot of the EDB.
 
-        Materialized on first use (per storage mode) and never mutated
-        afterwards: the solver copies it on entry, so requests are
-        isolated from each other and from the snapshot itself.  The
-        relations' row caches are pre-warmed so every reader shares
-        them via the generation counter.
+        Materialized on first use and never mutated afterwards: the
+        solver copies it on entry, so requests are isolated from each
+        other and from the snapshot itself.  The relations' row caches
+        are pre-warmed so every reader shares them via the generation
+        counter.
         """
         with self._lock:
-            snapshot = self._snapshots.get(storage)
-            if snapshot is None:
-                snapshot = self.db.edb(storage=storage).copy(warm=True)
-                self._snapshots[storage] = snapshot
-            return snapshot
+            if self._snapshot is None:
+                self._snapshot = self.db.edb().copy(warm=True)
+            return self._snapshot
 
     def predicates(self) -> list:
         """Predicate names the program declares (for ``/databases``)."""
@@ -64,7 +61,7 @@ class HostedDatabase:
 
 
 def host_program_text(name: str, source: str) -> HostedDatabase:
-    """Host a database assembled from rule text (tests, bench)."""
+    """Host a database assembled from rule text (tests)."""
     db = Database(name=name)
     db.load(source)
     return HostedDatabase(name, db)

@@ -72,7 +72,6 @@ class ServeSettings:
     checkpoint_dir: Optional[str] = "."
     default_method: str = "auto"
     default_plan: str = "smart"
-    storage: str = "boxed"
 
 
 class _Telemetry:
@@ -154,7 +153,6 @@ class SolveServer:
             max_timeout=self.settings.max_timeout,
             default_method=self.settings.default_method,
             default_plan=self.settings.default_plan,
-            storage=self.settings.storage,
             flight_dir=self.settings.flight_dir,
             flight_size=self.settings.flight_size,
             checkpoint_dir=self.settings.checkpoint_dir,
@@ -554,9 +552,8 @@ _REASONS = {
 class ServerThread:
     """Run a :class:`SolveServer` on a background thread.
 
-    The embedding used by the tests, the ``serve_load`` bench workload
-    and any host process that wants a solve service without owning the
-    event loop::
+    The embedding used by the tests and any host process that wants a
+    solve service without owning the event loop::
 
         thread = ServerThread(server)
         port = thread.start()

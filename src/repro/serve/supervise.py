@@ -39,6 +39,7 @@ from repro.datalog.errors import (
     ProgramError,
     SafetyError,
 )
+from repro.engine.exec import PLAN_MODES
 from repro.engine.solver import solve
 from repro.engine.supervisor import Budget, CancelToken
 from repro.obs import FlightRecorder, Tracer, default_dump_path
@@ -57,6 +58,11 @@ _BUDGET_STATUSES = ("timeout", "partial", "diverging")
 #: engine quietly falls back on unknown method strings, and a service
 #: should reject a typo, not silently answer with a different method.
 _METHODS = ("naive", "seminaive", "greedy", "auto")
+
+#: Request-settable plans, validated for the same reason — and because a
+#: non-string JSON value (``"plan": ["x"]``) would otherwise reach the
+#: crash wall as a TypeError instead of a 422.
+_PLANS = PLAN_MODES + ("sharded",)
 
 
 @dataclass
@@ -87,7 +93,6 @@ class RequestSupervisor:
         max_timeout: Optional[float] = None,
         default_method: str = "auto",
         default_plan: str = "smart",
-        storage: str = "boxed",
         flight_dir: str = ".",
         flight_size: int = 256,
         checkpoint_dir: Optional[str] = None,
@@ -96,7 +101,6 @@ class RequestSupervisor:
         self.max_timeout = max_timeout
         self.default_method = default_method
         self.default_plan = default_plan
-        self.storage = storage
         self.flight_dir = flight_dir
         self.flight_size = flight_size
         self.checkpoint_dir = checkpoint_dir
@@ -133,7 +137,6 @@ class RequestSupervisor:
         query = payload.get("query")
         method = payload.get("method", self.default_method)
         plan = payload.get("plan", self.default_plan)
-        storage = payload.get("storage", self.storage)
         timeout = self.effective_timeout(payload.get("timeout"))
         if query is not None and (
             not isinstance(query, str)
@@ -149,17 +152,21 @@ class RequestSupervisor:
                 status="rejected",
                 wall_s=time.perf_counter() - t0,
             )
-        if method not in _METHODS:
-            return RequestOutcome(
-                http_status=422,
-                body={
-                    "status": "rejected",
-                    "error": f"unknown method {method!r}; expected one "
-                    f"of {_METHODS}",
-                },
-                status="rejected",
-                wall_s=time.perf_counter() - t0,
-            )
+        for what, value, known in (
+            ("method", method, _METHODS),
+            ("plan", plan, _PLANS),
+        ):
+            if value not in known:
+                return RequestOutcome(
+                    http_status=422,
+                    body={
+                        "status": "rejected",
+                        "error": f"unknown {what} {value!r}; expected one "
+                        f"of {known}",
+                    },
+                    status="rejected",
+                    wall_s=time.perf_counter() - t0,
+                )
         flight = FlightRecorder(self.flight_size)
         # collect=False: a long-lived request must not buffer its whole
         # event stream — the bounded ring and the mergeable metrics are
@@ -169,10 +176,9 @@ class RequestSupervisor:
         try:
             result = solve(
                 hosted.program,
-                hosted.snapshot(storage),
+                hosted.snapshot(),
                 method=method,
                 plan=plan,
-                storage=storage,
                 max_iterations=_UNCAPPED_ITERATIONS,
                 tracer=tracer,
                 budget=budget,

@@ -13,10 +13,8 @@ generators here produce such files deterministically in their seed:
   random_ownership` share distribution as JSONL fact lines for the
   company-control program (Example 2.7).
 
-``repro bench`` loads these files through :meth:`Database.load_csv` /
-:meth:`load_jsonl` in its ``road_network`` / ``company_control_dataset``
-workloads, so the loader's throughput and the storage backends' memory
-behaviour are measured on realistically-shaped data.
+The files load through :meth:`Database.load_csv` / :meth:`load_jsonl`,
+so the loader is exercised on realistically-shaped data.
 """
 
 from __future__ import annotations

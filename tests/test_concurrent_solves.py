@@ -11,8 +11,8 @@ correctness rests on three isolation properties this suite pins down
   ``ContextVar`` (:func:`repro.engine.interpretation.use_index_stats`),
   so two solves on different threads never cross-charge index work;
 * model isolation — :func:`repro.engine.solver.solve` copies its EDB on
-  entry (``with_storage`` always copies), so concurrent solves over one
-  shared snapshot derive independent, correct models.
+  entry (``edb.copy()``), so concurrent solves over one shared snapshot
+  derive independent, correct models.
 """
 
 import threading

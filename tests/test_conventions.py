@@ -24,6 +24,10 @@ Two invariants the engine's correctness arguments lean on:
    source docs/PERFORMANCE.md prints is the source the compiler
    generates today.
 
+4. **One relation backend.**  ``ColumnarRelation`` and the ``storage=``
+   option that selected it were deleted (docs/STORAGE.md, "Why one
+   backend"); neither the name nor the option comes back under ``src/``.
+
 The checks are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
@@ -71,7 +75,6 @@ ENGINE_HOT_MODULES = [
     "engine/solver.py",
     "engine/grounding.py",
     "engine/supervisor.py",
-    "engine/columnar.py",
     "engine/colpack.py",
 ]
 
@@ -132,6 +135,30 @@ def test_allowlist_is_not_stale():
             f"allowlist entry {rel} no longer touches the raw containers; "
             f"remove it"
         )
+
+
+SECOND_BACKEND = re.compile(r"columnar|storage=", re.IGNORECASE)
+
+
+def test_the_second_relation_backend_is_gone():
+    import inspect
+
+    from repro.engine.solver import solve
+
+    # Comments and docstrings count too: the name is gone, not hidden.
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if SECOND_BACKEND.search(line)
+    ]
+    assert not offenders, (
+        "a second relation backend or a storage= option is back (there is "
+        "one Relation; see docs/STORAGE.md):\n  " + "\n  ".join(offenders)
+    )
+    assert "storage" not in inspect.signature(solve).parameters
 
 
 PER_SEED_PATH = [

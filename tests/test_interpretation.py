@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import solve_program
 from repro.datalog.errors import CostConsistencyError, ProgramError
+from repro.datalog.parser import parse_program
 from repro.datalog.program import PredicateDecl
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import (
+    IndexStats,
+    Interpretation,
+    Relation,
+    use_index_stats,
+)
 from repro.lattices import BOOL_LE, REALS_GE
+from repro.testing import check_relation_indexes
 
 DECLS = {
     "edge": PredicateDecl("edge", 2),
@@ -173,14 +181,6 @@ class TestAbsorb:
         assert sorted(own.lookup((0,), ("a",))) == [("a", "b", 3), ("a", "c", 1)]
         assert component["s"] == {("a", "b"): 3, ("a", "c"): 1}
 
-    def test_other_storage_class_is_joined_not_adopted(self):
-        state = interp()
-        component = Interpretation(DECLS, storage="columnar")
-        component.add_fact("s", "a", "b", 5)
-        state.absorb(component)
-        assert type(state.relation("s")) is type(state.relation("edge"))
-        assert state["s"] == {("a", "b"): 5}
-
 
 values = st.integers(0, 5)
 keys = st.sampled_from([("a", "b"), ("b", "c"), ("c", "a")])
@@ -272,6 +272,17 @@ class TestMisc:
         warm.add_fact("edge", "x", "y")
         assert ("x", "y") not in a["edge"]
 
+    def test_empty_merge_keeps_indexes_and_row_cache(self):
+        rel = interp(edge=[("a", "b"), ("a", "c")]).relation("edge")
+        index, rows = rel.index_for((0,)), rel.rows_list()
+        stats = IndexStats()
+        with use_index_stats(stats):
+            rel.merge_tuples(set())
+            rel.merge_tuples(iter(()))
+            assert rel.index_for((0,)) is index
+            assert rel.rows_list() is rows
+        assert stats.snapshot() == IndexStats().snapshot()
+
     def test_fingerprint_changes_with_content(self):
         a = interp(s=[("a", "b", 3)])
         b = interp(s=[("a", "b", 4)])
@@ -286,3 +297,96 @@ class TestMisc:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(interp())
+
+
+# -- the bulk mutator ----------------------------------------------------------
+
+JOIN_ROWS_DECLS = """
+    @pred e/2.
+    @cost c/2 : reals_ge.
+    @default t/2 : naturals_le.
+"""
+_small = st.integers(0, 3)
+JOIN_ROWS_BATCHES = {
+    "e": st.lists(st.tuples(_small, st.sampled_from(["a", "b", 1, 1.0]))),
+    "c": st.lists(st.tuples(_small, st.sampled_from([0, 1, 2.5, 7.0]))),
+    "t": st.lists(st.tuples(_small, st.integers(0, 3))),  # 0 = the default
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    predicate=st.sampled_from(sorted(JOIN_ROWS_BATCHES)),
+    data=st.data(),
+    strict=st.booleans(),
+)
+def test_join_rows_agrees_with_the_row_mutators(predicate, data, strict):
+    """``join_rows`` == validate + ``set_cost`` / ``add_tuple`` row by
+    row: same changed-row lists (values as stored after joining), same
+    contents, same error at the same row, and live indexes and row cache
+    equal to a rebuild — over an ordinary, a cost and a default-value
+    predicate."""
+    decl = parse_program(JOIN_ROWS_DECLS).declarations[predicate]
+    batches = data.draw(st.lists(JOIN_ROWS_BATCHES[predicate], max_size=3))
+
+    def row_by_row(rel, rows):
+        changed = []
+        for row in rows:
+            if not rel.is_cost:
+                if rel.add_tuple(row):
+                    changed.append(row)
+                continue
+            decl.lattice.validate(row[-1])
+            if rel.set_cost(row[:-1], row[-1], strict=strict):
+                changed.append(row[:-1] + (rel.cost_of(row[:-1]),))
+        return changed
+
+    outcomes = []
+    for bulk in (True, False):
+        rel = Relation.empty(decl)
+        log = []
+        for rows in batches:
+            rel.lookup((0,), (0,))  # keep an index and the row cache live
+            rel.rows_list()
+            try:
+                log.append(
+                    rel.join_rows(rows, strict=strict)
+                    if bulk
+                    else row_by_row(rel, rows)
+                )
+            except CostConsistencyError as error:
+                log.append(str(error))
+            assert check_relation_indexes(rel) == []
+        outcomes.append((repr(log), sorted(map(repr, rel.rows()))))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_mixed_type_constants_naive_equals_seminaive():
+    # Constants of every kind, plus cross-type numeric collisions
+    # (1 vs 1.0) that set/dict semantics must resolve the same way under
+    # both evaluators; rows compare through ``repr`` so ``1 == 1.0``
+    # cannot mask a type drift.
+    source = """
+        @pred node/1.
+        @pred edge/2.
+        reach(X) <- node(X).
+        reach(Y) <- reach(X), edge(X, Y).
+    """
+    facts = {
+        "node": [(1,), (1.0,), ("a",), (2,)],
+        "edge": [(1, "a"), ("a", 2), (2, 1 << 70), (1 << 70, "ü")],
+    }
+    models = []
+    for method in ("naive", "seminaive"):
+        result = solve_program(source, facts, method=method)
+        assert result.status == "complete"
+        models.append(
+            sorted(
+                (name, sorted(map(repr, rel.rows())))
+                for name, rel in result.model.relations.items()
+            )
+        )
+    assert models[0] == models[1]
+    assert dict(models[0])["reach"] == sorted(
+        map(repr, [(1,), ("a",), (2,), (1 << 70,), ("ü",)])
+    )

@@ -327,18 +327,11 @@ def test_database_jsonl_source_solves():
     ]
 
 
-def test_sample_road_network_solves_identically_on_both_backends():
-    models = {}
-    for storage in ("boxed", "columnar"):
-        db = Database()
-        db.load(ROAD_NETWORK_PROGRAM)
-        db.load_csv("arc", ROADS_CSV)
-        db.add_facts("source", [("avon",), ("iona",)])
-        result = db.solve(storage=storage)
-        models[storage] = sorted(
-            (name, sorted(map(repr, rel.rows())))
-            for name, rel in result.model.relations.items()
-        )
-    assert models["boxed"] == models["columnar"]
-    total = sum(len(rows) for _, rows in models["boxed"])
-    assert total == 92  # pinned; the CI smoke job greps this count
+def test_sample_road_network_solves_to_the_pinned_model():
+    db = Database()
+    db.load(ROAD_NETWORK_PROGRAM)
+    db.load_csv("arc", ROADS_CSV)
+    db.add_facts("source", [("avon",), ("iona",)])
+    result = db.solve()
+    # pinned; the CI smoke job greps this count
+    assert result.model.total_size() == 92

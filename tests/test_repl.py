@@ -72,20 +72,12 @@ def test_csv_and_jsonl_commands():
     assert "model: 34 atoms" in out  # 22 arcs + 12 shares, no rules
 
 
-def test_storage_and_method_knobs():
-    rc, out = run_script(
-        ".storage\n.storage columnar\n.method greedy\n.method\n"
-    )
+def test_method_knob():
+    rc, out = run_script(".method\n.method greedy\n.method\n.method nosuch\n")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "storage = boxed"
-    assert "storage = columnar" in lines
-    assert lines[-1] == "method = greedy"
-
-
-def test_solve_summary_mentions_storage():
-    rc, out = run_script(".storage columnar\n.solve\n")
-    assert rc == 0 and "storage=columnar" in out
+    assert lines[:3] == ["method = auto", "method = greedy", "method = greedy"]
+    assert lines[3].startswith("error:") and "auto" in lines[3]
 
 
 def test_errors_do_not_kill_the_shell():
@@ -118,7 +110,7 @@ def test_unterminated_rule_flushes_at_eof_with_error():
 def test_help_lists_commands():
     rc, out = run_script(".help\n")
     assert rc == 0
-    for command in (".csv", ".jsonl", ".solve", ".query", ".storage"):
+    for command in (".csv", ".jsonl", ".solve", ".query", ".method"):
         assert command in out
 
 
@@ -140,6 +132,5 @@ def test_smoke_script_end_to_end(monkeypatch):
         rc, out = run_script(handle.read())
     assert rc == 0
     assert "attached examples/data/roads.csv: 22 arc rows" in out
-    assert "model: 92 atoms" in out
-    assert "storage=columnar" in out
+    assert "model: 92 atoms in 2 components (42 iterations)" in out
     assert "source('avon')" in out and "source('iona')" in out

