@@ -117,6 +117,10 @@ def greedy_fixpoint(
                 j.relation(name).join_rows(rel.rows())
     ctx = EvalContext(program, cdb, j, i, tracer=tracer)
     dispatch = DeltaDispatch(rules, cdb)
+    # Each settle adds exactly one atom to ``j``, so the traced and
+    # supervised branches report ``base + settled_count`` instead of
+    # re-summing every relation per settle.
+    base = j.total_size()
     track = tracer.enabled
     supervise = supervisor.active
 
@@ -189,7 +193,7 @@ def greedy_fixpoint(
                     delta_atoms=1,
                     new_atoms=1,
                     changed_atoms=0,
-                    total_atoms=j.total_size(),
+                    total_atoms=base + settled_count,
                     wall_s=settle_wall,
                 )
                 m = tracer.metrics
@@ -202,7 +206,7 @@ def greedy_fixpoint(
                     iteration=settled_count,
                     new_atoms=1,
                     changed_atoms=0,
-                    total_atoms=j.total_size(),
+                    total_atoms=base + settled_count,
                 )
     except SolveInterrupt as interrupt:
         # Check sites sit between settles, so ``j`` holds only fully

@@ -9,8 +9,9 @@ A stdlib-only asyncio HTTP/JSON server hosting named databases
 * :mod:`repro.serve.supervise` — :class:`RequestSupervisor`, which runs
   each query in a worker thread under its own
   :class:`~repro.engine.supervisor.Budget` /
-  :class:`~repro.engine.supervisor.CancelToken` and maps the exit-code
-  taxonomy of docs/ROBUSTNESS.md onto HTTP statuses;
+  :class:`~repro.engine.supervisor.CancelToken`, maps the exit-code
+  taxonomy of docs/ROBUSTNESS.md onto HTTP statuses, and answers a
+  repeated request from its byte-bounded cache of encoded 200 answers;
 * :mod:`repro.serve.server` — :class:`SolveServer`, the asyncio
   listener with admission control (bounded in-flight solves + queue,
   load shedding past the bound), ``/healthz`` / ``/readyz`` /

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.engine.supervisor import CancelToken
 from repro.obs import SCHEMA_VERSION, FlightRecorder, MetricsRegistry
 from repro.serve.hosting import HostedDatabase
-from repro.serve.supervise import RequestOutcome, RequestSupervisor
+from repro.serve.supervise import RequestOutcome, RequestSupervisor, encode_body
 
 __all__ = ["ServeSettings", "ServerThread", "SolveServer"]
 
@@ -298,14 +298,16 @@ class SolveServer:
     ) -> None:
         try:
             status, headers, body = await self._respond(reader)
-            if isinstance(body, _PlainText):
+            content_type = "application/json"
+            if isinstance(body, bytes):
+                # A /solve outcome: encoded on its worker thread, so the
+                # loop never runs json.dumps over a row set.
+                payload = body
+            elif isinstance(body, _PlainText):
                 content_type = "text/plain; version=0.0.4"
                 payload = str(body).encode("utf-8")
             else:
-                content_type = "application/json"
-                payload = json.dumps(
-                    body, sort_keys=True, default=str
-                ).encode("utf-8")
+                payload = encode_body(body)
             lines = [
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
                 f"Content-Type: {content_type}",
@@ -482,7 +484,7 @@ class SolveServer:
         headers: List[Tuple[str, str]] = []
         if outcome.retry_after is not None:
             headers.append(("Retry-After", f"{outcome.retry_after:g}"))
-        return outcome.http_status, headers, outcome.body
+        return outcome.http_status, headers, outcome.payload
 
     def _run_supervised(
         self,

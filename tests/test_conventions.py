@@ -1,6 +1,6 @@
 """Internal coding conventions, enforced statically over the source tree.
 
-Two invariants the engine's correctness arguments lean on:
+Invariants the engine's correctness arguments lean on:
 
 1. **Relation mutation goes through the apply-or-rollback helpers.**
    ``Relation.add_tuple`` / ``set_cost`` / ``merge_tuples`` keep the
@@ -28,7 +28,13 @@ Two invariants the engine's correctness arguments lean on:
    option that selected it were deleted (docs/STORAGE.md, "Why one
    backend"); neither the name nor the option comes back under ``src/``.
 
-The checks are text-based on purpose: they run without imports, see
+5. **The answer cache has no knob, and answers are encoded off the
+   event loop.**  ``ServeSettings``, ``repro serve --help`` and
+   ``RequestSupervisor(...)`` are what they were before the cache
+   (docs/SERVING.md, "Answer cache"), and a ``/solve`` outcome reaches
+   the socket as the bytes its worker thread encoded.
+
+The checks of 1-4 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
 explicit allowlists below.
@@ -194,3 +200,77 @@ def test_documented_kernel_is_the_generated_kernel():
     plan = compile_rule(rule, program, shape)
     assert printed == [plan.source(program)]
     assert f"`consts = {plan.consts!r}`" in text
+
+
+def test_the_answer_cache_added_no_knob():
+    """The serve path's answer cache is not configurable: one module
+    constant bounds it.  What an operator or an embedder can set is what
+    it was before the cache."""
+    import dataclasses
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.serve import RequestSupervisor, ServeSettings
+    from repro.serve import supervise
+
+    assert [f.name for f in dataclasses.fields(ServeSettings)] == [
+        "host", "port", "max_inflight", "queue_depth", "default_timeout",
+        "max_timeout", "drain_grace", "flight_size", "flight_dir",
+        "checkpoint_dir", "default_method", "default_plan",
+    ]  # fmt: skip
+    assert list(inspect.signature(RequestSupervisor.__init__).parameters) == [
+        "self", "default_timeout", "max_timeout", "default_method",
+        "default_plan", "flight_dir", "flight_size", "checkpoint_dir",
+    ]  # fmt: skip
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a.choices, dict)
+    )
+    flags = sorted(
+        flag
+        for action in subparsers.choices["serve"]._actions
+        for flag in action.option_strings
+    )
+    assert flags == [
+        "--checkpoint-dir", "--drain-grace", "--flight-dir", "--flight-size",
+        "--help", "--host", "--max-inflight", "--max-timeout", "--method",
+        "--plan", "--port", "--port-file", "--program", "--queue-depth",
+        "--timeout", "-h",
+    ]  # fmt: skip
+    assert supervise.ANSWER_CACHE_BYTES == 64 << 20
+    assert "environ" not in (SRC / "serve" / "supervise.py").read_text("utf-8")
+
+
+def test_a_solve_outcome_reaches_the_socket_as_encoded():
+    """``_handle`` writes a ``RequestOutcome``'s payload as is: the bytes
+    below are valid JSON that no ``json.dumps`` would produce, so any
+    re-serialisation on the event loop would change them."""
+    import http.client
+
+    from repro.serve import (
+        RequestOutcome,
+        ServerThread,
+        ServeSettings,
+        SolveServer,
+        host_program_text,
+    )
+
+    odd = b'{"status":"complete",   "rows":[ ],"wall_s":0.0}'
+    server = SolveServer(
+        {"tiny": host_program_text("tiny", "edge(a, b).")},
+        ServeSettings(drain_grace=0.1),
+    )
+    server.supervisor.execute = lambda *a, **k: RequestOutcome(200, odd, "complete")
+    thread = ServerThread(server)
+    port = thread.start()
+    try:
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            conn.request("POST", "/solve/tiny", body=b"{}")
+            response = conn.getresponse()
+            assert response.status == 200
+            assert response.getheader("Content-Type") == "application/json"
+            assert response.read() == odd
+        finally:
+            conn.close()
+    finally:
+        thread.drain(timeout=30.0)

@@ -10,11 +10,15 @@ resumable checkpoint reference).
 
 The supervision layer also gets direct unit coverage via
 :class:`repro.serve.RequestSupervisor` where a live socket would only
-add noise.  The fault-injection serve suite is ``test_serve_faults.py``.
+add noise, and so does its answer cache (``TestAnswerCache``).  The
+fault-injection serve suite is ``test_serve_faults.py``.
 """
 
 import json
 import pathlib
+import random
+import re
+import sys
 import threading
 import time
 
@@ -22,6 +26,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.engine.supervisor import CancelToken
+from repro.lattices import PowersetUnion
 from repro.obs import load_dump
 from repro.serve import (
     HostedDatabase,
@@ -32,6 +37,8 @@ from repro.serve import (
     SolveServer,
     host_program_text,
 )
+from repro.serve import supervise
+from repro.serve.supervise import AnswerCache
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 DIVERGING = (EXAMPLES / "diverging.mad").read_text(encoding="utf-8")
@@ -43,6 +50,44 @@ edge(c, d).
 path(X, Y) <- edge(X, Y).
 path(X, Z) <- path(X, Y), edge(Y, Z).
 """
+
+
+def execute(sup, hosted, query="path", cancel=None, **options):
+    """One in-process request (no socket, no admission)."""
+    payload = dict(options)
+    if query is not None:
+        payload["query"] = query
+    return sup.execute(
+        hosted, payload, request_id="r", cancel=cancel or CancelToken()
+    )
+
+
+def _solves(*outcomes) -> int:
+    """Solves behind the outcomes, by the solver's own timer."""
+    return sum(
+        o.metrics_snapshot.get("solve.wall_s", {}).get("count", 0)
+        for o in outcomes
+    )
+
+
+def _count(outcome, name: str) -> int:
+    return outcome.metrics_snapshot.get(name, {}).get("value", 0)
+
+
+def _sans_wall(payload: bytes) -> bytes:
+    stripped, n = re.subn(rb', "wall_s": [0-9.e+-]+}$', b"}", payload)
+    assert n == 1, payload
+    return stripped
+
+
+def sets_hosted() -> HostedDatabase:
+    """A cost column over a powerset lattice: its frozenset values reach
+    the wire through ``json.dumps(default=str)``."""
+    db = Database(name="sets")
+    db.register_lattice("tags", PowersetUnion(["a", "b"], name="tags"))
+    db.load("@cost tag/2 : tags.\n@cost seen/2 : tags.\nseen(X, T) <- tag(X, T).")
+    db.add_fact("tag", "x", frozenset({"a", "b"}))
+    return HostedDatabase("sets", db)
 
 
 def diverging_hosted(name: str = "div") -> HostedDatabase:
@@ -185,17 +230,23 @@ class TestSolveTaxonomy:
 
     def test_concurrent_requests_same_database_are_isolated(self, served):
         """Read-snapshot isolation: concurrent solves over one hosted
-        database all derive the identical model."""
+        database all derive the identical model.  Each request names its
+        own (method, plan), so none is answered from another's cached
+        answer and six solves really share the snapshot."""
         _server, client, _tmp = served
         results = []
         lock = threading.Lock()
 
-        def query():
-            outcome = client.solve("tiny", "path")
+        def query(method, plan):
+            outcome = client.solve("tiny", "path", method=method, plan=plan)
             with lock:
                 results.append(outcome)
 
-        threads = [threading.Thread(target=query) for _ in range(6)]
+        threads = [
+            threading.Thread(target=query, args=(method, plan))
+            for method in ("naive", "seminaive", "auto")
+            for plan in ("smart", "off")
+        ]
         for t in threads:
             t.start()
         for t in threads:
@@ -205,6 +256,7 @@ class TestSolveTaxonomy:
         assert statuses == {200}
         rows = {json.dumps(body["rows"]) for _, body in results}
         assert len(rows) == 1
+        assert "repro_serve_cache_misses_total 6" in client.metrics()
 
 
 class TestAdmissionControl:
@@ -373,6 +425,15 @@ class TestRequestSupervisor:
         assert sup.effective_timeout(120.0) == 30.0
         assert sup.effective_timeout(-3) == 10.0
         assert sup.effective_timeout("junk") == 10.0
+        # True is an int, and json.loads accepts Infinity, 1e999 and NaN:
+        # none of them is a budget.
+        assert sup.effective_timeout(True) == 10.0
+        assert sup.effective_timeout(False) == 10.0
+        for text in ("Infinity", "1e999", "-Infinity", "NaN", "1" + "0" * 400):
+            assert sup.effective_timeout(json.loads(text)) == 10.0, text
+        unclamped = RequestSupervisor(default_timeout=10.0)
+        assert unclamped.effective_timeout(json.loads("1e999")) == 10.0
+        assert unclamped.effective_timeout(1e300) == 1e300
 
     def test_bad_program_option_rejected_not_crashed(self, tmp_path):
         sup = RequestSupervisor(flight_dir=str(tmp_path))
@@ -440,10 +501,269 @@ class TestHostedDatabase:
     def test_snapshot_not_mutated_by_solves(self):
         hosted = host_program_text("tiny", TINY)
         before = hosted.snapshot().total_size()
-        sup = RequestSupervisor()
         for _ in range(3):
+            # A supervisor of its own each time, so each time is a solve
+            # and not an answer out of the cache.
+            sup = RequestSupervisor()
             outcome = sup.execute(
                 hosted, {"query": "path"}, request_id="r", cancel=CancelToken()
             )
             assert outcome.http_status == 200
+            assert _solves(outcome) == 1
         assert hosted.snapshot().total_size() == before
+
+
+class TestAnswerCache:
+    """A 200 answer is a pure function of (database, query, method,
+    plan): it is solved once and then served from the cache."""
+
+    @pytest.mark.parametrize(
+        "host, query, needle",
+        [
+            (lambda: host_program_text("tiny", TINY), "path", b'"rows": [["a", "b"]'),
+            (lambda: host_program_text("tiny", TINY), None, b'"relations": {"edge": 3'),
+            (sets_hosted, "seen", b"frozenset({"),
+        ],
+        ids=["rows", "relations", "set-lattice"],
+    )
+    def test_hit_payload_is_the_miss_payload_but_for_wall_s(
+        self, host, query, needle
+    ):
+        sup = RequestSupervisor()
+        hosted = host()
+        miss = execute(sup, hosted, query)
+        hit = execute(sup, hosted, query)
+        assert (miss.http_status, hit.http_status) == (200, 200)
+        assert needle in miss.payload
+        assert (_solves(miss), _solves(hit)) == (1, 0)
+        assert (_count(miss, "serve.cache_misses"), _count(hit, "serve.cache_hits")) == (1, 1)
+        assert _sans_wall(hit.payload) == _sans_wall(miss.payload)
+        for outcome in (miss, hit):
+            # The splice is what encoding the whole body would give, and
+            # .body is still the plain dict in-process callers read.
+            assert outcome.payload == json.dumps(
+                outcome.body, sort_keys=True
+            ).encode("utf-8")
+            assert outcome.body["wall_s"] == round(outcome.wall_s, 6)
+            assert outcome.status == "complete"
+        assert hit.atoms == miss.atoms == miss.body["atoms"]
+
+    def test_distinct_query_method_plan_never_collide(self):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        requests = [
+            {"query": "path"},
+            {"query": "edge"},
+            {"query": None},
+            {"query": "path", "method": "naive"},
+            {"query": "path", "plan": "off"},
+            {"query": "path", "method": "naive", "plan": "off"},
+        ]
+        first = [execute(sup, hosted, **r) for r in requests]
+        assert _solves(*first) == len(requests)
+        again = [execute(sup, hosted, **r) for r in requests]
+        assert _solves(*again) == 0
+        for a, b in zip(first, again):
+            assert _sans_wall(a.payload) == _sans_wall(b.payload)
+        assert len(first[1].body["rows"]) == 3
+        assert "rows" not in first[2].body
+        # The resolved method and plan are the key: spelling out the
+        # server defaults is the same request.
+        spelled = execute(sup, hosted, method="auto", plan="smart")
+        assert _solves(spelled) == 0
+
+    def test_two_hosted_databases_of_one_name_never_collide(self):
+        sup = RequestSupervisor()
+        short = host_program_text(
+            "tiny", "edge(a, b).\npath(X, Y) <- edge(X, Y).\n"
+        )
+        full = host_program_text("tiny", TINY)
+        assert execute(sup, full).body["atoms"] == 9
+        other = execute(sup, short)
+        assert _solves(other) == 1
+        assert other.body["rows"] == [["a", "b"]]
+        assert execute(sup, full).body["atoms"] == 9
+
+    def test_a_drained_request_is_solved_again(self, tmp_path):
+        """Nothing but a 200 is stored: the 503 of a cancelled request
+        is not what the next client gets."""
+        sup = RequestSupervisor(checkpoint_dir=str(tmp_path))
+        hosted = host_program_text("tiny", TINY)
+        cancel = CancelToken()
+        cancel.cancel("server draining")
+        drained = execute(sup, hosted, cancel=cancel)
+        assert drained.http_status == 503
+        assert sup.answers.bytes == 0
+        retried = execute(sup, hosted)
+        assert retried.http_status == 200
+        assert _solves(retried) == 1
+        # ... and a tripped token does not spoil an answer that is there.
+        assert execute(sup, hosted, cancel=cancel).http_status == 200
+
+    def test_rejections_are_not_stored(self):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        for _ in range(2):
+            outcome = execute(sup, hosted, "nosuch")
+            assert outcome.http_status == 422
+            assert outcome.metrics_snapshot == {}
+        assert sup.answers.bytes == 0
+
+    def test_concurrent_cold_identical_requests_solve_once(self):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        outcomes = []
+        start = threading.Barrier(8)
+
+        def request():
+            start.wait(timeout=10)
+            outcomes.append(execute(sup, hosted))
+
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert [o.http_status for o in outcomes] == [200] * 8
+        assert _solves(*outcomes) == 1
+        assert sum(_count(o, "serve.cache_hits") for o in outcomes) == 7
+        assert len({_sans_wall(o.payload) for o in outcomes}) == 1
+        assert sup.answers._flights == {}
+
+    def test_follower_whose_timeout_lapses_gets_429(self):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        key = (hosted, "path", "auto", "smart")
+        # This thread plays the leader: it holds the key's flight.
+        with sup.answers.flight(key, 1.0) as held:
+            assert held
+            t0 = time.perf_counter()
+            outcome = execute(sup, hosted, timeout=0.05)
+            waited = time.perf_counter() - t0
+        assert outcome.http_status == 429
+        assert outcome.status == "timeout"
+        assert outcome.retry_after == 0.05
+        assert "identical request in flight" in outcome.body["reason"]
+        assert outcome.body["checkpoint"] is None
+        assert 0.05 <= waited < 1.0
+        assert (_solves(outcome), _count(outcome, "serve.cache_misses")) == (0, 1)
+        assert sup.answers._flights == {}
+        # The leader left no answer: the next request solves.
+        assert _solves(execute(sup, hosted)) == 1
+
+    def test_follower_finds_the_leaders_answer(self):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        key = (hosted, "path", "auto", "smart")
+        hold = {}
+        with sup.answers.flight(key, 1.0):
+            follower = threading.Thread(
+                target=lambda: hold.update(outcome=execute(sup, hosted))
+            )
+            follower.start()
+            deadline = time.time() + 5.0
+            while sup.answers._flights[key][1] < 2 and time.time() < deadline:
+                time.sleep(0.005)
+            sup.answers.put(key, b'{"atoms": 7, "status": "complete"}')
+        follower.join(timeout=30)
+        assert not follower.is_alive()
+        assert hold["outcome"].http_status == 200
+        assert hold["outcome"].atoms == 7
+        assert _solves(hold["outcome"]) == 0
+
+    def test_lru_order_and_byte_accounting(self, monkeypatch):
+        monkeypatch.setattr(supervise, "ANSWER_CACHE_BYTES", 10)
+        cache = AnswerCache()
+        assert cache.put("a", b"aaaa") == 0
+        assert cache.put("b", b"bbbb") == 0
+        assert cache.bytes == 8
+        assert cache.get("a") == b"aaaa"  # now b is the least recent
+        assert cache.put("c", b"cccc") == 1
+        assert (cache.get("b"), cache.bytes) == (None, 8)
+        # Over the bound: served by the caller, not stored, evicts nothing.
+        assert cache.put("huge", b"x" * 11) == 0
+        assert (cache.get("huge"), cache.bytes) == (None, 8)
+        # A replacement is charged the difference.
+        assert cache.put("a", b"aaaaaa") == 0
+        assert cache.bytes == 10
+        assert cache.put("d", b"dddddddddd") == 2
+        assert list(cache._answers) == ["d"]
+        assert cache.bytes == 10
+
+    def test_evictions_are_counted_and_evicted_answers_solved_again(
+        self, monkeypatch
+    ):
+        sup = RequestSupervisor()
+        hosted = host_program_text("tiny", TINY)
+        paths = execute(sup, hosted, "path")
+        size = len(_sans_wall(paths.payload))
+        assert _count(paths, "serve.cache_bytes") == sup.answers.bytes == size
+        monkeypatch.setattr(supervise, "ANSWER_CACHE_BYTES", size)
+        edges = execute(sup, hosted, "edge")
+        assert _count(edges, "serve.cache_evictions") == 1
+        assert sup.answers.bytes == len(_sans_wall(edges.payload))
+        assert _solves(execute(sup, hosted, "edge")) == 0
+        again = execute(sup, hosted, "path")  # larger than "edge": evicts it
+        assert _solves(again) == 1
+        monkeypatch.setattr(supervise, "ANSWER_CACHE_BYTES", size - 1)
+        unkept = execute(sup, hosted, "path", method="naive")
+        assert (unkept.http_status, _solves(unkept)) == (200, 1)
+        assert _count(unkept, "serve.cache_evictions") == 0
+        assert _solves(execute(sup, hosted, "path", method="naive")) == 1
+
+    def test_cache_survives_a_stress_of_puts_gets_and_flights(self, monkeypatch):
+        """More threads than cores, a short switch interval: a lost
+        update would break the byte accounting or leak a flight."""
+        monkeypatch.setattr(supervise, "ANSWER_CACHE_BYTES", 64)
+        cache = AnswerCache()
+        stop = time.perf_counter() + 1.0
+
+        def worker(seed):
+            rng = random.Random(seed)
+            while time.perf_counter() < stop:
+                key = rng.randrange(12)
+                with cache.flight(key, 0.001):
+                    if cache.get(key) is None:
+                        cache.put(key, b"x" * rng.randrange(1, 24))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.bytes == sum(map(len, cache._answers.values())) <= 64
+        assert cache._flights == {}
+
+    def test_hits_are_first_class_requests_on_the_wire(self, served):
+        server, client, _tmp = served
+        answers = [client.solve("tiny", "path") for _ in range(3)]
+        assert [status for status, _ in answers] == [200] * 3
+        assert len({json.dumps(body["rows"]) for _, body in answers}) == 1
+        text = client.metrics()
+        for line in (
+            "repro_serve_requests_total 3",
+            "repro_serve_requests_ok_total 3",
+            "repro_serve_cache_misses_total 1",
+            "repro_serve_cache_hits_total 2",
+            "repro_serve_cache_evictions_total 0",
+            "repro_serve_request_wall_s_count 3",
+            "repro_solve_wall_s_count 1",
+        ):
+            assert line in text.splitlines(), line
+        size = len(json.dumps(dict(answers[0][1]), sort_keys=True)) - len(
+            ', "wall_s": ' + json.dumps(answers[0][1]["wall_s"])
+        )
+        assert f"repro_serve_cache_bytes {size}" in text.splitlines()
+        ends = [
+            e for e in server.telemetry.flight.events if e["type"] == "request_end"
+        ]
+        assert [(e["status"], e["http_status"], e["atoms"]) for e in ends] == [
+            ("complete", 200, 9)
+        ] * 3

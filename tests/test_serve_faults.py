@@ -17,11 +17,15 @@ Two layers of the robustness story (ISSUE: crash-isolated workers):
   confined to their request: a crash answers 500 with a postmortem,
   a delay racing the budget answers 429, and the *shared* hosted
   snapshot stays index-consistent throughout (the torn-index detector
-  of the fault harness).
+  of the fault harness).  None of those outcomes reaches the answer
+  cache (``TestAnswerCacheUnderFaults``): only a 200 is stored, and a
+  leader that fails hands the solve to the next request in line.
 """
 
 import os
 import signal
+import threading
+import time
 
 import pytest
 
@@ -47,6 +51,7 @@ from repro.testing.faults import (
     inject,
 )
 from repro.workloads import dijkstra_all_pairs, random_digraph
+from tests.test_serve import _solves, execute
 
 TINY = """
 edge(a, b).
@@ -258,3 +263,101 @@ class TestServeFaultIsolation:
         with inject(FaultPlan([Fault("rule_firing")])):
             with pytest.raises(FaultInjected):
                 db.solve()
+
+
+class TestAnswerCacheUnderFaults:
+    """Only a 200 is an answer; single flight survives a failing leader."""
+
+    def test_429_then_a_larger_timeout_is_solved_again(self, tmp_path):
+        sup = RequestSupervisor(flight_dir=str(tmp_path))
+        hosted = host_program_text("tiny", TINY)
+        plan = FaultPlan(
+            [Fault("rule_firing", action="delay", delay=0.4, repeat=True)]
+        )
+        with inject(plan):
+            starved = execute(sup, hosted, timeout=0.15)
+        assert starved.http_status == 429
+        assert sup.answers.bytes == 0
+        retried = execute(sup, hosted, timeout=30.0)
+        assert (retried.http_status, _solves(retried)) == (200, 1)
+        # The answer does not depend on the budget it was solved under.
+        assert _solves(execute(sup, hosted, timeout=0.15)) == 0
+
+    def test_injected_crash_then_retry_is_solved_again(self, tmp_path):
+        sup = RequestSupervisor(flight_dir=str(tmp_path))
+        hosted = host_program_text("tiny", TINY)
+        with inject(FaultPlan([Fault("rule_firing", at=1)])):
+            crashed = execute(sup, hosted)
+        assert crashed.http_status == 500
+        assert sup.answers.bytes == 0
+        retried = execute(sup, hosted)
+        assert (retried.http_status, _solves(retried)) == (200, 1)
+        with inject(FaultPlan([Fault("rule_firing", repeat=True)])) as plan:
+            # Served from the cache: the engine's seams are not crossed.
+            assert execute(sup, hosted).http_status == 200
+            assert plan.log == []
+
+    def test_requests_behind_a_slow_leader_solve_once(self, tmp_path):
+        sup = RequestSupervisor(flight_dir=str(tmp_path))
+        hosted = host_program_text("tiny", TINY)
+        with inject(FaultPlan()) as alone:
+            execute(RequestSupervisor(flight_dir=str(tmp_path)), hosted)
+        one_solve = alone.seam_counts()["rule_firing"]
+        leading = threading.Event()
+
+        def stall(seam, detail):
+            leading.set()
+            time.sleep(0.3)
+
+        outcomes = []
+        plan = FaultPlan([Fault("rule_firing", action="call", call=stall)])
+        with inject(plan):
+            threads = [
+                threading.Thread(
+                    target=lambda: outcomes.append(execute(sup, hosted))
+                )
+                for _ in range(5)
+            ]
+            threads[0].start()
+            assert leading.wait(timeout=10)
+            for t in threads[1:]:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert [o.http_status for o in outcomes] == [200] * 5
+        # Counted at the fault seam: the engine ran one solve's firings.
+        assert plan.seam_counts()["rule_firing"] == one_solve
+        assert _solves(*outcomes) == 1
+        assert len({tuple(map(tuple, o.body["rows"])) for o in outcomes}) == 1
+
+    def test_leader_crash_lets_a_follower_solve(self, tmp_path):
+        sup = RequestSupervisor(flight_dir=str(tmp_path))
+        hosted = host_program_text("tiny", TINY)
+        leading = threading.Event()
+
+        def stall_then_crash(seam, detail):
+            leading.set()
+            time.sleep(0.2)
+            raise FaultInjected("leader down")
+
+        hold = {}
+        plan = FaultPlan(
+            [Fault("rule_firing", action="call", call=stall_then_crash)]
+        )
+        with inject(plan):
+            leader = threading.Thread(
+                target=lambda: hold.update(leader=execute(sup, hosted))
+            )
+            leader.start()
+            assert leading.wait(timeout=10)
+            # at=1 and no repeat: the fault is spent on the leader.
+            follower = execute(sup, hosted, timeout=10.0)
+            leader.join(timeout=30)
+        assert not leader.is_alive()
+        assert hold["leader"].http_status == 500
+        assert "leader down" in hold["leader"].body["error"]
+        assert (follower.http_status, _solves(follower)) == (200, 1)
+        # It waited out the leader, and solved under what was left.
+        assert follower.wall_s >= 0.1
+        assert _solves(execute(sup, hosted)) == 0
