@@ -24,6 +24,8 @@ become available to subsequently loaded rule text.
 
 from __future__ import annotations
 
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.aggregates.base import AggregateFunction
@@ -286,9 +288,24 @@ class Database:
         program = self.program
         head_predicates = {r.head.predicate for r in self._rules}
         interp = Interpretation(program.declarations)
-        for predicate, args in self._facts:
-            if predicate not in head_predicates:
-                interp.add_fact(predicate, *args)
+        # Inline facts take the bulk sources' write: runs of one
+        # predicate, a slice at a time, through ``join_rows(strict=True)``
+        # (arity, lattice membership, the functional dependency).
+        extensional = (f for f in self._facts if f[0] not in head_predicates)
+        for predicate, run in groupby(extensional, key=itemgetter(0)):
+            rel = interp.relation(predicate)
+            arity = rel.decl.arity
+            rows = map(itemgetter(1), run)
+            while chunk := list(islice(rows, _loader.LOAD_SLICE)):
+                if set(map(len, chunk)) != {arity}:
+                    # The rows ahead of the misfit may hold an earlier error.
+                    bad = next(i for i, r in enumerate(chunk) if len(r) != arity)
+                    rel.join_rows(chunk[:bad], strict=True)
+                    raise ProgramError(
+                        f"{predicate} expects {arity} arguments, "
+                        f"got {len(chunk[bad])}"
+                    )
+                rel.join_rows(chunk, strict=True)
         for fmt, predicate, path, options in self._bulk:
             if fmt == "csv":
                 # Rules loaded after load_csv may have claimed the

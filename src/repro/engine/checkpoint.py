@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 from repro.datalog.errors import ProgramError, ReproError
 from repro.datalog.program import Program
 from repro.engine.interpretation import Interpretation
+from repro.lattices.base import LatticeValueError
 
 #: Bump when the serialized layout changes incompatibly.
 CHECKPOINT_FORMAT = 1
@@ -198,20 +199,31 @@ class Checkpoint:
                         f"{name} is ordinary now but was a cost predicate "
                         f"in the checkpoint"
                     )
-                for key, value in payload.get("rows", ()):
-                    rel.set_cost(
-                        tuple(_decode_value(k) for k in key),
-                        _decode_value(value),
-                        strict=False,
-                    )
+                rows = [
+                    tuple(_decode_value(k) for k in key) + (_decode_value(value),)
+                    for key, value in payload.get("rows", ())
+                ]
             else:
                 if rel.is_cost:
                     raise CheckpointError(
                         f"{name} is a cost predicate now but was ordinary "
                         f"in the checkpoint"
                     )
-                for key in payload.get("rows", ()):
-                    rel.add_tuple(tuple(_decode_value(k) for k in key))
+                rows = [
+                    tuple(_decode_value(k) for k in key)
+                    for key in payload.get("rows", ())
+                ]
+            # The file is input, not state: its rows take the validated
+            # bulk write, never a bare container write.
+            if set(map(len, rows)) - {rel.decl.arity}:
+                raise CheckpointError(
+                    f"checkpoint holds a row of {name} that is not of "
+                    f"arity {rel.decl.arity}"
+                )
+            try:
+                rel.join_rows(rows)
+            except LatticeValueError as exc:
+                raise CheckpointError(f"checkpoint row of {name}: {exc}") from exc
         return state
 
     # -- (de)serialization ---------------------------------------------------------

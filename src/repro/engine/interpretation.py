@@ -100,6 +100,13 @@ def use_index_stats(stats: IndexStats) -> Iterator[IndexStats]:
         _ACTIVE_STATS.reset(token)
 
 
+#: A full row's cost column (``join_rows``' batched membership) and the
+#: batch length from which one column-wide decision beats ``validate``
+#: per row (measured break-even: about ten rows).
+_COST = itemgetter(-1)
+_COLUMN_MIN = 16
+
+
 def row_projector(positions: Tuple[int, ...]) -> Callable[[Key], Key]:
     """``row -> tuple(row[p] for p in positions)`` without a per-row
     generator (index bucket keys, delta-seed projection)."""
@@ -254,7 +261,12 @@ class Relation:
         row-cache upkeep, the ``index_update`` fault seam and
         invalidate-on-exception — with everything that is per relation
         (containers, lattice functions, live indexes, row cache, fault
-        plan) read once per call instead of once per row.
+        plan) read once per call instead of once per row.  Membership
+        is one decision per call when ``rows`` is a list whose cost
+        column the lattice accepts whole (``Lattice.accepts_all``);
+        otherwise — another lattice, a bool/NaN/subclass anywhere in
+        the column, an iterator — it is ``validate`` per row, so the
+        first offending row raises with the rows before it applied.
         """
         changed: List[Key] = []
         keyers = [
@@ -270,6 +282,12 @@ class Relation:
         has_default = self.decl.has_default
         if lattice is not None:
             validate, join, bottom = lattice.validate, lattice.join, lattice.bottom
+            if (
+                type(rows) is list
+                and len(rows) >= _COLUMN_MIN
+                and lattice.accepts_all(list(map(_COST, rows)))
+            ):
+                validate = None
         try:
             for row in rows:
                 replaced = None
@@ -279,7 +297,8 @@ class Relation:
                     tuples.add(row)
                 else:
                     key, value = row[:-1], row[-1]
-                    validate(value)
+                    if validate is not None:
+                        validate(value)
                     existing = costs.get(key)
                     if has_default and value == bottom:
                         # The default is implicit, never stored.
@@ -539,23 +558,15 @@ class Interpretation:
     def join(self, other: "Interpretation") -> "Interpretation":
         """``self ⊔ other`` per Theorem 3.1's construction.
 
-        Routed through the relation mutators: ``set_cost(strict=False)``
-        *is* the pointwise lattice lub, and the copy carries warm
-        indexes — the mutators maintain them incrementally, so a state
-        accumulated by repeated joins (the solver's per-component loop)
-        no longer re-indexes from cold.
+        A warm copy (live indexes carried over, then maintained in place
+        — a state accumulated by repeated joins never re-indexes from
+        cold) joined through :meth:`Relation.join_rows`, whose
+        non-strict write *is* the pointwise lattice lub.
         """
         out = self.copy(warm=True)
         for name, rel in other.relations.items():
-            target = out.relation(name)
-            if rel.is_cost:
-                for key, value in rel.costs.items():
-                    target.set_cost(key, value, strict=False)
-            elif target._indexes:
-                for key in rel.tuples:
-                    target.add_tuple(key)
-            else:
-                target.merge_tuples(rel.tuples)
+            if len(rel):
+                out.relation(name).join_rows(list(rel.rows()))
         return out
 
     def absorb(self, other: "Interpretation") -> None:

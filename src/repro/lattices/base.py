@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 
 class LatticeError(Exception):
@@ -92,6 +92,16 @@ class Lattice(abc.ABC):
                 f"{value!r} is not an element of lattice {self.name}"
             )
         return value
+
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        """True only when one pass proves every value a carrier element.
+
+        False decides nothing — the caller then validates one by one —
+        and is the default; the numeric lattices answer for columns of
+        exact ``int``/``float`` (the bulk writers' common case).  A
+        subclass that narrows ``__contains__`` narrows this with it.
+        """
+        return False
 
     def lt(self, a: Any, b: Any) -> bool:
         """Strict order ``a ⊏ b``."""

@@ -21,7 +21,8 @@ cost values with respect to ⊑, i.e. the shortest paths.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Optional
+from operator import ne
+from typing import Any, FrozenSet, Iterator, Optional, Sequence
 
 from repro.lattices.base import Lattice
 
@@ -41,6 +42,18 @@ def _is_real(value: Any) -> bool:
     if not isinstance(value, (int, float)):
         return False
     return not (isinstance(value, float) and math.isnan(value))
+
+
+_REALS = frozenset({int, float})
+_INTS = frozenset({int})
+
+
+def _all_exact(values: Sequence[Any], kinds: FrozenSet[type]) -> bool:
+    """Every value is exactly one of ``kinds`` (so no bool, no subclass)
+    and none is NaN: :meth:`Lattice.accepts_all`'s one decision per
+    column, where :func:`_is_real` is one call per value."""
+    seen = set(map(type, values))
+    return seen <= kinds and (float not in seen or not any(map(ne, values, values)))
 
 
 class AscendingReals(Lattice):
@@ -69,6 +82,9 @@ class AscendingReals(Lattice):
 
     def __contains__(self, value: Any) -> bool:
         return _is_real(value)
+
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _REALS)
 
     def sample(self) -> Optional[Iterator[Any]]:
         return iter([NEG_INF, -2.5, -1, 0, 0.5, 1, 3, 100, INF])
@@ -105,6 +121,9 @@ class DescendingReals(Lattice):
     def __contains__(self, value: Any) -> bool:
         return _is_real(value)
 
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _REALS)
+
     def sample(self) -> Optional[Iterator[Any]]:
         return iter([INF, 100, 3, 1, 0.5, 0, -1, -2.5, NEG_INF])
 
@@ -135,6 +154,9 @@ class NonNegativeReals(Lattice):
 
     def __contains__(self, value: Any) -> bool:
         return _is_real(value) and value >= 0
+
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _REALS) and min(values, default=0) >= 0
 
     def sample(self) -> Optional[Iterator[Any]]:
         return iter([0, 0.25, 0.5, 1, 2, 3.5, 10, INF])
@@ -169,6 +191,9 @@ class PositiveIntegers(Lattice):
             return True
         return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _INTS) and min(values, default=1) >= 1
+
     def sample(self) -> Optional[Iterator[Any]]:
         return iter([1, 2, 3, 5, 8, 100, INF])
 
@@ -201,6 +226,9 @@ class Naturals(Lattice):
         if value == INF:
             return True
         return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _INTS) and min(values, default=0) >= 0
 
     def sample(self) -> Optional[Iterator[Any]]:
         return iter([0, 1, 2, 3, 7, 42, INF])
@@ -243,6 +271,11 @@ class BoundedReals(Lattice):
 
     def __contains__(self, value: Any) -> bool:
         return _is_real(value) and self.lo <= value <= self.hi
+
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return _all_exact(values, _REALS) and (
+            not values or (self.lo <= min(values) and max(values) <= self.hi)
+        )
 
     def sample(self) -> Optional[Iterator[Any]]:
         span = self.hi - self.lo

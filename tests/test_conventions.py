@@ -34,6 +34,13 @@ Invariants the engine's correctness arguments lean on:
    (docs/SERVING.md, "Answer cache"), and a ``/solve`` outcome reaches
    the socket as the bytes its worker thread encoded.
 
+6. **One write path for every EDB row.**  CSV, JSONL and inline facts
+   reach a relation through ``Relation.join_rows(slice, strict=True)``
+   and nothing else: no per-row mutator call in ``repro/data/`` or in
+   ``Database.edb``, and no option that selects between paths
+   (docs/STORAGE.md, "The bulk data plane").  The row-at-a-time loaders
+   live on only as the oracle in ``tests/test_loader.py``.
+
 The checks of 1-4 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
@@ -274,3 +281,48 @@ def test_a_solve_outcome_reaches_the_socket_as_encoded():
             conn.close()
     finally:
         thread.drain(timeout=30.0)
+
+
+def test_every_edb_row_takes_the_one_bulk_write():
+    """Ingest is ``join_rows(strict=True)`` per slice — for files and
+    for ``add_fact(s)`` alike — and is not configurable."""
+    import inspect
+
+    from repro.core.database import Database
+    from repro.data import loader
+
+    per_row = re.compile(r"\.(set_cost|add_tuple|add_fact)\(")
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+        for path in (SRC / "data").glob("*.py")
+    }
+    sources["Database.edb"] = inspect.getsource(Database.edb)
+    offenders = [
+        f"{name}: {line.strip()}"
+        for name, text in sources.items()
+        for line in text.splitlines()
+        if per_row.search(line) and not line.strip().startswith("#")
+    ]
+    assert not offenders, "per-row EDB writes:\n  " + "\n  ".join(offenders)
+    for name in ("data/loader.py", "Database.edb"):
+        assert "join_rows(" in sources[name]
+
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(loader.load_csv) == [
+        "interpretation", "predicate", "source", "delimiter", "header",
+        "decode", "strict",
+    ]  # fmt: skip
+    assert parameters(loader.load_jsonl) == [
+        "interpretation", "source", "strict", "forbidden",
+    ]  # fmt: skip
+    assert parameters(loader.scan_csv) == [
+        "source", "arity", "delimiter", "header", "strict", "predicate",
+    ]  # fmt: skip
+    assert parameters(Database.edb) == ["self"]
+    assert parameters(Database.load_csv) == [
+        "self", "predicate", "path", "delimiter", "header",
+    ]  # fmt: skip
+    assert loader.LOAD_SLICE == 512
+    assert "environ" not in sources["data/loader.py"]

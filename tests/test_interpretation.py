@@ -1,6 +1,8 @@
 """Interpretations: the complete lattice of Theorem 3.1, FD enforcement,
 default-value cores."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,14 @@ from repro.datalog.errors import CostConsistencyError, ProgramError
 from repro.datalog.parser import parse_program
 from repro.datalog.program import PredicateDecl
 from repro.engine.interpretation import (
+    _COLUMN_MIN,
     IndexStats,
     Interpretation,
     Relation,
     use_index_stats,
 )
-from repro.lattices import BOOL_LE, REALS_GE
+from repro.lattices import BOOL_LE, INF, NONNEG_REALS_LE, REALS_GE
+from repro.lattices.base import Lattice, LatticeValueError
 from repro.testing import check_relation_indexes
 
 DECLS = {
@@ -301,6 +305,11 @@ class TestMisc:
 
 # -- the bulk mutator ----------------------------------------------------------
 
+#: What no numeric lattice holds, each defeating a column-wide check in its
+#: own way: ``True`` *is* an ``int``, NaN *is* a ``float``, a ``Fraction``
+#: compares and sums like a number.
+NOT_REAL = (True, float("nan"), Fraction(1, 2), "x")
+
 JOIN_ROWS_DECLS = """
     @pred e/2.
     @cost c/2 : reals_ge.
@@ -309,8 +318,25 @@ JOIN_ROWS_DECLS = """
 _small = st.integers(0, 3)
 JOIN_ROWS_BATCHES = {
     "e": st.lists(st.tuples(_small, st.sampled_from(["a", "b", 1, 1.0]))),
-    "c": st.lists(st.tuples(_small, st.sampled_from([0, 1, 2.5, 7.0]))),
-    "t": st.lists(st.tuples(_small, st.integers(0, 3))),  # 0 = the default
+    "c": st.lists(
+        st.tuples(
+            _small,
+            st.one_of(
+                st.sampled_from([0, 1, 2.5, 7.0]),
+                st.sampled_from([0, 1, 2.5, 7.0, INF, *NOT_REAL]),
+            ),
+        )
+    ),
+    # 0 = the default; naturals_le has no floats but INF, no negatives
+    "t": st.lists(
+        st.tuples(
+            _small,
+            st.one_of(
+                st.integers(0, 3),
+                st.sampled_from([0, 1, 2, INF, -1, 2.0, *NOT_REAL]),
+            ),
+        )
+    ),
 }
 
 
@@ -354,11 +380,54 @@ def test_join_rows_agrees_with_the_row_mutators(predicate, data, strict):
                     if bulk
                     else row_by_row(rel, rows)
                 )
-            except CostConsistencyError as error:
+            except (CostConsistencyError, LatticeValueError) as error:
                 log.append(str(error))
             assert check_relation_indexes(rel) == []
         outcomes.append((repr(log), sorted(map(repr, rel.rows()))))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("intruder", NOT_REAL + (-1,), ids=repr)
+@pytest.mark.parametrize("at", [0, 3, 19])
+def test_join_rows_validates_a_mixed_column_row_by_row(intruder, at, monkeypatch):
+    """One decision per call only for a column the lattice accepts
+    whole.  With one bool / NaN / ``Fraction`` / string / out-of-range
+    value anywhere in it, every row is validated on its own, so the
+    offending row raises what ``validate`` raises, with exactly the rows
+    ahead of it applied — as ``add_fact`` row by row leaves them."""
+    decl = PredicateDecl("w", 2, NONNEG_REALS_LE)
+    rows = [(i, float(i)) for i in range(20)]
+    rows[at] = (at, intruder)
+    validated = []
+    monkeypatch.setattr(
+        NONNEG_REALS_LE,
+        "validate",
+        lambda value: validated.append(value) or Lattice.validate(NONNEG_REALS_LE, value),
+        raising=False,
+    )
+    rel = Relation.empty(decl)
+    with pytest.raises(LatticeValueError) as bulk:
+        rel.join_rows(rows)
+    assert repr(validated) == repr([value for _, value in rows[: at + 1]])
+
+    reference = Interpretation({"w": decl})
+    with pytest.raises(LatticeValueError) as single:
+        for row in rows:
+            reference.add_fact("w", *row)
+    assert str(bulk.value) == str(single.value)
+    assert list(rel.rows()) == list(reference.relation("w").rows()) == rows[:at]
+
+    # ... whereas a clean list is decided once — unless it is an
+    # iterator, or too short for three passes to beat a call per row.
+    del validated[:]
+    clean = [(i, float(i)) for i in range(20)]
+    assert Relation.empty(decl).join_rows(clean) == clean
+    assert validated == []
+    assert Relation.empty(decl).join_rows(iter(clean)) == clean
+    assert validated == [value for _, value in clean]
+    short = clean[: _COLUMN_MIN - 1]
+    assert Relation.empty(decl).join_rows(short) == short
+    assert validated == [value for _, value in clean + short]
 
 
 def test_mixed_type_constants_naive_equals_seminaive():

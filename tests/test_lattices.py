@@ -57,6 +57,27 @@ class TestNumericMembershipPinned:
     def test_membership_table(self, lattice):
         assert [v in lattice for v in self.VALUES] == self.EXPECTED[lattice]
 
+    @pytest.mark.parametrize("lattice", list(EXPECTED), ids=lambda l: l.name)
+    def test_accepts_all_never_outvotes_membership(self, lattice):
+        """The column-wide answer is sound — True only if every value is
+        a member — over every pair and triple of the pinned values, and
+        complete for exact ``int``/``float`` columns of members."""
+        members = [v for v in self.VALUES if v in lattice]
+        exact = [v for v in members if type(v) in (int, float)]
+        if lattice in (POS_INTS_LE, NATURALS_LE):
+            exact.remove(INF)  # the one float member: decided one by one
+        assert lattice.accepts_all([])
+        assert lattice.accepts_all(exact) and exact
+        for a in self.VALUES:
+            for b in self.VALUES:
+                for column in ([a], [a, b], [b, *exact, a]):
+                    if lattice.accepts_all(column):
+                        assert all(v in lattice for v in column), column
+
+    def test_accepts_all_defaults_to_one_by_one(self):
+        for lattice in (BOOL_LE, BOOL_GE, PowersetUnion("ab")):
+            assert not lattice.accepts_all([lattice.bottom])
+
 
 class TestAscendingReals:
     def test_order(self):

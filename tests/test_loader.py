@@ -15,10 +15,14 @@ Three layers under test (docs/STORAGE.md):
 
 from __future__ import annotations
 
+import csv
 import io
+import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.database import Database
 from repro.data import (
@@ -31,7 +35,16 @@ from repro.data import (
     scan_csv,
     scan_jsonl,
 )
-from repro.datalog.errors import ProgramError
+from repro.data import loader
+from repro.data.loader import (
+    LOAD_SLICE,
+    LoadReport,
+    _decode_json_line,
+    _diagnose,
+    _source_name,
+)
+from repro.datalog.errors import CostConsistencyError, ProgramError
+from repro.lattices.base import LatticeValueError
 from repro.programs import company_control
 from repro.workloads import ROAD_NETWORK_PROGRAM
 
@@ -335,3 +348,502 @@ def test_sample_road_network_solves_to_the_pinned_model():
     result = db.solve()
     # pinned; the CI smoke job greps this count
     assert result.model.total_size() == 92
+
+
+# ---------------------------------------------------------------------------
+# Differential: the slice-at-a-time loaders against the row-at-a-time ones
+# ---------------------------------------------------------------------------
+#
+# The reference below is the loader this repository had before ingest was
+# moved onto ``join_rows``: one row decoded, validated and written with
+# ``set_cost``/``add_tuple`` at a time.  It is kept here, not in ``src/``,
+# as the oracle.  Everything observable must be equal: the model *and its
+# row order*, the ``LoadReport`` (counts, skipped, every diagnostic's code,
+# message, file and line), the exception type and message, and the rows
+# already applied when a strict load raises.
+
+
+def reference_iter_csv(source, delimiter, header):
+    reader = csv.reader(source, delimiter=delimiter)
+    for line, fields in enumerate(reader, start=1):
+        if (header and line == 1) or not fields:
+            continue
+        yield line, fields
+
+
+def reference_load_csv(
+    interpretation,
+    predicate,
+    source,
+    *,
+    delimiter=",",
+    header=False,
+    decode=decode_field,
+    strict=True,
+):
+    rel = interpretation.relation(predicate)
+    arity = rel.decl.arity
+    lattice = rel.decl.lattice
+    report = LoadReport()
+    name = _source_name(source)
+    for line, fields in reference_iter_csv(source, delimiter, header):
+        if len(fields) != arity:
+            _diagnose(
+                report,
+                strict,
+                "row-arity-mismatch",
+                f"{predicate}/{arity} row has {len(fields)} fields",
+                source=name,
+                line=line,
+            )
+            continue
+        row = tuple(decode(text) for text in fields)
+        if lattice is not None:
+            try:
+                lattice.validate(row[-1])
+            except LatticeValueError as error:
+                _diagnose(
+                    report,
+                    strict,
+                    "malformed-input-row",
+                    f"{predicate} cost value rejected: {error}",
+                    source=name,
+                    line=line,
+                )
+                continue
+            rel.set_cost(row[:-1], row[-1])
+        else:
+            rel.add_tuple(row)
+        report._count(predicate)
+    return report
+
+
+def reference_scan_csv(
+    source, *, arity=None, delimiter=",", header=False, strict=True,
+    predicate="<csv>",
+):  # fmt: skip
+    report = LoadReport()
+    name = _source_name(source)
+    count = 0
+    for line, fields in reference_iter_csv(source, delimiter, header):
+        if arity is None:
+            arity = len(fields)
+        if len(fields) != arity:
+            _diagnose(
+                report,
+                strict,
+                "row-arity-mismatch",
+                f"{predicate}/{arity} row has {len(fields)} fields",
+                source=name,
+                line=line,
+            )
+            continue
+        count += 1
+    return count, arity, report
+
+
+def reference_load_jsonl(
+    interpretation, source, *, strict=True, forbidden=frozenset()
+):
+    report = LoadReport()
+    name = _source_name(source)
+    for line, text in enumerate(source, start=1):
+        text = text.strip()
+        if not text:
+            continue
+        decoded = _decode_json_line(
+            text, line=line, name=name, report=report, strict=strict
+        )
+        if decoded is None:
+            continue
+        predicate, row = decoded
+        if predicate in forbidden:
+            _diagnose(
+                report,
+                strict,
+                "intensional-load-target",
+                f"{predicate} is defined by rules; bulk rows cannot "
+                f"become fact rules",
+                source=name,
+                line=line,
+            )
+            continue
+        rel = interpretation.relations.get(predicate)
+        if rel is None:
+            _diagnose(
+                report,
+                strict,
+                "malformed-input-row",
+                f"unknown predicate {predicate!r}",
+                source=name,
+                line=line,
+            )
+            continue
+        if rel.decl.arity != len(row):
+            _diagnose(
+                report,
+                strict,
+                "row-arity-mismatch",
+                f"{predicate}/{rel.decl.arity} row has {len(row)} fields",
+                source=name,
+                line=line,
+            )
+            continue
+        lattice = rel.decl.lattice
+        if lattice is not None:
+            try:
+                lattice.validate(row[-1])
+            except LatticeValueError as error:
+                _diagnose(
+                    report,
+                    strict,
+                    "malformed-input-row",
+                    f"{predicate} cost value rejected: {error}",
+                    source=name,
+                    line=line,
+                )
+                continue
+            rel.set_cost(tuple(row[:-1]), row[-1])
+        else:
+            rel.add_tuple(tuple(row))
+        report._count(predicate)
+    return report
+
+
+#: One declaration per way a cost column can be checked: two of the
+#: numeric lattices that answer ``accepts_all`` for a whole column, the
+#: int-only one, a default-value predicate, a lattice that never does
+#: (so every slice walks row by row), and no lattice at all.
+DIFF_DECLS = """
+@cost arc/3 : reals_ge.
+@cost flow/3 : nonneg_reals_le.
+@cost hops/3 : naturals_le.
+@default lit/3 : bool_le.
+@pred edge/3.
+@pred unit/1.
+"""
+DIFF_PREDICATES = ("arc", "flow", "hops", "lit", "edge")
+
+
+def observed(load, *args, **kwargs):
+    """Everything a caller can see of one load, NaN- and type-exact
+    (``repr`` tells ``5`` from ``5.0`` and equates NaN with NaN)."""
+    interp = fresh_interp(DIFF_DECLS)
+    try:
+        report = load(interp, *args, **kwargs)
+    except Exception as error:  # noqa: BLE001 - the type is what is compared
+        outcome = ("raised", type(error).__name__, str(error))
+    else:
+        outcome = (
+            "loaded",
+            sorted(report.rows.items()),
+            report.skipped,
+            [
+                (d.code, d.message, d.source, d.span.line, d.span.column)
+                for d in report.diagnostics
+            ],
+        )
+    # Cost relations in stored (insertion) order; an ordinary relation is
+    # a set, whose order a NaN key (hashed by identity) perturbs.
+    state = {
+        name: list(rel.rows()) if rel.is_cost else sorted(rel.rows(), key=repr)
+        for name, rel in interp.relations.items()
+    }
+    return repr((outcome, state))
+
+
+def assert_same_csv_load(monkeypatch, text, predicate, slice_rows=4, **kwargs):
+    if slice_rows is not None:
+        monkeypatch.setattr(loader, "LOAD_SLICE", slice_rows)
+    for strict in (True, False):
+        want = observed(
+            reference_load_csv, predicate, io.StringIO(text, newline=""),
+            strict=strict, **kwargs,
+        )  # fmt: skip
+        got = observed(
+            load_csv, predicate, io.StringIO(text, newline=""),
+            strict=strict, **kwargs,
+        )  # fmt: skip
+        assert got == want, text
+
+
+def assert_same_jsonl_load(monkeypatch, text, slice_rows=4, **kwargs):
+    monkeypatch.setattr(loader, "LOAD_SLICE", slice_rows)
+    for strict in (True, False):
+        want = observed(
+            reference_load_jsonl, io.StringIO(text), strict=strict, **kwargs
+        )
+        got = observed(load_jsonl, io.StringIO(text), strict=strict, **kwargs)
+        assert got == want, text
+
+
+def csv_text(rows, delimiter=","):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    for row in rows:
+        if row:
+            writer.writerow(row)
+        else:
+            out.write("\n")  # a blank row: skipped, but it has a line number
+    return out.getvalue()
+
+
+#: Keys collide on purpose (``2`` and ``2.0`` are one dict key), so that
+#: duplicates — with equal and with conflicting costs — are common.
+KEY_FIELDS = st.sampled_from(["a", "b", "1", "2", "2.0", " 2 ", "x y", ""])
+#: Numeric-looking strings of every branch ``decode_field`` has, the
+#: values a numeric lattice rejects, and plain strings.
+COST_FIELDS = st.sampled_from(
+    [
+        "5", "5.0", "1e3", " 7 ", "1_000", "inf", "-inf", "nan", "3.5",
+        "-2", "-2.5", "0", "0.0", "1", "007", "+4", "1.", ".5", "٣",
+        "1.5.2", "a.b", "abc", "true", "", "9" * 400,
+    ]
+)  # fmt: skip
+GOOD_ROWS = st.tuples(KEY_FIELDS, KEY_FIELDS, COST_FIELDS).map(list)
+RAGGED_ROWS = st.lists(COST_FIELDS, max_size=5)
+CSV_ROWS = st.lists(
+    st.one_of(GOOD_ROWS, GOOD_ROWS, GOOD_ROWS, RAGGED_ROWS), max_size=14
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=CSV_ROWS,
+    predicate=st.sampled_from(DIFF_PREDICATES),
+    header=st.booleans(),
+)
+def test_load_csv_matches_the_row_at_a_time_loader(rows, predicate, header):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_csv_load(
+            monkeypatch, csv_text(rows), predicate, header=header
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=CSV_ROWS, header=st.booleans(), declared=st.booleans())
+def test_scan_csv_matches_the_row_at_a_time_scan(rows, header, declared):
+    text = csv_text(rows)
+    kwargs = {"header": header, "arity": 3 if declared else None}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(loader, "LOAD_SLICE", 4)
+        for strict in (True, False):
+            results = []
+            for scan in (reference_scan_csv, scan_csv):
+                try:
+                    count, arity, report = scan(
+                        io.StringIO(text, newline=""), strict=strict, **kwargs
+                    )
+                except DataLoadError as error:
+                    results.append(("raised", str(error)))
+                else:
+                    results.append(
+                        (
+                            count,
+                            arity,
+                            report.skipped,
+                            [d.format() for d in report.diagnostics],
+                        )
+                    )
+            assert results[0] == results[1], text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # "3" beside "3.5" in one slice column stays 3 and 3.5
+        "a,b,3\na,c,3.5\na,d,1e3\n",
+        # an int column with one padded and one underscored literal
+        "a,b, 7 \na,c,1_000\na,d,5\n",
+        # equal duplicates are one atom; a conflicting one is the FD's error
+        "a,b,1\na,b,1\na,b,1.0\nc,d,2\n",
+        "a,b,1\nc,d,2\na,b,3\ne,f,4\n",
+        # the FD conflict sits before the shape error, inside one slice ...
+        "a,b,1\na,b,2\na,b,c,d\n",
+        # ... and after it
+        "a,b,1\na,b,c,d\na,b,2\n",
+        # ... and in the slice after the shape error
+        "a,b,1\na,b,c,d\nx,y,1\nx,z,1\na,b,2\n",
+        # a rejected cost value before and after a conflict
+        "a,b,nan\na,c,1\na,c,2\n",
+        "a,c,1\na,c,2\na,b,nan\n",
+        # blank rows keep their line numbers
+        "\n\na,b,1\n\na,b\n",
+        # a header that is itself ragged or blank is still skipped
+        "\na,b,1\n",
+    ],
+)
+@pytest.mark.parametrize("header", [False, True])
+def test_load_csv_first_error_in_file_order(monkeypatch, text, header):
+    for predicate in DIFF_PREDICATES:
+        assert_same_csv_load(monkeypatch, text, predicate, header=header)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("tail", ["", "0,1,9.5\n", "0,1\n", "0,1,nan\n"])
+def test_load_csv_at_the_slice_boundary(monkeypatch, extra, tail):
+    """Files of ``LOAD_SLICE`` - 1, + 0 and + 1 good rows (the real
+    constant), then nothing, a conflicting duplicate, a ragged row or a
+    rejected cost: the row that straddles or follows the boundary is
+    diagnosed with its own line number."""
+    count = LOAD_SLICE + extra
+    text = "".join(f"{i},{i + 1},{i}.5\n" for i in range(count)) + tail
+    assert_same_csv_load(monkeypatch, text, "arc", slice_rows=None)
+    interp = fresh_interp(DIFF_DECLS)
+    source = io.StringIO(text + "x,y,1\n")
+    if tail == "0,1,9.5\n":
+        with pytest.raises(CostConsistencyError, match="both 0.5 and 9.5"):
+            load_csv(interp, "arc", source, strict=False)
+        assert len(interp.relation("arc")) == count
+        return
+    report = load_csv(interp, "arc", source, strict=False)
+    assert report.rows == {"arc": count + 1}
+    assert [d.span.line for d in report.diagnostics] == (
+        [count + 1] if tail else []
+    )
+
+
+def test_load_csv_custom_decoder_stays_per_field(monkeypatch):
+    def decode(text):
+        if text == "boom":
+            raise RuntimeError("decoder failed")
+        return text.upper()
+
+    text = "a,b,c\nd,e,f\ng,boom,h\ni,j,k\n"
+    assert_same_csv_load(monkeypatch, text, "edge", decode=decode, slice_rows=3)
+    assert "RuntimeError" in observed(
+        load_csv, "edge", io.StringIO(text), decode=decode
+    )
+    # ... and the rows ahead of the failing field were written.
+    interp = fresh_interp(DIFF_DECLS)
+    with pytest.raises(RuntimeError):
+        load_csv(interp, "edge", io.StringIO(text), decode=decode)
+    assert interp["edge"] == {("A", "B", "C"), ("D", "E", "F")}
+
+
+def test_load_csv_reader_failure_keeps_the_rows_before_it(monkeypatch):
+    # A source that fails under the reader, two good rows in.
+    class Lines:
+        name = "lines"
+
+        def __init__(self):
+            self.lines = iter(["a,b,1\n", "c,d,2\n", "e,f,3\n"])
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            line = next(self.lines)
+            if line.startswith("e"):
+                raise OSError("disk went away")
+            return line
+
+    monkeypatch.setattr(loader, "LOAD_SLICE", 8)
+    results = []
+    for load in (reference_load_csv, load_csv):
+        interp = fresh_interp(DIFF_DECLS)
+        with pytest.raises(OSError):
+            load(interp, "arc", Lines())
+        results.append(list(interp.relation("arc").rows()))
+    assert results[0] == results[1] == [("a", "b", 1), ("c", "d", 2)]
+
+
+JSON_VALUES = st.sampled_from(
+    [5, 5.0, 1000.0, 0, 1, -2, 3.5, True, False, None, "abc", "5",
+     float("inf"), float("nan")]
+)  # fmt: skip
+JSON_KEYS = st.sampled_from(["a", "b", 1, 2, 2.0, True])
+JSON_RECORDS = st.builds(
+    lambda predicate, row: json.dumps({"predicate": predicate, "row": row}),
+    st.sampled_from(DIFF_PREDICATES + ("unit", "s", "nowhere")),
+    st.one_of(
+        st.tuples(JSON_KEYS, JSON_KEYS, JSON_VALUES).map(list),
+        st.tuples(JSON_KEYS, JSON_KEYS, JSON_VALUES).map(list),
+        st.lists(JSON_VALUES, max_size=4),
+    ),
+)
+JSON_JUNK = st.sampled_from(
+    [
+        "", "   ", "garbage", "[1, 2]", '{"predicate": "arc"}',
+        '{"predicate": 3, "row": []}', '{"predicate": "arc", "row": [[1], 2, 3]}',
+        '{"predicate": "arc", "row": ["a", "b", 1]} trailing',
+        # two records on one line are "extra data", however well-formed
+        '{"predicate": "arc", "row": ["a", "b", 1]}, '
+        '{"predicate": "arc", "row": ["a", "c", 1]}',
+    ]
+)  # fmt: skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(JSON_RECORDS, JSON_RECORDS, JSON_RECORDS, JSON_JUNK),
+        max_size=14,
+    )
+)
+def test_load_jsonl_matches_the_row_at_a_time_loader(lines):
+    text = "".join(line + "\n" for line in lines)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_jsonl_load(monkeypatch, text, forbidden=frozenset({"s"}))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # interleaved predicates: each one's conflict is raised in file order
+        [("arc", ["a", "b", 1]), ("flow", ["a", "b", 1]),
+         ("flow", ["a", "b", 2]), ("arc", ["a", "b", 2])],
+        [("arc", ["a", "b", 1]), ("flow", ["a", "b", 1]),
+         ("arc", ["a", "b", 2]), ("flow", ["a", "b", 2])],
+        # JSON true is not a number, whatever ``True == 1`` says
+        [("arc", ["a", "b", True])],
+        [("hops", ["a", "b", 1]), ("hops", ["a", "c", 1.0])],
+        # a forbidden / unknown predicate after a conflict does not overtake it
+        [("arc", ["a", "b", 1]), ("arc", ["a", "b", 2]), ("s", [1])],
+        [("arc", ["a", "b", 1]), ("nowhere", [1]), ("arc", ["a", "b", 2])],
+        # a zero-arity fact
+        [("unit", []), ("unit", [])],
+    ],
+)  # fmt: skip
+def test_load_jsonl_first_error_in_file_order(monkeypatch, rows):
+    text = "".join(
+        json.dumps({"predicate": predicate, "row": row}) + "\n"
+        for predicate, row in rows
+    )
+    for slice_rows in (1, 2, 3, 512):
+        assert_same_jsonl_load(
+            monkeypatch, text, slice_rows=slice_rows, forbidden=frozenset({"s"})
+        )
+
+
+def test_database_inline_facts_take_the_same_write():
+    """``add_fact(s)`` rows reach the EDB through ``join_rows`` too: the
+    model and its row order are the insertion order, and the three
+    errors of ``Interpretation.add_fact`` surface unchanged."""
+    rows = [(i % 7, i, float(i)) for i in range(LOAD_SLICE + 3)]
+    db = Database()
+    db.load(DIFF_DECLS)
+    db.add_facts("arc", rows)
+    db.add_fact("edge", 1, 2, 3)
+    db.add_facts("arc", [(0, 0, 0.0), (9, 9, 9)])  # one duplicate, one new
+    reference = fresh_interp(DIFF_DECLS)
+    for row in rows + [(9, 9, 9)]:
+        reference.add_fact("arc", *row)
+    reference.add_fact("edge", 1, 2, 3)
+    edb = db.edb()
+    assert edb == reference
+    assert list(edb.relation("arc").rows()) == list(reference.relation("arc").rows())
+
+    db.add_fact("arc", 0, 0, 1.0)
+    with pytest.raises(CostConsistencyError, match="derived both 0.0 and 1.0"):
+        db.edb()
+    bad = Database()
+    bad.load(DIFF_DECLS)
+    bad.add_fact("arc", 1, 2, float("nan"))
+    with pytest.raises(LatticeValueError):
+        bad.edb()
+    bad = Database()
+    bad.load(DIFF_DECLS)
+    bad.add_fact("arc", 1, 2, True)
+    with pytest.raises(LatticeValueError):
+        bad.edb()

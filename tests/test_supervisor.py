@@ -298,6 +298,34 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             Checkpoint.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "rows, complaint",
+        [
+            # a cost value outside the lattice (once restored as 'abc')
+            ([[["a", "b"], "abc"]], "'abc' is not an element of lattice"),
+            ([[["a", "b"], float("nan")]], "nan is not an element of lattice"),
+            # a key of the wrong arity (once restored as a 4-ary s atom)
+            ([[["a", "b", "c"], 1.0]], "not of arity 3"),
+            ([[["a"], 1.0]], "not of arity 3"),
+        ],
+    )
+    def test_restore_does_not_trust_the_file(self, rows, complaint, tmp_path):
+        """A hand-edited checkpoint goes through the validated write
+        and the arity check, and fails as a ``CheckpointError`` — not as
+        a ``LatticeValueError`` from inside the resumed fixpoint, and
+        not as a silently wrong seed."""
+        db = make_db(SHORTEST_PATH)
+        partial = db.solve(budget=Budget(max_iterations=1))
+        payload = partial.checkpoint.to_dict()
+        payload["relations"]["s"] = {"kind": "costs", "rows": rows}
+        path = tmp_path / "tampered.ckpt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=complaint):
+            make_db(SHORTEST_PATH).resume(str(path))
+        payload["relations"]["arc"] = {"kind": "tuples", "rows": [["a", "b"]]}
+        with pytest.raises(CheckpointError, match="arc is a cost predicate now"):
+            Checkpoint.from_dict(payload).restore(db.program)
+
     def test_resume_on_diverging_program_continues_descent(self):
         db = make_db(DIVERGING)
         first = db.solve(budget=Budget(max_iterations=40))
