@@ -158,11 +158,16 @@ def check_component_admissible(
     return report
 
 
-def check_program_admissible(program: Program) -> List[ComponentAdmissibility]:
-    """Per-component admissibility for the whole program, bottom-up."""
+def check_program_admissible(
+    program: Program, *, components: Optional[List[Component]] = None
+) -> List[ComponentAdmissibility]:
+    """Per-component admissibility for the whole program, bottom-up
+    (over ``components``, its condensation, when already computed)."""
+    if components is None:
+        components = condense(program)
     return [
         check_component_admissible(component, program)
-        for component in condense(program)
+        for component in components
     ]
 
 

@@ -227,8 +227,9 @@ def classify_program(
 ) -> ProgramClassification:
     """Classify every component, bottom-up.
 
-    ``admissibility``/``typing`` may be passed in when the caller already
-    ran those passes (the analysis report does), to avoid re-running them.
+    ``admissibility``/``typing`` are those passes' results when already
+    computed; front-end runs do not thread them by hand but read
+    :class:`repro.analysis.facts.ProgramFacts`, which does.
     """
     if admissibility is None:
         admissibility = check_program_admissible(program)

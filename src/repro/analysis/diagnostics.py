@@ -63,10 +63,8 @@ from typing import (
     Union,
 )
 
-from repro.analysis.admissible import check_program_admissible
-from repro.analysis.conflict import check_conflict_freedom
-from repro.analysis.dependencies import Component, condense
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.dependencies import Component
+from repro.analysis.facts import ProgramFacts
 from repro.analysis.fixes import (
     Fix,
     body_in_schedule_order,
@@ -78,13 +76,11 @@ from repro.analysis.fixes import (
     fix_restrict_aggregate,
     is_left_to_right_evaluable,
 )
-from repro.analysis.rmonotonic import check_program_r_monotonic
-from repro.analysis.safety import check_program_safety
+from repro.analysis.sharding import SHARDABLE, SHARDABLE_AFTER_REWRITE
 from repro.analysis.termination import (
     TerminationVerdict,
-    check_program_termination,
+    check_component_termination,
 )
-from repro.analysis.typing import infer_types
 from repro.analysis.wellformed import check_well_typed, FormReport
 from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import ParseError, ProgramError
@@ -577,12 +573,17 @@ def _sort_key(d: Diagnostic) -> Tuple[int, int, str, str]:
 
 # ---------------------------------------------------------------------------
 # Checks: each adapts one analysis pass (or implements a new lint) as a
-# generator of diagnostics.  ``structural=True`` checks run first; when any
-# of them errors, the semantic passes are skipped (they assume a program
-# that validates).
+# generator of diagnostics.  A check receives the run's ProgramFacts and
+# reads the pass's report from it (``facts.conflict``, ``facts.typing``,
+# ...) instead of calling the pass, so every pass runs at most once per
+# lint however many checks consume it.  ``structural=True`` checks run
+# first; when any of them errors, the semantic passes are skipped (they
+# assume a program that validates).
 # ---------------------------------------------------------------------------
 
-CheckFn = Callable[[Program], Iterator[Diagnostic]]
+CheckFn = Callable[[ProgramFacts], Iterator[Diagnostic]]
+#: The public shape of a user check (:meth:`Linter.register`).
+ProgramCheckFn = Callable[[Program], Iterator[Diagnostic]]
 
 _DEFAULT_CHECKS: List["LintCheck"] = []
 
@@ -607,7 +608,8 @@ def lint_check(
 
 
 @lint_check("arity-consistency", structural=True)
-def _check_arities(program: Program) -> Iterator[Diagnostic]:
+def _check_arities(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     for rule in program.rules:
         for atom in _atoms_of_rule(rule):
             decl = program.declarations.get(atom.predicate)
@@ -639,7 +641,8 @@ def _check_arities(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("known-aggregates", structural=True)
-def _check_aggregates(program: Program) -> Iterator[Diagnostic]:
+def _check_aggregates(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     for rule in program.rules:
         for sg in rule.aggregate_subgoals():
             if sg.function not in program.aggregates:
@@ -654,8 +657,8 @@ def _check_aggregates(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("safety")
-def _check_safety(program: Program) -> Iterator[Diagnostic]:
-    for report in check_program_safety(program):
+def _check_safety(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    for report in facts.safety:
         for violation in report.violations:
             yield make_diagnostic(
                 "unsafe-variable",
@@ -666,24 +669,22 @@ def _check_safety(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("cost-respecting")
-def _check_cost_respecting(program: Program) -> Iterator[Diagnostic]:
-    for rule in program.rules:
-        report = check_rule_cost_respecting(rule, program)
+def _check_cost_respecting(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    for report in facts.cost_respecting:
         if report.applicable and not report.ok:
             yield make_diagnostic(
                 "not-cost-respecting",
                 f"head cost argument not functionally determined: "
                 f"{report.detail}",
-                rule=rule,
+                rule=report.rule,
             )
 
 
 @lint_check("conflict-freedom")
-def _check_conflicts(program: Program) -> Iterator[Diagnostic]:
+def _check_conflicts(facts: ProgramFacts) -> Iterator[Diagnostic]:
     # Cost-respecting failures are reported (with per-rule spans) by the
     # dedicated check above; here only genuine rule-pair conflicts.
-    report = check_conflict_freedom(program)
-    for verdict in report.undischarged_pairs:
+    for verdict in facts.conflict.undischarged_pairs:
         other = (
             "itself" if verdict.rule1 is verdict.rule2 else str(verdict.rule2)
         )
@@ -706,8 +707,9 @@ _ADMISSIBILITY_SLUGS = {
 
 
 @lint_check("admissibility")
-def _check_admissibility(program: Program) -> Iterator[Diagnostic]:
-    for component in check_program_admissible(program):
+def _check_admissibility(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
+    for component in facts.admissibility:
         for rule_report in component.rule_reports:
             for violation in rule_report.violations:
                 kind = getattr(violation, "kind", "") or ""
@@ -761,8 +763,8 @@ def _defaultable_predicates(
 
 
 @lint_check("stratification")
-def _check_stratification(program: Program) -> Iterator[Diagnostic]:
-    for component in condense(program):
+def _check_stratification(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    for component in facts.components:
         names = ", ".join(sorted(component.cdb))
         if component.recursive_through_aggregation:
             rule, sg = _find_component_subgoal(
@@ -792,8 +794,8 @@ def _check_stratification(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("r-monotonicity")
-def _check_r_monotonic(program: Program) -> Iterator[Diagnostic]:
-    for report in check_program_r_monotonic(program):
+def _check_r_monotonic(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    for report in facts.r_monotonic_reports:
         for violation in report.violations:
             yield make_diagnostic(
                 "not-r-monotonic",
@@ -804,8 +806,11 @@ def _check_r_monotonic(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("termination")
-def _check_termination(program: Program) -> Iterator[Diagnostic]:
-    for report in check_program_termination(program):
+def _check_termination(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    for admissibility in facts.admissibility:
+        report = check_component_termination(
+            admissibility.component, facts.program, admissible=admissibility.ok
+        )
         if report.verdict is TerminationVerdict.UNKNOWN:
             names = ", ".join(sorted(report.component.cdb))
             rules = report.component.rules
@@ -817,7 +822,8 @@ def _check_termination(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("undefined-predicates")
-def _check_undefined(program: Program) -> Iterator[Diagnostic]:
+def _check_undefined(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     defined = set(program.idb_predicates) | set(
         program.explicit_declarations
     )
@@ -845,7 +851,8 @@ def _check_undefined(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("unused-predicates")
-def _check_unused(program: Program) -> Iterator[Diagnostic]:
+def _check_unused(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     occurring = {atom.predicate for atom in program._occurring_atoms()}
     for name in sorted(program.explicit_declarations):
         if name not in occurring:
@@ -859,7 +866,8 @@ def _check_unused(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("duplicate-rules")
-def _check_duplicates(program: Program) -> Iterator[Diagnostic]:
+def _check_duplicates(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     seen: Dict[Rule, Rule] = {}
     for rule in program.rules:
         first = seen.get(rule)
@@ -876,7 +884,8 @@ def _check_duplicates(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("aggregate-shadowing")
-def _check_shadowing(program: Program) -> Iterator[Diagnostic]:
+def _check_shadowing(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     for rule in program.rules:
         for sg in rule.aggregate_subgoals():
             inner = frozenset(
@@ -907,7 +916,8 @@ def _check_shadowing(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("body-order")
-def _check_body_order(program: Program) -> Iterator[Diagnostic]:
+def _check_body_order(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     for rule in program.rules:
         if rule.is_fact or is_left_to_right_evaluable(rule, program):
             continue
@@ -925,7 +935,8 @@ def _check_body_order(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("empty-aggregates")
-def _check_empty_aggregates(program: Program) -> Iterator[Diagnostic]:
+def _check_empty_aggregates(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
     for rule in program.rules:
         for sg in rule.aggregate_subgoals():
             function = program.aggregates.get(sg.function)
@@ -944,9 +955,9 @@ def _check_empty_aggregates(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("lattice-typing")
-def _check_lattice_typing(program: Program) -> Iterator[Diagnostic]:
-    report = infer_types(program)
-    for conflict in report.conflicts:
+def _check_lattice_typing(facts: ProgramFacts) -> Iterator[Diagnostic]:
+    program = facts.program
+    for conflict in facts.typing.conflicts:
         if conflict.kind == "position":
             yield make_diagnostic(
                 "lattice-conflict",
@@ -981,16 +992,14 @@ def _check_lattice_typing(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("premappability")
-def _check_premappability(program: Program) -> Iterator[Diagnostic]:
-    from repro.analysis.premap import analyze_premappability
-
+def _check_premappability(facts: ProgramFacts) -> Iterator[Diagnostic]:
     _STATUS_SLUGS = {
         "applied": "aggregate-pushdown-applied",
         "blocked": "aggregate-pushdown-blocked",
         "changes-semantics": "aggregate-pushdown-unsound",
     }
     try:
-        report = analyze_premappability(program)
+        report = facts.premappability
     except ProgramError:
         # The program does not classify (already diagnosed above); the
         # optimizer verdicts would only repeat the failure.
@@ -1004,19 +1013,13 @@ def _check_premappability(program: Program) -> Iterator[Diagnostic]:
 
 
 @lint_check("shard-safety")
-def _check_shard_safety(program: Program) -> Iterator[Diagnostic]:
-    from repro.analysis.sharding import (
-        SHARDABLE,
-        SHARDABLE_AFTER_REWRITE,
-        analyze_sharding,
-    )
-
+def _check_shard_safety(facts: ProgramFacts) -> Iterator[Diagnostic]:
     _STATUS_SLUGS = {
         SHARDABLE: "component-shardable",
         SHARDABLE_AFTER_REWRITE: "component-shardable-after-rewrite",
     }
     try:
-        report = analyze_sharding(program)
+        report = facts.sharding
     except ProgramError:
         # The program does not classify (already diagnosed above); the
         # shard verdicts would only repeat the failure.
@@ -1077,7 +1080,9 @@ class Linter:
 
     The default registry adapts every pass in :mod:`repro.analysis` plus
     the hygiene lints defined above.  Custom linters can start from an
-    explicit check list or extend the default via :meth:`register`.
+    explicit check list (whose functions take the run's
+    :class:`~repro.analysis.facts.ProgramFacts`) or extend the default
+    via :meth:`register` (whose ``fn`` takes the :class:`Program`).
     """
 
     def __init__(self, checks: Optional[Iterable[LintCheck]] = None) -> None:
@@ -1086,24 +1091,35 @@ class Linter:
         )
 
     def register(
-        self, name: str, fn: CheckFn, *, structural: bool = False
+        self, name: str, fn: ProgramCheckFn, *, structural: bool = False
     ) -> None:
-        self.checks.append(LintCheck(name, fn, structural))
+        self.checks.append(
+            LintCheck(name, lambda facts: fn(facts.program), structural)
+        )
 
     def lint(
-        self, program: Program, *, source: str = ""
+        self,
+        program: Program,
+        *,
+        source: str = "",
+        facts: Optional[ProgramFacts] = None,
     ) -> List[Diagnostic]:
         """All diagnostics for ``program``, sorted by source position.
 
         Structural checks run first; if any of them reports an error the
         semantic passes are skipped — they assume a program that would
-        have validated, and running them would only cascade.
+        have validated, and running them would only cascade.  ``facts``
+        is the caller's :class:`ProgramFacts` for ``program`` when it
+        already analysed it (``analyze_program`` does); otherwise the
+        lint builds its own, so the passes run once either way.
         """
         source = source or program.name
+        if facts is None:
+            facts = ProgramFacts(program)
         out: List[Diagnostic] = []
         for check in self.checks:
             if check.structural:
-                out.extend(check.fn(program))
+                out.extend(check.fn(facts))
         structurally_broken = any(
             d.severity is Severity.ERROR for d in out
         )
@@ -1112,7 +1128,7 @@ class Linter:
                 if check.structural:
                     continue
                 try:
-                    out.extend(check.fn(program))
+                    out.extend(check.fn(facts))
                 except ProgramError as exc:
                     out.append(
                         make_diagnostic(
@@ -1132,10 +1148,15 @@ DEFAULT_LINTER = Linter()
 
 
 def lint_program(
-    program: Program, *, source: str = "", linter: Optional[Linter] = None
+    program: Program,
+    *,
+    source: str = "",
+    linter: Optional[Linter] = None,
+    facts: Optional[ProgramFacts] = None,
 ) -> List[Diagnostic]:
-    """Lint an already-constructed :class:`Program`."""
-    return (linter or DEFAULT_LINTER).lint(program, source=source)
+    """Lint an already-constructed :class:`Program` (``facts``: see
+    :meth:`Linter.lint`)."""
+    return (linter or DEFAULT_LINTER).lint(program, source=source, facts=facts)
 
 
 def lint_source(

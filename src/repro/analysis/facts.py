@@ -1,0 +1,122 @@
+"""One front-end run's facts about a program, each decided at most once.
+
+Range-restriction, cost-respecting, conflict-freedom, admissibility and
+everything classified on top of them are properties of the *program*,
+decided before the fixpoint starts.  :class:`ProgramFacts` is the one
+place a front-end run (``analyze_program``, the linter, ``solve()``,
+``repro lint/optimize/shard-plan``) asks for them: a report is computed on
+first read, from the reports it depends on, and held until the run drops
+the object.  Nothing is stored on the ``Program``, in a module global or
+a context variable — the lifetime is the run, so there is no invalidation
+rule and nothing shared between threads (docs/ANALYSIS.md, "One run, one
+set of facts").
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List
+
+from repro.analysis.admissible import (
+    ComponentAdmissibility,
+    check_program_admissible,
+)
+from repro.analysis.classify import ProgramClassification, classify_program
+from repro.analysis.conflict import ConflictReport, check_conflict_freedom
+from repro.analysis.dependencies import Component, condense
+from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
+from repro.analysis.premap import PremapReport, analyze_premappability
+from repro.analysis.rmonotonic import (
+    RMonotonicReport,
+    check_program_r_monotonic,
+)
+from repro.analysis.safety import SafetyReport, check_program_safety
+from repro.analysis.sharding import ShardingReport, analyze_sharding
+from repro.analysis.typing import TypingReport, infer_types
+from repro.datalog.program import Program
+
+_Compute = Callable[["ProgramFacts"], Any]
+
+#: The whole-program passes in dependency order: each reads the facts
+#: above it through the pass's own precomputed-argument parameters.
+_PASSES: Dict[str, _Compute] = {
+    "components": lambda f: condense(f.program),
+    "safety": lambda f: check_program_safety(f.program),
+    "conflict": lambda f: check_conflict_freedom(f.program),
+    "admissibility": lambda f: check_program_admissible(
+        f.program, components=f.components
+    ),
+    "typing": lambda f: infer_types(f.program),
+    "classification": lambda f: classify_program(
+        f.program, admissibility=f.admissibility, typing=f.typing
+    ),
+    "premappability": lambda f: analyze_premappability(
+        f.program, classification=f.classification
+    ),
+    "sharding": lambda f: analyze_sharding(
+        f.program, classification=f.classification
+    ),
+}
+#: Per-rule report lists: held like the passes, not counted as one.
+_PER_RULE: Dict[str, _Compute] = {
+    "cost_respecting": lambda f: [
+        check_rule_cost_respecting(rule, f.program) for rule in f.program.rules
+    ],
+    "r_monotonic_reports": lambda f: check_program_r_monotonic(f.program),
+}
+
+
+class ProgramFacts:
+    """Lazily computed analysis reports of one program, for one run.
+
+    Explicit slots filled through ``__getattr__`` rather than
+    ``cached_property``: the 3.11 descriptor takes one lock across all
+    instances, which would serialise concurrent cold requests in ``repro
+    serve``.  A pass that raises fills nothing, so every reader of that
+    fact (and of the facts derived from it) sees the same error again —
+    a failed pass is never mistaken for a clean one.
+    """
+
+    __slots__ = ("program", "passes_run", *_PASSES, *_PER_RULE)
+
+    components: List[Component]
+    safety: List[SafetyReport]
+    conflict: ConflictReport
+    admissibility: List[ComponentAdmissibility]
+    typing: TypingReport
+    classification: ProgramClassification
+    premappability: PremapReport
+    sharding: ShardingReport
+    cost_respecting: List[CostRespectReport]
+    r_monotonic_reports: List[RMonotonicReport]
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        #: Whole-program passes executed so far: the front end's
+        #: deterministic work counter (``analysis.passes_run``).
+        self.passes_run = 0
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the slot is still empty.
+        compute = _PASSES.get(name) or _PER_RULE.get(name)
+        if compute is None:
+            raise AttributeError(name)
+        self.passes_run += name in _PASSES
+        value = compute(self)
+        setattr(self, name, value)
+        return value
+
+    @property
+    def aggregate_stratified(self) -> bool:
+        """No recursion through aggregation (Section 5.1)."""
+        return not any(
+            c.recursive_through_aggregation for c in self.components
+        )
+
+    @property
+    def negation_stratified(self) -> bool:
+        return not any(c.recursive_through_negation for c in self.components)
+
+    @property
+    def r_monotonic(self) -> bool:
+        """Section 5.2: every rule is r-monotonic."""
+        return all(r.ok for r in self.r_monotonic_reports)

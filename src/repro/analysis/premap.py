@@ -539,8 +539,8 @@ def analyze_premappability(
 
     Aggregate occurrences that read lower strata only (stratified
     aggregation) are silently skipped — there is no recursion to push
-    into.  ``classification`` may be passed when the caller already
-    classified the program.
+    into.  ``classification`` is the program's classification when
+    already computed (``ProgramFacts.premappability`` supplies it).
     """
     if classification is None:
         classification = classify_program(program)

@@ -14,6 +14,8 @@
    and the per-component verdicts (:mod:`repro.analysis.classify`) that
    ``method="auto"`` evaluation consults.
 
+Each pass runs once per call, on one
+:class:`repro.analysis.facts.ProgramFacts` that the linter reads too.
 The result renders as a readable report and exposes the booleans the
 engine consults (``Database.solve`` refuses non-admissible programs in
 strict mode).
@@ -24,27 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.analysis.admissible import (
-    ComponentAdmissibility,
-    check_program_admissible,
-)
-from repro.analysis.classify import ProgramClassification, classify_program
-from repro.analysis.conflict import ConflictReport, check_conflict_freedom
-from repro.analysis.dependencies import (
-    is_aggregate_stratified,
-    is_negation_stratified,
-)
+from repro.analysis.admissible import ComponentAdmissibility
+from repro.analysis.classify import ProgramClassification
+from repro.analysis.conflict import ConflictReport
 from repro.analysis.diagnostics import (
     Diagnostic,
     Linter,
     Severity,
     lint_program,
 )
-from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
-from repro.analysis.rmonotonic import is_r_monotonic
-from repro.analysis.safety import SafetyReport, check_program_safety
-from repro.analysis.sharding import ShardingReport, analyze_sharding
-from repro.analysis.typing import TypingReport, infer_types
+from repro.analysis.facts import ProgramFacts
+from repro.analysis.fd import CostRespectReport
+from repro.analysis.premap import PremapReport
+from repro.analysis.safety import SafetyReport
+from repro.analysis.sharding import ShardingReport
+from repro.analysis.typing import TypingReport
 from repro.datalog.program import Program
 
 
@@ -69,6 +65,8 @@ class AnalysisReport:
     classification: Optional[ProgramClassification] = None
     #: Per-SCC shard-safety verdicts (docs/PARALLELISM.md).
     sharding: Optional[ShardingReport] = None
+    #: Per-occurrence aggregate-pushdown verdicts (docs/OPTIMIZATION.md).
+    premappability: Optional[PremapReport] = None
 
     @property
     def range_restricted(self) -> bool:
@@ -145,30 +143,32 @@ class AnalysisReport:
 
 
 def analyze_program(
-    program: Program, *, linter: "Linter | None" = None
+    program: Program,
+    *,
+    linter: "Linter | None" = None,
+    facts: Optional[ProgramFacts] = None,
 ) -> AnalysisReport:
     """Run the full static pipeline on ``program``.
 
-    The boolean verdicts come from the analysis passes directly; the same
-    passes feed the linter, whose coded, source-located diagnostics are
-    collected on ``report.diagnostics``.
+    Every pass runs once, on one :class:`ProgramFacts`: the report's
+    fields and the linter's coded, source-located diagnostics
+    (``report.diagnostics``) read the same results.  ``facts`` is the
+    internal hand-off for a caller that goes on using them after the
+    analysis (``solve()`` does); it must be ``ProgramFacts(program)``.
     """
+    if facts is None:
+        facts = ProgramFacts(program)
     report = AnalysisReport(program)
-    report.safety = check_program_safety(program)
-    report.cost_respecting = [
-        check_rule_cost_respecting(rule, program) for rule in program.rules
-    ]
-    report.conflict = check_conflict_freedom(program)
-    report.components = check_program_admissible(program)
-    report.aggregate_stratified = is_aggregate_stratified(program)
-    report.negation_stratified = is_negation_stratified(program)
-    report.r_monotonic = is_r_monotonic(program)
-    report.typing = infer_types(program)
-    report.classification = classify_program(
-        program, admissibility=report.components, typing=report.typing
-    )
-    report.sharding = analyze_sharding(
-        program, classification=report.classification
-    )
-    report.diagnostics = lint_program(program, linter=linter)
+    report.safety = facts.safety
+    report.cost_respecting = facts.cost_respecting
+    report.conflict = facts.conflict
+    report.components = facts.admissibility
+    report.aggregate_stratified = facts.aggregate_stratified
+    report.negation_stratified = facts.negation_stratified
+    report.r_monotonic = facts.r_monotonic
+    report.typing = facts.typing
+    report.classification = facts.classification
+    report.sharding = facts.sharding
+    report.premappability = facts.premappability
+    report.diagnostics = lint_program(program, linter=linter, facts=facts)
     return report

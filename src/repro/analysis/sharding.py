@@ -494,8 +494,8 @@ def analyze_sharding(
 ) -> ShardingReport:
     """Prove or refute shard-safety for every component of ``program``.
 
-    ``classification`` may be passed when the caller already classified
-    the program (the analysis report does), to avoid re-running typing.
+    ``classification`` is the program's classification when already
+    computed (``ProgramFacts.sharding`` supplies it).
     """
     if classification is None:
         classification = classify_program(program)

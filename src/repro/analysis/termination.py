@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
+from repro.analysis.admissible import check_component_admissible
 from repro.analysis.dependencies import Component, condense
 from repro.datalog.program import Program
 from repro.lattices.base import Lattice
@@ -84,7 +85,10 @@ class TerminationReport:
 
 
 def check_component_termination(
-    component: Component, program: Program
+    component: Component,
+    program: Program,
+    *,
+    admissible: Optional[bool] = None,
 ) -> TerminationReport:
     """Section 6.2's sufficient conditions for one component.
 
@@ -93,10 +97,12 @@ def check_component_termination(
     to close.  A non-monotonic component may oscillate forever over a
     finite atom space (the two-minimal-models program does), so
     non-admissible components are UNKNOWN regardless of their lattices.
+    ``admissible`` is the component's Definition 4.5 verdict when the
+    caller already holds it.
     """
-    from repro.analysis.admissible import check_component_admissible
-
-    if not check_component_admissible(component, program).ok:
+    if admissible is None:
+        admissible = check_component_admissible(component, program).ok
+    if not admissible:
         return TerminationReport(
             component,
             TerminationVerdict.UNKNOWN,

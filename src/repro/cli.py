@@ -434,15 +434,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     re-parseable rule text.  This is exactly the rewrite ``solve``
     applies internally unless ``--pushdown off`` is given.
     """
-    from repro.analysis.premap import (
-        analyze_premappability,
-        apply_pushdown,
-        render_program,
-    )
+    from repro.analysis.facts import ProgramFacts
+    from repro.analysis.premap import apply_pushdown, render_program
 
     db = _load_database(args)
     program = db.program
-    report = analyze_premappability(program)
+    report = ProgramFacts(program).premappability
     if report.verdicts:
         for verdict in report.verdicts:
             print(f"% {verdict}", file=sys.stderr)
@@ -465,10 +462,10 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
     """
     import json as json_module
 
-    from repro.analysis.sharding import analyze_sharding
+    from repro.analysis.facts import ProgramFacts
 
     db = _load_database(args)
-    report = analyze_sharding(db.program)
+    report = ProgramFacts(db.program).sharding
     if args.format == "json":
         payload = []
         for verdict in report.components:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import groupby, islice
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.standard import default_registry
@@ -53,6 +53,8 @@ class Database:
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._rules: List[Rule] = []
+        #: Head predicates of ``_rules``; their facts are fact rules.
+        self._head_predicates: Set[str] = set()
         self._constraints: List[IntegrityConstraint] = []
         self._declarations: Dict[str, PredicateDecl] = {}
         self._facts: List[Tuple[str, Tuple[Any, ...]]] = []
@@ -141,12 +143,13 @@ class Database:
                 values = tuple(arg.value for arg in rule.head.args)  # type: ignore[union-attr]
                 self._facts.append((rule.head.predicate, values))
             else:
-                self._rules.append(rule)
+                self.add_rule(rule)
         self._constraints.extend(parsed.constraints)
         self._program_cache = None
 
     def add_rule(self, rule: Rule) -> None:
         self._rules.append(rule)
+        self._head_predicates.add(rule.head.predicate)
         self._program_cache = None
 
     def add_constraint(self, constraint: IntegrityConstraint) -> None:
@@ -167,6 +170,9 @@ class Database:
                 f"fact has {len(args)} arguments"
             )
         self._facts.append((predicate, args))
+        if predicate in self._head_predicates:
+            # The fact is a fact rule of the program, not an EDB row.
+            self._program_cache = None
         self.last_result = None
 
     def add_facts(self, predicate: str, rows: Iterable[Tuple[Any, ...]]) -> None:
@@ -176,8 +182,7 @@ class Database:
     # -- bulk fact sources ----------------------------------------------------------
 
     def _reject_intensional(self, predicate: str, path: str) -> None:
-        head_predicates = {r.head.predicate for r in self._rules}
-        if predicate in head_predicates:
+        if predicate in self._head_predicates:
             diagnostic = make_diagnostic(
                 "intensional-load-target",
                 f"{predicate} is defined by rules; its facts must be fact "
@@ -257,11 +262,10 @@ class Database:
         rather than the extensional database.
         """
         if self._program_cache is None:
-            head_predicates = {r.head.predicate for r in self._rules}
             fact_rules = [
                 Rule(head=make_atom(predicate, *args))
                 for predicate, args in self._facts
-                if predicate in head_predicates
+                if predicate in self._head_predicates
             ]
             self._program_cache = Program(
                 rules=list(self._rules) + fact_rules,
@@ -286,7 +290,7 @@ class Database:
         (see :attr:`program`) and are excluded here.
         """
         program = self.program
-        head_predicates = {r.head.predicate for r in self._rules}
+        head_predicates = self._head_predicates
         interp = Interpretation(program.declarations)
         # Inline facts take the bulk sources' write: runs of one
         # predicate, a slice at a time, through ``join_rows(strict=True)``

@@ -670,16 +670,17 @@ def clear_plan_cache(program: Program) -> None:
     program.__dict__.pop("_pushdown_cache", None)
 
 
-def get_pushdown(program: Program, classification: Any = None) -> Any:
+def get_pushdown(
+    program: Program, classification: Any = None, *, facts: Any = None
+) -> Any:
     """The cached aggregate-pushdown rewrite of ``program``.
 
     Like rule plans, the rewrite is computed once per program object and
-    cached on it — the premappability analysis
-    (:mod:`repro.analysis.premap`) runs whole-program static passes, so
-    repeated solves of the same database must not pay for it again.
-    ``classification`` optionally reuses an already-computed
-    :class:`~repro.analysis.classify.ProgramClassification` on the first
-    (cache-filling) call.  Returns a
+    cached on it, so repeated solves of one database do not redo it.  On
+    the first (cache-filling) call the premappability verdicts come from
+    ``facts`` (the run's :class:`~repro.analysis.facts.ProgramFacts`;
+    ``solve()`` hands them over) or else from a fresh analysis, reusing
+    ``classification`` when given.  Returns a
     :class:`~repro.analysis.premap.PushdownResult`; callers check
     ``.changed`` and evaluate ``.program``.
     """
@@ -692,8 +693,10 @@ def get_pushdown(program: Program, classification: Any = None) -> Any:
             apply_pushdown,
         )
 
-        report = analyze_premappability(
-            program, classification=classification
+        report = (
+            facts.premappability
+            if facts is not None
+            else analyze_premappability(program, classification=classification)
         )
         cached = apply_pushdown(program, report)
         program.__dict__["_pushdown_cache"] = cached

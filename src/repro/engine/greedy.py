@@ -120,7 +120,7 @@ def greedy_fixpoint(
     # Each settle adds exactly one atom to ``j``, so the traced and
     # supervised branches report ``base + settled_count`` instead of
     # re-summing every relation per settle.
-    base = j.total_size()
+    base = j.size_of(cdb)
     track = tracer.enabled
     supervise = supervisor.active
 
@@ -216,7 +216,7 @@ def greedy_fixpoint(
                 interpretation=j,
                 iterations=settled_count,
                 ascending=True,
-                trajectory=[j.total_size()],
+                trajectory=[base + settled_count],
                 status=interrupt.status,
             )
         )
@@ -226,5 +226,5 @@ def greedy_fixpoint(
         interpretation=j,
         iterations=settled_count,
         ascending=True,
-        trajectory=[j.total_size()],
+        trajectory=[base + settled_count],
     )

@@ -662,6 +662,11 @@ class Interpretation:
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.relations.values())
 
+    def size_of(self, predicates: Iterable[str]) -> int:
+        """Atoms of ``predicates`` only: a component's ``J`` holds
+        nothing outside its CDB, so that is all of it."""
+        return sum(len(self.relations[p]) for p in predicates)
+
     def __getitem__(self, predicate: str):
         """Convenience read access: a dict for cost predicates, a frozenset
         for ordinary predicates."""

@@ -117,6 +117,7 @@ def kleene_fixpoint(
             raise
         if resumed:
             j_next = j.join(j_next)
+        size = j_next.size_of(cdb)  # ``J`` holds CDB atoms only
         if tracer.enabled or supervise:
             new_atoms, changed = delta_counts(j, j_next)
         if tracer.enabled:
@@ -128,7 +129,7 @@ def kleene_fixpoint(
                 delta_atoms=new_atoms + changed,
                 new_atoms=new_atoms,
                 changed_atoms=changed,
-                total_atoms=j_next.total_size(),
+                total_atoms=size,
                 wall_s=round_wall,
             )
             m = tracer.metrics
@@ -141,7 +142,7 @@ def kleene_fixpoint(
             m.timer("fixpoint.round_wall_s").observe(round_wall)
         if on_step is not None:
             on_step(step, j_next)
-        trajectory.append(j_next.total_size())
+        trajectory.append(size)
         if j_next == j:
             return FixpointResult(
                 interpretation=j,
@@ -168,7 +169,7 @@ def kleene_fixpoint(
                     iteration=step,
                     new_atoms=new_atoms,
                     changed_atoms=changed,
-                    total_atoms=j.total_size(),
+                    total_atoms=size,
                 )
             except SolveInterrupt as interrupt:
                 interrupt.attach(

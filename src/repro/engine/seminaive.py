@@ -288,7 +288,9 @@ def seminaive_fixpoint(
         )
         j = start.join(out) if resumed else out
         delta = _delta_between(start, j)
-        trajectory.append(j.total_size())
+        # ``j`` holds CDB atoms only; later rounds carry the count.
+        atoms = j.size_of(cdb)
+        trajectory.append(atoms)
         iterations = 1
         if track:
             seeded = sum(len(rows) for rows in delta.values())
@@ -300,7 +302,7 @@ def seminaive_fixpoint(
                 delta_atoms=seeded,
                 new_atoms=seeded,
                 changed_atoms=0,
-                total_atoms=j.total_size(),
+                total_atoms=atoms,
                 wall_s=round_wall,
             )
             m = tracer.metrics
@@ -315,7 +317,7 @@ def seminaive_fixpoint(
                 iteration=1,
                 new_atoms=seeded,
                 changed_atoms=0,
-                total_atoms=j.total_size(),
+                total_atoms=atoms,
             )
 
         dispatch = DeltaDispatch(rules, cdb)
@@ -351,7 +353,8 @@ def seminaive_fixpoint(
                     new_atoms += added
                     changed_atoms += len(changed) - added
             delta = new_delta
-            trajectory.append(j.total_size())
+            atoms += new_atoms
+            trajectory.append(atoms)
             iterations += 1
             if track:
                 delta_size = sum(len(rows) for rows in delta.values())
@@ -363,7 +366,7 @@ def seminaive_fixpoint(
                     delta_atoms=delta_size,
                     new_atoms=new_atoms,
                     changed_atoms=changed_atoms,
-                    total_atoms=j.total_size(),
+                    total_atoms=atoms,
                     wall_s=round_wall,
                 )
                 m = tracer.metrics
@@ -378,7 +381,7 @@ def seminaive_fixpoint(
                     iteration=iterations,
                     new_atoms=new_atoms,
                     changed_atoms=changed_atoms,
-                    total_atoms=j.total_size(),
+                    total_atoms=atoms,
                 )
     except SolveInterrupt as interrupt:
         # ``j`` only mutates in the apply-derivations block, which has no

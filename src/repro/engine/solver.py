@@ -35,11 +35,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Literal, Optional, Tuple
 
-from repro.analysis.classify import ProgramClassification, classify_program
-from repro.analysis.dependencies import Component, condense
+from repro.analysis.classify import ComponentClassification
+from repro.analysis.dependencies import Component
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.facts import ProgramFacts
 from repro.analysis.report import AnalysisReport, analyze_program
-from repro.analysis.sharding import ShardingReport, analyze_sharding
+from repro.analysis.sharding import ShardingReport
 from repro.datalog.errors import NotAdmissibleError, SafetyError
 from repro.datalog.program import Program
 from repro.engine.checkpoint import Checkpoint
@@ -249,9 +250,12 @@ def _solve_traced(
     tracer.start(program.name)
     t_solve = tracer.clock()
     analysis: Optional[AnalysisReport] = None
+    # This run's facts about ``program``: whatever the analysis, the
+    # pushdown and the method choice below read is decided once.
+    facts = ProgramFacts(program)
     if check != "none":
         with tracer.phase("analyze"):
-            analysis = analyze_program(program)
+            analysis = analyze_program(program, facts=facts)
 
         def _diags(*prefixes: str):
             return [
@@ -282,10 +286,6 @@ def _solve_traced(
                     diagnostics=_diags("MAD2"),
                 )
 
-    classification = (
-        analysis.classification if analysis is not None else None
-    )
-
     # -- aggregate pushdown (Zaniolo et al.): rewrite premappable
     # extrema before method selection, so classification-driven choices
     # see the program actually evaluated.  The rewrite's auxiliary
@@ -293,12 +293,14 @@ def _solve_traced(
     # conflicting per-key costs, so their components run with
     # strict=False; they are stripped from the final model.
     eval_program = program
+    eval_facts = facts
     aux_predicates: FrozenSet[str] = frozenset()
     if _check_pushdown_mode(pushdown) == "auto":
         with tracer.phase("pushdown"):
-            rewrite = get_pushdown(program, classification)
+            rewrite = get_pushdown(program, facts=facts)
         if rewrite.changed:
             eval_program = rewrite.program
+            eval_facts = ProgramFacts(eval_program)
             aux_predicates = rewrite.aux_predicates
             if tracer.enabled:
                 for applied in rewrite.applied:
@@ -310,34 +312,19 @@ def _solve_traced(
                         aggregate=applied.function,
                     )
 
-    auto_methods: Dict[frozenset, str] = {}
-    eval_classification: Optional[ProgramClassification] = classification
-    if eval_program is not program and (
-        method == "auto" or plan == "sharded" or classification is not None
+    #: cdb → classification of what runs (a rewrite changes the SCC
+    #: structure), filled only for a reader: auto's method choice, the
+    #: shard plan, or the verdicts a traced, analysed solve reports.
+    classes: Dict[frozenset, ComponentClassification] = {}
+    if method == "auto" or plan == "sharded" or (
+        analysis is not None and tracer.enabled
     ):
-        # The rewrite changed the SCC structure; classify what runs so
-        # auto picks methods (and telemetry reports verdicts) for the
-        # rewritten components, not the original ones.
-        with tracer.phase("classify"):
-            eval_classification = classify_program(eval_program)
-    elif (
-        method == "auto" or plan == "sharded"
-    ) and eval_classification is None:
-        with tracer.phase("classify"):
-            eval_classification = classify_program(program)
-    if method == "auto":
-        assert eval_classification is not None
-        auto_methods = {
-            c.component.cdb: c.method
-            for c in eval_classification.components
-        }
-    #: cdb → (verdict, reasons) for telemetry, whatever the method.
-    verdicts: Dict[frozenset, Tuple[str, Tuple[str, ...]]] = {}
-    if eval_classification is not None:
-        verdicts = {
-            c.component.cdb: (c.verdict.value, c.reasons)
-            for c in eval_classification.components
-        }
+        if analysis is not None and eval_facts is facts:
+            classification = facts.classification  # the analyze phase's
+        else:
+            with tracer.phase("classify"):
+                classification = eval_facts.classification
+        classes = {c.component.cdb: c for c in classification.components}
 
     supervisor = (
         Supervisor(budget, cancel, tracer=tracer)
@@ -354,9 +341,7 @@ def _solve_traced(
     n_shards = shards if shards is not None else max(8, 4 * n_workers)
     if plan == "sharded":
         with tracer.phase("shard-plan"):
-            sharding_report = analyze_sharding(
-                eval_program, classification=eval_classification
-            )
+            sharding_report = eval_facts.sharding
 
     state = (
         edb.copy() if edb is not None else Interpretation(program.declarations)
@@ -374,12 +359,11 @@ def _solve_traced(
         state.declarations[name] = decl
         state.relations[name] = Relation.empty(decl)
     result = SolveResult(model=state, analysis=analysis, program=program)
-    for index, component in enumerate(condense(eval_program)):
-        chosen = (
-            auto_methods.get(component.cdb, "naive")
-            if method == "auto"
-            else method
-        )
+    for index, component in enumerate(eval_facts.components):
+        cls = classes.get(component.cdb)
+        chosen: str = method
+        if method == "auto":
+            chosen = cls.method if cls is not None else "naive"
         if chosen == "greedy" and not greedy_applicable(
             eval_program, component
         ):
@@ -431,14 +415,13 @@ def _solve_traced(
                 ),
             )
         if tracer.enabled:
-            verdict, reasons = verdicts.get(component.cdb, (None, ()))
             tracer.emit(
                 "scc_start",
                 scc=index,
                 predicates=sorted(component.cdb),
                 method=chosen,
-                verdict=verdict,
-                reasons=list(reasons),
+                verdict=cls.verdict.value if cls is not None else None,
+                reasons=list(cls.reasons) if cls is not None else [],
                 rules=len(component.rules),
             )
             t_scc = tracer.clock()
@@ -592,7 +575,8 @@ def _solve_traced(
         result.model = state
     result.runtime_diagnostics = list(supervisor.diagnostics)
     if tracer.enabled:
-        _flush_telemetry(tracer, eval_program, result, t_solve)
+        analysed = (facts,) if eval_facts is facts else (facts, eval_facts)
+        _flush_telemetry(tracer, analysed, result, t_solve)
         if tracer.collect:
             result.telemetry = summarize(tracer.events)
     return result
@@ -637,9 +621,17 @@ def _shard_decision(
 
 
 def _flush_telemetry(
-    tracer: Tracer, program: Program, result: SolveResult, t_solve: float
+    tracer: Tracer,
+    analysed: Tuple[ProgramFacts, ...],
+    result: SolveResult,
+    t_solve: float,
 ) -> None:
-    """Emit the end-of-solve events: per-rule profiles, counters, totals."""
+    """Emit the end-of-solve events: per-rule profiles, counters, totals.
+
+    ``analysed`` is the run's facts objects: the program's, then the
+    pushdown rewrite's (the program evaluated) when one ran.
+    """
+    program = analysed[-1].program
     scc_of: Dict[str, int] = {}
     for index, component in enumerate(result.components):
         for predicate in component.cdb:
@@ -668,6 +660,8 @@ def _flush_telemetry(
     solve_wall = round(tracer.clock() - t_solve, 6)
     m = tracer.metrics
     m.counter("solve.components").inc(len(result.components))
+    m.counter("analysis.programs_analyzed").inc(len(analysed))
+    m.counter("analysis.passes_run").inc(sum(f.passes_run for f in analysed))
     m.gauge("solve.atoms").set(float(result.model.total_size()))
     m.timer("solve.wall_s").observe(solve_wall)
     # The merged registry (parent sites + worker snapshots folded at the

@@ -41,6 +41,16 @@ Invariants the engine's correctness arguments lean on:
    (docs/STORAGE.md, "The bulk data plane").  The row-at-a-time loaders
    live on only as the oracle in ``tests/test_loader.py``.
 
+7. **One run, one set of facts.**  A front-end run asks
+   :class:`repro.analysis.facts.ProgramFacts` for every whole-program
+   analysis result; no lint adapter, no ``analyze_program``, no solver
+   branch and no CLI command calls a whole-program pass itself (the
+   self-contained adapters live on only in
+   ``tests/reference_analysis.py``).  The facts live for the run:
+   nothing is cached at module level, in a context variable or on the
+   ``Program``, and no option selects a second path
+   (docs/ANALYSIS.md, "One run, one set of facts").
+
 The checks of 1-4 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
@@ -326,3 +336,75 @@ def test_every_edb_row_takes_the_one_bulk_write():
     ]  # fmt: skip
     assert loader.LOAD_SLICE == 512
     assert "environ" not in sources["data/loader.py"]
+
+
+#: The whole-program passes ``ProgramFacts`` owns.
+WHOLE_PROGRAM_PASS = re.compile(
+    r"\b(condense|check_program_safety|check_conflict_freedom"
+    r"|check_program_admissible|check_program_r_monotonic"
+    r"|check_program_termination|infer_types|classify_program"
+    r"|analyze_premappability|analyze_sharding)\("
+)
+
+#: The front-end consumers: they read facts, they do not run passes.
+FACTS_CONSUMERS = [
+    "analysis/diagnostics.py",
+    "analysis/report.py",
+    "engine/solver.py",
+    "core/database.py",
+    "cli.py",
+    "repl.py",
+]
+
+
+def test_front_ends_read_facts_instead_of_running_passes():
+    import inspect
+
+    from repro.analysis.diagnostics import Linter, lint_program, lint_source
+    from repro.analysis.report import analyze_program
+    from repro.core.database import Database
+    from repro.engine.exec import get_pushdown
+    from repro.engine.solver import solve
+
+    offenders = []
+    for rel in FACTS_CONSUMERS:
+        path = SRC / rel
+        assert path.exists(), f"facts-consumer list is stale: {rel}"
+        offenders.extend(_violations(path, [WHOLE_PROGRAM_PASS]))
+    assert not offenders, (
+        "a front end runs a whole-program pass itself (read it from the "
+        "run's ProgramFacts):\n  " + "\n  ".join(offenders)
+    )
+
+    # The lifetime is the run: no cache that outlives the facts object.
+    facts_source = (SRC / "analysis" / "facts.py").read_text(encoding="utf-8")
+    banned = re.compile(r"ContextVar|cached_property|lru_cache|__dict__|^_\w+ = (\{\}|\[\])", re.M)
+    code = re.sub(r'""".*?"""', "", facts_source, flags=re.S)
+    assert not banned.search(code), banned.search(code)
+    stored_on_program = [
+        line
+        for path in (SRC / "analysis").glob("*.py")
+        for line in _violations(path, [re.compile(r"program\.__dict__")])
+    ]
+    assert not stored_on_program, stored_on_program
+
+    # No new option and no second path: ``facts=`` is the one internal
+    # hand-off, and only below the public entry points.
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    solve_options = [
+        "check", "method", "max_iterations", "plan", "pushdown", "shards",
+        "workers", "tracer", "budget", "cancel", "resume",
+    ]  # fmt: skip
+    assert parameters(solve) == ["program", "edb"] + solve_options
+    assert parameters(Database.solve) == ["self"] + solve_options
+    assert parameters(Database.analyze) == ["self"]
+    assert parameters(Database.lint) == ["self", "linter"]
+    assert parameters(analyze_program) == ["program", "linter", "facts"]
+    assert parameters(lint_program) == ["program", "source", "linter", "facts"]
+    assert parameters(Linter.lint) == ["self", "program", "source", "facts"]
+    assert parameters(lint_source) == [
+        "text", "name", "lattices", "aggregates", "linter",
+    ]  # fmt: skip
+    assert parameters(get_pushdown) == ["program", "classification", "facts"]

@@ -183,6 +183,58 @@ class TestFactsForDerivedPredicates:
         assert result["p"][("a",)] == 2  # the max over {2, 2}
 
 
+    def test_fact_added_after_the_program_was_assembled(self):
+        """A fact of a rule head is a fact rule of the program, so adding
+        one must drop the cached program — it used to be silently lost."""
+        db = Database()
+        db.load("q(1). p(X) <- q(X).")
+        assert db.solve()["p"] == {(1,)}
+        cached = db.program
+        db.add_fact("p", 2)
+        assert db.program is not cached
+        assert db.solve()["p"] == {(1,), (2,)}
+        fresh = Database()
+        fresh.load("q(1). p(X) <- q(X).")
+        fresh.add_fact("p", 2)
+        assert db.solve().model == fresh.solve().model
+
+    def test_rule_added_after_the_fact_was_solved(self):
+        """The other order: an EDB fact whose predicate later gains a rule
+        moves from the EDB into the program."""
+        db = Database()
+        db.add_fact("p", 2)
+        assert db.solve()["p"] == {(2,)}
+        db.load("q(1). p(X) <- q(X).")
+        assert db.solve()["p"] == {(1,), (2,)}
+        db.add_rule(rule(atom("r", V("X")), atom("p", V("X"))))
+        db.add_fact("r", 7)
+        assert db.solve()["r"] == {(1,), (2,), (7,)}
+
+    def test_pure_edb_facts_keep_the_assembled_program(self):
+        """Only rule-head facts invalidate: bulk ``add_facts`` of EDB rows
+        neither rebuilds the program nor re-scans the rules per row."""
+        db = Database()
+        db.load("@pred q/1. p(X) <- q(X).")
+        cached = db.program
+        db.add_facts("q", [(i,) for i in range(1000)])
+        assert db.program is cached
+        assert len(db.solve()["p"]) == 1000
+
+    def test_bulk_targets_are_checked_against_the_maintained_heads(self, tmp_path):
+        from repro.data.loader import DataLoadError
+
+        path = tmp_path / "p.csv"
+        path.write_text("3\n", encoding="utf-8")
+        db = Database()
+        db.load("p(X) <- q(X).")
+        with pytest.raises(DataLoadError, match="defined by rules"):
+            db.load_csv("p", str(path))
+        db.load_csv("q", str(path))
+        db.add_rule(rule(atom("q", V("X")), atom("r", V("X"))))
+        with pytest.raises(DataLoadError, match="defined by rules"):
+            db.edb()  # q was claimed by a rule after its file was attached
+
+
 class TestOneShotApi:
     def test_solve_program(self):
         result = solve_program(SP, facts={"arc": [("a", "b", 1)]})

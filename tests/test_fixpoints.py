@@ -179,3 +179,43 @@ class TestGreedy:
             result.interpretation["path"]
         )
         assert settled == total
+
+
+class TestAtomCounts:
+    """``trajectory`` and the ``iteration`` events' ``total_atoms`` count
+    the component's own ``J`` — which holds CDB atoms only, so the
+    drivers sum the CDB relations (or carry the count) instead of every
+    declared relation per round.  The numbers are what a full sum gives."""
+
+    ARCS = random_digraph(9, seed=5)
+
+    @pytest.mark.parametrize("method", ["naive", "seminaive", "greedy", "auto"])
+    @pytest.mark.parametrize("interrupt_at", [None, 3])
+    def test_counts_equal_the_full_sum(self, method, interrupt_at):
+        from repro.engine.supervisor import Budget
+        from repro.obs import Tracer
+
+        db = shortest_path.database({"arc": self.ARCS})
+        kwargs = {"method": method, "pushdown": "off"}
+        results = []
+        if interrupt_at is not None:
+            partial = db.solve(
+                budget=Budget(max_iterations=interrupt_at), tracer=Tracer(), **kwargs
+            )
+            assert partial.status == "partial"
+            results.append(partial)
+            kwargs["resume"] = partial.checkpoint
+        tracer = Tracer()
+        results.append(db.solve(tracer=tracer, **kwargs))
+        assert results[-1].complete
+        for result in results:
+            for fixpoint in result.component_results:
+                full = fixpoint.interpretation.total_size()
+                assert fixpoint.trajectory[-1] == full
+        # Per round, against the model as it stood after that round.
+        last = {}
+        for event in tracer.events:
+            if event["type"] == "iteration":
+                last[event["scc"]] = event["total_atoms"]
+            elif event["type"] == "scc_end":
+                assert last[event["scc"]] == event["atoms"]

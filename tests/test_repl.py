@@ -44,6 +44,24 @@ def test_rules_load_and_solve():
     assert "% 1 rows" in out
 
 
+def test_facts_of_a_rule_head_added_after_a_solve_are_kept():
+    """The REPL path of the ``add_fact`` fix: a later fact of a derived
+    predicate joins the next model instead of being dropped."""
+    rc, out = run_script(
+        "q(1).\n"
+        "p(X) <- q(X).\n"
+        ".solve\n"
+        ".query p\n"
+        "p(2).\n"
+        ".solve\n"
+        ".query p\n"
+    )
+    assert rc == 0
+    first, second = out.split("model:")[1:]
+    assert "% 1 rows" in first and "% 2 rows" in second
+    assert "p(2)" in second
+
+
 def test_multiline_rule_buffers_until_dot():
     rc, out = run_script(
         "@pred edge/2.\n"
