@@ -24,9 +24,9 @@ verdict:
   the strict naive engine.
 
 The verdict maps to a recommended evaluation mode, consumed by
-``engine.solver`` when ``method="auto"``: greedy where the extremal
-invariant applies, semi-naive for certified-monotonic components, naive
-otherwise.
+``engine.solver`` when ``method="auto"`` — the :data:`AUTO_POLICY`
+table: cost-ordered slices (greedy) for extremal recursion, whole-delta
+rounds (semi-naive) for the other certified components, naive otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.aggregates.standard import Maximum, Minimum
 from repro.analysis.admissible import (
     ComponentAdmissibility,
     check_program_admissible,
@@ -191,32 +192,65 @@ def classify_component(
     )
 
 
+def greedy_applicable(program: Program, component: Component) -> Optional[int]:
+    """The numeric direction (+1 max-oriented, -1 min-oriented) if the
+    component's rows can be ranked by cost, else None.
+
+    A property of the declarations: every CDB predicate is a cost
+    predicate over a numeric chain, all with the same direction, and
+    none carries a default value.
+    """
+    direction: Optional[int] = None
+    for predicate in component.cdb:
+        decl = program.decl(predicate)
+        if not decl.is_cost_predicate or decl.has_default:
+            return None
+        assert decl.lattice is not None
+        d = decl.lattice.numeric_direction
+        if d is None or direction not in (None, d):
+            return None
+        direction = d
+    return direction
+
+
+#: verdict → the policy ``method="auto"`` runs: (in general, when the
+#: recursion is extremal — min/max only — over rows rankable by cost).
+#: Anything not certified runs "naive" whatever its verdict.
+AUTO_POLICY: Dict[ComponentClass, Tuple[str, str]] = {
+    ComponentClass.STRATIFIED: ("seminaive", "seminaive"),
+    # Cost-ordered slices are a cost model (how few revisions the one
+    # delta round takes), not a soundness condition — see engine/greedy.
+    # compare.py, PR 22 → PR 23, 10 pairs: roads_greedy op_p50_ms
+    # A 121.7 [120.25, 127.7] B 79.084 [78.478, 80.016] ms, B wins 100%,
+    # B/A 0.650, improved.  Against whole-delta rounds on the same road
+    # grids (docs/PERFORMANCE.md §8): 36×36 — 94 ms vs semi-naive 130
+    # (the settle-at-a-time loop: 140); 110×110 — 1.24 s vs 2.30 s
+    # (1.66 s).  No measured crossover: slices win at both sizes.
+    ComponentClass.MONOTONIC: ("seminaive", "greedy"),
+    ComponentClass.PSEUDO_MONOTONIC: ("seminaive", "seminaive"),
+    ComponentClass.NEEDS_WELL_FOUNDED: ("naive", "naive"),
+}
+
+
 def _recommended_method(
     component: Component,
     program: Program,
     verdict: ComponentClass,
     certified: bool,
 ) -> str:
-    if verdict is ComponentClass.NEEDS_WELL_FOUNDED or not certified:
+    if not certified:
         return "naive"
-    if verdict is ComponentClass.MONOTONIC:
-        # Greedy settling is only validated for extremal recursion (the
-        # Dijkstra generalization of Section 7); its weight invariant is a
-        # data-level promise, so auto mode reserves it for min/max.
-        # Lazy import: the engine imports analysis.dependencies at module
-        # load, so a top-level import here would be circular.
-        from repro.aggregates.standard import Maximum, Minimum
-        from repro.engine.greedy import greedy_applicable
-
-        extremal = all(
-            isinstance(
-                program.aggregate_function(name), (Minimum, Maximum)
-            )
+    general, extremal = AUTO_POLICY[verdict]
+    if (
+        extremal != general
+        and greedy_applicable(program, component) is not None
+        and all(
+            isinstance(program.aggregate_function(name), (Minimum, Maximum))
             for name in _cdb_aggregate_functions(component, program)
         )
-        if extremal and greedy_applicable(program, component) is not None:
-            return "greedy"
-    return "seminaive"
+    ):
+        return extremal
+    return general
 
 
 def classify_program(

@@ -18,8 +18,8 @@ The on-disk format is JSON (``Checkpoint.save`` / ``Checkpoint.load``):
   where the producing solve stopped;
 * ``relations`` — per predicate, the tuples (ordinary) or
   ``key ↦ cost`` rows (cost predicates, core only);
-* ``frontier`` — the pending semi-naive delta rows at interrupt
-  (advisory: resume re-derives the frontier with one full ``T_P``
+* ``frontier`` — the pending delta rows at interrupt, plus under the
+  greedy policy the candidates not yet written (advisory: resume re-derives the frontier with one full ``T_P``
   round, so a checkpoint is valid even when the frontier is stale).
 
 Cost values are plain Python scalars most of the time; ``frozenset`` and

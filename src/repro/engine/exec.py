@@ -41,6 +41,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.aggregates.base import EmptyAggregateError
+from repro.analysis.premap import analyze_premappability, apply_pushdown
 from repro.datalog.atoms import (
     AggregateSubgoal,
     Atom,
@@ -686,13 +687,6 @@ def get_pushdown(
     """
     cached = program.__dict__.get("_pushdown_cache")
     if cached is None:
-        # Lazy import: analysis.premap imports the classify/fd passes,
-        # which reach back into the engine (greedy_applicable).
-        from repro.analysis.premap import (
-            analyze_premappability,
-            apply_pushdown,
-        )
-
         report = (
             facts.premappability
             if facts is not None

@@ -1,98 +1,99 @@
-"""Greedy (priority-queue) evaluation for extremal monotonic components.
+"""Greedy evaluation: a cost-ordered worklist policy over the delta round.
 
-Section 7 points at Ganguly et al.'s greedy technique for min/max
-programs: on the shortest-path program with non-negative arc weights it is
-the generalisation of Dijkstra's algorithm.  This evaluator implements the
-idea for the engine at large:
+Section 7 names Ganguly et al.'s greedy technique for min/max programs
+as an *evaluation order*; Zaniolo et al. derive it the same way — an
+extremum premappable into the recursion lets the one semi-naive
+fixpoint settle Dijkstra-style.  So there is no greedy driver here, only
+:class:`CostOrdered`, the policy :func:`greedy_fixpoint` hands to the
+shared round of :mod:`repro.engine.seminaive`: derived rows wait in a
+priority queue ordered by the *numeric* cost (ascending for min-oriented
+``reals_ge`` components, descending for max-oriented ones) and each
+round writes the best :data:`~repro.engine.seminaive.SEED_SLICE` of them
+that still improve ``J``, then fires the rows that changed as one batch.
 
-* candidate cost atoms live in a priority queue ordered by the *numeric*
-  cost (ascending for min-oriented ``reals_ge`` components, descending
-  for max-oriented ones);
-* popping *settles* an atom: once settled, a key's value is final and new
-  candidates for it are discarded;
-* settling an atom triggers delta re-derivation (the semi-naive seed
-  machinery) to push its consequences.
-
-Soundness needs the Dijkstra invariant: a rule firing on settled atoms
-may only produce candidates that are no better (numerically no smaller,
-for min) than the settled costs it consumed — e.g. non-negative arc
-weights.  The paper itself notes greedy methods do not extend to all
-monotonic programs (Section 7); :func:`greedy_applicable` gates the
-syntactic shape, and the weight condition is the caller's promise
-(``assume_invariant=True``), cross-checked against the naive engine in
-the test suite.
+Rows are *joined* into ``J``, so a better value derived later still
+revises a key and the least fixpoint is reached whatever the data.  The
+cost order is a cost model, not a soundness condition: when rules only
+derive candidates no better than the costs they consumed (non-negative
+arc weights — the Dijkstra invariant) each key is written once, at its
+final value; where they do not (negative arcs) keys are revised, and a
+program without a finite least fixpoint (a negative cycle) runs into
+``max_iterations`` or its budget exactly as semi-naive does.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
+from repro.analysis.classify import greedy_applicable
 from repro.analysis.dependencies import Component
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
-from repro.engine.grounding import EvalContext
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import Interpretation, Key
 from repro.engine.naive import FixpointResult
-from repro.engine.seminaive import DeltaDispatch
-from repro.engine.supervisor import (
-    NULL_SUPERVISOR,
-    SolveInterrupt,
-    Supervisor,
+from repro.engine.seminaive import (
+    SEED_SLICE,
+    DeltaRows,
+    Derived,
+    seminaive_fixpoint,
 )
-from repro.engine.tp import apply_tp
-from repro.obs.tracer import NULL_TRACER, Tracer
+
+__all__ = ["CostOrdered", "greedy_applicable", "greedy_fixpoint"]
 
 
-def greedy_applicable(program: Program, component: Component) -> Optional[int]:
-    """The numeric direction (+1 max-oriented, -1 min-oriented) if the
-    component fits the greedy evaluator, else None.
+class CostOrdered:
+    """The cost-ordered worklist: derived rows queue by cost, and a round
+    writes the best :data:`SEED_SLICE` that strictly improve ``J``."""
 
-    Requirements: every CDB predicate is a cost predicate over a numeric
-    chain, all with the same direction, and none carries a default value.
-    """
-    direction: Optional[int] = None
-    for predicate in component.cdb:
-        decl = program.decl(predicate)
-        if not decl.is_cost_predicate or decl.has_default:
-            return None
-        assert decl.lattice is not None
-        d = decl.lattice.numeric_direction
-        if d is None:
-            return None
-        if direction is None:
-            direction = d
-        elif direction != d:
-            return None
-    return direction
+    def __init__(self, direction: int) -> None:
+        #: direction -1 (``reals_ge`` / min): numerically smaller is
+        #: ⊑-greater and goes first, so the heap key is the raw cost;
+        #: for max-oriented components the key is negated.
+        self.sign = -direction
+        self.heap: List[Tuple[Any, int, str, Key]] = []
+        self.counter = itertools.count()
+
+    def select(self, derived: Derived, j: Interpretation) -> Derived:
+        sign, heap, counter = self.sign, self.heap, self.counter
+        for predicate, rows in derived:
+            costs = j.relation(predicate).costs
+            for row in rows:
+                held = costs.get(row[:-1])
+                rank = sign * row[-1]
+                if held is None or rank < sign * held:
+                    heapq.heappush(heap, (rank, next(counter), predicate, row))
+        # Rows queued before ``J`` caught up with them are dropped here;
+        # they cost a pop, not a place in the slice.
+        best: DeltaRows = {}
+        room = SEED_SLICE
+        relations = j.relations
+        while heap and room:
+            rank, _, predicate, row = heapq.heappop(heap)
+            held = relations[predicate].costs.get(row[:-1])
+            if held is None or rank < sign * held:
+                best.setdefault(predicate, []).append(row)
+                room -= 1
+        return list(best.items())
+
+    def frontier(self) -> DeltaRows:
+        pending: DeltaRows = {}
+        for _, _, predicate, row in sorted(self.heap):
+            pending.setdefault(predicate, []).append(row)
+        return pending
 
 
 def greedy_fixpoint(
-    program: Program,
-    component: Component,
-    i: Interpretation,
-    *,
-    assume_invariant: bool = False,
-    max_pops: int = 10_000_000,
-    plan: str = "smart",
-    tracer: Tracer = NULL_TRACER,
-    scc: int = 0,
-    supervisor: Supervisor = NULL_SUPERVISOR,
-    initial: Optional[Interpretation] = None,
+    program: Program, component: Component, i: Interpretation, **options: Any
 ) -> FixpointResult:
-    """Priority-queue fixpoint of one extremal component.
-
-    With an enabled ``tracer`` each *settled* atom emits one
-    ``iteration`` event (the greedy analogue of a fixpoint round:
-    exactly one atom becomes final per settle).
-
-    An active ``supervisor`` is polled per pop and consulted per settle;
-    an interrupt escapes with the settled-so-far state attached — under
-    the Dijkstra invariant every settled value is *final*, so greedy
-    partial results are exact on their domain, not just lower bounds.
-    ``initial`` resumes from a checkpoint: its atoms are pre-settled and
-    the heap is re-seeded by one full ``T_P`` application over them.
+    """Fixpoint of one extremal component in cost order: the shared
+    delta round (``options`` are :func:`seminaive_fixpoint`'s) under the
+    :class:`CostOrdered` policy.  A slice is a round wherever rounds are
+    counted — events, ``max_iterations``, budgets, the result's
+    ``iterations``; an interrupt leaves ``J`` a sound lower bound (in
+    which, under the Dijkstra invariant, every atom at or ⊑-above the
+    best pending candidate is final).
     """
     direction = greedy_applicable(program, component)
     if direction is None:
@@ -100,131 +101,11 @@ def greedy_fixpoint(
             f"greedy evaluation does not apply to {component}; use the "
             f"naive or semi-naive evaluator"
         )
-    if not assume_invariant:
-        raise ReproError(
-            "greedy evaluation is only sound under the Dijkstra invariant "
-            "(e.g. non-negative arc weights); pass assume_invariant=True "
-            "to acknowledge it"
-        )
-    cdb = component.cdb
-    rules = list(component.rules)
-    j = Interpretation(program.declarations)
-    if initial is not None:
-        # Checkpointed greedy atoms were settled, hence final: restore
-        # them as settled so re-derivation cannot revise them.
-        for name, rel in initial.relations.items():
-            if name in cdb and len(rel):
-                j.relation(name).join_rows(rel.rows())
-    ctx = EvalContext(program, cdb, j, i, tracer=tracer)
-    dispatch = DeltaDispatch(rules, cdb)
-    # Each settle adds exactly one atom to ``j``, so the traced and
-    # supervised branches report ``base + settled_count`` instead of
-    # re-summing every relation per settle.
-    base = j.size_of(cdb)
-    track = tracer.enabled
-    supervise = supervisor.active
-
-    counter = itertools.count()
-    heap: List[Tuple[float, int, str, Tuple[Any, ...]]] = []
-
-    def push(predicate: str, args: Tuple[Any, ...]) -> None:
-        # direction -1 (reals_ge / min): numerically smaller is ⊑-greater
-        # and must settle first, so the heap key is the raw cost; for
-        # max-oriented components the key is negated.
-        cost = args[-1]
-        heap_key = cost if direction == -1 else -cost
-        heapq.heappush(heap, (heap_key, next(counter), predicate, args))
-
-    settled_count = 0
-    try:
-        # Seed: one full application against J (empty, or the restored
-        # settled atoms when resuming — their consequences re-derive here,
-        # and already-settled keys are skipped).
-        seed = apply_tp(
-            program,
-            cdb,
-            j,
-            i,
-            rules=rules,
-            strict=False,
-            plan=plan,
-            tracer=tracer,
-            supervisor=supervisor,
-            scc=scc,
-        )
-        for name, rel in seed.relations.items():
-            settled = j.relation(name).costs
-            for key, value in rel.costs.items():
-                if key in settled:
-                    continue
-                push(name, key + (value,))
-
-        pops = 0
-        while heap:
-            pops += 1
-            if pops > max_pops:
-                raise ReproError(f"greedy evaluation exceeded {max_pops} pops")
-            if supervise:
-                supervisor.poll(scc, settled_count)
-            _, _, predicate, args = heapq.heappop(heap)
-            rel = j.relation(predicate)
-            key, value = args[:-1], args[-1]
-            existing = rel.costs.get(key)
-            if existing is not None:
-                # Settled already; by the invariant the settled value is
-                # final.
-                continue
-            t_settle = tracer.clock() if track else 0.0
-            # set_cost keeps the persistent indexes on ``rel`` consistent,
-            # so the long-lived context sees the settled atom immediately.
-            rel.set_cost(key, value, strict=False)
-            settled_count += 1
-            for head_pred, rows in dispatch.fire({predicate: [args]}, ctx, plan):
-                head_costs = j.relation(head_pred).costs
-                for head_args in rows:
-                    if head_args[:-1] not in head_costs:
-                        push(head_pred, head_args)
-            if track:
-                settle_wall = round(tracer.clock() - t_settle, 6)
-                tracer.emit(
-                    "iteration",
-                    scc=scc,
-                    iteration=settled_count,
-                    delta_atoms=1,
-                    new_atoms=1,
-                    changed_atoms=0,
-                    total_atoms=base + settled_count,
-                    wall_s=settle_wall,
-                )
-                m = tracer.metrics
-                m.counter("greedy.settled").inc()
-                m.timer("greedy.settle_wall_s").observe(settle_wall)
-            if supervise:
-                # One settle = the greedy analogue of a fixpoint round.
-                supervisor.on_round(
-                    scc=scc,
-                    iteration=settled_count,
-                    new_atoms=1,
-                    changed_atoms=0,
-                    total_atoms=base + settled_count,
-                )
-    except SolveInterrupt as interrupt:
-        # Check sites sit between settles, so ``j`` holds only fully
-        # settled (final) atoms.
-        interrupt.attach(
-            FixpointResult(
-                interpretation=j,
-                iterations=settled_count,
-                ascending=True,
-                trajectory=[base + settled_count],
-                status=interrupt.status,
-            )
-        )
-        raise
-
-    return FixpointResult(
-        interpretation=j,
-        iterations=settled_count,
-        ascending=True,
-        trajectory=[base + settled_count],
+    return seminaive_fixpoint(
+        program,
+        component.cdb,
+        i,
+        strict=False,
+        worklist=CostOrdered(direction),
+        **options,
     )

@@ -19,6 +19,13 @@ safe, and ``join(old, new) = new`` whenever ``new ⊒ old``.  For
 non-monotonic programs the shortcut is unsound — the solver only routes
 admissibility-certified components here.
 
+:func:`seminaive_fixpoint` is the one loop both delta evaluators run.
+Which derived rows a round writes is a *worklist policy*: all of them
+(semi-naive), or the best few by cost with the rest held back
+(:mod:`repro.engine.greedy`).  Everything else — firing, the write, the
+counts, the ``iteration`` event, the metrics, the supervisor calls, the
+interrupt — is written once, here.
+
 The equivalence with the naive evaluator is enforced by property-based
 tests across the paper's example programs and randomized workloads.
 """
@@ -26,8 +33,8 @@ tests across the paper's example programs and randomized workloads.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
-from typing import Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Protocol
+from typing import Sequence, Set, Tuple
 
 from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
@@ -43,33 +50,17 @@ from repro.engine.supervisor import (
     SolveInterrupt,
     Supervisor,
 )
-from repro.engine.tp import apply_tp
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 DeltaRows = Dict[str, List[Tuple[Any, ...]]]
+#: ``(head predicate, derived rows)`` per kernel call, in derivation order.
+Derived = List[Tuple[str, List[Key]]]
 
 
-def _delta_between(old: Interpretation, new: Interpretation) -> DeltaRows:
-    """Rows of ``new`` that are absent from or different in ``old``."""
-    delta: DeltaRows = {}
-    for name, rel in new.relations.items():
-        old_rel = old.relations[name]
-        if rel.is_cost:
-            old_costs = old_rel.costs
-            rows = [
-                key + (value,)
-                for key, value in rel.costs.items()
-                if old_costs.get(key) != value
-            ]
-        else:
-            rows = list(rel.tuples - old_rel.tuples)
-        if rows:
-            delta[name] = rows
-    return delta
-
-
-#: Seeds per kernel call.  The supervisor is polled between slices, so
-#: this bounds cancel latency; it is large enough to amortise the call.
+#: Seeds per kernel call, and rows per cost-ordered slice (a slice of
+#: changed rows is then one kernel call per seed source).  The supervisor
+#: is polled between slices, so this bounds cancel latency; it is large
+#: enough to amortise the call.
 SEED_SLICE = 64
 
 
@@ -139,10 +130,10 @@ class SeedSource:
 
 class DeltaDispatch:
     """The delta-dispatch table of one component: changed predicate →
-    the seed sources it re-fires, compiled once and used by both
-    delta-driven evaluators (semi-naive rounds, greedy settles)."""
+    the seed sources it re-fires, compiled once per fixpoint."""
 
     def __init__(self, rules: Sequence[Rule], cdb: FrozenSet[str]) -> None:
+        self.rules = rules
         self.by_predicate: Dict[str, List[SeedSource]] = {}
         groups: Dict[Tuple[int, FrozenSet[Variable]], List[SeedSource]] = {}
         rank = 0
@@ -191,18 +182,31 @@ class DeltaDispatch:
                 out.append((source, seeds))
         return out
 
+    def fire_all(
+        self, ctx: EvalContext, mode: str, poll: Optional[Callable[[], None]] = None
+    ) -> Derived:
+        """Fire every rule once, unseeded: one ``T_P(J, I)`` application
+        (nothing is written until the caller joins the rows in)."""
+        derived: Derived = []
+        for rule in self.rules:
+            if poll is not None:
+                poll()
+            rows = run_rule(rule, ctx, mode=mode)
+            if rows:
+                derived.append((rule.head.predicate, rows))
+        return derived
+
     def fire(
         self,
         delta: DeltaRows,
         ctx: EvalContext,
         mode: str,
         poll: Optional[Callable[[], None]] = None,
-    ) -> List[Tuple[str, List[Key]]]:
-        """Re-fire every rule the changed rows of ``delta`` can touch:
-        ``(head predicate, derived rows)`` per kernel call, in derivation
-        order.  ``poll`` runs before each kernel call, so at most
+    ) -> Derived:
+        """Re-fire every rule the changed rows of ``delta`` can touch.
+        ``poll`` runs before each kernel call, so at most
         :data:`SEED_SLICE` seeds apart."""
-        derived: List[Tuple[str, List[Key]]] = []
+        derived: Derived = []
         for source, seeds in self.batches(delta):
             rule = source.rule
             for start in range(0, len(seeds), SEED_SLICE):
@@ -220,6 +224,16 @@ class DeltaDispatch:
         return derived
 
 
+class Worklist(Protocol):
+    """What a round writes: a policy over the derived-but-unwritten rows."""
+
+    def select(self, derived: Derived, j: Interpretation) -> Derived:
+        """Take in a round's ``derived`` rows; return those to write now."""
+
+    def frontier(self) -> DeltaRows:
+        """The rows held back so far (advisory, for checkpoints)."""
+
+
 def seminaive_fixpoint(
     program: Program,
     cdb: FrozenSet[str],
@@ -232,132 +246,95 @@ def seminaive_fixpoint(
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
     initial: Optional[Interpretation] = None,
+    worklist: Optional[Worklist] = None,
 ) -> FixpointResult:
     """Delta-driven fixpoint of one monotonic component.
 
+    A round fires rules (round 1: every rule once, ``T_P(J, I)``; later
+    rounds: the rules the previous round's changed rows can touch),
+    *joins* what the ``worklist`` policy selects of the derived rows
+    into ``J`` (``Relation.join_rows``) and hands the rows that changed
+    to the next round.  The policy is the only difference between the
+    two delta evaluators: ``None`` writes every derived row in the round
+    that derived it (semi-naive); :class:`repro.engine.greedy.CostOrdered`
+    holds them back and writes the best few by cost.  ``T_P`` is
+    monotone, so any fair schedule joins its way to the same least
+    fixpoint (Cor. 3.5); the order only decides how many revisions that
+    takes.
+
     ``strict`` governs the *first* round's cost-consistency check (later
-    rounds always join — ``Relation.join_rows``).  The solver passes
-    ``strict=False`` for components holding an aggregate-pushdown
-    frontier predicate, whose rules *intentionally* derive conflicting
-    per-key costs for the lattice join to collapse.
+    rounds always join).  The solver passes ``strict=False`` for
+    components holding an aggregate-pushdown frontier predicate, whose
+    rules *intentionally* derive conflicting per-key costs for the
+    lattice join to collapse.
 
     With an enabled ``tracer`` one ``iteration`` event is emitted per
-    round (tagged with component index ``scc``), carrying the delta fed
-    to the next round split into new atoms and changed-cost (lattice
-    merge) atoms.
+    round (tagged with component index ``scc``), carrying the rows the
+    round changed — the delta fed to the next round — split into new
+    atoms and changed-cost (lattice merge) atoms.
 
-    An active ``supervisor`` is polled between kernel calls (at most
-    :data:`SEED_SLICE` seeds apart) and consulted per round; an
-    interrupt escapes with the last consistent ``J`` and the pending
-    delta frontier attached.  ``initial`` resumes from a checkpointed
-    lower bound: round 0 re-derives over it (one full ``T_P``
-    application, joined in), so a stale or missing frontier cannot lose
-    derivations — semi-naive pinning is only a shortcut for work the
-    full round would repeat.
+    An active ``supervisor`` is polled once per round and before every
+    kernel call (at most :data:`SEED_SLICE` seeds apart) and consulted
+    per round; an interrupt escapes with the last consistent ``J`` and
+    the pending frontier (the delta plus whatever the policy holds
+    back) attached.  ``initial`` resumes from a checkpointed lower
+    bound: round 1 re-derives over it (one full ``T_P`` application,
+    joined in), so a stale or missing frontier cannot lose derivations
+    — pinning to a delta is only a shortcut for work the full round
+    would repeat.
     """
     rules = [r for r in program.rules if r.head.predicate in cdb]
     resumed = initial is not None
-    start = (
-        initial.copy()
-        if resumed
-        else Interpretation(program.declarations)
-    )
+    j = initial.copy() if resumed else Interpretation(program.declarations)
     track = tracer.enabled
     supervise = supervisor.active
+    # ``j`` only mutates in the write block below, which has no check
+    # sites, so every poll sees a round-boundary state.
+    poll = (lambda: supervisor.poll(scc, iterations)) if supervise else None
 
-    j = start
+    # One context for the whole fixpoint: the persistent indexes on the
+    # relations of ``j`` and ``i`` survive across rounds and are updated
+    # in place by ``join_rows``, so each round touches only its delta
+    # instead of re-hashing every relation.
+    ctx = EvalContext(program, cdb, j, i, tracer=tracer)
+    dispatch = DeltaDispatch(rules, cdb)
+
     delta: DeltaRows = {}
+    atoms = j.size_of(cdb)  # ``j`` holds CDB atoms only
     trajectory: List[int] = []
     iterations = 0
     try:
-        # Round 0: one full naive T_P application (over the checkpointed
-        # state when resuming; conflicting cost derivations then join
-        # instead of raising, as the checkpoint may already hold values
-        # above any single rule instance's derivation).
-        t_round = tracer.clock() if track else 0.0
-        out = apply_tp(
-            program,
-            cdb,
-            start,
-            i,
-            strict=strict and not resumed,
-            plan=plan,
-            tracer=tracer,
-            supervisor=supervisor,
-            scc=scc,
-        )
-        j = start.join(out) if resumed else out
-        delta = _delta_between(start, j)
-        # ``j`` holds CDB atoms only; later rounds carry the count.
-        atoms = j.size_of(cdb)
-        trajectory.append(atoms)
-        iterations = 1
-        if track:
-            seeded = sum(len(rows) for rows in delta.values())
-            round_wall = round(tracer.clock() - t_round, 6)
-            tracer.emit(
-                "iteration",
-                scc=scc,
-                iteration=1,
-                delta_atoms=seeded,
-                new_atoms=seeded,
-                changed_atoms=0,
-                total_atoms=atoms,
-                wall_s=round_wall,
-            )
-            m = tracer.metrics
-            m.counter("fixpoint.rounds").inc()
-            m.counter("fixpoint.new_atoms").inc(seeded)
-            m.histogram("fixpoint.delta_atoms").observe(float(seeded))
-            m.timer("fixpoint.round_wall_s").observe(round_wall)
-        if supervise:
-            seeded = sum(len(rows) for rows in delta.values())
-            supervisor.on_round(
-                scc=scc,
-                iteration=1,
-                new_atoms=seeded,
-                changed_atoms=0,
-                total_atoms=atoms,
-            )
-
-        dispatch = DeltaDispatch(rules, cdb)
-        # ``j`` is untouched until a whole round's derivations apply, so
-        # every poll sees a round-boundary state.
-        poll = (lambda: supervisor.poll(scc, iterations)) if supervise else None
-
-        # One context for the whole fixpoint: the persistent indexes on
-        # the relations of ``j`` and ``i`` survive across rounds and are
-        # updated in place by ``join_rows``, so each round touches only
-        # its delta instead of re-hashing every relation.
-        ctx = EvalContext(program, cdb, j, i, tracer=tracer)
-
-        while delta:
-            if iterations >= max_iterations:
-                raise NonTerminationError(
-                    f"semi-naive evaluation did not converge after "
-                    f"{max_iterations} rounds",
-                    ascending=True,
-                )
+        while True:
             t_round = tracer.clock() if track else 0.0
-            derived = dispatch.fire(delta, ctx, plan, poll)
-            new_delta: DeltaRows = {}
+            if poll is not None:
+                poll()
+            if iterations:
+                derived = dispatch.fire(delta, ctx, plan, poll)
+            else:
+                derived = dispatch.fire_all(ctx, plan, poll)
+            if worklist is not None:
+                derived = worklist.select(derived, j)
+            # Resuming, conflicting cost derivations join instead of
+            # raising: the checkpoint may already hold values above any
+            # single rule instance's derivation.
+            check = strict and not resumed and not iterations
+            delta = {}
             new_atoms = changed_atoms = 0
             for predicate, rows in derived:
                 rel = j.relation(predicate)
                 size = len(rel)
-                changed = rel.join_rows(rows)
+                changed = rel.join_rows(rows, strict=check)
                 if changed:
-                    new_delta.setdefault(predicate, []).extend(changed)
+                    delta.setdefault(predicate, []).extend(changed)
                     # A changed row either added a key or joined into one.
                     added = len(rel) - size
                     new_atoms += added
                     changed_atoms += len(changed) - added
-            delta = new_delta
             atoms += new_atoms
             trajectory.append(atoms)
             iterations += 1
             if track:
-                delta_size = sum(len(rows) for rows in delta.values())
+                delta_size = new_atoms + changed_atoms
                 round_wall = round(tracer.clock() - t_round, 6)
                 tracer.emit(
                     "iteration",
@@ -375,6 +352,9 @@ def seminaive_fixpoint(
                 m.counter("fixpoint.changed_atoms").inc(changed_atoms)
                 m.histogram("fixpoint.delta_atoms").observe(float(delta_size))
                 m.timer("fixpoint.round_wall_s").observe(round_wall)
+                if worklist is not None:
+                    m.counter("greedy.settled").inc(new_atoms)
+                    m.timer("greedy.settle_wall_s").observe(round_wall)
             if supervise:
                 supervisor.on_round(
                     scc=scc,
@@ -383,10 +363,20 @@ def seminaive_fixpoint(
                     changed_atoms=changed_atoms,
                     total_atoms=atoms,
                 )
+            if not delta:
+                break
+            if iterations >= max_iterations:
+                raise NonTerminationError(
+                    f"delta evaluation did not converge after "
+                    f"{max_iterations} rounds",
+                    ascending=True,
+                )
     except SolveInterrupt as interrupt:
-        # ``j`` only mutates in the apply-derivations block, which has no
-        # check sites — at every interrupt point it is a consistent
-        # (sound) round-boundary state.
+        frontier = delta
+        if worklist is not None:
+            frontier = {name: list(rows) for name, rows in delta.items()}
+            for name, rows in worklist.frontier().items():
+                frontier.setdefault(name, []).extend(rows)
         interrupt.attach(
             FixpointResult(
                 interpretation=j,
@@ -395,7 +385,7 @@ def seminaive_fixpoint(
                 trajectory=trajectory,
                 status=interrupt.status,
             ),
-            frontier=delta,
+            frontier=frontier,
         )
         raise
 

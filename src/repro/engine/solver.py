@@ -444,7 +444,7 @@ def _solve_traced(
                     eval_program,
                     component,
                     state,
-                    assume_invariant=True,
+                    max_iterations=max_iterations,
                     plan=exec_plan,
                     tracer=tracer,
                     scc=index,

@@ -145,7 +145,7 @@ class Budget:
     """Resource limits for one solve.  ``None`` disables a limit.
 
     ``max_iterations`` counts fixpoint rounds *globally* across all
-    components (for the greedy evaluator a settled atom counts as one
+    components (under the greedy policy a cost-ordered slice is one
     round); unlike the evaluators' own hard ``max_iterations`` backstop
     (which raises :class:`~repro.datalog.errors.NonTerminationError`),
     exhausting a budget degrades gracefully into a partial
@@ -253,8 +253,8 @@ class Supervisor:
     :attr:`base_atoms` / :attr:`watch_spiral` before each component; the
     evaluators call the two check methods:
 
-    * :meth:`poll` — between kernel calls (per rule, per slice of a
-      semi-naive seed batch) and per greedy pop:
+    * :meth:`poll` — once per delta round and between kernel calls
+      (per rule, per slice of a seed batch):
       cancellation on every call, the deadline every
       ``_POLL_STRIDE`` calls;
     * :meth:`on_round` — at iteration boundaries, with the round's delta
@@ -370,7 +370,7 @@ class Supervisor:
     def poll(
         self, scc: Optional[int] = None, iteration: Optional[int] = None
     ) -> None:
-        """Cheap check between kernel calls (and per greedy pop)."""
+        """Cheap check between kernel calls (and once per delta round)."""
         if not self.active:
             return
         self._check_cancel(scc, iteration)

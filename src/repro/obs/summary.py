@@ -63,7 +63,7 @@ class SccStat:
 
 @dataclass
 class IterationStat:
-    """One fixpoint round (or greedy settle) of one SCC."""
+    """One fixpoint round (under greedy: one cost-ordered slice) of one SCC."""
 
     scc: int
     iteration: int

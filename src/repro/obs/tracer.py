@@ -97,6 +97,8 @@ class Tracer:
         "_t0",
         "_started",
         "_rule_stats",
+        "_rule_metrics",
+        "_plan_counters",
     )
 
     def __init__(
@@ -123,6 +125,12 @@ class Tracer:
         self._started = False
         #: id(rule) -> [rule, calls, derived atoms, cumulative wall s]
         self._rule_stats: Dict[int, List[Any]] = {}
+        #: The ``rule.*`` instruments and the two ``plan.cache_*``
+        #: counters, resolved on first use (a registry look-up per
+        #: instrument per kernel call is the cost otherwise) — never
+        #: before, so a snapshot lists only what was recorded.
+        self._rule_metrics: Optional[Tuple[Any, ...]] = None
+        self._plan_counters: List[Any] = [None, None]
 
     @classmethod
     def disabled(cls) -> "Tracer":
@@ -190,12 +198,22 @@ class Tracer:
             entry[1] += firings
             entry[2] += derived
             entry[3] += wall_s
-        m = self.metrics
-        m.counter("rule.firings").inc(firings)
-        m.counter("rule.kernel_calls").inc()
-        m.counter("rule.derived").inc(derived)
-        m.histogram("rule.derived_per_firing").observe(float(derived))
-        m.timer("rule.wall_s").observe(wall_s)
+        instruments = self._rule_metrics
+        if instruments is None:
+            m = self.metrics
+            instruments = self._rule_metrics = (
+                m.counter("rule.firings"),
+                m.counter("rule.kernel_calls"),
+                m.counter("rule.derived"),
+                m.histogram("rule.derived_per_firing"),
+                m.timer("rule.wall_s"),
+            )
+        fired, calls, rows, per_firing, wall = instruments
+        fired.inc(firings)
+        calls.inc()
+        rows.inc(derived)
+        per_firing.observe(float(derived))
+        wall.observe(wall_s)
 
     def absorb_rule(
         self, rule: Any, calls: int, derived: int, wall_s: float
@@ -228,10 +246,13 @@ class Tracer:
     def count_plan(self, hit: bool) -> None:
         if hit:
             self.plan_hits += 1
-            self.metrics.counter("plan.cache_hits").inc()
         else:
             self.plan_misses += 1
-            self.metrics.counter("plan.cache_misses").inc()
+        counter = self._plan_counters[hit]
+        if counter is None:
+            name = "plan.cache_hits" if hit else "plan.cache_misses"
+            counter = self._plan_counters[hit] = self.metrics.counter(name)
+        counter.inc()
 
     # -- lifecycle ---------------------------------------------------------------
 

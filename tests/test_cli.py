@@ -144,6 +144,20 @@ class TestSupervisionFlags:
         # The sound partial model was still printed.
         assert "s(" in captured.out
 
+    @pytest.mark.parametrize("method", ["auto", "greedy", "seminaive"])
+    def test_timeout_on_diverging_is_resumable_under_every_delta_policy(
+        self, method, tmp_path, capsys
+    ):
+        """The example's own header promises exit 4 plus a checkpoint;
+        the cost-ordered policy keeps it (it used to exit 0 with
+        ``s(a,b)=1``, which is not even a pre-model)."""
+        ckpt = tmp_path / "div.ckpt.json"
+        args = ["solve", self.DIVERGING, "--method", method]
+        assert main(args + ["--timeout", "0.3", "--checkpoint", str(ckpt)]) == 4
+        assert "solve interrupted (timeout" in capsys.readouterr().err
+        assert main(args + ["--timeout", "0.3", "--resume", str(ckpt)]) == 4
+        assert "solve interrupted (timeout" in capsys.readouterr().err
+
     def test_on_divergence_abort_exits_budget_code(self, capsys):
         code = main(["solve", self.DIVERGING, "--on-divergence", "abort"])
         assert code == 4

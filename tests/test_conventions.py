@@ -51,7 +51,14 @@ Invariants the engine's correctness arguments lean on:
    ``Program``, and no option selects a second path
    (docs/ANALYSIS.md, "One run, one set of facts").
 
-The checks of 1-4 are text-based on purpose: they run without imports, see
+8. **Greedy is a worklist policy, not a driver.**  The settle-at-a-time
+   loop, its private ``max_pops`` bound and the ``assume_invariant``
+   promise it never checked are gone: cost order is a cost model over
+   the one delta round (``engine/greedy.py``), bounded by
+   ``max_iterations`` like every policy, so neither name comes back
+   under ``src/``.
+
+The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
 explicit allowlists below.
@@ -199,6 +206,35 @@ def test_the_per_seed_path_is_gone():
         "DeltaDispatch, run_rule(seeds=...), Relation.join_rows):\n  "
         + "\n  ".join(offenders)
     )
+
+
+SETTLE_LOOP = re.compile(r"max_pops|assume_invariant")
+
+
+def test_the_settle_at_a_time_loop_is_gone():
+    import inspect
+
+    from repro.engine.greedy import greedy_fixpoint
+    from repro.engine.seminaive import seminaive_fixpoint
+
+    # Comments and docstrings count too, as for the second backend.
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if SETTLE_LOOP.search(line)
+    ]
+    assert not offenders, (
+        "greedy's own loop bound or invariant promise is back (greedy is "
+        "the CostOrdered policy over seminaive_fixpoint's round):\n  "
+        + "\n  ".join(offenders)
+    )
+    # The one loop: greedy_fixpoint has no body of its own to bound.
+    assert "seminaive_fixpoint(" in inspect.getsource(greedy_fixpoint)
+    assert "while" not in inspect.getsource(greedy_fixpoint)
+    assert inspect.getsource(seminaive_fixpoint).count("join_rows(") == 1
 
 
 def test_documented_kernel_is_the_generated_kernel():

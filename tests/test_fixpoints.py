@@ -3,7 +3,7 @@ non-termination diagnostics (Section 6.2)."""
 
 import pytest
 
-from repro.datalog.errors import NonTerminationError, ReproError
+from repro.datalog.errors import NonTerminationError
 from repro.analysis.dependencies import condense
 from repro.datalog.parser import parse_program
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
@@ -149,36 +149,78 @@ class TestGreedy:
         # c has no cost argument: greedy does not apply.
         assert greedy_applicable(program, component) is None
 
-    def test_requires_invariant_acknowledgement(self):
-        db = shortest_path.database({"arc": [("a", "b", 1)]})
-        component = condense(db.program)[0]
-        with pytest.raises(ReproError):
-            greedy_fixpoint(db.program, component, db.edb())
-
     @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
     def test_matches_naive_on_nonnegative(self, seed):
         arcs = random_digraph(14, seed=seed)
         db = shortest_path.database({"arc": arcs})
         component = condense(db.program)[0]
-        greedy = greedy_fixpoint(
-            db.program, component, db.edb(), assume_invariant=True
-        )
+        greedy = greedy_fixpoint(db.program, component, db.edb())
         naive = db.solve(method="naive")
         assert greedy.interpretation["s"] == naive.model["s"]
         assert greedy.interpretation["path"] == naive.model["path"]
 
-    def test_settles_each_key_once(self):
+    def test_settles_each_key_once(self, monkeypatch):
+        """Non-negative weights: popped one at a time every key is
+        written once at its final value (Dijkstra); a wider slice may
+        write a key before a better candidate from the same slice's
+        consequences arrives, and revises it."""
+        from repro.engine import greedy
+        from repro.obs import Tracer
+
         arcs = random_digraph(10, seed=3)
         db = shortest_path.database({"arc": arcs})
         component = condense(db.program)[0]
-        result = greedy_fixpoint(
-            db.program, component, db.edb(), assume_invariant=True
-        )
-        settled = result.iterations
-        total = len(result.interpretation["s"]) + len(
-            result.interpretation["path"]
-        )
-        assert settled == total
+        for slice_size in (1, 64):
+            monkeypatch.setattr(greedy, "SEED_SLICE", slice_size)
+            tracer = Tracer()
+            result = greedy_fixpoint(
+                db.program, component, db.edb(), tracer=tracer
+            )
+            rounds = [e for e in tracer.events if e["type"] == "iteration"]
+            total = len(result.interpretation["s"]) + len(
+                result.interpretation["path"]
+            )
+            assert sum(e["new_atoms"] for e in rounds) == total
+            assert len(rounds) == result.iterations
+            revised = sum(e["changed_atoms"] for e in rounds)
+            if slice_size == 1:
+                assert revised == 0 and result.iterations == total + 1
+            else:
+                assert revised < total / 2 and result.iterations < total / 8
+
+
+class TestCostOrderIsNotASoundnessCondition:
+    """Negative arcs: the cost-ordered policy joins a better value in
+    when it arrives, so ``auto``/``greedy`` reach the least model where
+    one exists and fail like semi-naive where none does (the
+    settle-once loop returned ``complete`` with a non-model on both)."""
+
+    NEGATIVE_ARC = [("a", "b", 2), ("a", "c", 3), ("c", "b", -2), ("b", "d", 1)]
+
+    @pytest.mark.parametrize("method", ["auto", "greedy", "seminaive", "naive"])
+    def test_negative_arc_without_a_negative_cycle(self, method):
+        from repro.engine.modelcheck import is_model
+
+        db = shortest_path.database({"arc": self.NEGATIVE_ARC})
+        result = db.solve(method=method)
+        assert result.complete
+        assert result.model["s"][("a", "b")] == 1
+        assert result.model["s"][("a", "d")] == 2
+        assert is_model(db.program, result.model)
+        assert result.model == db.solve(method="naive").model
+
+    @pytest.mark.parametrize("method", ["auto", "greedy", "seminaive"])
+    def test_negative_cycle_hits_max_iterations(self, method):
+        from pathlib import Path
+
+        from repro.core.database import Database
+
+        example = Path(__file__).resolve().parent.parent / "examples" / "diverging.mad"
+        db = Database()
+        db.load(example.read_text(encoding="utf-8"))
+        with pytest.raises(NonTerminationError) as raised:
+            db.solve(method=method, max_iterations=60)
+        assert raised.value.ascending
 
 
 class TestAtomCounts:

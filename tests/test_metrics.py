@@ -196,6 +196,50 @@ class TestRegistry:
         assert "p95" in text
 
 
+class TestTracerInstruments:
+    def test_rule_and_plan_instruments_resolve_once_per_tracer(self, monkeypatch):
+        """``record_rule`` / ``count_plan`` run per kernel call; their
+        instruments are looked up on first use — not before, so the
+        snapshot lists what was recorded — and never again."""
+        from repro.obs import Tracer
+
+        resolved = []
+        real = MetricsRegistry._get
+
+        def counting(self, name, kind):
+            resolved.append(name)
+            return real(self, name, kind)
+
+        monkeypatch.setattr(MetricsRegistry, "_get", counting)
+        tracer = Tracer()
+        assert tracer.metrics.snapshot() == {}
+        tracer.count_plan(False)
+        assert tracer.metrics.names() == ["plan.cache_misses"]
+        rule = object()
+        for _ in range(3):
+            tracer.count_plan(True)
+            tracer.record_rule(rule, derived=2, wall_s=0.5, firings=4)
+        assert sorted(resolved) == [
+            "plan.cache_hits",
+            "plan.cache_misses",
+            "rule.derived",
+            "rule.derived_per_firing",
+            "rule.firings",
+            "rule.kernel_calls",
+            "rule.wall_s",
+        ]
+        monkeypatch.undo()
+        snapshot = tracer.metrics.snapshot()
+        assert (tracer.plan_hits, tracer.plan_misses) == (3, 1)
+        assert snapshot["plan.cache_hits"]["value"] == 3
+        assert snapshot["rule.firings"]["value"] == 12
+        assert snapshot["rule.kernel_calls"]["value"] == 3
+        assert snapshot["rule.derived"]["value"] == 6
+        assert snapshot["rule.derived_per_firing"]["count"] == 3
+        assert snapshot["rule.wall_s"]["sum"] == 1.5
+        assert tracer.rule_stats() == [(rule, 12, 6, 1.5)]
+
+
 class TestPrometheusExposition:
     def render(self):
         reg = MetricsRegistry()

@@ -87,9 +87,7 @@ class TestMaxOrientedPrograms:
         for row in [("a", 3), ("a2", 9), ("b", 5)]:
             edb.add_fact("e", row[0], row[1])
         component = condense(program)[0]
-        greedy = greedy_fixpoint(
-            program, component, edb, assume_invariant=True
-        )
+        greedy = greedy_fixpoint(program, component, edb)
         naive = solve(program, edb, check="none")
         assert greedy.interpretation["best"] == naive.model["best"]
 

@@ -150,5 +150,5 @@ def test_smoke_script_end_to_end(monkeypatch):
         rc, out = run_script(handle.read())
     assert rc == 0
     assert "attached examples/data/roads.csv: 22 arc rows" in out
-    assert "model: 92 atoms in 2 components (42 iterations)" in out
+    assert "model: 92 atoms in 2 components (13 iterations)" in out
     assert "source('avon')" in out and "source('iona')" in out

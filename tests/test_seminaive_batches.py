@@ -1,18 +1,23 @@
-"""Set-at-a-time delta rounds: the drivers above the batched kernels.
+"""Set-at-a-time delta rounds: the one loop above the batched kernels.
 
-``seminaive_fixpoint`` and ``greedy_fixpoint`` cut each delta into seed
-batches through one dispatch table (``DeltaDispatch``), fire one kernel
-call per batch slice, and write the heads through ``Relation.join_rows``.
-The reference here is the tuple-at-a-time round those replaced — one
-seed dict, one interpreted ``evaluate_body``, one ``add_fact`` per head,
-rule-major — and the claim is bit-identity with it: same models, same
-*row order*, same round / settle counts.
+``seminaive_fixpoint`` cuts each delta into seed batches through one
+dispatch table (``DeltaDispatch``), fires one kernel call per batch
+slice, and writes the heads through ``Relation.join_rows``;
+``greedy_fixpoint`` is the same loop under the cost-ordered worklist
+policy.  The references here are tuple-at-a-time — one seed dict, one
+interpreted ``evaluate_body``, one ``add_fact`` per head, rule-major —
+for the whole-delta round, for cost-ordered slices of any size, and for
+Dijkstra (one settle per pop, the loop the slices replaced), and the
+claim is bit-identity with them: same models, same *row order*, same
+round / slice counts, same new/changed counts per slice.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,15 +29,11 @@ from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
+from repro.engine import greedy, seminaive, solve
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.grounding import EvalContext, evaluate_body, ground_head
 from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive import (
-    SEED_SLICE,
-    _delta_between,
-    seminaive_fixpoint,
-)
-from repro.engine.tp import apply_tp
+from repro.engine.seminaive import SEED_SLICE, seminaive_fixpoint
 from repro.obs.tracer import Tracer
 from repro.programs import ALL_PROGRAMS, shortest_path
 from repro.testing import Fault, FaultPlan, inject
@@ -92,28 +93,86 @@ def reference_heads(rules, cdb, delta, ctx):
     ]
 
 
+def apply_heads(j, heads):
+    """Join ``heads`` into ``j`` one ``add_fact`` at a time: the changed
+    rows as stored, per predicate, and the (new, changed) atom counts."""
+    delta, new, changed = {}, 0, 0
+    for predicate, args in heads:
+        rel = j.relation(predicate)
+        size = len(rel)
+        if j.add_fact(predicate, *args, strict=False):
+            row = args[:-1] + (rel.costs[args[:-1]],) if rel.is_cost else args
+            delta.setdefault(predicate, []).append(row)
+            new += len(rel) - size
+            changed += size == len(rel)
+    return delta, new, changed
+
+
+def first_round_heads(rules, ctx):
+    """One ``T_P`` application, all heads grounded before any is written."""
+    return [
+        ground_head(rule, bindings)
+        for rule in rules
+        for bindings in list(evaluate_body(rule, ctx))
+    ]
+
+
 def reference_seminaive(program, cdb, i):
     rules = [r for r in program.rules if r.head.predicate in cdb]
-    empty = Interpretation(program.declarations)
-    j = apply_tp(program, cdb, empty, i, strict=False, plan="off")
-    delta = _delta_between(empty, j)
+    j = Interpretation(program.declarations)
     ctx = EvalContext(program, cdb, j, i)
-    rounds = 1
-    while delta:
+    heads = first_round_heads(rules, ctx)
+    rounds = 0
+    while True:
+        delta, _, _ = apply_heads(j, heads)
+        rounds += 1
+        if not delta:
+            return j, rounds
         if rounds >= MAX_ROUNDS:
             raise NonTerminationError("reference", ascending=True)
-        new_delta = {}
-        for predicate, args in reference_heads(rules, cdb, delta, ctx):
-            if j.add_fact(predicate, *args, strict=False):
-                rel = j.relation(predicate)
-                row = args[:-1] + (rel.costs[args[:-1]],) if rel.is_cost else args
-                new_delta.setdefault(predicate, []).append(row)
-        delta = new_delta
-        rounds += 1
-    return j, rounds
+        heads = reference_heads(rules, cdb, delta, ctx)
+
+
+def reference_slices(program, component, i, direction, size):
+    """The cost-ordered policy, tuple at a time: heads that would
+    improve ``J`` queue by cost; a round pops the best ``size`` that
+    still do, writes them predicate by predicate, and re-derives from
+    the rows that changed.  Returns ``J`` and (new, changed) per round."""
+    cdb, rules = component.cdb, list(component.rules)
+    j = Interpretation(program.declarations)
+    ctx = EvalContext(program, cdb, j, i)
+    counter = itertools.count()
+    heap = []
+
+    def improves(predicate, args):
+        held = j.relation(predicate).costs.get(args[:-1])
+        return held is None or direction * args[-1] > direction * held
+
+    heads = first_round_heads(rules, ctx)
+    rounds = []
+    while True:
+        for predicate, args in heads:
+            if improves(predicate, args):
+                rank = -direction * args[-1]
+                heapq.heappush(heap, (rank, next(counter), predicate, args))
+        best = {}
+        while heap and sum(map(len, best.values())) < size:
+            _, _, predicate, args = heapq.heappop(heap)
+            if improves(predicate, args):
+                best.setdefault(predicate, []).append(args)
+        delta, new, changed = apply_heads(
+            j, [(p, args) for p, rows in best.items() for args in rows]
+        )
+        rounds.append((new, changed))
+        if not delta:
+            return j, rounds
+        if len(rounds) >= 4 * MAX_ROUNDS:
+            raise NonTerminationError("reference", ascending=True)
+        heads = reference_heads(rules, cdb, delta, ctx)
 
 
 def reference_greedy(program, component, i, direction):
+    """Dijkstra: one settle per pop, a settled key is never revised."""
     cdb, rules = component.cdb, list(component.rules)
     j = Interpretation(program.declarations)
     ctx = EvalContext(program, cdb, j, i)
@@ -123,10 +182,8 @@ def reference_greedy(program, component, i, direction):
     def push(predicate, args):
         heapq.heappush(heap, (-direction * args[-1], next(counter), predicate, args))
 
-    seed = apply_tp(program, cdb, j, i, rules=rules, strict=False, plan="off")
-    for name, rel in seed.relations.items():
-        for key, value in rel.costs.items():
-            push(name, key + (value,))
+    for predicate, args in first_round_heads(rules, ctx):
+        push(predicate, args)
     settled = 0
     while heap:
         _, _, predicate, args = heapq.heappop(heap)
@@ -173,11 +230,18 @@ BRAIDED = """
     a(X, C) <- sym(X, Y), e(Y, C).
 """
 
+#: ``BRAIDED`` without its cost-free predicates, so the three cost
+#: predicates form one component the cost order applies to: a slice
+#: spans predicates.  The max-oriented twin counts down.
+BRAIDED_MIN = BRAIDED[: BRAIDED.index("    near(")]
+BRAIDED_MAX = BRAIDED_MIN.replace("reals_ge", "reals_le").replace("+", "-")
+
 
 @st.composite
 def catalog_instances(draw):
-    """A catalog program (or ``BRAIDED``) and a small random EDB for it."""
-    sources = [paper.source for paper in ALL_PROGRAMS] + [BRAIDED] * 4
+    """A catalog program (or a braid) and a small random EDB for it."""
+    sources = [paper.source for paper in ALL_PROGRAMS]
+    sources += [BRAIDED] * 4 + [BRAIDED_MIN, BRAIDED_MAX] * 2
     program = parse_program(draw(st.sampled_from(sources)))
     values = st.sampled_from(_constants(program) + [0, 1, 2, 3])
     edb = Interpretation(program.declarations)
@@ -191,6 +255,28 @@ def catalog_instances(draw):
         for args in draw(st.lists(row, max_size=8)):
             edb.add_fact(name, *args, strict=False)
     return program, edb
+
+
+def slices_of(size):
+    """``SEED_SLICE`` = ``size`` for the dispatch and for the policy."""
+    stack = contextlib.ExitStack()
+    for module in (seminaive, greedy):
+        stack.enter_context(mock.patch.object(module, "SEED_SLICE", size))
+    return stack
+
+
+def assert_greedy_matches_slices(program, component, state, direction, size):
+    """Model, row order, slice count and per-slice new/changed counts of
+    the engine's cost-ordered rounds are the reference's."""
+    expected, rounds = reference_slices(program, component, state, direction, size)
+    tracer = Tracer()
+    with slices_of(size):
+        got = greedy_fixpoint(program, component, state, plan="off", tracer=tracer)
+    assert rows_in_order(got.interpretation) == rows_in_order(expected)
+    assert got.iterations == len(rounds)
+    events = [e for e in tracer.events if e["type"] == "iteration"]
+    assert [(e["new_atoms"], e["changed_atoms"]) for e in events] == rounds
+    return got
 
 
 class TestDriversMatchThePerSeedReference:
@@ -220,15 +306,52 @@ class TestDriversMatchThePerSeedReference:
                     assert rows_in_order(got.interpretation) == ordered
             direction = greedy_applicable(program, component)
             if direction is not None:
-                expected_g, settled = reference_greedy(
+                for size in (1, 3, SEED_SLICE):
+                    got = assert_greedy_matches_slices(
+                        program, component, state, direction, size
+                    )
+                    # Any fair order joins its way to the one least model.
+                    assert got.interpretation == expected
+                # Where settle-once is right (rules derive nothing better
+                # than what they consumed), one-row slices are Dijkstra.
+                dijkstra, settled = reference_greedy(
                     program, component, state, direction
                 )
-                got = greedy_fixpoint(
-                    program, component, state, assume_invariant=True, plan="off"
-                )
-                assert got.iterations == settled
-                assert rows_in_order(got.interpretation) == rows_in_order(expected_g)
+                if dijkstra == expected:
+                    with slices_of(1):
+                        got = greedy_fixpoint(program, component, state, plan="off")
+                    assert rows_in_order(got.interpretation) == rows_in_order(dijkstra)
+                    assert got.iterations == settled + 1  # + the empty last round
             state.absorb(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([-1, 1]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(1, 3), st.sampled_from([-3, -2, 0, 1, 4])
+            ),
+            min_size=3,
+            max_size=14,
+        ),
+        st.sampled_from([1, 2, SEED_SLICE]),
+    )
+    def test_a_better_value_derived_later_revises_the_key(self, direction, arcs, size):
+        """Negative (for max: positive) weights on a DAG break the
+        Dijkstra invariant: keys written early are revised by the join,
+        the counts say so, and the model is still the least one."""
+        source = shortest_path.source
+        if direction == 1:  # longest paths: the max-oriented twin
+            source = source.replace("reals_ge", "reals_le").replace("min{", "max{")
+        program = parse_program(source)
+        edb = Interpretation(program.declarations)
+        for x, step, w in arcs:
+            edb.add_fact("arc", x, x + step, -direction * w, strict=False)
+        (component,) = [c for c in condense(program) if "s" in c.cdb]
+        got = assert_greedy_matches_slices(program, component, edb, direction, size)
+        naive = solve(program, edb, method="naive", pushdown="off")
+        assert got.interpretation["s"] == naive.model["s"]
+        assert got.interpretation["path"] == naive.model["path"]
 
 
 # -- slices, supervision, telemetry ---------------------------------------------
@@ -285,4 +408,35 @@ class TestSlices:
         assert result.component_results[-1].iterations == rounds
         assert rows_in_order(result.model) == rows_in_order(bounded.model)
         resumed = shortest_path.database({"arc": arcs}).resume(result.checkpoint)
+        assert resumed.complete and resumed.model == solve()[0].model
+
+    @pytest.mark.parametrize("rounds", [3, 10])
+    def test_cancel_mid_slice_interrupts_within_one_kernel_call(self, rounds):
+        """Under the cost order a round is one slice, fired as one kernel
+        call per seed source; a token tripped by the slice's first seed
+        is seen before the next call, the partial model is the ``J`` the
+        slice was written into, and resume completes it."""
+        arcs = ring(40)
+
+        def solve(*faults, **kwargs):
+            plan = FaultPlan(list(faults))
+            with inject(plan):
+                result = shortest_path.database({"arc": arcs}).solve(
+                    method="greedy", pushdown="off", **kwargs
+                )
+            return result, plan.seam_counts()["rule_firing"]
+
+        bounded, before = solve(budget=Budget(max_iterations=rounds))
+        _, after = solve(budget=Budget(max_iterations=rounds + 1))
+        token = CancelToken()
+        cancel = Fault("rule_firing", action="cancel", at=before + 1, token=token)
+        result, fired = solve(cancel, cancel=token)
+        assert result.status == "cancelled"
+        assert before < fired < after <= before + SEED_SLICE
+        assert result.component_results[-1].iterations == rounds
+        assert rows_in_order(result.model) == rows_in_order(bounded.model)
+        assert set(result.checkpoint.frontier) == {"path", "s"}
+        resumed = shortest_path.database({"arc": arcs}).resume(
+            result.checkpoint, method="greedy"
+        )
         assert resumed.complete and resumed.model == solve()[0].model

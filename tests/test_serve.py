@@ -219,6 +219,19 @@ class TestSolveTaxonomy:
         assert body["checkpoint"] is not None
         assert pathlib.Path(body["checkpoint"]).exists()
 
+    def test_negative_cycle_under_the_default_method_is_429_never_a_cached_200(
+        self, served
+    ):
+        """``auto`` runs the negative cycle in cost order, which revises
+        keys like every other policy: no least fixpoint, so the budget
+        ends it — twice, because only a 200 is ever cached."""
+        _server, client, _tmp = served
+        for _ in range(2):
+            status, body = client.solve("div", "s", timeout=0.3)
+            assert status == 429
+            assert body["status"] in ("timeout", "diverging", "partial")
+            assert body["checkpoint"] is not None
+
     def test_budgeted_sharded_plan_degrades_to_sequential(self, served):
         """plan="sharded" requests still answer 200: every request is
         budgeted, and budgeted solves never fork (the engine enforces
