@@ -47,9 +47,13 @@ dumped to ``--flight PATH`` (default ``repro-postmortem.jsonl``) and
 
 Optimizer surfaces (docs/OPTIMIZATION.md): ``optimize`` prints the
 aggregate-pushdown verdicts (MAD8xx) to stderr and the rewritten
-program to stdout; ``solve``/``profile``/``explain`` take
-``--pushdown off`` to disable the same plan-layer rewrite (the model is
-identical either way).
+program to stdout.
+
+``solve``, ``profile``, ``explain`` and ``metrics`` share one block of
+solve flags — ``--check``, ``--method``, ``--max-iterations``,
+``--plan``, ``--pushdown``, ``--shards``, ``--workers`` — whose values
+and defaults are the options table of
+:class:`repro.engine.options.SolveOptions` (README "Solving").
 
 Parallelism surfaces (docs/PARALLELISM.md): ``shard-plan`` prints the
 per-component shard-safety verdicts (MAD9xx) with their full witness
@@ -86,8 +90,9 @@ diagnostic severity as documented above):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.database import Database
 from repro.data.loader import DataLoadError
@@ -97,6 +102,8 @@ from repro.datalog.errors import (
     ProgramError,
     ReproError,
 )
+from repro.engine.options import CHOICES, OptionError, SolveOptions
+from repro.engine.supervisor import UNCAPPED_ITERATIONS
 from repro.programs import ALL_PROGRAMS
 
 EXIT_OK = 0
@@ -104,10 +111,6 @@ EXIT_USAGE = 1
 EXIT_DIAGNOSTICS = 2
 EXIT_RUNTIME = 3
 EXIT_BUDGET = 4
-
-#: Evaluator hard cap when a budget supervises the run: the budget's
-#: graceful ``status="partial"`` stop should win, not NonTerminationError.
-_UNCAPPED_ITERATIONS = 10**9
 
 
 class CliUsageError(ReproError):
@@ -209,6 +212,12 @@ def _make_budget(args: argparse.Namespace):
     )
 
 
+def _solve_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """The solve keyword arguments the :func:`_add_solve_flags` block set."""
+    names = (field.name for field in dataclasses.fields(SolveOptions))
+    return {n: v for n in names if (v := getattr(args, n)) is not None}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     from repro.engine.supervisor import CancelToken, sigint_cancels
 
@@ -221,17 +230,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
         resume = Checkpoint.load(args.resume)
     cancel = CancelToken()
-    hard_cap = _UNCAPPED_ITERATIONS if budget is not None else 100_000
+    options = _solve_options(args)
+    if budget is not None:
+        # Here --max-iterations is the budget's: its graceful stop wins.
+        options["max_iterations"] = UNCAPPED_ITERATIONS
     try:
         with sigint_cancels(cancel):
             result = db.solve(
-                check=args.check,
-                method=args.method,
-                max_iterations=hard_cap,
-                plan=args.plan,
-                pushdown=args.pushdown,
-                shards=args.shards,
-                workers=args.workers,
+                **options,
                 tracer=tracer,
                 budget=budget,
                 cancel=cancel,
@@ -302,16 +308,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     sinks = [JsonlSink(args.trace)] if args.trace else []
     tracer = Tracer(*sinks)
     try:
-        result = db.solve(
-            check=args.check,
-            method=args.method,
-            max_iterations=args.max_iterations,
-            plan=args.plan,
-            pushdown=args.pushdown,
-            shards=args.shards,
-            workers=args.workers,
-            tracer=tracer,
-        )
+        result = db.solve(**_solve_options(args), tracer=tracer)
     finally:
         tracer.close()
     assert result.telemetry is not None
@@ -329,13 +326,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     args.files = args.args[:-1]
     atom_text = args.args[-1]
     db = _load_database(args)
-    result = db.solve(
-        check=args.check,
-        method=args.method,
-        max_iterations=args.max_iterations,
-        plan=args.plan,
-        pushdown=args.pushdown,
-    )
+    result = db.solve(**_solve_options(args))
     atom = parse_atom_text(atom_text)
     key = tuple(arg.value for arg in atom.args)  # type: ignore[union-attr]
     print(result.explain(atom.predicate, key, max_depth=args.max_depth))
@@ -378,16 +369,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     db = _load_database(args)
     tracer = Tracer()
     try:
-        result = db.solve(
-            check=args.check,
-            method=args.method,
-            max_iterations=args.max_iterations,
-            plan=args.plan,
-            pushdown=args.pushdown,
-            shards=args.shards,
-            workers=args.workers,
-            tracer=tracer,
-        )
+        result = db.solve(**_solve_options(args), tracer=tracer)
     finally:
         tracer.close()
     if args.format == "json":
@@ -743,6 +725,43 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SOLVE_FLAG_HELP = {
+    "check": "static checks that gate evaluation",
+    "method": "evaluation mode; 'auto' picks per component from the "
+    "classification pass",
+    "max_iterations": "fixpoint rounds per component before the evaluator "
+    "gives up (exit 3); under 'solve' a budget instead: stop gracefully "
+    "(exit 4, status 'partial')",
+    "plan": "join-ordering mode of the compiled executor; 'off' keeps "
+    "the legacy schedule order; 'sharded' hash-partitions "
+    "analyzer-certified components across worker processes "
+    "(docs/PARALLELISM.md)",
+    "pushdown": "aggregate-pushdown optimization (docs/OPTIMIZATION.md); "
+    "'off' evaluates the program as written — the model is identical "
+    "either way",
+    "shards": "with --plan sharded: hash partitions per component "
+    "(default: 4x workers, min 8)",
+    "workers": "with --plan sharded: worker processes (default: cpu count)",
+}
+
+
+def _add_solve_flags(
+    parser: argparse.ArgumentParser, *, method_default: str
+) -> None:
+    """One flag per ``SolveOptions`` field (README "Solving"), for every
+    subcommand that solves.  A flag not given stays ``None`` and the
+    field keeps its ``SolveOptions`` default."""
+    for field in dataclasses.fields(SolveOptions):
+        choices = CHOICES.get(field.name)
+        parser.add_argument(
+            "--" + field.name.replace("_", "-"),
+            choices=choices,
+            type=str if choices else int,
+            default=method_default if field.name == "method" else None,
+            help=_SOLVE_FLAG_HELP[field.name],
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -763,25 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute the iterated minimal model")
     add_common(solve)
-    solve.add_argument(
-        "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
-        default="naive",
-        help="evaluation mode; 'auto' picks per component from the "
-        "classification pass",
-    )
-    solve.add_argument(
-        "--check",
-        choices=["strict", "lenient", "none"],
-        default="strict",
-    )
-    solve.add_argument(
-        "--max-iterations",
-        type=int,
-        default=None,
-        help="budget: stop gracefully (exit 4, status 'partial') after "
-        "this many fixpoint rounds per component",
-    )
+    _add_solve_flags(solve, method_default="naive")
     solve.add_argument(
         "--timeout",
         type=float,
@@ -814,36 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CKPT.json",
         help="resume an interrupted solve from a checkpoint saved with "
         "--checkpoint; the final model equals an uninterrupted run's",
-    )
-    solve.add_argument(
-        "--plan",
-        choices=["smart", "off", "sharded"],
-        default="smart",
-        help="join-ordering mode of the compiled executor; 'off' keeps "
-        "the legacy schedule order; 'sharded' hash-partitions "
-        "analyzer-certified components across worker processes "
-        "(docs/PARALLELISM.md)",
-    )
-    solve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="with --plan sharded: hash partitions per component "
-        "(default: 4x workers, min 8)",
-    )
-    solve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with --plan sharded: worker processes (default: cpu count)",
-    )
-    solve.add_argument(
-        "--pushdown",
-        choices=["auto", "off"],
-        default="auto",
-        help="aggregate-pushdown optimization (docs/OPTIMIZATION.md); "
-        "'off' evaluates the program as written — the model is "
-        "identical either way",
     )
     solve.add_argument("--query", help="print only this predicate")
     solve.add_argument(
@@ -887,27 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hot-predicate tables with per-SCC convergence sparklines",
     )
     add_common(profile)
-    profile.add_argument(
-        "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
-        default="auto",
-        help="evaluation mode (default: auto — profile what production "
-        "would run)",
-    )
-    profile.add_argument(
-        "--check",
-        choices=["strict", "lenient", "none"],
-        default="strict",
-    )
-    profile.add_argument("--max-iterations", type=int, default=100_000)
-    profile.add_argument(
-        "--plan", choices=["smart", "off", "sharded"], default="smart"
-    )
-    profile.add_argument("--shards", type=int, default=None)
-    profile.add_argument("--workers", type=int, default=None)
-    profile.add_argument(
-        "--pushdown", choices=["auto", "off"], default="auto"
-    )
+    _add_solve_flags(profile, method_default="auto")
     profile.add_argument(
         "--top",
         type=int,
@@ -938,23 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="start from a built-in paper program (see 'examples')",
     )
     explain.add_argument("--facts", help="extra facts file")
-    explain.add_argument(
-        "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
-        default="naive",
-    )
-    explain.add_argument(
-        "--check",
-        choices=["strict", "lenient", "none"],
-        default="strict",
-    )
-    explain.add_argument("--max-iterations", type=int, default=100_000)
-    explain.add_argument(
-        "--plan", choices=["smart", "off"], default="smart"
-    )
-    explain.add_argument(
-        "--pushdown", choices=["auto", "off"], default="auto"
-    )
+    _add_solve_flags(explain, method_default="naive")
     explain.add_argument(
         "--max-depth",
         type=int,
@@ -982,25 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(docs/OBSERVABILITY.md)",
     )
     add_common(metrics)
-    metrics.add_argument(
-        "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
-        default="auto",
-    )
-    metrics.add_argument(
-        "--check",
-        choices=["strict", "lenient", "none"],
-        default="strict",
-    )
-    metrics.add_argument("--max-iterations", type=int, default=100_000)
-    metrics.add_argument(
-        "--plan", choices=["smart", "off", "sharded"], default="smart"
-    )
-    metrics.add_argument("--shards", type=int, default=None)
-    metrics.add_argument("--workers", type=int, default=None)
-    metrics.add_argument(
-        "--pushdown", choices=["auto", "off"], default="auto"
-    )
+    _add_solve_flags(metrics, method_default="auto")
     metrics.add_argument(
         "--format",
         choices=["text", "json", "prometheus"],
@@ -1104,11 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve, query — pipeable (repro repl < script)",
     )
     add_common(repl)
-    repl.add_argument(
-        "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
-        default="auto",
-    )
+    repl.add_argument("--method", choices=CHOICES["method"], default="auto")
     repl.set_defaults(handler=cmd_repl)
 
     serve = sub.add_parser(
@@ -1197,13 +1110,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--method",
-        choices=["naive", "seminaive", "greedy", "auto"],
+        choices=CHOICES["method"],
         default="auto",
         help="default evaluation mode (requests may override)",
     )
     serve.add_argument(
         "--plan",
-        choices=["smart", "off", "sharded"],
+        choices=CHOICES["plan"],
         default="smart",
         help="default plan; 'sharded' degrades to sequential per "
         "request because budgeted solves never fork "
@@ -1224,7 +1137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except CliUsageError as exc:
+    except (CliUsageError, OptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

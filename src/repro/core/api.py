@@ -9,7 +9,6 @@ from repro.core.database import Database
 from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
 from repro.engine.solver import SolveResult
-from repro.obs.tracer import Tracer
 
 Facts = Dict[str, Iterable[Tuple[Any, ...]]]
 
@@ -25,13 +24,11 @@ def solve_program(
     source: str,
     facts: Optional[Facts] = None,
     *,
-    check: str = "strict",
-    method: str = "naive",
-    max_iterations: int = 100_000,
     name: str = "program",
-    tracer: Optional[Tracer] = None,
+    **kwargs: Any,
 ) -> SolveResult:
-    """Parse, load facts, and solve in one call.
+    """Parse, load facts, and solve in one call; ``kwargs`` are
+    :meth:`Database.solve`'s.
 
     >>> result = solve_program('''
     ...     @cost arc/3 : reals_ge.
@@ -49,9 +46,4 @@ def solve_program(
     db.load(source)
     for predicate, rows in (facts or {}).items():
         db.add_facts(predicate, rows)
-    return db.solve(
-        check=check,  # type: ignore[arg-type]
-        method=method,  # type: ignore[arg-type]
-        max_iterations=max_iterations,
-        tracer=tracer,
-    )
+    return db.solve(**kwargs)

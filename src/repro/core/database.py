@@ -40,11 +40,9 @@ from repro.datalog.atoms import make_atom
 from repro.datalog.rules import IntegrityConstraint, Rule
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.interpretation import Interpretation
-from repro.engine.solver import CheckPolicy, Method, SolveResult, solve
-from repro.engine.supervisor import Budget, CancelToken
+from repro.engine.solver import SolveResult, solve
 from repro.lattices import REGISTRY as LATTICE_REGISTRY
 from repro.lattices.base import Lattice
-from repro.obs.tracer import Tracer
 
 
 class Database:
@@ -341,51 +339,16 @@ class Database:
 
         return lint_program(self.program, source=self.name, linter=linter)
 
-    def solve(
-        self,
-        *,
-        check: CheckPolicy = "strict",
-        method: Method = "naive",
-        max_iterations: int = 100_000,
-        plan: str = "smart",
-        pushdown: str = "auto",
-        shards: Optional[int] = None,
-        workers: Optional[int] = None,
-        tracer: Optional["Tracer"] = None,
-        budget: Optional["Budget"] = None,
-        cancel: Optional["CancelToken"] = None,
-        resume: Optional["Checkpoint"] = None,
-    ) -> SolveResult:
+    def solve(self, **kwargs: Any) -> SolveResult:
         """Compute the iterated minimal model (Section 6.3).
 
-        Pass a :class:`repro.obs.Tracer` to opt into the telemetry layer;
-        the digest lands on :attr:`SolveResult.telemetry` (see
-        docs/OBSERVABILITY.md).  ``budget``/``cancel`` opt into solve
-        supervision — graceful partial results with resumable
-        checkpoints instead of unbounded spins — and ``resume`` restarts
-        from such a checkpoint (see docs/ROBUSTNESS.md and
-        :meth:`resume`).  ``pushdown="off"`` disables the aggregate
-        pushdown optimization (see docs/OPTIMIZATION.md); the model is
-        identical either way.  ``plan="sharded"`` runs analyzer-certified
-        components hash-partitioned across ``workers`` processes
-        (``shards`` partitions) — see docs/PARALLELISM.md; the model is
-        bit-identical to the sequential plans.
+        Keyword arguments are :func:`repro.engine.solver.solve`'s: the
+        :class:`~repro.engine.options.SolveOptions` fields (the options
+        table in the README, "Solving") plus the per-solve context —
+        ``tracer=`` (docs/OBSERVABILITY.md), ``budget=`` / ``cancel=`` /
+        ``resume=`` (docs/ROBUSTNESS.md and :meth:`resume`).
         """
-        result = solve(
-            self.program,
-            self.edb(),
-            check=check,
-            method=method,
-            max_iterations=max_iterations,
-            plan=plan,
-            pushdown=pushdown,
-            shards=shards,
-            workers=workers,
-            tracer=tracer,
-            budget=budget,
-            cancel=cancel,
-            resume=resume,
-        )
+        result = solve(self.program, self.edb(), **kwargs)
         self.last_result = result
         return result
 

@@ -68,27 +68,14 @@ from repro.engine.interpretation import Key
 from repro.util.multiset import FrozenMultiset
 
 #: Plan modes: "smart" = selectivity-aware join order; "off" = legacy
-#: schedule order (escape hatch; still compiled and indexed).
+#: schedule order (the differential suites' reference; still compiled
+#: and indexed).
 PLAN_MODES = ("smart", "off")
 
 
 def _check_mode(mode: str) -> str:
     if mode not in PLAN_MODES:
         raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
-    return mode
-
-
-#: Pushdown modes: "auto" = apply the aggregate-pushdown rewrite wherever
-#: the premappability analysis proves it sound; "off" = evaluate the
-#: program exactly as written (escape hatch, mirrors ``plan="off"``).
-PUSHDOWN_MODES = ("auto", "off")
-
-
-def _check_pushdown_mode(mode: str) -> str:
-    if mode not in PUSHDOWN_MODES:
-        raise ValueError(
-            f"unknown pushdown mode {mode!r}; expected one of {PUSHDOWN_MODES}"
-        )
     return mode
 
 

@@ -71,6 +71,7 @@ from repro.datalog.program import Program
 from repro.engine.colpack import PackedBatch, pack_rows, unpack_rows
 from repro.engine.interpretation import Interpretation
 from repro.engine.naive import FixpointResult, kleene_fixpoint
+from repro.engine.options import SolveOptions
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.supervisor import NULL_SUPERVISOR, Supervisor
 from repro.engine.tp import apply_tp
@@ -120,9 +121,8 @@ class _ForkContext:
     program: Program  # component rules minus seed rules
     cdb: FrozenSet[str]
     i: Interpretation  # lower strata + EDB (read-only in workers)
-    method: str  # "seminaive" | "kleene"
-    max_iterations: int
-    plan: str
+    method: str  # the component's driver: "seminaive" | "kleene"
+    options: SolveOptions
     traced: bool  # parent solve is traced → workers relay telemetry
 
 
@@ -176,30 +176,18 @@ def _run_shard(
     tracer = Tracer(collect=False) if ctx.traced else NULL_TRACER
     initial = Interpretation(ctx.program.declarations)
     _merge_rows(initial, unpack_rows(packed))
-    if ctx.method == "kleene":
-        fixpoint = kleene_fixpoint(
-            ctx.program,
-            ctx.cdb,
-            ctx.i,
-            max_iterations=ctx.max_iterations,
-            strict=False,
-            plan=ctx.plan,
-            tracer=tracer,
-            supervisor=NULL_SUPERVISOR,
-            initial=initial,
-        )
-    else:
-        fixpoint = seminaive_fixpoint(
-            ctx.program,
-            ctx.cdb,
-            ctx.i,
-            max_iterations=ctx.max_iterations,
-            strict=False,
-            plan=ctx.plan,
-            tracer=tracer,
-            supervisor=NULL_SUPERVISOR,
-            initial=initial,
-        )
+    driver = kleene_fixpoint if ctx.method == "kleene" else seminaive_fixpoint
+    fixpoint = driver(
+        ctx.program,
+        ctx.cdb,
+        ctx.i,
+        max_iterations=ctx.options.max_iterations,
+        strict=False,
+        plan=ctx.options.exec_plan,
+        tracer=tracer,
+        supervisor=NULL_SUPERVISOR,
+        initial=initial,
+    )
     telemetry: Optional[Dict[str, Any]] = None
     if ctx.traced:
         rule_index = {id(rule): i for i, rule in enumerate(ctx.program.rules)}
@@ -246,13 +234,10 @@ def sharded_fixpoint(
     i: Interpretation,
     key: ShardKey,
     component_rules: Tuple[Any, ...],
+    options: SolveOptions,
     *,
     method: str = "seminaive",
-    shards: int = 8,
-    workers: int = 2,
-    max_iterations: int = 100_000,
     strict: bool = True,
-    plan: str = "smart",
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
@@ -261,7 +246,9 @@ def sharded_fixpoint(
 
     ``key`` is the analyzer's proof object; ``component_rules`` the
     component's rules in program order (``key.seed_rules`` /
-    ``key.recursive_rules`` index into it).  ``method`` selects the
+    ``key.recursive_rules`` index into it).  ``options`` is the solve's
+    (partition and pool sizes, iteration cap, join ordering; workers
+    read it through the fork).  ``method`` selects the
     per-shard evaluator — ``"kleene"`` or ``"seminaive"`` — so a sharded
     solve exercises the *same* evaluator as its sequential counterpart
     and benchmarks isolate the effect of sharding itself.
@@ -279,7 +266,7 @@ def sharded_fixpoint(
         i,
         rules=seed_rules,
         strict=strict,
-        plan=plan,
+        plan=options.exec_plan,
         tracer=tracer,
         supervisor=supervisor,
         scc=scc,
@@ -288,6 +275,7 @@ def sharded_fixpoint(
     # Partition seed rows by the proven key column.  Shards with no seeds
     # derive nothing (every recursive derivation is key-local and =r
     # aggregates are false on empty groups), so they are never spawned.
+    shards = options.shard_count
     partitions: Dict[int, RowBatch] = {}
     for name, batch in _interpretation_rows(seeds, cdb).items():
         pos = key.positions[name]
@@ -309,8 +297,7 @@ def sharded_fixpoint(
             cdb=cdb,
             i=i,
             method="kleene" if method in ("naive", "kleene") else "seminaive",
-            max_iterations=max_iterations,
-            plan=plan,
+            options=options,
             traced=traced,
         )
         try:
@@ -319,7 +306,7 @@ def sharded_fixpoint(
                 (shard, pack_rows(rows))
                 for shard, rows in sorted(partitions.items())
             ]
-            pool_size = max(1, min(workers, len(payloads)))
+            pool_size = min(options.worker_count, len(payloads))
             chunksize = max(1, len(payloads) // (pool_size * 4))
             # ProcessPoolExecutor (not mp.Pool): a worker killed by a
             # signal or the OOM killer surfaces as BrokenProcessPool

@@ -4,18 +4,8 @@ The program is condensed into strongly connected components
 (:func:`repro.analysis.dependencies.condense`); each component's minimal
 model is computed bottom-up with the lower components' model as the fixed
 ``I``, exactly the iterated construction the paper describes.  The result
-is one total interpretation over all predicates.
-
-``check`` policies:
-
-* ``"strict"`` (default) — refuse programs that fail range-restriction or
-  per-component admissibility (so the least fixpoint is guaranteed to be
-  the unique minimal model, Lemma 4.1 + Corollary 3.5);
-* ``"lenient"`` — skip the admissibility gate but keep runtime
-  cost-consistency checking and oscillation detection (used to demonstrate
-  the paper's negative examples);
-* ``"none"`` — no static checks at all (benchmarks of the checks
-  themselves).
+is one total interpretation over all predicates.  What a solve computes
+is set by :class:`~repro.engine.options.SolveOptions`.
 
 Telemetry: passing a :class:`repro.obs.Tracer` threads the solve through
 the instrumentation layer — analysis/classify phase spans, per-SCC
@@ -31,9 +21,8 @@ concurrent solves never share them.  See docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Literal, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.classify import ComponentClassification
 from repro.analysis.dependencies import Component
@@ -44,7 +33,7 @@ from repro.analysis.sharding import ShardingReport
 from repro.datalog.errors import NotAdmissibleError, SafetyError
 from repro.datalog.program import Program
 from repro.engine.checkpoint import Checkpoint
-from repro.engine.exec import _check_pushdown_mode, get_pushdown
+from repro.engine.exec import get_pushdown
 from repro.engine.interpretation import (
     IndexStats,
     Interpretation,
@@ -53,6 +42,7 @@ from repro.engine.interpretation import (
 )
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.naive import FixpointResult, kleene_fixpoint
+from repro.engine.options import SolveOptions
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.sharded import (
     ShardWorkerError,
@@ -69,9 +59,6 @@ from repro.engine.supervisor import (
 )
 from repro.obs.summary import TelemetrySummary, summarize
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-CheckPolicy = Literal["strict", "lenient", "none"]
-Method = Literal["naive", "seminaive", "greedy", "auto"]
 
 
 @dataclass
@@ -146,43 +133,18 @@ def solve(
     program: Program,
     edb: Optional[Interpretation] = None,
     *,
-    check: CheckPolicy = "strict",
-    method: Method = "naive",
-    max_iterations: int = 100_000,
-    plan: str = "smart",
-    pushdown: str = "auto",
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     budget: Optional[Budget] = None,
     cancel: Optional[CancelToken] = None,
     resume: Optional[Checkpoint] = None,
+    **options: Any,
 ) -> SolveResult:
     """Compute the iterated minimal model of ``program`` over ``edb``.
 
-    ``method="auto"`` picks an evaluation mode *per component* from the
-    classification pass (:mod:`repro.analysis.classify`): greedy for
-    certified-extremal components, semi-naive for the other certified
-    ones, strict naive for anything needing well-founded care.
-
-    ``plan`` selects the join-ordering mode of the compiled execution
-    layer (:mod:`repro.engine.exec`): ``"smart"`` (selectivity-aware,
-    default) or ``"off"`` (legacy schedule order).  ``plan="sharded"``
-    additionally hash-partitions every component the shard-safety
-    analyzer (:mod:`repro.analysis.sharding`) certifies SHARDABLE across
-    ``workers`` OS processes (``shards`` partitions), falling back to
-    sequential evaluation — with a ``shard_plan`` telemetry event naming
-    the lint-consistent reason — for BLOCKED components, supervised or
-    resumed solves; join ordering stays ``"smart"``.
-
-    ``pushdown`` controls the aggregate-pushdown optimization
-    (:mod:`repro.analysis.premap`): with ``"auto"`` (default),
-    premappable extrema are pushed into their recursion — the fixpoint
-    carries a collapsed per-group frontier instead of the full interior
-    relation — and the auxiliary predicates are stripped from the final
-    model, which is provably identical to the unoptimized one.
-    ``"off"`` evaluates the program exactly as written.  The static
-    checks (``check``) always run against the *original* program.
+    ``options`` are the fields of
+    :class:`~repro.engine.options.SolveOptions` (``check``, ``method``,
+    ``max_iterations``, ``plan``, ``pushdown``, ``shards``, ``workers``),
+    validated before anything is analysed or evaluated.
 
     ``tracer`` opts the solve into the telemetry layer
     (:mod:`repro.obs`); the resulting digest lands on
@@ -196,26 +158,13 @@ def solve(
     ``resume`` seeds evaluation from such a checkpoint; the final model
     is identical to an uninterrupted solve's.  See docs/ROBUSTNESS.md.
     """
+    opts = SolveOptions(**options)
     t = tracer if tracer is not None else NULL_TRACER
     # Index counters are solve-scoped even when untraced, so concurrent
     # solves cannot cross-contaminate each other's statistics.
     stats = t.index_stats if tracer is not None else IndexStats()
     with use_index_stats(stats):
-        return _solve_traced(
-            program,
-            edb,
-            check=check,
-            method=method,
-            max_iterations=max_iterations,
-            plan=plan,
-            pushdown=pushdown,
-            shards=shards,
-            workers=workers,
-            tracer=t,
-            budget=budget,
-            cancel=cancel,
-            resume=resume,
-        )
+        return _solve_traced(program, edb, opts, t, budget, cancel, resume)
 
 
 def _component_initial(
@@ -234,19 +183,13 @@ def _component_initial(
 def _solve_traced(
     program: Program,
     edb: Optional[Interpretation],
-    *,
-    check: CheckPolicy,
-    method: Method,
-    max_iterations: int,
-    plan: str,
-    pushdown: str = "auto",
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
+    opts: SolveOptions,
     tracer: Tracer,
-    budget: Optional[Budget] = None,
-    cancel: Optional[CancelToken] = None,
-    resume: Optional[Checkpoint] = None,
+    budget: Optional[Budget],
+    cancel: Optional[CancelToken],
+    resume: Optional[Checkpoint],
 ) -> SolveResult:
+    check, method, plan = opts.check, opts.method, opts.plan
     tracer.start(program.name)
     t_solve = tracer.clock()
     analysis: Optional[AnalysisReport] = None
@@ -295,7 +238,7 @@ def _solve_traced(
     eval_program = program
     eval_facts = facts
     aux_predicates: FrozenSet[str] = frozenset()
-    if _check_pushdown_mode(pushdown) == "auto":
+    if opts.pushdown == "auto":
         with tracer.phase("pushdown"):
             rewrite = get_pushdown(program, facts=facts)
         if rewrite.changed:
@@ -333,12 +276,7 @@ def _solve_traced(
     )
 
     # -- shard plan: the analyzer's per-component proofs, resolved once.
-    # Join ordering inside evaluators stays "smart" (the exec layer has
-    # no "sharded" mode; sharding is a solver-level strategy).
-    exec_plan = "smart" if plan == "sharded" else plan
     sharding_report: Optional[ShardingReport] = None
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    n_shards = shards if shards is not None else max(8, 4 * n_workers)
     if plan == "sharded":
         with tracer.phase("shard-plan"):
             sharding_report = eval_facts.sharding
@@ -394,8 +332,8 @@ def _solve_traced(
                 ),
                 action="sharded" if use_sharded else "fallback",
                 reason=shard_reason,
-                shards=n_shards,
-                workers=n_workers,
+                shards=opts.shard_count,
+                workers=opts.worker_count,
             )
         initial = (
             _component_initial(state, component, eval_program)
@@ -426,42 +364,23 @@ def _solve_traced(
             )
             t_scc = tracer.clock()
         def _sequential(method_name: str) -> FixpointResult:
-            if method_name == "seminaive":
-                return seminaive_fixpoint(
-                    eval_program,
-                    component.cdb,
-                    state,
-                    max_iterations=max_iterations,
-                    strict=strict_costs,
-                    plan=exec_plan,
-                    tracer=tracer,
-                    scc=index,
-                    supervisor=supervisor,
-                    initial=initial,
-                )
-            if method_name == "greedy":
-                return greedy_fixpoint(
-                    eval_program,
-                    component,
-                    state,
-                    max_iterations=max_iterations,
-                    plan=exec_plan,
-                    tracer=tracer,
-                    scc=index,
-                    supervisor=supervisor,
-                    initial=initial,
-                )
-            return kleene_fixpoint(
-                eval_program,
-                component.cdb,
-                state,
-                max_iterations=max_iterations,
-                strict=strict_costs,
-                plan=exec_plan,
+            common: Dict[str, Any] = dict(
+                max_iterations=opts.max_iterations,
+                plan=opts.exec_plan,
                 tracer=tracer,
                 scc=index,
                 supervisor=supervisor,
                 initial=initial,
+            )
+            if method_name == "greedy":
+                return greedy_fixpoint(eval_program, component, state, **common)
+            run = (
+                seminaive_fixpoint
+                if method_name == "seminaive"
+                else kleene_fixpoint
+            )
+            return run(
+                eval_program, component.cdb, state, strict=strict_costs, **common
             )
 
         try:
@@ -475,12 +394,9 @@ def _solve_traced(
                         state,
                         shard_verdict.key,
                         component.rules,
+                        opts,
                         method=chosen,
-                        shards=n_shards,
-                        workers=n_workers,
-                        max_iterations=max_iterations,
                         strict=strict_costs,
-                        plan=exec_plan,
                         tracer=tracer,
                         scc=index,
                         supervisor=supervisor,
@@ -501,8 +417,8 @@ def _solve_traced(
                             status=shard_verdict.status,
                             action="fallback",
                             reason=f"worker failure: {failure.reason}",
-                            shards=n_shards,
-                            workers=n_workers,
+                            shards=opts.shard_count,
+                            workers=opts.worker_count,
                         )
                     fixpoint = _sequential(chosen)
             else:

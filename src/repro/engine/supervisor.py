@@ -140,6 +140,12 @@ def sigint_cancels(token: CancelToken) -> Iterator[CancelToken]:
             signal.signal(signum, previous[signum])
 
 
+#: ``max_iterations`` for a solve a :class:`Budget` supervises: the
+#: budget's graceful stop should win, never the evaluators' hard cap
+#: (``NonTerminationError``).
+UNCAPPED_ITERATIONS = 10**9
+
+
 @dataclass(frozen=True)
 class Budget:
     """Resource limits for one solve.  ``None`` disables a limit.

@@ -13,9 +13,9 @@ Input is interpreted line by line:
 * **Dot commands.**  ``.load FILE`` (rule file), ``.csv PRED FILE``
   (bulk CSV facts), ``.jsonl FILE`` (bulk JSONL facts), ``.solve``
   (compute the model, print one summary line), ``.query PRED`` (rows of
-  one predicate from the last solve), ``.method
-  [naive|seminaive|greedy|auto]`` (show or set the evaluator),
-  ``.help``, ``.quit``.
+  one predicate from the last solve), ``.method [NAME]`` (show or set
+  the evaluator: a :class:`~repro.engine.options.SolveOptions`
+  ``method``), ``.help``, ``.quit``.
 
 Errors never kill the shell: they print as one ``error:`` line on the
 output stream and the loop continues, so a broken line in a piped
@@ -29,8 +29,7 @@ from typing import IO, List, Optional
 
 from repro.core.database import Database
 from repro.datalog.errors import ReproError
-
-_METHODS = ("naive", "seminaive", "greedy", "auto")
+from repro.engine.options import CHOICES, SolveOptions
 
 _HELP = """\
 rule text        load rules/facts (multi-line; a line ending in '.' submits)
@@ -39,9 +38,9 @@ rule text        load rules/facts (multi-line; a line ending in '.' submits)
 .jsonl FILE      bulk-load JSONL facts ({"predicate": ..., "row": [...]})
 .solve           compute the model; prints 'model: N atoms ...'
 .query PRED      print PRED's rows from the last solve
-.method [NAME]   show or set the evaluator (naive|seminaive|greedy|auto)
+.method [NAME]   show or set the evaluator (%s)
 .help            this text
-.quit            leave"""
+.quit            leave""" % "|".join(CHOICES["method"])
 
 
 class Repl:
@@ -187,11 +186,8 @@ class Repl:
         if not args:
             self._print(f"method = {self.method}")
             return
-        if len(args) != 1 or args[0] not in _METHODS:
-            raise ReproError(
-                f".method takes one of: {', '.join(_METHODS)}"
-            )
-        self.method = args[0]
+        self._one_arg(".method", args, "[NAME]")
+        self.method = SolveOptions(method=args[0]).method
         self._print(f"method = {args[0]}")
 
 

@@ -26,7 +26,7 @@ concurrent requests never clobber each other's postmortems.
 
 A hosted database is immutable and the least fixpoint is the unique
 minimal model (Cor. 3.5), so a 200 answer is a pure function of
-(database, query, method, plan): :class:`AnswerCache` keeps the encoded
+(database, query, solve options): :class:`AnswerCache` keeps the encoded
 answers, and a repeated request is served from it without solving
 (docs/SERVING.md, "Answer cache").
 """
@@ -40,7 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
@@ -51,9 +51,9 @@ from repro.datalog.errors import (
     ProgramError,
     SafetyError,
 )
-from repro.engine.exec import PLAN_MODES
+from repro.engine.options import OptionError, SolveOptions
 from repro.engine.solver import solve
-from repro.engine.supervisor import Budget, CancelToken
+from repro.engine.supervisor import UNCAPPED_ITERATIONS, Budget, CancelToken
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, default_dump_path
 from repro.serve.hosting import HostedDatabase
 
@@ -63,22 +63,8 @@ __all__ = ["AnswerCache", "RequestOutcome", "RequestSupervisor"]
 #: answers go first; an answer larger than the bound is served, not kept).
 ANSWER_CACHE_BYTES = 64 << 20
 
-#: Evaluator hard cap under a budget: the budget's graceful stop should
-#: win, never NonTerminationError (mirrors the CLI's uncapped solve).
-_UNCAPPED_ITERATIONS = 10**9
-
 #: Statuses a supervised solve maps to 429 (the client under-budgeted).
 _BUDGET_STATUSES = ("timeout", "partial", "diverging")
-
-#: Request-settable evaluation methods.  Validated here because the
-#: engine quietly falls back on unknown method strings, and a service
-#: should reject a typo, not silently answer with a different method.
-_METHODS = ("naive", "seminaive", "greedy", "auto")
-
-#: Request-settable plans, validated for the same reason — and because a
-#: non-string JSON value (``"plan": ["x"]``) would otherwise reach the
-#: crash wall as a TypeError instead of a 422.
-_PLANS = PLAN_MODES + ("sharded",)
 
 
 def encode_body(body: Dict[str, Any]) -> bytes:
@@ -244,8 +230,6 @@ class RequestSupervisor:
         """
         t0 = time.perf_counter()
         query = payload.get("query")
-        method = payload.get("method", self.default_method)
-        plan = payload.get("plan", self.default_plan)
         timeout = self.effective_timeout(payload.get("timeout"))
         error = None
         if query is not None and (
@@ -253,12 +237,17 @@ class RequestSupervisor:
             or query not in hosted.program.declarations
         ):
             error = f"unknown predicate {query!r} in database {hosted.name!r}"
-        for what, value, known in (
-            ("method", method, _METHODS),
-            ("plan", plan, _PLANS),
-        ):
-            if error is None and value not in known:
-                error = f"unknown {what} {value!r}; expected one of {known}"
+        else:
+            try:
+                options = SolveOptions(
+                    method=payload.get("method", self.default_method),
+                    plan=payload.get("plan", self.default_plan),
+                    # Under the request's budget the graceful stop should
+                    # win, never the evaluators' hard cap.
+                    max_iterations=UNCAPPED_ITERATIONS,
+                )
+            except OptionError as exc:
+                error = str(exc)
         if error is not None:
             return _failure(
                 422,
@@ -267,7 +256,7 @@ class RequestSupervisor:
             )
         # ``hosted`` hashes by identity: two databases of one name never
         # share an answer.
-        key = (hosted, query, method, plan)
+        key = (hosted, query, options)
         answer = self.answers.get(key)
         if answer is None:
             # Single flight: identical cold requests take turns.  The
@@ -310,7 +299,7 @@ class RequestSupervisor:
 
     def _solve(
         self,
-        key: Tuple[HostedDatabase, Optional[str], str, str],
+        key: Tuple[HostedDatabase, Optional[str], SolveOptions],
         timeout: float,
         left: float,
         t0: float,
@@ -320,7 +309,7 @@ class RequestSupervisor:
     ) -> RequestOutcome:
         """The cache miss: one solve under a budget of ``left`` seconds,
         its outcome encoded and, when it is a 200, its answer kept."""
-        hosted, query, method, plan = key
+        hosted, query, options = key
         flight = FlightRecorder(self.flight_size)
         # collect=False: a long-lived request must not buffer its whole
         # event stream — the bounded ring and the mergeable metrics are
@@ -331,12 +320,10 @@ class RequestSupervisor:
             result = solve(
                 hosted.program,
                 hosted.snapshot(),
-                method=method,
-                plan=plan,
-                max_iterations=_UNCAPPED_ITERATIONS,
                 tracer=tracer,
                 budget=Budget(timeout=left),
                 cancel=cancel,
+                **asdict(options),
             )
         except (
             ParseError,
@@ -344,10 +331,10 @@ class RequestSupervisor:
             SafetyError,
             NotAdmissibleError,
             CostConsistencyError,
-            ValueError,
         ) as exc:
-            # The program/query/options are at fault: HTTP 422, the
-            # serve analogue of CLI exit 2.
+            # The program is at fault (the query and the options were
+            # checked before the solve): HTTP 422, the serve analogue of
+            # CLI exit 2.
             return _failure(
                 422,
                 {"status": "rejected", "error": str(exc)},

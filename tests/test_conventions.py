@@ -58,6 +58,13 @@ Invariants the engine's correctness arguments lean on:
    ``max_iterations`` like every policy, so neither name comes back
    under ``src/``.
 
+9. **One ``SolveOptions``.**  The allowed values of ``check``,
+   ``method`` and ``plan`` are each spelled out in one ``src/`` module
+   (``engine/options.py``; the executor's own two plan modes in
+   ``engine/exec.py``), which is also where they are checked: every
+   front door forwards its options and re-declares none
+   (``tests/test_solve_options.py`` holds them to one message).
+
 The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough that false positives are handled with the small
@@ -400,6 +407,7 @@ def test_front_ends_read_facts_instead_of_running_passes():
     from repro.analysis.report import analyze_program
     from repro.core.database import Database
     from repro.engine.exec import get_pushdown
+    from repro.engine.options import SolveOptions
     from repro.engine.solver import solve
 
     offenders = []
@@ -429,12 +437,14 @@ def test_front_ends_read_facts_instead_of_running_passes():
     def parameters(function):
         return list(inspect.signature(function).parameters)
 
-    solve_options = [
+    assert parameters(SolveOptions) == [
         "check", "method", "max_iterations", "plan", "pushdown", "shards",
-        "workers", "tracer", "budget", "cancel", "resume",
+        "workers",
     ]  # fmt: skip
-    assert parameters(solve) == ["program", "edb"] + solve_options
-    assert parameters(Database.solve) == ["self"] + solve_options
+    assert parameters(solve) == [
+        "program", "edb", "tracer", "budget", "cancel", "resume", "options",
+    ]  # fmt: skip
+    assert parameters(Database.solve) == ["self", "kwargs"]
     assert parameters(Database.analyze) == ["self"]
     assert parameters(Database.lint) == ["self", "linter"]
     assert parameters(analyze_program) == ["program", "linter", "facts"]
@@ -444,3 +454,34 @@ def test_front_ends_read_facts_instead_of_running_passes():
         "text", "name", "lattices", "aggregates", "linter",
     ]  # fmt: skip
     assert parameters(get_pushdown) == ["program", "classification", "facts"]
+
+
+def test_option_value_sets_are_spelled_out_once():
+    """A tuple, list, set or ``Literal[...]`` of string constants that
+    holds two values of one option is a copy of that option's value set."""
+    import ast
+
+    markers = {
+        "check": {"strict", "lenient"},
+        "method": {"naive", "seminaive"},
+        "plan": {"smart", "off"},
+    }
+    found = {option: set() for option in markers}
+    for path in _source_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                continue
+            values = {
+                e.value
+                for e in node.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str)
+            }
+            for option, marker in markers.items():
+                if marker <= values:
+                    found[option].add(path.relative_to(SRC).as_posix())
+    assert found == {
+        "check": {"engine/options.py"},
+        "method": {"engine/options.py"},
+        "plan": {"engine/exec.py"},
+    }

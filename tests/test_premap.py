@@ -185,7 +185,7 @@ class TestSolverIntegration:
 
     def test_bad_pushdown_mode_rejected(self):
         db = shortest_path.database({"arc": ARCS})
-        with pytest.raises(ValueError, match="pushdown mode"):
+        with pytest.raises(ValueError, match="unknown pushdown"):
             db.solve(pushdown="sideways")
 
     def test_rewrite_applied_event(self):

@@ -25,7 +25,8 @@ import time
 import pytest
 
 from repro.core.database import Database
-from repro.engine.supervisor import CancelToken
+from repro.engine.options import SolveOptions
+from repro.engine.supervisor import UNCAPPED_ITERATIONS, CancelToken
 from repro.lattices import PowersetUnion
 from repro.obs import load_dump
 from repro.serve import (
@@ -39,6 +40,11 @@ from repro.serve import (
 )
 from repro.serve import supervise
 from repro.serve.supervise import AnswerCache
+
+#: What a request that names no option resolves to (the cache key's tail).
+DEFAULT_OPTIONS = SolveOptions(
+    method="auto", plan="smart", max_iterations=UNCAPPED_ITERATIONS
+)
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 DIVERGING = (EXAMPLES / "diverging.mad").read_text(encoding="utf-8")
@@ -647,7 +653,7 @@ class TestAnswerCache:
     def test_follower_whose_timeout_lapses_gets_429(self):
         sup = RequestSupervisor()
         hosted = host_program_text("tiny", TINY)
-        key = (hosted, "path", "auto", "smart")
+        key = (hosted, "path", DEFAULT_OPTIONS)
         # This thread plays the leader: it holds the key's flight.
         with sup.answers.flight(key, 1.0) as held:
             assert held
@@ -668,7 +674,7 @@ class TestAnswerCache:
     def test_follower_finds_the_leaders_answer(self):
         sup = RequestSupervisor()
         hosted = host_program_text("tiny", TINY)
-        key = (hosted, "path", "auto", "smart")
+        key = (hosted, "path", DEFAULT_OPTIONS)
         hold = {}
         with sup.answers.flight(key, 1.0):
             follower = threading.Thread(
