@@ -36,11 +36,10 @@ Telemetry surfaces (docs/OBSERVABILITY.md): ``solve --trace out.jsonl``
 streams the versioned event schema as JSONL, ``solve --stats`` prints
 per-SCC / per-rule tables to stderr, ``profile`` ranks rules and
 predicates by cumulative executor time with convergence sparklines, and
-``validate-trace`` checks trace files against the schema (any known
-version v1..current).  ``metrics`` solves once under the tracer and
-prints the solve's mergeable metric instruments — counters, gauges and
-log-linear histograms with p50/p95/p99 — as text, JSON, or Prometheus
-exposition.  Every traced solve carries a flight recorder (a bounded
+``validate-trace`` checks trace files against the current schema.
+``metrics`` solves once under the tracer and prints the solve's
+mergeable metric instruments — counters, gauges and log-linear
+histograms with p50/p95/p99 — as text, JSON, or Prometheus exposition.  Every traced solve carries a flight recorder (a bounded
 ring of the last events); when a solve ends abnormally the ring is
 dumped to ``--flight PATH`` (default ``repro-postmortem.jsonl``) and
 ``postmortem`` renders the debrief.
@@ -336,11 +335,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_validate_trace(args: argparse.Namespace) -> int:
     """Validate JSONL trace files against the event schema.
 
-    Any known schema version (v1..current) passes; unknown versions fail
-    with an error naming the version found.  The "ok" line reports the
-    version the file actually declares, not the library's newest.
+    Only the current schema version passes; any other ``v`` fails with
+    an error naming the version found and the one understood.
     """
-    from repro.obs import SCHEMA_VERSION, jsonl_version, validate_jsonl
+    from repro.obs import SCHEMA_VERSION, validate_jsonl
 
     failures = 0
     for path in args.files:
@@ -351,9 +349,7 @@ def cmd_validate_trace(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"  {problem}")
         else:
-            version = jsonl_version(path)
-            rendered = f"v{version}" if version else f"v{SCHEMA_VERSION}"
-            print(f"{path}: ok (schema {rendered})")
+            print(f"{path}: ok (schema v{SCHEMA_VERSION})")
     return 1 if failures else 0
 
 
@@ -900,9 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate_trace = sub.add_parser(
         "validate-trace",
-        help="check JSONL trace files against the telemetry event schema "
-        "(any known version; unknown versions fail, naming the "
-        "version found)",
+        help="check JSONL trace files against the current telemetry "
+        "event schema (any other version fails, naming it)",
     )
     validate_trace.add_argument(
         "files", nargs="+", help="JSONL trace files (from --trace)"

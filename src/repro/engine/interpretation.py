@@ -45,9 +45,8 @@ class IndexStats:
 
     Ownership is *solve-scoped*: every solve binds its own instance (the
     tracer's, see :mod:`repro.obs.tracer`) via :func:`use_index_stats`,
-    so concurrent solves no longer share one process-global counter.
-    :data:`INDEX_STATS` remains as the ambient fallback for relation
-    operations outside any solve.
+    so concurrent solves never share one counter; relation operations
+    outside any solve are charged to the context variable's default.
     """
 
     hits: int = 0
@@ -70,20 +69,16 @@ class IndexStats:
         }
 
 
-#: Deprecated process-wide fallback.  Solves bind their own stats object
-#: (``use_index_stats``); this ambient instance only collects operations
-#: performed outside a solve context, and is kept so existing imports of
-#: the old global keep working.
-INDEX_STATS = IndexStats()
-
 #: The stats object charged for index work on the current (thread/task)
-#: context; defaults to the ambient :data:`INDEX_STATS`.
-_ACTIVE_STATS: ContextVar[IndexStats] = ContextVar("repro_index_stats")
+#: context; its default collects operations outside any solve.
+_ACTIVE_STATS: ContextVar[IndexStats] = ContextVar(
+    "repro_index_stats", default=IndexStats()
+)
 
 
 def active_index_stats() -> IndexStats:
     """The :class:`IndexStats` charged for index work right now."""
-    return _ACTIVE_STATS.get(INDEX_STATS)
+    return _ACTIVE_STATS.get()
 
 
 @contextmanager

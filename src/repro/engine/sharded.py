@@ -17,13 +17,15 @@ fan-out/fan-in over OS processes:
    (the evaluators' ``initial=`` resume path — a shard is literally a
    checkpointed lower bound of the component restricted to its keys).
    The program, lower-strata interpretation and compiled plans are
-   inherited copy-on-write through ``fork``; only the seed row batches
-   and result row batches cross process boundaries, as pickled plain
-   tuples.
-4. **Barrier merge**: shard interpretations are folded into one via the
-   relation mutators — ``set_cost(strict=False)`` *is* the lattice join,
-   i.e. the two-phase ``merge`` of :mod:`repro.aggregates.algebra`
-   applied at the granularity of whole interpretations.
+   inherited copy-on-write through ``fork``; only rows cross process
+   boundaries, as pickled ``{predicate: list(rel.rows())}`` dicts — seed
+   partitions out, shard models back.
+4. **Barrier merge**: the seed pass's own interpretation is the merge
+   base; every shard's rows are written into it with
+   :meth:`~repro.engine.interpretation.Relation.join_rows`, whose
+   non-strict write *is* the lattice join, i.e. the two-phase ``merge``
+   of :mod:`repro.aggregates.algebra` applied at the granularity of
+   whole interpretations.
 
 Soundness rests on the analyzer's proof: every derivation is key-local,
 so shard ``k`` computes exactly the monolithic model restricted to keys
@@ -33,12 +35,12 @@ bit-identical models against the default plan and the naive evaluator.
 
 Worker processes run unsupervised (budgets and cancellation remain
 parent-side, at seed/merge granularity); the solver therefore falls back
-to sequential evaluation for supervised or resumed solves — see
-``_shard_fallback_reason`` in :mod:`repro.engine.solver`.  Telemetry,
+to sequential evaluation for budgeted or resumed solves — see
+``_shard_decision`` in :mod:`repro.engine.solver`.  Telemetry,
 however, crosses the boundary: when the parent solve is traced, each
 worker runs a local (non-streaming) :class:`~repro.obs.tracer.Tracer`,
 and ships its per-rule firing stats and mergeable metrics registry
-snapshot back through the pool result alongside the packed row batches.
+snapshot back through the pool result alongside its rows.
 The parent folds them in at the barrier — rule stats via
 ``tracer.absorb_rule`` (rule indexes map back to identical objects,
 identity being fork-stable), metric instruments via the registry's
@@ -63,13 +65,12 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.sharding import ShardKey
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
-from repro.engine.colpack import PackedBatch, pack_rows, unpack_rows
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import Interpretation, Key
 from repro.engine.naive import FixpointResult, kleene_fixpoint
 from repro.engine.options import SolveOptions
 from repro.engine.seminaive import seminaive_fixpoint
@@ -77,15 +78,9 @@ from repro.engine.supervisor import NULL_SUPERVISOR, Supervisor
 from repro.engine.tp import apply_tp
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-#: predicate → rows; cost rows are ``key + (cost,)``, ordinary rows are
-#: the tuple itself.  Batches are column-packed
-#: (:mod:`repro.engine.colpack`) before crossing process boundaries, so
-#: the pickled payload is typed buffers, not per-value boxed objects.
-RowBatch = Dict[str, List[Tuple[Any, ...]]]
-
 
 class ShardWorkerError(ReproError):
-    """A shard worker died (signal/OOM) or raised mid-component.
+    """A shard worker died (signal/OOM) or raised a non-engine error.
 
     Raised at the pool boundary of :func:`sharded_fixpoint` *instead of*
     letting the raw :class:`BrokenProcessPool` / pickled worker
@@ -94,7 +89,10 @@ class ShardWorkerError(ReproError):
     which a failing pool never reaches — the solver catches this error
     and re-runs the whole component sequentially, recording the reason
     on the ``shard_plan`` fallback event exactly like a BLOCKED verdict
-    (docs/PARALLELISM.md).
+    (docs/PARALLELISM.md).  A :class:`ReproError` raised by a worker's
+    fixpoint (``NonTerminationError``, a built-in's runtime error) is
+    not a worker failure: it is the program's verdict, re-raised
+    unchanged, exactly as the sequential run would raise it.
     """
 
     def __init__(self, reason: str) -> None:
@@ -121,7 +119,7 @@ class _ForkContext:
     program: Program  # component rules minus seed rules
     cdb: FrozenSet[str]
     i: Interpretation  # lower strata + EDB (read-only in workers)
-    method: str  # the component's driver: "seminaive" | "kleene"
+    driver: Callable[..., FixpointResult]  # the component's evaluator
     options: SolveOptions
     traced: bool  # parent solve is traced → workers relay telemetry
 
@@ -131,36 +129,19 @@ class _ForkContext:
 _FORK: Dict[str, _ForkContext] = {}
 
 
-def _interpretation_rows(
-    interpretation: Interpretation, predicates: FrozenSet[str]
-) -> RowBatch:
-    """Flatten ``interpretation``'s rows for ``predicates`` to batches."""
-    out: RowBatch = {}
-    for name in predicates:
-        rel = interpretation.relations.get(name)
-        if rel is None or not len(rel):
-            continue
-        if rel.is_cost:
-            out[name] = [key + (value,) for key, value in rel.costs.items()]
-        else:
-            out[name] = list(rel.tuples)
-    return out
-
-
-def _merge_rows(target: Interpretation, rows: RowBatch) -> None:
-    """Lattice-join row batches into ``target`` (the barrier merge)."""
+def _merge_rows(target: Interpretation, rows: Dict[str, List[Key]]) -> None:
+    """Lattice-join shipped ``{predicate: rows}`` into ``target``."""
     for name, batch in rows.items():
         target.relation(name).join_rows(batch)
 
 
 def _run_shard(
-    payload: Tuple[int, PackedBatch],
-) -> Tuple[PackedBatch, int, str, Optional[Dict[str, Any]]]:
+    payload: Tuple[int, Dict[str, List[Key]]],
+) -> Tuple[Dict[str, List[Key]], int, str, Optional[Dict[str, Any]]]:
     """Worker: one shard's fixpoint over its seed partition.
 
     Runs in a forked child; reads the parent's :data:`_FORK` snapshot.
-    Seed and result batches cross the process boundary column-packed.
-    Returns ``(packed derived rows, iterations, status, telemetry)``
+    Returns ``(the shard's CDB rows, iterations, status, telemetry)``
     where ``telemetry`` is ``None`` for untraced solves and otherwise a
     plain-data relay the parent folds in at the barrier: per-rule
     cumulative stats keyed by index into ``ctx.program.rules`` (rule
@@ -168,16 +149,15 @@ def _run_shard(
     back to the objects its own tracer knows) plus the worker tracer's
     metrics registry snapshot.
     """
-    _, packed = payload
+    _, seeds = payload
     ctx = _FORK["ctx"]
     # Local tracer: collect=False (no event buffering, no sinks) — only
     # the mergeable instruments and rule stats accumulate, which is
     # exactly what can be shipped back as plain data.
     tracer = Tracer(collect=False) if ctx.traced else NULL_TRACER
     initial = Interpretation(ctx.program.declarations)
-    _merge_rows(initial, unpack_rows(packed))
-    driver = kleene_fixpoint if ctx.method == "kleene" else seminaive_fixpoint
-    fixpoint = driver(
+    _merge_rows(initial, seeds)
+    fixpoint = ctx.driver(
         ctx.program,
         ctx.cdb,
         ctx.i,
@@ -201,8 +181,9 @@ def _run_shard(
             "iterations": fixpoint.iterations,
             "atoms": fixpoint.interpretation.total_size(),
         }
+    model = fixpoint.interpretation
     return (
-        pack_rows(_interpretation_rows(fixpoint.interpretation, ctx.cdb)),
+        {name: list(model.relation(name).rows()) for name in ctx.cdb},
         fixpoint.iterations,
         fixpoint.status,
         telemetry,
@@ -241,28 +222,32 @@ def sharded_fixpoint(
     tracer: Tracer = NULL_TRACER,
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
-) -> Tuple[FixpointResult, int]:
+) -> FixpointResult:
     """Evaluate one SHARDABLE component hash-partitioned across workers.
 
     ``key`` is the analyzer's proof object; ``component_rules`` the
     component's rules in program order (``key.seed_rules`` /
     ``key.recursive_rules`` index into it).  ``options`` is the solve's
     (partition and pool sizes, iteration cap, join ordering; workers
-    read it through the fork).  ``method`` selects the
-    per-shard evaluator — ``"kleene"`` or ``"seminaive"`` — so a sharded
-    solve exercises the *same* evaluator as its sequential counterpart
-    and benchmarks isolate the effect of sharding itself.
+    read it through the fork).  ``method`` is the solver's choice for
+    the component: ``"naive"`` runs Kleene iteration per shard, anything
+    else semi-naive — so a sharded solve exercises the *same* evaluator
+    as its sequential counterpart and benchmarks isolate the effect of
+    sharding itself.
 
-    Returns ``(fixpoint result, shards actually populated)``.  The
-    result's ``iterations`` is the maximum over shards (the parallel
-    critical path); its trajectory is the merged model size.
+    The result's ``iterations`` is the maximum over shards (the parallel
+    critical path); its trajectory is the merged model size.  A
+    :class:`ReproError` raised inside a worker is re-raised unchanged;
+    only a dead pool or a non-engine exception is a
+    :class:`ShardWorkerError`.
     """
     seed_rules = [component_rules[idx] for idx in key.seed_rules]
-    empty = Interpretation(program.declarations)
-    seeds = apply_tp(
+    # The seed pass's output is the barrier's merge base: shard rows are
+    # joined straight into it.
+    merged = apply_tp(
         program,
         cdb,
-        empty,
+        Interpretation(program.declarations),
         i,
         rules=seed_rules,
         strict=strict,
@@ -276,15 +261,12 @@ def sharded_fixpoint(
     # derive nothing (every recursive derivation is key-local and =r
     # aggregates are false on empty groups), so they are never spawned.
     shards = options.shard_count
-    partitions: Dict[int, RowBatch] = {}
-    for name, batch in _interpretation_rows(seeds, cdb).items():
+    partitions: Dict[int, Dict[str, List[Key]]] = {}
+    for name in cdb:
         pos = key.positions[name]
-        for row in batch:
+        for row in merged.relation(name).rows():
             bucket = partitions.setdefault(shard_of(row[pos], shards), {})
             bucket.setdefault(name, []).append(row)
-
-    merged = Interpretation(program.declarations)
-    _merge_rows(merged, _interpretation_rows(seeds, cdb))
 
     statuses: List[str] = []
     iterations = 1  # the parent's seed pass
@@ -296,24 +278,23 @@ def sharded_fixpoint(
             program=shard_program,
             cdb=cdb,
             i=i,
-            method="kleene" if method in ("naive", "kleene") else "seminaive",
+            driver=kleene_fixpoint if method == "naive" else seminaive_fixpoint,
             options=options,
             traced=traced,
         )
         try:
             mp = multiprocessing.get_context("fork")
-            payloads = [
-                (shard, pack_rows(rows))
-                for shard, rows in sorted(partitions.items())
-            ]
+            payloads = sorted(partitions.items())
             pool_size = min(options.worker_count, len(payloads))
             chunksize = max(1, len(payloads) // (pool_size * 4))
             # ProcessPoolExecutor (not mp.Pool): a worker killed by a
             # signal or the OOM killer surfaces as BrokenProcessPool
             # instead of hanging the parent on a result that will never
-            # arrive.  Both failure modes — dead worker and a raise
-            # inside _run_shard — are narrowed to ShardWorkerError here
-            # so the solver can degrade to sequential evaluation.
+            # arrive.  A dead worker or a non-engine raise inside
+            # _run_shard is narrowed to ShardWorkerError so the solver
+            # can degrade to sequential evaluation; a ReproError is the
+            # program's own verdict and a sequential re-run would only
+            # reach it again.
             try:
                 with ProcessPoolExecutor(
                     max_workers=pool_size, mp_context=mp
@@ -326,7 +307,7 @@ def sharded_fixpoint(
                     "shard worker died mid-component "
                     "(killed by a signal or the OOM killer)"
                 ) from exc
-            except ShardWorkerError:
+            except ReproError:
                 raise
             except Exception as exc:
                 raise ShardWorkerError(
@@ -334,8 +315,8 @@ def sharded_fixpoint(
                 ) from exc
         finally:
             _FORK.pop("ctx", None)
-        for packed, shard_iterations, status, _telemetry in results:
-            _merge_rows(merged, unpack_rows(packed))
+        for rows, shard_iterations, status, _telemetry in results:
+            _merge_rows(merged, rows)
             statuses.append(status)
             iterations = max(iterations, shard_iterations + 1)
         if traced:
@@ -382,13 +363,10 @@ def sharded_fixpoint(
             )
 
     bad = [s for s in statuses if s != "complete"]
-    return (
-        FixpointResult(
-            interpretation=merged,
-            iterations=iterations,
-            ascending=True,
-            trajectory=[merged.total_size()],
-            status=bad[0] if bad else "complete",
-        ),
-        len(partitions),
+    return FixpointResult(
+        interpretation=merged,
+        iterations=iterations,
+        ascending=True,
+        trajectory=[merged.total_size()],
+        status=bad[0] if bad else "complete",
     )

@@ -320,7 +320,8 @@ def _solve_traced(
         use_sharded, shard_reason = _shard_decision(
             plan, shard_verdict, resume, supervisor
         )
-        if plan == "sharded" and tracer.enabled:
+
+        def _shard_plan(action: str, reason: str) -> None:
             tracer.emit(
                 "shard_plan",
                 scc=index,
@@ -330,11 +331,14 @@ def _solve_traced(
                     if shard_verdict is not None
                     else "unknown"
                 ),
-                action="sharded" if use_sharded else "fallback",
-                reason=shard_reason,
+                action=action,
+                reason=reason,
                 shards=opts.shard_count,
                 workers=opts.worker_count,
             )
+
+        if plan == "sharded" and tracer.enabled:
+            _shard_plan("sharded" if use_sharded else "fallback", shard_reason)
         initial = (
             _component_initial(state, component, eval_program)
             if resume is not None
@@ -388,7 +392,7 @@ def _solve_traced(
                 assert shard_verdict is not None
                 assert shard_verdict.key is not None
                 try:
-                    fixpoint, _populated = sharded_fixpoint(
+                    fixpoint = sharded_fixpoint(
                         eval_program,
                         component.cdb,
                         state,
@@ -410,15 +414,8 @@ def _solve_traced(
                     # reason the same way the BLOCKED fallback does.
                     if tracer.enabled:
                         tracer.metrics.counter("shard.worker_failures").inc()
-                        tracer.emit(
-                            "shard_plan",
-                            scc=index,
-                            predicates=sorted(component.cdb),
-                            status=shard_verdict.status,
-                            action="fallback",
-                            reason=f"worker failure: {failure.reason}",
-                            shards=opts.shard_count,
-                            workers=opts.worker_count,
+                        _shard_plan(
+                            "fallback", f"worker failure: {failure.reason}"
                         )
                     fixpoint = _sequential(chosen)
             else:

@@ -28,9 +28,6 @@ site down to a single attribute check.
 
 from repro.obs.events import (
     SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
-    jsonl_version,
-    stream_version,
     validate_event,
     validate_events,
     validate_jsonl,
@@ -64,9 +61,6 @@ from repro.obs.tracer import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SUPPORTED_VERSIONS",
-    "stream_version",
-    "jsonl_version",
     "validate_event",
     "validate_events",
     "validate_jsonl",

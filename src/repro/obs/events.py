@@ -17,27 +17,13 @@ description of every event.
 Bump :data:`SCHEMA_VERSION` whenever a field is added, removed or
 changes meaning.
 
-Version history: v1 — initial schema; v2 — supervision events
-(``budget_exceeded``, ``cancelled``, ``checkpoint``,
-``divergence_warning``) for budgeted/cancellable solves (see
-docs/ROBUSTNESS.md); v3 — the ``rewrite_applied`` event recording a
-plan-layer aggregate pushdown (see docs/OPTIMIZATION.md); v4 — sharded
-execution events (``shard_plan``, ``shard_merge``) for
-``plan="sharded"`` solves (see docs/PARALLELISM.md); v5 — the metrics
-plane: ``metrics_snapshot`` (the solve's merged
-:class:`~repro.obs.metrics.MetricsRegistry`) and ``worker_telemetry``
-(one per shard, relaying the worker's locally collected metrics and
-per-rule statistics back through the barrier); v6 — request-scoped
-serving events (``request_start``, ``request_end``, ``request_shed``,
-``server_drain``) emitted by the ``repro serve`` request supervisor and
-lifecycle layer (see docs/SERVING.md).
-
-The validator accepts every version it knows
-(:data:`SUPPORTED_VERSIONS`, currently v1–v6): an event type is checked
-against the version the event declares (:data:`EVENT_SINCE` records
-when each type joined the schema), so an old trace validates under the
-rules of *its* version and a trace from a future schema fails with a
-clear error naming the version found.
+Version history: v1 — initial schema; v2 — supervision events; v3 —
+``rewrite_applied``; v4 — sharded execution events; v5 — the metrics
+plane (``metrics_snapshot``, ``worker_telemetry``); v6 — request-scoped
+serving events.  Only the current version is read: an event stamped
+with any other ``v`` is one problem naming the version found and the
+one understood.  Traces from an older schema are re-recorded, not
+upgraded.
 """
 
 from __future__ import annotations
@@ -45,11 +31,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-#: Version stamped into every event's ``v`` field.
+#: Version stamped into every event's ``v`` field, and the only one read.
 SCHEMA_VERSION = 6
-
-#: Every schema version this validator understands.
-SUPPORTED_VERSIONS = frozenset(range(1, SCHEMA_VERSION + 1))
 
 _NUM = (int, float)
 _OPT_STR = (str, type(None))
@@ -234,34 +217,6 @@ EVENT_TYPES: Dict[str, Dict[str, Tuple[Tuple[type, ...], bool]]] = {
     },
 }
 
-#: Schema version each event type joined in (validation is relative to
-#: the version an event declares).
-EVENT_SINCE: Dict[str, int] = {
-    "trace_start": 1,
-    "phase_start": 1,
-    "phase_end": 1,
-    "scc_start": 1,
-    "iteration": 1,
-    "scc_end": 1,
-    "rule_profile": 1,
-    "counters": 1,
-    "solve_end": 1,
-    "budget_exceeded": 2,
-    "cancelled": 2,
-    "checkpoint": 2,
-    "divergence_warning": 2,
-    "rewrite_applied": 3,
-    "shard_plan": 4,
-    "shard_merge": 4,
-    "worker_telemetry": 5,
-    "metrics_snapshot": 5,
-    "request_start": 6,
-    "request_end": 6,
-    "request_shed": 6,
-    "server_drain": 6,
-}
-assert set(EVENT_SINCE) == set(EVENT_TYPES)
-
 #: The common envelope every event carries.
 ENVELOPE: Dict[str, Tuple[Tuple[type, ...], bool]] = {
     "v": ((int,), True),
@@ -296,11 +251,11 @@ def validate_event(event: Any, *, where: str = "event") -> List[str]:
     if (
         isinstance(version, int)
         and not isinstance(version, bool)
-        and version not in SUPPORTED_VERSIONS
+        and version != SCHEMA_VERSION
     ):
         problems.append(
-            f"{where}: schema version {version} is not one this validator "
-            f"knows (understands v1-v{SCHEMA_VERSION})"
+            f"{where}: schema version {version} is not the one this "
+            f"validator reads (v{SCHEMA_VERSION}); re-record the trace"
         )
         return problems
     event_type = event.get("type")
@@ -310,13 +265,6 @@ def validate_event(event: Any, *, where: str = "event") -> List[str]:
     if payload_schema is None:
         problems.append(f"{where}: unknown event type {event_type!r}")
         return problems
-    if isinstance(version, int) and not isinstance(version, bool):
-        since = EVENT_SINCE[event_type]
-        if since > version:
-            problems.append(
-                f"{where}: event type {event_type!r} joined the schema in "
-                f"v{since}, but this event declares v{version}"
-            )
     for field, (accepted, required) in payload_schema.items():
         if field not in event:
             if required:
@@ -373,34 +321,6 @@ def validate_events(events: Iterable[Any]) -> List[str]:
     if count == 0:
         problems.append("empty event stream")
     return problems
-
-
-def stream_version(events: Iterable[Any]) -> Optional[int]:
-    """The schema version a stream declares (its first event's ``v``),
-    or None for an empty/un-versioned stream.  ``repro validate-trace``
-    reports it so "ok" names the version actually validated."""
-    for event in events:
-        if isinstance(event, Mapping):
-            version = event.get("v")
-            if isinstance(version, int) and not isinstance(version, bool):
-                return version
-        break
-    return None
-
-
-def jsonl_version(path: str) -> Optional[int]:
-    """:func:`stream_version` of a JSONL trace file (None on any parse
-    failure — the validator will report the real problem)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                return stream_version([json.loads(line)])
-    except (OSError, json.JSONDecodeError):
-        return None
-    return None
 
 
 def validate_jsonl(path: str) -> List[str]:

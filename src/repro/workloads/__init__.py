@@ -1,12 +1,7 @@
 """Deterministic synthetic workloads + engine-independent oracles."""
 
 from repro.workloads.circuits import CircuitInstance, circuit_oracle, random_circuit
-from repro.workloads.datasets import (
-    ROAD_NETWORK_PROGRAM,
-    road_network,
-    write_ownership_jsonl,
-    write_road_network_csv,
-)
+from repro.workloads.datasets import ROAD_NETWORK_PROGRAM
 from repro.workloads.graphs import (
     bellman_ford_all_pairs,
     cycle_graph,
@@ -22,9 +17,6 @@ from repro.workloads.social import party_oracle, random_party
 
 __all__ = [
     "ROAD_NETWORK_PROGRAM",
-    "road_network",
-    "write_road_network_csv",
-    "write_ownership_jsonl",
     "random_digraph",
     "random_dag",
     "layered_digraph",

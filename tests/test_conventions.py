@@ -112,7 +112,6 @@ ENGINE_HOT_MODULES = [
     "engine/solver.py",
     "engine/grounding.py",
     "engine/supervisor.py",
-    "engine/colpack.py",
 ]
 
 TIME_TIME = re.compile(r"\btime\.time\(\)")

@@ -45,7 +45,6 @@ from repro.engine.grounding import (
     schedule,
 )
 from repro.engine.interpretation import (
-    INDEX_STATS,
     IndexStats,
     Interpretation,
     use_index_stats,
@@ -890,13 +889,13 @@ class TestIncrementalIndexes:
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
         rel = i.relation("e")
         rel.add_tuple((1, 2))
-        INDEX_STATS.reset()
-        rel.lookup((0,), (1,))
-        rel.lookup((0,), (1,))
-        rel.lookup((0,), (7,))
-        assert INDEX_STATS.misses == 1
-        assert INDEX_STATS.hits == 2
-        assert INDEX_STATS.builds == 1
+        with use_index_stats(IndexStats()) as stats:
+            rel.lookup((0,), (1,))
+            rel.lookup((0,), (1,))
+            rel.lookup((0,), (7,))
+        assert stats.misses == 1
+        assert stats.hits == 2
+        assert stats.builds == 1
 
 
 def _seeds(rule, cdb, delta):
