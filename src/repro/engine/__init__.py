@@ -1,4 +1,8 @@
-"""Evaluation engine: interpretations, T_P, naive/semi-naive fixpoints.
+"""Evaluation engine: interpretations, ``T_P`` and its one fixpoint loop.
+
+The loop is :func:`repro.engine.fixpoint.fixpoint` (not re-exported
+here, where the name is its module's); :func:`solve` runs it per
+component.
 
 Robustness layer (docs/ROBUSTNESS.md): :class:`Budget`,
 :class:`CancelToken` and :func:`sigint_cancels` supervise a solve;
@@ -15,12 +19,11 @@ from repro.engine.grounding import (
     schedule,
     solve_conjunction,
 )
+from repro.engine.fixpoint import FixpointResult, apply_tp
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.interpretation import Interpretation, Key, Relation
 from repro.engine.magic import MagicProgram, MagicStats, magic_solve, magic_transform
 from repro.engine.modelcheck import is_model, is_premodel, violations
-from repro.engine.naive import FixpointResult, kleene_fixpoint
-from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.solver import SolveResult, solve
 from repro.engine.provenance import Justification, explain, justifications
 from repro.engine.supervisor import (
@@ -30,7 +33,6 @@ from repro.engine.supervisor import (
     Supervisor,
     sigint_cancels,
 )
-from repro.engine.tp import apply_tp
 
 __all__ = [
     "Budget",
@@ -59,8 +61,6 @@ __all__ = [
     "is_premodel",
     "violations",
     "FixpointResult",
-    "kleene_fixpoint",
-    "seminaive_fixpoint",
     "SolveResult",
     "solve",
     "Justification",

@@ -1,7 +1,7 @@
 """Compiled query execution: cached rule plans as generated join kernels.
 
-This layer sits between the fixpoint evaluators (``tp``, ``seminaive``,
-``greedy``) and the raw relations.  Per rule — and per *seed shape*, the
+This layer sits between the fixpoint loop (:mod:`repro.engine.fixpoint`,
+every method) and the raw relations.  Per rule — and per *seed shape*, the
 set of variables a semi-naive delta seed pre-binds — it compiles once:
 
 * a **join order** for the body.  With ``plan="smart"`` the order is

@@ -1,40 +1,42 @@
-"""Semi-naive evaluation for monotonic components.
+"""The least fixpoint of ``T_P`` (Definition 3.7, Cor. 3.5): one loop.
 
-Classic semi-naive evaluation specialises here to *delta-driven
-re-derivation*: after the first full ``T_P`` round, a rule instance only
-needs re-evaluation when it can touch an atom whose cost changed in the
-previous round.  Concretely, per changed atom we pin
+``T_P(J, I)`` applies every rule of a component at once to the current
+CDB interpretation ``J`` and the fixed lower-component interpretation
+``I``, joined with ``J_∅`` — implicitly, since cores never store default
+values (:class:`~repro.engine.interpretation.Relation`).  A round of
+:func:`fixpoint` fires rules and writes what they derive through one
+write block; the evaluators differ only in what a round fires and where
+its rows go:
 
-* each positive CDB atom subgoal to the changed rows, evaluating the rest
-  of the body around the pinned bindings, and
-* each CDB aggregate subgoal to the *groups* the changed rows belong to
-  (the group's multiset changed, so the whole group is re-aggregated from
-  the current ``J`` — aggregates are not incrementally maintainable in
-  general, re-aggregation per affected group is).
+* ``write="replace"`` — Kleene iteration (Section 6.2): every rule fires
+  over ``J`` into a fresh interpretation, ``J_{k+1} = T_P(J_k, I)``,
+  until a round reproduces ``J``.  Writes are strict (the paper's
+  standing cost-consistency assumption).  Non-monotonic programs may
+  oscillate and Example 5.1 ascends forever; both raise
+  :class:`~repro.datalog.errors.NonTerminationError`, whose
+  ``ascending`` flag tells them apart.
+* ``write="join"`` — delta-driven re-derivation (semi-naive): after the
+  first full round, each positive CDB atom subgoal is pinned to the rows
+  that changed in the previous round, and each CDB aggregate subgoal to
+  the *groups* those rows belong to (re-aggregated whole from ``J`` —
+  aggregates are not incrementally maintainable in general).  New
+  derivations are *joined* into ``J``; for a monotonic component that
+  reproduces the Kleene chain, since unpinned instances would re-derive
+  values ⊑-below ``J``.  The solver routes only admissibility-certified
+  components here.  Which derived rows a join round writes is a
+  *worklist policy*: all of them (semi-naive), or the best few by cost
+  (:mod:`repro.engine.greedy`).
 
-New derivations are *joined* into ``J``.  For a monotonic component this
-reproduces ``J_{k+1} = T_P(J_k, I)`` exactly: unpinned instances would
-re-derive values already ⊑-below what ``J`` holds, so skipping them is
-safe, and ``join(old, new) = new`` whenever ``new ⊒ old``.  For
-non-monotonic programs the shortcut is unsound — the solver only routes
-admissibility-certified components here.
-
-:func:`seminaive_fixpoint` is the one loop both delta evaluators run.
-Which derived rows a round writes is a *worklist policy*: all of them
-(semi-naive), or the best few by cost with the rest held back
-(:mod:`repro.engine.greedy`).  Everything else — firing, the write, the
-counts, the ``iteration`` event, the metrics, the supervisor calls, the
-interrupt — is written once, here.
-
-The equivalence with the naive evaluator is enforced by property-based
-tests across the paper's example programs and randomized workloads.
+Property-based tests pin the modes to one another across the paper's
+example programs and randomized workloads.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Protocol
-from typing import Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional
+from typing import Protocol, Sequence, Set, Tuple
 
 from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
@@ -43,13 +45,9 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
 from repro.engine.exec import run_rule, seed_columns
 from repro.engine.grounding import EvalContext
-from repro.engine.interpretation import Interpretation, Key, row_projector
-from repro.engine.naive import FixpointResult
-from repro.engine.supervisor import (
-    NULL_SUPERVISOR,
-    SolveInterrupt,
-    Supervisor,
-)
+from repro.engine.interpretation import Interpretation, Key, delta_counts
+from repro.engine.interpretation import row_projector
+from repro.engine.supervisor import NULL_SUPERVISOR, SolveInterrupt, Supervisor
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 DeltaRows = Dict[str, List[Tuple[Any, ...]]]
@@ -62,6 +60,24 @@ Derived = List[Tuple[str, List[Key]]]
 #: is polled between slices, so this bounds cancel latency; it is large
 #: enough to amortise the call.
 SEED_SLICE = 64
+
+#: ``method → write`` mode of its rounds (greedy adds a worklist).
+WRITE = {"naive": "replace", "seminaive": "join", "greedy": "join"}
+
+
+@dataclass
+class FixpointResult:
+    """Outcome of one component's fixpoint computation."""
+
+    interpretation: Interpretation
+    iterations: int
+    ascending: bool
+    #: Sizes of successive interpretations (diagnostics / benches).
+    trajectory: List[int] = field(default_factory=list)
+    #: ``"complete"`` for a reached fixpoint; a supervised interrupt
+    #: leaves the sound-so-far state here tagged with its
+    #: :data:`~repro.engine.supervisor.STATUSES` value.
+    status: str = "complete"
 
 
 class SeedSource:
@@ -182,20 +198,6 @@ class DeltaDispatch:
                 out.append((source, seeds))
         return out
 
-    def fire_all(
-        self, ctx: EvalContext, mode: str, poll: Optional[Callable[[], None]] = None
-    ) -> Derived:
-        """Fire every rule once, unseeded: one ``T_P(J, I)`` application
-        (nothing is written until the caller joins the rows in)."""
-        derived: Derived = []
-        for rule in self.rules:
-            if poll is not None:
-                poll()
-            rows = run_rule(rule, ctx, mode=mode)
-            if rows:
-                derived.append((rule.head.predicate, rows))
-        return derived
-
     def fire(
         self,
         delta: DeltaRows,
@@ -234,11 +236,64 @@ class Worklist(Protocol):
         """The rows held back so far (advisory, for checkpoints)."""
 
 
-def seminaive_fixpoint(
+def fire_all(
+    rules: Sequence[Rule],
+    ctx: EvalContext,
+    mode: str,
+    poll: Optional[Callable[[], None]] = None,
+) -> Iterator[Tuple[str, List[Key]]]:
+    """Fire every rule once, unseeded: one ``T_P(J, I)`` application.
+    Lazy — a rule fires when its predecessor's rows have been taken, so a
+    writer consuming rule by rule meets a rule's cost conflict before
+    the next rule runs."""
+    for rule in rules:
+        if poll is not None:
+            poll()
+        rows = run_rule(rule, ctx, mode=mode)
+        if rows:
+            yield rule.head.predicate, rows
+
+
+def apply_tp(
+    program: Program,
+    cdb: FrozenSet[str],
+    j: Interpretation,
+    i: Interpretation,
+    *,
+    rules: Optional[List[Rule]] = None,
+    strict: bool = True,
+    negation_source: Optional[Interpretation] = None,
+    aggregate_source: Optional[Interpretation] = None,
+    plan: str = "smart",
+    tracer: Tracer = NULL_TRACER,
+    supervisor: Supervisor = NULL_SUPERVISOR,
+    scc: Optional[int] = None,
+) -> Interpretation:
+    """``T_P(J, I)`` of the ``rules`` (default: those with their head in
+    ``cdb``) as a fresh interpretation.  ``strict=False`` joins
+    conflicting cost derivations instead of raising;
+    ``negation_source`` / ``aggregate_source`` fix those subgoal kinds
+    to an oracle (reducts, Sections 5.3–5.5)."""
+    if rules is None:
+        rules = [r for r in program.rules if r.head.predicate in cdb]
+    ctx = EvalContext(
+        program, cdb, j, i, tracer=tracer,
+        negation_source=negation_source, aggregate_source=aggregate_source,
+    )  # fmt: skip
+    poll = (lambda: supervisor.poll(scc)) if supervisor.active else None
+    out = Interpretation(program.declarations)
+    for predicate, rows in fire_all(rules, ctx, plan, poll):
+        out.relation(predicate).join_rows(rows, strict=strict)
+    return out
+
+
+def fixpoint(
     program: Program,
     cdb: FrozenSet[str],
     i: Interpretation,
     *,
+    write: str = "join",
+    worklist: Optional[Worklist] = None,
     max_iterations: int = 100_000,
     strict: bool = True,
     plan: str = "smart",
@@ -246,91 +301,93 @@ def seminaive_fixpoint(
     scc: int = 0,
     supervisor: Supervisor = NULL_SUPERVISOR,
     initial: Optional[Interpretation] = None,
-    worklist: Optional[Worklist] = None,
 ) -> FixpointResult:
-    """Delta-driven fixpoint of one monotonic component.
+    """The least fixpoint of one component's ``T_P`` over ``I = i``.
 
-    A round fires rules (round 1: every rule once, ``T_P(J, I)``; later
-    rounds: the rules the previous round's changed rows can touch),
-    *joins* what the ``worklist`` policy selects of the derived rows
-    into ``J`` (``Relation.join_rows``) and hands the rows that changed
-    to the next round.  The policy is the only difference between the
-    two delta evaluators: ``None`` writes every derived row in the round
-    that derived it (semi-naive); :class:`repro.engine.greedy.CostOrdered`
-    holds them back and writes the best few by cost.  ``T_P`` is
-    monotone, so any fair schedule joins its way to the same least
-    fixpoint (Cor. 3.5); the order only decides how many revisions that
-    takes.
+    ``write="replace"`` is Kleene iteration: ``strict`` checks cost
+    consistency in every round, and ``iterations`` does not count the
+    final round, which reproduced ``J``.  ``write="join"`` fires every
+    rule in round 1 and later the rules the previous round's changed
+    rows can touch, and joins what the ``worklist`` selects (``None``:
+    everything) into ``J``; ``T_P`` is monotone, so any fair schedule
+    reaches the same least fixpoint (Cor. 3.5).  There ``strict``
+    governs round 1 only: the solver passes ``strict=False`` for
+    aggregate-pushdown frontier components, whose rules derive
+    conflicting per-key costs for the join to collapse.
 
-    ``strict`` governs the *first* round's cost-consistency check (later
-    rounds always join).  The solver passes ``strict=False`` for
-    components holding an aggregate-pushdown frontier predicate, whose
-    rules *intentionally* derive conflicting per-key costs for the
-    lattice join to collapse.
-
-    With an enabled ``tracer`` one ``iteration`` event is emitted per
-    round (tagged with component index ``scc``), carrying the rows the
-    round changed — the delta fed to the next round — split into new
-    atoms and changed-cost (lattice merge) atoms.
-
-    An active ``supervisor`` is polled once per round and before every
-    kernel call (at most :data:`SEED_SLICE` seeds apart) and consulted
-    per round; an interrupt escapes with the last consistent ``J`` and
-    the pending frontier (the delta plus whatever the policy holds
-    back) attached.  ``initial`` resumes from a checkpointed lower
-    bound: round 1 re-derives over it (one full ``T_P`` application,
-    joined in), so a stale or missing frontier cannot lose derivations
-    — pinning to a delta is only a shortcut for work the full round
-    would repeat.
+    An enabled ``tracer`` gets one ``iteration`` event per round, tagged
+    ``scc``.  An active ``supervisor`` is polled once per round and
+    before every kernel call (per rule, or at most :data:`SEED_SLICE`
+    seeds apart), and consulted after every round but a converged Kleene
+    one; an interrupt escapes with the last complete ``J`` and the
+    pending frontier attached.  ``initial`` resumes from a checkpointed
+    lower bound: round 1 re-derives over it (Kleene rounds become
+    ``J ⊔ T_P(J, I)``), so a stale or missing frontier loses nothing.
     """
+    replace = write == "replace"
     rules = [r for r in program.rules if r.head.predicate in cdb]
     resumed = initial is not None
     j = initial.copy() if resumed else Interpretation(program.declarations)
     track = tracer.enabled
     supervise = supervisor.active
-    # ``j`` only mutates in the write block below, which has no check
-    # sites, so every poll sees a round-boundary state.
+    # ``j`` only mutates in the write block, which has no check sites
+    # unless it writes a fresh interpretation, so every poll sees a
+    # round-boundary ``j``.
     poll = (lambda: supervisor.poll(scc, iterations)) if supervise else None
 
-    # One context for the whole fixpoint: the persistent indexes on the
+    # A join fixpoint keeps one context: the persistent indexes on the
     # relations of ``j`` and ``i`` survive across rounds and are updated
-    # in place by ``join_rows``, so each round touches only its delta
-    # instead of re-hashing every relation.
+    # in place by ``join_rows``, so each round touches only its delta.
     ctx = EvalContext(program, cdb, j, i, tracer=tracer)
-    dispatch = DeltaDispatch(rules, cdb)
+    dispatch = None if replace else DeltaDispatch(rules, cdb)
+    seen = {j.fingerprint(): 0} if replace else {}
 
     delta: DeltaRows = {}
     atoms = j.size_of(cdb)  # ``j`` holds CDB atoms only
     trajectory: List[int] = []
     iterations = 0
+    ascending = True
     try:
         while True:
             t_round = tracer.clock() if track else 0.0
             if poll is not None:
                 poll()
-            if iterations:
-                derived = dispatch.fire(delta, ctx, plan, poll)
+            target = j
+            if replace:
+                derived: Any = fire_all(rules, ctx, plan, poll)
+                target = Interpretation(program.declarations)
+                check = strict
             else:
-                derived = dispatch.fire_all(ctx, plan, poll)
-            if worklist is not None:
-                derived = worklist.select(derived, j)
-            # Resuming, conflicting cost derivations join instead of
-            # raising: the checkpoint may already hold values above any
-            # single rule instance's derivation.
-            check = strict and not resumed and not iterations
+                if iterations:
+                    derived = dispatch.fire(delta, ctx, plan, poll)
+                else:
+                    derived = list(fire_all(rules, ctx, plan, poll))
+                if worklist is not None:
+                    derived = worklist.select(derived, j)
+                # Resuming, conflicting cost derivations join instead of
+                # raising: the checkpoint may already hold values above
+                # any single rule instance's derivation.
+                check = strict and not resumed and not iterations
             delta = {}
             new_atoms = changed_atoms = 0
             for predicate, rows in derived:
-                rel = j.relation(predicate)
+                rel = target.relation(predicate)
                 size = len(rel)
                 changed = rel.join_rows(rows, strict=check)
-                if changed:
+                if changed and target is j:
                     delta.setdefault(predicate, []).extend(changed)
                     # A changed row either added a key or joined into one.
                     added = len(rel) - size
                     new_atoms += added
                     changed_atoms += len(changed) - added
-            atoms += new_atoms
+            if replace:
+                if resumed:
+                    target = j.join(target)
+                atoms = target.size_of(cdb)
+                if track or supervise:
+                    new_atoms, changed_atoms = delta_counts(j, target)
+            else:
+                atoms += new_atoms
             trajectory.append(atoms)
             iterations += 1
             if track:
@@ -355,6 +412,21 @@ def seminaive_fixpoint(
                 if worklist is not None:
                     m.counter("greedy.settled").inc(new_atoms)
                     m.timer("greedy.settle_wall_s").observe(round_wall)
+            if replace:
+                if target == j:
+                    break  # the confirming Kleene round: no budget charged
+                ascending = ascending and j.leq(target)
+                fp = target.fingerprint()
+                if fp in seen and not ascending:
+                    raise NonTerminationError(
+                        f"T_P oscillates (state of step {iterations} already "
+                        f"seen at step {seen[fp]}); the component is not "
+                        f"monotonic on this extension",
+                        ascending=False,
+                    )
+                seen[fp] = iterations
+                j = target
+                ctx = EvalContext(program, cdb, j, i, tracer=tracer)
             if supervise:
                 supervisor.on_round(
                     scc=scc,
@@ -363,13 +435,18 @@ def seminaive_fixpoint(
                     changed_atoms=changed_atoms,
                     total_atoms=atoms,
                 )
-            if not delta:
+            if not (replace or delta):
                 break
             if iterations >= max_iterations:
+                trend = "not ascending"
+                if ascending:
+                    trend = "still ascending — may require transfinite iteration"
                 raise NonTerminationError(
-                    f"delta evaluation did not converge after "
+                    f"no fixpoint after {max_iterations} iterations ({trend})"
+                    if replace
+                    else f"delta evaluation did not converge after "
                     f"{max_iterations} rounds",
-                    ascending=True,
+                    ascending=ascending,
                 )
     except SolveInterrupt as interrupt:
         frontier = delta
@@ -381,7 +458,7 @@ def seminaive_fixpoint(
             FixpointResult(
                 interpretation=j,
                 iterations=iterations,
-                ascending=True,
+                ascending=ascending,
                 trajectory=trajectory,
                 status=interrupt.status,
             ),
@@ -391,7 +468,8 @@ def seminaive_fixpoint(
 
     return FixpointResult(
         interpretation=j,
-        iterations=iterations,
-        ascending=True,
+        # A converged Kleene chain's last round only confirmed ``J``.
+        iterations=iterations - 1 if replace else iterations,
+        ascending=ascending,
         trajectory=trajectory,
     )

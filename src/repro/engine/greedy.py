@@ -5,10 +5,10 @@ as an *evaluation order*; Zaniolo et al. derive it the same way — an
 extremum premappable into the recursion lets the one semi-naive
 fixpoint settle Dijkstra-style.  So there is no greedy driver here, only
 :class:`CostOrdered`, the policy :func:`greedy_fixpoint` hands to the
-shared round of :mod:`repro.engine.seminaive`: derived rows wait in a
+shared round of :mod:`repro.engine.fixpoint`: derived rows wait in a
 priority queue ordered by the *numeric* cost (ascending for min-oriented
 ``reals_ge`` components, descending for max-oriented ones) and each
-round writes the best :data:`~repro.engine.seminaive.SEED_SLICE` of them
+round writes the best :data:`~repro.engine.fixpoint.SEED_SLICE` of them
 that still improve ``J``, then fires the rows that changed as one batch.
 
 Rows are *joined* into ``J``, so a better value derived later still
@@ -32,12 +32,12 @@ from repro.analysis.dependencies import Component
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
 from repro.engine.interpretation import Interpretation, Key
-from repro.engine.naive import FixpointResult
-from repro.engine.seminaive import (
+from repro.engine.fixpoint import (
     SEED_SLICE,
     DeltaRows,
     Derived,
-    seminaive_fixpoint,
+    FixpointResult,
+    fixpoint,
 )
 
 __all__ = ["CostOrdered", "greedy_applicable", "greedy_fixpoint"]
@@ -88,8 +88,8 @@ def greedy_fixpoint(
     program: Program, component: Component, i: Interpretation, **options: Any
 ) -> FixpointResult:
     """Fixpoint of one extremal component in cost order: the shared
-    delta round (``options`` are :func:`seminaive_fixpoint`'s) under the
-    :class:`CostOrdered` policy.  A slice is a round wherever rounds are
+    delta round (``options`` are :func:`~repro.engine.fixpoint.fixpoint`'s)
+    under the :class:`CostOrdered` policy.  A slice is a round wherever rounds are
     counted — events, ``max_iterations``, budgets, the result's
     ``iterations``; an interrupt leaves ``J`` a sound lower bound (in
     which, under the Dijkstra invariant, every atom at or ⊑-above the
@@ -101,7 +101,7 @@ def greedy_fixpoint(
             f"greedy evaluation does not apply to {component}; use the "
             f"naive or semi-naive evaluator"
         )
-    return seminaive_fixpoint(
+    return fixpoint(
         program,
         component.cdb,
         i,

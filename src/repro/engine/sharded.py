@@ -4,7 +4,7 @@ Executes one SHARDABLE component (:mod:`repro.analysis.sharding`) as a
 fan-out/fan-in over OS processes:
 
 1. **Seed pass** (parent): the component's seed rules — those reading no
-   CDB predicate — are applied once via :func:`~repro.engine.tp.apply_tp`
+   CDB predicate — are applied once via :func:`~repro.engine.fixpoint.apply_tp`
    against the lower-strata interpretation.  Their derivations are the
    only entry points into the recursion.
 2. **Partition**: every seed row is assigned to a shard by hashing the
@@ -14,7 +14,7 @@ fan-out/fan-in over OS processes:
    parent and child disagree about ownership.
 3. **Fan-out**: a ``fork`` process pool runs the component's *recursive*
    rules to fixpoint per shard, resuming from the shard's seed partition
-   (the evaluators' ``initial=`` resume path — a shard is literally a
+   (the fixpoint loop's ``initial=`` resume path — a shard is literally a
    checkpointed lower bound of the component restricted to its keys).
    The program, lower-strata interpretation and compiled plans are
    inherited copy-on-write through ``fork``; only rows cross process
@@ -65,17 +65,15 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.sharding import ShardKey
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
+from repro.engine.fixpoint import WRITE, FixpointResult, apply_tp, fixpoint
 from repro.engine.interpretation import Interpretation, Key
-from repro.engine.naive import FixpointResult, kleene_fixpoint
 from repro.engine.options import SolveOptions
-from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.supervisor import NULL_SUPERVISOR, Supervisor
-from repro.engine.tp import apply_tp
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
@@ -119,7 +117,7 @@ class _ForkContext:
     program: Program  # component rules minus seed rules
     cdb: FrozenSet[str]
     i: Interpretation  # lower strata + EDB (read-only in workers)
-    driver: Callable[..., FixpointResult]  # the component's evaluator
+    write: str  # the component's write mode (``fixpoint.WRITE``)
     options: SolveOptions
     traced: bool  # parent solve is traced → workers relay telemetry
 
@@ -157,10 +155,11 @@ def _run_shard(
     tracer = Tracer(collect=False) if ctx.traced else NULL_TRACER
     initial = Interpretation(ctx.program.declarations)
     _merge_rows(initial, seeds)
-    fixpoint = ctx.driver(
+    result = fixpoint(
         ctx.program,
         ctx.cdb,
         ctx.i,
+        write=ctx.write,
         max_iterations=ctx.options.max_iterations,
         strict=False,
         plan=ctx.options.exec_plan,
@@ -178,14 +177,14 @@ def _run_shard(
                 if id(rule) in rule_index
             },
             "metrics": tracer.metrics.snapshot(),
-            "iterations": fixpoint.iterations,
-            "atoms": fixpoint.interpretation.total_size(),
+            "iterations": result.iterations,
+            "atoms": result.interpretation.total_size(),
         }
-    model = fixpoint.interpretation
+    model = result.interpretation
     return (
         {name: list(model.relation(name).rows()) for name in ctx.cdb},
-        fixpoint.iterations,
-        fixpoint.status,
+        result.iterations,
+        result.status,
         telemetry,
     )
 
@@ -230,10 +229,9 @@ def sharded_fixpoint(
     ``key.recursive_rules`` index into it).  ``options`` is the solve's
     (partition and pool sizes, iteration cap, join ordering; workers
     read it through the fork).  ``method`` is the solver's choice for
-    the component: ``"naive"`` runs Kleene iteration per shard, anything
-    else semi-naive — so a sharded solve exercises the *same* evaluator
-    as its sequential counterpart and benchmarks isolate the effect of
-    sharding itself.
+    the component; each shard runs the one fixpoint loop in that
+    method's ``WRITE`` mode (greedy's shards run plain delta rounds), so
+    benchmarks isolate the effect of sharding itself.
 
     The result's ``iterations`` is the maximum over shards (the parallel
     critical path); its trajectory is the merged model size.  A
@@ -278,7 +276,7 @@ def sharded_fixpoint(
             program=shard_program,
             cdb=cdb,
             i=i,
-            driver=kleene_fixpoint if method == "naive" else seminaive_fixpoint,
+            write=WRITE[method],
             options=options,
             traced=traced,
         )

@@ -41,9 +41,8 @@ from repro.engine.interpretation import (
     use_index_stats,
 )
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
-from repro.engine.naive import FixpointResult, kleene_fixpoint
+from repro.engine.fixpoint import WRITE, FixpointResult, fixpoint
 from repro.engine.options import SolveOptions
-from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.sharded import (
     ShardWorkerError,
     sharded_fixpoint,
@@ -109,9 +108,9 @@ class SolveResult:
             (
                 tuple(sorted(component.cdb)),
                 method,
-                fixpoint.iterations,
+                outcome.iterations,
             )
-            for component, method, fixpoint in zip(
+            for component, method, outcome in zip(
                 self.components, self.component_methods, self.component_results
             )
         ]
@@ -375,15 +374,11 @@ def _solve_traced(
                 scc=index,
                 supervisor=supervisor,
                 initial=initial,
+                write=WRITE[method_name],
             )
             if method_name == "greedy":
                 return greedy_fixpoint(eval_program, component, state, **common)
-            run = (
-                seminaive_fixpoint
-                if method_name == "seminaive"
-                else kleene_fixpoint
-            )
-            return run(
+            return fixpoint(
                 eval_program, component.cdb, state, strict=strict_costs, **common
             )
 
@@ -392,7 +387,7 @@ def _solve_traced(
                 assert shard_verdict is not None
                 assert shard_verdict.key is not None
                 try:
-                    fixpoint = sharded_fixpoint(
+                    outcome = sharded_fixpoint(
                         eval_program,
                         component.cdb,
                         state,
@@ -417,9 +412,9 @@ def _solve_traced(
                         _shard_plan(
                             "fallback", f"worker failure: {failure.reason}"
                         )
-                    fixpoint = _sequential(chosen)
+                    outcome = _sequential(chosen)
             else:
-                fixpoint = _sequential(chosen)
+                outcome = _sequential(chosen)
         except SolveInterrupt as interrupt:
             # Graceful degradation: fold the evaluator's sound partial
             # state into the model, snapshot a resumable checkpoint, and
@@ -471,16 +466,16 @@ def _solve_traced(
                 "scc_end",
                 scc=index,
                 method=chosen,
-                iterations=fixpoint.iterations,
-                atoms=fixpoint.interpretation.total_size(),
+                iterations=outcome.iterations,
+                atoms=outcome.interpretation.total_size(),
                 wall_s=round(tracer.clock() - t_scc, 6),
             )
         # ``state`` is this solve's own copy (``edb.copy()``), so the
         # finished component folds in without a copy of either side.
-        state.absorb(fixpoint.interpretation)
+        state.absorb(outcome.interpretation)
         result.components.append(component)
         result.component_methods.append(chosen)
-        result.component_results.append(fixpoint)
+        result.component_results.append(outcome)
     if result.complete:
         for name in aux_predicates:
             state.relations.pop(name, None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.program import PredicateDecl, Program
 from repro.engine.interpretation import Interpretation
-from repro.engine.tp import apply_tp
+from repro.engine.fixpoint import apply_tp
 
 
 def demote_cost_declarations(program: Program) -> Program:
@@ -62,12 +62,7 @@ def rmonotonic_fixpoint(
         derived = apply_tp(sets_program, idb, j, sets_edb, strict=True)
         changed = False
         for name, rel in derived.relations.items():
-            target = j.relation(name)
-            new = rel.tuples - target.tuples
-            if new:
-                # merge_tuples keeps the persistent indexes that apply_tp
-                # built on ``j`` consistent for the next round.
-                target.merge_tuples(new)
+            if j.relation(name).join_rows(list(rel.rows()), strict=True):
                 changed = True
         if not changed:
             return j

@@ -33,7 +33,7 @@ from repro.datalog.errors import (
 from repro.datalog.program import Program
 from repro.engine.interpretation import Interpretation, Key
 from repro.engine.solver import solve
-from repro.engine.tp import apply_tp
+from repro.engine.fixpoint import apply_tp
 from repro.semantics.threevalued import GroundKey
 from repro.semantics.wellfounded_agg import possible_keys
 
@@ -68,17 +68,12 @@ def reduct_least_model(
             )
         except CostConsistencyError:
             return None
-        # Accumulate set-wise with strict FD checking.
+        # Accumulate with strict FD checking.
         changed = False
         try:
             for name, rel in derived.relations.items():
-                target = j.relation(name)
-                if rel.is_cost:
-                    for key, value in rel.costs.items():
-                        changed |= target.set_cost(key, value, strict=True)
-                else:
-                    for key in rel.tuples:
-                        changed |= target.add_tuple(key)
+                if j.relation(name).join_rows(list(rel.rows()), strict=True):
+                    changed = True
         except CostConsistencyError:
             return None
         if not changed:

@@ -58,7 +58,13 @@ Invariants the engine's correctness arguments lean on:
    ``max_iterations`` like every policy, so neither name comes back
    under ``src/``.
 
-9. **One ``SolveOptions``.**  The allowed values of ``check``,
+9. **One fixpoint loop.**  Kleene iteration is the ``write="replace"``
+   mode of :func:`repro.engine.fixpoint.fixpoint`, not a second loop:
+   ``kleene_fixpoint``, ``engine/naive.py`` and ``engine/tp.py`` stay
+   gone, the loop has one write block, one ``on_round`` call and one
+   ``iteration`` event, and ``src/repro/engine/`` only shrinks.
+
+10. **One ``SolveOptions``.**  The allowed values of ``check``,
    ``method`` and ``plan`` are each spelled out in one ``src/`` module
    (``engine/options.py``; the executor's own two plan modes in
    ``engine/exec.py``), which is also where they are checked: every
@@ -104,9 +110,7 @@ MUTATION_PATTERNS = [
 #: Engine modules whose loops run per fixpoint round / per derivation.
 ENGINE_HOT_MODULES = [
     "engine/exec.py",
-    "engine/tp.py",
-    "engine/naive.py",
-    "engine/seminaive.py",
+    "engine/fixpoint.py",
     "engine/greedy.py",
     "engine/sharded.py",
     "engine/solver.py",
@@ -220,8 +224,8 @@ SETTLE_LOOP = re.compile(r"max_pops|assume_invariant")
 def test_the_settle_at_a_time_loop_is_gone():
     import inspect
 
+    from repro.engine.fixpoint import fixpoint
     from repro.engine.greedy import greedy_fixpoint
-    from repro.engine.seminaive import seminaive_fixpoint
 
     # Comments and docstrings count too, as for the second backend.
     offenders = [
@@ -234,13 +238,51 @@ def test_the_settle_at_a_time_loop_is_gone():
     ]
     assert not offenders, (
         "greedy's own loop bound or invariant promise is back (greedy is "
-        "the CostOrdered policy over seminaive_fixpoint's round):\n  "
+        "the CostOrdered policy over the fixpoint loop's round):\n  "
         + "\n  ".join(offenders)
     )
     # The one loop: greedy_fixpoint has no body of its own to bound.
-    assert "seminaive_fixpoint(" in inspect.getsource(greedy_fixpoint)
+    assert "return fixpoint(" in inspect.getsource(greedy_fixpoint)
     assert "while" not in inspect.getsource(greedy_fixpoint)
-    assert inspect.getsource(seminaive_fixpoint).count("join_rows(") == 1
+
+
+SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
+
+#: ``wc -l src/repro/engine/*.py`` may only go down.
+ENGINE_LINES = 5037
+
+
+def test_one_fixpoint_loop():
+    import inspect
+
+    from repro.engine.fixpoint import fixpoint
+
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if SECOND_LOOP.search(line)
+    ]
+    assert not offenders, (
+        "a second fixpoint loop is back (Kleene iteration is the "
+        "fixpoint loop's write=\"replace\" mode):\n  " + "\n  ".join(offenders)
+    )
+    assert not (SRC / "engine" / "naive.py").exists()
+    assert not (SRC / "engine" / "tp.py").exists()
+    # One write block, one budget check, one round event.
+    body = re.sub(r"\s+", "", inspect.getsource(fixpoint))
+    assert body.count("join_rows(") == 1
+    assert body.count("on_round(") == 1
+    assert body.count('emit("iteration"') == 1
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SRC / "engine").glob("*.py")
+    )
+    assert lines <= ENGINE_LINES, (
+        f"src/repro/engine/ has {lines} lines; the ratchet is {ENGINE_LINES}"
+    )
 
 
 def test_documented_kernel_is_the_generated_kernel():

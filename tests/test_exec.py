@@ -50,7 +50,7 @@ from repro.engine.interpretation import (
     use_index_stats,
 )
 from repro.obs.tracer import Tracer
-from repro.engine.seminaive import DeltaDispatch
+from repro.engine.fixpoint import DeltaDispatch
 from repro.programs import (
     ALL_PROGRAMS,
     circuit,

@@ -1,6 +1,6 @@
 """Set-at-a-time delta rounds: the one loop above the batched kernels.
 
-``seminaive_fixpoint`` cuts each delta into seed batches through one
+``fixpoint`` (join mode) cuts each delta into seed batches through one
 dispatch table (``DeltaDispatch``), fires one kernel call per batch
 slice, and writes the heads through ``Relation.join_rows``;
 ``greedy_fixpoint`` is the same loop under the cost-ordered worklist
@@ -29,11 +29,12 @@ from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
-from repro.engine import greedy, seminaive, solve
+from repro.engine import fixpoint as fixpoint_module
+from repro.engine import greedy, solve
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.grounding import EvalContext, evaluate_body, ground_head
 from repro.engine.interpretation import Interpretation
-from repro.engine.seminaive import SEED_SLICE, seminaive_fixpoint
+from repro.engine.fixpoint import SEED_SLICE, fixpoint
 from repro.obs.tracer import Tracer
 from repro.programs import ALL_PROGRAMS, shortest_path
 from repro.testing import Fault, FaultPlan, inject
@@ -260,7 +261,7 @@ def catalog_instances(draw):
 def slices_of(size):
     """``SEED_SLICE`` = ``size`` for the dispatch and for the policy."""
     stack = contextlib.ExitStack()
-    for module in (seminaive, greedy):
+    for module in (fixpoint_module, greedy):
         stack.enter_context(mock.patch.object(module, "SEED_SLICE", size))
     return stack
 
@@ -293,11 +294,11 @@ class TestDriversMatchThePerSeedReference:
             except TypeError:
                 # Arithmetic over a symbolic constant: both must refuse.
                 with pytest.raises(TypeError):
-                    seminaive_fixpoint(program, cdb, state, strict=False, plan="off")
+                    fixpoint(program, cdb, state, strict=False, plan="off")
                 return
             ordered = rows_in_order(expected)
             for plan in ("off", "smart"):
-                got = seminaive_fixpoint(
+                got = fixpoint(
                     program, cdb, state, strict=False, plan=plan
                 )
                 assert got.interpretation == expected

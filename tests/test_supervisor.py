@@ -393,3 +393,90 @@ class TestSolveInterruptProtocol:
         db = make_db(SHORTEST_PATH)
         result = db.solve(budget=Budget(timeout=0.0))
         assert result.status in ("timeout", "complete")
+
+
+class TestNaiveInterrupts:
+    """Kleene iteration under interrupts, on party_invitations: a count
+    threshold, not an extremum, so the naive rounds are the evaluator."""
+
+    @staticmethod
+    def party():
+        from repro.programs import party_invitations
+        from repro.workloads import random_party
+
+        knows, requires = random_party(16, seed=1)
+        return party_invitations.database(
+            {"knows": knows, "requires": list(requires.items())}
+        )
+
+    @staticmethod
+    def typed(model) -> dict:
+        """Rows with their value types: ``1`` and ``1.0`` differ here."""
+        return {
+            name: sorted(map(repr, rel.rows()))
+            for name, rel in model.relations.items()
+            if len(rel)
+        }
+
+    def test_resume_from_every_round_boundary(self):
+        full = self.party().solve(method="naive")
+        rounds = full.total_iterations
+        assert rounds >= 5
+        for k in range(1, rounds + 1):
+            partial = self.party().solve(
+                method="naive", budget=Budget(max_iterations=k)
+            )
+            assert partial.status == "partial", k
+            resumed = self.party().resume(partial.checkpoint, method="naive")
+            assert resumed.status == "complete"
+            assert self.typed(resumed.model) == self.typed(full.model), k
+
+    def test_resume_from_every_mid_round_poll(self):
+        from repro.testing.faults import Fault, FaultPlan, inject
+
+        full = self.party().solve(method="naive")
+        firings = 2 * (full.total_iterations + 1)  # two rules, every round
+        cancelled = 0
+        for at in range(1, firings):
+            token = CancelToken()
+            plan = FaultPlan(
+                [Fault("rule_firing", action="cancel", at=at, token=token)]
+            )
+            with inject(plan):
+                partial = self.party().solve(method="naive", cancel=token)
+            if partial.status == "complete":
+                continue
+            assert partial.status == "cancelled"
+            cancelled += 1
+            resumed = self.party().resume(partial.checkpoint, method="naive")
+            assert self.typed(resumed.model) == self.typed(full.model), at
+        assert cancelled >= firings - 2
+
+    def test_mid_round_cancel_names_its_round(self):
+        """A cancel landing inside round 3 reports the rounds completed
+        before it, in the interrupt and in the ``cancelled`` event, as
+        the semi-naive and greedy rounds do."""
+        from repro.engine.fixpoint import fixpoint
+        from repro.obs import Tracer
+        from repro.testing.faults import Fault, FaultPlan, inject
+
+        db = self.party()
+        tracer = Tracer()
+        token = CancelToken()
+        supervisor = Supervisor(cancel=token, tracer=tracer)
+        # Rule firings 1-2 are round 1, 3-4 round 2, 5 opens round 3.
+        plan = FaultPlan([Fault("rule_firing", action="cancel", at=5, token=token)])
+        with inject(plan), pytest.raises(SolveInterrupt) as info:
+            fixpoint(
+                db.program,
+                frozenset({"coming", "kc"}),
+                db.edb(),
+                write="replace",
+                tracer=tracer,
+                supervisor=supervisor,
+            )
+        interrupt = info.value
+        assert interrupt.iteration == 2
+        assert interrupt.partial.iterations == 2
+        (event,) = [e for e in tracer.events if e["type"] == "cancelled"]
+        assert event["iteration"] == 2

@@ -8,7 +8,7 @@ from repro.datalog.errors import CostConsistencyError
 from repro.datalog.parser import parse_program
 from repro.engine.interpretation import Interpretation
 from repro.engine.modelcheck import is_model, is_premodel
-from repro.engine.tp import apply_tp
+from repro.engine.fixpoint import apply_tp
 from repro.programs import shortest_path
 
 
