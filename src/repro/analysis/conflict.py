@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.fd import check_rule_cost_respecting
+from repro.datalog.atoms import AggregateSubgoal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -102,6 +103,15 @@ def check_pair(r1: Rule, r2: Rule, program: Program) -> PairVerdict:
     theta = _unify_noncost_heads(a, b, program)
     if theta is None:
         return PairVerdict(r1, r2, heads_unify=False)
+    multiset_vars = {
+        sg.multiset_var
+        for sg in (*a.body, *b.body)
+        if isinstance(sg, AggregateSubgoal) and sg.multiset_var is not None
+    }
+    if any(not isinstance(theta.get(v, v), Variable) for v in multiset_vars):
+        # θ grounds a multiset variable: the unified rules are not rules
+        # (Definition 2.4), so neither condition can discharge the pair.
+        return PairVerdict(r1, r2, heads_unify=True)
     a_theta = apply_to_rule(a, theta)
     b_theta = apply_to_rule(b, theta)
     if (

@@ -1,4 +1,4 @@
-"""Resumable solve checkpoints: serialized interpretation + frontier.
+"""Resumable solve checkpoints: the serialized sound-so-far interpretation.
 
 A :class:`Checkpoint` captures the sound-so-far state of an interrupted
 solve — for monotonic programs every intermediate ``T_P`` iterate is a
@@ -17,10 +17,11 @@ The on-disk format is JSON (``Checkpoint.save`` / ``Checkpoint.load``):
 * ``status`` / ``reason`` / ``component`` / ``iterations`` — why and
   where the producing solve stopped;
 * ``relations`` — per predicate, the tuples (ordinary) or
-  ``key ↦ cost`` rows (cost predicates, core only);
-* ``frontier`` — the pending delta rows at interrupt, plus under the
-  greedy policy the candidates not yet written (advisory: resume re-derives the frontier with one full ``T_P``
-  round, so a checkpoint is valid even when the frontier is stale).
+  ``key ↦ cost`` rows (cost predicates, core only).
+
+No pending delta is stored: resume re-derives it with one full ``T_P``
+round over the restored atoms.  Files written when the format still
+carried a ``frontier`` field load unchanged; the field is ignored.
 
 Cost values are plain Python scalars most of the time; ``frozenset`` and
 ``tuple`` values (set lattices, product lattices) are round-tripped
@@ -33,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.datalog.errors import ProgramError, ReproError
 from repro.datalog.program import Program
@@ -122,8 +123,6 @@ class Checkpoint:
     iterations: int
     #: predicate → {"kind": "tuples"|"costs", "rows": [...]}.
     relations: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: predicate → pending delta rows (advisory).
-    frontier: Dict[str, List[Any]] = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------------
 
@@ -137,7 +136,6 @@ class Checkpoint:
         reason: str,
         component: int,
         iterations: int,
-        frontier: Optional[Dict[str, List[Any]]] = None,
     ) -> "Checkpoint":
         """Serialize ``state`` (the joined interpretation so far)."""
         relations: Dict[str, Dict[str, Any]] = {}
@@ -156,11 +154,6 @@ class Checkpoint:
                     for key in sorted(rel.tuples, key=repr)
                 ]
                 relations[name] = {"kind": "tuples", "rows": rows}
-        encoded_frontier: Dict[str, List[Any]] = {}
-        for name, delta_rows in (frontier or {}).items():
-            encoded_frontier[name] = [
-                [_encode_value(v) for v in row] for row in delta_rows
-            ]
         return cls(
             fingerprint=program_fingerprint(program),
             status=status,
@@ -168,7 +161,6 @@ class Checkpoint:
             component=component,
             iterations=iterations,
             relations=relations,
-            frontier=encoded_frontier,
         )
 
     # -- restore -----------------------------------------------------------------
@@ -237,7 +229,6 @@ class Checkpoint:
             "component": self.component,
             "iterations": self.iterations,
             "relations": self.relations,
-            "frontier": self.frontier,
         }
 
     @classmethod
@@ -258,7 +249,6 @@ class Checkpoint:
                 component=int(payload["component"]),
                 iterations=int(payload.get("iterations", 0)),
                 relations=dict(payload.get("relations", {})),
-                frontier=dict(payload.get("frontier", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(

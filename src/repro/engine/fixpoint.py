@@ -232,9 +232,6 @@ class Worklist(Protocol):
     def select(self, derived: Derived, j: Interpretation) -> Derived:
         """Take in a round's ``derived`` rows; return those to write now."""
 
-    def frontier(self) -> DeltaRows:
-        """The rows held back so far (advisory, for checkpoints)."""
-
 
 def fire_all(
     rules: Sequence[Rule],
@@ -319,10 +316,10 @@ def fixpoint(
     ``scc``.  An active ``supervisor`` is polled once per round and
     before every kernel call (per rule, or at most :data:`SEED_SLICE`
     seeds apart), and consulted after every round but a converged Kleene
-    one; an interrupt escapes with the last complete ``J`` and the
-    pending frontier attached.  ``initial`` resumes from a checkpointed
-    lower bound: round 1 re-derives over it (Kleene rounds become
-    ``J ⊔ T_P(J, I)``), so a stale or missing frontier loses nothing.
+    one; an interrupt escapes with the last complete ``J`` attached.
+    ``initial`` resumes from a checkpointed lower bound: round 1
+    re-derives over it (Kleene rounds become ``J ⊔ T_P(J, I)``), so the
+    pending delta need not be saved.
     """
     replace = write == "replace"
     rules = [r for r in program.rules if r.head.predicate in cdb]
@@ -449,11 +446,6 @@ def fixpoint(
                     ascending=ascending,
                 )
     except SolveInterrupt as interrupt:
-        frontier = delta
-        if worklist is not None:
-            frontier = {name: list(rows) for name, rows in delta.items()}
-            for name, rows in worklist.frontier().items():
-                frontier.setdefault(name, []).extend(rows)
         interrupt.attach(
             FixpointResult(
                 interpretation=j,
@@ -461,8 +453,7 @@ def fixpoint(
                 ascending=ascending,
                 trajectory=trajectory,
                 status=interrupt.status,
-            ),
-            frontier=frontier,
+            )
         )
         raise
 

@@ -77,12 +77,6 @@ class CostOrdered:
                 room -= 1
         return list(best.items())
 
-    def frontier(self) -> DeltaRows:
-        pending: DeltaRows = {}
-        for _, _, predicate, row in sorted(self.heap):
-            pending.setdefault(predicate, []).append(row)
-        return pending
-
 
 def greedy_fixpoint(
     program: Program, component: Component, i: Interpretation, **options: Any

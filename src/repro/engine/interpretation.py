@@ -120,11 +120,9 @@ class Relation:
     Beyond the raw ``tuples``/``costs`` containers, a relation owns its
     *persistent incremental indexes*: hash indexes keyed by argument
     positions that are built lazily on first lookup and then maintained in
-    place by :meth:`add_tuple`/:meth:`set_cost`/:meth:`join_rows`.  They
+    place by :meth:`join_rows`, the one way rows enter a relation.  They
     survive across fixpoint rounds — a semi-naive round touches only its
     delta instead of re-hashing every relation (see docs/PERFORMANCE.md).
-    Code that mutates ``tuples``/``costs`` directly must call
-    :meth:`invalidate_indexes` afterwards (or use the mutator methods).
     """
 
     decl: PredicateDecl
@@ -151,7 +149,7 @@ class Relation:
         By default indexes are not copied: the copy starts cold and
         re-indexes on demand (copies are usually mutated immediately,
         e.g. by join).  ``warm=True`` additionally clones the live
-        indexes and row cache — the mutator methods keep maintaining
+        indexes and row cache — :meth:`join_rows` keeps maintaining
         them incrementally, so snapshot points that previously
         re-indexed from cold (``Interpretation.join``'s accumulation
         across components) skip the rebuild.
@@ -178,90 +176,35 @@ class Relation:
 
     # -- mutation ------------------------------------------------------------
     #
-    # Exception safety (apply-or-rollback): the raw ``tuples``/``costs``
-    # containers are the source of truth and are always left in a valid
-    # state — single-key container writes cannot fail halfway.  The
-    # derived structures (incremental indexes, row cache) *can* be left
-    # half-updated if index maintenance raises (an injected fault, a
-    # pathological __eq__/__hash__ on user values), so every mutator
-    # drops them via ``invalidate_indexes()`` before re-raising: the
-    # logical mutation stays applied and the indexes rebuild lazily from
-    # the containers — consistent by reconstruction, never torn.
-
-    def add_tuple(self, key: Key) -> bool:
-        """Add an ordinary tuple; True if new."""
-        if key in self.tuples:
-            return False
-        self.tuples.add(key)
-        try:
-            self._on_insert(key)
-        except BaseException:
-            self.invalidate_indexes()
-            raise
-        return True
-
-    def set_cost(self, key: Key, value: Any, *, strict: bool = True) -> bool:
-        """Record ``key ↦ value``; True if the stored value changed.
-
-        ``strict`` enforces the functional dependency: a different existing
-        value raises :class:`CostConsistencyError` (Definition 2.6's runtime
-        face).  Default-value predicates drop bottom entries from the core.
-        """
-        lattice = self.decl.lattice
-        assert lattice is not None
-        if self.decl.has_default and value == lattice.bottom:
-            # The default is implicit; storing it would bloat the core.
-            if strict and key in self.costs and self.costs[key] != value:
-                raise CostConsistencyError(
-                    f"{self.decl.name}{key}: derived both "
-                    f"{self.costs[key]!r} and default {value!r}"
-                )
-            return False
-        existing = self.costs.get(key)
-        if existing is None:
-            self.costs[key] = value
-            try:
-                self._on_insert(key + (value,))
-            except BaseException:
-                self.invalidate_indexes()
-                raise
-            return True
-        if existing == value:
-            return False
-        if strict:
-            raise CostConsistencyError(
-                f"{self.decl.name}{key}: derived both {existing!r} and "
-                f"{value!r} in one T_P application"
-            )
-        # The lattice lub runs *before* any mutation: a raising join
-        # (user-supplied lattice) leaves the relation untouched.
-        joined = lattice.join(existing, value)
-        if joined == existing:
-            return False
-        self.costs[key] = joined
-        try:
-            self._on_replace(key + (existing,), key + (joined,))
-        except BaseException:
-            self.invalidate_indexes()
-            raise
-        return True
+    # ``join_rows`` is the one write.  Exception safety (apply-or-rollback):
+    # the raw ``tuples``/``costs`` containers are the source of truth and
+    # are always left in a valid state — a single-key container write
+    # cannot fail halfway, and the lattice lub runs before it.  The derived
+    # structures (incremental indexes, row cache) *can* be left
+    # half-updated if index upkeep raises (an injected fault, a
+    # pathological __eq__/__hash__ on user values), so ``join_rows`` drops
+    # them before re-raising: the rows written so far stay applied and the
+    # indexes rebuild lazily from the containers — consistent by
+    # reconstruction, never torn.
 
     def join_rows(self, rows: Iterable[Key], *, strict: bool = False) -> List[Key]:
         """Join full ``rows`` (the cost column last for cost predicates)
         into the relation; the rows that changed it, as stored after
         joining, in order.
 
-        The one bulk mutator: per row exactly ``lattice.validate`` plus
-        :meth:`set_cost` (or :meth:`add_tuple`), including index and
-        row-cache upkeep, the ``index_update`` fault seam and
-        invalidate-on-exception — with everything that is per relation
-        (containers, lattice functions, live indexes, row cache, fault
-        plan) read once per call instead of once per row.  Membership
-        is one decision per call when ``rows`` is a list whose cost
-        column the lattice accepts whole (``Lattice.accepts_all``);
-        otherwise — another lattice, a bool/NaN/subclass anywhere in
-        the column, an iterator — it is ``validate`` per row, so the
-        first offending row raises with the rows before it applied.
+        ``strict=False`` is the pointwise lub of Theorem 3.1;
+        ``strict=True`` is the same write with Definition 2.6's check —
+        a key already holding a different value raises
+        :class:`CostConsistencyError`.  A default-value predicate's
+        bottom values are never stored.  Per row: ``lattice.validate``,
+        the container write, index and row-cache upkeep and the
+        ``index_update`` fault seam, with everything that is per
+        relation read once per call.  Membership is one decision per
+        call when ``rows`` is a list whose cost column the lattice
+        accepts whole (``Lattice.accepts_all``); otherwise — another
+        lattice, a bool/NaN/subclass anywhere in the column, an
+        iterator — it is ``validate`` per row, so the first offending
+        row raises with the rows before it applied.
         """
         changed: List[Key] = []
         keyers = [
@@ -313,7 +256,8 @@ class Relation:
                             f"{value!r} in one T_P application"
                         )
                     else:
-                        # The lub runs before any mutation (see set_cost).
+                        # The lub runs before any mutation: a raising
+                        # (user-supplied) join leaves the key untouched.
                         joined = join(existing, value)
                         if joined == existing:
                             continue
@@ -339,7 +283,7 @@ class Relation:
                                     pass
                             index.setdefault(keyer(row), []).append(row)
                 except BaseException:
-                    self.invalidate_indexes()
+                    self._drop_indexes()
                     raise
         finally:
             self.generation += len(changed)
@@ -347,59 +291,14 @@ class Relation:
                 self._rows_cache_gen = self.generation
         return changed
 
-    def merge_tuples(self, keys: Set[Key]) -> None:
-        """Bulk-union ordinary tuples; invalidates live indexes.
-
-        ``keys`` is materialized first so an iterable that raises
-        mid-iteration mutates nothing; an empty merge touches nothing.
-        """
-        pending = keys if isinstance(keys, (set, frozenset)) else set(keys)
-        if not pending:
-            return
-        try:
-            self.tuples |= pending
-        finally:
-            self.invalidate_indexes()
-
-    def invalidate_indexes(self) -> None:
-        """Drop every live index and row cache (after direct mutation)."""
+    def _drop_indexes(self) -> None:
+        """Drop every live index and the row cache (``join_rows``' error
+        path)."""
         if self._indexes or self._rows_cache is not None:
             active_index_stats().invalidations += 1
         self._indexes.clear()
         self._rows_cache = None
         self.generation += 1
-
-    # -- index maintenance ------------------------------------------------------
-
-    def _on_insert(self, row: Key) -> None:
-        if _faults._ACTIVE is not None:  # fault-injection seam
-            _faults.trip("index_update", self.decl.name, self)
-        gen = self.generation
-        self.generation = gen + 1
-        if self._rows_cache is not None and self._rows_cache_gen == gen:
-            self._rows_cache.append(row)
-            self._rows_cache_gen = gen + 1
-        for positions, index in self._indexes.items():
-            bucket_key = tuple(row[p] for p in positions)
-            index.setdefault(bucket_key, []).append(row)
-
-    def _on_replace(self, old_row: Key, new_row: Key) -> None:
-        if _faults._ACTIVE is not None:  # fault-injection seam
-            _faults.trip("index_update", self.decl.name, self)
-        # Cost value changed in place: the row cache position is unknown,
-        # so it is invalidated (rebuilt at most once per generation).
-        self.generation += 1
-        self._rows_cache = None
-        for positions, index in self._indexes.items():
-            old_key = tuple(old_row[p] for p in positions)
-            bucket = index.get(old_key)
-            if bucket is not None:
-                try:
-                    bucket.remove(old_row)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-            new_key = tuple(new_row[p] for p in positions)
-            index.setdefault(new_key, []).append(new_row)
 
     # -- indexed access ----------------------------------------------------------
 
@@ -413,7 +312,7 @@ class Relation:
 
     def index_for(self, positions: Tuple[int, ...]) -> Dict[Key, List[Key]]:
         """The hash index on ``positions``, built on first use and then
-        maintained incrementally by the mutator methods."""
+        maintained incrementally by :meth:`join_rows`."""
         index = self._indexes.get(positions)
         if index is None:
             active_index_stats().builds += 1
@@ -517,20 +416,15 @@ class Interpretation:
         except KeyError:
             raise ProgramError(f"unknown predicate {predicate}") from None
 
-    def add_fact(self, predicate: str, *args: Any, strict: bool = True) -> bool:
-        """Insert a ground fact given its full argument list."""
+    def add_fact(self, predicate: str, *args: Any) -> bool:
+        """Insert a ground fact given its full argument list; True if new.
+        A cost key already holding another value raises."""
         rel = self.relation(predicate)
         if rel.decl.arity != len(args):
             raise ProgramError(
                 f"{predicate} expects {rel.decl.arity} arguments, got {len(args)}"
             )
-        if rel.is_cost:
-            *key, value = args
-            lattice = rel.decl.lattice
-            assert lattice is not None
-            lattice.validate(value)
-            return rel.set_cost(tuple(key), value, strict=strict)
-        return rel.add_tuple(tuple(args))
+        return bool(rel.join_rows([tuple(args)], strict=True))
 
     # -- the lattice of Theorem 3.1 -------------------------------------------------
 
@@ -593,27 +487,18 @@ class Interpretation:
         out = Interpretation(self.declarations)
         for name, rel in self.relations.items():
             other_rel = other.relation(name)
-            target = out.relation(name)
-            if rel.is_cost:
-                lattice = rel.decl.lattice
-                assert lattice is not None
-                if rel.decl.has_default:
-                    for key, value in rel.costs.items():
-                        other_value = other_rel.cost_of(key)
-                        assert other_value is not None
-                        met = lattice.meet(value, other_value)
-                        if met != lattice.bottom:
-                            target.set_cost(key, met, strict=False)
-                else:
-                    for key, value in rel.costs.items():
-                        if key in other_rel.costs:
-                            target.set_cost(
-                                key,
-                                lattice.meet(value, other_rel.costs[key]),
-                                strict=False,
-                            )
+            lattice = rel.decl.lattice
+            if lattice is None:
+                rows: Iterable[Key] = rel.tuples & other_rel.tuples
             else:
-                target.merge_tuples(rel.tuples & other_rel.tuples)
+                rows = []
+                for key, value in rel.costs.items():
+                    other_value = other_rel.cost_of(key)
+                    if other_value is not None:
+                        rows.append(key + (lattice.meet(value, other_value),))
+            # Keys are unique, so the write never joins; bottoms of a
+            # default-value predicate leave the core.
+            out.relation(name).join_rows(rows)
         return out
 
     # -- comparisons & reporting -----------------------------------------------------

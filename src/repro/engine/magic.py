@@ -246,7 +246,7 @@ def magic_solve(
     seeded = Interpretation(seeded_program.declarations)
     for name, rel in edb.relations.items():
         if name in seeded_program.declarations:
-            seeded.relation(name).merge_tuples(rel.tuples)
+            seeded.relation(name).join_rows(rel.tuples)
 
     result = solve(seeded_program, seeded, check="none")
     predicate, pattern = query

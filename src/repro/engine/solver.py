@@ -431,18 +431,10 @@ def _solve_traced(
             # Auxiliary frontier atoms never leave the solver: the
             # partial model and the checkpoint (captured against the
             # original program) carry original predicates only; resume
-            # re-derives the frontier from the restored lower bound.
-            frontier = interrupt.frontier
-            if aux_predicates:
-                for name in aux_predicates:
-                    state.relations.pop(name, None)
-                    state.declarations.pop(name, None)
-                if frontier:
-                    frontier = {
-                        name: rows
-                        for name, rows in frontier.items()
-                        if name not in aux_predicates
-                    }
+            # re-derives them from the restored lower bound.
+            for name in aux_predicates:
+                state.relations.pop(name, None)
+                state.declarations.pop(name, None)
             result.model = state
             result.checkpoint = Checkpoint.capture(
                 program,
@@ -451,7 +443,6 @@ def _solve_traced(
                 reason=interrupt.reason,
                 component=index,
                 iterations=result.total_iterations,
-                frontier=frontier,
             )
             if tracer.enabled:
                 tracer.emit(

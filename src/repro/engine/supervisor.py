@@ -221,16 +221,12 @@ class SolveInterrupt(ReproError):
         self.iteration = iteration
         #: Partial component state, attached by the interrupted evaluator.
         self.partial: Optional[Any] = None  # FixpointResult
-        #: Pending semi-naive delta rows at interrupt (advisory).
-        self.frontier: Optional[dict] = None
         super().__init__(f"solve interrupted ({status}): {reason}")
 
-    def attach(self, partial: Any, frontier: Optional[dict] = None) -> None:
+    def attach(self, partial: Any) -> None:
         """Record the interrupted component's sound-so-far state."""
         if self.partial is None:
             self.partial = partial
-        if frontier is not None and self.frontier is None:
-            self.frontier = frontier
 
 
 def _lattice_unbounded(lattice: Any) -> bool:

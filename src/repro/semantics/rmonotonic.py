@@ -49,13 +49,8 @@ def rmonotonic_fixpoint(
     sets_program = demote_cost_declarations(program)
     sets_edb = Interpretation(sets_program.declarations)
     for name, rel in edb.relations.items():
-        target = sets_edb.relation(name)
-        if rel.is_cost:
-            target.merge_tuples(
-                {key + (value,) for key, value in rel.costs.items()}
-            )
-        else:
-            target.merge_tuples(rel.tuples)
+        # A cost atom's full row is a tuple of the demoted predicate.
+        sets_edb.relation(name).join_rows(rel.rows())
     idb = sets_program.idb_predicates
     j = Interpretation(sets_program.declarations)
     for _ in range(max_rounds):

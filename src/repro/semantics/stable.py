@@ -106,9 +106,10 @@ def enumerate_stable_models(
     """Brute-force KS stable models over the possible-key universe.
 
     Ordinary IDB keys are in or out; cost IDB keys take one of their
-    ``cost_candidates`` values or are absent.  Guarded by ``max_keys``
-    because the search is exponential — the paper's multi-stable-model
-    demonstrations are tiny by design.
+    ``cost_candidates`` values (validated against the key's lattice) or
+    are absent.  Guarded by ``max_keys`` because the search is
+    exponential — the paper's multi-stable-model demonstrations are tiny
+    by design.
     """
     cost_candidates = cost_candidates or {}
     possible = possible_keys(program, edb)
@@ -137,13 +138,9 @@ def enumerate_stable_models(
     for combo in itertools.product(*choices):
         candidate = Interpretation(program.declarations)
         for name, key, value in combo:
-            if value is _ABSENT:
-                continue
-            rel = candidate.relation(name)
-            if rel.is_cost:
-                rel.set_cost(key, value)
-            else:
-                rel.add_tuple(key)
+            if value is not _ABSENT:
+                row = key if value is _PRESENT else key + (value,)
+                candidate.relation(name).join_rows([row])
         if is_stable_model(program, edb, candidate, max_rounds=max_rounds):
             models.append(candidate)
     return models

@@ -269,15 +269,10 @@ def kemp_stuckey_wf(
     true = Interpretation(program.declarations)
     undefined: Set[GroundKey] = set()
     for name, rel in minimal.relations.items():
-        target = true.relation(name)
-        if rel.is_cost:
-            for key, value in rel.costs.items():
-                if (name, key) in clean:
-                    target.set_cost(key, value)
-        else:
-            for key in rel.tuples:
-                if (name, key) in clean:
-                    target.add_tuple(key)
+        keys = rel.decl.key_arity
+        true.relation(name).join_rows(
+            [row for row in rel.rows() if (name, row[:keys]) in clean]
+        )
     for name, bucket in possible.keys.items():
         for key in bucket:
             if (name, key) not in clean:

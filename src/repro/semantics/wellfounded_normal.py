@@ -65,7 +65,7 @@ def _positive_fixpoint(
                     "normal-program evaluation expects ordinary predicates; "
                     f"{predicate} is declared as a cost predicate"
                 )
-            if rel.add_tuple(args):
+            if rel.join_rows([args]):
                 changed = True
         if not changed:
             return j

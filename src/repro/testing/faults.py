@@ -15,9 +15,9 @@ seams:
     immediately before an aggregate function is applied to a group's
     multiset inside the compiled executor;
 ``index_update``
-    inside ``Relation._on_insert`` / ``Relation._on_replace`` and the
-    same step of ``Relation.join_rows`` — the incremental index
-    maintenance a torn update would corrupt.
+    inside ``Relation.join_rows``, once per changed row, before its
+    incremental index upkeep — the maintenance a torn update would
+    corrupt.
 
 Injection is **deterministic**: a :class:`Fault` fires on the *N*-th
 matching hit (``at``, 1-based), optionally filtered by a substring of
@@ -192,7 +192,7 @@ def inject(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 def _normalize(buckets: Dict[Any, List[Any]]) -> Dict[Any, List[Any]]:
     """Index buckets with empties dropped and rows canonically ordered
-    (``_on_replace`` legitimately leaves empty buckets behind)."""
+    (a replaced cost row legitimately leaves an empty bucket behind)."""
     return {
         key: sorted(rows, key=repr)
         for key, rows in buckets.items()

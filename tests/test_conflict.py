@@ -93,6 +93,23 @@ class TestFailureModes:
         program = parse_program("p(X) <- q(X).\np(X) <- r(X).")
         assert is_conflict_free(program)
 
+    def test_mgu_grounding_a_multiset_variable_is_undischarged(self):
+        """The head key E is also sum's multiset variable: unifying with
+        the fact p(1, 2) binds it to 1, which no rule can carry, so the
+        pair is reported rather than raising from the substitution."""
+        program = parse_program(
+            "@cost p/2 : reals_ge.\n"
+            "p(E, C) <- C = sum{E : q(X, E)}.\n"
+            "p(1, 2)."
+        )
+        rule, fact = program.rules_for("p")
+        verdict = check_pair(rule, fact, program)
+        assert verdict.heads_unify and not verdict.ok
+        report = check_conflict_freedom(program)
+        assert [(v.rule1, v.rule2) for v in report.undischarged_pairs] == [
+            (rule, fact)
+        ]
+
 
 def test_every_catalog_program_matches_its_claim():
     for paper_program in ALL_PROGRAMS:

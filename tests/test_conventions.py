@@ -2,14 +2,16 @@
 
 Invariants the engine's correctness arguments lean on:
 
-1. **Relation mutation goes through the apply-or-rollback helpers.**
-   ``Relation.add_tuple`` / ``set_cost`` / ``merge_tuples`` keep the
-   incremental indexes and row caches consistent (or invalidated) on
-   every code path, including raising ones (see the fault-injection
-   suite).  Direct writes to the raw ``tuples`` / ``costs`` containers
-   bypass that machinery and resurface the torn-index bugs those
-   helpers exist to prevent — so outside the helpers' home module they
-   are banned.
+1. **One write into a Relation: ``join_rows``.**  ``Relation.join_rows``
+   is the lub of Theorem 3.1 (``strict=False``) and Definition 2.6's
+   checked write (``strict=True``); it keeps the incremental indexes
+   and row cache consistent (or drops them) on every code path,
+   including raising ones (see the fault-injection suite).  The row
+   mutators it replaced (``add_tuple`` / ``set_cost`` /
+   ``merge_tuples`` and their ``_on_insert`` / ``_on_replace`` upkeep)
+   stay gone, and direct writes to the raw ``tuples`` / ``costs``
+   containers — which bypass the upkeep and resurface torn indexes —
+   appear nowhere but inside ``join_rows``.
 
 2. **Engine hot loops use the supervisor/tracer clocks, not
    ``time.time()``.**  ``time.time()`` is wall-clock (it jumps on NTP
@@ -73,8 +75,7 @@ Invariants the engine's correctness arguments lean on:
 
 The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
-specific enough that false positives are handled with the small
-explicit allowlists below.
+specific enough to need no allowlist.
 """
 
 from __future__ import annotations
@@ -84,13 +85,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
-
-#: Files allowed to touch the raw containers: the helpers' home module
-#: (the mutators themselves plus interpretation-level join/copy, whose
-#: bulk writes invalidate indexes wholesale).
-MUTATION_ALLOWLIST = {
-    "engine/interpretation.py",
-}
 
 #: Direct writes to a Relation's raw containers.  Reads (``in``,
 #: ``.get``, iteration) are fine — only mutation is index-bearing.
@@ -140,16 +134,19 @@ def _violations(path: Path, patterns):
     return out
 
 
+#: The row mutators ``join_rows`` replaced, defined or called.
+ROW_MUTATORS = re.compile(
+    r"\b(add_tuple|set_cost|merge_tuples|_on_insert|_on_replace)\b"
+)
+
+
 def test_relation_mutation_goes_through_helpers():
     offenders = []
     for path in _source_files():
-        rel = path.relative_to(SRC).as_posix()
-        if rel in MUTATION_ALLOWLIST:
-            continue
-        offenders.extend(_violations(path, MUTATION_PATTERNS))
+        offenders.extend(_violations(path, MUTATION_PATTERNS + [ROW_MUTATORS]))
     assert not offenders, (
-        "direct Relation container mutation outside the apply-or-rollback "
-        "helpers (use add_tuple/set_cost/merge_tuples):\n  "
+        "a Relation write outside join_rows (a row mutator, or a direct "
+        "container write; use Relation.join_rows):\n  "
         + "\n  ".join(offenders)
     )
 
@@ -167,14 +164,17 @@ def test_no_wall_clock_in_engine_hot_loops():
 
 
 def test_allowlist_is_not_stale():
-    """Every allowlisted file must still exist and still need the pass."""
-    for rel in MUTATION_ALLOWLIST:
-        path = SRC / rel
-        assert path.exists(), f"allowlist entry vanished: {rel}"
-        assert _violations(path, MUTATION_PATTERNS), (
-            f"allowlist entry {rel} no longer touches the raw containers; "
-            f"remove it"
-        )
+    """No file is exempt from the container check: the one writer,
+    ``Relation.join_rows``, writes through local aliases the patterns
+    do not see — and it is the only code in its module that does."""
+    import inspect
+
+    from repro.engine.interpretation import Relation
+
+    writes = re.compile(r"\btuples\.add\(|\bcosts\[[^\]]+\]\s*=")
+    module = (SRC / "engine" / "interpretation.py").read_text(encoding="utf-8")
+    join_rows = inspect.getsource(Relation.join_rows)
+    assert len(writes.findall(module)) == len(writes.findall(join_rows)) == 3
 
 
 SECOND_BACKEND = re.compile(r"columnar|storage=", re.IGNORECASE)
@@ -249,7 +249,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 5037
+ENGINE_LINES = 4884
 
 
 def test_one_fixpoint_loop():

@@ -572,7 +572,7 @@ def catalog_states(draw):
             *([st.sampled_from(costs)] if decl.is_cost_predicate else []),
         )
         for args in draw(st.lists(row, max_size=6)):
-            state.add_fact(name, *args, strict=False)
+            state.relation(name).join_rows([args])
     return program, state
 
 
@@ -838,10 +838,10 @@ class TestIncrementalIndexes:
     def test_tuple_relation_updates_in_place(self):
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
         rel = i.relation("e")
-        rel.add_tuple((1, 2))
+        rel.join_rows([(1, 2)])
         rel.lookup((0,), (1,))  # build the index on column 0
-        rel.add_tuple((1, 3))
-        rel.add_tuple((4, 5))
+        rel.join_rows([(1, 3)])
+        rel.join_rows([(4, 5), (1, 2)])
         for positions, index in rel._indexes.items():
             assert _normalized(index) == _normalized(
                 _rebuilt_index(rel, positions)
@@ -854,14 +854,13 @@ class TestIncrementalIndexes:
         )
         i = Interpretation(program.declarations)
         rel = i.relation("s")
-        rel.set_cost(("a", "b"), 5.0, strict=False)
-        rel.set_cost(("a", "c"), 7.0, strict=False)
+        rel.join_rows([("a", "b", 5.0), ("a", "c", 7.0)])
         rel.lookup((0,), ("a",))  # build
         rel.lookup((1,), ("b",))  # build a second index
         # Join-improving update replaces the row inside every live index.
-        assert rel.set_cost(("a", "b"), 3.0, strict=False)
+        assert rel.join_rows([("a", "b", 3.0)]) == [("a", "b", 3.0)]
         # Dominated update is a no-op.
-        assert not rel.set_cost(("a", "b"), 9.0, strict=False)
+        assert rel.join_rows([("a", "b", 9.0)]) == []
         for positions, index in rel._indexes.items():
             assert _normalized(index) == _normalized(
                 _rebuilt_index(rel, positions)
@@ -871,24 +870,29 @@ class TestIncrementalIndexes:
     def test_rows_list_tracks_inserts(self):
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
         rel = i.relation("e")
-        rel.add_tuple((1, 2))
+        rel.join_rows([(1, 2)])
         assert sorted(rel.rows_list()) == [(1, 2)]
-        rel.add_tuple((3, 4))
-        assert sorted(rel.rows_list()) == [(1, 2), (3, 4)]
+        with use_index_stats(IndexStats()) as stats:
+            rel.join_rows([(3, 4)])
+            assert sorted(rel.rows_list()) == [(1, 2), (3, 4)]
+        assert stats.scans == 0  # appended to, not rebuilt
 
-    def test_bulk_mutation_invalidates(self):
+    def test_bulk_join_updates_in_place(self):
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
         rel = i.relation("e")
-        rel.add_tuple((1, 2))
-        rel.lookup((0,), (1,))
-        rel.merge_tuples({(8, 9)})
-        assert rel._indexes == {}
-        assert sorted(rel.lookup((0,), (8,))) == [(8, 9)]
+        rel.join_rows([(1, 2)])
+        index = rel.index_for((0,))
+        with use_index_stats(IndexStats()) as stats:
+            assert rel.join_rows([(8, 9), (1, 3), (1, 2)]) == [(8, 9), (1, 3)]
+        assert stats.invalidations == 0
+        assert rel._indexes == {(0,): index}
+        assert sorted(rel.lookup((0,), (1,))) == [(1, 2), (1, 3)]
+        assert check_relation_indexes(rel) == []
 
     def test_stats_count_hits_and_misses(self):
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
         rel = i.relation("e")
-        rel.add_tuple((1, 2))
+        rel.join_rows([(1, 2)])
         with use_index_stats(IndexStats()) as stats:
             rel.lookup((0,), (1,))
             rel.lookup((0,), (1,))

@@ -20,7 +20,13 @@ from repro.engine.interpretation import (
 )
 from repro.lattices import BOOL_LE, INF, NONNEG_REALS_LE, REALS_GE
 from repro.lattices.base import Lattice, LatticeValueError
-from repro.testing import check_relation_indexes
+from repro.testing import (
+    Fault,
+    FaultInjected,
+    FaultPlan,
+    check_relation_indexes,
+    inject,
+)
 
 DECLS = {
     "edge": PredicateDecl("edge", 2),
@@ -69,7 +75,7 @@ class TestBasics:
 
     def test_nonstrict_joins(self):
         i = interp(s=[("a", "b", 3)])
-        i.add_fact("s", "a", "b", 2, strict=False)
+        i.relation("s").join_rows([("a", "b", 2)])
         assert i["s"][("a", "b")] == 2  # join under ≥ is numeric min
 
 
@@ -261,9 +267,9 @@ class TestMisc:
         assert set(warm._indexes) == {(0,)}
         assert warm.generation == rel.generation
         assert warm.rows_list() == rel.rows_list()
-        # The carried index is live, not a frozen snapshot: mutators
-        # keep maintaining it, and it stays detached from the original.
-        warm.add_tuple(("a", "d"))
+        # The carried index is live, not a frozen snapshot: join_rows
+        # keeps maintaining it, and it stays detached from the original.
+        assert warm.join_rows([("a", "d")]) == [("a", "d")]
         assert ("a", "d") in warm.index_for((0,))[("a",)]
         assert ("a", "d") not in rel.index_for((0,))[("a",)]
 
@@ -276,16 +282,42 @@ class TestMisc:
         warm.add_fact("edge", "x", "y")
         assert ("x", "y") not in a["edge"]
 
-    def test_empty_merge_keeps_indexes_and_row_cache(self):
+    def test_empty_join_rows_keeps_indexes_and_row_cache(self):
         rel = interp(edge=[("a", "b"), ("a", "c")]).relation("edge")
         index, rows = rel.index_for((0,)), rel.rows_list()
+        generation = rel.generation
         stats = IndexStats()
         with use_index_stats(stats):
-            rel.merge_tuples(set())
-            rel.merge_tuples(iter(()))
+            assert rel.join_rows([]) == []
+            assert rel.join_rows(iter(())) == []
+            assert rel.join_rows(set()) == []
+            assert rel.generation == generation
             assert rel.index_for((0,)) is index
             assert rel.rows_list() is rows
         assert stats.snapshot() == IndexStats().snapshot()
+
+    def test_index_update_fault_in_add_fact_leaves_no_torn_index(self):
+        i = interp(s=[("a", "b", 3)])
+        rel = i.relation("s")
+        rel.lookup((0,), ("a",))
+        rel.rows_list()
+        plan = FaultPlan([Fault("index_update")])
+        with inject(plan), pytest.raises(FaultInjected):
+            i.add_fact("s", "a", "c", 1)
+        assert plan.touched_relations() == [rel]
+        assert rel.costs == {("a", "b"): 3, ("a", "c"): 1}  # the write stays
+        assert check_relation_indexes(rel) == []
+        assert sorted(rel.lookup((0,), ("a",))) == [("a", "b", 3), ("a", "c", 1)]
+
+    def test_index_update_fault_in_meet_leaves_no_torn_index(self):
+        a = interp(edge=[("a", "b"), ("c", "d")], s=[("a", "b", 5)])
+        b = interp(edge=[("a", "b"), ("c", "d")], s=[("a", "b", 3)])
+        plan = FaultPlan([Fault("index_update", at=2)])
+        with inject(plan), pytest.raises(FaultInjected):
+            a.meet(b)
+        (rel,) = plan.touched_relations()
+        assert rel.decl.name == "edge" and len(rel) == 2
+        assert check_relation_indexes(rel) == []
 
     def test_fingerprint_changes_with_content(self):
         a = interp(s=[("a", "b", 3)])
@@ -346,45 +378,67 @@ JOIN_ROWS_BATCHES = {
     data=st.data(),
     strict=st.booleans(),
 )
-def test_join_rows_agrees_with_the_row_mutators(predicate, data, strict):
-    """``join_rows`` == validate + ``set_cost`` / ``add_tuple`` row by
-    row: same changed-row lists (values as stored after joining), same
-    contents, same error at the same row, and live indexes and row cache
-    equal to a rebuild — over an ordinary, a cost and a default-value
-    predicate."""
+def test_join_rows_agrees_with_a_container_oracle(predicate, data, strict):
+    """``join_rows`` == a plain ``set`` / ``dict`` written row by row
+    with ``validate`` and ``lattice.join``: same changed-row lists
+    (values as stored after joining), same contents, same error at the
+    same row, and live indexes and row cache equal to a rebuild — over
+    an ordinary, a cost and a default-value predicate."""
     decl = parse_program(JOIN_ROWS_DECLS).declarations[predicate]
+    lattice = decl.lattice
     batches = data.draw(st.lists(JOIN_ROWS_BATCHES[predicate], max_size=3))
 
-    def row_by_row(rel, rows):
+    def oracle(state, rows):
         changed = []
         for row in rows:
-            if not rel.is_cost:
-                if rel.add_tuple(row):
+            if lattice is None:
+                if row not in state:
+                    state.add(row)
                     changed.append(row)
                 continue
-            decl.lattice.validate(row[-1])
-            if rel.set_cost(row[:-1], row[-1], strict=strict):
-                changed.append(row[:-1] + (rel.cost_of(row[:-1]),))
+            key, value = row[:-1], row[-1]
+            lattice.validate(value)
+            existing = state.get(key)
+            if decl.has_default and value == lattice.bottom:
+                if strict and existing is not None and existing != value:
+                    raise CostConsistencyError(
+                        f"{decl.name}{key}: derived both "
+                        f"{existing!r} and default {value!r}"
+                    )
+                continue
+            if existing is not None:
+                if existing == value:
+                    continue
+                if strict:
+                    raise CostConsistencyError(
+                        f"{decl.name}{key}: derived both {existing!r} and "
+                        f"{value!r} in one T_P application"
+                    )
+                value = lattice.join(existing, value)
+                if value == existing:
+                    continue
+            state[key] = value
+            changed.append(key + (value,))
         return changed
 
-    outcomes = []
-    for bulk in (True, False):
-        rel = Relation.empty(decl)
-        log = []
-        for rows in batches:
-            rel.lookup((0,), (0,))  # keep an index and the row cache live
-            rel.rows_list()
-            try:
-                log.append(
-                    rel.join_rows(rows, strict=strict)
-                    if bulk
-                    else row_by_row(rel, rows)
-                )
-            except (CostConsistencyError, LatticeValueError) as error:
-                log.append(str(error))
-            assert check_relation_indexes(rel) == []
-        outcomes.append((repr(log), sorted(map(repr, rel.rows()))))
-    assert outcomes[0] == outcomes[1]
+    def outcome(write):
+        try:
+            return write()
+        except (CostConsistencyError, LatticeValueError) as error:
+            return str(error)
+
+    rel = Relation.empty(decl)
+    state = set() if lattice is None else {}
+    bulk, reference = [], []
+    for rows in batches:
+        rel.lookup((0,), (0,))  # keep an index and the row cache live
+        rel.rows_list()
+        bulk.append(outcome(lambda: rel.join_rows(rows, strict=strict)))
+        reference.append(outcome(lambda: oracle(state, rows)))
+        assert check_relation_indexes(rel) == []
+    assert repr(bulk) == repr(reference)
+    expected = state if lattice is None else [k + (v,) for k, v in state.items()]
+    assert sorted(map(repr, rel.rows())) == sorted(map(repr, expected))
 
 
 @pytest.mark.parametrize("intruder", NOT_REAL + (-1,), ids=repr)

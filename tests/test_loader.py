@@ -355,9 +355,8 @@ def test_sample_road_network_solves_to_the_pinned_model():
 # ---------------------------------------------------------------------------
 #
 # The reference below is the loader this repository had before ingest was
-# moved onto ``join_rows``: one row decoded, validated and written with
-# ``set_cost``/``add_tuple`` at a time.  It is kept here, not in ``src/``,
-# as the oracle.  Everything observable must be equal: the model *and its
+# moved onto slices: one row decoded, validated and written at a time.  It
+# is kept here, not in ``src/``, as the oracle.  Everything observable must be equal: the model *and its
 # row order*, the ``LoadReport`` (counts, skipped, every diagnostic's code,
 # message, file and line), the exception type and message, and the rows
 # already applied when a strict load raises.
@@ -411,9 +410,7 @@ def reference_load_csv(
                     line=line,
                 )
                 continue
-            rel.set_cost(row[:-1], row[-1])
-        else:
-            rel.add_tuple(row)
+        rel.join_rows([row], strict=True)
         report._count(predicate)
     return report
 
@@ -503,9 +500,7 @@ def reference_load_jsonl(
                     line=line,
                 )
                 continue
-            rel.set_cost(tuple(row[:-1]), row[-1])
-        else:
-            rel.add_tuple(tuple(row))
+        rel.join_rows([tuple(row)], strict=True)
         report._count(predicate)
     return report
 

@@ -95,14 +95,13 @@ def reference_heads(rules, cdb, delta, ctx):
 
 
 def apply_heads(j, heads):
-    """Join ``heads`` into ``j`` one ``add_fact`` at a time: the changed
-    rows as stored, per predicate, and the (new, changed) atom counts."""
+    """Join ``heads`` into ``j`` one row at a time: the changed rows as
+    stored, per predicate, and the (new, changed) atom counts."""
     delta, new, changed = {}, 0, 0
     for predicate, args in heads:
         rel = j.relation(predicate)
         size = len(rel)
-        if j.add_fact(predicate, *args, strict=False):
-            row = args[:-1] + (rel.costs[args[:-1]],) if rel.is_cost else args
+        for row in rel.join_rows([args]):
             delta.setdefault(predicate, []).append(row)
             new += len(rel) - size
             changed += size == len(rel)
@@ -191,7 +190,7 @@ def reference_greedy(program, component, i, direction):
         rel = j.relation(predicate)
         if args[:-1] in rel.costs:
             continue
-        rel.set_cost(args[:-1], args[-1], strict=False)
+        rel.join_rows([args])
         settled += 1
         for head, head_args in reference_heads(rules, cdb, {predicate: [args]}, ctx):
             if head_args[:-1] not in j.relation(head).costs:
@@ -254,7 +253,7 @@ def catalog_instances(draw):
             *([st.sampled_from(costs)] if decl.is_cost_predicate else []),
         )
         for args in draw(st.lists(row, max_size=8)):
-            edb.add_fact(name, *args, strict=False)
+            edb.relation(name).join_rows([args])
     return program, edb
 
 
@@ -347,7 +346,7 @@ class TestDriversMatchThePerSeedReference:
         program = parse_program(source)
         edb = Interpretation(program.declarations)
         for x, step, w in arcs:
-            edb.add_fact("arc", x, x + step, -direction * w, strict=False)
+            edb.relation("arc").join_rows([(x, x + step, -direction * w)])
         (component,) = [c for c in condense(program) if "s" in c.cdb]
         got = assert_greedy_matches_slices(program, component, edb, direction, size)
         naive = solve(program, edb, method="naive", pushdown="off")
@@ -436,7 +435,6 @@ class TestSlices:
         assert before < fired < after <= before + SEED_SLICE
         assert result.component_results[-1].iterations == rounds
         assert rows_in_order(result.model) == rows_in_order(bounded.model)
-        assert set(result.checkpoint.frontier) == {"path", "s"}
         resumed = shortest_path.database({"arc": arcs}).resume(
             result.checkpoint, method="greedy"
         )

@@ -298,6 +298,28 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             Checkpoint.from_dict(payload)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_v1_file_carrying_a_frontier_resumes(self, method, tmp_path):
+        """Format 1 files once carried the pending delta as an advisory
+        ``frontier``; such a file still loads, the field is ignored, and
+        resume reaches the uninterrupted model."""
+        db = make_db(SHORTEST_PATH)
+        partial = db.solve(method=method, budget=Budget(max_iterations=1))
+        payload = partial.checkpoint.to_dict()
+        assert payload["format"] == 1 and "frontier" not in payload
+        payload["frontier"] = {
+            name: [key + [cost] for key, cost in relation["rows"]]
+            for name, relation in payload["relations"].items()
+            if relation["kind"] == "costs"
+        }
+        path = tmp_path / "v1-with-frontier.ckpt.json"
+        path.write_text(json.dumps(payload))
+
+        resumed = make_db(SHORTEST_PATH).resume(str(path), method=method)
+        assert resumed.status == "complete"
+        full = make_db(SHORTEST_PATH).solve(method=method)
+        assert snapshot(resumed.model) == snapshot(full.model)
+
     @pytest.mark.parametrize(
         "rows, complaint",
         [
