@@ -69,6 +69,7 @@ WRITE = {"naive": "replace", "seminaive": "join", "greedy": "join"}
 class FixpointResult:
     """Outcome of one component's fixpoint computation."""
 
+    #: The component's ``J``: its CDB relations and nothing else.
     interpretation: Interpretation
     iterations: int
     ascending: bool
@@ -233,6 +234,12 @@ class Worklist(Protocol):
         """Take in a round's ``derived`` rows; return those to write now."""
 
 
+def cdb_interpretation(program: Program, cdb: FrozenSet[str]) -> Interpretation:
+    """An empty ``J`` for the component ``cdb``: one relation per CDB
+    predicate, since every other read goes to ``I``."""
+    return Interpretation({name: program.declarations[name] for name in sorted(cdb)})
+
+
 def fire_all(
     rules: Sequence[Rule],
     ctx: EvalContext,
@@ -267,7 +274,8 @@ def apply_tp(
     scc: Optional[int] = None,
 ) -> Interpretation:
     """``T_P(J, I)`` of the ``rules`` (default: those with their head in
-    ``cdb``) as a fresh interpretation.  ``strict=False`` joins
+    ``cdb``) as a fresh interpretation holding the ``cdb`` relations and
+    nothing else.  ``strict=False`` joins
     conflicting cost derivations instead of raising;
     ``negation_source`` / ``aggregate_source`` fix those subgoal kinds
     to an oracle (reducts, Sections 5.3–5.5)."""
@@ -278,7 +286,7 @@ def apply_tp(
         negation_source=negation_source, aggregate_source=aggregate_source,
     )  # fmt: skip
     poll = (lambda: supervisor.poll(scc)) if supervisor.active else None
-    out = Interpretation(program.declarations)
+    out = cdb_interpretation(program, cdb)
     for predicate, rows in fire_all(rules, ctx, plan, poll):
         out.relation(predicate).join_rows(rows, strict=strict)
     return out
@@ -317,14 +325,15 @@ def fixpoint(
     before every kernel call (per rule, or at most :data:`SEED_SLICE`
     seeds apart), and consulted after every round but a converged Kleene
     one; an interrupt escapes with the last complete ``J`` attached.
-    ``initial`` resumes from a checkpointed lower bound: round 1
+    ``initial`` resumes from a checkpointed lower bound of the CDB
+    relations (nothing else, like every ``J``): round 1
     re-derives over it (Kleene rounds become ``J ⊔ T_P(J, I)``), so the
     pending delta need not be saved.
     """
     replace = write == "replace"
     rules = [r for r in program.rules if r.head.predicate in cdb]
     resumed = initial is not None
-    j = initial.copy() if resumed else Interpretation(program.declarations)
+    j = initial.copy() if resumed else cdb_interpretation(program, cdb)
     track = tracer.enabled
     supervise = supervisor.active
     # ``j`` only mutates in the write block, which has no check sites
@@ -340,7 +349,7 @@ def fixpoint(
     seen = {j.fingerprint(): 0} if replace else {}
 
     delta: DeltaRows = {}
-    atoms = j.size_of(cdb)  # ``j`` holds CDB atoms only
+    atoms = j.total_size()
     trajectory: List[int] = []
     iterations = 0
     ascending = True
@@ -352,7 +361,7 @@ def fixpoint(
             target = j
             if replace:
                 derived: Any = fire_all(rules, ctx, plan, poll)
-                target = Interpretation(program.declarations)
+                target = cdb_interpretation(program, cdb)
                 check = strict
             else:
                 if iterations:
@@ -380,7 +389,7 @@ def fixpoint(
             if replace:
                 if resumed:
                     target = j.join(target)
-                atoms = target.size_of(cdb)
+                atoms = target.total_size()
                 if track or supervise:
                     new_atoms, changed_atoms = delta_counts(j, target)
             else:

@@ -392,19 +392,21 @@ def delta_counts(
 
 
 class Interpretation:
-    """A (finite-core) aggregate Herbrand interpretation."""
+    """A (finite-core) aggregate Herbrand interpretation: one map from
+    predicate name to :class:`Relation`, holding the relations it was
+    built with.  Every lattice operation, ``==`` and :meth:`fingerprint`
+    read an absent relation as empty (for a default-value predicate:
+    every key at its default)."""
 
     def __init__(self, declarations: Mapping[str, PredicateDecl]) -> None:
-        self.declarations = dict(declarations)
         self.relations: Dict[str, Relation] = {
-            name: Relation.empty(decl)
-            for name, decl in self.declarations.items()
+            name: Relation.empty(decl) for name, decl in declarations.items()
         }
 
     # -- construction ------------------------------------------------------------
 
     def copy(self, warm: bool = False) -> "Interpretation":
-        out = Interpretation(self.declarations)
+        out = Interpretation({})
         out.relations = {
             name: rel.copy(warm=warm) for name, rel in self.relations.items()
         }
@@ -415,6 +417,11 @@ class Interpretation:
             return self.relations[predicate]
         except KeyError:
             raise ProgramError(f"unknown predicate {predicate}") from None
+
+    def _read(self, name: str, decl: PredicateDecl) -> Relation:
+        """The relation of ``name``; an absent one reads as empty."""
+        rel = self.relations.get(name)
+        return rel if rel is not None else Relation.empty(decl)
 
     def add_fact(self, predicate: str, *args: Any) -> bool:
         """Insert a ground fact given its full argument list; True if new.
@@ -430,8 +437,8 @@ class Interpretation:
 
     def leq(self, other: "Interpretation") -> bool:
         """``self ⊑ other`` (Definition 3.3)."""
-        for name, rel in self.relations.items():
-            other_rel = other.relation(name)
+        for name, rel in self._held().items():
+            other_rel = other._read(name, rel.decl)
             if rel.is_cost:
                 lattice = rel.decl.lattice
                 assert lattice is not None
@@ -455,23 +462,26 @@ class Interpretation:
         out = self.copy(warm=True)
         for name, rel in other.relations.items():
             if len(rel):
-                out.relation(name).join_rows(list(rel.rows()))
+                target = out.relations.get(name)
+                if target is None:
+                    target = out.relations[name] = Relation.empty(rel.decl)
+                target.join_rows(list(rel.rows()))
         return out
 
     def absorb(self, other: "Interpretation") -> None:
         """``self ← self ⊔ other`` in place, without copying either side.
 
-        An empty relation *adopts* ``other``'s relation object, warm
-        indexes included (the two interpretations then share it — callers
-        own both sides, as the solver does with its state and a finished
-        component); a non-empty one is joined through
+        An empty or absent relation *adopts* ``other``'s relation object,
+        warm indexes included (the two interpretations then share it —
+        callers own both sides, as the solver does with its state and a
+        finished component); a non-empty one is joined through
         :meth:`Relation.join_rows`.
         """
         for name, rel in other.relations.items():
             if not len(rel):
                 continue
-            target = self.relation(name)
-            if not len(target):
+            target = self.relations.get(name)
+            if target is None or not len(target):
                 self.relations[name] = rel
             else:
                 target.join_rows(rel.rows())
@@ -484,9 +494,11 @@ class Interpretation:
         predicates an absent key reads as bottom, so the meet of a core
         entry with an absent one is bottom and leaves the core.
         """
-        out = Interpretation(self.declarations)
+        out = Interpretation(
+            {name: rel.decl for name, rel in self.relations.items()}
+        )
         for name, rel in self.relations.items():
-            other_rel = other.relation(name)
+            other_rel = other._read(name, rel.decl)
             lattice = rel.decl.lattice
             if lattice is None:
                 rows: Iterable[Key] = rel.tuples & other_rel.tuples
@@ -498,30 +510,25 @@ class Interpretation:
                         rows.append(key + (lattice.meet(value, other_value),))
             # Keys are unique, so the write never joins; bottoms of a
             # default-value predicate leave the core.
-            out.relation(name).join_rows(rows)
+            out.relations[name].join_rows(rows)
         return out
 
     # -- comparisons & reporting -----------------------------------------------------
 
+    def _held(self) -> Dict[str, Relation]:
+        """The non-empty relations: an empty one reads as absent."""
+        return {name: rel for name, rel in self.relations.items() if len(rel)}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interpretation):
             return NotImplemented
-        for name, rel in self.relations.items():
-            other_rel = other.relations.get(name)
-            if other_rel is None:
-                if len(rel):
-                    return False
-                continue
-            if rel.is_cost:
-                if rel.costs != other_rel.costs:
-                    return False
-            else:
-                if rel.tuples != other_rel.tuples:
-                    return False
-        for name, rel in other.relations.items():
-            if name not in self.relations and len(rel):
-                return False
-        return True
+        mine, theirs = self._held(), other._held()
+        # An ordinary relation's ``costs`` and a cost relation's
+        # ``tuples`` are empty, so one comparison covers both kinds.
+        return mine.keys() == theirs.keys() and all(
+            rel.tuples == theirs[name].tuples and rel.costs == theirs[name].costs
+            for name, rel in mine.items()
+        )
 
     def __hash__(self):  # pragma: no cover - interpretations are mutable
         raise TypeError("interpretations are mutable and unhashable")
@@ -529,23 +536,13 @@ class Interpretation:
     def fingerprint(self) -> int:
         """A hash of the current contents (for oscillation detection)."""
         parts: List[Tuple[Any, ...]] = []
-        for name in sorted(self.relations):
-            rel = self.relations[name]
-            if rel.is_cost:
-                parts.append(
-                    (name,) + tuple(sorted(rel.costs.items(), key=repr))
-                )
-            else:
-                parts.append((name,) + tuple(sorted(rel.tuples, key=repr)))
+        for name, rel in sorted(self._held().items()):
+            rows = rel.costs.items() if rel.is_cost else rel.tuples
+            parts.append((name,) + tuple(sorted(rows, key=repr)))
         return hash(tuple(parts))
 
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.relations.values())
-
-    def size_of(self, predicates: Iterable[str]) -> int:
-        """Atoms of ``predicates`` only: a component's ``J`` holds
-        nothing outside its CDB, so that is all of it."""
-        return sum(len(self.relations[p]) for p in predicates)
 
     def __getitem__(self, predicate: str):
         """Convenience read access: a dict for cost predicates, a frozenset
@@ -557,10 +554,7 @@ class Interpretation:
 
     def __str__(self) -> str:
         lines = []
-        for name in sorted(self.relations):
-            rel = self.relations[name]
-            if not len(rel):
-                continue
+        for name, rel in sorted(self._held().items()):
             for row in sorted(rel.rows(), key=repr):
                 rendered = ", ".join(map(repr, row))
                 lines.append(f"{name}({rendered})")

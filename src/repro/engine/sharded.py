@@ -70,7 +70,8 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 from repro.analysis.sharding import ShardKey
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
-from repro.engine.fixpoint import WRITE, FixpointResult, apply_tp, fixpoint
+from repro.engine.fixpoint import WRITE, FixpointResult, apply_tp
+from repro.engine.fixpoint import cdb_interpretation, fixpoint
 from repro.engine.interpretation import Interpretation, Key
 from repro.engine.options import SolveOptions
 from repro.engine.supervisor import NULL_SUPERVISOR, Supervisor
@@ -153,7 +154,7 @@ def _run_shard(
     # the mergeable instruments and rule stats accumulate, which is
     # exactly what can be shipped back as plain data.
     tracer = Tracer(collect=False) if ctx.traced else NULL_TRACER
-    initial = Interpretation(ctx.program.declarations)
+    initial = cdb_interpretation(ctx.program, ctx.cdb)
     _merge_rows(initial, seeds)
     result = fixpoint(
         ctx.program,
@@ -245,7 +246,7 @@ def sharded_fixpoint(
     merged = apply_tp(
         program,
         cdb,
-        Interpretation(program.declarations),
+        cdb_interpretation(program, cdb),
         i,
         rules=seed_rules,
         strict=strict,

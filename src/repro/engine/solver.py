@@ -41,7 +41,8 @@ from repro.engine.interpretation import (
     use_index_stats,
 )
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
-from repro.engine.fixpoint import WRITE, FixpointResult, fixpoint
+from repro.engine.fixpoint import WRITE, FixpointResult, cdb_interpretation
+from repro.engine.fixpoint import fixpoint
 from repro.engine.options import SolveOptions
 from repro.engine.sharded import (
     ShardWorkerError,
@@ -171,11 +172,11 @@ def _component_initial(
 ) -> Interpretation:
     """The restriction of ``state`` to the component's CDB predicates —
     the evaluator's resume seed (the rest of ``state`` is its ``I``)."""
-    initial = Interpretation(program.declarations)
-    for predicate in component.cdb:
+    initial = cdb_interpretation(program, component.cdb)
+    for predicate, rel in initial.relations.items():
         src = state.relations.get(predicate)
         if src is not None and len(src):
-            initial.relation(predicate).join_rows(src.rows())
+            rel.join_rows(src.rows())
     return initial
 
 
@@ -280,6 +281,8 @@ def _solve_traced(
         with tracer.phase("shard-plan"):
             sharding_report = eval_facts.sharding
 
+    # The solve's own state (every component's ``I``, then the model)
+    # covers every declared predicate; a component's ``J`` holds its CDB.
     state = (
         edb.copy() if edb is not None else Interpretation(program.declarations)
     )
@@ -287,14 +290,10 @@ def _solve_traced(
         # The checkpoint state already contains the EDB it was solved
         # over; joining (rather than replacing) keeps any facts the
         # caller added since — they participate via re-derivation.
-        # Checkpoints are captured against (and restored over) the
-        # *original* program: auxiliary frontier atoms are never
-        # checkpointed and re-derive from the restored lower bound.
-        state = state.join(resume.restore(program))
+        state.absorb(resume.restore(program))
     for name in aux_predicates:
-        decl = eval_program.declarations[name]
-        state.declarations[name] = decl
-        state.relations[name] = Relation.empty(decl)
+        # Components above read it through ``I``, even when none is derived.
+        state.relations[name] = Relation.empty(eval_program.declarations[name])
     result = SolveResult(model=state, analysis=analysis, program=program)
     for index, component in enumerate(eval_facts.components):
         cls = classes.get(component.cdb)
@@ -421,36 +420,13 @@ def _solve_traced(
             # report instead of raising.
             partial = interrupt.partial
             if partial is not None:
-                state = state.join(partial.interpretation)
+                state.absorb(partial.interpretation)
                 result.components.append(component)
                 result.component_methods.append(chosen)
                 result.component_results.append(partial)
             result.status = interrupt.status
             result.reason = interrupt.reason
             result.interrupted_component = index
-            # Auxiliary frontier atoms never leave the solver: the
-            # partial model and the checkpoint (captured against the
-            # original program) carry original predicates only; resume
-            # re-derives them from the restored lower bound.
-            for name in aux_predicates:
-                state.relations.pop(name, None)
-                state.declarations.pop(name, None)
-            result.model = state
-            result.checkpoint = Checkpoint.capture(
-                program,
-                state,
-                status=interrupt.status,
-                reason=interrupt.reason,
-                component=index,
-                iterations=result.total_iterations,
-            )
-            if tracer.enabled:
-                tracer.emit(
-                    "checkpoint",
-                    status=interrupt.status,
-                    component=index,
-                    atoms=state.total_size(),
-                )
             break
         if tracer.enabled:
             tracer.emit(
@@ -467,11 +443,28 @@ def _solve_traced(
         result.components.append(component)
         result.component_methods.append(chosen)
         result.component_results.append(outcome)
-    if result.complete:
-        for name in aux_predicates:
-            state.relations.pop(name, None)
-            state.declarations.pop(name, None)
-        result.model = state
+    # Auxiliary frontier atoms never leave the solver: the model and the
+    # checkpoint (captured against the original program) carry original
+    # predicates only; resume re-derives them from the restored lower
+    # bound.
+    for name in aux_predicates:
+        state.relations.pop(name, None)
+    if result.interrupted_component is not None:
+        result.checkpoint = Checkpoint.capture(
+            program,
+            state,
+            status=result.status,
+            reason=result.reason,
+            component=result.interrupted_component,
+            iterations=result.total_iterations,
+        )
+        if tracer.enabled:
+            tracer.emit(
+                "checkpoint",
+                status=result.status,
+                component=result.interrupted_component,
+                atoms=state.total_size(),
+            )
     result.runtime_diagnostics = list(supervisor.diagnostics)
     if tracer.enabled:
         analysed = (facts,) if eval_facts is facts else (facts, eval_facts)

@@ -6,10 +6,9 @@ caches it) and the extensional database is materialized once, behind a
 lock, so a request never re-streams bulk CSV/JSONL sources.  Every
 request then solves over the shared materialization — safe because
 :func:`repro.engine.solver.solve` copies its EDB on entry, so
-concurrent solves read one immutable snapshot and write only their
-private copies.  The shared snapshot is kept **warm** (row caches
-materialized, generation-counted) so concurrent readers share the
-cached row sets instead of each paying the first-materialization cost.
+concurrent solves read one immutable, shared snapshot and write only
+their private copies.  The snapshot is the freshly built EDB itself: it
+carries no pre-built row caches or indexes.
 """
 
 from __future__ import annotations
@@ -43,13 +42,11 @@ class HostedDatabase:
 
         Materialized on first use and never mutated afterwards: the
         solver copies it on entry, so requests are isolated from each
-        other and from the snapshot itself.  The relations' row caches
-        are pre-warmed so every reader shares them via the generation
-        counter.
+        other and from the snapshot itself.
         """
         with self._lock:
             if self._snapshot is None:
-                self._snapshot = self.db.edb().copy(warm=True)
+                self._snapshot = self.db.edb()
             return self._snapshot
 
     def predicates(self) -> list:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.supervisor import CancelToken
-from repro.obs import SCHEMA_VERSION, FlightRecorder, MetricsRegistry
+from repro.obs import FlightRecorder, Tracer
 from repro.serve.hosting import HostedDatabase
 from repro.serve.supervise import RequestOutcome, RequestSupervisor, encode_body
 
@@ -77,31 +77,23 @@ class ServeSettings:
 class _Telemetry:
     """Thread-safe server telemetry: metrics + a request-event ring.
 
-    One lock guards a :class:`~repro.obs.MetricsRegistry` (scraped by
-    ``/metrics`` as Prometheus exposition) and a
-    :class:`~repro.obs.FlightRecorder` ring of schema-v6 request events
-    (``request_start`` / ``request_end`` / ``request_shed`` /
-    ``server_drain``) for postmortems of the *server*, not one solve.
+    One lock guards a non-collecting :class:`~repro.obs.Tracer`: its
+    metrics registry (scraped by ``/metrics`` as Prometheus exposition)
+    and its one sink, a :class:`~repro.obs.FlightRecorder` ring of
+    request events (``request_start`` / ``request_end`` /
+    ``request_shed`` / ``server_drain``) for postmortems of the
+    *server*, not one solve.
     """
 
     def __init__(self, flight_size: int = 1024) -> None:
         self._lock = threading.Lock()
-        self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(flight_size)
-        self._seq = 0
-        self._t0 = time.perf_counter()
+        self._tracer = Tracer(self.flight, collect=False)
+        self.metrics = self._tracer.metrics
 
     def emit(self, event_type: str, **payload: Any) -> None:
         with self._lock:
-            self._seq += 1
-            event: Dict[str, Any] = {
-                "v": SCHEMA_VERSION,
-                "seq": self._seq,
-                "t": round(time.perf_counter() - self._t0, 6),
-                "type": event_type,
-            }
-            event.update(payload)
-            self.flight.emit(event)
+            self._tracer.emit(event_type, **payload)
 
     def count(self, name: str, n: int = 1) -> None:
         with self._lock:

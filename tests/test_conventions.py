@@ -73,6 +73,12 @@ Invariants the engine's correctness arguments lean on:
    front door forwards its options and re-declares none
    (``tests/test_solve_options.py`` holds them to one message).
 
+11. **A component's state holds its CDB only.**  ``J``, the Kleene
+   target, ``apply_tp``'s output and the shard seeds are built by
+   ``fixpoint.cdb_interpretation``; no component state in the fixpoint,
+   solver or sharded modules is an ``Interpretation`` over every
+   declaration.
+
 The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough to need no allowlist.
@@ -249,7 +255,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4884
+ENGINE_LINES = 4881
 
 
 def test_one_fixpoint_loop():
@@ -283,6 +289,26 @@ def test_one_fixpoint_loop():
     assert lines <= ENGINE_LINES, (
         f"src/repro/engine/ has {lines} lines; the ratchet is {ENGINE_LINES}"
     )
+
+
+FULL_WIDTH = re.compile(r"Interpretation\((eval_)?program\.declarations\)")
+
+
+def test_component_state_holds_its_cdb_only():
+    """No component state is built over every declaration: ``J``, the
+    Kleene target, ``apply_tp``'s output and the shard seeds are built
+    by ``fixpoint.cdb_interpretation``.  The one full-width build left is
+    the solve's own state when the caller passes no EDB."""
+    found = [
+        f"{name}: {line.strip()}"
+        for name in ("fixpoint.py", "solver.py", "sharded.py")
+        for line in (SRC / "engine" / name).read_text(encoding="utf-8").splitlines()
+        if FULL_WIDTH.search(line)
+    ]
+    assert found == [
+        "solver.py: edb.copy() if edb is not None else "
+        "Interpretation(program.declarations)"
+    ]
 
 
 def test_documented_kernel_is_the_generated_kernel():

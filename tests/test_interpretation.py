@@ -243,6 +243,51 @@ class TestLatticeLawsRandom:
             assert a == b
 
 
+nodes = st.sampled_from("abc")
+#: Rows for every predicate of ``DECLS``; ``t``'s 0 is its default.
+contents = st.fixed_dictionaries(
+    {
+        "edge": st.lists(st.tuples(nodes, nodes), max_size=3),
+        "s": st.lists(st.tuples(nodes, nodes, st.integers(0, 5)), max_size=3),
+        "t": st.lists(st.tuples(nodes, st.integers(0, 1)), max_size=2),
+    }
+)
+held = st.sets(st.sampled_from(sorted(DECLS)))
+
+
+def holding(names, atoms):
+    """An interpretation holding the relations of ``names`` only, with
+    the rows ``atoms`` gives for them joined in."""
+    out = Interpretation({name: DECLS[name] for name in names})
+    for name in names:
+        out.relation(name).join_rows(atoms.get(name, []))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(held, contents, held, contents, held)
+def test_an_absent_relation_reads_as_empty(held_a, rows_a, held_b, rows_b, wider):
+    """Every lattice operation, ``==`` and ``fingerprint`` agree that an
+    absent relation is the empty relation of its predicate."""
+    atoms_a = {name: rows_a[name] for name in held_a}
+    atoms_b = {name: rows_b[name] for name in held_b}
+    a, b = holding(held_a, atoms_a), holding(held_b, atoms_b)
+    full_a, full_b = holding(DECLS, atoms_a), holding(DECLS, atoms_b)
+    # The same atoms over more (empty) relations.
+    a_wide = holding(held_a | wider, atoms_a)
+    for x, y in ((a, b), (a, full_a), (a, a_wide), (full_a, b), (a_wide, full_b)):
+        assert (x == y) == (x.leq(y) and y.leq(x))
+        if x == y:
+            assert x.fingerprint() == y.fingerprint()
+    assert a == full_a == a_wide
+    assert a.leq(b) == full_a.leq(full_b)
+    assert a.join(b) == full_a.join(full_b)
+    assert a.meet(b) == full_a.meet(full_b)
+    absorbed = a.copy()
+    absorbed.absorb(b)
+    assert absorbed == full_a.join(full_b)
+
+
 class TestMisc:
     def test_copy_is_independent(self):
         a = interp(s=[("a", "b", 3)])

@@ -8,8 +8,10 @@ with the well-founded model where both apply.
 import pytest
 
 from repro.core.database import Database
+from repro.engine.sharded import sharded_supported
 from repro.engine import Interpretation, solve
 from repro.datalog.parser import parse_program
+from repro.programs import shortest_path
 from repro.semantics import kemp_stuckey_wf
 
 
@@ -185,8 +187,10 @@ class TestStateAbsorbsComponents:
         result = shortest_path.database({"arc": arcs}).solve(method="seminaive")
         assert "path__frontier" not in result.model.relations
         frontier = [
-            fixpoint.interpretation.relations["path__frontier"]
+            rel
             for fixpoint in result.component_results
+            for name, rel in fixpoint.interpretation.relations.items()
+            if name == "path__frontier"
         ]
         assert any(len(rel) for rel in frontier)
         plain = shortest_path.database({"arc": arcs}).solve(
@@ -217,7 +221,52 @@ class TestStateAbsorbsComponents:
         assert resumed.model == full.model
         held = [n for n, rel in partial.model.relations.items() if len(rel)]
         assert len(held) > 1  # more than the EDB: derived atoms came back
-        for name in held:
-            for fixpoint in resumed.component_results:
-                derived = fixpoint.interpretation.relations[name]
-                assert derived is not resumed.model.relations[name]
+        joined = [
+            (derived, resumed.model.relations[name])
+            for fixpoint in resumed.component_results
+            for name, derived in fixpoint.interpretation.relations.items()
+            if name in held
+        ]
+        assert joined
+        for derived, folded in joined:
+            assert derived is not folded
+
+
+class TestComponentHoldsItsCdb:
+    """A component's ``J`` — the ``interpretation`` of its
+    ``FixpointResult`` — holds its CDB relations and nothing else, however
+    many predicates the program declares."""
+
+    SOURCE = shortest_path.source + "far(X) <- s(X, Y, C), C > 2.\n"
+    ARCS = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 1.0), ("c", "d", 3.0)]
+
+    @pytest.mark.parametrize("extra", [0, 100])
+    @pytest.mark.parametrize(
+        "method, plan",
+        [
+            ("naive", "smart"),
+            ("seminaive", "smart"),
+            ("greedy", "smart"),
+            ("auto", "smart"),
+            ("naive", "sharded"),
+            ("seminaive", "sharded"),
+        ],
+    )
+    def test_j_holds_the_cdb(self, method, plan, extra):
+        if plan == "sharded" and not sharded_supported()[0]:
+            pytest.skip("no fork start method")
+        db = Database()
+        db.load(self.SOURCE)
+        db.add_facts("arc", self.ARCS)
+        for n in range(extra):
+            db.add_fact(f"unrelated{n}", n)
+        result = db.solve(method=method, plan=plan, workers=2, shards=4)
+        assert result.complete
+        if plan == "sharded":
+            assert any(m.endswith("+sharded") for m in result.component_methods)
+        assert len(result.components) >= 3
+        for component, outcome in zip(result.components, result.component_results):
+            assert set(outcome.interpretation.relations) == set(component.cdb)
+        # The model still covers every declared predicate.
+        assert set(result.model.relations) == set(db.program.declarations)
+        assert result.model["far"] == {("a",), ("b",), ("c",)}
