@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.datalog.errors import ProgramError, ReproError
 from repro.datalog.program import Program
@@ -91,6 +91,15 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, list):
         raise CheckpointError(f"bare list {value!r} in checkpoint")
     return value
+
+
+def _decode_row(row: Any, costs: bool) -> Tuple[Any, ...]:
+    """One encoded row: ``[key, cost]`` for a cost relation, else a key
+    (a list of encoded values)."""
+    key, *cost = row if costs else (row,)
+    if not isinstance(key, list) or len(cost) != costs:
+        raise ValueError(f"{row!r} is not {'[key, cost]' if costs else 'a list'}")
+    return tuple(map(_decode_value, key + cost))
 
 
 def program_fingerprint(program: Program) -> str:
@@ -180,33 +189,27 @@ class Checkpoint:
                 f"re-solve from scratch"
             )
         state = Interpretation(program.declarations)
+        kinds = ("ordinary", "a cost predicate")
         for name, payload in self.relations.items():
             try:
                 rel = state.relation(name)
             except ProgramError as exc:
                 raise CheckpointError(str(exc)) from exc
-            if payload.get("kind") == "costs":
-                if not rel.is_cost:
-                    raise CheckpointError(
-                        f"{name} is ordinary now but was a cost predicate "
-                        f"in the checkpoint"
-                    )
-                rows = [
-                    tuple(_decode_value(k) for k in key) + (_decode_value(value),)
-                    for key, value in payload.get("rows", ())
-                ]
-            else:
-                if rel.is_cost:
-                    raise CheckpointError(
-                        f"{name} is a cost predicate now but was ordinary "
-                        f"in the checkpoint"
-                    )
-                rows = [
-                    tuple(_decode_value(k) for k in key)
-                    for key in payload.get("rows", ())
-                ]
-            # The file is input, not state: its rows take the validated
-            # bulk write, never a bare container write.
+            # The file is input, not state: its shape is checked here and
+            # its rows take the validated bulk write, never a bare
+            # container write.
+            if not isinstance(payload, dict):
+                raise CheckpointError(f"checkpoint relation {name} is not an object")
+            costs = payload.get("kind") == "costs"
+            if costs != rel.is_cost:
+                raise CheckpointError(
+                    f"{name} is {kinds[rel.is_cost]} now but was "
+                    f"{kinds[costs]} in the checkpoint"
+                )
+            try:
+                rows = [_decode_row(row, costs) for row in payload.get("rows", ())]
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"checkpoint row of {name}: {exc}") from exc
             if set(map(len, rows)) - {rel.decl.arity}:
                 raise CheckpointError(
                     f"checkpoint holds a row of {name} that is not of "

@@ -55,10 +55,6 @@ class IndexStats:
     invalidations: int = 0
     scans: int = 0
 
-    def reset(self) -> None:
-        self.hits = self.misses = self.builds = 0
-        self.invalidations = self.scans = 0
-
     def snapshot(self) -> Dict[str, int]:
         return {
             "hits": self.hits,

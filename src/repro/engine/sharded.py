@@ -41,10 +41,10 @@ however, crosses the boundary: when the parent solve is traced, each
 worker runs a local (non-streaming) :class:`~repro.obs.tracer.Tracer`,
 and ships its per-rule firing stats and mergeable metrics registry
 snapshot back through the pool result alongside its rows.
-The parent folds them in at the barrier — rule stats via
-``tracer.absorb_rule`` (rule indexes map back to identical objects,
-identity being fork-stable), metric instruments via the registry's
-associative ``merge`` (the same two-phase discipline as
+The parent folds them in at the barrier with ``tracer.absorb_worker``
+— rule indexes map back to identical objects (identity is fork-stable),
+and the registry snapshot is restored into the parent's instruments, an
+associative merge (the same two-phase discipline as
 :mod:`repro.aggregates.algebra`) — so a sharded solve's telemetry digest
 covers the worker-side work at full fidelity.
 
@@ -327,13 +327,13 @@ def sharded_fixpoint(
             for (shard, _), (_, _, _, telemetry) in zip(payloads, results):
                 if telemetry is None:
                     continue
-                for idx, (calls, derived, wall) in sorted(
-                    telemetry["rules"].items()
-                ):
-                    tracer.absorb_rule(
-                        shard_program.rules[idx], calls, derived, wall
-                    )
-                tracer.metrics.merge_snapshot(telemetry["metrics"])
+                tracer.absorb_worker(
+                    [
+                        (shard_program.rules[idx], *stats)
+                        for idx, stats in sorted(telemetry["rules"].items())
+                    ],
+                    telemetry["metrics"],
+                )
                 tracer.emit(
                     "worker_telemetry",
                     scc=scc,

@@ -6,17 +6,17 @@ path (see docs/OBSERVABILITY.md):
 * :mod:`repro.obs.events` — the versioned event schema and its in-tree
   validator (``repro validate-trace``);
 * :mod:`repro.obs.tracer` — the :class:`Tracer` (span / counter / event
-  primitives) and its sinks (:class:`CollectorSink` in-memory,
-  :class:`JsonlSink` streaming); the shared :data:`NULL_TRACER` is the
-  disabled fast path every hot loop checks before doing any work;
-* :mod:`repro.obs.summary` — :class:`TelemetrySummary`, the structured
-  per-rule / per-iteration digest attached to
+  primitives; it keeps its events in memory) and its streaming
+  :class:`JsonlSink`; the shared :data:`NULL_TRACER` is the disabled
+  fast path every hot loop checks before doing any work;
+* :mod:`repro.obs.summary` — :class:`TelemetrySummary`, a solve's events
+  grouped by type and attached to
   :attr:`repro.engine.solver.SolveResult.telemetry`, plus the renderers
   behind ``repro solve --stats`` and ``repro profile``;
 * :mod:`repro.obs.metrics` — the mergeable-instrument registry
   (:class:`MetricsRegistry`: counters, gauges, timers, log-linear
-  histograms) whose associative ``merge`` lets shard workers collect
-  full-fidelity metrics locally and the parent fold them at the
+  histograms) whose associative snapshot merge lets shard workers
+  collect full-fidelity metrics locally and the parent fold them at the
   barrier — the same two-phase discipline as the aggregate algebra;
 * :mod:`repro.obs.flight` — the :class:`FlightRecorder` bounded ring
   sink and the ``repro postmortem`` dump/render helpers.
@@ -47,13 +47,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.summary import (
     TelemetrySummary,
-    WorkerStat,
     sparkline,
     summarize,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
-    CollectorSink,
     JsonlSink,
     Sink,
     Tracer,
@@ -65,12 +63,10 @@ __all__ = [
     "validate_events",
     "validate_jsonl",
     "TelemetrySummary",
-    "WorkerStat",
     "summarize",
     "sparkline",
     "Tracer",
     "Sink",
-    "CollectorSink",
     "JsonlSink",
     "NULL_TRACER",
     "MetricsRegistry",

@@ -324,12 +324,19 @@ def validate_events(events: Iterable[Any]) -> List[str]:
 
 
 def validate_jsonl(path: str) -> List[str]:
-    """Schema violations of a JSONL trace file (empty list = valid)."""
+    """Schema violations of a JSONL trace file (empty list = valid).
+
+    A line that is not UTF-8 is one problem naming the undecodable byte.
+    """
     events: List[Any] = []
     problems: List[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                problems.append(f"{path}:{lineno}: not UTF-8 ({exc})")
+                continue
             if not line:
                 continue
             try:

@@ -23,7 +23,7 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Tuple
 
-from repro.obs.events import SCHEMA_VERSION
+from repro.obs.events import SCHEMA_VERSION, validate_event
 
 __all__ = [
     "FlightRecorder",
@@ -111,10 +111,13 @@ def load_dump(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 
     Raises ``ValueError`` for files that are not flight-recorder dumps
     (so ``repro postmortem`` can fail with a clear message instead of a
-    traceback on, say, a plain ``--trace`` file), and for **truncated**
-    dumps: a process killed mid-write leaves a partial trailing line or
+    traceback on, say, a plain ``--trace`` file), for **truncated**
+    dumps — a process killed mid-write leaves a partial trailing line or
     fewer events than the header's ``retained`` count promises, and a
-    debrief from half a ring would silently misattribute the crash.
+    debrief from half a ring would silently misattribute the crash — and
+    for an event line that :func:`~repro.obs.events.validate_event`
+    rejects, so the digest reads only schema-valid fields.  Events are
+    checked one by one: a ring may start after ``trace_start``.
     """
     with open(path, encoding="utf-8") as handle:
         lines = [line for line in (raw.strip() for raw in handle) if line]
@@ -138,8 +141,10 @@ def load_dump(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
                 f"{path}:{lineno}: truncated dump — line is not valid "
                 f"JSON ({exc}); the writer was probably killed mid-dump"
             ) from exc
-        if isinstance(event, dict):
-            events.append(event)
+        problems = validate_event(event, where=f"{path}:{lineno}")
+        if problems:
+            raise ValueError("; ".join(problems))
+        events.append(event)
     retained = header.get("retained")
     if isinstance(retained, int) and len(events) < retained:
         raise ValueError(

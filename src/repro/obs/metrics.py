@@ -2,32 +2,32 @@
 
 The metrics plane follows the same two-phase discipline as the aggregate
 algebra of :mod:`repro.aggregates` (docs/PARALLELISM.md): every
-instrument is a *state* with an associative, commutative ``merge``, so a
-registry populated inside a shard worker can be snapshotted, shipped
-across the process boundary as plain JSON-serialisable data, and folded
-into the parent's registry at the barrier — the merged registry is
-independent of worker count and merge order for every count-valued
-field (float ``sum`` accumulators are merged in deterministic shard
-order, mirroring the canonical-order folds of ``aggregates/standard``).
+instrument is a *state* that snapshots to plain JSON-serialisable data,
+and restoring a snapshot into an instrument is its one associative,
+commutative merge.  A registry populated inside a shard worker is
+shipped across the process boundary as a snapshot and folded into the
+parent's registry at the barrier — the merged registry is independent
+of worker count and merge order for every count-valued field (float
+``sum`` accumulators are merged in deterministic shard order, mirroring
+the canonical-order folds of ``aggregates/standard``).
 
-Instruments:
+Instruments (``restore`` is the merge):
 
-* :class:`Counter` — a monotone event count; ``merge`` is ``+``.
-* :class:`Gauge` — a high-water level (e.g. peak model size); ``merge``
+* :class:`Counter` — a monotone event count; the merge is ``+``.
+* :class:`Gauge` — a high-water level (e.g. peak model size); the merge
   is ``max``, the join of the reals-ordered lattice, so a merged gauge
   is the fleet-wide peak.
 * :class:`Histogram` — a log-linear distribution sketch: values are
   binned into :data:`SUBBUCKETS` linear sub-buckets per power-of-two
   octave (relative error ≤ 1/:data:`SUBBUCKETS` at the bucket bound),
-  stored sparsely.  ``merge`` is bucket-wise ``+``; quantile estimates
+  stored sparsely.  The merge is bucket-wise ``+``; quantile estimates
   (:meth:`Histogram.quantile`) read the merged counts, so p50/p95/p99
   over sharded work are computed from full-fidelity per-observation
   data, not averages of averages.
-* :class:`Timer` — a histogram of seconds with a ``time()`` context
-  manager; rendered with its quantiles.
+* :class:`Timer` — a histogram of seconds, rendered with its quantiles.
 
-A :class:`MetricsRegistry` names instruments, snapshots to / restores
-from plain dicts (:meth:`MetricsRegistry.snapshot` /
+A :class:`MetricsRegistry` names instruments, snapshots to and merges
+plain dicts (:meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.merge_snapshot` — the wire format of the
 ``metrics_snapshot`` and ``worker_telemetry`` events, obs schema v5),
 and renders as aligned text or Prometheus exposition format
@@ -37,9 +37,7 @@ and renders as aligned text or Prometheus exposition format
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from time import perf_counter
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 __all__ = [
     "Counter",
@@ -60,7 +58,7 @@ QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
 
 class Counter:
-    """A monotone event count.  ``merge`` is addition (exact: ints)."""
+    """A monotone event count.  The merge is addition (exact: ints)."""
 
     kind = "counter"
     __slots__ = ("value",)
@@ -71,9 +69,6 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         self.value += n
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
 
@@ -82,7 +77,7 @@ class Counter:
 
 
 class Gauge:
-    """A high-water level.  ``merge`` is ``max`` (the lattice join on
+    """A high-water level.  The merge is ``max`` (the lattice join on
     reals-ordered levels), so merged gauges report the fleet-wide peak."""
 
     kind = "gauge"
@@ -95,10 +90,6 @@ class Gauge:
         """Record a level; the gauge keeps the maximum seen."""
         if self.value is None or value > self.value:
             self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        if other.value is not None:
-            self.set(other.value)
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
@@ -139,7 +130,7 @@ class Histogram:
 
     Non-positive observations land in a dedicated zero bucket (delta
     sizes and durations are never negative; a zero is a real data
-    point).  Bucket counts are exact integers, so ``merge`` is exact and
+    point).  Bucket counts are exact integers, so the merge is exact and
     order-independent; ``sum`` is a float accumulator merged in caller
     order (documented in docs/OBSERVABILITY.md).
     """
@@ -196,17 +187,6 @@ class Histogram:
         """The standard p50/p95/p99 report (:data:`QUANTILES`)."""
         return {f"p{int(q * 100)}": self.quantile(q) for q in QUANTILES}
 
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.zero += other.zero
-        if other.vmin is not None and (self.vmin is None or other.vmin < self.vmin):
-            self.vmin = other.vmin
-        if other.vmax is not None and (self.vmax is None or other.vmax > self.vmax):
-            self.vmax = other.vmax
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
@@ -238,18 +218,10 @@ class Histogram:
 
 
 class Timer(Histogram):
-    """A histogram of durations in seconds, with a ``time()`` guard."""
+    """A histogram of durations in seconds."""
 
     kind = "timer"
     __slots__ = ()
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        t0 = perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(perf_counter() - t0)
 
 
 Instrument = Any  # Counter | Gauge | Histogram | Timer
@@ -272,8 +244,8 @@ def quantiles(snapshot: Mapping[str, Any]) -> Dict[str, Optional[float]]:
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create accessors and a two-phase
-    ``merge``.
+    """Named instruments with get-or-create accessors and a snapshot
+    merge.
 
     The registry is the object a :class:`~repro.obs.tracer.Tracer`
     carries: the engine's instrumentation sites call
@@ -333,12 +305,6 @@ class MetricsRegistry:
 
     # -- the two-phase merge -------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (associative and commutative on
-        every count-valued field; see the module docstring)."""
-        for name, instrument in other._instruments.items():
-            self._get(name, instrument.kind).merge(instrument)
-
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """The registry as plain JSON-serialisable data — the wire
         format shipped in ``worker_telemetry`` / ``metrics_snapshot``
@@ -349,21 +315,14 @@ class MetricsRegistry:
         }
 
     def merge_snapshot(self, state: Mapping[str, Mapping[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` payload in (the parent's barrier-merge
-        path: ``snapshot`` in the worker, ``merge_snapshot`` here)."""
+        """Fold a :meth:`snapshot` payload in, restoring each entry into
+        the same-named instrument (associative and commutative on every
+        count-valued field; see the module docstring)."""
         for name, payload in state.items():
             kind = str(payload.get("kind", "counter"))
             if kind not in _KINDS:
                 raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
             self._get(name, kind).restore(payload)
-
-    @classmethod
-    def from_snapshot(
-        cls, state: Mapping[str, Mapping[str, Any]]
-    ) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge_snapshot(state)
-        return registry
 
     # -- rendering -----------------------------------------------------------
 

@@ -19,11 +19,16 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Protocol, Tuple, Union,
+)
 
 from repro.engine.interpretation import IndexStats
 from repro.obs.events import SCHEMA_VERSION
 from repro.obs.metrics import MetricsRegistry
+
+#: The plan-cache probe counters, indexed by hit (misses, hits).
+_PLAN_COUNTERS = ("plan.cache_misses", "plan.cache_hits")
 
 
 class Sink(Protocol):
@@ -32,19 +37,6 @@ class Sink(Protocol):
     def emit(self, event: Dict[str, Any]) -> None: ...
 
     def close(self) -> None: ...
-
-
-class CollectorSink:
-    """Keeps every event in memory (``events``) — tests and summaries."""
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        self.events.append(event)
-
-    def close(self) -> None:
-        return None
 
 
 class JsonlSink:
@@ -78,9 +70,11 @@ class Tracer:
     * ``index_stats`` — this solve's index hit/miss/build counters
       (bound for the duration of the solve via
       :func:`repro.engine.interpretation.use_index_stats`);
-    * ``plan_hits`` / ``plan_misses`` — compiled-plan cache probes;
     * per-rule executor statistics (:meth:`record_rule`), flushed as
       ``rule_profile`` events by the solver at solve end.
+
+    Compiled-plan cache probes are the ``plan.cache_hits`` /
+    ``plan.cache_misses`` counters of :attr:`metrics`.
     """
 
     __slots__ = (
@@ -90,8 +84,6 @@ class Tracer:
         "events",
         "index_stats",
         "metrics",
-        "plan_hits",
-        "plan_misses",
         "clock",
         "_seq",
         "_t0",
@@ -99,6 +91,7 @@ class Tracer:
         "_rule_stats",
         "_rule_metrics",
         "_plan_counters",
+        "_relayed_plans",
     )
 
     def __init__(
@@ -117,8 +110,6 @@ class Tracer:
         #: worker snapshots at the shard barrier, snapshotted into the
         #: ``metrics_snapshot`` event at solve end.
         self.metrics = MetricsRegistry()
-        self.plan_hits = 0
-        self.plan_misses = 0
         self.clock = clock
         self._seq = 0
         self._t0 = clock()
@@ -131,6 +122,9 @@ class Tracer:
         #: before, so a snapshot lists only what was recorded.
         self._rule_metrics: Optional[Tuple[Any, ...]] = None
         self._plan_counters: List[Any] = [None, None]
+        #: Plan probes shard workers relayed into ``plan.cache_*``
+        #: (indexed like ``_plan_counters``: misses, hits).
+        self._relayed_plans = [0, 0]
 
     @classmethod
     def disabled(cls) -> "Tracer":
@@ -188,16 +182,12 @@ class Tracer:
         """Aggregate one kernel call of ``rule``: ``firings`` seeds
         evaluated (1 for an unseeded run), ``derived`` head rows.
 
-        Callers guard on ``enabled``; stats are keyed by rule identity
-        and flushed as ``rule_profile`` events by the solver.
+        Callers guard on ``enabled``; the tally is keyed by rule identity
+        and flushed as ``rule_profile`` events by the solver.  The
+        ``rule.*`` instruments are updated live, so a solve that dies
+        mid-way still has them in its metrics snapshot.
         """
-        entry = self._rule_stats.get(id(rule))
-        if entry is None:
-            self._rule_stats[id(rule)] = [rule, firings, derived, wall_s]
-        else:
-            entry[1] += firings
-            entry[2] += derived
-            entry[3] += wall_s
+        self._tally(rule, firings, derived, wall_s)
         instruments = self._rule_metrics
         if instruments is None:
             m = self.metrics
@@ -215,19 +205,28 @@ class Tracer:
         per_firing.observe(float(derived))
         wall.observe(wall_s)
 
-    def absorb_rule(
-        self, rule: Any, calls: int, derived: int, wall_s: float
+    def absorb_worker(
+        self,
+        rules: Iterable[Tuple[Any, int, int, float]],
+        metrics: Mapping[str, Mapping[str, Any]],
     ) -> None:
-        """Fold a worker's cumulative statistics for ``rule`` in.
+        """Fold one shard worker's relay in at the barrier.
 
-        The shard-barrier counterpart of :meth:`record_rule`: workers
-        ship ``(calls, derived, wall)`` per rule index through the pool
-        result, and the parent maps indexes back to its own rule objects
-        (identity-preserving through ``fork``) before calling this.
-        Only the tabular rule stats are updated — the worker's metric
-        histograms arrive separately via its registry snapshot, so
-        nothing is double-counted.
+        ``rules`` is the worker's cumulative ``(rule, calls, derived,
+        wall_s)`` per rule, mapped back to the parent's rule objects
+        (identical through ``fork``); ``metrics`` is its registry
+        snapshot, which already carries its ``rule.*`` instruments, so
+        only the tally is updated from ``rules``.  The worker's plan
+        probes join ``plan.cache_*`` but not :attr:`plan_hits` /
+        :attr:`plan_misses`.
         """
+        for rule, calls, derived, wall_s in rules:
+            self._tally(rule, calls, derived, wall_s)
+        self.metrics.merge_snapshot(metrics)
+        for hit, name in enumerate(_PLAN_COUNTERS):
+            self._relayed_plans[hit] += int(metrics.get(name, {}).get("value", 0))
+
+    def _tally(self, rule: Any, calls: int, derived: int, wall_s: float) -> None:
         entry = self._rule_stats.get(id(rule))
         if entry is None:
             self._rule_stats[id(rule)] = [rule, calls, derived, wall_s]
@@ -244,15 +243,26 @@ class Tracer:
         ]
 
     def count_plan(self, hit: bool) -> None:
-        if hit:
-            self.plan_hits += 1
-        else:
-            self.plan_misses += 1
         counter = self._plan_counters[hit]
         if counter is None:
-            name = "plan.cache_hits" if hit else "plan.cache_misses"
-            counter = self._plan_counters[hit] = self.metrics.counter(name)
+            counter = self.metrics.counter(_PLAN_COUNTERS[hit])
+            self._plan_counters[hit] = counter
         counter.inc()
+
+    @property
+    def plan_hits(self) -> int:
+        """This process's plan-cache hits (a view of ``plan.cache_hits``)."""
+        return self._plan_probes(True)
+
+    @property
+    def plan_misses(self) -> int:
+        """This process's plan-cache misses (a view of ``plan.cache_misses``)."""
+        return self._plan_probes(False)
+
+    def _plan_probes(self, hit: bool) -> int:
+        counter = self.metrics.get(_PLAN_COUNTERS[hit])
+        probes: int = counter.value if counter else 0
+        return probes - self._relayed_plans[hit]
 
     # -- lifecycle ---------------------------------------------------------------
 

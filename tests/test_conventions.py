@@ -79,6 +79,12 @@ Invariants the engine's correctness arguments lean on:
    solver or sharded modules is an ``Interpretation`` over every
    declaration.
 
+12. **One telemetry schema.**  A telemetry field is named in
+   ``obs/events.py:EVENT_TYPES`` and read straight off the events:
+   ``obs/summary.py`` declares no row type, the tracer keeps no plan
+   probe count beside the ``plan.cache_*`` counters, a metric merges
+   only by restoring a snapshot, and ``src/repro/obs/`` only shrinks.
+
 The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough to need no allowlist.
@@ -255,7 +261,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4881
+ENGINE_LINES = 4880
 
 
 def test_one_fixpoint_loop():
@@ -288,6 +294,32 @@ def test_one_fixpoint_loop():
     )
     assert lines <= ENGINE_LINES, (
         f"src/repro/engine/ has {lines} lines; the ratchet is {ENGINE_LINES}"
+    )
+
+
+#: ``wc -l src/repro/obs/*.py`` may only go down.
+OBS_LINES = 1590
+
+
+def test_one_telemetry_schema():
+    from repro.obs import metrics, tracer
+
+    summary = (SRC / "obs" / "summary.py").read_text(encoding="utf-8")
+    assert "dataclass" not in summary, "obs/summary.py declares a row type"
+    # plan_hits / plan_misses are read-only views of the counters.
+    assert isinstance(tracer.Tracer.plan_hits, property)
+    assert isinstance(tracer.Tracer.plan_misses, property)
+    assert not hasattr(tracer, "CollectorSink")
+    for kind in (metrics.Counter, metrics.Gauge, metrics.Histogram):
+        assert not hasattr(kind, "merge"), kind
+    assert not hasattr(metrics.MetricsRegistry, "merge")
+    assert not hasattr(metrics.MetricsRegistry, "from_snapshot")
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SRC / "obs").glob("*.py")
+    )
+    assert lines <= OBS_LINES, (
+        f"src/repro/obs/ has {lines} lines; the ratchet is {OBS_LINES}"
     )
 
 

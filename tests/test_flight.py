@@ -15,7 +15,10 @@ def make_recorder(total_events, capacity=4):
     flight = FlightRecorder(capacity=capacity)
     tracer = Tracer(flight, collect=False)
     for i in range(total_events):
-        tracer.emit("iteration", round=i, new_atoms=1, changed_atoms=0)
+        tracer.emit(
+            "iteration", scc=0, iteration=i, delta_atoms=1, new_atoms=1,
+            changed_atoms=0, total_atoms=i + 1, wall_s=0.0,
+        )
     return flight
 
 
@@ -23,7 +26,7 @@ class TestRing:
     def test_retains_only_last_capacity_events(self):
         flight = make_recorder(10, capacity=4)
         assert len(flight.events) == 4
-        rounds = [event["round"] for event in flight.events]
+        rounds = [event["iteration"] for event in flight.events]
         assert rounds == [6, 7, 8, 9]
 
     def test_counts_dropped_events(self):
@@ -49,7 +52,7 @@ class TestDumpRoundTrip:
         assert header["capacity"] == 4
         assert header["retained"] == 4
         assert header["dropped"] == 6
-        assert [event["round"] for event in events] == [6, 7, 8, 9]
+        assert [event["iteration"] for event in events] == [6, 7, 8, 9]
 
     def test_event_lines_are_replayable_jsonl(self, tmp_path):
         """Every non-header line parses standalone — the dump can be fed
@@ -87,6 +90,21 @@ class TestLoadDumpRejections:
             json.dumps({"v": SCHEMA_VERSION, "type": "solve_start"}) + "\n"
         )
         with pytest.raises(ValueError, match="postmortem header"):
+            load_dump(str(path))
+
+    def test_mistyped_field_names_the_line(self, tmp_path):
+        """Each event is checked against the schema (not the stream: a
+        ring may start after ``trace_start``), so the digest never reads
+        a mistyped field."""
+        flight = make_recorder(3, capacity=8)
+        path = tmp_path / "dump.jsonl"
+        flight.dump(str(path), status="partial", reason="")
+        lines = path.read_text().splitlines()
+        event = json.loads(lines[2])
+        event["scc"] = "zero"
+        lines[2] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"dump.jsonl:3: iteration.scc must be int"):
             load_dump(str(path))
 
 
@@ -303,3 +321,30 @@ class TestFlightCli:
             fh.write(raw[: len(raw) - 20])
         assert main(["postmortem", dump]) == 1
         assert "truncated dump" in capsys.readouterr().err
+
+    def test_postmortem_on_mistyped_field_is_usage_error(self, tmp_path, capsys):
+        dump = tmp_path / "fr.jsonl"
+        code = main(
+            [
+                "solve",
+                "--program",
+                "shortest-path",
+                "--facts",
+                self.chain_facts(tmp_path),
+                "--max-iterations",
+                "3",
+                "--flight",
+                str(dump),
+            ]
+        )
+        assert code == 4
+        capsys.readouterr()
+        lines = dump.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"type": "iteration"' in line)
+        event = json.loads(lines[at])
+        event["scc"] = "zero"
+        lines[at] = json.dumps(event)
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["postmortem", str(dump)]) == 1  # EXIT_USAGE
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {dump}:{at + 1}: iteration.scc must be int")

@@ -1,4 +1,7 @@
-"""The metrics plane: mergeable instruments, quantiles, exposition."""
+"""The metrics plane: mergeable instruments, quantiles, exposition.
+
+Restoring a snapshot is each instrument's one merge: ``a.restore(b.snapshot())``
+folds ``b`` into ``a``."""
 
 import json
 import math
@@ -7,7 +10,7 @@ import random
 import pytest
 
 from repro.cli import main
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.metrics import SUBBUCKETS, _bucket_index, _bucket_upper
 
 
@@ -22,7 +25,7 @@ class TestCounter:
         a, b = Counter(), Counter()
         a.inc(3)
         b.inc(4)
-        a.merge(b)
+        a.restore(b.snapshot())
         assert a.value == 7
 
     def test_snapshot_round_trip(self):
@@ -38,16 +41,18 @@ class TestGauge:
         a, b = Gauge(), Gauge()
         a.set(10.0)
         b.set(4.0)
-        a.merge(b)
+        a.restore(b.snapshot())
         assert a.value == 10.0
-        b.merge(a)
+        b.restore(a.snapshot())
         assert b.value == 10.0
 
     def test_unset_gauge_merges_cleanly(self):
         a, b = Gauge(), Gauge()
         b.set(2.0)
-        a.merge(b)
+        a.restore(b.snapshot())
         assert a.value == 2.0
+        b.restore(Gauge().snapshot())
+        assert b.value == 2.0
 
 
 class TestHistogramBuckets:
@@ -110,7 +115,7 @@ class TestHistogramMerge:
         for cut in (1, 137, 400, 799):
             left = self.build(values[:cut])
             right = self.build(values[cut:])
-            left.merge(right)
+            left.restore(right.snapshot())
             merged, single = left.snapshot(), whole.snapshot()
             merged_sum, single_sum = merged.pop("sum"), single.pop("sum")
             assert merged == single
@@ -120,11 +125,11 @@ class TestHistogramMerge:
     def test_merge_associative_and_commutative(self):
         parts = [[1.0, 2.0], [3.0, 400.0], [0.5, 0.25, 8.0]]
         ab_c = self.build(parts[0])
-        ab_c.merge(self.build(parts[1]))
-        ab_c.merge(self.build(parts[2]))
+        ab_c.restore(self.build(parts[1]).snapshot())
+        ab_c.restore(self.build(parts[2]).snapshot())
         c_ba = self.build(parts[2])
-        c_ba.merge(self.build(parts[1]))
-        c_ba.merge(self.build(parts[0]))
+        c_ba.restore(self.build(parts[1]).snapshot())
+        c_ba.restore(self.build(parts[0]).snapshot())
         assert ab_c.snapshot() == c_ba.snapshot()
 
     def test_snapshot_round_trip(self):
@@ -133,15 +138,6 @@ class TestHistogramMerge:
         restored.restore(json.loads(json.dumps(h.snapshot())))
         assert restored.snapshot() == h.snapshot()
         assert restored.quantiles() == h.quantiles()
-
-
-class TestTimer:
-    def test_time_context_manager_observes(self):
-        t = Timer()
-        with t.time():
-            pass
-        assert t.count == 1
-        assert t.kind == "timer"
 
 
 class TestRegistry:
@@ -162,19 +158,23 @@ class TestRegistry:
         b.counter("c").inc(2)
         b.gauge("g").set(5.0)
         b.histogram("h").observe(3.0)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.counter("c").value == 3
         assert a.gauge("g").value == 5.0
         assert a.histogram("h").count == 1
 
     def test_merge_snapshot_matches_merge(self):
+        """The registry merge is each instrument's merge, name by name."""
         a, b = MetricsRegistry(), MetricsRegistry()
         for reg, offset in ((a, 0.0), (b, 100.0)):
             reg.counter("c").inc(3)
             reg.histogram("h").observe(1.5 + offset)
-        direct = MetricsRegistry.from_snapshot(a.snapshot())
-        direct.merge(b)
-        via_snapshot = MetricsRegistry.from_snapshot(a.snapshot())
+        direct = MetricsRegistry()
+        direct.merge_snapshot(a.snapshot())
+        direct.counter("c").restore(b.counter("c").snapshot())
+        direct.histogram("h").restore(b.histogram("h").snapshot())
+        via_snapshot = MetricsRegistry()
+        via_snapshot.merge_snapshot(a.snapshot())
         via_snapshot.merge_snapshot(b.snapshot())
         assert via_snapshot.snapshot() == direct.snapshot()
 
@@ -182,9 +182,8 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.timer("t").observe(0.25)
-        restored = MetricsRegistry.from_snapshot(
-            json.loads(json.dumps(reg.snapshot()))
-        )
+        restored = MetricsRegistry()
+        restored.merge_snapshot(json.loads(json.dumps(reg.snapshot())))
         assert restored.snapshot() == reg.snapshot()
 
     def test_render_text_lists_instruments(self):
@@ -238,6 +237,29 @@ class TestTracerInstruments:
         assert snapshot["rule.derived_per_firing"]["count"] == 3
         assert snapshot["rule.wall_s"]["sum"] == 1.5
         assert tracer.rule_stats() == [(rule, 12, 6, 1.5)]
+
+    def test_absorbed_worker_probes_join_the_counters_not_the_views(self):
+        """A shard worker's relay folds into the tally and the registry;
+        its plan probes count in ``plan.cache_*`` while ``plan_hits`` /
+        ``plan_misses`` stay this process's own."""
+        from repro.obs import Tracer
+
+        rule = object()
+        worker = Tracer(collect=False)
+        worker.count_plan(False)
+        worker.count_plan(True)
+        worker.record_rule(rule, derived=2, wall_s=0.25, firings=3)
+        parent = Tracer()
+        parent.count_plan(True)
+        parent.absorb_worker(worker.rule_stats(), worker.metrics.snapshot())
+        parent.record_rule(rule, derived=1, wall_s=0.5)
+        snapshot = parent.metrics.snapshot()
+        assert snapshot["plan.cache_hits"]["value"] == 2
+        assert snapshot["plan.cache_misses"]["value"] == 1
+        assert (parent.plan_hits, parent.plan_misses) == (1, 0)
+        assert parent.rule_stats() == [(rule, 4, 3, 0.75)]
+        assert snapshot["rule.firings"]["value"] == 4
+        assert snapshot["rule.kernel_calls"]["value"] == 2
 
 
 class TestPrometheusExposition:

@@ -7,7 +7,7 @@ import time
 from repro.obs import (
     NULL_TRACER,
     SCHEMA_VERSION,
-    CollectorSink,
+    FlightRecorder,
     JsonlSink,
     TelemetrySummary,
     Tracer,
@@ -121,13 +121,25 @@ class TestJsonlRoundTrip:
         path.write_text("{not json\n")
         assert any("not valid JSON" in p for p in validate_jsonl(str(path)))
 
-    def test_collector_sink_receives_events(self):
-        sink = CollectorSink()
+    def test_sinks_receive_events_without_collection(self):
+        sink = FlightRecorder()
         tracer = Tracer(sink, collect=False)
         tracer.start("p")
         tracer.emit("solve_end", iterations=1, atoms=2, wall_s=0.5)
         assert tracer.events == []  # collect=False
         assert [e["type"] for e in sink.events] == ["trace_start", "solve_end"]
+
+    def test_binary_file_is_invalid_not_a_crash(self, tmp_path, capsys):
+        """An undecodable byte is one problem naming it, so
+        ``repro validate-trace`` prints INVALID and exits 1."""
+        from repro.cli import main
+
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+        assert main(["validate-trace", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}: INVALID" in out
+        assert "not UTF-8 ('utf-8' codec can't decode byte 0x89" in out
 
 
 class TestPinnedProfile:
@@ -141,24 +153,26 @@ class TestPinnedProfile:
         tracer, result = traced_solve("naive")
         summary = result.telemetry
         assert summary is not None
-        by_index = {row.rule_index: row for row in summary.rules}
+        profiles = summary.events["rule_profile"]
+        by_index = {row["rule_index"]: row for row in profiles}
         assert sorted(by_index) == [0, 1, 2]
-        assert {row.calls for row in summary.rules} == {5}
-        assert by_index[0].derived == 15  # path <- arc
-        assert by_index[1].derived == 3  # path <- s, arc
-        assert by_index[2].derived == 12  # s <- min path
-        assert {row.scc for row in summary.rules} == {0}
+        assert {row["calls"] for row in profiles} == {5}
+        assert by_index[0]["derived"] == 15  # path <- arc
+        assert by_index[1]["derived"] == 3  # path <- s, arc
+        assert by_index[2]["derived"] == 12  # s <- min path
+        assert {row["scc"] for row in profiles} == {0}
 
     def test_scc_table_pinned(self):
         _, result = traced_solve("naive")
-        (scc,) = result.telemetry.sccs
-        assert scc.predicates == ("path", "s")
-        assert scc.method == "naive"
-        assert scc.verdict == "monotonic"
-        assert scc.iterations == 4
-        assert scc.atoms == 7
-        assert result.telemetry.solve["iterations"] == 4
-        assert result.telemetry.solve["atoms"] == 10  # incl. 3 arc facts
+        (scc,) = result.telemetry.sccs()
+        assert scc["predicates"] == ["path", "s"]
+        assert scc["method"] == "naive"
+        assert scc["verdict"] == "monotonic"
+        assert scc["iterations"] == 4
+        assert scc["atoms"] == 7
+        (end,) = result.telemetry.events["solve_end"]
+        assert end["iterations"] == 4
+        assert end["atoms"] == 10  # incl. 3 arc facts
 
     def test_convergence_deltas_pinned(self):
         _, result = traced_solve("naive")
@@ -166,7 +180,7 @@ class TestPinnedProfile:
 
     def test_counters_present_and_nonzero(self):
         tracer, result = traced_solve("seminaive")
-        counters = result.telemetry.counters
+        (counters,) = result.telemetry.events["counters"]
         assert counters["index"]["hits"] > 0
         assert counters["plan_cache"]["misses"] > 0
         assert counters["index"] == tracer.index_stats.snapshot()
@@ -235,8 +249,8 @@ class TestIsolation:
         assert validate_events(large_tracer.events) == []
         # Derived-atom totals are per-solve ground truth; the tracers'
         # counters must match their own solve, not the union.
-        small_derived = sum(r.derived for r in small.telemetry.rules)
-        large_derived = sum(r.derived for r in large.telemetry.rules)
+        small_derived = sum(r["derived"] for r in small.telemetry.hot_rules())
+        large_derived = sum(r["derived"] for r in large.telemetry.hot_rules())
         assert small_derived < large_derived
         assert (
             small_tracer.index_stats.hits < large_tracer.index_stats.hits
@@ -289,20 +303,20 @@ class TestSummary:
         tracer, _ = traced_solve()
         cut = summarize(tracer.events[:3])
         assert isinstance(cut, TelemetrySummary)
-        assert cut.solve == {}  # solve_end not reached
+        assert "solve_end" not in cut.events  # not reached
+        assert "solve:" not in cut.render_stats()
 
-    def test_to_dict_round_trips_through_json(self):
-        _, result = traced_solve("auto")
-        payload = json.loads(json.dumps(result.telemetry.to_dict()))
-        assert payload["version"] == SCHEMA_VERSION
-        assert payload["iterations"]
-        report = result.telemetry.to_report_dict()
-        assert "iterations" not in report
+    def test_events_are_grouped_by_type_in_stream_order(self):
+        tracer, result = traced_solve("auto")
+        grouped = result.telemetry.events
+        assert sum(map(len, grouped.values())) == len(tracer.events)
+        for kind, events in grouped.items():
+            assert [e for e in tracer.events if e["type"] == kind] == events
 
     def test_hot_rules_ranked_by_time(self):
         _, result = traced_solve()
         ranked = result.telemetry.hot_rules()
-        walls = [row.wall_s for row in ranked]
+        walls = [row["wall_s"] for row in ranked]
         assert walls == sorted(walls, reverse=True)
 
     def test_renderings_mention_key_sections(self):
@@ -341,8 +355,8 @@ class TestMultiVersionValidation:
 class TestSummaryEdgeCases:
     def test_empty_event_list(self):
         summary = summarize([])
-        assert summary.metrics == {}
-        assert summary.workers == []
+        assert summary.events == {}
+        assert summary.workers_for(0) == []
         assert summary.metric_value("rule.firings") is None
         assert summary.metric_quantiles("fixpoint.delta_atoms") is None
         # Renders without blowing up on the absent sections.
@@ -354,7 +368,7 @@ class TestSummaryEdgeCases:
         result = db.solve(tracer=tracer, pushdown="off")
         assert result.status == "complete"
         summary = summarize(tracer.events)
-        assert summary.workers == []  # sequential plan: no relay rows
+        assert "worker_telemetry" not in summary.events  # sequential plan
         assert summary.metric_value("fixpoint.rounds") >= 1
         quantiles = summary.metric_quantiles("fixpoint.delta_atoms")
         assert quantiles is not None and quantiles["p50"] is not None
@@ -371,9 +385,11 @@ class TestSummaryEdgeCases:
         assert summary.metric_value("no.such.metric") is None
         assert summary.metric_quantiles("no.such.metric") is None
 
-    def test_report_dict_carries_metrics_and_workers(self):
+    def test_summary_reads_the_metrics_snapshot_event(self):
         tracer, _ = traced_solve()
-        report = summarize(tracer.events).to_report_dict()
-        assert report["workers"] == []
-        assert report["metrics"]["rule.firings"]["kind"] == "counter"
-        json.dumps(report)  # stays JSON-serialisable
+        summary = summarize(tracer.events)
+        (snapshot,) = summary.events["metrics_snapshot"]
+        assert snapshot["metrics"] == tracer.metrics.snapshot()
+        assert summary.metric_value("rule.firings") == (
+            tracer.metrics.snapshot()["rule.firings"]["value"]
+        )

@@ -348,6 +348,39 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="arc is a cost predicate now"):
             Checkpoint.from_dict(payload).restore(db.program)
 
+    @pytest.mark.parametrize(
+        "relation, complaint",
+        [
+            (5, "checkpoint relation s is not an object"),
+            # a cost row without its cost
+            ({"kind": "costs", "rows": [[["a", "b"]]]}, "row of s: .* is not"),
+            # a key that is not a list
+            ({"kind": "costs", "rows": [[7, 1.0]]}, "row of s: .* is not"),
+            ({"kind": "costs", "rows": 7}, "row of s: 'int' object"),
+        ],
+    )
+    def test_a_malformed_checkpoint_is_a_checkpoint_error(
+        self, relation, complaint, tmp_path, capsys
+    ):
+        """A file of the wrong shape fails as a ``CheckpointError`` naming
+        the predicate — not as an ``AttributeError``, ``ValueError`` or
+        ``TypeError`` from inside the decoder — and ``--resume`` turns it
+        into one ``error:`` line and exit 3."""
+        from repro.cli import main
+
+        db = make_db(SHORTEST_PATH)
+        payload = db.solve(budget=Budget(max_iterations=1)).checkpoint.to_dict()
+        payload["relations"]["s"] = relation
+        path = tmp_path / "malformed.ckpt.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=complaint):
+            make_db(SHORTEST_PATH).resume(str(path))
+
+        program = str(EXAMPLES / "shortest_path.mad")
+        assert main(["solve", program, "--resume", str(path)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: checkpoint ")
+
     def test_resume_on_diverging_program_continues_descent(self):
         db = make_db(DIVERGING)
         first = db.solve(budget=Budget(max_iterations=40))

@@ -131,10 +131,11 @@ class TestSummaryIntegration:
     def test_summary_sees_workers_and_metrics(self):
         tracer, _ = traced_solve(plan="sharded")
         summary = summarize(tracer.events)
-        assert summary.workers, "worker_telemetry rows should surface"
-        for worker in summary.workers:
-            assert worker.iterations >= 1
-            assert isinstance(worker.metrics, dict)
+        workers = summary.events.get("worker_telemetry")
+        assert workers, "worker_telemetry events should surface"
+        for worker in workers:
+            assert worker["iterations"] >= 1
+            assert isinstance(worker["metrics"], dict)
         quantiles = summary.metric_quantiles("fixpoint.delta_atoms")
         assert quantiles is not None
         assert quantiles["p50"] is not None
@@ -143,12 +144,12 @@ class TestSummaryIntegration:
     def test_workers_for_filters_by_component(self):
         tracer, _ = traced_solve(plan="sharded")
         summary = summarize(tracer.events)
-        sccs = {worker.scc for worker in summary.workers}
+        sccs = {worker["scc"] for worker in summary.events["worker_telemetry"]}
         assert sccs
         for scc in sccs:
             subset = summary.workers_for(scc)
             assert subset
-            assert all(worker.scc == scc for worker in subset)
+            assert all(worker["scc"] == scc for worker in subset)
 
     def test_render_stats_mentions_workers(self):
         tracer, _ = traced_solve(plan="sharded")
