@@ -82,7 +82,7 @@ from repro.analysis.termination import (
     check_component_termination,
 )
 from repro.analysis.wellformed import check_well_typed, FormReport
-from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
+from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import ParseError, ProgramError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
@@ -611,7 +611,7 @@ def lint_check(
 def _check_arities(facts: ProgramFacts) -> Iterator[Diagnostic]:
     program = facts.program
     for rule in program.rules:
-        for atom in _atoms_of_rule(rule):
+        for atom in rule.atoms():
             decl = program.declarations.get(atom.predicate)
             if decl is not None and atom.arity != decl.arity:
                 yield make_diagnostic(
@@ -622,22 +622,15 @@ def _check_arities(facts: ProgramFacts) -> Iterator[Diagnostic]:
                     rule=rule,
                 )
     for constraint in program.constraints:
-        for sg in constraint.body:
-            if isinstance(sg, AtomSubgoal):
-                atoms = [sg.atom]
-            elif isinstance(sg, AggregateSubgoal):
-                atoms = list(sg.conjuncts)
-            else:
-                continue
-            for atom in atoms:
-                decl = program.declarations.get(atom.predicate)
-                if decl is not None and atom.arity != decl.arity:
-                    yield make_diagnostic(
-                        "arity-mismatch",
-                        f"{atom.predicate} used with arity {atom.arity} "
-                        f"but declared/inferred with arity {decl.arity}",
-                        span=atom.span or constraint.span,
-                    )
+        for atom in constraint.atoms():
+            decl = program.declarations.get(atom.predicate)
+            if decl is not None and atom.arity != decl.arity:
+                yield make_diagnostic(
+                    "arity-mismatch",
+                    f"{atom.predicate} used with arity {atom.arity} "
+                    f"but declared/inferred with arity {decl.arity}",
+                    span=atom.span or constraint.span,
+                )
 
 
 @lint_check("known-aggregates", structural=True)
@@ -1038,15 +1031,6 @@ def _check_shard_safety(facts: ProgramFacts) -> Iterator[Diagnostic]:
             str(verdict),
             rule=rule,
         )
-
-
-def _atoms_of_rule(rule: Rule) -> Iterator[Atom]:
-    yield rule.head
-    for sg in rule.body:
-        if isinstance(sg, AtomSubgoal):
-            yield sg.atom
-        elif isinstance(sg, AggregateSubgoal):
-            yield from sg.conjuncts
 
 
 def _find_component_subgoal(

@@ -35,17 +35,11 @@ from typing import (
     Tuple,
 )
 
-from repro.datalog.atoms import (
-    AggregateSubgoal,
-    Atom,
-    AtomSubgoal,
-    BuiltinSubgoal,
-    Subgoal,
-)
+from repro.datalog.atoms import AggregateSubgoal, Atom, Subgoal
 from repro.datalog.program import PredicateDecl, Program
 from repro.datalog.rules import Rule
 from repro.datalog.spans import Span
-from repro.datalog.terms import Variable, expr_variable_set
+from repro.datalog.terms import Variable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.diagnostics import Diagnostic
@@ -302,69 +296,19 @@ def fix_reorder_body(rule: Rule, program: Program) -> Optional[Fix]:
 # ---------------------------------------------------------------------------
 
 
-def _newly_bound(
-    sg: Subgoal, bound: Set[Variable], rule: Rule, program: Program
-) -> Optional[Set[Variable]]:
-    """Variables the subgoal binds if evaluable under ``bound``, else None.
-
-    Mirrors the readiness conditions of
-    :func:`repro.engine.grounding.schedule` — the single source of truth
-    for *whether an order exists*; this lint only asks whether the
-    *written* order is one of them.
-    """
-    if isinstance(sg, AtomSubgoal):
-        decl = program.decl(sg.atom.predicate)
-        atom_vars = set(sg.atom.variables())
-        if sg.negated:
-            return set() if atom_vars <= bound else None
-        if decl.has_default:
-            key_vars = {
-                a
-                for a in sg.atom.args[: decl.key_arity]
-                if isinstance(a, Variable)
-            }
-            return (atom_vars - bound) if key_vars <= bound else None
-        return atom_vars - bound
-    if isinstance(sg, BuiltinSubgoal):
-        lhs_vars = expr_variable_set(sg.lhs)
-        rhs_vars = expr_variable_set(sg.rhs)
-        if lhs_vars | rhs_vars <= bound:
-            return set()
-        if sg.op == "=":
-            if (
-                isinstance(sg.lhs, Variable)
-                and sg.lhs not in bound
-                and rhs_vars <= bound
-            ):
-                return {sg.lhs}
-            if (
-                isinstance(sg.rhs, Variable)
-                and sg.rhs not in bound
-                and lhs_vars <= bound
-            ):
-                return {sg.rhs}
-        return None
-    if isinstance(sg, AggregateSubgoal):
-        grouping = rule.grouping_variables(sg)
-        newly: Set[Variable] = set()
-        if isinstance(sg.result, Variable) and sg.result not in bound:
-            newly.add(sg.result)
-        if grouping <= bound:
-            return newly
-        if sg.restricted:
-            return newly | (grouping - bound)
-        return None
-    raise TypeError(f"unknown subgoal type {type(sg).__name__}")
-
-
 def is_left_to_right_evaluable(rule: Rule, program: Program) -> bool:
-    """True iff the body can be evaluated in its written order."""
+    """True iff the body can be evaluated in its written order: every
+    subgoal is ready, by the engine's own readiness rule, once the ones
+    written before it have run."""
+    # Lazy import: the engine imports analysis modules at load time.
+    from repro.engine.grounding import subgoal_readiness
+
     bound: Set[Variable] = set()
     for sg in rule.body:
-        newly = _newly_bound(sg, bound, rule, program)
-        if newly is None:
+        ready = subgoal_readiness(sg, rule, program, bound)
+        if ready is None:
             return False
-        bound |= newly
+        bound |= ready[1]
     return True
 
 

@@ -62,7 +62,7 @@ the rewrite automatically unless ``pushdown="off"``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.aggregates.standard import Maximum, Minimum
 from repro.analysis.classify import (
@@ -73,12 +73,7 @@ from repro.analysis.classify import (
 from repro.analysis.dependencies import Component
 from repro.analysis.fd import check_rule_cost_respecting
 from repro.analysis.wellformed import _is_cdb_aggregate
-from repro.datalog.atoms import (
-    AggregateSubgoal,
-    Atom,
-    AtomSubgoal,
-    Subgoal,
-)
+from repro.datalog.atoms import AggregateSubgoal, Atom, Subgoal
 from repro.datalog.program import PredicateDecl, Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -677,24 +672,3 @@ def apply_pushdown(
         applied=ordered,
     )
 
-
-def render_program(program: Program) -> str:
-    """Re-parseable source text for a (possibly rewritten) program."""
-    lines: List[str] = [f"% program {program.name}"]
-    for decl in program.declarations.values():
-        if decl.name not in program.explicit_declarations and not (
-            decl.is_cost_predicate
-        ):
-            continue
-        if decl.is_cost_predicate:
-            assert decl.lattice is not None
-            keyword = "@default" if decl.has_default else "@cost"
-            lines.append(
-                f"{keyword} {decl.name}/{decl.arity} : {decl.lattice.name}."
-            )
-    for constraint in program.constraints:
-        body = ", ".join(str(sg) for sg in constraint.body)
-        lines.append(f"@constraint {body}.")
-    for rule in program.rules:
-        lines.append(str(rule))
-    return "\n".join(lines) + "\n"

@@ -47,14 +47,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.datalog.atoms import (
-    AggregateSubgoal,
-    Atom,
-    AtomSubgoal,
-    BuiltinSubgoal,
-)
+from repro.datalog.atoms import BuiltinSubgoal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.spans import Span
@@ -236,16 +231,6 @@ class TypingReport:
 _PosKey = Tuple[str, int]
 
 
-def _rule_atoms(rule: Rule) -> Iterator[Atom]:
-    """Every atom occurrence of a rule: head, body atoms, conjuncts."""
-    yield rule.head
-    for sg in rule.body:
-        if isinstance(sg, AtomSubgoal):
-            yield sg.atom
-        elif isinstance(sg, AggregateSubgoal):
-            yield from sg.conjuncts
-
-
 def _equality_groups(rule: Rule) -> List[Set[Variable]]:
     """Variables connected by ``=`` built-ins (arithmetic value flow)."""
     groups: List[Set[Variable]] = []
@@ -277,7 +262,7 @@ def _solve_rule_variables(
     def absorb(var: Variable, cell: ArgType) -> None:
         cells[var] = join(cells.get(var, UNKNOWN), cell)
 
-    for atom in _rule_atoms(rule):
+    for atom in rule.atoms():
         for index, arg in enumerate(atom.args):
             if not isinstance(arg, Variable):
                 continue
@@ -384,7 +369,7 @@ def infer_types(program: Program) -> TypingReport:
         changed = False
         for index, rule in enumerate(program.rules):
             cells = variables[index]
-            for atom in _rule_atoms(rule):
+            for atom in rule.atoms():
                 for arg_index, arg in enumerate(atom.args):
                     key = (atom.predicate, arg_index)
                     if key not in mutable:

@@ -91,7 +91,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.database import Database
 from repro.data.loader import DataLoadError
@@ -141,6 +141,20 @@ def _load_database(args: argparse.Namespace) -> Database:
     if args.facts:
         db.load(_read_source(args.facts))
     return db
+
+
+def _ground_atom(text: str) -> Tuple[str, Tuple[Any, ...]]:
+    """``(predicate, arguments)`` of the ground atom ``text`` names."""
+    from repro.datalog.parser import parse_atom_text
+    from repro.datalog.terms import Constant
+
+    atom = parse_atom_text(text)
+    for arg in atom.args:
+        if not isinstance(arg, Constant):
+            raise CliUsageError(
+                f"cannot explain {text}: argument {arg} is not ground"
+            )
+    return atom.predicate, tuple(arg.value for arg in atom.args)
 
 
 def _print_model(result, query: Optional[str]) -> None:
@@ -221,6 +235,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     from repro.engine.supervisor import CancelToken, sigint_cancels
 
     db = _load_database(args)
+    explain = _ground_atom(args.explain) if args.explain else None
     tracer, flight = _make_tracer(args)
     budget = _make_budget(args)
     resume = None
@@ -254,12 +269,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for diagnostic in result.runtime_diagnostics:
         print(diagnostic.format(), file=sys.stderr)
     interrupted = result.status != "complete"
-    if args.explain and not interrupted:
-        from repro.datalog.parser import parse_atom_text
-
-        atom = parse_atom_text(args.explain)
-        key = tuple(arg.value for arg in atom.args)  # type: ignore[union-attr]
-        print(result.explain(atom.predicate, key))
+    if explain is not None and not interrupted:
+        print(result.explain(*explain))
         return EXIT_OK
     _print_model(result, args.query)
     for predicates, used, iterations in result.method_by_component():
@@ -319,16 +330,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Solve and render the derivation tree of one model atom."""
-    from repro.datalog.parser import parse_atom_text
-
     # The last positional is the atom; everything before it is rule files.
     args.files = args.args[:-1]
-    atom_text = args.args[-1]
     db = _load_database(args)
+    predicate, key = _ground_atom(args.args[-1])
     result = db.solve(**_solve_options(args))
-    atom = parse_atom_text(atom_text)
-    key = tuple(arg.value for arg in atom.args)  # type: ignore[union-attr]
-    print(result.explain(atom.predicate, key, max_depth=args.max_depth))
+    print(result.explain(predicate, key, max_depth=args.max_depth))
     return 0
 
 
@@ -413,7 +420,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     applies internally unless ``--pushdown off`` is given.
     """
     from repro.analysis.facts import ProgramFacts
-    from repro.analysis.premap import apply_pushdown, render_program
+    from repro.analysis.premap import apply_pushdown
+    from repro.datalog.pretty import program_to_text
 
     db = _load_database(args)
     program = db.program
@@ -426,7 +434,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     result = apply_pushdown(program, report)
     if not result.changed:
         print("% no applicable pushdown; program unchanged", file=sys.stderr)
-    print(render_program(result.program))
+    print(program_to_text(result.program))
     return EXIT_OK
 
 

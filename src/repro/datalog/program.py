@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.standard import default_registry
-from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import ProgramError
 from repro.datalog.rules import IntegrityConstraint, Rule
 from repro.datalog.spans import Span
@@ -130,19 +129,8 @@ class Program:
     # -- declaration handling -------------------------------------------------
 
     def _occurring_atoms(self):
-        for rule in self.rules:
-            yield rule.head
-            for sg in rule.body:
-                if isinstance(sg, AtomSubgoal):
-                    yield sg.atom
-                elif isinstance(sg, AggregateSubgoal):
-                    yield from sg.conjuncts
-        for constraint in self.constraints:
-            for sg in constraint.body:
-                if isinstance(sg, AtomSubgoal):
-                    yield sg.atom
-                elif isinstance(sg, AggregateSubgoal):
-                    yield from sg.conjuncts
+        for clause in (*self.rules, *self.constraints):
+            yield from clause.atoms()
 
     def _infer_missing_declarations(self) -> None:
         for atom in self._occurring_atoms():

@@ -21,6 +21,16 @@ from repro.datalog.spans import Span
 from repro.datalog.terms import Variable
 
 
+def _body_atoms(body: Tuple[Subgoal, ...]) -> Iterator[Atom]:
+    """The atoms of a body: positive and negated ones, then each
+    aggregate's conjuncts, in written order."""
+    for sg in body:
+        if isinstance(sg, AtomSubgoal):
+            yield sg.atom
+        elif isinstance(sg, AggregateSubgoal):
+            yield from sg.conjuncts
+
+
 @dataclass(frozen=True)
 class Rule:
     """``head ← body``.  An empty body makes the rule a fact."""
@@ -60,12 +70,14 @@ class Rule:
 
     def body_predicates(self) -> Iterator[str]:
         """Every predicate named in the body (inside aggregates too)."""
-        for sg in self.body:
-            if isinstance(sg, AtomSubgoal):
-                yield sg.atom.predicate
-            elif isinstance(sg, AggregateSubgoal):
-                for conjunct in sg.conjuncts:
-                    yield conjunct.predicate
+        for atom in _body_atoms(self.body):
+            yield atom.predicate
+
+    def atoms(self) -> Iterator[Atom]:
+        """Every atom occurrence: the head, the positive and negated body
+        atoms, and the aggregate conjuncts."""
+        yield self.head
+        yield from _body_atoms(self.body)
 
     # -- variable classification ----------------------------------------------
 
@@ -132,6 +144,10 @@ class IntegrityConstraint:
         for sg in self.body:
             out |= sg.variable_set()
         return out
+
+    def atoms(self) -> Iterator[Atom]:
+        """Every atom occurrence of the body, as :meth:`Rule.atoms`."""
+        return _body_atoms(self.body)
 
     def __str__(self) -> str:
         return f"<- {', '.join(map(str, self.body))}."

@@ -4,13 +4,11 @@ This layer sits between the fixpoint loop (:mod:`repro.engine.fixpoint`,
 every method) and the raw relations.  Per rule — and per *seed shape*, the
 set of variables a semi-naive delta seed pre-binds — it compiles once:
 
-* a **join order** for the body.  With ``plan="smart"`` the order is
-  selectivity-aware: among the subgoals evaluable at each step
-  (:func:`~repro.engine.grounding.subgoal_readiness` — the safety
-  condition is shared with the legacy scheduler), positive atoms are
-  ranked by the estimated cardinality of their indexed lookup instead of
-  by the legacy bound-variable count.  ``plan="off"`` preserves the
-  legacy :func:`~repro.engine.grounding.schedule` order exactly.
+* a **join order** for the body, from the one scheduler
+  :func:`~repro.engine.grounding.schedule`.  With ``plan="smart"`` it is
+  handed :func:`_estimate_lookup`, so ready positive atoms are ranked by
+  the estimated cardinality of their indexed lookup instead of by their
+  bound-variable count; ``plan="off"`` ranks by readiness priority alone.
 * a **kernel**: one generated Python function for that order — nested
   loops over indexed lookups with every rule variable a local variable,
   lookup keys as tuple displays, built-ins as native expressions, and
@@ -35,7 +33,7 @@ fixpoint rounds.  See docs/PERFORMANCE.md.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from zlib import crc32
@@ -60,6 +58,7 @@ from repro.datalog.terms import (
 )
 from repro.engine.grounding import (
     EvalContext,
+    order_conjuncts,
     schedule,
     subgoal_readiness,
 )
@@ -360,7 +359,7 @@ class _KernelWriter:
             collect = f"m{n}.append({value})"
         depth, loops, fail = self.depth, self.loops, self.fail
         self.fail = None
-        for conjunct in _order_conjuncts(
+        for conjunct in order_conjuncts(
             sg.conjuncts, self.program, frozenset(inner_bound)
         ):
             self.atom(conjunct, inner, inner_bound, "aggregate")
@@ -482,47 +481,12 @@ class RulePlan:
         return _lower(self.rule, program, self.order, self.pre_bound)[0]
 
 
-def _order_conjuncts(
-    conjuncts: Sequence[Atom], program: Program, bound: FrozenSet[Variable]
-) -> Tuple[Atom, ...]:
-    """Static conjunct order for an aggregate interior: atoms whose
-    default-value keys are bound go first (mirrors ``solve_conjunction``,
-    hoisted out of the per-binding loop)."""
-    remaining = list(conjuncts)
-    ordered: List[Atom] = []
-    known = set(bound)
-    while remaining:
-        progressed = False
-        for idx, conjunct in enumerate(remaining):
-            decl = program.decl(conjunct.predicate)
-            if decl.has_default:
-                key_vars = {
-                    a
-                    for a in conjunct.args[: decl.key_arity]
-                    if isinstance(a, Variable)
-                }
-                if not key_vars <= known:
-                    continue
-            ordered.append(remaining.pop(idx))
-            known |= conjunct.variable_set()
-            progressed = True
-            break
-        if not progressed:
-            raise SafetyError(
-                f"cannot schedule aggregate conjuncts "
-                f"{[str(c) for c in remaining]}"
-            )
-    return tuple(ordered)
-
-
 # ---------------------------------------------------------------------------
 # Selectivity-aware ordering
 # ---------------------------------------------------------------------------
 
 
-def _estimate_lookup(
-    sg: AtomSubgoal, program: Program, ctx: EvalContext, bound: set
-) -> float:
+def _estimate_lookup(ctx: EvalContext, sg: AtomSubgoal, bound: set) -> float:
     """Estimated row count of the indexed lookup for a positive atom.
 
     Uses the live index's average bucket size when one exists; otherwise
@@ -550,59 +514,6 @@ def _estimate_lookup(
     return float(n) ** (1.0 - len(positions) / len(atom.args))
 
 
-def plan_order(
-    rule: Rule,
-    program: Program,
-    pre_bound: FrozenSet[Variable],
-    *,
-    mode: str = "smart",
-    ctx: Optional[EvalContext] = None,
-) -> List[Subgoal]:
-    """A body evaluation order.
-
-    ``mode="off"`` (or no context to estimate against) delegates to the
-    legacy :func:`~repro.engine.grounding.schedule`.  ``mode="smart"``
-    keeps the legacy priority classes for built-ins, default atoms,
-    negation and aggregates, but ranks ready positive atoms by the
-    estimated cardinality of their indexed lookup, so the cheapest join
-    runs first.
-    """
-    _check_mode(mode)
-    if mode == "off" or ctx is None:
-        return schedule(rule, program, pre_bound)
-    remaining = list(rule.body)
-    ordered: List[Subgoal] = []
-    bound: set = set(pre_bound)
-    while remaining:
-        best_index: Optional[int] = None
-        best_key: Tuple[int, float] = (99, float("inf"))
-        best_newly: set = set()
-        for idx, sg in enumerate(remaining):
-            ready = subgoal_readiness(sg, rule, program, bound)
-            if ready is None:
-                continue
-            priority, newly = ready
-            if (
-                isinstance(sg, AtomSubgoal)
-                and not sg.negated
-                and not program.decl(sg.atom.predicate).has_default
-            ):
-                key = (2, _estimate_lookup(sg, program, ctx, bound))
-            else:
-                key = (priority, 0.0)
-            if key < best_key:
-                best_key, best_index, best_newly = key, idx, newly
-        if best_index is None:
-            raise SafetyError(
-                f"cannot schedule body of rule {rule}: remaining subgoals "
-                f"{[str(s) for s in remaining]} with "
-                f"bound={sorted(v.name for v in bound)}"
-            )
-        ordered.append(remaining.pop(best_index))
-        bound |= best_newly
-    return ordered
-
-
 # ---------------------------------------------------------------------------
 # Compilation & cache
 # ---------------------------------------------------------------------------
@@ -616,8 +527,17 @@ def compile_rule(
     mode: str = "smart",
     ctx: Optional[EvalContext] = None,
 ) -> RulePlan:
-    """Compile ``rule`` against the given pre-bound variable set."""
-    order = plan_order(rule, program, pre_bound, mode=mode, ctx=ctx)
+    """Compile ``rule`` against the given pre-bound variable set.  With
+    ``mode="smart"`` and a context to estimate against, ready positive
+    atoms are ranked by the estimated cardinality of their indexed lookup
+    (:func:`~repro.engine.grounding.schedule`)."""
+    _check_mode(mode)
+    estimate = (
+        partial(_estimate_lookup, ctx)
+        if mode == "smart" and ctx is not None
+        else None
+    )
+    order = schedule(rule, program, pre_bound, estimate)
     source, consts = _lower(rule, program, order, pre_bound)
     return RulePlan(rule, mode, order, pre_bound, _kernel(source), consts)
 
@@ -646,7 +566,7 @@ def get_plan(
     plan = cache.get(cache_key)
     if ctx is not None and ctx.tracer.enabled:
         ctx.tracer.count_plan(plan is not None)
-    if plan is None:  # an unknown mode never hits: plan_order rejects it
+    if plan is None:  # an unknown mode never hits: compile_rule rejects it
         plan = compile_rule(rule, program, pre_bound, mode=mode, ctx=ctx)
         cache[cache_key] = plan
     return plan

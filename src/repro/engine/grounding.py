@@ -7,6 +7,9 @@ variables; ``V = expr`` built-ins bind ``V``; aggregate subgoals need
 their grouping variables bound and bind their result; default-value
 predicates and negated atoms need their key variables bound).  For
 range-restricted rules (Definition 2.5) a valid order always exists.
+This is the engine's one scheduler: both plan modes of
+:mod:`repro.engine.exec`, aggregate interiors and the MAD507 lint take
+their orders or verdicts from it.
 
 Aggregate subgoals are evaluated per Definition 2.4: the inner conjunction
 is solved with the grouping variables fixed, the solutions are projected
@@ -20,7 +23,7 @@ fan-in sound (Example 4.4).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import EmptyAggregateError
 from repro.datalog.atoms import (
@@ -113,12 +116,12 @@ class EvalContext:
 
 
 def subgoal_readiness(
-    sg: Subgoal, rule: Rule, program: Program, bound: set
+    sg: Subgoal, rule: Optional[Rule], program: Program, bound: set
 ) -> Optional[Tuple[int, set]]:
     """(priority, newly_bound) if ``sg`` is evaluable under ``bound``, else
-    None.  Shared by :func:`schedule` and the selectivity-aware planner
-    (:mod:`repro.engine.exec`), which must agree on *readiness* even when
-    they rank ready subgoals differently."""
+    None — the one readiness rule: :func:`schedule`, :func:`order_conjuncts`
+    and the MAD507 lint all ask it.  ``rule`` (the grouping variables of
+    an aggregate subgoal) may be None for a lone atom."""
     if isinstance(sg, AtomSubgoal):
         decl = program.decl(sg.atom.predicate)
         atom_vars = set(sg.atom.variables())
@@ -160,6 +163,7 @@ def subgoal_readiness(
                 return (0, {sg.rhs})
         return None
     if isinstance(sg, AggregateSubgoal):
+        assert rule is not None
         grouping = rule.grouping_variables(sg)
         newly = (
             {sg.result}
@@ -178,33 +182,87 @@ def subgoal_readiness(
     raise TypeError(f"unknown subgoal type {type(sg).__name__}")
 
 
-def schedule(
-    rule: Rule, program: Program, pre_bound: frozenset = frozenset()
-) -> List[Subgoal]:
-    """A static evaluation order for the body (see module docstring)."""
-    remaining = list(rule.body)
-    ordered: List[Subgoal] = []
-    bound: set = set(pre_bound)
+#: ``estimate(sg, bound)``: the expected row count of a positive atom's
+#: lookup under ``bound`` (``exec`` reads it off the live relations).
+Estimate = Callable[[AtomSubgoal, set], float]
 
+
+def _take_ready(
+    remaining: List[Subgoal],
+    rule: Optional[Rule],
+    program: Program,
+    bound: set,
+    rank: Callable[[Subgoal, int], Any],
+) -> List[Subgoal]:
+    """Move ready subgoals out of ``remaining`` — at each step the one of
+    least ``rank(sg, priority)``, the first among equals — until it is
+    empty or none is ready; ``bound`` grows in place."""
+    ordered: List[Subgoal] = []
     while remaining:
-        best_index: Optional[int] = None
-        best_priority = 99
-        best_newly: set = set()
+        best: Optional[Tuple[Any, int, set]] = None
         for idx, sg in enumerate(remaining):
             ready = subgoal_readiness(sg, rule, program, bound)
-            if ready is None:
-                continue
-            priority, newly = ready
-            if priority < best_priority:
-                best_priority, best_index, best_newly = priority, idx, newly
-        if best_index is None:
-            raise SafetyError(
-                f"cannot schedule body of rule {rule}: remaining subgoals "
-                f"{[str(s) for s in remaining]} with bound={sorted(v.name for v in bound)}"
-            )
-        ordered.append(remaining.pop(best_index))
-        bound |= best_newly
+            if ready is not None:
+                key = rank(sg, ready[0])
+                if best is None or key < best[0]:
+                    best = (key, idx, ready[1])
+        if best is None:
+            break
+        ordered.append(remaining.pop(best[1]))
+        bound |= best[2]
     return ordered
+
+
+def schedule(
+    rule: Rule,
+    program: Program,
+    pre_bound: frozenset = frozenset(),
+    estimate: Optional[Estimate] = None,
+) -> List[Subgoal]:
+    """A static evaluation order for the body (see module docstring).
+
+    Ready subgoals rank by their readiness priority (``plan="off"``, and
+    the interpreted reference path).  With an ``estimate``
+    (``plan="smart"``) a ready positive non-default atom ranks
+    ``(2, estimate(sg, bound))`` instead, so the cheapest join runs first
+    while built-ins, default atoms, negation and aggregates keep their
+    priority classes."""
+    bound: set = set(pre_bound)
+
+    def rank(sg: Subgoal, priority: int) -> Tuple[int, float]:
+        if (
+            estimate is not None
+            and isinstance(sg, AtomSubgoal)
+            and not sg.negated
+            and not program.decl(sg.atom.predicate).has_default
+        ):
+            return (2, estimate(sg, bound))
+        return (priority, 0.0)
+
+    remaining = list(rule.body)
+    ordered = _take_ready(remaining, rule, program, bound, rank)
+    if remaining:
+        raise SafetyError(
+            f"cannot schedule body of rule {rule}: remaining subgoals "
+            f"{[str(s) for s in remaining]} with bound={sorted(v.name for v in bound)}"
+        )
+    return ordered
+
+
+def order_conjuncts(
+    conjuncts: Sequence[Atom], program: Program, bound: frozenset
+) -> Tuple[Atom, ...]:
+    """Static order of an aggregate interior under the ``bound`` grouping
+    variables: the written order, except that a default-value atom waits
+    until its key is bound (Section 2.3.3)."""
+    remaining: List[Subgoal] = [AtomSubgoal(c) for c in conjuncts]
+    ordered = _take_ready(remaining, None, program, set(bound), lambda sg, p: 0)
+    if remaining:
+        raise SafetyError(
+            f"cannot schedule aggregate conjuncts "
+            f"{[str(sg) for sg in remaining]}"
+        )
+    return tuple(sg.atom for sg in ordered)  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +400,15 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 def solve_conjunction(
     conjuncts: Sequence[Atom], ctx: EvalContext, bindings: Bindings
 ) -> List[Bindings]:
-    """All solutions of a conjunction of atoms (aggregate interiors).
-
-    Conjuncts are ordered greedily: atoms whose default-value keys are
-    bound go first when possible.
-    """
+    """All solutions of a conjunction of atoms (aggregate interiors), in
+    :func:`order_conjuncts` order."""
     solutions = [dict(bindings)]
-    remaining = list(conjuncts)
-    while remaining:
-        progressed = False
-        for idx, conjunct in enumerate(remaining):
-            decl = ctx.program.decl(conjunct.predicate)
-            if decl.has_default:
-                key_vars = {
-                    a
-                    for a in conjunct.args[: decl.key_arity]
-                    if isinstance(a, Variable)
-                }
-                bound_now = set(solutions[0]) if solutions else set()
-                if solutions and not key_vars <= bound_now:
-                    continue
-            chosen = remaining.pop(idx)
-            new_solutions: List[Bindings] = []
-            for b in solutions:
-                new_solutions.extend(match_atom(chosen, ctx, b, mode="aggregate"))
-            solutions = new_solutions
-            progressed = True
-            break
-        if not progressed:
-            raise SafetyError(
-                f"cannot schedule aggregate conjuncts "
-                f"{[str(c) for c in remaining]}"
-            )
+    for conjunct in order_conjuncts(conjuncts, ctx.program, frozenset(bindings)):
+        solutions = [
+            extended
+            for b in solutions
+            for extended in match_atom(conjunct, ctx, b, mode="aggregate")
+        ]
         if not solutions:
             return []
     return solutions

@@ -120,6 +120,23 @@ class TestTelemetrySurfaces:
         assert "s('a', 'c', 3)" in out
         assert "[EDB fact]" in out
 
+    @pytest.mark.parametrize("command", ["explain", "solve"])
+    def test_explain_of_a_non_ground_atom_is_a_usage_error(
+        self, sp_files, capsys, command
+    ):
+        rules, facts = sp_files
+        argv = (
+            ["explain", rules, "s(X, c)", "--facts", facts]
+            if command == "explain"
+            else ["solve", rules, "--facts", facts, "--explain", "s(X, c)"]
+        )
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: cannot explain s(X, c): argument X is not ground\n"
+        )
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_admissible_exit_zero(self, sp_files, capsys):

@@ -85,6 +85,15 @@ Invariants the engine's correctness arguments lean on:
    probe count beside the ``plan.cache_*`` counters, a metric merges
    only by restoring a snapshot, and ``src/repro/obs/`` only shrinks.
 
+13. **One scheduler.**  Whether a subgoal is ready is
+   ``grounding.subgoal_readiness`` and which ready subgoal runs next is
+   ``grounding.schedule`` (``plan="smart"`` is a ranking it is handed,
+   not a loop of its own); aggregate interiors are ordered by
+   ``grounding.order_conjuncts``.  The copies those replaced
+   (``fixes._newly_bound``, ``exec._order_conjuncts``, ``plan_order``'s
+   loop) and the second program printer ``premap.render_program`` stay
+   gone.
+
 The checks of 1-4 and 8 are text-based on purpose: they run without imports, see
 every module (including ones tests never load), and the patterns are
 specific enough to need no allowlist.
@@ -261,7 +270,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4880
+ENGINE_LINES = 4835
 
 
 def test_one_fixpoint_loop():
@@ -584,3 +593,29 @@ def test_option_value_sets_are_spelled_out_once():
         "method": {"engine/options.py"},
         "plan": {"engine/exec.py"},
     }
+
+
+SCHEDULER_COPIES = re.compile(r"def (_newly_bound|_order_conjuncts|render_program|plan_order)\b")
+
+
+def test_one_scheduler():
+    import inspect
+
+    from repro.engine.grounding import schedule
+
+    offenders = []
+    for path in _source_files():
+        offenders.extend(_violations(path, [SCHEDULER_COPIES]))
+    assert not offenders, (
+        "a second readiness rule, join orderer or program printer is back "
+        "(use grounding.schedule / order_conjuncts, pretty.program_to_text):"
+        "\n  " + "\n  ".join(offenders)
+    )
+    raisers = [
+        path.relative_to(SRC).as_posix()
+        for path in _source_files()
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "cannot schedule body" in line
+    ]
+    assert raisers == ["engine/grounding.py"]
+    assert "cannot schedule body" in inspect.getsource(schedule)

@@ -10,7 +10,7 @@ reference path in :mod:`repro.engine.grounding`:
   (defaults, negation, ``=``/``=r`` aggregates, arithmetic errors, oracle
   routing), probe the indexes exactly as often, keep the fault seams, and
   are shared process-wide by structurally equal rules;
-* ``plan="off"`` reproduces the legacy ``schedule`` order verbatim;
+* ``plan="smart"`` ranks by estimated lookup size inside ``schedule``;
 * plans are cached per (rule, seed shape, mode) on the program;
 * relation-owned indexes stay equal to a from-scratch rebuild across
   in-place mutations (the incremental-maintenance invariant);
@@ -18,7 +18,7 @@ reference path in :mod:`repro.engine.grounding`:
   duplicate-variable positions in changed rows.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,6 @@ from repro.engine.exec import (
     clear_plan_cache,
     compile_rule,
     get_plan,
-    plan_order,
     run_rule,
     seed_columns,
 )
@@ -125,6 +124,11 @@ def fire(rule, ctx, seeds=(), mode="smart"):
         seeds=[tuple(seed[var] for var in columns) for seed in seeds],
     )
     return [(rule.head.predicate, row) for row in rows]
+
+
+def smart_estimate(ctx):
+    """The estimate ``plan="smart"`` ranks positive atoms by."""
+    return partial(exec_layer._estimate_lookup, ctx)
 
 
 def heads_via_exec(rule, ctx, seed=None, mode="smart"):
@@ -747,15 +751,8 @@ class TestKernelMemo:
 
 
 class TestPlanOrder:
-    @pytest.mark.parametrize("paper", PAPER_PROGRAMS, ids=lambda p: p.name)
-    def test_off_matches_legacy_schedule(self, paper):
-        program = sample_db(paper).program
-        for rule in program.rules:
-            if rule.is_fact:
-                continue
-            assert plan_order(
-                rule, program, frozenset(), mode="off"
-            ) == schedule(rule, program)
+    """Both plan modes are rankings in one loop, ``grounding.schedule``;
+    tests/test_join_orders.py pins every order it produces."""
 
     def test_smart_prefers_selective_atom(self):
         """With a live size skew, the small relation is joined first."""
@@ -767,8 +764,10 @@ class TestPlanOrder:
             },
         )
         rule = program.rules[0]
-        order = plan_order(rule, program, frozenset(), mode="smart", ctx=ctx)
+        assert str(schedule(rule, program)[0]).startswith("big")
+        order = schedule(rule, program, frozenset(), smart_estimate(ctx))
         assert str(order[0]).startswith("small")
+        assert compile_rule(rule, program, mode="smart", ctx=ctx).order == order
         # Same answers either way.
         assert heads_via_exec(rule, ctx, mode="smart") == heads_via_exec(
             rule, ctx, mode="off"
@@ -780,14 +779,15 @@ class TestPlanOrder:
             "p(X) <- not r(X), q(X).", {"q": [(1,), (2,)], "r": [(2,)]}
         )
         rule = program.rules[0]
-        order = plan_order(rule, program, frozenset(), mode="smart", ctx=ctx)
+        order = schedule(rule, program, frozenset(), smart_estimate(ctx))
         assert str(order[-1]).startswith("not")
         assert heads_via_exec(rule, ctx) == [("p", (1,))]
 
     def test_unschedulable_rule_raises(self):
-        program = parse_program("p(X) <- q(X), Y < Z.")
-        with pytest.raises(SafetyError):
-            plan_order(program.rules[0], program, frozenset(), mode="off")
+        program, ctx = setup("p(X) <- q(X), Y < Z.", {"q": [(1,)]})
+        for estimate in (None, smart_estimate(ctx)):
+            with pytest.raises(SafetyError, match="cannot schedule body"):
+                schedule(program.rules[0], program, frozenset(), estimate)
 
 
 class TestPlanCache:

@@ -16,7 +16,6 @@ from repro.analysis.premap import (
     CHANGES_SEMANTICS,
     analyze_premappability,
     apply_pushdown,
-    render_program,
 )
 from repro.cli import main
 from repro.datalog.parser import parse_program
@@ -160,9 +159,15 @@ class TestRewrite:
         assert result.changed
         assert result.aux_predicates == {"path__frontier1"}
 
-    def test_rendered_program_reparses(self):
-        result = apply_pushdown(parse_program(SP))
-        rendered = render_program(result.program)
+    def test_rendered_program_reparses(self, tmp_path, capsys):
+        """What ``repro optimize`` prints parses back to the rewrite."""
+        source = SP + "@pred node/1.\n"
+        rules = tmp_path / "sp.mad"
+        rules.write_text(source)
+        assert main(["optimize", str(rules)]) == 0
+        rendered = capsys.readouterr().out
+        program = parse_program(source)
+        result = apply_pushdown(program)
         assert "@cost path__frontier/3 : reals_ge." in rendered
         reparsed = parse_program(rendered)
         assert [str(r) for r in reparsed.rules] == [
@@ -170,6 +175,11 @@ class TestRewrite:
         ]
         aux = reparsed.decl("path__frontier")
         assert aux.lattice is result.program.decl("path__frontier").lattice
+        # Every explicit declaration survives, ordinary ones included.
+        assert program.explicit_declarations == {"arc", "path", "s", "node"}
+        assert program.explicit_declarations <= reparsed.explicit_declarations
+        for name in program.explicit_declarations:
+            assert reparsed.decl(name) == program.decl(name)
 
 
 class TestSolverIntegration:
