@@ -754,6 +754,22 @@ class TestPlanOrder:
     """Both plan modes are rankings in one loop, ``grounding.schedule``;
     tests/test_join_orders.py pins every order it produces."""
 
+    @pytest.mark.parametrize("paper", PAPER_PROGRAMS, ids=lambda p: p.name)
+    def test_off_matches_legacy_schedule(self, paper):
+        """``plan="off"`` compiles the unranked ``schedule`` order, with or
+        without a context to estimate against."""
+        db = sample_db(paper)
+        program = db.program
+        model = db.solve(method="naive").model
+        empty = Interpretation(program.declarations)
+        ctx = EvalContext(program, frozenset(program.declarations), model, empty)
+        for rule in program.rules:
+            if rule.is_fact:
+                continue
+            legacy = schedule(rule, program)
+            assert compile_rule(rule, program, mode="off").order == legacy
+            assert compile_rule(rule, program, mode="off", ctx=ctx).order == legacy
+
     def test_smart_prefers_selective_atom(self):
         """With a live size skew, the small relation is joined first."""
         program, ctx = setup(
