@@ -60,6 +60,10 @@ class EmptyAggregateError(ValueError):
     """``F(∅)`` was requested for a function without an empty value."""
 
 
+#: The methods that define ``F``'s value (see ``exact_fold``).
+_EVALUATION = frozenset({"__call__", "apply_nonempty", "fold", "process"})
+
+
 class AggregateFunction(abc.ABC):
     """A multiset aggregate ``F : M(D) → R`` with declared lattices.
 
@@ -77,6 +81,20 @@ class AggregateFunction(abc.ABC):
 
     #: Whether ``F(∅)`` is defined (see module docstring).
     has_empty_value: bool = True
+
+    #: Declared: for every list of values, in any order and with any
+    #: repetition, ``convert`` of ``process(·, v)`` folded once per value
+    #: is exactly ``F(FrozenMultiset(values))`` — equal and of the same
+    #: type.  The rule kernels then fold a group inline, without building
+    #: its multiset; verified in tests.  A subclass that redefines how
+    #: ``F`` is evaluated drops it unless it declares it again.
+    exact_fold: bool = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "exact_fold" not in own and own.keys() & _EVALUATION:
+            cls.exact_fold = False
 
     def __init__(self, domain: Lattice, range_: Lattice) -> None:
         self.domain = domain

@@ -57,6 +57,10 @@ class _ExtremumMixin(AggregateFunction):
     #: ``min`` or ``max``; fixed by the concrete subclass.
     _pick: Callable[..., Any]
 
+    # Ties keep the first value seen, exactly as a multiset keeps the
+    # first of equal elements.
+    exact_fold = True
+
     def state_create(self) -> Optional[Any]:
         return None
 
@@ -215,6 +219,7 @@ class Count(AggregateFunction):
 
     name = "count"
     classification = Monotonicity.MONOTONIC
+    exact_fold = True
 
     def __init__(self, domain: Lattice | None = None) -> None:
         super().__init__(domain or BOOL_LE, NATURALS_LE)
@@ -267,6 +272,8 @@ class _BooleanMixin(AggregateFunction):
 
     #: The binary boolean combiner (``min`` = and, ``max`` = or on bits).
     _combine: Callable[..., int]
+
+    exact_fold = True
 
     def state_create(self) -> Optional[int]:
         return None
@@ -360,6 +367,7 @@ class Union(AggregateFunction):
 
     name = "union"
     classification = Monotonicity.MONOTONIC
+    exact_fold = True
 
     def __init__(self, universe: Iterable[Any]) -> None:
         lattice = PowersetUnion(universe)
@@ -389,6 +397,7 @@ class Intersection(AggregateFunction):
 
     name = "intersection"
     classification = Monotonicity.MONOTONIC
+    exact_fold = True
 
     def __init__(self, universe: Iterable[Any]) -> None:
         lattice = PowersetIntersection(universe)

@@ -10,11 +10,11 @@ set of variables a semi-naive delta seed pre-binds — it compiles once:
   the estimated cardinality of their indexed lookup instead of by their
   bound-variable count; ``plan="off"`` ranks by readiness priority alone.
 * a **kernel**: one generated Python function for that order — nested
-  loops over indexed lookups with every rule variable a local variable,
-  lookup keys as tuple displays, built-ins as native expressions, and
-  aggregate interiors appending their multiset values directly.  Bound
-  and free argument positions, constant and duplicate-variable checks,
-  the grouping/local split and the conjunct order are all decided while
+  loops over index probes with every rule variable a local variable,
+  probe keys as tuple displays, built-ins as native expressions, and
+  aggregate interiors folding each value into its group.  Bound and free
+  argument positions, constant and duplicate-variable checks, the
+  grouping/local split and the conjunct order are all decided while
   generating, so nothing is interpreted per binding.  A seeded kernel
   is *set-at-a-time*: after its hoisted prologue it loops over a list
   of positional seed tuples, so one call evaluates a whole delta batch.
@@ -26,13 +26,14 @@ Plans are cached on the :class:`~repro.datalog.program.Program`
 delta-driven evaluators stop re-deriving join orders on every call;
 kernel functions are memoised process-wide by their source text, which
 names no predicate and no constant, so structurally equal rules share
-one.  Lookups go through the relations' persistent incremental indexes
-(:class:`~repro.engine.interpretation.Relation`), which survive across
-fixpoint rounds.  See docs/PERFORMANCE.md.
+one.  A probe site keeps the relation's persistent index as a local
+from its first probe on, and a kernel charges its probes to the solve's
+``IndexStats`` once per call.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -63,19 +64,13 @@ from repro.engine.grounding import (
     subgoal_readiness,
 )
 from repro.testing import faults as _faults
-from repro.engine.interpretation import Key
+from repro.engine.interpretation import Key, active_index_stats
 from repro.util.multiset import FrozenMultiset
 
 #: Plan modes: "smart" = selectivity-aware join order; "off" = legacy
 #: schedule order (the differential suites' reference; still compiled
 #: and indexed).
 PLAN_MODES = ("smart", "off")
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in PLAN_MODES:
-        raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
-    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +91,7 @@ _KERNEL_GLOBALS: Dict[str, Any] = {
     "FrozenMultiset": FrozenMultiset,
     "SafetyError": SafetyError,
     "faults": _faults,
+    "index_stats": active_index_stats,
     "unbound": _unbound,
 }
 
@@ -116,8 +112,12 @@ def _display(items: Sequence[str]) -> str:
 
 
 #: Loops per generated function.  CPython rejects more than 20 statically
-#: nested blocks, so deeper joins go on in a nested function.
+#: nested blocks (the probe counters' ``try`` is one), so deeper joins go
+#: on in a nested function.
 _MAX_LOOPS = 16
+
+#: A nested function's ``nonlocal`` line until the handles are all known.
+_SHARED = "nonlocal <shared>"
 
 
 class _KernelWriter:
@@ -138,6 +138,8 @@ class _KernelWriter:
         self.loops = 0
         self.fail: Optional[str] = "return out"
         self.aggregates = 0
+        self.handles = 0  # index handles x0, x1, ...: one per probe site
+        self.folds: List[str] = []  # inline group states an interior rebinds
         #: (depth, call) of each nested function still being written.
         self.spills: List[Tuple[int, str]] = []
 
@@ -158,11 +160,15 @@ class _KernelWriter:
 
     def loop(self, header: str) -> None:
         if self.loops == _MAX_LOOPS:
-            # Registers bound so far are read through the closure.
+            # Registers bound so far are read through the closure, and
+            # the probe counters, handles and open folds written through it.
             name = f"deeper{len(self.spills)}"
             self.line(f"def {name}():")
             self.spills.append((self.depth, f"{name}()"))
             self.depth += 1
+            self.line(_SHARED)
+            if self.folds:
+                self.line(f"nonlocal {', '.join(self.folds)}")
             self.loops = 0
         self.line(header)
         self.depth += 1
@@ -194,6 +200,8 @@ class _KernelWriter:
         return name
 
     def source(self) -> str:
+        """The kernel; one that probes counts its probes in locals and
+        charges them once per call, in a ``finally``."""
         self.dedent(1)
         lines = ["def kernel(ctx, seeds, consts):"]
         if self.consts:
@@ -201,7 +209,15 @@ class _KernelWriter:
             lines.append(f"    {names} = consts")
         lines += [f"    {text}" for text in self.prologue]
         lines += ["    out = []", "    emit = out.append"]
-        lines += self.body
+        body = self.body
+        if self.handles:
+            handles = [f"x{n}" for n in range(self.handles)]
+            shared = f"nonlocal {', '.join(['probes', 'misses'] + handles)}"
+            lines += [f"    {' = '.join(handles)} = None", "    probes = misses = 0"]
+            body = [f"    {text.replace(_SHARED, shared)}" for text in body]
+            body = ["    try:", *body, "    finally:", "        stats = index_stats()"]
+            body += ["        stats.hits += probes - misses", "        stats.misses += misses"]
+        lines += [text for text in body if not text.endswith(_SHARED)]
         lines.append("    return out")
         return "\n".join(lines) + "\n"
 
@@ -216,7 +232,8 @@ class _KernelWriter:
     ) -> None:
         """A positive atom (body subgoal or aggregate-interior conjunct):
         a core-or-default read for default-value predicates, otherwise an
-        indexed join on the bound argument positions."""
+        indexed join on the bound argument positions, through a handle
+        resolved at the site's first probe (a miss if the index is built)."""
         decl = self.program.decl(atom.predicate)
         if decl.has_default:
             cost_of = self.fetch(atom.predicate, mode, ".cost_of")
@@ -242,9 +259,14 @@ class _KernelWriter:
                 first_seen[arg] = pos
                 writes.append(f"{regs[arg]} = row[{pos}]")
         if positions:
-            lookup = self.fetch(atom.predicate, mode, ".lookup")
+            rel, index = self.fetch(atom.predicate, mode), f"x{self.handles}"
+            self.handles += 1
+            self.line("probes += 1")
+            self.line(f"if {index} is None:")
+            self.line(f"    misses += {tuple(positions)!r} not in {rel}._indexes")
+            self.line(f"    {index} = {rel}.index_for({tuple(positions)!r})")
             bound_args = [atom.args[pos] for pos in positions]
-            rows = f"{lookup}({tuple(positions)!r}, {self.key(bound_args, regs)})"
+            rows = f"{index}.get({self.key(bound_args, regs)}, ())"
         else:
             rows = self.fetch(atom.predicate, mode, ".rows_list") + "()"
         if not writes:
@@ -319,8 +341,10 @@ class _KernelWriter:
         self, sg: AggregateSubgoal, regs: Dict[Variable, str], bound: set
     ) -> None:
         """An aggregate subgoal (Definition 2.4): the interior conjunction
-        runs as nested loops over private registers, appending the
-        multiset value directly; the function is applied once per group."""
+        runs as nested loops over private registers, folding each value
+        into its group's state: the function's own (``process``, then
+        ``convert``) if it declares ``exact_fold``, else a list of the
+        values, applied as a multiset once per group."""
         grouping = self.rule.grouping_variables(sg)
         free_grouping = sorted(
             (v for v in grouping if v not in bound), key=lambda v: v.name
@@ -328,8 +352,7 @@ class _KernelWriter:
         if free_grouping and not sg.restricted:
             raise SafetyError(
                 f"'='-form aggregate {sg} evaluated with unbound grouping "
-                f"variables "
-                f"{', '.join(v.name for v in free_grouping)} "
+                f"variables {', '.join(v.name for v in free_grouping)} "
                 f"(range restriction violated)"
             )
         n = self.aggregates
@@ -346,17 +369,32 @@ class _KernelWriter:
         # SQL projection onto the multiset variable, duplicates retained;
         # implicit boolean aggregation counts each solution as 'true'.
         value = inner[sg.multiset_var] if sg.multiset_var is not None else "1"
+        function = self.program.aggregate_function(sg.function)
+        inline = function.exact_fold
+        if inline:
+            start = self.const(function.state_create())
+            process = self.const(function.process)
+            finish = f"{self.const(function.convert)}(m{n})"
+        else:
+            finish = f"{self.const(function)}(FrozenMultiset(m{n}))"
         if free_grouping:
             # =r subgoal generating its grouping bindings: aggregate each
             # group of the inner solutions separately.
             self.line(f"g{n} = {{}}")
-            collect = (
-                f"g{n}.setdefault({self.key(free_grouping, inner)}, [])"
-                f".append({value})"
-            )
+            key = self.key(free_grouping, inner)
+            collect = [f"g{n}.setdefault({key}, []).append({value})"]
+            if inline:
+                fold = f"{process}(g{n}.get(k{n}, {start}), {value})"
+                collect = [f"k{n} = {key}", f"g{n}[k{n}] = {fold}"]
+        elif inline:  # the count n<k>: an empty group has a state too
+            self.line(f"m{n}, n{n} = {start}, 0")
+            collect = [f"m{n} = {process}(m{n}, {value})", f"n{n} += 1"]
         else:
             self.line(f"m{n} = []")
-            collect = f"m{n}.append({value})"
+            collect = [f"m{n}.append({value})"]
+        folds = self.folds
+        if inline and not free_grouping:  # rebound by the interior
+            self.folds = folds + [f"m{n}", f"n{n}"]
         depth, loops, fail = self.depth, self.loops, self.fail
         self.fail = None
         for conjunct in order_conjuncts(
@@ -364,22 +402,25 @@ class _KernelWriter:
         ):
             self.atom(conjunct, inner, inner_bound, "aggregate")
             inner_bound |= conjunct.variable_set()
-        self.line(collect)
+        for text in collect:
+            self.line(text)
         self.dedent(depth)
+        self.folds = folds
         self.loops, self.fail = loops, fail
         if free_grouping:
             group = _display([regs[v] for v in free_grouping])
             self.loop(f"for {group}, m{n} in g{n}.items():")
         elif sg.restricted:
-            self.require(f"m{n}")
-        function = self.program.aggregate_function(sg.function)
+            self.require(f"n{n}" if inline else f"m{n}")
+        elif inline:
+            finish += f" if n{n} else {self.const(function.empty_value)}()"
         detail = getattr(function, "name", None) or type(function).__name__
         self.line("if faults._ACTIVE is not None:")  # fault-injection seam
         self.line(f"    faults.trip('aggregate_apply', {self.const(detail)})")
         result = sg.result
         check = isinstance(result, Constant) or result in bound
         target = f"v{n}" if check else regs[result]
-        apply = f"{target} = {self.const(function)}(FrozenMultiset(m{n}))"
+        apply = f"{target} = {finish}"
         if free_grouping:
             self.line(apply)
         else:
@@ -410,10 +451,7 @@ def _lower(
     w = _KernelWriter(rule, program)
     if pre_bound:
         # A seed column the rule never mentions binds a throwaway name.
-        columns = [
-            regs.get(var, f"_{n}")
-            for n, var in enumerate(seed_columns(pre_bound))
-        ]
+        columns = [regs.get(v, f"_{n}") for n, v in enumerate(seed_columns(pre_bound))]
         w.loop(f"for {_display(columns)} in seeds:")
     bound: set = set(pre_bound)
     for sg in order:
@@ -445,28 +483,18 @@ def _lower(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, slots=True)
 class RulePlan:
     """One rule compiled against a fixed pre-bound variable set: the join
     order plus the generated kernel and the constants it runs with.  The
     kernel's source is not retained; :meth:`source` regenerates it."""
 
-    __slots__ = ("rule", "mode", "order", "pre_bound", "kernel", "consts")
-
-    def __init__(
-        self,
-        rule: Rule,
-        mode: str,
-        order: List[Subgoal],
-        pre_bound: FrozenSet[Variable],
-        kernel: Any,
-        consts: Tuple[Any, ...],
-    ) -> None:
-        self.rule = rule
-        self.mode = mode
-        self.order = order
-        self.pre_bound = pre_bound
-        self.kernel = kernel
-        self.consts = consts
+    rule: Rule
+    mode: str
+    order: List[Subgoal]
+    pre_bound: FrozenSet[Variable]
+    kernel: Any
+    consts: Tuple[Any, ...]
 
     def execute(
         self, ctx: EvalContext, seeds: Optional[Sequence[Key]] = None
@@ -531,7 +559,8 @@ def compile_rule(
     ``mode="smart"`` and a context to estimate against, ready positive
     atoms are ranked by the estimated cardinality of their indexed lookup
     (:func:`~repro.engine.grounding.schedule`)."""
-    _check_mode(mode)
+    if mode not in PLAN_MODES:
+        raise ValueError(f"unknown plan mode {mode!r}; expected one of {PLAN_MODES}")
     estimate = (
         partial(_estimate_lookup, ctx)
         if mode == "smart" and ctx is not None

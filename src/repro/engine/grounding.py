@@ -23,6 +23,7 @@ fan-in sound (Example 4.4).
 
 from __future__ import annotations
 
+from operator import eq, ge, gt, le, lt, ne
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aggregates.base import EmptyAggregateError
@@ -37,7 +38,7 @@ from repro.datalog.errors import SafetyError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable, evaluate_expr, expr_variable_set
-from repro.engine.interpretation import Interpretation, Key, Relation
+from repro.engine.interpretation import Interpretation, Relation
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.multiset import FrozenMultiset
 
@@ -49,8 +50,8 @@ class EvalContext:
 
     Indexes are owned by the relations themselves
     (:class:`~repro.engine.interpretation.Relation`): they are built on
-    first lookup and maintained in place by the relation's mutator
-    methods, so they survive across ``T_P`` applications and semi-naive
+    first lookup and maintained in place by ``Relation.join_rows``, the
+    one write, so they survive across ``T_P`` applications and semi-naive
     rounds — a context is just the predicate→relation routing table.
 
     ``negation_source`` and ``aggregate_source`` optionally redirect
@@ -93,21 +94,6 @@ class EvalContext:
             return self.aggregate_source.relation(predicate)
         source = self.j if predicate in self.cdb else self.i
         return source.relation(predicate)
-
-    def rows_matching(
-        self,
-        predicate: str,
-        bound_positions: Tuple[int, ...],
-        bound_values: Key,
-        *,
-        mode: str = "positive",
-    ) -> Sequence[Tuple]:
-        """Rows of ``predicate`` whose ``bound_positions`` equal
-        ``bound_values`` — via the relation's persistent hash index."""
-        rel = self.relation(predicate, mode=mode)
-        if not bound_positions:
-            return rel.rows_list()
-        return rel.lookup(bound_positions, bound_values)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +282,11 @@ def match_atom(
         for p, arg in enumerate(atom.args)
         if pattern[p] is None
     ]
-    for row in ctx.rows_matching(
-        atom.predicate, bound_positions, bound_values, mode=mode
-    ):
+    if bound_positions:
+        rows = rel.lookup(bound_positions, bound_values)
+    else:
+        rows = rel.rows_list()
+    for row in rows:
         extended = dict(bindings)
         ok = True
         for p, arg in free:
@@ -361,14 +349,10 @@ def _eval_builtin(
         if sg.op == "=" and (lhs_free or rhs_free):
             if lhs_free and rhs_free:
                 raise SafetyError(f"built-in {sg} with both sides unbound")
-            if lhs_free:
-                value = evaluate_expr(sg.rhs, bindings)
-                extended = dict(bindings)
-                extended[sg.lhs] = value  # type: ignore[index]
-            else:
-                value = evaluate_expr(sg.lhs, bindings)
-                extended = dict(bindings)
-                extended[sg.rhs] = value  # type: ignore[index]
+            target, expr = (sg.lhs, sg.rhs) if lhs_free else (sg.rhs, sg.lhs)
+            value = evaluate_expr(expr, bindings)
+            extended = dict(bindings)
+            extended[target] = value  # type: ignore[index]
             yield extended
             return
         left = evaluate_expr(sg.lhs, bindings)
@@ -376,25 +360,14 @@ def _eval_builtin(
     except ZeroDivisionError:
         return
     try:
-        satisfied = _compare(sg.op, left, right)
+        satisfied = _COMPARE[sg.op](left, right)
     except TypeError:
         satisfied = False  # incomparable values never satisfy a built-in
     if satisfied:
         yield dict(bindings)
 
 
-def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+_COMPARE = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def solve_conjunction(

@@ -38,10 +38,11 @@ Key = Tuple[Any, ...]
 class IndexStats:
     """Counters for the persistent index layer.
 
-    ``hits``/``misses`` count indexed lookups served by an existing index
-    versus lookups that had to build one first; ``builds`` counts index
-    constructions, ``invalidations`` whole-index drops forced by bulk or
-    in-place mutations, and ``scans`` full-relation row materialisations.
+    ``hits``/``misses`` count index probes served by an existing index
+    versus probes that built one first (a rule kernel charges its own
+    once per call); ``builds`` counts index constructions,
+    ``invalidations`` whole-index drops when index upkeep raises, and
+    ``scans`` full-relation row materialisations.
 
     Ownership is *solve-scoped*: every solve binds its own instance (the
     tracer's, see :mod:`repro.obs.tracer`) via :func:`use_index_stats`,
@@ -342,9 +343,6 @@ class Relation:
         if self.decl.has_default:
             return self.decl.default_value
         return None
-
-    def has_tuple(self, key: Key) -> bool:
-        return key in self.tuples
 
     def rows(self) -> Iterator[Tuple[Any, ...]]:
         """Full rows (key + cost column for cost predicates).

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.programs import (
     circuit,
@@ -14,6 +15,18 @@ from repro.programs import (
     student_averages,
     two_minimal_models,
 )
+
+#: ``pytest --hypothesis-profile=ci-long`` (a CI step): the property tests
+#: that take their budget from :func:`examples` draw this many examples
+#: instead of their tier-1 count.
+settings.register_profile("ci-long", max_examples=300)
+
+
+def examples(tier1: int) -> int:
+    """A property test's example count: ``tier1``, or the loaded
+    profile's when that asks for more than the default profile does."""
+    loaded = settings.default.max_examples
+    return loaded if loaded > settings.get_profile("default").max_examples else tier1
 
 
 @pytest.fixture

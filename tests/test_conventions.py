@@ -23,7 +23,7 @@ Invariants the engine's correctness arguments lean on:
 3. **One delta path, documented as generated.**  The per-seed
    evaluators (``_delta_seeds`` / ``_match_row`` / ``_apply_derivation``,
    a kernel reading ``seed[...]``) are gone, not forked, and the kernel
-   source docs/PERFORMANCE.md prints is the source the compiler
+   sources docs/PERFORMANCE.md prints are the sources the compiler
    generates today.
 
 4. **One relation backend.**  ``ColumnarRelation`` and the ``storage=``
@@ -354,7 +354,8 @@ def test_component_state_holds_its_cdb_only():
 
 def test_documented_kernel_is_the_generated_kernel():
     """docs/PERFORMANCE.md §2 prints Example 3.1's recursive rule under
-    the seed shape a changed ``s`` row produces."""
+    the seed shape a changed ``s`` row produces, and its ``min`` rule
+    under the seed shape a changed ``path`` row produces."""
     from repro.datalog.terms import Variable
     from repro.engine.exec import compile_rule
     from repro.programs import shortest_path
@@ -362,12 +363,19 @@ def test_documented_kernel_is_the_generated_kernel():
     text = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
     printed = re.findall(r"```python\n(def kernel\(.*?)```", text, re.DOTALL)
     program = shortest_path.database().program
-    rule = program.rules[1]
-    assert str(rule).startswith("path(X, Z, Y, C) <- s(X, Z, C1)")
-    shape = frozenset(map(Variable, ("X", "Z", "C1")))
-    plan = compile_rule(rule, program, shape)
-    assert printed == [plan.source(program)]
-    assert f"`consts = {plan.consts!r}`" in text
+    recursive, extremum = program.rules[1], program.rules[2]
+    assert str(recursive).startswith("path(X, Z, Y, C) <- s(X, Z, C1)")
+    assert str(extremum) == "s(X, Y, C) <- C =r min{D : path(X, Z, Y, D)}."
+    join = compile_rule(recursive, program, frozenset(map(Variable, ("X", "Z", "C1"))))
+    fold = compile_rule(extremum, program, frozenset(map(Variable, ("X", "Y"))))
+    assert printed == [join.source(program), fold.source(program)]
+    assert f"`consts = {join.consts!r}`" in text
+    least = program.aggregate_function("min")
+    assert fold.consts == (
+        least.state_create(), least.process, least.convert, "path", "min"
+    )
+    consts = "(min.state_create(), min.process, min.convert, 'path',\n'min')"
+    assert f"`consts = {consts}`" in text
 
 
 def test_the_answer_cache_added_no_knob():

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregates import LatticeJoin, Minimum
 from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_program
@@ -48,6 +49,7 @@ from repro.engine.interpretation import (
     Interpretation,
     use_index_stats,
 )
+from repro.lattices import REALS_GE
 from repro.obs.tracer import Tracer
 from repro.engine.fixpoint import DeltaDispatch
 from repro.programs import (
@@ -652,6 +654,158 @@ class TestKernelProbes:
             "invalidations": 0,
             "scans": 1,
         }
+
+    # The counts below were recorded with ``Relation.lookup`` per probe,
+    # before kernels kept their own index handles and counters.
+
+    @pytest.mark.parametrize("mode", PLAN_MODES)
+    def test_probes_in_nested_functions_are_charged(self, mode):
+        """Two spills deep: the handles and counters are written through
+        two closures."""
+        n = 2 * exec_layer._MAX_LOOPS + 3
+        chain = ", ".join(f"e(X{k}, X{k + 1})" for k in range(n))
+        program, ctx = setup(
+            f"p(X0, X{n}) <- {chain}.", {"e": [(1, 2), (2, 1), (2, 3)]}
+        )
+        assert "def deeper1():" in get_plan(
+            program, program.rules[0], mode=mode
+        ).source(program)
+        stats = IndexStats()
+        with use_index_stats(stats):
+            assert len(run_rule(program.rules[0], ctx, mode=mode)) == 3
+            assert len(run_rule(program.rules[0], ctx, mode=mode)) == 3
+        assert stats.snapshot() == {
+            "hits": 203, "misses": 1, "builds": 1, "invalidations": 0, "scans": 1,
+        }  # fmt: skip
+
+    @pytest.mark.parametrize("mode", PLAN_MODES)
+    def test_probes_behind_a_seed_loop_and_a_spill_are_charged(self, mode):
+        n = exec_layer._MAX_LOOPS + 4
+        chain = ", ".join(f"e(X{k}, X{k + 1})" for k in range(n))
+        program, ctx = setup(
+            f"p(X0, X{n}) <- d(X0), {chain}.",
+            {"e": [(1, 2), (2, 1), (2, 3)], "d": [(1,), (2,), (3,)]},
+        )
+        ctx.cdb, ctx.j = frozenset({"d", "p"}), ctx.i
+        stats = IndexStats()
+        with use_index_stats(stats):
+            rows = run_rule(
+                program.rules[0], ctx, mode=mode,
+                pre_bound=frozenset({Variable("X0")}), seeds=[(1,), (2,), (3,)],
+            )  # fmt: skip
+        assert len(rows) == 3
+        assert stats.snapshot() == {
+            "hits": 61, "misses": 2, "builds": 2, "invalidations": 0, "scans": 0,
+        }  # fmt: skip
+
+    @pytest.mark.parametrize("mode", PLAN_MODES)
+    def test_probes_before_a_raise_are_charged(self, mode):
+        """The third ``f`` probe's row makes ``Y + Z`` raise: the probes
+        made so far are charged all the same."""
+        program, ctx = setup(
+            "p(X, C) <- e(X, Y), f(Y, Z), C = Y + Z.",
+            {"e": [(1, 2), (1, 3), (1, 4)], "f": [(2, 5), (2, 6), (3, 7), (4, "a")]},
+        )
+        stats = IndexStats()
+        with use_index_stats(stats), pytest.raises(TypeError):
+            run_rule(program.rules[0], ctx, mode=mode)
+        assert stats.snapshot() == {
+            "hits": 2, "misses": 1, "builds": 1, "invalidations": 0, "scans": 1,
+        }  # fmt: skip
+
+
+class MinimumByCall(Minimum):
+    """A user aggregate that redefines ``__call__`` (and so does not
+    inherit ``exact_fold``)."""
+
+    name = "min_by_call"
+
+    def __call__(self, multiset):
+        return super().__call__(multiset)
+
+
+class TestKernelShapes:
+    """What a kernel's source holds: index handles, never
+    ``Relation.lookup``; an inline fold for an ``exact_fold`` aggregate,
+    a ``FrozenMultiset`` per group for any other."""
+
+    AGGREGATES = {
+        "lub": LatticeJoin(REALS_GE, name="lub"),
+        "min_by_call": MinimumByCall(),
+    }
+    RULES = (
+        "@cost q/3 : reals_ge.\n@cost p/2 : reals_ge.\n@pred w/1.\n"
+        "p(X, C) <- C =r {f}{{D : q(X, Y, D)}}.\n"  # grouping generated
+        "p(X, C) <- w(X), C = {f}{{D : q(X, Y, D)}}.\n"  # grouping bound
+    )
+    FACTS = {"q": [("a", 1, 5.0), ("a", 2, 3.0), ("b", 1, 2.0)], "w": [("a",), ("c",)]}
+
+    def kernels(self, function):
+        program = parse_program(
+            self.RULES.format(f=function), aggregates=self.AGGREGATES
+        )
+        edb = Interpretation(program.declarations)
+        for predicate, rows in self.FACTS.items():
+            for row in rows:
+                edb.add_fact(predicate, *row)
+        ctx = EvalContext(program, frozenset({"p"}), Interpretation({}), edb)
+        for rule in program.rules:
+            # The kernel derives what the interpreted reference derives.
+            assert_kernel_matches_legacy(rule, ctx)
+            yield compile_rule(rule, program).source(program)
+            # Seeded on the grouping variable, as a changed q row seeds it.
+            yield compile_rule(rule, program, frozenset({Variable("X")})).source(program)
+
+    @pytest.mark.parametrize("function", ["min", "max", "count", "or", "and"])
+    def test_an_exact_fold_is_inline(self, function):
+        for source in self.kernels(function):
+            assert "FrozenMultiset(" not in source, source
+            assert ".lookup(" not in source
+
+    @pytest.mark.parametrize(
+        "function", ["sum", "average", "halfsum", "lub", "min_by_call"]
+    )
+    def test_any_other_aggregate_is_applied_to_a_multiset(self, function):
+        for source in self.kernels(function):
+            assert "FrozenMultiset(" in source, source
+            assert ".lookup(" not in source
+
+    @pytest.mark.parametrize("function", ["count", "sum"])
+    @pytest.mark.parametrize("outer", [1, exec_layer._MAX_LOOPS + 2])
+    def test_a_fold_spilled_into_nested_functions(self, function, outer):
+        """An interior deeper than the block limit folds in a nested
+        function, which rebinds the group's state through its closure —
+        also when the aggregate itself sits in a nested function."""
+        lead = ", ".join(f"d(X{k}, X{k + 1})" for k in range(outer))
+        chain = ", ".join(f"e(X{outer + k}, Y{k}, Y{k + 1})" for k in range(18))
+        program, ctx = setup(
+            "@cost p/2 : naturals_le.\n"
+            f"p(X0, N) <- {lead}, N = {function}{{Y18 : {chain}}}.",
+            {"d": [(1, 1), (2, 1)], "e": [(1, 0, 1), (1, 1, 2), (1, 1, 3), (1, 3, 1)]},
+        )
+        rule = program.rules[0]
+        assert "def deeper" in compile_rule(rule, program).source(program)
+        heads = sorted(assert_kernel_matches_legacy(rule, ctx))
+        assert [row[0] for _, row in heads] == [1, 2] and heads[0][1][1] > 0
+
+    @pytest.mark.parametrize("paper", ALL_PROGRAMS, ids=lambda p: p.name)
+    def test_no_catalog_kernel_probes_through_lookup(self, paper):
+        program = paper.database().program
+        dispatch = DeltaDispatch(program.rules, frozenset(program.declarations))
+        shapes = {
+            (id(s.rule), s.shape): s for ss in dispatch.by_predicate.values() for s in ss
+        }
+        plans = [compile_rule(r, program) for r in program.rules if not r.is_fact]
+        plans += [compile_rule(s.rule, program, s.shape) for s in shapes.values()]
+        for plan in plans:
+            source = plan.source(program)
+            assert ".lookup(" not in source, source
+            if "(FrozenMultiset(" in source:
+                assert any(
+                    not program.aggregate_function(sg.function).exact_fold
+                    for sg in plan.rule.body
+                    if isinstance(sg, AggregateSubgoal)
+                )
 
 
 class TestFaultSeams:

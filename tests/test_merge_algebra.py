@@ -13,6 +13,10 @@ The systematic sweep in :mod:`repro.aggregates.algebra` feeds the
 analyzer's witness chain; this suite stresses the same properties with
 hypothesis-randomized multisets, so the long tail (large counts, mixed
 int/float sums, adversarial partitions) gets covered too.
+
+It also holds every aggregate that declares ``exact_fold`` to that
+declaration: the rule kernels fold such a group value by value, in join
+order, and never build its multiset.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from hypothesis import strategies as st
 
 from repro.aggregates import (
     MERGE_PROPERTIES,
+    Intersection,
     LatticeJoin,
     LatticeMeet,
+    Minimum,
+    Union,
     default_registry,
     verify_merge_algebra,
 )
@@ -38,6 +45,7 @@ from repro.aggregates.algebra import (
 from repro.aggregates.base import EmptyAggregateError
 from repro.lattices import BOOL_LE, REALS_GE
 from repro.util.multiset import FrozenMultiset
+from tests.conftest import examples
 
 REGISTRY = default_registry()
 ALL_FUNCTIONS = dict(REGISTRY)
@@ -131,7 +139,7 @@ def _check_partition_soundness(fn, parts):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     st.lists(real_multisets, min_size=1, max_size=4),
     st.sampled_from(sorted(_REAL_NAMES)),
@@ -140,7 +148,7 @@ def test_real_aggregates_partition_soundness(parts, name):
     _check_partition_soundness(ALL_FUNCTIONS[name], parts)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     st.lists(bool_multisets, min_size=1, max_size=4),
     st.sampled_from(sorted(_BOOL_NAMES)),
@@ -149,7 +157,7 @@ def test_bool_aggregates_partition_soundness(parts, name):
     _check_partition_soundness(ALL_FUNCTIONS[name], parts)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(
     real_multisets,
     real_multisets,
@@ -247,3 +255,85 @@ def test_sum_merge_infinity_absorbs():
     finite = FrozenMultiset([2, 3])
     merged = fn.convert(fn.merge(fn.fold(inf), fn.fold(finite)))
     assert math.isinf(merged)
+
+
+# ---------------------------------------------------------------------------
+# Inline folding: what a rule kernel computes for an ``exact_fold`` group
+# ---------------------------------------------------------------------------
+
+#: The default registry's declaring aggregates, plus the two parametric
+#: ones that declare it (their values are sets).
+INLINE = {name: fn for name, fn in REGISTRY.items() if fn.exact_fold}
+INLINE["union"] = Union(range(4))
+INLINE["intersection"] = Intersection(range(4))
+
+#: Duplicates, a bool beside an equal int (1 == True), both zeros, both
+#: infinities and two distinct NaN objects (a multiset merges a NaN only
+#: with itself).
+SCALARS = [0, 1, 2, -3, 2.5, True, False, 0.0, -0.0, math.inf, -math.inf]
+SCALARS += [math.nan, float("nan")]
+SETS = [frozenset(), frozenset({1}), frozenset({True}), frozenset({1, 2}), frozenset({0, 3})]
+
+
+def _fold_inline(fn, values):
+    """A group folded the way a kernel folds it: ``process`` once per
+    value, ``convert`` once, ``empty_value()`` for an empty ``=`` group."""
+    if not values:
+        return fn.empty_value()
+    state = fn.state_create()
+    for value in values:
+        state = fn.process(state, value)
+    return fn.convert(state)
+
+
+def _outcome(thunk):
+    """What ``thunk`` gives, compared with ``==`` and ``type()`` (and a
+    float by its ``repr``, so ``-0.0`` and NaN are told apart exactly), or
+    the type of the exception it raises."""
+    try:
+        value = thunk()
+    except Exception as error:  # noqa: BLE001 - the type is the outcome
+        return ("raises", type(error))
+    return ("value", type(value), repr(value) if isinstance(value, float) else value)
+
+
+def test_the_declaring_aggregates():
+    assert sorted(INLINE) == [
+        "and", "and_le", "count", "intersection", "max", "max_ge",
+        "max_nonneg", "min", "min_le", "or", "or_ge", "union",
+    ]  # fmt: skip
+    undeclared = {name for name, fn in ALL_FUNCTIONS.items() if not fn.exact_fold}
+    assert undeclared == {
+        "average", "halfsum", "join_reals_ge", "meet_bool_le", "product", "sum",
+    }  # fmt: skip
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.data())
+def test_inline_fold_is_exactly_the_multiset_application(data):
+    """For any list of values and any order of it, folding ``process``
+    once per value gives exactly ``F`` of the multiset the kernel would
+    otherwise build from that same list."""
+    name = data.draw(st.sampled_from(sorted(INLINE)))
+    fn = INLINE[name]
+    pool = SETS if name in ("union", "intersection") else SCALARS
+    values = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    for order in (values, data.draw(st.permutations(values))):
+        assert _outcome(lambda: _fold_inline(fn, order)) == _outcome(
+            lambda: fn(FrozenMultiset(order))
+        ), (name, order)
+
+
+def test_a_subclass_that_redefines_evaluation_does_not_inherit_it():
+    class Picky(Minimum):
+        def __call__(self, multiset):
+            return super().__call__(multiset)
+
+    class Declared(Picky):
+        exact_fold = True
+
+    class Renamed(Minimum):
+        name = "renamed_min"
+
+    assert not Picky().exact_fold
+    assert Declared().exact_fold and Renamed().exact_fold
