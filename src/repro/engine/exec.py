@@ -26,9 +26,9 @@ Plans are cached on the :class:`~repro.datalog.program.Program`
 delta-driven evaluators stop re-deriving join orders on every call;
 kernel functions are memoised process-wide by their source text, which
 names no predicate and no constant, so structurally equal rules share
-one.  A probe site keeps the relation's persistent index as a local
-from its first probe on, and a kernel charges its probes to the solve's
-``IndexStats`` once per call.  See docs/PERFORMANCE.md.
+one.  A probe binding a relation's whole key reads the relation's own
+map; any other keeps a persistent index as a local from its first probe
+on.  Probes are charged to ``IndexStats`` once per call (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.engine.grounding import (
     subgoal_readiness,
 )
 from repro.testing import faults as _faults
-from repro.engine.interpretation import Key, active_index_stats
+from repro.engine.interpretation import Key, active_index_stats, binds_key
 from repro.util.multiset import FrozenMultiset
 
 #: Plan modes: "smart" = selectivity-aware join order; "off" = legacy
@@ -138,7 +138,8 @@ class _KernelWriter:
         self.loops = 0
         self.fail: Optional[str] = "return out"
         self.aggregates = 0
-        self.handles = 0  # index handles x0, x1, ...: one per probe site
+        self.probes = False  # whether the kernel counts probes
+        self.handles = 0  # index handles x0, x1, ...: one per index probe site
         self.folds: List[str] = []  # inline group states an interior rebinds
         #: (depth, call) of each nested function still being written.
         self.spills: List[Tuple[int, str]] = []
@@ -210,13 +211,16 @@ class _KernelWriter:
         lines += [f"    {text}" for text in self.prologue]
         lines += ["    out = []", "    emit = out.append"]
         body = self.body
-        if self.handles:
+        if self.probes:
             handles = [f"x{n}" for n in range(self.handles)]
-            shared = f"nonlocal {', '.join(['probes', 'misses'] + handles)}"
-            lines += [f"    {' = '.join(handles)} = None", "    probes = misses = 0"]
+            counters = ["probes", "misses"] if handles else ["probes"]
+            shared = f"nonlocal {', '.join(counters + handles)}"
+            lines += [f"    {' = '.join(handles)} = None"] if handles else []
+            lines.append(f"    {' = '.join(counters)} = 0")
             body = [f"    {text.replace(_SHARED, shared)}" for text in body]
             body = ["    try:", *body, "    finally:", "        stats = index_stats()"]
-            body += ["        stats.hits += probes - misses", "        stats.misses += misses"]
+            body.append("        stats.hits += probes" + " - misses" * bool(handles))
+            body += ["        stats.misses += misses"] if handles else []
         lines += [text for text in body if not text.endswith(_SHARED)]
         lines.append("    return out")
         return "\n".join(lines) + "\n"
@@ -231,27 +235,29 @@ class _KernelWriter:
         mode: str = "positive",
     ) -> None:
         """A positive atom (body subgoal or aggregate-interior conjunct):
-        a core-or-default read for default-value predicates, otherwise an
-        indexed join on the bound argument positions, through a handle
-        resolved at the site's first probe (a miss if the index is built)."""
+        a read of the relation's own map when its key is bound
+        (:meth:`keyed`), otherwise an indexed join on the bound argument
+        positions, through a handle resolved at the site's first probe (a
+        miss if the index is built)."""
         decl = self.program.decl(atom.predicate)
-        if decl.has_default:
-            cost_of = self.fetch(atom.predicate, mode, ".cost_of")
-            value = f"{cost_of}({self.key(atom.args[: decl.key_arity], regs)})"
-            cost = atom.args[-1]
-            if isinstance(cost, Constant) or cost in bound:
-                self.require(f"{self.term(cost, regs)} == {value}")
-            else:
-                self.line(f"{regs[cost]} = {value}")
+        positions = [
+            pos
+            for pos, arg in enumerate(atom.args)
+            if isinstance(arg, Constant) or arg in bound
+        ]
+        if positions and not decl.has_default:
+            self.probes = True
+            self.line("probes += 1")
+        if decl.has_default or binds_key(decl, positions):
+            self.keyed(atom, regs, bound, mode)
             return
-        positions: List[int] = []
         dup_checks: List[str] = []
         writes: List[str] = []
         first_seen: Dict[Variable, int] = {}
         for pos, arg in enumerate(atom.args):
-            if isinstance(arg, Constant) or arg in bound:
-                positions.append(pos)
-            elif arg in first_seen:
+            if pos in positions:
+                continue
+            if arg in first_seen:
                 dup_checks.append(
                     f"if row[{pos}] != row[{first_seen[arg]}]: continue"
                 )
@@ -261,7 +267,6 @@ class _KernelWriter:
         if positions:
             rel, index = self.fetch(atom.predicate, mode), f"x{self.handles}"
             self.handles += 1
-            self.line("probes += 1")
             self.line(f"if {index} is None:")
             self.line(f"    misses += {tuple(positions)!r} not in {rel}._indexes")
             self.line(f"    {index} = {rel}.index_for({tuple(positions)!r})")
@@ -276,17 +281,30 @@ class _KernelWriter:
         for text in dup_checks + writes:
             self.line(text)
 
-    def negated(self, atom: Atom, regs: Dict[Variable, str]) -> None:
-        """Ground negation: satisfied iff the ground atom is absent."""
-        if self.program.decl(atom.predicate).is_cost_predicate:
-            cost_of = self.fetch(atom.predicate, "negated", ".cost_of")
-            self.require(
-                f"{cost_of}({self.key(atom.args[:-1], regs)}) "
-                f"!= {self.term(atom.args[-1], regs)}"
-            )
+    def keyed(
+        self, atom: Atom, regs: Dict[Variable, str], bound: set, mode: str
+    ) -> None:
+        """A read of the relation's own map under a bound key, which holds
+        at most one row: a positive atom, a default-value atom (core or
+        default), or, with ``mode="negated"``, ground negation (the atom
+        is absent).  No index is built or kept for it."""
+        decl = self.program.decl(atom.predicate)
+        key = self.key(atom.args[: decl.key_arity], regs)
+        if not decl.is_cost_predicate:
+            test = "not in" if mode == "negated" else "in"
+            self.require(f"{key} {test} {self.fetch(atom.predicate, mode, '.tuples')}")
+            return
+        attr = ".cost_of" if decl.has_default else ".costs.get"
+        value = f"{self.fetch(atom.predicate, mode, attr)}({key})"
+        cost = atom.args[-1]
+        if mode == "negated":
+            self.require(f"{value} != {self.term(cost, regs)}")
+        elif isinstance(cost, Constant) or cost in bound:
+            self.require(f"{self.term(cost, regs)} == {value}")
         else:
-            rel = self.fetch(atom.predicate, "negated")
-            self.require(f"{self.key(atom.args, regs)} not in {rel}.tuples")
+            self.line(f"{regs[cost]} = {value}")
+            if not decl.has_default:
+                self.require(f"{regs[cost]} is not None")
 
     def expr(self, expr: Any, regs: Dict[Variable, str], bound: set) -> str:
         if isinstance(expr, Constant):
@@ -457,7 +475,7 @@ def _lower(
     for sg in order:
         if isinstance(sg, AtomSubgoal):
             if sg.negated:
-                w.negated(sg.atom, regs)
+                w.keyed(sg.atom, regs, bound, "negated")
             else:
                 w.atom(sg.atom, regs, bound)
         elif isinstance(sg, BuiltinSubgoal):
@@ -517,10 +535,11 @@ class RulePlan:
 def _estimate_lookup(ctx: EvalContext, sg: AtomSubgoal, bound: set) -> float:
     """Estimated row count of the indexed lookup for a positive atom.
 
-    Uses the live index's average bucket size when one exists; otherwise
-    assumes each bound column shrinks the relation by its ``arity``-th
-    root (a dimensional-uniformity guess — crude, but it only has to rank
-    ready subgoals, not predict run times).
+    A bound key reads the relation's own map, which holds at most one
+    row per key.  Otherwise uses the live index's average bucket size when
+    one exists, or assumes each bound column shrinks the relation by its
+    ``arity``-th root (a dimensional-uniformity guess — crude, but it only
+    has to rank ready subgoals, not predict run times).
     """
     atom = sg.atom
     rel = ctx.relation(atom.predicate)
@@ -536,6 +555,8 @@ def _estimate_lookup(ctx: EvalContext, sg: AtomSubgoal, bound: set) -> float:
         return float(n)
     if len(positions) == len(atom.args):
         return 0.5  # pure existence check
+    if binds_key(rel.decl, positions):
+        return 1.0
     index = rel._indexes.get(positions)
     if index:
         return n / len(index)

@@ -90,8 +90,8 @@ class SeedSource:
     for an aggregate conjunct it is projected onto the *grouping*
     variables, seeding re-aggregation of exactly the affected groups.
     The full body is then re-evaluated around the seed (the pinned
-    subgoal re-matches via an index hit, which keeps the original rule's
-    grouping/local classification intact).
+    subgoal re-matches by a read of its relation's own map, which keeps
+    the original rule's grouping/local classification intact).
     """
 
     __slots__ = (

@@ -266,15 +266,17 @@ def _term_value(term, bindings: Bindings):
 def match_atom(
     atom: Atom, ctx: EvalContext, bindings: Bindings, *, mode: str = "positive"
 ) -> Iterator[Bindings]:
-    """Extend ``bindings`` over every matching row of ``atom``'s relation."""
+    """Extend ``bindings`` over every matching row of ``atom``'s relation
+    (:meth:`Relation.lookup`; a default-value atom, core or default, needs
+    its key bound)."""
     decl = ctx.program.decl(atom.predicate)
     rel = ctx.relation(atom.predicate, mode=mode)
-
-    if decl.has_default:
-        yield from _match_default_atom(atom, decl, rel, bindings)
-        return
-
     pattern = [_term_value(arg, bindings) for arg in atom.args]
+    if decl.has_default and any(v is None for v in pattern[: decl.key_arity]):
+        raise SafetyError(
+            f"default-value atom {atom} evaluated with unbound key "
+            f"(range restriction violated)"
+        )
     bound_positions = tuple(p for p, v in enumerate(pattern) if v is not None)
     bound_values = tuple(pattern[p] for p in bound_positions)
     free = [
@@ -282,7 +284,7 @@ def match_atom(
         for p, arg in enumerate(atom.args)
         if pattern[p] is None
     ]
-    if bound_positions:
+    if bound_positions or decl.has_default:
         rows = rel.lookup(bound_positions, bound_values)
     else:
         rows = rel.rows_list()
@@ -300,30 +302,6 @@ def match_atom(
                 break
         if ok:
             yield extended
-
-
-def _match_default_atom(
-    atom: Atom, decl, rel: Relation, bindings: Bindings
-) -> Iterator[Bindings]:
-    """A default-value atom with its key bound reads core-or-default."""
-    key_terms = atom.args[: decl.key_arity]
-    key = tuple(_term_value(t, bindings) for t in key_terms)
-    if any(v is None for v in key):
-        raise SafetyError(
-            f"default-value atom {atom} evaluated with unbound key "
-            f"(range restriction violated)"
-        )
-    value = rel.cost_of(key)
-    assert value is not None  # default predicates always have a value
-    cost_term = atom.args[-1]
-    bound = _term_value(cost_term, bindings)
-    if bound is None:
-        assert isinstance(cost_term, Variable)
-        extended = dict(bindings)
-        extended[cost_term] = value
-        yield extended
-    elif bound == value:
-        yield dict(bindings)
 
 
 def _check_negated(atom: Atom, ctx: EvalContext, bindings: Bindings) -> bool:

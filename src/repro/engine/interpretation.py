@@ -38,9 +38,9 @@ Key = Tuple[Any, ...]
 class IndexStats:
     """Counters for the persistent index layer.
 
-    ``hits``/``misses`` count index probes served by an existing index
-    versus probes that built one first (a rule kernel charges its own
-    once per call); ``builds`` counts index constructions,
+    ``hits``/``misses`` count probes served by an existing index or the
+    relation's own map versus probes that built an index first (a rule
+    kernel charges its own once per call); ``builds`` counts index builds,
     ``invalidations`` whole-index drops when index upkeep raises, and
     ``scans`` full-relation row materialisations.
 
@@ -110,16 +110,22 @@ def row_projector(positions: Tuple[int, ...]) -> Callable[[Key], Key]:
     return lambda row: ()
 
 
+def binds_key(decl: PredicateDecl, positions: Sequence[int]) -> bool:
+    """Whether a probe on ``positions`` binds ``decl``'s whole key: the
+    relation's own map then answers it, with no index."""
+    return bool(positions) and set(range(decl.key_arity)) <= set(positions)
+
+
 @dataclass
 class Relation:
     """The extension of one predicate inside an interpretation.
 
-    Beyond the raw ``tuples``/``costs`` containers, a relation owns its
-    *persistent incremental indexes*: hash indexes keyed by argument
-    positions that are built lazily on first lookup and then maintained in
-    place by :meth:`join_rows`, the one way rows enter a relation.  They
-    survive across fixpoint rounds — a semi-naive round touches only its
-    delta instead of re-hashing every relation (see docs/PERFORMANCE.md).
+    The raw ``tuples``/``costs`` containers are the index on the whole
+    key.  For probes short of it a relation owns *persistent incremental
+    indexes*: hash indexes keyed by argument positions, built lazily on
+    first lookup, then maintained in place by :meth:`join_rows`, the one
+    way rows enter a relation.  They survive across fixpoint rounds — a
+    semi-naive round touches only its delta (see docs/PERFORMANCE.md).
     """
 
     decl: PredicateDecl
@@ -308,8 +314,8 @@ class Relation:
         return self._rows_cache
 
     def index_for(self, positions: Tuple[int, ...]) -> Dict[Key, List[Key]]:
-        """The hash index on ``positions``, built on first use and then
-        maintained incrementally by :meth:`join_rows`."""
+        """The hash index on ``positions`` (short of the whole key), built
+        on first use and then maintained incrementally by :meth:`join_rows`."""
         index = self._indexes.get(positions)
         if index is None:
             active_index_stats().builds += 1
@@ -323,7 +329,22 @@ class Relation:
     def lookup(
         self, positions: Tuple[int, ...], values: Key
     ) -> Sequence[Key]:
-        """Rows whose ``positions`` equal ``values`` (indexed)."""
+        """Rows whose ``positions`` equal ``values``.  A probe that binds
+        the whole key, and any default-value read (core or default), is
+        answered from the relation's own map, which holds at most one
+        row; as in a kernel, a default-value read is not counted as a
+        probe.  Any other probe is indexed."""
+        decl = self.decl
+        if decl.has_default or binds_key(decl, positions):
+            if not decl.has_default:
+                active_index_stats().hits += 1
+            k = decl.key_arity
+            if not self.is_cost:
+                return (values,) if values in self.tuples else ()
+            value = self.cost_of(values[:k])
+            if value is None or (len(values) > k and not values[k] == value):
+                return ()
+            return (values[:k] + (value,),)
         index = self._indexes.get(positions)
         if index is None:
             active_index_stats().misses += 1

@@ -403,42 +403,21 @@ class Supervisor:
         self.cost_updates += changed_atoms
         self._check_cancel(scc, iteration)
         self._check_deadline(scc, iteration)
-        if (
-            budget.max_iterations is not None
-            and self.rounds >= budget.max_iterations
-        ):
-            self._emit_budget(
-                "iterations", budget.max_iterations, scc, iteration
-            )
-            raise SolveInterrupt(
-                "partial",
-                f"fixpoint-round budget of {budget.max_iterations} exhausted",
-                scc=scc,
-                iteration=iteration,
-            )
         solve_total = self.base_atoms + total_atoms
-        if budget.max_atoms is not None and solve_total >= budget.max_atoms:
-            self._emit_budget("atoms", budget.max_atoms, scc, iteration)
-            raise SolveInterrupt(
-                "partial",
-                f"derived-atom budget of {budget.max_atoms} exhausted "
-                f"({solve_total} atoms)",
-                scc=scc,
-                iteration=iteration,
-            )
-        if (
-            budget.max_cost_updates is not None
-            and self.cost_updates >= budget.max_cost_updates
+        for kind, limit, used, what in (
+            ("iterations", budget.max_iterations, self.rounds, "fixpoint-round"),
+            ("atoms", budget.max_atoms, solve_total, "derived-atom"),
+            ("cost_updates", budget.max_cost_updates, self.cost_updates, "cost-update"),
         ):
-            self._emit_budget(
-                "cost_updates", budget.max_cost_updates, scc, iteration
-            )
-            raise SolveInterrupt(
-                "partial",
-                f"cost-update budget of {budget.max_cost_updates} exhausted",
-                scc=scc,
-                iteration=iteration,
-            )
+            if limit is not None and used >= limit:
+                self._emit_budget(kind, limit, scc, iteration)
+                held = f" ({solve_total} atoms)" if kind == "atoms" else ""
+                raise SolveInterrupt(
+                    "partial",
+                    f"{what} budget of {limit} exhausted{held}",
+                    scc=scc,
+                    iteration=iteration,
+                )
         self._track_divergence(
             scc, iteration, new_atoms, changed_atoms, total_atoms
         )

@@ -355,9 +355,11 @@ def test_component_state_holds_its_cdb_only():
 def test_documented_kernel_is_the_generated_kernel():
     """docs/PERFORMANCE.md §2 prints Example 3.1's recursive rule under
     the seed shape a changed ``s`` row produces, and its ``min`` rule
-    under the seed shape a changed ``path`` row produces."""
+    under the seed shape a changed ``path`` row produces: as written, and
+    as the pushdown rewrites it to read ``path__frontier``, whose whole
+    key the group binds."""
     from repro.datalog.terms import Variable
-    from repro.engine.exec import compile_rule
+    from repro.engine.exec import compile_rule, get_pushdown
     from repro.programs import shortest_path
 
     text = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
@@ -366,15 +368,27 @@ def test_documented_kernel_is_the_generated_kernel():
     recursive, extremum = program.rules[1], program.rules[2]
     assert str(recursive).startswith("path(X, Z, Y, C) <- s(X, Z, C1)")
     assert str(extremum) == "s(X, Y, C) <- C =r min{D : path(X, Z, Y, D)}."
+    rewritten = get_pushdown(program).program
+    (frontier,) = [r for r in rewritten.rules if r.head.predicate == "s"]
+    assert str(frontier) == "s(X, Y, C) <- C =r min{D : path__frontier(X, Y, D)}."
+    group = frozenset(map(Variable, ("X", "Y")))
     join = compile_rule(recursive, program, frozenset(map(Variable, ("X", "Z", "C1"))))
-    fold = compile_rule(extremum, program, frozenset(map(Variable, ("X", "Y"))))
-    assert printed == [join.source(program), fold.source(program)]
+    fold = compile_rule(extremum, program, group)
+    keyed = compile_rule(frontier, rewritten, group)
+    assert printed == [
+        join.source(program), fold.source(program), keyed.source(rewritten)
+    ]
+    assert "f0 = ctx.relation(c0).costs.get" in printed[0]
+    assert "index_for" not in printed[2]
     assert f"`consts = {join.consts!r}`" in text
     least = program.aggregate_function("min")
-    assert fold.consts == (
-        least.state_create(), least.process, least.convert, "path", "min"
-    )
+    for plan, predicate in ((fold, "path"), (keyed, "path__frontier")):
+        assert plan.consts == (
+            least.state_create(), least.process, least.convert, predicate, "min"
+        )
     consts = "(min.state_create(), min.process, min.convert, 'path',\n'min')"
+    assert f"`consts = {consts}`" in text
+    consts = "(min.state_create(), min.process, min.convert,\n'path__frontier', 'min')"
     assert f"`consts = {consts}`" in text
 
 

@@ -47,6 +47,8 @@ from repro.engine.grounding import (
 from repro.engine.interpretation import (
     IndexStats,
     Interpretation,
+    Relation,
+    binds_key,
     use_index_stats,
 )
 from repro.lattices import REALS_GE
@@ -222,6 +224,37 @@ class TestKernelEdges:
             {"w": [("a",), ("b",)], "t": [("a", 3)], "v": [("a", 3), ("b", 2)]},
         )
         assert assert_kernel_matches_legacy(program.rules[0], ctx) == expected
+
+    KEYED = "@pred w/1.\n@pred e/2.\n@cost v/2 : naturals_le.\n@cost u/3 : reals_ge.\n"
+    KEYED_FACTS = {
+        "w": [("a",), ("b",), ("c",)],
+        "e": [("a", "b"), ("b", "b"), ("c", "a")],
+        "v": [("a", 3), ("b", 2)],
+        "u": [("a", "b", 1.0), ("b", "b", 2.5), ("c", "a", 1)],
+    }
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("w(X), e(X, X)", [("p", ("b",))]),  # full row of a set
+            ("e(X, Y), w(Y)", [("p", ("a",)), ("p", ("b",)), ("p", ("c",))]),
+            ("w(X), v(X, C), C > 2", [("p", ("a",))]),  # key bound, cost read
+            ("w(X), v(X, 2)", [("p", ("b",))]),  # key and cost bound
+            ("w(X), u(X, b, C)", [("p", ("a",)), ("p", ("b",))]),
+            ("v(X, C), u(X, b, C)", []),
+            ("w(X), u(X, a, 1.0)", [("p", ("c",))]),  # 1 == 1.0
+            ("w(X), 1 = count{Y : e(X, Y), w(Y)}", [("p", (x,)) for x in "abc"]),
+            ("w(X), C = min{D : u(X, b, D)}, C < 2", [("p", ("a",))]),
+        ],
+    )
+    def test_a_bound_key_reads_the_relations_own_map(self, body, expected):
+        """Kernel and reference agree, and neither builds an index where a
+        probe binds the relation's whole key."""
+        program, ctx = setup(self.KEYED + f"p(X) <- {body}.", self.KEYED_FACTS)
+        heads = assert_kernel_matches_legacy(program.rules[0], ctx)
+        assert sorted(heads, key=repr) == expected
+        for name, rel in ctx.i.relations.items():
+            assert not any(binds_key(rel.decl, p) for p in rel._indexes), name
 
     def test_default_atom_free_cost_reads_core_or_default(self):
         program, ctx = setup(
@@ -611,11 +644,14 @@ class TestKernelProbes:
     #: the same round under the cost-ordered policy; with 29 atoms every
     #: slice holds the whole pending delta, so it probes what semi-naive
     #: probes (the settle-at-a-time loop read (31, 3, 3, 3), (23, 5),
-    #: (28, 32): fewer firings, one kernel call each).
+    #: (28, 32): fewer firings, one kernel call each).  The seeded
+    #: recursive rule checks its whole ``s`` row against ``s``'s own map:
+    #: a probe, counted as a hit, that builds no index (it read
+    #: (41, 3, 3, 3) while that check built a full-row index on ``s``).
     PINNED = {
-        "seminaive": ((41, 3, 3, 3), (5, 5), (35, 40)),
+        "seminaive": ((42, 2, 3, 2), (5, 5), (35, 40)),
         "naive": ((41, 1, 17, 1), (21, 3), (24, 139)),
-        "greedy": ((41, 3, 3, 3), (5, 5), (35, 40)),
+        "greedy": ((42, 2, 3, 2), (5, 5), (35, 40)),
     }
 
     @pytest.mark.parametrize("method", sorted(PINNED))
@@ -694,8 +730,10 @@ class TestKernelProbes:
                 pre_bound=frozenset({Variable("X0")}), seeds=[(1,), (2,), (3,)],
             )  # fmt: skip
         assert len(rows) == 3
+        # The seed's ``d(X0)`` binds d's whole row: a hit on d's own map,
+        # where it was a miss that built a full-row index (61, 2, 2).
         assert stats.snapshot() == {
-            "hits": 61, "misses": 2, "builds": 2, "invalidations": 0, "scans": 0,
+            "hits": 62, "misses": 1, "builds": 1, "invalidations": 0, "scans": 0,
         }  # fmt: skip
 
     @pytest.mark.parametrize("mode", PLAN_MODES)
@@ -806,6 +844,24 @@ class TestKernelShapes:
                     for sg in plan.rule.body
                     if isinstance(sg, AggregateSubgoal)
                 )
+
+    @pytest.mark.parametrize("paper", PAPER_PROGRAMS, ids=lambda p: p.name)
+    def test_no_solve_builds_an_index_on_a_whole_key(self, paper, monkeypatch):
+        """Seeded kernels re-check their pinned rows, and pushed-down
+        extrema group on a whole key: each reads the relation's own map."""
+        built = []
+        index_for = Relation.index_for
+
+        def recording(rel, positions):
+            built.append((rel.decl, positions))
+            return index_for(rel, positions)
+
+        monkeypatch.setattr(Relation, "index_for", recording)
+        for method in ("naive", "seminaive", "auto"):
+            for pushdown in ("auto", "off"):
+                sample_db(paper).solve(method=method, pushdown=pushdown)
+        assert built  # a partial key is still indexed
+        assert [(d.name, p) for d, p in built if binds_key(d, p)] == []
 
 
 class TestFaultSeams:

@@ -98,6 +98,47 @@ class TestDefaults:
         assert i.relation("s").cost_of(("a", "b")) is None
 
 
+#: Rows of each predicate of ``DECLS``: two key letters, and costs that
+#: compare equal across types (``1`` and ``1.0``).
+ROWS = {
+    "edge": st.tuples(st.sampled_from("ab"), st.sampled_from("ab")),
+    "s": st.tuples(
+        st.sampled_from("ab"), st.sampled_from("ab"), st.sampled_from([0, 1, 1.0, 2.5])
+    ),
+    "t": st.tuples(st.sampled_from("ab"), st.sampled_from([0, 1])),
+}
+
+
+class TestKeyedLookup:
+    """``lookup`` on positions that bind a relation's whole key reads the
+    relation's own map: the rows a filtered scan finds (core or default,
+    for a default-value predicate), counted as one hit (a default read is
+    not counted), and no index is built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_rows_a_scan_finds_without_an_index(self, data):
+        name = data.draw(st.sampled_from(sorted(DECLS)))
+        decl = DECLS[name]
+        rel = Relation.empty(decl)
+        rel.join_rows(data.draw(st.lists(ROWS[name], max_size=6)))
+        probe = data.draw(ROWS[name])
+        k = decl.key_arity
+        positions = tuple(range(k))
+        if decl.is_cost_predicate and data.draw(st.booleans()):
+            positions += (k,)  # the cost bound too
+        key = probe[:k]
+        rows = [key + (rel.cost_of(key),)] if decl.has_default else rel.rows()
+        expected = [row for row in rows if all(row[p] == probe[p] for p in positions)]
+        with use_index_stats(IndexStats()) as stats:
+            found = rel.lookup(positions, tuple(probe[p] for p in positions))
+        assert list(found) == expected
+        assert rel._indexes == {}
+        assert (stats.hits, stats.misses, stats.builds, stats.scans) == (
+            0 if decl.has_default else 1, 0, 0, 0
+        )
+
+
 class TestOrder:
     def test_reflexive(self):
         i = interp(s=[("a", "b", 3)], edge=[("x", "y")])
