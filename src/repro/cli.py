@@ -125,17 +125,22 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
+def _builtin_source(name: str) -> str:
+    """The rule text of the built-in program ``name``."""
+    catalog = {p.name: p for p in ALL_PROGRAMS}
+    if name not in catalog:
+        raise CliUsageError(
+            f"unknown built-in program {name!r}; "
+            f"try: {', '.join(sorted(catalog))}"
+        )
+    return catalog[name].source
+
+
 def _load_database(args: argparse.Namespace) -> Database:
     name = args.program or (args.files[0] if args.files else "cli")
     db = Database(name=name)
     if args.program:
-        catalog = {p.name: p for p in ALL_PROGRAMS}
-        if args.program not in catalog:
-            raise CliUsageError(
-                f"unknown built-in program {args.program!r}; "
-                f"try: {', '.join(sorted(catalog))}"
-            )
-        db.load(catalog[args.program].source)
+        db.load(_builtin_source(args.program))
     for path in args.files:
         db.load(_read_source(path))
     if args.facts:
@@ -155,6 +160,12 @@ def _ground_atom(text: str) -> Tuple[str, Tuple[Any, ...]]:
                 f"cannot explain {text}: argument {arg} is not ground"
             )
     return atom.predicate, tuple(arg.value for arg in atom.args)
+
+
+def _check_predicate(db: Database, predicate: str) -> None:
+    """Reject a predicate the program does not declare, before solving."""
+    if predicate not in db.program.declarations:
+        raise CliUsageError(f"unknown predicate {predicate}")
 
 
 def _print_model(result, query: Optional[str]) -> None:
@@ -236,6 +247,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     db = _load_database(args)
     explain = _ground_atom(args.explain) if args.explain else None
+    if args.query:
+        _check_predicate(db, args.query)
+    if explain is not None:
+        _check_predicate(db, explain[0])
     tracer, flight = _make_tracer(args)
     budget = _make_budget(args)
     resume = None
@@ -334,6 +349,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     args.files = args.args[:-1]
     db = _load_database(args)
     predicate, key = _ground_atom(args.args[-1])
+    _check_predicate(db, predicate)
     result = db.solve(**_solve_options(args))
     print(result.explain(predicate, key, max_depth=args.max_depth))
     return 0
@@ -505,13 +521,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return _lint_catalog(args)
     sources = []
     if args.program:
-        catalog = {p.name: p for p in ALL_PROGRAMS}
-        if args.program not in catalog:
-            raise CliUsageError(
-                f"unknown built-in program {args.program!r}; "
-                f"try: {', '.join(sorted(catalog))}"
-            )
-        sources.append((args.program, catalog[args.program].source))
+        sources.append((args.program, _builtin_source(args.program)))
     for path in args.files:
         sources.append((path, _read_source(path)))
     if not sources:
@@ -671,13 +681,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             name, path = os.path.splitext(os.path.basename(spec))[0], spec
         _host(name, _read_source(path))
     for program in args.program or []:
-        catalog = {p.name: p for p in ALL_PROGRAMS}
-        if program not in catalog:
-            raise CliUsageError(
-                f"unknown built-in program {program!r}; "
-                f"try: {', '.join(sorted(catalog))}"
-            )
-        _host(program, catalog[program].source)
+        _host(program, _builtin_source(program))
     if not databases:
         raise CliUsageError(
             "nothing to serve: give rule files (NAME=FILE) or --program"

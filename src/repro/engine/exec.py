@@ -74,7 +74,7 @@ PLAN_MODES = ("smart", "off")
 
 
 # ---------------------------------------------------------------------------
-# Kernel generation
+# Kernel writing
 # ---------------------------------------------------------------------------
 
 
@@ -139,6 +139,7 @@ class _KernelWriter:
         self.fail: Optional[str] = "return out"
         self.aggregates = 0
         self.probes = False  # whether the kernel counts probes
+        self.scans = False  # whether it counts unbound scans
         self.handles = 0  # index handles x0, x1, ...: one per index probe site
         self.folds: List[str] = []  # inline group states an interior rebinds
         #: (depth, call) of each nested function still being written.
@@ -201,8 +202,8 @@ class _KernelWriter:
         return name
 
     def source(self) -> str:
-        """The kernel; one that probes counts its probes in locals and
-        charges them once per call, in a ``finally``."""
+        """The kernel; one that probes or scans counts its probes and
+        scans in locals and charges them once per call, in a ``finally``."""
         self.dedent(1)
         lines = ["def kernel(ctx, seeds, consts):"]
         if self.consts:
@@ -211,16 +212,20 @@ class _KernelWriter:
         lines += [f"    {text}" for text in self.prologue]
         lines += ["    out = []", "    emit = out.append"]
         body = self.body
-        if self.probes:
+        if self.probes or self.scans:
             handles = [f"x{n}" for n in range(self.handles)]
-            counters = ["probes", "misses"] if handles else ["probes"]
+            counters = ["probes"] * self.probes + ["misses"] * bool(handles)
+            counters += ["scans"] * self.scans
             shared = f"nonlocal {', '.join(counters + handles)}"
             lines += [f"    {' = '.join(handles)} = None"] if handles else []
             lines.append(f"    {' = '.join(counters)} = 0")
             body = [f"    {text.replace(_SHARED, shared)}" for text in body]
             body = ["    try:", *body, "    finally:", "        stats = index_stats()"]
-            body.append("        stats.hits += probes" + " - misses" * bool(handles))
+            if self.probes:
+                hits = "probes" + " - misses" * bool(handles)
+                body.append(f"        stats.hits += {hits}")
             body += ["        stats.misses += misses"] if handles else []
+            body += ["        stats.scans += scans"] if self.scans else []
         lines += [text for text in body if not text.endswith(_SHARED)]
         lines.append("    return out")
         return "\n".join(lines) + "\n"
@@ -236,9 +241,10 @@ class _KernelWriter:
     ) -> None:
         """A positive atom (body subgoal or aggregate-interior conjunct):
         a read of the relation's own map when its key is bound
-        (:meth:`keyed`), otherwise an indexed join on the bound argument
-        positions, through a handle resolved at the site's first probe (a
-        miss if the index is built)."""
+        (:meth:`keyed`), a scan of its container when nothing is bound,
+        otherwise an indexed join on the bound argument positions,
+        through a handle resolved at the site's first probe (a miss if
+        the index is built)."""
         decl = self.program.decl(atom.predicate)
         positions = [
             pos
@@ -251,6 +257,13 @@ class _KernelWriter:
         if decl.has_default or binds_key(decl, positions):
             self.keyed(atom, regs, bound, mode)
             return
+        # A cost relation's unbound scan reads its map's items: the key's
+        # positions from ``key``, the cost column from ``cost``.
+        scan_costs = not positions and decl.is_cost_predicate
+        if scan_costs:
+            cells = [f"key[{pos}]" for pos in range(decl.key_arity)] + ["cost"]
+        else:
+            cells = [f"row[{pos}]" for pos in range(len(atom.args))]
         dup_checks: List[str] = []
         writes: List[str] = []
         first_seen: Dict[Variable, int] = {}
@@ -259,11 +272,11 @@ class _KernelWriter:
                 continue
             if arg in first_seen:
                 dup_checks.append(
-                    f"if row[{pos}] != row[{first_seen[arg]}]: continue"
+                    f"if {cells[pos]} != {cells[first_seen[arg]]}: continue"
                 )
             else:
                 first_seen[arg] = pos
-                writes.append(f"{regs[arg]} = row[{pos}]")
+                writes.append(f"{regs[arg]} = {cells[pos]}")
         if positions:
             rel, index = self.fetch(atom.predicate, mode), f"x{self.handles}"
             self.handles += 1
@@ -273,11 +286,16 @@ class _KernelWriter:
             bound_args = [atom.args[pos] for pos in positions]
             rows = f"{index}.get({self.key(bound_args, regs)}, ())"
         else:
-            rows = self.fetch(atom.predicate, mode, ".rows_list") + "()"
+            self.scans = True
+            self.line("scans += 1")
+            if scan_costs:
+                rows = self.fetch(atom.predicate, mode, ".costs") + ".items()"
+            else:
+                rows = self.fetch(atom.predicate, mode, ".tuples")
         if not writes:
             self.require(rows)  # pure existence check
             return
-        self.loop(f"for row in {rows}:")
+        self.loop(f"for {'key, cost' if scan_costs else 'row'} in {rows}:")
         for text in dup_checks + writes:
             self.line(text)
 

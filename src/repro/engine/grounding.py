@@ -24,7 +24,8 @@ fan-in sound (Example 4.4).
 from __future__ import annotations
 
 from operator import eq, ge, gt, le, lt, ne
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Tuple
 
 from repro.aggregates.base import EmptyAggregateError
 from repro.datalog.atoms import (
@@ -38,7 +39,8 @@ from repro.datalog.errors import SafetyError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable, evaluate_expr, expr_variable_set
-from repro.engine.interpretation import Interpretation, Relation
+from repro.engine.interpretation import Interpretation, Key, Relation
+from repro.engine.interpretation import active_index_stats
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.multiset import FrozenMultiset
 
@@ -267,8 +269,9 @@ def match_atom(
     atom: Atom, ctx: EvalContext, bindings: Bindings, *, mode: str = "positive"
 ) -> Iterator[Bindings]:
     """Extend ``bindings`` over every matching row of ``atom``'s relation
-    (:meth:`Relation.lookup`; a default-value atom, core or default, needs
-    its key bound)."""
+    (:meth:`Relation.lookup`, or a scan of its rows when nothing is bound,
+    charged to ``IndexStats.scans``; a default-value atom, core or
+    default, needs its key bound)."""
     decl = ctx.program.decl(atom.predicate)
     rel = ctx.relation(atom.predicate, mode=mode)
     pattern = [_term_value(arg, bindings) for arg in atom.args]
@@ -285,9 +288,10 @@ def match_atom(
         if pattern[p] is None
     ]
     if bound_positions or decl.has_default:
-        rows = rel.lookup(bound_positions, bound_values)
+        rows: Iterable[Key] = rel.lookup(bound_positions, bound_values)
     else:
-        rows = rel.rows_list()
+        active_index_stats().scans += 1
+        rows = rel.rows()
     for row in rows:
         extended = dict(bindings)
         ok = True

@@ -42,7 +42,8 @@ class IndexStats:
     relation's own map versus probes that built an index first (a rule
     kernel charges its own once per call); ``builds`` counts index builds,
     ``invalidations`` whole-index drops when index upkeep raises, and
-    ``scans`` full-relation row materialisations.
+    ``scans`` full-relation scans performed: one each time an atom with
+    no argument bound enumerates its relation's container.
 
     Ownership is *solve-scoped*: every solve binds its own instance (the
     tracer's, see :mod:`repro.obs.tracer`) via :func:`use_index_stats`,
@@ -118,57 +119,34 @@ def binds_key(decl: PredicateDecl, positions: Sequence[int]) -> bool:
 
 @dataclass
 class Relation:
-    """The extension of one predicate inside an interpretation.
+    """The extension of one predicate inside an interpretation: its
+    ``tuples``/``costs`` container and its indexes, nothing else.
 
-    The raw ``tuples``/``costs`` containers are the index on the whole
-    key.  For probes short of it a relation owns *persistent incremental
-    indexes*: hash indexes keyed by argument positions, built lazily on
-    first lookup, then maintained in place by :meth:`join_rows`, the one
-    way rows enter a relation.  They survive across fixpoint rounds — a
-    semi-naive round touches only its delta (see docs/PERFORMANCE.md).
+    The container is the index on the whole key, and an unbound scan
+    iterates it directly.  For probes short of the whole key a relation
+    owns *persistent incremental indexes*: hash indexes keyed by argument
+    positions, built lazily on first lookup, then maintained in place by
+    :meth:`join_rows`, the one way rows enter a relation.  They survive
+    across fixpoint rounds — a semi-naive round touches only its delta
+    (see docs/PERFORMANCE.md).
     """
 
     decl: PredicateDecl
     tuples: Set[Key]  # ordinary predicates
     costs: Dict[Key, Any]  # cost predicates (core only for defaults)
-    #: Bumped on every mutation; validates the materialized-row cache.
-    generation: int = field(default=0, compare=False, repr=False)
     #: position tuple -> bound-value tuple -> full rows.
     _indexes: Dict[Tuple[int, ...], Dict[Key, List[Key]]] = field(
         default_factory=dict, compare=False, repr=False
     )
-    _rows_cache: Optional[List[Key]] = field(
-        default=None, compare=False, repr=False
-    )
-    _rows_cache_gen: int = field(default=-1, compare=False, repr=False)
 
     @classmethod
     def empty(cls, decl: PredicateDecl) -> "Relation":
         return cls(decl=decl, tuples=set(), costs={})
 
-    def copy(self, warm: bool = False) -> "Relation":
-        """A detached copy.
-
-        By default indexes are not copied: the copy starts cold and
-        re-indexes on demand (copies are usually mutated immediately,
-        e.g. by join).  ``warm=True`` additionally clones the live
-        indexes and row cache — :meth:`join_rows` keeps maintaining
-        them incrementally, so snapshot points that previously
-        re-indexed from cold (``Interpretation.join``'s accumulation
-        across components) skip the rebuild.
-        """
-        out = Relation(self.decl, set(self.tuples), dict(self.costs))
-        if warm:
-            # Same logical rows, so the derived structures carry over.
-            out.generation = self.generation
-            out._indexes = {
-                positions: {key: list(bucket) for key, bucket in index.items()}
-                for positions, index in self._indexes.items()
-            }
-            if self._rows_cache is not None:
-                out._rows_cache = list(self._rows_cache)
-                out._rows_cache_gen = self._rows_cache_gen
-        return out
+    def copy(self) -> "Relation":
+        """A detached copy of the container; indexes are not copied, the
+        copy builds its own on demand."""
+        return Relation(self.decl, set(self.tuples), dict(self.costs))
 
     @property
     def is_cost(self) -> bool:
@@ -182,13 +160,12 @@ class Relation:
     # ``join_rows`` is the one write.  Exception safety (apply-or-rollback):
     # the raw ``tuples``/``costs`` containers are the source of truth and
     # are always left in a valid state — a single-key container write
-    # cannot fail halfway, and the lattice lub runs before it.  The derived
-    # structures (incremental indexes, row cache) *can* be left
-    # half-updated if index upkeep raises (an injected fault, a
-    # pathological __eq__/__hash__ on user values), so ``join_rows`` drops
-    # them before re-raising: the rows written so far stay applied and the
-    # indexes rebuild lazily from the containers — consistent by
-    # reconstruction, never torn.
+    # cannot fail halfway, and the lattice lub runs before it.  The
+    # incremental indexes *can* be left half-updated if index upkeep
+    # raises (an injected fault, a pathological __eq__/__hash__ on user
+    # values), so ``join_rows`` drops them before re-raising: the rows
+    # written so far stay applied and the indexes rebuild lazily from the
+    # containers — consistent by reconstruction, never torn.
 
     def join_rows(self, rows: Iterable[Key], *, strict: bool = False) -> List[Key]:
         """Join full ``rows`` (the cost column last for cost predicates)
@@ -200,22 +177,20 @@ class Relation:
         a key already holding a different value raises
         :class:`CostConsistencyError`.  A default-value predicate's
         bottom values are never stored.  Per row: ``lattice.validate``,
-        the container write, index and row-cache upkeep and the
-        ``index_update`` fault seam, with everything that is per
-        relation read once per call.  Membership is one decision per
-        call when ``rows`` is a list whose cost column the lattice
-        accepts whole (``Lattice.accepts_all``); otherwise — another
-        lattice, a bool/NaN/subclass anywhere in the column, an
-        iterator — it is ``validate`` per row, so the first offending
-        row raises with the rows before it applied.
+        the container write, upkeep of every live index (nothing else
+        is kept in step) and the ``index_update`` fault seam, with
+        everything that is per relation read once per call.  Membership
+        is one decision per call when ``rows`` is a list whose cost
+        column the lattice accepts whole (``Lattice.accepts_all``);
+        otherwise — another lattice, a bool/NaN/subclass anywhere in the
+        column, an iterator — it is ``validate`` per row, so the first
+        offending row raises with the rows before it applied.
         """
         changed: List[Key] = []
         keyers = [
             (row_projector(positions), index)
             for positions, index in self._indexes.items()
         ]
-        live = self._rows_cache_gen == self.generation
-        cache = self._rows_cache if live else None
         seam = _faults._ACTIVE is not None
         name = self.decl.name
         tuples, costs = self.tuples, self.costs
@@ -229,89 +204,70 @@ class Relation:
                 and lattice.accepts_all(list(map(_COST, rows)))
             ):
                 validate = None
-        try:
-            for row in rows:
-                replaced = None
-                if lattice is None:
-                    if row in tuples:
-                        continue
-                    tuples.add(row)
-                else:
-                    key, value = row[:-1], row[-1]
-                    if validate is not None:
-                        validate(value)
-                    existing = costs.get(key)
-                    if has_default and value == bottom:
-                        # The default is implicit, never stored.
-                        if strict and existing is not None and existing != value:
-                            raise CostConsistencyError(
-                                f"{name}{key}: derived both "
-                                f"{existing!r} and default {value!r}"
-                            )
-                        continue
-                    if existing is None:
-                        costs[key] = value
-                    elif existing == value:
-                        continue
-                    elif strict:
+        for row in rows:
+            replaced = None
+            if lattice is None:
+                if row in tuples:
+                    continue
+                tuples.add(row)
+            else:
+                key, value = row[:-1], row[-1]
+                if validate is not None:
+                    validate(value)
+                existing = costs.get(key)
+                if has_default and value == bottom:
+                    # The default is implicit, never stored.
+                    if strict and existing is not None and existing != value:
                         raise CostConsistencyError(
-                            f"{name}{key}: derived both {existing!r} and "
-                            f"{value!r} in one T_P application"
+                            f"{name}{key}: derived both "
+                            f"{existing!r} and default {value!r}"
                         )
-                    else:
-                        # The lub runs before any mutation: a raising
-                        # (user-supplied) join leaves the key untouched.
-                        joined = join(existing, value)
-                        if joined == existing:
-                            continue
-                        costs[key] = joined
-                        replaced, row = key + (existing,), key + (joined,)
-                changed.append(row)
-                try:
-                    if seam:
-                        _faults.trip("index_update", name, self)
-                    if replaced is None:
-                        if cache is not None:
-                            cache.append(row)
-                        for keyer, index in keyers:
-                            index.setdefault(keyer(row), []).append(row)
-                    else:
-                        cache = self._rows_cache = None
-                        for keyer, index in keyers:
-                            bucket = index.get(keyer(replaced))
-                            if bucket is not None:
-                                try:
-                                    bucket.remove(replaced)
-                                except ValueError:  # pragma: no cover - defensive
-                                    pass
-                            index.setdefault(keyer(row), []).append(row)
-                except BaseException:
-                    self._drop_indexes()
-                    raise
-        finally:
-            self.generation += len(changed)
-            if cache is not None and cache is self._rows_cache:
-                self._rows_cache_gen = self.generation
+                    continue
+                if existing is None:
+                    costs[key] = value
+                elif existing == value:
+                    continue
+                elif strict:
+                    raise CostConsistencyError(
+                        f"{name}{key}: derived both {existing!r} and "
+                        f"{value!r} in one T_P application"
+                    )
+                else:
+                    # The lub runs before any mutation: a raising
+                    # (user-supplied) join leaves the key untouched.
+                    joined = join(existing, value)
+                    if joined == existing:
+                        continue
+                    costs[key] = joined
+                    replaced, row = key + (existing,), key + (joined,)
+            changed.append(row)
+            try:
+                if seam:
+                    _faults.trip("index_update", name, self)
+                if replaced is None:
+                    for keyer, index in keyers:
+                        index.setdefault(keyer(row), []).append(row)
+                else:
+                    for keyer, index in keyers:
+                        bucket = index.get(keyer(replaced))
+                        if bucket is not None:
+                            try:
+                                bucket.remove(replaced)
+                            except ValueError:  # pragma: no cover - defensive
+                                pass
+                        index.setdefault(keyer(row), []).append(row)
+            except BaseException:
+                self._drop_indexes()
+                raise
         return changed
 
     def _drop_indexes(self) -> None:
-        """Drop every live index and the row cache (``join_rows``' error
-        path)."""
-        if self._indexes or self._rows_cache is not None:
+        """Drop every live index (``join_rows``' error path)."""
+        if self._indexes:
             active_index_stats().invalidations += 1
         self._indexes.clear()
-        self._rows_cache = None
-        self.generation += 1
 
     # -- indexed access ----------------------------------------------------------
-
-    def rows_list(self) -> List[Key]:
-        """The materialized full-row list, cached per generation."""
-        if self._rows_cache is None or self._rows_cache_gen != self.generation:
-            active_index_stats().scans += 1
-            self._rows_cache = list(self.rows())
-            self._rows_cache_gen = self.generation
-        return self._rows_cache
 
     def index_for(self, positions: Tuple[int, ...]) -> Dict[Key, List[Key]]:
         """The hash index on ``positions`` (short of the whole key), built
@@ -420,11 +376,9 @@ class Interpretation:
 
     # -- construction ------------------------------------------------------------
 
-    def copy(self, warm: bool = False) -> "Interpretation":
+    def copy(self) -> "Interpretation":
         out = Interpretation({})
-        out.relations = {
-            name: rel.copy(warm=warm) for name, rel in self.relations.items()
-        }
+        out.relations = {name: rel.copy() for name, rel in self.relations.items()}
         return out
 
     def relation(self, predicate: str) -> Relation:
@@ -469,12 +423,10 @@ class Interpretation:
     def join(self, other: "Interpretation") -> "Interpretation":
         """``self ⊔ other`` per Theorem 3.1's construction.
 
-        A warm copy (live indexes carried over, then maintained in place
-        — a state accumulated by repeated joins never re-indexes from
-        cold) joined through :meth:`Relation.join_rows`, whose
+        A copy joined through :meth:`Relation.join_rows`, whose
         non-strict write *is* the pointwise lattice lub.
         """
-        out = self.copy(warm=True)
+        out = self.copy()
         for name, rel in other.relations.items():
             if len(rel):
                 target = out.relations.get(name)
@@ -487,7 +439,7 @@ class Interpretation:
         """``self ← self ⊔ other`` in place, without copying either side.
 
         An empty or absent relation *adopts* ``other``'s relation object,
-        warm indexes included (the two interpretations then share it —
+        its indexes included (the two interpretations then share it —
         callers own both sides, as the solver does with its state and a
         finished component); a non-empty one is joined through
         :meth:`Relation.join_rows`.

@@ -18,7 +18,7 @@ gone, cost columns become ordinary columns), and its well-founded model
 (:mod:`repro.semantics.wellfounded_normal`) is the Section 5.4 semantics.
 
 Because the rewritten program accumulates *all* derivable cost atoms as
-plain tuples, recursive cost generation must be bounded for bottom-up
+plain tuples, recursively derived costs must be bounded for bottom-up
 termination on cyclic data — Ganguly et al.'s (unstated, see the paper's
 footnote 2) assumption that ``<_d`` is a well-founded order on a suitable
 domain.  ``cost_bound`` materialises that domain: every rule defining a

@@ -7,8 +7,8 @@ lock, so a request never re-streams bulk CSV/JSONL sources.  Every
 request then solves over the shared materialization — safe because
 :func:`repro.engine.solver.solve` copies its EDB on entry, so
 concurrent solves read one immutable, shared snapshot and write only
-their private copies.  The snapshot is the freshly built EDB itself: it
-carries no pre-built row caches or indexes.
+their private copies.  The snapshot is the freshly built EDB itself:
+each relation's container, with no index built on it.
 """
 
 from __future__ import annotations

@@ -201,25 +201,16 @@ def _normalize(buckets: Dict[Any, List[Any]]) -> Dict[Any, List[Any]]:
 
 
 def check_relation_indexes(rel: Any) -> List[str]:
-    """Inconsistencies between a relation's live indexes/caches and its
-    raw containers (empty list = consistent).
+    """Inconsistencies between a relation's live indexes and its raw
+    containers (empty list = consistent).
 
     The raw ``tuples``/``costs`` containers are the source of truth;
-    every live hash index and the materialized row cache must agree with
-    a rebuild from them.  This is the torn-index detector of the fault
-    suite.
+    every live hash index must agree with a rebuild from them.  This is
+    the torn-index detector of the fault suite.
     """
     problems: List[str] = []
     name = rel.decl.name
     rows = list(rel.rows())
-    canonical = sorted(rows, key=repr)
-    cache = rel._rows_cache
-    if cache is not None and rel._rows_cache_gen == rel.generation:
-        if sorted(cache, key=repr) != canonical:
-            problems.append(
-                f"{name}: row cache disagrees with raw containers "
-                f"({len(cache)} cached vs {len(rows)} actual rows)"
-            )
     for positions, index in rel._indexes.items():
         rebuilt: Dict[Any, List[Any]] = {}
         for row in rows:

@@ -137,6 +137,21 @@ class TestTelemetrySurfaces:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["solve-query", "solve-explain", "explain"])
+    def test_unknown_predicate_is_a_usage_error(self, sp_files, capsys, command):
+        """Checked against the program's declarations before solving:
+        exit 1 with one ``error:`` line, nothing printed."""
+        rules, facts = sp_files
+        argv = {
+            "solve-query": ["solve", rules, "--facts", facts, "--query", "nope"],
+            "solve-explain": ["solve", rules, "--facts", facts, "--explain", "nope(a)"],
+            "explain": ["explain", rules, "nope(a)", "--facts", facts],
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown predicate nope\n"
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_admissible_exit_zero(self, sp_files, capsys):
@@ -174,6 +189,20 @@ class TestSupervisionFlags:
         assert "solve interrupted (timeout" in capsys.readouterr().err
         assert main(args + ["--timeout", "0.3", "--resume", str(ckpt)]) == 4
         assert "solve interrupted (timeout" in capsys.readouterr().err
+
+    def test_unknown_query_predicate_fails_before_the_budgeted_solve(
+        self, tmp_path, capsys
+    ):
+        """No solve runs, so no partial model and no checkpoint: the
+        mistake is reported as a usage error up front."""
+        ckpt = tmp_path / "div.ckpt.json"
+        argv = ["solve", self.DIVERGING, "--timeout", "0.3",
+                "--checkpoint", str(ckpt), "--query", "nope"]  # fmt: skip
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown predicate nope\n"
+        assert captured.out == ""
+        assert not ckpt.exists()
 
     def test_on_divergence_abort_exits_budget_code(self, capsys):
         code = main(["solve", self.DIVERGING, "--on-divergence", "abort"])

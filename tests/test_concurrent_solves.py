@@ -139,23 +139,28 @@ class TestConcurrentSolves:
         assert control_rounds == control_out["result"].total_iterations
 
     def test_many_threads_one_shared_snapshot(self):
-        """Six threads solving over one shared warm snapshot (the
-        hosted-database pattern) all derive the identical model and
-        leave the snapshot untouched."""
+        """Six threads solving over one ``HostedDatabase`` snapshot (the
+        hosted-database pattern: each request takes the shared snapshot
+        and solves over it) all derive the identical model and leave the
+        snapshot untouched."""
+        from repro.engine.solver import solve
+        from repro.serve.hosting import HostedDatabase
+
         db = Database(name="shared")
         db.load(shortest_path.source)
         db.add_facts("arc", PATH_ARCS)
-        snapshot = db.edb().copy(warm=True)
+        hosted = HostedDatabase("shared", db)
+        snapshot = hosted.snapshot()
         before = snapshot.total_size()
-        from repro.engine.solver import solve
 
         results = []
         lock = threading.Lock()
 
         def worker():
-            result = solve(db.program, snapshot, method="seminaive")
+            shared = hosted.snapshot()
+            result = solve(hosted.program, shared, method="seminaive")
             with lock:
-                results.append(result)
+                results.append((shared, result))
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for t in threads:
@@ -163,6 +168,7 @@ class TestConcurrentSolves:
         for t in threads:
             t.join(timeout=120)
         assert len(results) == 6
-        fingerprints = {r.model.fingerprint() for r in results}
+        assert all(shared is snapshot for shared, _ in results)
+        fingerprints = {r.model.fingerprint() for _, r in results}
         assert len(fingerprints) == 1
         assert snapshot.total_size() == before

@@ -648,9 +648,11 @@ class TestKernelProbes:
     #: recursive rule checks its whole ``s`` row against ``s``'s own map:
     #: a probe, counted as a hit, that builds no index (it read
     #: (41, 3, 3, 3) while that check built a full-row index on ``s``).
+    #: Every unbound scan counts, also one of a relation unchanged since
+    #: its last scan: naive re-scans its inputs every round.
     PINNED = {
         "seminaive": ((42, 2, 3, 2), (5, 5), (35, 40)),
-        "naive": ((41, 1, 17, 1), (21, 3), (24, 139)),
+        "naive": ((41, 1, 24, 1), (21, 3), (24, 139)),
         "greedy": ((42, 2, 3, 2), (5, 5), (35, 40)),
     }
 
@@ -681,14 +683,14 @@ class TestKernelProbes:
         with use_index_stats(stats):
             run_rule(program.rules[0], ctx, mode="off")
             run_rule(program.rules[0], ctx, mode="off")
-        # Per run: one scan-backed enumeration of e (materialised once),
-        # then one f lookup per e row; the first builds the index.
+        # Per run: one scan of e, then one f lookup per e row; the first
+        # builds the index.
         assert stats.snapshot() == {
             "hits": 5,
             "misses": 1,
             "builds": 1,
             "invalidations": 0,
-            "scans": 1,
+            "scans": 2,
         }
 
     # The counts below were recorded with ``Relation.lookup`` per probe,
@@ -711,7 +713,7 @@ class TestKernelProbes:
             assert len(run_rule(program.rules[0], ctx, mode=mode)) == 3
             assert len(run_rule(program.rules[0], ctx, mode=mode)) == 3
         assert stats.snapshot() == {
-            "hits": 203, "misses": 1, "builds": 1, "invalidations": 0, "scans": 1,
+            "hits": 203, "misses": 1, "builds": 1, "invalidations": 0, "scans": 2,
         }  # fmt: skip
 
     @pytest.mark.parametrize("mode", PLAN_MODES)
@@ -750,6 +752,77 @@ class TestKernelProbes:
         assert stats.snapshot() == {
             "hits": 2, "misses": 1, "builds": 1, "invalidations": 0, "scans": 1,
         }  # fmt: skip
+
+    @pytest.mark.parametrize("mode", PLAN_MODES)
+    @pytest.mark.parametrize("predicate", ["e", "c"])
+    def test_every_scan_of_an_unchanged_relation_is_charged(self, mode, predicate):
+        """Two calls scanning an unchanged relation charge two scans, and a
+        scan nested under another runs once per outer row: each reads the
+        relation's container, none is served from a copy of its rows."""
+        program, ctx = setup(
+            "@cost c/2 : reals_ge.\n"
+            "p(X, Y) <- e(X, Y).\n"
+            "q(X, Y) <- c(X, Y).\n"
+            "r(X, Z) <- d(X), c(Z, Y).\n",
+            {"e": [(1, 2), (3, 4)], "c": [(1, 2.0), (3, 4.0)], "d": [(1,), (2,)]},
+        )
+        rule = program.rules[0 if predicate == "e" else 1]
+        stats = IndexStats()
+        with use_index_stats(stats):
+            assert len(run_rule(rule, ctx, mode=mode)) == 2
+            assert len(run_rule(rule, ctx, mode=mode)) == 2
+        assert stats.snapshot() == {
+            "hits": 0, "misses": 0, "builds": 0, "invalidations": 0, "scans": 2,
+        }  # fmt: skip
+        stats = IndexStats()
+        with use_index_stats(stats):
+            assert len(run_rule(program.rules[2], ctx, mode=mode)) == 4
+        assert stats.scans == 3  # d once, then c once per d row
+
+
+#: Scanned relations with repeated variables: an ordinary ``e/3`` and a
+#: cost ``c/3`` (key of two, cost last), over values that collide often.
+SCAN_DECLS = "@cost c/3 : reals_ge.\n@pred e/3.\n"
+SCAN_VALUES = st.sampled_from([0, 1, 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    predicate=st.sampled_from(["e", "c"]),
+    args=st.lists(st.sampled_from("XYZ"), min_size=3, max_size=3),
+    rows=st.lists(st.tuples(SCAN_VALUES, SCAN_VALUES, SCAN_VALUES), max_size=12),
+)
+def test_a_scan_binds_exactly_the_rows_of_the_container(predicate, args, rows):
+    """An atom with nothing bound binds each row of ``tuples`` (or each
+    ``key + (cost,)`` of ``costs``) whose repeated variables agree, once
+    — in every kernel mode and in ``grounding`` — and is one scan."""
+    if predicate == "c":  # one cost per key
+        rows = list({row[:2]: row for row in rows}.values())
+    body = f"{predicate}({', '.join(args)})"
+    program, ctx = setup(
+        SCAN_DECLS + f"out({', '.join(args)}) <- {body}.", {predicate: rows}
+    )
+    rel = ctx.relation(predicate)
+    stored = (
+        [key + (cost,) for key, cost in rel.costs.items()]
+        if rel.is_cost
+        else list(rel.tuples)
+    )
+    expected = sorted(
+        row
+        for row in stored
+        if all(row[i] == row[args.index(var)] for i, var in enumerate(args))
+    )
+    rule = program.rules[0]
+    for mode in PLAN_MODES:
+        with use_index_stats(IndexStats()) as stats:
+            assert sorted(run_rule(rule, ctx, mode=mode)) == expected
+        assert (stats.scans, stats.hits, stats.builds) == (1, 0, 0)
+    with use_index_stats(IndexStats()) as stats:
+        assert heads_via_legacy(rule, ctx) == [
+            ("out", row) for row in sorted(expected, key=repr)
+        ]
+    assert (stats.scans, stats.hits, stats.builds) == (1, 0, 0)
 
 
 class MinimumByCall(Minimum):
@@ -914,16 +987,15 @@ class TestFaultSeams:
         rel = ctx.j.relation("n")
         rel.join_rows([("a", 1), ("b", 2)])
         rel.lookup((0,), ("a",))
-        rel.rows_list()
         rows = [("a", 1), ("c", 3), ("b", 5), ("d", 4)]  # unchanged, new, joined, new
         plan = FaultPlan([Fault("index_update", at=3)])
         with inject(plan), pytest.raises(FaultInjected):
             rel.join_rows(rows)
         assert plan.log == [("index_update", "n")] * 3
-        # The mutation the fault interrupted stays applied; the derived
-        # structures were dropped and rebuild from the containers.
+        # The mutation the fault interrupted stays applied; the indexes
+        # were dropped and rebuild from the containers.
         assert dict(rel.costs) == {("a",): 1, ("b",): 5, ("c",): 3, ("d",): 4}
-        assert rel._indexes == {} and rel._rows_cache is None
+        assert rel._indexes == {}
         assert check_relation_indexes(rel) == []
         assert sorted(rel.lookup((0,), ("d",))) == [("d", 4)]
 
@@ -1092,16 +1164,6 @@ class TestIncrementalIndexes:
                 _rebuilt_index(rel, positions)
             )
         assert rel.lookup((1,), ("b",)) == [("a", "b", 3.0)]
-
-    def test_rows_list_tracks_inserts(self):
-        i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)
-        rel = i.relation("e")
-        rel.join_rows([(1, 2)])
-        assert sorted(rel.rows_list()) == [(1, 2)]
-        with use_index_stats(IndexStats()) as stats:
-            rel.join_rows([(3, 4)])
-            assert sorted(rel.rows_list()) == [(1, 2), (3, 4)]
-        assert stats.scans == 0  # appended to, not rebuilt
 
     def test_bulk_join_updates_in_place(self):
         i = Interpretation(parse_program("p(X) <- e(X, X).").declarations)

@@ -344,49 +344,22 @@ class TestMisc:
         assert not cold._indexes
         assert sorted(cold.index_for((0,))[("a",)]) == [("a", "b"), ("a", "c")]
 
-    def test_warm_copy_carries_indexes(self):
-        a = interp(edge=[("a", "b"), ("a", "c")], s=[("a", "b", 3)])
-        rel = a.relation("edge")
-        rel.index_for((0,))
-        rel.rows_list()
-        warm = rel.copy(warm=True)
-        assert set(warm._indexes) == {(0,)}
-        assert warm.generation == rel.generation
-        assert warm.rows_list() == rel.rows_list()
-        # The carried index is live, not a frozen snapshot: join_rows
-        # keeps maintaining it, and it stays detached from the original.
-        assert warm.join_rows([("a", "d")]) == [("a", "d")]
-        assert ("a", "d") in warm.index_for((0,))[("a",)]
-        assert ("a", "d") not in rel.index_for((0,))[("a",)]
-
-    def test_interpretation_warm_copy(self):
-        a = interp(edge=[("a", "b")], s=[("a", "b", 3)])
-        a.relation("s").index_for((0, 1))
-        warm = a.copy(warm=True)
-        assert set(warm.relation("s")._indexes) == {(0, 1)}
-        assert not a.copy().relation("s")._indexes
-        warm.add_fact("edge", "x", "y")
-        assert ("x", "y") not in a["edge"]
-
-    def test_empty_join_rows_keeps_indexes_and_row_cache(self):
+    def test_empty_join_rows_keeps_indexes(self):
         rel = interp(edge=[("a", "b"), ("a", "c")]).relation("edge")
-        index, rows = rel.index_for((0,)), rel.rows_list()
-        generation = rel.generation
+        index = rel.index_for((0,))
         stats = IndexStats()
         with use_index_stats(stats):
             assert rel.join_rows([]) == []
             assert rel.join_rows(iter(())) == []
             assert rel.join_rows(set()) == []
-            assert rel.generation == generation
             assert rel.index_for((0,)) is index
-            assert rel.rows_list() is rows
+        assert rel._indexes == {(0,): index}
         assert stats.snapshot() == IndexStats().snapshot()
 
     def test_index_update_fault_in_add_fact_leaves_no_torn_index(self):
         i = interp(s=[("a", "b", 3)])
         rel = i.relation("s")
         rel.lookup((0,), ("a",))
-        rel.rows_list()
         plan = FaultPlan([Fault("index_update")])
         with inject(plan), pytest.raises(FaultInjected):
             i.add_fact("s", "a", "c", 1)
@@ -468,7 +441,7 @@ def test_join_rows_agrees_with_a_container_oracle(predicate, data, strict):
     """``join_rows`` == a plain ``set`` / ``dict`` written row by row
     with ``validate`` and ``lattice.join``: same changed-row lists
     (values as stored after joining), same contents, same error at the
-    same row, and live indexes and row cache equal to a rebuild — over
+    same row, and live indexes equal to a rebuild — over
     an ordinary, a cost and a default-value predicate."""
     decl = parse_program(JOIN_ROWS_DECLS).declarations[predicate]
     lattice = decl.lattice
@@ -517,8 +490,7 @@ def test_join_rows_agrees_with_a_container_oracle(predicate, data, strict):
     state = set() if lattice is None else {}
     bulk, reference = [], []
     for rows in batches:
-        rel.lookup((0,), (0,))  # keep an index and the row cache live
-        rel.rows_list()
+        rel.lookup((0,), (0,))  # keep an index live
         bulk.append(outcome(lambda: rel.join_rows(rows, strict=strict)))
         reference.append(outcome(lambda: oracle(state, rows)))
         assert check_relation_indexes(rel) == []
