@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Set, Tuple
@@ -58,13 +58,7 @@ class IndexStats:
     scans: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "invalidations": self.invalidations,
-            "scans": self.scans,
-        }
+        return asdict(self)
 
 
 #: The stats object charged for index work on the current (thread/task)
@@ -275,10 +269,9 @@ class Relation:
         index = self._indexes.get(positions)
         if index is None:
             active_index_stats().builds += 1
-            index = {}
-            for row in self.rows():
-                bucket_key = tuple(row[p] for p in positions)
-                index.setdefault(bucket_key, []).append(row)
+            index, keyer = {}, row_projector(positions)
+            for row in self.tuples or [k + (v,) for k, v in self.costs.items()]:
+                index.setdefault(keyer(row), []).append(row)
             self._indexes[positions] = index
         return index
 
@@ -334,6 +327,16 @@ class Relation:
         else:
             yield from self.tuples
 
+    def unequal(self, other: "Relation") -> Set[Any]:
+        """The entries ``self`` holds that ``other`` does not hold equally
+        — keys of an ordinary relation, ``(key, value)`` items of a cost
+        one — as one C-level set difference, so a Kleene round's checks
+        cost the entries that differ, not all of ``J`` (carrier values are
+        hashable: see :class:`~repro.lattices.base.Lattice`)."""
+        if self.is_cost:
+            return self.costs.items() - other.costs.items()
+        return self.tuples - other.tuples
+
 
 def delta_counts(
     old: "Interpretation", new: "Interpretation"
@@ -344,21 +347,13 @@ def delta_counts(
     key whose stored value differs (a lattice merge).  Telemetry only —
     the evaluators never act on these counts.
     """
-    new_atoms = 0
-    changed = 0
+    new_atoms = changed = 0
     for name, rel in new.relations.items():
-        old_rel = old.relations.get(name)
-        if rel.is_cost:
-            old_costs = old_rel.costs if old_rel is not None else {}
-            for key, value in rel.costs.items():
-                existing = old_costs.get(key)
-                if existing is None:
-                    new_atoms += 1
-                elif existing != value:
-                    changed += 1
-        else:
-            old_tuples = old_rel.tuples if old_rel is not None else set()
-            new_atoms += len(rel.tuples - old_tuples)
+        old_rel = old._read(name, rel.decl)
+        unequal = len(rel.unequal(old_rel))
+        added = len(rel.costs.keys() - old_rel.costs.keys()) if rel.is_cost else unequal
+        new_atoms += added
+        changed += unequal - added
     return new_atoms, changed
 
 
@@ -405,18 +400,16 @@ class Interpretation:
     # -- the lattice of Theorem 3.1 -------------------------------------------------
 
     def leq(self, other: "Interpretation") -> bool:
-        """``self ⊑ other`` (Definition 3.3)."""
-        for name, rel in self._held().items():
+        """``self ⊑ other`` (Definition 3.3).  Entries held equally on
+        both sides are ``⊑`` by reflexivity; only the rest are read."""
+        for name, rel in self.relations.items():
             other_rel = other._read(name, rel.decl)
-            if rel.is_cost:
-                lattice = rel.decl.lattice
-                assert lattice is not None
-                for key, value in rel.costs.items():
-                    other_value = other_rel.cost_of(key)
-                    if other_value is None or not lattice.leq(value, other_value):
-                        return False
-            else:
-                if not rel.tuples <= other_rel.tuples:
+            lattice = rel.decl.lattice
+            for entry in rel.unequal(other_rel):
+                if lattice is None:
+                    return False
+                other_value = other_rel.cost_of(entry[0])
+                if other_value is None or not lattice.leq(entry[1], other_value):
                     return False
         return True
 
@@ -424,15 +417,14 @@ class Interpretation:
         """``self ⊔ other`` per Theorem 3.1's construction.
 
         A copy joined through :meth:`Relation.join_rows`, whose
-        non-strict write *is* the pointwise lattice lub.
+        non-strict write *is* the pointwise lattice lub, fed only the
+        entries of ``other`` the copy does not already hold equally.
         """
         out = self.copy()
-        for name, rel in other.relations.items():
-            if len(rel):
-                target = out.relations.get(name)
-                if target is None:
-                    target = out.relations[name] = Relation.empty(rel.decl)
-                target.join_rows(list(rel.rows()))
+        for name, rel in other._held().items():
+            target = out.relations.setdefault(name, Relation.empty(rel.decl))
+            rows = rel.unequal(target)
+            target.join_rows([k + (v,) for k, v in rows] if rel.is_cost else rows)
         return out
 
     def absorb(self, other: "Interpretation") -> None:
@@ -501,12 +493,14 @@ class Interpretation:
         raise TypeError("interpretations are mutable and unhashable")
 
     def fingerprint(self) -> int:
-        """A hash of the current contents (for oscillation detection)."""
-        parts: List[Tuple[Any, ...]] = []
-        for name, rel in sorted(self._held().items()):
-            rows = rel.costs.items() if rel.is_cost else rel.tuples
-            parts.append((name,) + tuple(sorted(rows, key=repr)))
-        return hash(tuple(parts))
+        """A hash of the current contents (oscillation detection): one
+        frozenset of ``(name, frozenset(entries))`` over the held
+        relations, so it needs no order, and equal interpretations
+        (an absent relation reads as empty) hash equal."""
+        return hash(frozenset(
+            (name, frozenset(rel.costs.items() if rel.is_cost else rel.tuples))
+            for name, rel in self._held().items()
+        ))  # fmt: skip
 
     def total_size(self) -> int:
         return sum(len(rel) for rel in self.relations.values())

@@ -41,6 +41,10 @@ class Lattice(abc.ABC):
     :attr:`bottom`, :attr:`top` and :meth:`__contains__`.  Everything else
     (strict order, comparability, iterated join/meet, interval sampling for
     tests) derives from those.
+
+    Carrier values are hashable, with ``a == b ⇒ hash(a) == hash(b)``:
+    interpretations compare and fingerprint them as dict items, so two
+    equal values are one element (``1`` and ``1.0`` included).
     """
 
     #: Human-readable name used in declarations, reports and parse errors.

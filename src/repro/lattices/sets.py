@@ -49,7 +49,7 @@ class PowersetUnion(Lattice):
         return self.universe
 
     def __contains__(self, value: Any) -> bool:
-        return isinstance(value, (set, frozenset)) and frozenset(value) <= self.universe
+        return isinstance(value, frozenset) and value <= self.universe
 
     def sample(self) -> Optional[Iterator[Any]]:
         members = sorted(self.universe, key=repr)[:3]
@@ -92,7 +92,7 @@ class PowersetIntersection(Lattice):
         return frozenset()
 
     def __contains__(self, value: Any) -> bool:
-        return isinstance(value, (set, frozenset)) and frozenset(value) <= self.universe
+        return isinstance(value, frozenset) and value <= self.universe
 
     def sample(self) -> Optional[Iterator[Any]]:
         members = sorted(self.universe, key=repr)[:3]

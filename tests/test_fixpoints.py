@@ -9,6 +9,8 @@ from repro.datalog.parser import parse_program
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.interpretation import Interpretation
 from repro.engine.fixpoint import apply_tp, fixpoint
+from repro.lattices import REALS_GE
+from repro.lattices.base import Lattice
 from repro.programs import (
     circuit,
     company_control,
@@ -271,3 +273,70 @@ class TestAtomCounts:
                 last[event["scc"]] = event["total_atoms"]
             elif event["type"] == "scc_end":
                 assert last[event["scc"]] == event["atoms"]
+
+
+class CountingLattice(Lattice):
+    """``inner`` with a count of its ``leq`` calls."""
+
+    def __init__(self, inner, name):
+        self.inner, self.name, self.leq_calls = inner, name, 0
+        self.is_chain, self.numeric_direction = inner.is_chain, inner.numeric_direction
+
+    def leq(self, a, b):
+        self.leq_calls += 1
+        return self.inner.leq(a, b)
+
+    def join(self, a, b):
+        return self.inner.join(a, b)
+
+    def meet(self, a, b):
+        return self.inner.meet(a, b)
+
+    bottom = property(lambda self: self.inner.bottom)
+    top = property(lambda self: self.inner.top)
+
+    def __contains__(self, value):
+        return value in self.inner
+
+
+class TestKleeneRoundWork:
+    """A Kleene round's bookkeeping (``J ⊑ T_P(J)``, the fingerprint)
+    reads the entries that differ, not all of ``J``: the deterministic
+    counters behind docs/PERFORMANCE.md §12."""
+
+    def test_a_naive_party_solve_reprs_no_row(self):
+        reprs = []
+
+        class Guest(str):
+            def __repr__(self):
+                reprs.append(str(self))
+                return str.__repr__(self)
+
+        knows, requires = random_party(40, seed=3)
+        facts = {
+            "knows": [(Guest(a), Guest(b)) for a, b in knows],
+            "requires": [(Guest(g), k) for g, k in requires.items()],
+        }
+        result = party_invitations.database(facts).solve(method="naive")
+        assert result.total_iterations > 2
+        assert {g for (g,) in result.model["coming"]} == {
+            Guest(g) for g in party_oracle(knows, requires)
+        }
+        assert reprs == []
+
+    def test_leq_is_called_once_per_changed_entry_per_round(self):
+        from repro.core.database import Database
+        from repro.obs import Tracer
+
+        lattice = CountingLattice(REALS_GE, "counted_min")
+        db = Database()
+        db.register_lattice("counted_min", lattice)
+        db.load(shortest_path.source.replace("reals_ge", "counted_min"))
+        db.add_facts("arc", random_digraph(12, seed=3))
+        lattice.leq_calls = 0
+        tracer = Tracer()
+        db.solve(method="naive", tracer=tracer, check="lenient")
+        rounds = [e for e in tracer.events if e["type"] == "iteration"]
+        changed = sum(e["changed_atoms"] for e in rounds)
+        stored = sum(e["total_atoms"] for e in rounds)
+        assert 0 < lattice.leq_calls == changed < stored / 10

@@ -1,6 +1,7 @@
 """Interpretations: the complete lattice of Theorem 3.1, FD enforcement,
 default-value cores."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,10 @@ from repro.engine.interpretation import (
     IndexStats,
     Interpretation,
     Relation,
+    delta_counts,
     use_index_stats,
 )
-from repro.lattices import BOOL_LE, INF, NONNEG_REALS_LE, REALS_GE
+from repro.lattices import BOOL_LE, INF, NONNEG_REALS_LE, REALS_GE, PowersetUnion
 from repro.lattices.base import Lattice, LatticeValueError
 from repro.testing import (
     Fault,
@@ -27,6 +29,7 @@ from repro.testing import (
     check_relation_indexes,
     inject,
 )
+from tests.conftest import examples
 
 DECLS = {
     "edge": PredicateDecl("edge", 2),
@@ -571,3 +574,114 @@ def test_mixed_type_constants_naive_equals_seminaive():
     assert dict(models[0])["reach"] == sorted(
         map(repr, [(1,), ("a",), (2,), (1 << 70,), ("ü",)])
     )
+
+
+# -- the set-difference checks against the per-key definitions --------------------
+
+
+def _reference_leq(a, b):
+    """``a ⊑ b`` by the per-key definition: every stored entry read."""
+    for name, rel in a._held().items():
+        other_rel = b._read(name, rel.decl)
+        if rel.is_cost:
+            for key, value in rel.costs.items():
+                other_value = other_rel.cost_of(key)
+                if other_value is None or not rel.decl.lattice.leq(value, other_value):
+                    return False
+        elif not rel.tuples <= other_rel.tuples:
+            return False
+    return True
+
+
+def _reference_join(a, b):
+    """``a ⊔ b`` by the per-key definition: every row of ``b`` joined in."""
+    out = a.copy()
+    for name, rel in b.relations.items():
+        if len(rel):
+            target = out.relations.get(name)
+            if target is None:
+                target = out.relations[name] = Relation.empty(rel.decl)
+            target.join_rows(list(rel.rows()))
+    return out
+
+
+def _reference_delta_counts(old, new):
+    """``delta_counts`` by the per-key definition: one probe per cost key."""
+    new_atoms = changed = 0
+    for name, rel in new.relations.items():
+        old_rel = old._read(name, rel.decl)
+        new_atoms += len(rel.tuples - old_rel.tuples)
+        for key, value in rel.costs.items():
+            existing = old_rel.costs.get(key)
+            if existing is None:
+                new_atoms += 1
+            elif existing != value:
+                changed += 1
+    return new_atoms, changed
+
+
+#: Values equal across types (``1 == 1.0``, ``0 == 0.0 == -0.0``, ``w``'s
+#: default is ``0``), a default-value bool, and a set-valued lattice.
+TWIN_DECLS = {
+    "edge": PredicateDecl("edge", 2),
+    "s": PredicateDecl("s", 2, REALS_GE),
+    "w": PredicateDecl("w", 2, NONNEG_REALS_LE, has_default=True),
+    "t": PredicateDecl("t", 2, BOOL_LE, has_default=True),
+    "u": PredicateDecl("u", 2, PowersetUnion("abc")),
+}
+twins = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2, 2.5])
+twin_rows = st.fixed_dictionaries(
+    {
+        "edge": st.lists(st.tuples(nodes, nodes), max_size=4),
+        "s": st.lists(st.tuples(nodes, twins), max_size=4),
+        "w": st.lists(st.tuples(nodes, twins), max_size=4),
+        "t": st.lists(st.tuples(nodes, st.integers(0, 1)), max_size=3),
+        "u": st.lists(st.tuples(nodes, st.frozensets(nodes)), max_size=4),
+    }
+)
+twin_held = st.sets(st.sampled_from(sorted(TWIN_DECLS)))
+
+
+def twin_interp(names, rows):
+    out = Interpretation({name: TWIN_DECLS[name] for name in names})
+    for name in names:
+        out.relation(name).join_rows(rows[name])
+    return out
+
+
+def exactly(i):
+    """``i``'s held entries with each value's type and float sign, so
+    ``1`` vs ``1.0`` or ``0.0`` vs ``-0.0`` cannot hide behind ``==``."""
+    def tag(v):
+        return type(v), v, math.copysign(1, v) if type(v) is float else 0
+
+    return {
+        name: (rel.tuples, {key: tag(v) for key, v in rel.costs.items()})
+        for name, rel in i._held().items()
+    }
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(twin_held, twin_rows, twin_held, twin_rows, st.booleans())
+def test_set_difference_checks_match_the_per_key_definitions(
+    held_a, rows_a, held_b, rows_b, above
+):
+    a, b = twin_interp(held_a, rows_a), twin_interp(held_b, rows_b)
+    if above:  # make ``a ⊑ b`` likely, the Kleene chain's common case
+        b = _reference_join(a, b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x.leq(y) == _reference_leq(x, y)
+        assert exactly(x.join(y)) == exactly(_reference_join(x, y))
+        assert delta_counts(x, y) == _reference_delta_counts(x, y)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(twin_rows, st.randoms(use_true_random=False))
+def test_fingerprint_ignores_insertion_order(rows, rng):
+    names = sorted(TWIN_DECLS)
+    shuffled = {name: rng.sample(rows[name], len(rows[name])) for name in names}
+    a = twin_interp(names, rows)
+    b = twin_interp(list(reversed(names)), shuffled)
+    # Equal, not identical: a shuffled lub may store ``1.0`` for ``1``.
+    assert a == b
+    assert a.fingerprint() == b.fingerprint()

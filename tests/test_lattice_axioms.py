@@ -20,6 +20,7 @@ from repro.lattices import (
     POS_INTS_LE,
     REALS_GE,
     REALS_LE,
+    REGISTRY,
     BoundedReals,
     DualLattice,
     EdgeMultisets,
@@ -56,6 +57,41 @@ ALL_LATTICES = [
 def test_axioms_on_builtin_sample(lattice):
     report = check_lattice(lattice)
     assert report.ok, str(report.violations[:5])
+
+
+#: Values that compare equal across types (``1 == 1.0 == True``,
+#: ``0.0 == -0.0``): each lattice keeps the ones its carrier admits.
+TWINS = [0, 0.0, -0.0, False, 1, 1.0, True, 2, 2.0]
+
+HASHED_LATTICES = {
+    **{f"registry:{name}": lattice for name, lattice in REGISTRY.items()},
+    "product": ProductLattice([NATURALS_LE, REALS_GE]),
+    "flat": FlatLattice([1, "x", frozenset("ab")]),
+}
+
+
+def carrier_samples(lattice):
+    values = [lattice.bottom, lattice.top, *(lattice.sample() or ())]
+    if isinstance(lattice, ProductLattice):
+        twins = [(a, b) for a in TWINS for b in TWINS]
+    else:
+        twins = TWINS
+    return values + [v for v in twins if v in lattice]
+
+
+@pytest.mark.parametrize("name", sorted(HASHED_LATTICES))
+def test_carrier_values_hash_like_equality(name):
+    """The hashability contract of :class:`Lattice`: interpretations
+    compare and fingerprint carrier values as dict items."""
+    lattice = HASHED_LATTICES[name]
+    values = carrier_samples(lattice)
+    assert len(values) > 2
+    for a in values:
+        assert a in lattice
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                assert not {"k": a}.items() - {"k": b}.items()
 
 
 finite_reals = st.one_of(

@@ -235,6 +235,13 @@ class TestPowersets:
         assert frozenset("a") in lat
         assert frozenset("az") not in lat
 
+    def test_mutable_sets_are_not_carrier_values(self):
+        # Carrier values are hashable (the Lattice contract).
+        for lat in (PowersetUnion("ab"), PowersetIntersection("ab")):
+            assert set("a") not in lat
+            with pytest.raises(LatticeValueError):
+                lat.validate(set("a"))
+
 
 class TestEdgeMultisets:
     def test_order_is_multiset_inclusion(self):
