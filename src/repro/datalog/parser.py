@@ -14,11 +14,22 @@ The textual syntax stays close to the paper's notation::
 
 Lexical conventions
 -------------------
+One compiled pattern (``_LEXEME``) splits the text; anything it has no
+token for is ``unexpected character`` at its line and column, which
+count characters (a tab or ``\r`` is one column).
+
 * ``% ...`` comments to end of line.
-* Identifiers starting with an uppercase letter or ``_`` are variables;
-  lowercase identifiers are symbolic constants or predicate/aggregate
-  names depending on position.
-* Numbers are ints or floats; ``inf`` is the IEEE infinity constant.
+* An identifier is a run of word characters (``\w``: ``str.isalnum``
+  characters and ``_``) whose first character is a letter
+  (``str.isalpha``) or ``_``.  One led by an uppercase letter
+  (``str.isupper``) or ``_`` is a variable; any other is a symbolic
+  constant or a predicate/aggregate name, depending on position.
+* A number is decimal digits (``\d``, any script's), optionally with a
+  fraction: ``\d+(\.\d+)?`` or ``\.\d+``, an int or a float.  A ``.``
+  without a digit after it ends the statement.  ``inf`` is the IEEE
+  infinity constant.  Other numerals (``²``, ``½``) are not tokens.
+* Strings are double-quoted, on one line; ``\`` escapes the next
+  character.
 * Statements end with ``.``.
 
 Statements
@@ -42,8 +53,8 @@ omitted when aggregating implicit-boolean atoms: ``N = count{q(X)}``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+import re
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.aggregates.base import AggregateFunction
 from repro.datalog.atoms import (
@@ -64,16 +75,15 @@ from repro.lattices.base import Lattice
 
 
 class TokenKind(enum.Enum):
-    IDENT = "ident"          # lowercase-leading identifier
-    VARIABLE = "variable"    # uppercase/underscore-leading identifier
+    IDENT = "ident"          # identifier led by a non-uppercase letter
+    VARIABLE = "variable"    # identifier led by an uppercase letter or "_"
     NUMBER = "number"
     STRING = "string"
     PUNCT = "punct"
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: Any
@@ -90,121 +100,78 @@ class Token:
         return Span(self.line, self.column, self.line, self.column + width - 1)
 
 
-# "=r" is lexed separately (it needs a lookahead guard so "=rate" stays
-# "=", "rate").
-_PUNCT_TWO = ("<-", "<=", ">=", "!=")
-_PUNCT_ONE = "(){},:.=<>+-*/@"
+# One alternative per lexeme, tried in order.  Whitespace runs (newlines
+# included) and comments produce no token; a string's backslash escapes
+# any character, a newline included.  A number's "." needs a digit after
+# it, or it is the statement terminator.  "=r" is lexed only when no word
+# character follows it, so "=rate" stays "=", "rate".
+_LEXEME = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+)
+    | (?P<comment>%[^\n]*)
+    | (?P<string>"(?:\\.|[^"\\\n])*")
+    | (?P<number>\d+(?:\.\d+)?|\.\d+)
+    | (?P<word>\w+)
+    | (?P<punct>=r(?!\w)|<-|<=|>=|!=|[(){},:.=<>+\-*/@])
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_IDENT, _VARIABLE, _NUMBER, _STRING, _PUNCT, _EOF = TokenKind  # in order
+#: ``Token(...)`` without the Python frame of its generated ``__new__``.
+_new = tuple.__new__
 
 
 def tokenize(source: str) -> List[Token]:
-    """Split rule text into tokens, tracking line/column for diagnostics."""
+    """Split rule text into tokens, tracking line/column for diagnostics.
+
+    A column counts characters from the last newline outside a string,
+    so a tab or ``\\r`` is one column and an escaped newline inside a
+    string does not start a line.
+    """
     tokens: List[Token] = []
-    line, column = 1, 1
-    i, n = 0, len(source)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line, column)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+    append = tokens.append
+    line, line_start = 1, 0
+    match = None
+    for match in _LEXEME.finditer(source):
+        group = match.lastgroup
+        text = match[0]
+        start = match.start()
+        if group == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_column = line, column
-        if ch == '"':
-            j = i + 1
-            chars: List[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise error("unterminated string literal")
-                if source[j] == "\\" and j + 1 < n:
-                    chars.append(source[j + 1])
-                    j += 2
-                else:
-                    chars.append(source[j])
-                    j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            text = source[i : j + 1]
-            tokens.append(
-                Token(TokenKind.STRING, text, "".join(chars), start_line, start_column)
-            )
-            column += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (
-            ch == "." and i + 1 < n and source[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # A trailing "." is the statement terminator, not a
-                    # decimal point: require a digit after it.
-                    if j + 1 >= n or not source[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            value: Any = float(text) if seen_dot else int(text)
-            tokens.append(
-                Token(TokenKind.NUMBER, text, value, start_line, start_column)
-            )
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        column = start - line_start + 1
+        if group == "punct":
+            append(_new(Token, (_PUNCT, text, text, line, column)))
+        elif group == "word":
+            first = text[0]
+            if not (first.isalpha() or first == "_"):
+                raise ParseError(f"unexpected character {first!r}", line, column)
             if text == "inf":
-                tokens.append(
-                    Token(TokenKind.NUMBER, text, float("inf"), start_line, start_column)
-                )
-            elif text[0].isupper() or text[0] == "_":
-                tokens.append(
-                    Token(TokenKind.VARIABLE, text, text, start_line, start_column)
-                )
+                append(_new(Token, (_NUMBER, text, float("inf"), line, column)))
+            elif first.isupper() or first == "_":
+                append(_new(Token, (_VARIABLE, text, text, line, column)))
             else:
-                tokens.append(
-                    Token(TokenKind.IDENT, text, text, start_line, start_column)
-                )
-            column += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two == "=r":
-            # "=r" is the restricted-aggregation equality; only lex it when
-            # the "r" is not the start of a longer identifier (e.g. "=rate").
-            after = source[i + 2] if i + 2 < n else ""
-            if not (after.isalnum() or after == "_"):
-                tokens.append(Token(TokenKind.PUNCT, "=r", "=r", start_line, start_column))
-                i += 2
-                column += 2
-                continue
-        if two in _PUNCT_TWO:
-            tokens.append(Token(TokenKind.PUNCT, two, two, start_line, start_column))
-            i += 2
-            column += 2
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(Token(TokenKind.PUNCT, ch, ch, start_line, start_column))
-            i += 1
-            column += 1
-            continue
-        raise error(f"unexpected character {ch!r}")
-    tokens.append(Token(TokenKind.EOF, "", None, line, column))
+                append(_new(Token, (_IDENT, text, text, line, column)))
+        elif group == "number":
+            value = float(text) if "." in text else int(text)
+            append(_new(Token, (_NUMBER, text, value, line, column)))
+        elif group == "string":
+            value = _ESCAPE.sub(r"\1", text[1:-1])
+            append(_new(Token, (_STRING, text, value, line, column)))
+        elif group == "other":
+            if text == '"':  # a string that does not close on its line
+                raise ParseError("unterminated string literal", line, column)
+            raise ParseError(f"unexpected character {text!r}", line, column)
+    # A comment ends at its newline; one that ends the text leaves the
+    # end-of-input position where it began.
+    end = len(source)
+    if match is not None and match.lastgroup == "comment":
+        end = match.start()
+    append(Token(_EOF, "", None, line, end - line_start + 1))
     return tokens
 
 
@@ -243,7 +210,7 @@ class Parser:
         return self.tokens[index]
 
     def advance(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
@@ -253,27 +220,40 @@ class Parser:
         return ParseError(f"{message} (found {token})", span=token.span)
 
     def span_from(self, start: Token) -> Span:
-        """Span from ``start`` to the last consumed token (inclusive)."""
+        """Span from ``start`` to the last consumed token (inclusive).
+
+        Tokens do not overlap, so the span runs from ``start`` to the end
+        of the later of the two tokens.
+        """
         last = self.tokens[self.pos - 1] if self.pos > 0 else start
         if (last.line, last.column) < (start.line, start.column):
             last = start
-        return start.span.to(last.span)
+        return Span(
+            start.line,
+            start.column,
+            last.line,
+            last.column + max(len(last.text), 1) - 1,
+        )
+
+    # A punctuation test compares text alone: no other kind of token has
+    # the text of a punctuation mark.
 
     def expect_punct(self, text: str) -> Token:
-        token = self.current
-        if token.kind is not TokenKind.PUNCT or token.text != text:
+        token = self.tokens[self.pos]
+        if token.text != text:
             raise self.error(f"expected {text!r}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def at_punct(self, *texts: str) -> bool:
-        token = self.current
-        return token.kind is TokenKind.PUNCT and token.text in texts
+        return self.tokens[self.pos].text in texts
 
     def expect_ident(self) -> Token:
-        token = self.current
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.IDENT:
             raise self.error("expected an identifier")
-        return self.advance()
+        self.pos += 1
+        return token
 
     # -- grammar ----------------------------------------------------------------
 
@@ -362,10 +342,10 @@ class Parser:
             raise self.error(f"unknown declaration @{keyword}")
 
     def parse_rule(self) -> Rule:
-        start = self.current
+        start = self.tokens[self.pos]
         head = self.parse_atom()
-        if self.at_punct("."):
-            self.advance()
+        if self.tokens[self.pos].text == ".":
+            self.pos += 1
             return Rule(head=head, span=self.span_from(start))
         self.expect_punct("<-")
         body = self.parse_subgoal_list()
@@ -373,28 +353,26 @@ class Parser:
         return Rule(head=head, body=tuple(body), span=self.span_from(start))
 
     def parse_subgoal_list(self) -> List[Subgoal]:
+        tokens = self.tokens
         subgoals = [self.parse_subgoal()]
-        while self.at_punct(","):
-            self.advance()
+        while tokens[self.pos].text == ",":
+            self.pos += 1
             subgoals.append(self.parse_subgoal())
         return subgoals
 
     def parse_subgoal(self) -> Subgoal:
-        token = self.current
-        if token.kind is TokenKind.IDENT and token.text == "not":
-            self.advance()
-            atom = self.parse_atom()
-            return AtomSubgoal(atom, negated=True, span=self.span_from(token))
-        if token.kind is TokenKind.IDENT and self.peek().text == "(":
-            # Could still be the start of a built-in ("f(X) + 1 = Y" is not
-            # supported — built-ins operate on terms — so an identifier
-            # followed by "(" is always an atom).
-            atom = self.parse_atom()
-            return AtomSubgoal(atom, span=atom.span)
-        if token.kind is TokenKind.IDENT and not self.at_after_ident_comparison():
-            # A zero-arity atom such as "halt".
-            atom = self.parse_atom()
-            return AtomSubgoal(atom, span=atom.span)
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.IDENT:
+            if token.text == "not":
+                self.pos += 1
+                atom = self.parse_atom()
+                return AtomSubgoal(atom, negated=True, span=self.span_from(token))
+            # An identifier followed by "(" is always an atom (built-ins
+            # operate on terms, so "f(X) + 1 = Y" is not a built-in); one
+            # followed by no operator is a zero-arity atom such as "halt".
+            if self.peek().text == "(" or not self.at_after_ident_comparison():
+                atom = self.parse_atom()
+                return AtomSubgoal(atom, span=atom.span)
         return self.parse_builtin_or_aggregate()
 
     def at_after_ident_comparison(self) -> bool:
@@ -459,38 +437,32 @@ class Parser:
             raise self.error(str(exc)) from exc
 
     def parse_atom(self) -> Atom:
-        start = self.current
-        name = self.expect_ident().text
-        if not self.at_punct("("):
-            return Atom(name, (), span=self.span_from(start))
-        self.advance()
+        tokens = self.tokens
+        start = self.expect_ident()
+        if tokens[self.pos].text != "(":
+            return Atom(start.text, (), span=self.span_from(start))
+        self.pos += 1
         args: List[Term] = []
-        if not self.at_punct(")"):
+        if tokens[self.pos].text != ")":
             args.append(self.parse_term())
-            while self.at_punct(","):
-                self.advance()
+            while tokens[self.pos].text == ",":
+                self.pos += 1
                 args.append(self.parse_term())
         self.expect_punct(")")
-        return Atom(name, tuple(args), span=self.span_from(start))
+        return Atom(start.text, tuple(args), span=self.span_from(start))
 
     def parse_term(self) -> Term:
-        token = self.current
-        if token.kind is TokenKind.VARIABLE:
-            self.advance()
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind is TokenKind.VARIABLE:
+            self.pos += 1
             return Variable(token.text)
-        if token.kind is TokenKind.NUMBER:
-            self.advance()
+        if kind is TokenKind.IDENT or kind is TokenKind.NUMBER or kind is TokenKind.STRING:
+            self.pos += 1
             return Constant(token.value)
-        if token.kind is TokenKind.STRING:
-            self.advance()
-            return Constant(token.value)
-        if token.kind is TokenKind.IDENT:
-            self.advance()
-            return Constant(token.text)
-        if self.at_punct("-") and self.peek().kind is TokenKind.NUMBER:
-            self.advance()
-            number = self.advance()
-            return Constant(-number.value)
+        if token.text == "-" and self.peek().kind is TokenKind.NUMBER:
+            self.pos += 2
+            return Constant(-self.tokens[self.pos - 1].value)
         raise self.error("expected a term")
 
     # Expressions: standard precedence, terms at the leaves.

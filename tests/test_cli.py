@@ -239,6 +239,20 @@ class TestSupervisionFlags:
         assert main(["--help"]) == 0
 
 
+def test_unlexable_digit_exits_two_with_a_located_message(tmp_path, capsys):
+    # "²" passes str.isdigit but not int(): a parse error, not a traceback,
+    # on every front door that reads rule text.
+    bad = tmp_path / "superscript.mad"
+    bad.write_text("p(²).\n", encoding="utf-8")
+    assert main(["solve", str(bad)]) == 2
+    assert "error: unexpected character '²' at line 1, column 3" in capsys.readouterr().err
+    assert main(["lint", str(bad)]) == 2
+    assert f"{bad}:1:3: error[MAD001] unexpected character '²'" in capsys.readouterr().out
+    # The server loads every hosted file before it binds a port.
+    assert main(["serve", f"db0={bad}", "--port", "0"]) == 2
+    assert "unexpected character '²'" in capsys.readouterr().err
+
+
 def test_examples_lists_catalog(capsys):
     assert main(["examples"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,12 @@
 """The rule-language parser: happy paths, edge cases, diagnostics."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal, BuiltinSubgoal
 from repro.datalog.errors import ParseError
@@ -10,8 +16,13 @@ from repro.datalog.parser import (
     parse_rule,
     tokenize,
 )
+from repro.datalog.spans import Span
 from repro.datalog.terms import ArithExpr, Constant, Variable
 from repro.lattices import REALS_GE
+from tests import reference_lexer
+from tests.conftest import examples
+
+ROOT = Path(__file__).parent.parent
 
 
 class TestTokenizer:
@@ -63,6 +74,109 @@ class TestTokenizer:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             tokenize("p(X) ← q(X).")  # unicode arrow is not in the syntax
+
+    def test_superscript_digit_is_a_located_parse_error(self):
+        # "²" is a digit to str.isdigit but not to int(): it is neither a
+        # number nor an identifier start.  The char loop crashed on it.
+        with pytest.raises(ValueError):
+            reference_lexer.tokenize("p(²).")
+        with pytest.raises(ParseError) as info:
+            parse_program("p(²).")
+        assert info.value.bare_message == "unexpected character '²'"
+        assert (info.value.line, info.value.column) == (1, 3)
+
+    def test_unicode_letters_and_digits(self):
+        tokens = tokenize("p(é, É, ٣, ٣.٥, x²).")
+        kinds = [(t.kind.value, t.value) for t in tokens if t.kind.value != "punct"]
+        assert kinds == [
+            ("ident", "p"), ("ident", "é"), ("variable", "É"),
+            ("number", 3), ("number", 3.5), ("ident", "x²"), ("eof", None),
+        ]
+
+    def test_token_span_is_computed_from_its_coordinates(self):
+        token = tokenize("  arc(a).")[0]
+        assert token.span == Span(1, 3, 1, 5)
+
+
+def _lex(lexer, text):
+    """A lexer's outcome: its tokens, value types included, or its error."""
+    try:
+        tokens = lexer(text)
+    except ParseError as exc:
+        return ("error", exc.bare_message, exc.line, exc.column)
+    except ValueError:
+        return ("crash",)
+    return [
+        (kind, text, type(value), value, line, column)
+        for kind, text, value, line, column in tokens
+    ]
+
+
+#: Pieces that sit at the lexer's edges: "=r" against "=rate", numbers
+#: against the terminator, comments, escapes and unterminated strings,
+#: column-counting whitespace, and Unicode letters, digits and numerals
+#: (``²`` and ``½`` are digits or numerals to str but not to int).
+_PIECES = [
+    "=r", "=rate", "=r_", "=r(", "1.", ".5", "1.5.2", "12", "٣", "٣.٥",
+    "%", "% note", '"', '"a\\"b"', '"tab\there"', "\\", '"open',
+    "\t", "\r\n", "\n", " ", "é", "É", "²", "½", "Ⅻ", "ǅ", "x²",
+    "p", "X", "_", "inf", "(", ")", ",", ".", "<-", "<", "<=", ">=",
+    "!=", "!", "=", "-", "+", "*", "/", "{", "}", ":", "@", "#", "~",
+]
+_adversarial_text = st.lists(
+    st.one_of(
+        st.sampled_from(_PIECES),
+        st.text(alphabet="".join(set("".join(_PIECES))), max_size=3),
+    ),
+    max_size=25,
+).map("".join)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(_adversarial_text)
+def test_tokenize_matches_the_char_loop(text):
+    ours = _lex(tokenize, text)
+    reference = _lex(reference_lexer.tokenize, text)
+    if reference == ("crash",):
+        # The one allowed difference: a digit int() rejects is a
+        # ParseError here, a bare ValueError in the char loop.
+        assert ours[0] == "error"
+    else:
+        assert ours == reference
+
+
+def _wide_program_text() -> str:
+    """The text of the benchmark's ``wide_program`` workload at seed 11."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text, _ = gen.wide_program(random.Random(11), 3)
+    return text
+
+
+def _spans_held(program):
+    """Every distinct span object the parsed program's nodes hold."""
+    nodes = [*program.declarations.values(), *program.constraints]
+    for rule in program.rules:
+        nodes += [rule, rule.head]
+    for clause in [*program.rules, *program.constraints]:
+        for subgoal in clause.body:
+            nodes.append(subgoal)
+            nodes += getattr(subgoal, "conjuncts", ())
+            if hasattr(subgoal, "atom"):
+                nodes.append(subgoal.atom)
+    return {id(node.span): node.span for node in nodes if node.span is not None}
+
+
+def test_one_span_is_built_per_spanned_node(monkeypatch):
+    text = _wide_program_text()
+    built = []
+    check = Span.__post_init__
+    monkeypatch.setattr(Span, "__post_init__", lambda span: built.append(check(span)))
+    program = parse_program(text)
+    # A plain atom subgoal shares its atom's span; every other node holds
+    # the one span its parse built.
+    assert len(built) == len(_spans_held(program)) == 536
 
 
 class TestAtoms:
