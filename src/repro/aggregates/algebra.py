@@ -238,8 +238,8 @@ def check_identity(
 #: sweep is deterministic and the behavior of an aggregate is fully
 #: determined by its class and lattice pair, but it probes ~10^4
 #: fold/merge cases per function — expensive enough that an uncached
-#: analyzer would dominate small solves (``analyze_program`` runs the
-#: shard-safety pass, and hence this verifier, on every solve).
+#: analyzer would dominate small solves (the shard-safety pass runs this
+#: on every ``plan="sharded"`` solve, lint and ``analyze_program``).
 _VERDICT_CACHE: Dict[
     Tuple[type, str, str, str], List[MergeAlgebraVerdict]
 ] = {}

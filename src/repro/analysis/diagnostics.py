@@ -18,9 +18,10 @@ The :class:`Linter` is a registry of *checks*, each adapting one
 analysis pass into a stream of diagnostics; new lints (arity
 consistency, undefined/unused predicates, duplicate rules, aggregate
 variable shadowing) live here directly.  ``repro lint`` (the CLI),
-:func:`repro.analysis.report.analyze_program` and the strict mode of
-:meth:`repro.core.database.Database.solve` all consume this module, so
-a violation is reported identically no matter which door it came in
+:func:`repro.analysis.report.analyze_program` and a solve's refusal
+(the diagnostics a ``SafetyError`` or ``NotAdmissibleError`` carries;
+an admitted solve runs no check) all consume this module, so a
+violation is reported identically no matter which door it came in
 through.
 
 Code families

@@ -3,18 +3,18 @@
 Range-restriction, cost-respecting, conflict-freedom, admissibility and
 everything classified on top of them are properties of the *program*,
 decided before the fixpoint starts.  :class:`ProgramFacts` is the one
-place a front-end run (``analyze_program``, the linter, ``solve()``,
-``repro lint/optimize/shard-plan``) asks for them: a report is computed on
-first read, from the reports it depends on, and held until the run drops
-the object.  Nothing is stored on the ``Program``, in a module global or
-a context variable — the lifetime is the run, so there is no invalidation
-rule and nothing shared between threads (docs/ANALYSIS.md, "One run, one
-set of facts").
+analysis object a front-end run (``analyze_program``, the linter,
+``solve()``, ``repro lint/optimize/shard-plan``) asks: an entry is
+computed on first read, from the entries it depends on, and held until
+the run drops the object.  Nothing is stored on the ``Program``, in a
+module global or a context variable — the lifetime is the run, so there
+is no invalidation rule and nothing shared between threads
+(docs/ANALYSIS.md, "One run, one set of facts").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.analysis.admissible import (
     ComponentAdmissibility,
@@ -33,6 +33,9 @@ from repro.analysis.safety import SafetyReport, check_program_safety
 from repro.analysis.sharding import ShardingReport, analyze_sharding
 from repro.analysis.typing import TypingReport, infer_types
 from repro.datalog.program import Program
+
+if TYPE_CHECKING:  # pragma: no cover - diagnostics imports this module
+    from repro.analysis.diagnostics import Diagnostic, Severity
 
 _Compute = Callable[["ProgramFacts"], Any]
 
@@ -56,12 +59,22 @@ _PASSES: Dict[str, _Compute] = {
         f.program, classification=f.classification
     ),
 }
-#: Per-rule report lists: held like the passes, not counted as one.
-_PER_RULE: Dict[str, _Compute] = {
+
+
+def _lint(facts: "ProgramFacts") -> List["Diagnostic"]:
+    from repro.analysis.diagnostics import lint_program
+
+    return lint_program(facts.program, facts=facts)
+
+
+#: Per-rule report lists and the default linter's diagnostics: held like
+#: the passes, not counted as one.
+_HELD: Dict[str, _Compute] = {
     "cost_respecting": lambda f: [
         check_rule_cost_respecting(rule, f.program) for rule in f.program.rules
     ],
     "r_monotonic_reports": lambda f: check_program_r_monotonic(f.program),
+    "diagnostics": _lint,
 }
 
 
@@ -76,7 +89,7 @@ class ProgramFacts:
     a failed pass is never mistaken for a clean one.
     """
 
-    __slots__ = ("program", "passes_run", *_PASSES, *_PER_RULE)
+    __slots__ = ("program", "passes_run", *_PASSES, *_HELD)
 
     components: List[Component]
     safety: List[SafetyReport]
@@ -88,6 +101,9 @@ class ProgramFacts:
     sharding: ShardingReport
     cost_respecting: List[CostRespectReport]
     r_monotonic_reports: List[RMonotonicReport]
+    #: Every finding as a coded, source-located diagnostic
+    #: (:mod:`repro.analysis.diagnostics`).
+    diagnostics: List["Diagnostic"]
 
     def __init__(self, program: Program) -> None:
         self.program = program
@@ -97,13 +113,36 @@ class ProgramFacts:
 
     def __getattr__(self, name: str) -> Any:
         # Reached only while the slot is still empty.
-        compute = _PASSES.get(name) or _PER_RULE.get(name)
+        compute = _PASSES.get(name) or _HELD.get(name)
         if compute is None:
             raise AttributeError(name)
         self.passes_run += name in _PASSES
         value = compute(self)
         setattr(self, name, value)
         return value
+
+    # -- the paper's admission verdicts ---------------------------------------
+
+    @property
+    def range_restricted(self) -> bool:
+        """Finite groundings (Definition 2.5)."""
+        return all(r.ok for r in self.safety)
+
+    @property
+    def conflict_free(self) -> bool:
+        """Cost consistency (Definition 2.10, Lemma 2.3)."""
+        return self.conflict.ok
+
+    @property
+    def admissible(self) -> bool:
+        """Monotonic per component (Definition 4.5, Lemma 4.1)."""
+        return all(c.ok for c in self.admissibility)
+
+    @property
+    def ok(self) -> bool:
+        """Safe to solve strictly: finite groundings, consistent costs,
+        guaranteed unique minimal model per component (Corollary 3.5)."""
+        return self.range_restricted and self.conflict_free and self.admissible
 
     @property
     def aggregate_stratified(self) -> bool:
@@ -120,3 +159,46 @@ class ProgramFacts:
     def r_monotonic(self) -> bool:
         """Section 5.2: every rule is r-monotonic."""
         return all(r.ok for r in self.r_monotonic_reports)
+
+    # -- the report -------------------------------------------------------------
+
+    def diagnostics_by_severity(self, severity: "Severity") -> List["Diagnostic"]:
+        return [d for d in self.diagnostics if d.severity is severity]
+
+    def __str__(self) -> str:
+        from repro.analysis.diagnostics import Severity
+
+        lines = [f"analysis of {self.program.name}:"]
+        lines.append(f"  range-restricted:      {self.range_restricted}")
+        lines.append(f"  conflict-free:         {self.conflict_free}")
+        lines.append(f"  admissible/monotonic:  {self.admissible}")
+        lines.append(f"  aggregate-stratified:  {self.aggregate_stratified}")
+        lines.append(f"  negation-stratified:   {self.negation_stratified}")
+        lines.append(f"  r-monotonic (§5.2):    {self.r_monotonic}")
+        if self.typing.conflicts:
+            lines.append(
+                f"  lattice-typed:         False "
+                f"({len(self.typing.conflicts)} conflict(s))"
+            )
+        lines.append(f"  components ({len(self.admissibility)}):")
+        for comp in self.admissibility:
+            lines.append("    " + str(comp).replace("\n", "\n    "))
+        lines.append("  classification:")
+        for c in self.classification.components:
+            lines.append("    " + str(c))
+        for r in self.safety:
+            if not r.ok:
+                lines.append("  " + str(r))
+        for r in self.cost_respecting:
+            if r.applicable and not r.ok:
+                lines.append("  " + str(r))
+        if not self.conflict.ok:
+            lines.append("  " + str(self.conflict).replace("\n", "\n  "))
+        actionable = [
+            d for d in self.diagnostics if d.severity > Severity.INFO
+        ]
+        if actionable:
+            lines.append(f"  diagnostics ({len(actionable)}):")
+            for d in actionable:
+                lines.append("    " + d.format().replace("\n", "\n    "))
+        return "\n".join(lines)

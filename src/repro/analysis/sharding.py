@@ -49,7 +49,7 @@ so there is no fixpoint to parallelize — the executor simply evaluates
 them sequentially, which is not a fallback but the plan.
 
 Surfaced as MAD901/902/903 info lints in ``repro lint``, as the
-``repro shard-plan`` CLI report, as ``AnalysisReport.sharding`` on
+``repro shard-plan`` CLI report, as ``ProgramFacts.sharding`` on
 ``analyze()``, and consumed by ``plan="sharded"`` in
 :mod:`repro.engine.sharded`.
 """

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.analysis.report import AnalysisReport, analyze_program
+from repro.analysis.facts import ProgramFacts
+from repro.analysis.report import analyze_program
 from repro.core.database import Database
 from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
@@ -13,7 +14,7 @@ from repro.engine.solver import SolveResult
 Facts = Dict[str, Iterable[Tuple[Any, ...]]]
 
 
-def analyze(program: Union[str, Program]) -> AnalysisReport:
+def analyze(program: Union[str, Program]) -> ProgramFacts:
     """Run the full static pipeline on rule text or a built program."""
     if isinstance(program, str):
         program = parse_program(program)

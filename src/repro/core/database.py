@@ -31,7 +31,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.standard import default_registry
 from repro.analysis.diagnostics import make_diagnostic
-from repro.analysis.report import AnalysisReport, analyze_program
+from repro.analysis.facts import ProgramFacts
+from repro.analysis.report import analyze_program
 from repro.data import loader as _loader
 from repro.datalog.errors import ProgramError
 from repro.datalog.parser import parse_program
@@ -322,7 +323,7 @@ class Database:
 
     # -- analysis & solving -----------------------------------------------------------
 
-    def analyze(self) -> AnalysisReport:
+    def analyze(self) -> ProgramFacts:
         """Run the full static pipeline (Definitions 2.5, 2.7, 2.10, 4.5)."""
         return analyze_program(self.program)
 

@@ -28,7 +28,6 @@ from repro.analysis.classify import ComponentClassification
 from repro.analysis.dependencies import Component
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.facts import ProgramFacts
-from repro.analysis.report import AnalysisReport, analyze_program
 from repro.analysis.sharding import ShardingReport
 from repro.datalog.errors import NotAdmissibleError, SafetyError
 from repro.datalog.program import Program
@@ -72,7 +71,6 @@ class SolveResult:
     #: ``components``) — informative for every method, decisive evidence
     #: for ``method="auto"``.
     component_methods: List[str] = field(default_factory=list)
-    analysis: Optional[AnalysisReport] = None
     #: Structured telemetry digest (per-rule / per-iteration tables);
     #: None unless the solve ran with a collecting tracer.
     telemetry: Optional[TelemetrySummary] = None
@@ -192,42 +190,12 @@ def _solve_traced(
     check, method, plan = opts.check, opts.method, opts.plan
     tracer.start(program.name)
     t_solve = tracer.clock()
-    analysis: Optional[AnalysisReport] = None
-    # This run's facts about ``program``: whatever the analysis, the
+    # This run's facts about ``program``: whatever the check, the
     # pushdown and the method choice below read is decided once.
     facts = ProgramFacts(program)
     if check != "none":
         with tracer.phase("analyze"):
-            analysis = analyze_program(program, facts=facts)
-
-        def _diags(*prefixes: str):
-            return [
-                d
-                for d in analysis.diagnostics
-                if d.code.startswith(prefixes)
-            ]
-
-        if not analysis.range_restricted:
-            bad = [str(r) for r in analysis.safety if not r.ok]
-            raise SafetyError(
-                "program is not range-restricted:\n  " + "\n  ".join(bad),
-                diagnostics=_diags("MAD1"),
-            )
-        if check == "strict":
-            if not analysis.admissible:
-                bad = [str(c) for c in analysis.components if not c.ok]
-                raise NotAdmissibleError(
-                    "program not certified monotonic (use check='lenient' to "
-                    "attempt evaluation anyway):\n  " + "\n  ".join(bad),
-                    diagnostics=_diags("MAD3"),
-                )
-            if not analysis.conflict_free:
-                raise NotAdmissibleError(
-                    "program not certified conflict-free (use check='lenient' "
-                    "to rely on the runtime cost-consistency check):\n  "
-                    + str(analysis.conflict),
-                    diagnostics=_diags("MAD2"),
-                )
+            _admit(facts, strict=check == "strict")
 
     # -- aggregate pushdown (Zaniolo et al.): rewrite premappable
     # extrema before method selection, so classification-driven choices
@@ -257,13 +225,12 @@ def _solve_traced(
 
     #: cdb → classification of what runs (a rewrite changes the SCC
     #: structure), filled only for a reader: auto's method choice, the
-    #: shard plan, or the verdicts a traced, analysed solve reports.
+    #: shard plan, or the verdicts a traced, checked solve reports.
     classes: Dict[frozenset, ComponentClassification] = {}
-    if method == "auto" or plan == "sharded" or (
-        analysis is not None and tracer.enabled
-    ):
-        if analysis is not None and eval_facts is facts:
-            classification = facts.classification  # the analyze phase's
+    if method == "auto" or plan == "sharded" or (check != "none" and tracer.enabled):
+        if check != "none" and eval_facts is facts:
+            # No span of its own: a checked solve's stream never had one.
+            classification = facts.classification
         else:
             with tracer.phase("classify"):
                 classification = eval_facts.classification
@@ -294,7 +261,7 @@ def _solve_traced(
     for name in aux_predicates:
         # Components above read it through ``I``, even when none is derived.
         state.relations[name] = Relation.empty(eval_program.declarations[name])
-    result = SolveResult(model=state, analysis=analysis, program=program)
+    result = SolveResult(model=state, program=program)
     for index, component in enumerate(eval_facts.components):
         cls = classes.get(component.cdb)
         chosen: str = method
@@ -472,6 +439,38 @@ def _solve_traced(
         if tracer.collect:
             result.telemetry = summarize(tracer.events)
     return result
+
+
+def _admit(facts: ProgramFacts, *, strict: bool) -> None:
+    """Refuse a program not range-restricted (Definition 2.5) or, under
+    ``strict``, not certified monotonic (4.5) or conflict-free (2.10)."""
+
+    def diagnostics(prefix: str) -> List[Diagnostic]:
+        # The linter runs on the refusal path only.
+        return [d for d in facts.diagnostics if d.code.startswith(prefix)]
+
+    if not facts.range_restricted:
+        bad = [str(r) for r in facts.safety if not r.ok]
+        raise SafetyError(
+            "program is not range-restricted:\n  " + "\n  ".join(bad),
+            diagnostics=diagnostics("MAD1"),
+        )
+    if not strict:
+        return
+    if not facts.admissible:
+        bad = [str(c) for c in facts.admissibility if not c.ok]
+        raise NotAdmissibleError(
+            "program not certified monotonic (use check='lenient' to "
+            "attempt evaluation anyway):\n  " + "\n  ".join(bad),
+            diagnostics=diagnostics("MAD3"),
+        )
+    if not facts.conflict_free:
+        raise NotAdmissibleError(
+            "program not certified conflict-free (use check='lenient' "
+            "to rely on the runtime cost-consistency check):\n  "
+            + str(facts.conflict),
+            diagnostics=diagnostics("MAD2"),
+        )
 
 
 def _shard_decision(

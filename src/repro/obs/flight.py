@@ -44,20 +44,20 @@ def default_dump_path(directory: str = ".") -> str:
     request threads) must never clobber each other's postmortems, so the
     default filename embeds a UTC timestamp, the process id, and — for
     same-second dumps within one process — a monotonically increasing
-    sequence number.
+    sequence number.  The name is reserved by creating the (empty) file
+    exclusively, so two callers racing for one name never both get it.
     """
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    pid = os.getpid()
-    candidate = os.path.join(
-        directory, f"repro-postmortem-{stamp}-{pid}.jsonl"
-    )
+    prefix = os.path.join(directory, f"repro-postmortem-{stamp}-{os.getpid()}")
+    candidate = f"{prefix}.jsonl"
     attempt = 1
-    while os.path.exists(candidate):
-        candidate = os.path.join(
-            directory, f"repro-postmortem-{stamp}-{pid}-{attempt}.jsonl"
-        )
-        attempt += 1
-    return candidate
+    while True:
+        try:
+            open(candidate, "x").close()
+            return candidate
+        except FileExistsError:
+            candidate = f"{prefix}-{attempt}.jsonl"
+            attempt += 1
 
 
 class FlightRecorder:

@@ -345,9 +345,9 @@ class RequestSupervisor:
             # Runtime failure (CLI exit 3): isolate the crash to this
             # request and attach the flight-recorder postmortem by
             # reference (collision-safe path: timestamp + pid + seq).
-            path = default_dump_path(self.flight_dir)
             error = f"{type(exc).__name__}: {exc}"
             try:
+                path = default_dump_path(self.flight_dir)
                 flight.dump(path, status="error", reason=error)
             except OSError:  # pragma: no cover - dump dir vanished
                 path = None

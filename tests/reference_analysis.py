@@ -11,7 +11,8 @@ diagnostics.  Not a test module, and imported by nothing under ``src/``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.admissible import check_program_admissible
 from repro.analysis.classify import classify_program
@@ -33,7 +34,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.fd import check_rule_cost_respecting
 from repro.analysis.fixes import Fix, fix_declare_default
 from repro.analysis.premap import analyze_premappability
-from repro.analysis.report import AnalysisReport
 from repro.analysis.rmonotonic import check_program_r_monotonic, is_r_monotonic
 from repro.analysis.safety import check_program_safety
 from repro.analysis.sharding import (
@@ -300,25 +300,54 @@ def reference_linter() -> Linter:
     return linter
 
 
-def reference_analyze(program: Program) -> AnalysisReport:
+@dataclass
+class ReferenceReport:
+    """What the reference front end reports: one field per entry or
+    verdict of :class:`~repro.analysis.facts.ProgramFacts` it is
+    compared on, under the same name."""
+
+    program: Program
+    safety: List[Any]
+    cost_respecting: List[Any]
+    conflict: Any
+    admissibility: List[Any]
+    aggregate_stratified: bool
+    negation_stratified: bool
+    r_monotonic: bool
+    typing: Any
+    classification: Any
+    sharding: Any
+    diagnostics: List[Diagnostic]
+
+
+def reference_analyze(program: Program) -> ReferenceReport:
     """``analyze_program`` as it was: each pass called in turn, then the
     linter running all of them again."""
-    report = AnalysisReport(program)
-    report.safety = check_program_safety(program)
-    report.cost_respecting = [
+    safety = check_program_safety(program)
+    cost_respecting = [
         check_rule_cost_respecting(rule, program) for rule in program.rules
     ]
-    report.conflict = check_conflict_freedom(program)
-    report.components = check_program_admissible(program)
-    report.aggregate_stratified = is_aggregate_stratified(program)
-    report.negation_stratified = is_negation_stratified(program)
-    report.r_monotonic = is_r_monotonic(program)
-    report.typing = infer_types(program)
-    report.classification = classify_program(
-        program, admissibility=report.components, typing=report.typing
+    conflict = check_conflict_freedom(program)
+    admissibility = check_program_admissible(program)
+    aggregate_stratified = is_aggregate_stratified(program)
+    negation_stratified = is_negation_stratified(program)
+    r_monotonic = is_r_monotonic(program)
+    typing = infer_types(program)
+    classification = classify_program(
+        program, admissibility=admissibility, typing=typing
     )
-    report.sharding = analyze_sharding(
-        program, classification=report.classification
+    sharding = analyze_sharding(program, classification=classification)
+    return ReferenceReport(
+        program=program,
+        safety=safety,
+        cost_respecting=cost_respecting,
+        conflict=conflict,
+        admissibility=admissibility,
+        aggregate_stratified=aggregate_stratified,
+        negation_stratified=negation_stratified,
+        r_monotonic=r_monotonic,
+        typing=typing,
+        classification=classification,
+        sharding=sharding,
+        diagnostics=reference_linter().lint(program),
     )
-    report.diagnostics = reference_linter().lint(program)
-    return report

@@ -51,7 +51,10 @@ Invariants the engine's correctness arguments lean on:
    ``tests/reference_analysis.py``).  The facts live for the run:
    nothing is cached at module level, in a context variable or on the
    ``Program``, and no option selects a second path
-   (docs/ANALYSIS.md, "One run, one set of facts").
+   (docs/ANALYSIS.md, "One run, one set of facts").  ``ProgramFacts``
+   is the one analysis object: ``AnalysisReport`` stays gone, and
+   ``solve()`` reads the facts it gates on rather than going through
+   ``analyze_program``.
 
 8. **Greedy is a worklist policy, not a driver.**  The settle-at-a-time
    loop, its private ``max_pops`` bound and the ``assume_invariant``
@@ -276,7 +279,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 23084
+SRC_LINES = 23043
 
 
 def test_the_row_cache_is_gone():
@@ -316,7 +319,7 @@ def test_src_only_shrinks():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4802
+ENGINE_LINES = 4801
 
 
 def test_one_fixpoint_loop():
@@ -630,6 +633,26 @@ def test_front_ends_read_facts_instead_of_running_passes():
         "text", "name", "lattices", "aggregates", "linter",
     ]  # fmt: skip
     assert parameters(get_pushdown) == ["program", "classification", "facts"]
+
+
+def test_one_analysis_object():
+    mentions = [
+        f"{path.relative_to(SRC).as_posix()}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if "AnalysisReport" in line
+    ]
+    assert not mentions, (
+        "a second analysis type is back (ProgramFacts is the report):\n  "
+        + "\n  ".join(mentions)
+    )
+    solver = (SRC / "engine" / "solver.py").read_text(encoding="utf-8")
+    assert "analyze_program" not in solver, (
+        "solve() runs the full analysis again: it reads only the facts it "
+        "gates on (facts.safety, .admissibility, .conflict)"
+    )
 
 
 def test_option_value_sets_are_spelled_out_once():

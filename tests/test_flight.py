@@ -2,11 +2,18 @@
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cli import main
-from repro.obs import FlightRecorder, Tracer, load_dump, render_postmortem
+from repro.obs import (
+    FlightRecorder,
+    Tracer,
+    default_dump_path,
+    load_dump,
+    render_postmortem,
+)
 from repro.obs.events import SCHEMA_VERSION
 
 
@@ -267,6 +274,22 @@ class TestFlightCli:
         header, events = load_dump(str(dumps[0]))
         assert header["status"] == "partial"
         assert events
+
+    def test_default_paths_in_one_second_are_distinct(self, tmp_path):
+        """Two dumps from one process in the same second (two ``repro
+        serve`` request threads crashing together) get two files: the
+        name is reserved when it is handed out, not when it is written."""
+        first = default_dump_path(str(tmp_path))
+        second = default_dump_path(str(tmp_path))
+        assert first != second
+        assert os.path.exists(first) and os.path.exists(second)
+        # More threads than cores racing for the same names.
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(default_dump_path, str(tmp_path)) for _ in range(32)
+            ]
+            paths = [f.result(timeout=30) for f in futures]
+        assert len(set(paths) | {first, second}) == 34
 
     def test_postmortem_on_truncated_dump_is_usage_error(
         self, tmp_path, capsys

@@ -145,17 +145,6 @@ class TestLemma23Property:
 
 
 class TestSolveResultMisc:
-    def test_analysis_attached_in_strict_mode(self):
-        db = shortest_path.database({"arc": [("a", "b", 1)]})
-        result = db.solve()
-        assert result.analysis is not None
-        assert result.analysis.ok
-
-    def test_analysis_skipped_in_none_mode(self):
-        db = shortest_path.database({"arc": [("a", "b", 1)]})
-        result = db.solve(check="none")
-        assert result.analysis is None
-
     def test_component_trajectories_monotone(self):
         db = shortest_path.database({"arc": random_digraph(8, seed=2)})
         result = db.solve()

@@ -164,8 +164,9 @@ def test_strict_solve_runs_each_pass_at_most_once(name, pass_calls):
 
 
 def test_wide_program_counts(pass_calls):
-    """The issue's table: 32 pass executions became 12 — eight on the
-    program, four on its pushdown rewrite."""
+    """Eleven pass executions: seven on the program (the gate's three,
+    then what the pushdown reads), four on its pushdown rewrite.  The
+    shard pass and the linter's r-monotonic list are never read."""
     tracer = Tracer()
     _loaded(wide_text()).solve(method="auto", tracer=tracer)
     by_pass = collections.Counter(name for name, _ in pass_calls.elements())
@@ -176,13 +177,11 @@ def test_wide_program_counts(pass_calls):
         "classify_program": 2,
         "check_program_safety": 1,
         "check_conflict_freedom": 1,
-        "check_program_r_monotonic": 1,
         "analyze_premappability": 1,
-        "analyze_sharding": 1,
     }
     assert_once(pass_calls)
     metrics = tracer.metrics.snapshot()
-    assert metrics["analysis.passes_run"]["value"] == 12
+    assert metrics["analysis.passes_run"]["value"] == 11
     assert metrics["analysis.programs_analyzed"]["value"] == 2
 
 
@@ -218,7 +217,7 @@ def test_cli_front_ends_run_each_pass_at_most_once(command, pass_calls, capsys):
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_examples_stay_within_the_pass_budget(path, pass_calls):
     """CI's analyse-once gate (``lint`` job): a traced solve of an example
-    runs at most 8 passes on the program plus 4 on a pushdown rewrite,
+    runs at most 7 passes on the program plus 4 on a pushdown rewrite,
     and the run's facts account for every pass call — so an adapter or a
     solver branch that calls a pass itself fails here, without a timer."""
     from repro.engine.supervisor import Budget
@@ -231,16 +230,55 @@ def test_examples_stay_within_the_pass_budget(path, pass_calls):
     passes = metrics["analysis.passes_run"]["value"]
     programs = metrics["analysis.programs_analyzed"]["value"]
     assert programs in (1, 2)
-    assert passes <= 8 + 4 * (programs - 1)
+    assert passes <= 7 + 4 * (programs - 1)
     # The per-rule r-monotonic list is held by the facts but not counted.
     calls = {k: n for k, n in pass_calls.items() if k[0] != "check_program_r_monotonic"}
     assert sum(calls.values()) == passes, calls
 
 
+def test_strict_solve_reads_only_what_it_gates_on(pass_calls, monkeypatch):
+    """An admitted strict solve runs no lint check, and the shard pass
+    only under ``plan="sharded"``; a refusal runs the linter for its
+    diagnostics."""
+    from repro.analysis import diagnostics
+    from repro.engine.supervisor import Budget
+
+    checks_run = collections.Counter()
+
+    def counted(check):
+        def fn(facts):
+            checks_run[check.name] += 1
+            return check.fn(facts)
+
+        return diagnostics.LintCheck(check.name, fn, check.structural)
+
+    monkeypatch.setattr(
+        diagnostics.DEFAULT_LINTER,
+        "checks",
+        [counted(c) for c in diagnostics.DEFAULT_LINTER.checks],
+    )
+    for path in EXAMPLES:
+        for plan in ("smart", "sharded"):
+            # diverging.mad never converges; it is admitted all the same.
+            _loaded(path.read_text(encoding="utf-8")).solve(
+                check="strict", plan=plan, budget=Budget(max_iterations=50)
+            )
+            shard_passes = sum(
+                n for (name, _), n in pass_calls.items() if name == "analyze_sharding"
+            )
+            assert shard_passes == (plan == "sharded"), (path.stem, plan)
+            pass_calls.clear()
+    assert not checks_run, checks_run
+    with pytest.raises(ReproError) as refused:
+        _loaded("@pred p/2. @pred q/1. p(X, Y) <- q(X). q(a).").solve()
+    assert [d.code for d in refused.value.diagnostics] == ["MAD101"]
+    assert checks_run
+
+
 def test_passes_run_is_published_per_traced_solve():
     for kwargs, passes, programs in [
-        ({}, 12, 2),  # analysed, pushed down, rewrite classified (traced)
-        ({"pushdown": "off"}, 8, 1),
+        ({}, 11, 2),  # gated, pushed down, rewrite classified (traced)
+        ({"pushdown": "off"}, 6, 1),  # the gate's three, classified (traced)
         ({"check": "none", "pushdown": "off"}, 1, 1),  # condense only
         ({"check": "none", "pushdown": "off", "method": "auto"}, 4, 1),
     ]:
@@ -308,16 +346,25 @@ def test_registered_user_check_still_receives_the_program():
 # -- lifetime -----------------------------------------------------------------------
 
 
-def test_nothing_is_retained_after_the_result_is_dropped():
+def test_nothing_is_retained_after_the_result_is_dropped(monkeypatch):
+    built = []  # the solve's facts objects (slotted: no weak references)
+    init = ProgramFacts.__init__
+
+    def recording_init(self, program):
+        built.append(self)
+        init(self, program)
+
+    monkeypatch.setattr(ProgramFacts, "__init__", recording_init)
     db = shortest_path.database({"arc": [("a", "b", 1), ("b", "c", 2)]})
     program = db.program
     result = solve(program, db.edb(), method="auto")
-    typing = weakref.ref(result.analysis.typing)
-    classification = weakref.ref(result.analysis.classification)
-    assert typing() is not None and classification() is not None
-    del result
+    assert len(built) == 2  # the program's and its pushdown rewrite's
+    held = [weakref.ref(f.typing) for f in built]
+    held += [weakref.ref(f.classification) for f in built]
+    built.clear()
     gc.collect()
-    assert typing() is None and classification() is None
+    # Not even the live result keeps a report.
+    assert all(ref() is None for ref in held) and result.complete
     # The Program holds what it held before: the compiled plans and the
     # rewrite (here the plans sit on the rewrite's own Program).
     extras = set(program.__dict__) - set(Program([]).__dict__)
