@@ -276,11 +276,3 @@ def verify_merge_algebra(
     if cacheable:
         _VERDICT_CACHE[key] = list(verdicts)
     return verdicts
-
-
-def merge_algebra_holds(
-    function: AggregateFunction, *, max_size: int = 3
-) -> Tuple[bool, List[MergeAlgebraVerdict]]:
-    """Convenience wrapper: (all four properties hold, the verdicts)."""
-    verdicts = verify_merge_algebra(function, max_size=max_size)
-    return all(v.holds for v in verdicts), verdicts

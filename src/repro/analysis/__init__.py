@@ -7,7 +7,6 @@ from repro.analysis.admissible import (
     check_component_admissible,
     check_program_admissible,
     check_rule_admissible,
-    is_program_admissible,
 )
 from repro.analysis.builtins_mono import (
     BuiltinMonotonicityReport,
@@ -24,7 +23,6 @@ from repro.analysis.conflict import (
     ConflictReport,
     check_conflict_freedom,
     check_pair,
-    is_conflict_free,
     rename_apart,
 )
 from repro.analysis.dependencies import (
@@ -33,8 +31,6 @@ from repro.analysis.dependencies import (
     EdgeKind,
     condense,
     dependency_edges,
-    is_aggregate_stratified,
-    is_negation_stratified,
 )
 from repro.analysis.diagnostics import (
     BY_CODE,
@@ -53,7 +49,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.fd import (
     CostRespectReport,
     FunctionalDependency,
-    all_rules_cost_respecting,
     check_rule_cost_respecting,
     fd_closure,
     rule_functional_dependencies,
@@ -72,19 +67,16 @@ from repro.analysis.termination import (
     TerminationReport,
     TerminationVerdict,
     check_component_termination,
-    check_program_termination,
 )
 from repro.analysis.rmonotonic import (
     RMonotonicReport,
     check_program_r_monotonic,
     check_rule_r_monotonic,
-    is_r_monotonic,
 )
 from repro.analysis.safety import (
     SafetyReport,
     check_program_safety,
     check_rule_safety,
-    is_range_restricted,
     limited_variables,
     quasi_limited_variables,
 )
@@ -121,30 +113,24 @@ __all__ = [
     "TerminationReport",
     "TerminationVerdict",
     "check_component_termination",
-    "check_program_termination",
     "Component",
     "DependencyEdge",
     "EdgeKind",
     "condense",
     "dependency_edges",
-    "is_aggregate_stratified",
-    "is_negation_stratified",
     "SafetyReport",
     "check_program_safety",
     "check_rule_safety",
-    "is_range_restricted",
     "limited_variables",
     "quasi_limited_variables",
     "CostRespectReport",
     "FunctionalDependency",
-    "all_rules_cost_respecting",
     "check_rule_cost_respecting",
     "fd_closure",
     "rule_functional_dependencies",
     "ConflictReport",
     "check_conflict_freedom",
     "check_pair",
-    "is_conflict_free",
     "rename_apart",
     "FormReport",
     "cdb_cost_variables",
@@ -156,11 +142,9 @@ __all__ = [
     "check_component_admissible",
     "check_program_admissible",
     "check_rule_admissible",
-    "is_program_admissible",
     "RMonotonicReport",
     "check_program_r_monotonic",
     "check_rule_r_monotonic",
-    "is_r_monotonic",
     "ArgType",
     "TypeConflict",
     "TypeLevel",

@@ -169,8 +169,3 @@ def check_program_admissible(
         check_component_admissible(component, program)
         for component in components
     ]
-
-
-def is_program_admissible(program: Program) -> bool:
-    """True iff every component is certified monotonic via Definition 4.5."""
-    return all(r.ok for r in check_program_admissible(program))

@@ -147,7 +147,3 @@ def check_conflict_freedom(program: Program) -> ConflictReport:
             if not verdict.ok:
                 report.undischarged_pairs.append(verdict)
     return report
-
-
-def is_conflict_free(program: Program) -> bool:
-    return check_conflict_freedom(program).ok

@@ -185,14 +185,3 @@ def condense(program: Program) -> List[Component]:
             )
         )
     return components
-
-
-def is_aggregate_stratified(program: Program) -> bool:
-    """No recursion through aggregation in any component (Mumick et al.'s
-    "aggregate stratified" class, Section 5.1)."""
-    return not any(c.recursive_through_aggregation for c in condense(program))
-
-
-def is_negation_stratified(program: Program) -> bool:
-    """No recursion through negation (classic stratification)."""
-    return not any(c.recursive_through_negation for c in condense(program))

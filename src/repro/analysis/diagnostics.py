@@ -1095,8 +1095,9 @@ class Linter:
         semantic passes are skipped — they assume a program that would
         have validated, and running them would only cascade.  ``facts``
         is the caller's :class:`ProgramFacts` for ``program`` when it
-        already analysed it (``analyze_program`` does); otherwise the
-        lint builds its own, so the passes run once either way.
+        already analysed it (its held ``diagnostics`` entry passes
+        itself); otherwise the lint builds its own, so the passes run
+        once either way.
         """
         source = source or program.name
         if facts is None:
@@ -1136,12 +1137,11 @@ def lint_program(
     program: Program,
     *,
     source: str = "",
-    linter: Optional[Linter] = None,
     facts: Optional[ProgramFacts] = None,
 ) -> List[Diagnostic]:
-    """Lint an already-constructed :class:`Program` (``facts``: see
-    :meth:`Linter.lint`)."""
-    return (linter or DEFAULT_LINTER).lint(program, source=source, facts=facts)
+    """Lint an already-constructed :class:`Program` with the default
+    linter (``facts``: see :meth:`Linter.lint`)."""
+    return DEFAULT_LINTER.lint(program, source=source, facts=facts)
 
 
 def lint_source(
@@ -1150,7 +1150,6 @@ def lint_source(
     name: str = "<string>",
     lattices: Optional[Dict[str, "Lattice"]] = None,
     aggregates: Optional[Dict[str, "AggregateFunction"]] = None,
-    linter: Optional[Linter] = None,
 ) -> List[Diagnostic]:
     """Parse rule text (without validating) and lint the result.
 
@@ -1180,7 +1179,7 @@ def lint_source(
         )
         diagnostic.source = name
         return [diagnostic]
-    return lint_program(program, source=name, linter=linter)
+    return lint_program(program, source=name)
 
 
 #: Which code family falsifies which classification claim.  Used to check

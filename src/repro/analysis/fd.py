@@ -141,9 +141,3 @@ def check_rule_cost_respecting(rule: Rule, program: Program) -> CostRespectRepor
     return CostRespectReport(
         rule, applicable=True, ok=ok, fds=tuple(fds), detail=detail
     )
-
-
-def all_rules_cost_respecting(program: Program) -> bool:
-    return all(
-        check_rule_cost_respecting(rule, program).ok for rule in program.rules
-    )

@@ -26,7 +26,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Dict,
     FrozenSet,
     List,
     Optional,
@@ -395,6 +394,3 @@ def render_diff(result: FixResult, name: str) -> str:
             tofile=f"{name} (fixed)",
         )
     )
-
-
-_FixMap = Dict[int, List[Fix]]

@@ -12,37 +12,23 @@ it holds the verdicts and renders as ``repro analyze`` prints it.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.analysis.diagnostics import Linter, lint_program
 from repro.analysis.facts import ProgramFacts
 from repro.datalog.program import Program
 
 #: The order the entries are forced in: the first pass to raise is the
-#: error the caller sees.
+#: error the caller sees; the default linter's diagnostics come last.
 _ORDER = (
     "safety", "cost_respecting", "conflict", "admissibility",
     "r_monotonic_reports", "typing", "classification", "sharding",
-    "premappability",
+    "premappability", "diagnostics",
 )  # fmt: skip
 
 
-def analyze_program(
-    program: Program,
-    *,
-    linter: "Linter | None" = None,
-    facts: Optional[ProgramFacts] = None,
-) -> ProgramFacts:
-    """Run the full static pipeline on ``program``.
-
-    Every pass runs once, on one :class:`ProgramFacts`, and ``linter``
-    (the default one when ``None``) reads the same results into
-    ``diagnostics``.  ``facts`` is the internal hand-off for a caller
-    that already holds them; it must be ``ProgramFacts(program)``.
-    """
-    if facts is None:
-        facts = ProgramFacts(program)
+def analyze_program(program: Program) -> ProgramFacts:
+    """Run the full static pipeline on ``program``: every pass runs once,
+    on one :class:`ProgramFacts`, and the default linter reads the same
+    results into its ``diagnostics``."""
+    facts = ProgramFacts(program)
     for name in _ORDER:
         getattr(facts, name)
-    facts.diagnostics = lint_program(program, linter=linter, facts=facts)
     return facts

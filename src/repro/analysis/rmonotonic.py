@@ -159,8 +159,3 @@ def _comparison_growth_safe(
 
 def check_program_r_monotonic(program: Program) -> List[RMonotonicReport]:
     return [check_rule_r_monotonic(rule, program) for rule in program.rules]
-
-
-def is_r_monotonic(program: Program) -> bool:
-    """Section 5.2: a program is r-monotonic iff every rule is."""
-    return all(r.ok for r in check_program_r_monotonic(program))

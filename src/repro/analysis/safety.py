@@ -238,7 +238,3 @@ def check_rule_safety(rule: Rule, program: Program) -> SafetyReport:
 def check_program_safety(program: Program) -> List[SafetyReport]:
     """Per-rule safety reports for the whole program."""
     return [check_rule_safety(rule, program) for rule in program.rules]
-
-
-def is_range_restricted(program: Program) -> bool:
-    return all(report.ok for report in check_program_safety(program))

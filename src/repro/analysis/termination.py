@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.admissible import check_component_admissible
-from repro.analysis.dependencies import Component, condense
+from repro.analysis.dependencies import Component
 from repro.datalog.program import Program
 from repro.lattices.base import Lattice
 from repro.lattices.boolean import BooleanAnd, BooleanOr
@@ -137,10 +137,3 @@ def check_component_termination(
         "cost values range over an infinite domain; termination depends on "
         "the extension (cf. Example 5.1) — rely on the iteration budget",
     )
-
-
-def check_program_termination(program: Program) -> List[TerminationReport]:
-    return [
-        check_component_termination(component, program)
-        for component in condense(program)
-    ]

@@ -91,7 +91,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.database import Database
 from repro.data.loader import DataLoadError
@@ -104,6 +104,7 @@ from repro.datalog.errors import (
 from repro.engine.options import CHOICES, OptionError, SolveOptions
 from repro.engine.supervisor import UNCAPPED_ITERATIONS
 from repro.programs import ALL_PROGRAMS
+from repro.util.limits import require
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,6 +116,15 @@ EXIT_BUDGET = 4
 class CliUsageError(ReproError):
     """A command-line level mistake (exit ``EXIT_USAGE``), as opposed to
     a problem with the program text being analyzed or solved."""
+
+
+def _checked(build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, its ``ValueError`` (a flag value out of
+    range) turned into the one-line usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
 
 
 def _read_source(path: str) -> str:
@@ -184,16 +194,13 @@ def _make_tracer(args: argparse.Namespace):
 
     Every CLI tracer carries a :class:`repro.obs.FlightRecorder` ring
     sink; ``cmd_solve`` dumps it when the solve ends abnormally."""
-    if not (
-        getattr(args, "trace", None)
-        or getattr(args, "stats", False)
-        or getattr(args, "flight", None)
-    ):
+    _checked(require, "flight_size", args.flight_size, "positive integer")
+    if not (args.trace or args.stats or args.flight):
         return None, None
     from repro.obs import FlightRecorder, JsonlSink, Tracer
 
     sinks = [JsonlSink(args.trace)] if args.trace else []
-    flight = FlightRecorder(getattr(args, "flight_size", None) or 256)
+    flight = FlightRecorder(args.flight_size)
     sinks.append(flight)
     return Tracer(*sinks), flight
 
@@ -228,7 +235,8 @@ def _make_budget(args: argparse.Namespace):
         return None
     from repro.engine.supervisor import Budget
 
-    return Budget(
+    return _checked(
+        Budget,
         timeout=args.timeout,
         max_iterations=args.max_iterations,
         max_atoms=args.max_atoms,
@@ -388,7 +396,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     db = _load_database(args)
     tracer = Tracer()
     try:
-        result = db.solve(**_solve_options(args), tracer=tracer)
+        db.solve(**_solve_options(args), tracer=tracer)
     finally:
         tracer.close()
     if args.format == "json":
@@ -399,12 +407,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         print(tracer.metrics.render_prometheus())
     else:
         print(tracer.metrics.render_text())
-    if result.status != "complete":
-        print(
-            f"% solve interrupted ({result.status}); metrics cover the "
-            f"work done before the stop",
-            file=sys.stderr,
-        )
     return EXIT_OK
 
 
@@ -689,7 +691,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     server = SolveServer(
         databases,
-        ServeSettings(
+        _checked(
+            ServeSettings,
             host=args.host,
             port=args.port,
             max_inflight=args.max_inflight,
@@ -701,7 +704,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             flight_dir=args.flight_dir,
             checkpoint_dir=args.checkpoint_dir or None,
             default_method=args.method,
-            default_plan=args.plan,
         ),
     )
 
@@ -1120,14 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=CHOICES["method"],
         default="auto",
         help="default evaluation mode (requests may override)",
-    )
-    serve.add_argument(
-        "--plan",
-        choices=CHOICES["plan"],
-        default="smart",
-        help="default plan; 'sharded' degrades to sequential per "
-        "request because budgeted solves never fork "
-        "(docs/PARALLELISM.md)",
     )
     serve.set_defaults(handler=cmd_serve)
 

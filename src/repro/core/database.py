@@ -327,7 +327,7 @@ class Database:
         """Run the full static pipeline (Definitions 2.5, 2.7, 2.10, 4.5)."""
         return analyze_program(self.program)
 
-    def lint(self, *, linter=None):
+    def lint(self):
         """Coded diagnostics for the assembled program.
 
         Note: the database merges declarations from every load, so the
@@ -338,7 +338,7 @@ class Database:
         """
         from repro.analysis.diagnostics import lint_program
 
-        return lint_program(self.program, source=self.name, linter=linter)
+        return lint_program(self.program, source=self.name)
 
     def solve(self, **kwargs: Any) -> SolveResult:
         """Compute the iterated minimal model (Section 6.3).

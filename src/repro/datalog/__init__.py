@@ -16,7 +16,6 @@ from repro.datalog.errors import (
     ProgramError,
     ReproError,
     SafetyError,
-    TypeCheckError,
 )
 from repro.datalog.parser import parse_atom_text, parse_program, parse_rule
 from repro.datalog.pretty import program_to_text
@@ -55,7 +54,6 @@ __all__ = [
     "ProgramError",
     "ReproError",
     "SafetyError",
-    "TypeCheckError",
     "parse_atom_text",
     "parse_program",
     "parse_rule",

@@ -88,10 +88,6 @@ class SafetyError(AnalysisRejection):
     """A rule violates range-restriction (Definition 2.5)."""
 
 
-class TypeCheckError(AnalysisRejection):
-    """A rule is not well typed (Section 4.2's typing discipline)."""
-
-
 class NotAdmissibleError(AnalysisRejection):
     """Strict solving was requested for a program that fails Definition 4.5."""
 

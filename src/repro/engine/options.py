@@ -12,6 +12,7 @@ from typing import Optional
 
 from repro.datalog.errors import ReproError
 from repro.engine.exec import PLAN_MODES
+from repro.util.limits import require
 
 #: field → its allowed values, for the fields that take one of a set.
 CHOICES = {
@@ -108,16 +109,8 @@ class SolveOptions:
                 )
         for name in ("max_iterations", "shards", "workers"):
             value = getattr(self, name)
-            if value is None and name != "max_iterations":
-                continue
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                raise OptionError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+            if value is not None or name == "max_iterations":
+                require(name, value, "positive integer", OptionError)
 
     @property
     def exec_plan(self) -> str:

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional
 
 from repro.datalog.errors import ReproError
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.util.limits import require
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.diagnostics import Diagnostic
@@ -178,6 +179,12 @@ class Budget:
     on_divergence: str = "warn"
 
     def __post_init__(self) -> None:
+        if self.timeout is not None:
+            require("timeout", self.timeout, "non-negative number")
+        for name in ("max_iterations", "max_atoms", "max_cost_updates"):
+            if getattr(self, name) is not None:
+                require(name, getattr(self, name), "positive integer")
+        require("growth_factor", self.growth_factor, "finite number above 1")
         if self.on_divergence not in ("warn", "abort"):
             raise ValueError(
                 f"on_divergence must be 'warn' or 'abort', "

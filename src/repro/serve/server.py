@@ -41,6 +41,7 @@ from repro.engine.supervisor import CancelToken
 from repro.obs import FlightRecorder, Tracer
 from repro.serve.hosting import HostedDatabase
 from repro.serve.supervise import RequestOutcome, RequestSupervisor, encode_body
+from repro.util.limits import require
 
 __all__ = ["ServeSettings", "ServerThread", "SolveServer"]
 
@@ -71,7 +72,15 @@ class ServeSettings:
     flight_dir: str = "."
     checkpoint_dir: Optional[str] = "."
     default_method: str = "auto"
-    default_plan: str = "smart"
+
+    def __post_init__(self) -> None:
+        require("max_inflight", self.max_inflight, "positive integer")
+        require("queue_depth", self.queue_depth, "non-negative integer")
+        require("default_timeout", self.default_timeout, "positive number")
+        if self.max_timeout is not None:
+            require("max_timeout", self.max_timeout, "positive number")
+        require("drain_grace", self.drain_grace, "non-negative number")
+        require("flight_size", self.flight_size, "positive integer")
 
 
 class _Telemetry:
@@ -144,7 +153,6 @@ class SolveServer:
             default_timeout=self.settings.default_timeout,
             max_timeout=self.settings.max_timeout,
             default_method=self.settings.default_method,
-            default_plan=self.settings.default_plan,
             flight_dir=self.settings.flight_dir,
             flight_size=self.settings.flight_size,
             checkpoint_dir=self.settings.checkpoint_dir,
@@ -153,7 +161,7 @@ class SolveServer:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.settings.max_inflight),
+            max_workers=self.settings.max_inflight,
             thread_name_prefix="repro-serve",
         )
         self._lock = threading.Lock()

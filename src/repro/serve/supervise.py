@@ -56,6 +56,7 @@ from repro.engine.solver import solve
 from repro.engine.supervisor import UNCAPPED_ITERATIONS, Budget, CancelToken
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, default_dump_path
 from repro.serve.hosting import HostedDatabase
+from repro.util.limits import require
 
 __all__ = ["AnswerCache", "RequestOutcome", "RequestSupervisor"]
 
@@ -179,15 +180,16 @@ class RequestSupervisor:
         default_timeout: float = 30.0,
         max_timeout: Optional[float] = None,
         default_method: str = "auto",
-        default_plan: str = "smart",
         flight_dir: str = ".",
         flight_size: int = 256,
         checkpoint_dir: Optional[str] = None,
     ) -> None:
+        # Checked here, not per request: a bad ring size would otherwise
+        # fail every solve outside its crash wall.
+        require("flight_size", flight_size, "positive integer")
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
         self.default_method = default_method
-        self.default_plan = default_plan
         self.flight_dir = flight_dir
         self.flight_size = flight_size
         self.checkpoint_dir = checkpoint_dir
@@ -239,9 +241,12 @@ class RequestSupervisor:
             error = f"unknown predicate {query!r} in database {hosted.name!r}"
         else:
             try:
+                # A request's "plan" is forwarded; without one, the
+                # solve's own default.
+                plan = {"plan": payload["plan"]} if "plan" in payload else {}
                 options = SolveOptions(
                     method=payload.get("method", self.default_method),
-                    plan=payload.get("plan", self.default_plan),
+                    **plan,
                     # Under the request's budget the graceful stop should
                     # win, never the evaluators' hard cap.
                     max_iterations=UNCAPPED_ITERATIONS,
@@ -266,7 +271,8 @@ class RequestSupervisor:
             with self.answers.flight(key, timeout) as held:
                 answer = self.answers.get(key)
                 if answer is None and held:
-                    left = timeout - round(time.perf_counter() - t0, 3)
+                    waited = round(time.perf_counter() - t0, 3)
+                    left = max(0.0, timeout - waited)
                     return self._solve(
                         key, timeout, left, t0, request_id, cancel, draining
                     )

@@ -6,7 +6,6 @@ from repro.workloads.graphs import (
     bellman_ford_all_pairs,
     cycle_graph,
     dijkstra_all_pairs,
-    layered_digraph,
     random_dag,
     random_digraph,
     revision_chain,
@@ -19,7 +18,6 @@ __all__ = [
     "ROAD_NETWORK_PROGRAM",
     "random_digraph",
     "random_dag",
-    "layered_digraph",
     "revision_chain",
     "straggler_graph",
     "cycle_graph",

@@ -78,35 +78,6 @@ def random_dag(
     return arcs
 
 
-def layered_digraph(
-    width: int,
-    *,
-    layers: int = 6,
-    seed: int = 0,
-    max_weight: float = 10.0,
-    integer_weights: bool = True,
-) -> List[Arc]:
-    """A dense layered digraph: ``layers`` layers of ``width`` nodes each,
-    with the complete bipartite arc set between consecutive layers.
-
-    Node ids are ``layer * width + offset``.  Every source-to-sink pair
-    has ``width ** (gap - 1)`` distinct paths, so the ``path(X, Z, Y, C)``
-    frontier of the shortest-path idiom explodes combinatorially while
-    the collapsed per-pair frontier stays quadratic — the worst case the
-    aggregate pushdown (docs/OPTIMIZATION.md) is built for.
-    """
-    rng = random.Random(seed)
-    arcs: List[Arc] = []
-    for layer in range(layers - 1):
-        for i in range(width):
-            for j in range(width):
-                w = rng.uniform(0, max_weight)
-                if integer_weights:
-                    w = float(int(w)) + 1.0
-                arcs.append((layer * width + i, (layer + 1) * width + j, w))
-    return arcs
-
-
 def revision_chain(m: int, *, width: int = 18) -> List[Arc]:
     """A revision-cascade graph: the adversarial workload for the
     aggregate pushdown (docs/OPTIMIZATION.md).

@@ -17,11 +17,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from repro.analysis.admissible import check_program_admissible
 from repro.analysis.classify import classify_program
 from repro.analysis.conflict import check_conflict_freedom
-from repro.analysis.dependencies import (
-    condense,
-    is_aggregate_stratified,
-    is_negation_stratified,
-)
+from repro.analysis.dependencies import condense
 from repro.analysis.diagnostics import (
     _ADMISSIBILITY_SLUGS,
     _DEFAULT_CHECKS,
@@ -34,7 +30,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.fd import check_rule_cost_respecting
 from repro.analysis.fixes import Fix, fix_declare_default
 from repro.analysis.premap import analyze_premappability
-from repro.analysis.rmonotonic import check_program_r_monotonic, is_r_monotonic
+from repro.analysis.rmonotonic import check_program_r_monotonic
 from repro.analysis.safety import check_program_safety
 from repro.analysis.sharding import (
     SHARDABLE,
@@ -43,7 +39,7 @@ from repro.analysis.sharding import (
 )
 from repro.analysis.termination import (
     TerminationVerdict,
-    check_program_termination,
+    check_component_termination,
 )
 from repro.analysis.typing import infer_types
 from repro.analysis.wellformed import FormReport, check_well_typed
@@ -185,7 +181,8 @@ def _check_r_monotonic(program: Program) -> Iterator[Diagnostic]:
 
 @_reference("termination")
 def _check_termination(program: Program) -> Iterator[Diagnostic]:
-    for report in check_program_termination(program):
+    for component in condense(program):
+        report = check_component_termination(component, program)
         if report.verdict is TerminationVerdict.UNKNOWN:
             names = ", ".join(sorted(report.component.cdb))
             rules = report.component.rules
@@ -329,9 +326,13 @@ def reference_analyze(program: Program) -> ReferenceReport:
     ]
     conflict = check_conflict_freedom(program)
     admissibility = check_program_admissible(program)
-    aggregate_stratified = is_aggregate_stratified(program)
-    negation_stratified = is_negation_stratified(program)
-    r_monotonic = is_r_monotonic(program)
+    aggregate_stratified = not any(
+        c.recursive_through_aggregation for c in condense(program)
+    )
+    negation_stratified = not any(
+        c.recursive_through_negation for c in condense(program)
+    )
+    r_monotonic = all(r.ok for r in check_program_r_monotonic(program))
     typing = infer_types(program)
     classification = classify_program(
         program, admissibility=admissibility, typing=typing

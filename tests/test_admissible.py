@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis import (
+    ProgramFacts,
     analyze_program,
     check_program_admissible,
-    is_program_admissible,
 )
 from repro.datalog.parser import parse_program
 from repro.programs import ALL_PROGRAMS
@@ -35,7 +35,7 @@ class TestPseudoMonotonicCondition:
             t(G, C) <- gate(G, and), C = and_le{D : connect(G, W), t(W, D)}.
             """
         )
-        assert is_program_admissible(program)
+        assert ProgramFacts(program).admissible
 
     def test_and_over_non_default_predicate_rejected(self):
         """Example 4.4's point: without the default declaration the
@@ -64,7 +64,7 @@ class TestPseudoMonotonicCondition:
             avg(S, G) <- G =r average{G1 : record(S, C, G1)}.
             """
         )
-        assert is_program_admissible(program)
+        assert ProgramFacts(program).admissible
 
     def test_pseudo_monotonic_over_cdb_rejected(self):
         program = parse_program(
@@ -75,7 +75,7 @@ class TestPseudoMonotonicCondition:
             b(X, G) <- a(X, G).
             """
         )
-        assert not is_program_admissible(program)
+        assert not ProgramFacts(program).admissible
 
 
 class TestNegationOnCdb:
@@ -90,7 +90,7 @@ class TestNegationOnCdb:
         program = parse_program(
             "low(X) <- e(X).\nhigh(X) <- e(X), not low(X)."
         )
-        assert is_program_admissible(program)
+        assert ProgramFacts(program).admissible
 
 
 class TestNonMonotonicAggregateRejected:
@@ -144,7 +144,7 @@ class TestNonMonotonicAggregateRejected:
             """,
             aggregates=aggregates,
         )
-        assert not is_program_admissible(program)
+        assert not ProgramFacts(program).admissible
 
 
 def test_admissible_implies_monotonic_property():
@@ -153,4 +153,4 @@ def test_admissible_implies_monotonic_property():
     heavier randomized version)."""
     from repro.programs import shortest_path
 
-    assert is_program_admissible(shortest_path.database().program)
+    assert ProgramFacts(shortest_path.database().program).admissible

@@ -3,9 +3,9 @@
 from repro.analysis.conflict import (
     check_conflict_freedom,
     check_pair,
-    is_conflict_free,
     rename_apart,
 )
+from repro.analysis.facts import ProgramFacts
 from repro.datalog.parser import parse_program, parse_rule
 from repro.programs import ALL_PROGRAMS, circuit, company_control, shortest_path
 
@@ -44,7 +44,7 @@ class TestDischargeByConstraint:
         with it, they are discharged."""
         source = shortest_path.source
         with_constraint = parse_program(source)
-        assert is_conflict_free(with_constraint)
+        assert ProgramFacts(with_constraint).conflict_free
 
         without = parse_program(
             source.replace("@constraint arc(direct, Z, C).", "")
@@ -55,12 +55,12 @@ class TestDischargeByConstraint:
 
     def test_circuit_needs_disjointness(self):
         source = circuit.source
-        assert is_conflict_free(parse_program(source))
+        assert ProgramFacts(parse_program(source)).conflict_free
         # Dropping the input/gate disjointness re-opens rule pairs.
         weakened = parse_program(
             source.replace("@constraint input(W, C), gate(W, T).", "")
         )
-        assert not is_conflict_free(weakened)
+        assert not ProgramFacts(weakened).conflict_free
 
 
 class TestFailureModes:
@@ -91,7 +91,7 @@ class TestFailureModes:
 
     def test_non_cost_heads_never_conflict(self):
         program = parse_program("p(X) <- q(X).\np(X) <- r(X).")
-        assert is_conflict_free(program)
+        assert ProgramFacts(program).conflict_free
 
     def test_mgu_grounding_a_multiset_variable_is_undischarged(self):
         """The head key E is also sum's multiset variable: unifying with
@@ -117,4 +117,5 @@ def test_every_catalog_program_matches_its_claim():
         if expected is None:
             continue
         program = paper_program.database().program
-        assert is_conflict_free(program) == expected, paper_program.name
+        verdict = ProgramFacts(program).conflict_free
+        assert verdict == expected, paper_program.name

@@ -279,7 +279,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 23043
+SRC_LINES = 22953
 
 
 def test_the_row_cache_is_gone():
@@ -455,11 +455,11 @@ def test_the_answer_cache_added_no_knob():
     assert [f.name for f in dataclasses.fields(ServeSettings)] == [
         "host", "port", "max_inflight", "queue_depth", "default_timeout",
         "max_timeout", "drain_grace", "flight_size", "flight_dir",
-        "checkpoint_dir", "default_method", "default_plan",
+        "checkpoint_dir", "default_method",
     ]  # fmt: skip
     assert list(inspect.signature(RequestSupervisor.__init__).parameters) == [
         "self", "default_timeout", "max_timeout", "default_method",
-        "default_plan", "flight_dir", "flight_size", "checkpoint_dir",
+        "flight_dir", "flight_size", "checkpoint_dir",
     ]  # fmt: skip
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a.choices, dict)
@@ -472,8 +472,8 @@ def test_the_answer_cache_added_no_knob():
     assert flags == [
         "--checkpoint-dir", "--drain-grace", "--flight-dir", "--flight-size",
         "--help", "--host", "--max-inflight", "--max-timeout", "--method",
-        "--plan", "--port", "--port-file", "--program", "--queue-depth",
-        "--timeout", "-h",
+        "--port", "--port-file", "--program", "--queue-depth", "--timeout",
+        "-h",
     ]  # fmt: skip
     assert supervise.ANSWER_CACHE_BYTES == 64 << 20
     assert "environ" not in (SRC / "serve" / "supervise.py").read_text("utf-8")
@@ -564,7 +564,7 @@ def test_every_edb_row_takes_the_one_bulk_write():
 WHOLE_PROGRAM_PASS = re.compile(
     r"\b(condense|check_program_safety|check_conflict_freedom"
     r"|check_program_admissible|check_program_r_monotonic"
-    r"|check_program_termination|infer_types|classify_program"
+    r"|infer_types|classify_program"
     r"|analyze_premappability|analyze_sharding)\("
 )
 
@@ -625,13 +625,11 @@ def test_front_ends_read_facts_instead_of_running_passes():
     ]  # fmt: skip
     assert parameters(Database.solve) == ["self", "kwargs"]
     assert parameters(Database.analyze) == ["self"]
-    assert parameters(Database.lint) == ["self", "linter"]
-    assert parameters(analyze_program) == ["program", "linter", "facts"]
-    assert parameters(lint_program) == ["program", "source", "linter", "facts"]
+    assert parameters(Database.lint) == ["self"]
+    assert parameters(analyze_program) == ["program"]
+    assert parameters(lint_program) == ["program", "source", "facts"]
     assert parameters(Linter.lint) == ["self", "program", "source", "facts"]
-    assert parameters(lint_source) == [
-        "text", "name", "lattices", "aggregates", "linter",
-    ]  # fmt: skip
+    assert parameters(lint_source) == ["text", "name", "lattices", "aggregates"]
     assert parameters(get_pushdown) == ["program", "classification", "facts"]
 
 
@@ -653,6 +651,48 @@ def test_one_analysis_object():
         "solve() runs the full analysis again: it reads only the facts it "
         "gates on (facts.safety, .admissibility, .conflict)"
     )
+
+
+#: Second definitions of a ``ProgramFacts`` verdict or pass, and code
+#: nothing reached: none may be defined under ``src/`` again.
+DELETED_NAMES = {
+    "is_range_restricted", "is_conflict_free", "is_program_admissible",
+    "is_aggregate_stratified", "is_negation_stratified", "is_r_monotonic",
+    "all_rules_cost_respecting", "check_program_termination",
+    "merge_algebra_holds", "layered_digraph", "TypeCheckError", "_FixMap",
+}  # fmt: skip
+
+#: The program verdicts, each defined once: a ``ProgramFacts`` property.
+VERDICTS = {
+    "range_restricted", "conflict_free", "admissible",
+    "aggregate_stratified", "negation_stratified", "r_monotonic",
+}  # fmt: skip
+
+
+def test_each_program_verdict_has_one_definition():
+    import ast
+    import collections
+
+    import repro.analysis
+
+    defined = collections.defaultdict(list)
+    for path in _source_files():
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name].append(f"{rel}:{node.lineno}")
+        for node in tree.body:  # module-level names such as type aliases
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined[target.id].append(f"{rel}:{node.lineno}")
+    back = {name: defined[name] for name in DELETED_NAMES if defined[name]}
+    assert not back, f"a deleted definition is back: {back}"
+    for name in VERDICTS:
+        assert defined[name] == [defined[name][0]], (name, defined[name])
+        assert defined[name][0].startswith("analysis/facts.py:"), name
+    assert not any(hasattr(repro.analysis, name) for name in DELETED_NAMES)
 
 
 def test_option_value_sets_are_spelled_out_once():

@@ -5,9 +5,8 @@ from repro.analysis.dependencies import (
     EdgeKind,
     condense,
     dependency_edges,
-    is_aggregate_stratified,
-    is_negation_stratified,
 )
+from repro.analysis.facts import ProgramFacts
 from repro.datalog.parser import parse_program
 from repro.programs import company_control, shortest_path, student_averages
 
@@ -162,11 +161,13 @@ class TestCondense:
 
 class TestStratificationFlags:
     def test_aggregate_stratified(self):
-        assert is_aggregate_stratified(student_averages.database().program)
-        assert not is_aggregate_stratified(shortest_path.database().program)
+        averages = ProgramFacts(student_averages.database().program)
+        assert averages.aggregate_stratified
+        paths = ProgramFacts(shortest_path.database().program)
+        assert not paths.aggregate_stratified
 
     def test_negation_stratified(self):
         stratified = parse_program("p(X) <- e(X), not q(X).\nq(X) <- f(X).")
-        assert is_negation_stratified(stratified)
+        assert ProgramFacts(stratified).negation_stratified
         unstratified = parse_program("p(X) <- e(X), not q(X).\nq(X) <- p(X).")
-        assert not is_negation_stratified(unstratified)
+        assert not ProgramFacts(unstratified).negation_stratified

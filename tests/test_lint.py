@@ -34,6 +34,7 @@ from repro.analysis.diagnostics import (
 from repro.cli import main
 from repro.core.database import Database
 from repro.datalog.errors import NotAdmissibleError, SafetyError
+from repro.datalog.parser import parse_program
 from repro.programs.catalog import ALL_PROGRAMS
 
 CORPUS = sorted(
@@ -182,7 +183,7 @@ def test_custom_linter_registration():
         ),
     )
     assert len(linter.checks) == before + 1
-    diagnostics = lint_source("p(a).", linter=linter)
+    diagnostics = linter.lint(parse_program("p(a)."))
     assert any(d.message == "custom finding" for d in diagnostics)
 
 

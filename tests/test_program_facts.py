@@ -53,7 +53,6 @@ PASSES = {
     "repro.analysis.conflict": ["check_conflict_freedom"],
     "repro.analysis.admissible": ["check_program_admissible"],
     "repro.analysis.rmonotonic": ["check_program_r_monotonic"],
-    "repro.analysis.termination": ["check_program_termination"],
     "repro.analysis.typing": ["infer_types"],
     "repro.analysis.classify": ["classify_program"],
     "repro.analysis.premap": ["analyze_premappability"],
@@ -334,12 +333,9 @@ def test_registered_user_check_still_receives_the_program():
     linter = Linter()
     linter.register("always-warn", user_check)
     program = shortest_path.database().program
-    for diagnostics in (
-        lint_program(program, linter=linter),
-        analyze_program(program, linter=linter).diagnostics,
-    ):
-        assert any(d.message == "custom finding" for d in diagnostics)
-    assert seen == [program, program]
+    diagnostics = linter.lint(program)
+    assert any(d.message == "custom finding" for d in diagnostics)
+    assert seen == [program]
     assert all(isinstance(p, Program) for p in seen)
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analysis.facts import ProgramFacts
 from repro.analysis.safety import (
     check_rule_safety,
-    is_range_restricted,
     limited_variables,
     quasi_limited_variables,
 )
@@ -167,4 +167,4 @@ class TestRuleLevelViolations:
 
     def test_whole_program_check(self):
         program = parse_program("p(X) <- q(X).\nr(Y, X) <- q(X).")
-        assert not is_range_restricted(program)
+        assert not ProgramFacts(program).range_restricted

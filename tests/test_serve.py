@@ -14,6 +14,7 @@ add noise, and so does its answer cache (``TestAnswerCache``).  The
 fault-injection serve suite is ``test_serve_faults.py``.
 """
 
+import contextlib
 import json
 import pathlib
 import random
@@ -434,6 +435,32 @@ class TestDrainLifecycle:
         assert server.draining
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_inflight": 0},
+        {"queue_depth": -1},
+        {"default_timeout": 0.0},
+        {"default_timeout": float("nan")},
+        {"max_timeout": -1.0},
+        {"max_timeout": float("nan")},
+        {"drain_grace": -0.5},
+        {"flight_size": 0},
+    ],
+    ids=repr,
+)
+def test_serve_settings_reject_bad_values_at_construction(bad):
+    ((name, value),) = bad.items()
+    with pytest.raises(ValueError) as caught:
+        ServeSettings(**bad)
+    assert str(caught.value).startswith(f"{name} must be a ")
+    assert str(caught.value).endswith(f", got {value!r}")
+
+
+def test_serve_settings_accept_the_edges_of_each_range():
+    ServeSettings(max_inflight=1, queue_depth=0, drain_grace=0.0, flight_size=1)
+
+
 class TestRequestSupervisor:
     """Direct unit coverage of the per-request supervision layer."""
 
@@ -453,6 +480,30 @@ class TestRequestSupervisor:
         unclamped = RequestSupervisor(default_timeout=10.0)
         assert unclamped.effective_timeout(json.loads("1e999")) == 10.0
         assert unclamped.effective_timeout(1e300) == 1e300
+
+    @pytest.mark.parametrize("size", [0, -1, True, 2.5])
+    def test_bad_flight_size_rejected_at_construction(self, size):
+        # At the parent the server started, and every solve then raised
+        # from FlightRecorder(0) outside the crash wall.
+        with pytest.raises(ValueError) as caught:
+            RequestSupervisor(flight_size=size)
+        assert str(caught.value) == (
+            f"flight_size must be a positive integer, got {size!r}"
+        )
+
+    def test_follower_past_its_budget_gets_429_not_500(self, monkeypatch):
+        sup = RequestSupervisor(checkpoint_dir=None)
+
+        @contextlib.contextmanager
+        def late_turn(key, timeout):
+            # The leader's failed solve took the follower's whole budget.
+            time.sleep(timeout + 0.05)
+            yield True
+
+        monkeypatch.setattr(sup.answers, "flight", late_turn)
+        outcome = execute(sup, host_program_text("tiny", TINY), timeout=0.1)
+        assert outcome.http_status == 429, outcome.body
+        assert outcome.status == "timeout"
 
     def test_bad_program_option_rejected_not_crashed(self, tmp_path):
         sup = RequestSupervisor(flight_dir=str(tmp_path))

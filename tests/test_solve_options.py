@@ -102,8 +102,6 @@ def test_cli_exits_usage(command, bad, capsys):
     ((name, value),) = bad.items()
     if value is None or isinstance(value, list):
         pytest.skip("not expressible as a flag")
-    if command == "solve" and name == "max_iterations":
-        pytest.skip("under `solve` --max-iterations is the budget's")
     argv = [command, "--program", "shortest-path"]
     argv += ["s(a, b)"] if command == "explain" else []
     argv += ["--" + name.replace("_", "-"), str(value)]

@@ -54,6 +54,44 @@ class TestBudgetValidation:
         with pytest.raises(ValueError):
             Budget(divergence_window=1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # At the parent a NaN deadline never fired, and a limit
+            # below 1 "exhausted" at round 1.
+            {"timeout": float("nan")},
+            {"timeout": -1.0},
+            {"timeout": "5"},
+            {"max_iterations": 0},
+            {"max_iterations": True},
+            {"max_iterations": 2.5},
+            {"max_atoms": -5},
+            {"max_cost_updates": 0},
+            {"growth_factor": 1.0},
+            {"growth_factor": float("inf")},
+            {"growth_factor": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_rejects_limits_that_mean_nothing(self, bad):
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError) as caught:
+            Budget(**bad)
+        assert str(caught.value).startswith(f"{name} must be a ")
+        assert str(caught.value).endswith(f", got {value!r}")
+
+    def test_integer_limits_read_as_solve_options_does(self):
+        for name in ("max_iterations", "max_atoms", "max_cost_updates"):
+            with pytest.raises(ValueError) as caught:
+                Budget(**{name: 0})
+            assert str(caught.value) == f"{name} must be a positive integer, got 0"
+
+    def test_accepts_the_edges_of_each_range(self):
+        Budget(timeout=0.0)
+        Budget(timeout=float("inf"))
+        Budget(max_iterations=1, max_atoms=1, max_cost_updates=1)
+        Budget(growth_factor=1.01)
+
     def test_bounded_property(self):
         assert not Budget().bounded
         assert Budget(timeout=1.0).bounded

@@ -1,8 +1,9 @@
 """The Section 6.2 termination classifier."""
 
 from repro.analysis import (
+    ProgramFacts,
     TerminationVerdict,
-    check_program_termination,
+    check_component_termination,
 )
 from repro.datalog.parser import parse_program
 from repro.programs import (
@@ -15,11 +16,15 @@ from repro.programs import (
 )
 
 
-def verdicts(paper_program):
+def termination(program):
     return [
-        r.verdict
-        for r in check_program_termination(paper_program.database().program)
+        check_component_termination(component, program)
+        for component in ProgramFacts(program).components
     ]
+
+
+def verdicts(paper_program):
+    return [r.verdict for r in termination(paper_program.database().program)]
 
 
 class TestPaperPrograms:
@@ -66,7 +71,7 @@ class TestConstructedCases:
             "@cost lvl/2 : level.\n"
             "lvl(X, L) <- src(X, L).\n"
         )
-        reports = check_program_termination(db.program)
+        reports = termination(db.program)
         assert all(r.verdict is TerminationVerdict.TERMINATES for r in reports)
 
     def test_powerset_lattice_terminates(self):
@@ -83,7 +88,7 @@ class TestConstructedCases:
             "@cost taint/2 : tags.\n@cost src/2 : tags.\n@pred flow/2.\n"
             "taint(X, T) <- src(X, T).\n"
         )
-        reports = check_program_termination(db.program)
+        reports = termination(db.program)
         assert all(r.verdict is TerminationVerdict.TERMINATES for r in reports)
 
     def test_mixed_components(self):
@@ -95,7 +100,7 @@ class TestConstructedCases:
         )
         reports = {
             tuple(sorted(r.component.cdb)): r.verdict
-            for r in check_program_termination(program)
+            for r in termination(program)
         }
         assert reports[("a",)] is TerminationVerdict.TERMINATES
         assert reports[("b", "b2")] is TerminationVerdict.UNKNOWN
