@@ -3,11 +3,12 @@
 The loaders here exist so real datasets enter the engine *without* ever
 materialising the file: rows are read :data:`LOAD_SLICE` at a time,
 shape-checked and decoded a slice at a time (CSV: a column at a time),
-written with one ``Relation.join_rows(slice, strict=True)`` — the write
-every derived row takes — and discarded; at most one slice is ever
-held.  A slice that is not uniformly well-formed is instead walked row
-by row, in file order, so diagnostics, their line numbers and the first
-error raised are those of a row-at-a-time load.  See docs/STORAGE.md.
+written by one strict ``Relation.join_rows`` (CSV: its keyed write, fed
+columns) — the write every derived row takes — and discarded; at most
+one slice is ever held.  A slice that is not uniformly well-formed is
+instead walked row by row, in file order, so diagnostics, their line
+numbers and the first error raised are those of a row-at-a-time load.
+See docs/STORAGE.md.
 
 Two formats:
 
@@ -43,7 +44,7 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import contains
+from operator import add, contains
 from typing import (
     Any,
     Callable,
@@ -89,7 +90,7 @@ class DataLoadError(ReproError):
 class LoadReport:
     """What one bulk load did."""
 
-    #: rows actually inserted, per predicate.
+    #: rows read and written, per predicate (a repeat counts each time).
     rows: Dict[str, int] = field(default_factory=dict)
     #: rows dropped by ``strict=False`` (one diagnostic each).
     skipped: int = 0
@@ -140,9 +141,11 @@ def _diagnose(
 
 
 def _opened(source: Source, mode: str = "r", **kwargs: Any) -> ContextManager[IO[str]]:
-    """``source`` opened if it is a path; a handle is the caller's."""
+    """``source`` opened if it is a path; a handle is the caller's.  A
+    read drops a leading UTF-8 byte-order mark; a write never adds one."""
     if isinstance(source, str):
-        return open(source, mode, encoding="utf-8", **kwargs)
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        return open(source, mode, encoding=encoding, **kwargs)
     return nullcontext(source)
 
 
@@ -238,8 +241,15 @@ def load_csv(
     for first, chunk in _csv_slices(source, delimiter, header):
         if decode is decode_field and set(map(len, chunk)) == {arity}:
             columns = list(map(_decode_column, zip(*chunk)))
-            if lattice is None or lattice.accepts_all(columns[-1]):
+            if lattice is None:
                 _write(rel, list(zip(*columns)), report)
+                continue
+            if lattice.accepts_all(columns[-1]):
+                # Keys and the accepted cost column; rows built only if needed.
+                keys = list(zip(*columns[:-1])) if arity > 1 else [()] * len(chunk)
+                lazy = map(add, keys, zip(columns[-1]))
+                rel._join_keyed(keys, columns[-1], lazy, None)
+                report._count(predicate, len(chunk))
                 continue
         # Not uniformly well-formed (or a caller's decoder): row by row.
         rows: List[Tuple[Any, ...]] = []
@@ -332,13 +342,9 @@ def export_csv(
     determinism.  Returns the row count."""
 
     with _opened(target, "w", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        rel = interpretation.relation(predicate)
-        count = 0
-        for row in sorted(rel.rows(), key=repr):
-            writer.writerow(row)
-            count += 1
-        return count
+        rows = sorted(interpretation.relation(predicate).rows(), key=repr)
+        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
+        return len(rows)
 
 
 # -- JSONL -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Set, Tuple
 
@@ -87,11 +87,11 @@ def use_index_stats(stats: IndexStats) -> Iterator[IndexStats]:
         _ACTIVE_STATS.reset(token)
 
 
-#: A full row's cost column (``join_rows``' batched membership) and the
-#: batch length from which one column-wide decision beats ``validate``
-#: per row (measured break-even: about ten rows).
-_COST = itemgetter(-1)
-_COLUMN_MIN = 16
+#: A row's key and cost; the batch length from which one column-wide
+#: decision beats ``validate`` per row (measured break-even: about ten
+#: rows); the rows of a long list written at a time (one slice's dict).
+_KEY, _COST = itemgetter(slice(None, -1)), itemgetter(-1)
+_COLUMN_MIN, _SLICE = 16, 512
 
 
 def row_projector(positions: Tuple[int, ...]) -> Callable[[Key], Key]:
@@ -170,16 +170,56 @@ class Relation:
         ``strict=True`` is the same write with Definition 2.6's check —
         a key already holding a different value raises
         :class:`CostConsistencyError`.  A default-value predicate's
-        bottom values are never stored.  Per row: ``lattice.validate``,
-        the container write, upkeep of every live index (nothing else
-        is kept in step) and the ``index_update`` fault seam, with
-        everything that is per relation read once per call.  Membership
-        is one decision per call when ``rows`` is a list whose cost
-        column the lattice accepts whole (``Lattice.accepts_all``);
-        otherwise — another lattice, a bool/NaN/subclass anywhere in the
-        column, an iterator — it is ``validate`` per row, so the first
-        offending row raises with the rows before it applied.
+        bottom values are never stored.  A list of ``_COLUMN_MIN`` cost
+        rows or more is checked by ``Lattice.accepts_all`` per column,
+        not ``validate`` per row; a strict one is written ``_SLICE`` rows
+        at a time by :meth:`_join_keyed`.  Everything else goes row by
+        row, so the first offending row raises with the rows before it
+        applied.
         """
+        lattice = self.decl.lattice
+        validate = None if lattice is None else lattice.validate
+        if lattice is not None and type(rows) is list and len(rows) >= _COLUMN_MIN:
+            if not strict:  # a delta round's keys are mostly held or repeated
+                accepted = lattice.accepts_all(list(map(_COST, rows)))
+                return self._join_each(rows, strict, None if accepted else validate)
+            changed: List[Key] = []
+            for start in range(0, len(rows), _SLICE):
+                part = rows[start : start + _SLICE]
+                keys, values = list(map(_KEY, part)), list(map(_COST, part))
+                check = None if lattice.accepts_all(values) else validate
+                changed += self._join_keyed(keys, values, part, check)
+            return changed
+        return self._join_each(rows, strict, validate)
+
+    def _join_keyed(
+        self,
+        keys: List[Key],
+        values: List[Any],
+        rows: Iterable[Key],
+        validate: Optional[Callable[..., Any]],
+    ) -> Iterable[Key]:
+        """A strict write of cost ``rows`` sliced into ``keys`` and their
+        cost column, ``validate`` None when ``accepts_all`` took it; the
+        changed rows.  With no default, index or seam, an accepted column
+        whose keys neither repeat nor are held is one ``dict`` and one
+        ``update``; otherwise ``rows`` go row by row (the CSV loader
+        passes them lazily, so they are built only then)."""
+        if validate is None and not (
+            self.decl.has_default or self._indexes or _faults._ACTIVE is not None
+        ):
+            costs, batch = self.costs, dict(zip(keys, values))
+            if len(batch) == len(keys) and costs.keys().isdisjoint(batch):
+                costs.update(batch)
+                return rows
+        return self._join_each(rows, True, validate)
+
+    def _join_each(
+        self, rows: Iterable[Key], strict: bool, validate: Optional[Callable[..., Any]]
+    ) -> List[Key]:
+        """The row-by-row write (``validate``: each cost's, unless None):
+        per row the container write, upkeep of every live index and the
+        ``index_update`` fault seam, with what is per relation read once."""
         changed: List[Key] = []
         keyers = [
             (row_projector(positions), index)
@@ -191,13 +231,7 @@ class Relation:
         lattice = self.decl.lattice
         has_default = self.decl.has_default
         if lattice is not None:
-            validate, join, bottom = lattice.validate, lattice.join, lattice.bottom
-            if (
-                type(rows) is list
-                and len(rows) >= _COLUMN_MIN
-                and lattice.accepts_all(list(map(_COST, rows)))
-            ):
-                validate = None
+            join, bottom = lattice.join, lattice.bottom
         for row in rows:
             replaced = None
             if lattice is None:
@@ -322,10 +356,8 @@ class Relation:
         (range-restriction forbids it).
         """
         if self.is_cost:
-            for key, value in self.costs.items():
-                yield key + (value,)
-        else:
-            yield from self.tuples
+            return map(add, self.costs.keys(), zip(self.costs.values()))
+        return iter(self.tuples)
 
     def unequal(self, other: "Relation") -> Set[Any]:
         """The entries ``self`` holds that ``other`` does not hold equally

@@ -3,6 +3,7 @@ default-value cores."""
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from repro.core.api import solve_program
 from repro.datalog.errors import CostConsistencyError, ProgramError
 from repro.datalog.parser import parse_program
 from repro.datalog.program import PredicateDecl
+from repro.engine import interpretation
 from repro.engine.interpretation import (
     _COLUMN_MIN,
     IndexStats,
@@ -20,7 +22,15 @@ from repro.engine.interpretation import (
     delta_counts,
     use_index_stats,
 )
-from repro.lattices import BOOL_LE, INF, NONNEG_REALS_LE, REALS_GE, PowersetUnion
+from repro.lattices import (
+    BOOL_LE,
+    INF,
+    NONNEG_REALS_LE,
+    REALS_GE,
+    REALS_LE,
+    DescendingReals,
+    PowersetUnion,
+)
 from repro.lattices.base import Lattice, LatticeValueError
 from repro.testing import (
     Fault,
@@ -30,6 +40,7 @@ from repro.testing import (
     inject,
 )
 from tests.conftest import examples
+from tests.reference_write import join_rows as reference_join_rows
 
 DECLS = {
     "edge": PredicateDecl("edge", 2),
@@ -543,6 +554,163 @@ def test_join_rows_validates_a_mixed_column_row_by_row(intruder, at, monkeypatch
     short = clean[: _COLUMN_MIN - 1]
     assert Relation.empty(decl).join_rows(short) == short
     assert validated == [value for _, value in clean + short]
+
+
+# -- the bulk write against the row-at-a-time reference ----------------------------
+
+NAN = float("nan")
+
+
+class PickyMin(DescendingReals):
+    """``reals_ge`` whose lub refuses 13: a raising lub on a column that
+    ``accepts_all`` takes whole."""
+
+    name = "picky_min"
+
+    def join(self, a, b):
+        if 13 in (a, b):
+            raise ArithmeticError(f"no lub of {a!r} and {b!r}")
+        return super().join(a, b)
+
+
+_NUMBERS = [0, 1, 2.5, 7.0, 13, INF, 0.0, -0.0]
+_SETS = [frozenset(), frozenset("a"), frozenset("ab"), frozenset("abc")]
+#: lattice -> (values it holds, values it rejects).
+WRITE_LATTICES = {
+    "min": (REALS_GE, _NUMBERS, [True, NAN, Fraction(1, 2), "x"]),
+    "max": (REALS_LE, _NUMBERS, [True, NAN, "x"]),
+    "sum": (NONNEG_REALS_LE, _NUMBERS, [-1, True, NAN]),
+    "bool": (BOOL_LE, [0, 1, True, False, 0.0, 1.0], [2, -1, "x"]),
+    "powerset": (PowersetUnion("abc"), _SETS, [frozenset("z"), "a"]),
+    "picky": (PickyMin(), _NUMBERS, [NAN]),
+}
+_KEY_PART = st.one_of(
+    st.integers(0, 40), st.sampled_from([True, 1, 1.0, 0.0, -0.0, NAN, "a"])
+)
+#: An equal constant of another type or sign: ``1 == 1.0 == True``,
+#: ``0 == -0.0 == 0.0 == False``.
+_TWIN = {"1": 1.0, "1.0": True, "True": 1, "0": -0.0, "-0.0": 0.0, "0.0": False}
+
+
+def write_decl(draw, bulk):
+    """A relation to write: ordinary, or cost over one of
+    :data:`WRITE_LATTICES`; ``bulk``: mostly one the bulk write takes."""
+    lattices = [*WRITE_LATTICES, None]
+    if bulk:
+        lattices = [name for name in lattices if name not in ("bool", "powerset")]
+    lattice = draw(st.sampled_from(lattices))
+    key_arity = draw(st.sampled_from([1, 2] if bulk or not lattice else [1, 2, 0]))
+    if lattice is None:
+        return PredicateDecl("e", key_arity)
+    defaults = [False, False, True] if bulk else [False, True]
+    has_default = draw(st.sampled_from(defaults), label="default")
+    return PredicateDecl("c", key_arity + 1, WRITE_LATTICES[lattice][0], has_default)
+
+
+def key_pool(draw, key_arity):
+    """The keys one relation's batches draw from: more distinct keys
+    than a batch holds, so batches overlap, plus equal twins of some."""
+    if not key_arity:
+        return [()]
+    pool = draw(
+        st.lists(
+            st.tuples(*[_KEY_PART] * key_arity),
+            min_size=_COLUMN_MIN + 6,
+            max_size=_COLUMN_MIN + 12,
+            unique=True,
+        ),
+        label="keys",
+    )
+    twins = draw(st.lists(st.sampled_from(pool), max_size=6), label="twinned")
+    return pool + [tuple(_TWIN.get(repr(part), part) for part in key) for key in twins]
+
+
+def write_batch(draw, decl, pool, bulk):
+    """A batch around ``_COLUMN_MIN`` or short of it, its keys repeating
+    or not, its cost column clean or not; ``bulk``: long and clean."""
+    sizes = [(_COLUMN_MIN - 2, _COLUMN_MIN + 6)] + ([] if bulk else [(0, 3)])
+    low, high = draw(st.sampled_from(sizes))
+    if decl.key_arity and draw(st.sampled_from([True, True, False]), label="unique"):
+        distinct = list(dict.fromkeys(draw(st.permutations(pool))))  # twins: one each
+        keys = distinct[: draw(st.integers(low, min(high, len(distinct))))]
+    else:
+        keys = draw(st.lists(st.sampled_from(pool), min_size=low, max_size=high))
+    if decl.lattice is None:
+        return keys
+    _, held, rejected = next(
+        entry for entry in WRITE_LATTICES.values() if entry[0] is decl.lattice
+    )
+    clean = bulk or draw(st.booleans(), label="clean")
+    values = st.sampled_from(held if clean else held + rejected)
+    costs = draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
+    return [key + (cost,) for key, cost in zip(keys, costs)]
+
+
+def _write_outcome(write):
+    try:
+        return ("ok", repr(write()))
+    except Exception as error:  # the type and message must agree
+        return ("raised", type(error).__name__, str(error))
+
+
+def _containers(rel):
+    return sorted(map(repr, rel.tuples)), repr(rel.costs), repr(rel._indexes)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(data=st.data())
+def test_join_rows_agrees_with_the_row_at_a_time_reference(data):
+    """The bulk ``join_rows`` against the loop it replaced
+    (``tests/reference_write.py``), batch after batch on one relation:
+    the same changed rows, the same stored keys and values — their types
+    and the dict's order included — the same live indexes, and the same
+    exception, type and message, with the same rows applied before it.
+    Batches straddle ``_COLUMN_MIN`` and hold repeated keys,
+    ``True``/``1``/``1.0``, ``±0.0`` and NaN; they are written as lists,
+    as iterators, under a live index, under an active ``index_update``
+    seam (which may fire), and — when ``accepts_all`` takes the cost
+    column — through the CSV loader's keyed write."""
+    # Half the examples stay where the bulk write applies: strict lists.
+    bulk = data.draw(st.booleans(), label="bulk")
+    strict = data.draw(st.sampled_from([True, True, False] if bulk else [True, False]))
+    decl = write_decl(data.draw, bulk)
+    mine, reference = Relation.empty(decl), Relation.empty(decl)
+    pool = key_pool(data.draw, decl.key_arity)
+    modes = ["list", "keyed", "index", "seam"] + (["list"] if bulk else ["iter"])
+    # Short slices put slice boundaries inside a batch.
+    slice_rows = data.draw(st.sampled_from([interpretation._SLICE, 5]), label="slice")
+    with patch.object(interpretation, "_SLICE", slice_rows):
+        for _ in range(data.draw(st.integers(2, 4), label="batches")):
+            rows = write_batch(data.draw, decl, pool, bulk)
+            mode = data.draw(st.sampled_from(modes), label="mode")
+            keys, values = None, [row[-1] for row in rows]
+            if mode == "index":
+                for rel in (mine, reference):
+                    rel.index_for((decl.arity - 1,))
+            elif mode == "keyed" and strict and decl.lattice:
+                if decl.lattice.accepts_all(values):
+                    keys = [row[:-1] for row in rows]
+
+            def write():
+                if keys is not None:  # as the CSV loader writes: rows built lazily
+                    lazy = (key + (value,) for key, value in zip(keys, values))
+                    return list(mine._join_keyed(keys, values, lazy, None))
+                batch = iter(rows) if mode == "iter" else rows
+                return mine.join_rows(batch, strict=strict)
+
+            def reference_write():
+                return reference_join_rows(reference, rows, strict=strict)
+
+            if mode == "seam":
+                at = data.draw(st.integers(1, 2 * _COLUMN_MIN), label="fault at")
+                with inject(FaultPlan([Fault("index_update", at=at)])):
+                    got = _write_outcome(write)
+                with inject(FaultPlan([Fault("index_update", at=at)])):
+                    want = _write_outcome(reference_write)
+            else:
+                got, want = _write_outcome(write), _write_outcome(reference_write)
+            assert got == want
+            assert _containers(mine) == _containers(reference)
 
 
 def test_mixed_type_constants_naive_equals_seminaive():

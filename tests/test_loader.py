@@ -110,6 +110,64 @@ def test_load_csv_duplicate_rows_merge():
     assert len(interp.relation("edge")) == 1
 
 
+def test_load_report_counts_rows_read_not_rows_stored(tmp_path):
+    """``LoadReport.rows`` counts each row read, a repeat each time; the
+    relation stores it once.  ``Database.load_csv`` reports the same
+    count from its scan."""
+    interp = fresh_interp("@pred edge/2.\n@cost arc/3 : reals_ge.")
+    assert load_csv(interp, "edge", io.StringIO("a,b\na,b\n")).rows == {"edge": 2}
+    arcs = "".join(f"{i},{i + 1},1.5\n" for i in range(20)) * 2
+    assert load_csv(interp, "arc", io.StringIO(arcs)).rows == {"arc": 40}
+    assert (len(interp.relation("edge")), len(interp.relation("arc"))) == (1, 20)
+
+    path = tmp_path / "edges.csv"
+    path.write_text("a,b\na,b\n", encoding="utf-8")
+    db = Database()
+    db.load("@pred edge/2.")
+    assert db.load_csv("edge", str(path)).rows == {"edge": 2}
+    assert db.edb().relation("edge").tuples == {("a", "b")}
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("declaration", ["@pred p/3.", "@cost p/3 : reals_ge."])
+def test_csv_reads_drop_a_utf8_bom(tmp_path, declaration):
+    """A CSV that starts with a byte-order mark loads its first field as
+    ``1``, not ``'\\ufeff1'``, on every read path; an export adds none."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(BOM + b"1,2,3\n4,5,6\n")
+    interp = fresh_interp(declaration)
+    load_csv(interp, "p", str(path))
+    assert sorted(interp.relation("p").rows()) == [(1, 2, 3), (4, 5, 6)]
+    assert scan_csv(str(path))[:2] == (2, 3)
+
+    db = Database()
+    db.load(declaration)
+    db.load_csv("p", str(path))
+    assert sorted(db.edb().relation("p").rows()) == [(1, 2, 3), (4, 5, 6)]
+
+    out = tmp_path / "out.csv"
+    export_csv(interp, "p", str(out))
+    assert out.read_bytes() == b"1,2,3\n4,5,6\n"
+
+
+def test_jsonl_reads_drop_a_utf8_bom(tmp_path):
+    """A JSONL file that starts with a byte-order mark loads line 1, not
+    MAD1001 "Unexpected UTF-8 BOM"; an export adds none."""
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(BOM + b'{"predicate": "p", "row": [1, 2]}\n')
+    interp = fresh_interp("@pred p/2.")
+    assert load_jsonl(interp, str(path)).rows == {"p": 1}
+    assert interp.relation("p").tuples == {(1, 2)}
+    known, report = scan_jsonl(str(path))
+    assert known == {"p": 2} and report.rows == {"p": 1}
+
+    out = tmp_path / "out.jsonl"
+    export_jsonl(interp, str(out))
+    assert out.read_bytes() == b'{"predicate":"p","row":[1,2]}\n'
+
+
 def test_load_csv_arity_mismatch_strict():
     interp = fresh_interp("@pred edge/2.")
     with pytest.raises(DataLoadError) as info:
