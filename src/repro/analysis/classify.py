@@ -89,9 +89,6 @@ class ProgramClassification:
     def certified(self) -> bool:
         return all(c.certified for c in self.components)
 
-    def by_verdict(self, verdict: ComponentClass) -> List[ComponentClassification]:
-        return [c for c in self.components if c.verdict is verdict]
-
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.components)
 

@@ -36,16 +36,6 @@ class Violation(str):
         self.span = span
         return self
 
-    def tagged(
-        self, kind: Optional[str] = None, span: Optional[Span] = None
-    ) -> "Violation":
-        """A copy with ``kind``/``span`` filled in where still missing."""
-        return Violation(
-            str(self),
-            kind=self.kind or (kind or ""),
-            span=self.span if self.span is not None else span,
-        )
-
     def __repr__(self) -> str:
         extra = f" kind={self.kind!r}" if self.kind else ""
         where = f" at {self.span}" if self.span is not None else ""

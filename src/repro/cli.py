@@ -64,7 +64,9 @@ the sequential plans.
 
 Robustness surfaces (docs/ROBUSTNESS.md): ``solve --timeout`` /
 ``--max-iterations`` / ``--max-atoms`` budget the fixpoint and degrade
-to a sound partial model instead of spinning; ``--checkpoint out.json``
+to a sound partial model instead of spinning (under ``--max-atoms`` or
+``--on-divergence`` alone, the evaluators' 100,000-round cap still ends
+a run that never converges, exit 3); ``--checkpoint out.json``
 saves a resumable checkpoint when a run is interrupted and
 ``--resume out.json`` continues it; ``--on-divergence abort`` turns the
 MAD7xx divergence heuristics from warnings into a graceful stop.  A
@@ -102,7 +104,6 @@ from repro.datalog.errors import (
     ReproError,
 )
 from repro.engine.options import CHOICES, OptionError, SolveOptions
-from repro.engine.supervisor import UNCAPPED_ITERATIONS
 from repro.programs import ALL_PROGRAMS
 from repro.util.limits import require
 
@@ -267,14 +268,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
         resume = Checkpoint.load(args.resume)
     cancel = CancelToken()
-    options = _solve_options(args)
-    if budget is not None:
-        # Here --max-iterations is the budget's: its graceful stop wins.
-        options["max_iterations"] = UNCAPPED_ITERATIONS
     try:
         with sigint_cancels(cancel):
             result = db.solve(
-                **options,
+                **_solve_options(args),
                 tracer=tracer,
                 budget=budget,
                 cancel=cancel,
@@ -740,8 +737,8 @@ _SOLVE_FLAG_HELP = {
     "method": "evaluation mode; 'auto' picks per component from the "
     "classification pass",
     "max_iterations": "fixpoint rounds per component before the evaluator "
-    "gives up (exit 3); under 'solve' a budget instead: stop gracefully "
-    "(exit 4, status 'partial')",
+    "gives up (exit 3); under 'solve' a budget of rounds across the whole "
+    "solve, which stops gracefully instead (exit 4, status 'partial')",
     "plan": "join-ordering mode of the compiled executor; 'off' keeps "
     "the legacy schedule order; 'sharded' hash-partitions "
     "analyzer-certified components across worker processes "

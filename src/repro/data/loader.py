@@ -47,7 +47,6 @@ from itertools import islice, repeat
 from operator import add, contains
 from typing import (
     Any,
-    Callable,
     ContextManager,
     Dict,
     FrozenSet,
@@ -222,7 +221,6 @@ def load_csv(
     *,
     delimiter: str = ",",
     header: bool = False,
-    decode: Callable[[str], Any] = decode_field,
     strict: bool = True,
 ) -> LoadReport:
     """Stream a CSV of ``predicate`` facts into ``interpretation``.
@@ -230,8 +228,8 @@ def load_csv(
     One fact per row; for cost predicates the last field is the cost
     value.  Rows are written a slice at a time via ``join_rows`` and
     discarded — only one slice is ever held.  ``header=True`` skips the
-    first row; ``decode`` converts each text field (:func:`decode_field`
-    by default, which alone is applied a column at a time).
+    first row; :func:`decode_field` converts each text field, a column
+    at a time where the slice allows it.
     """
     rel = interpretation.relation(predicate)
     arity = rel.decl.arity
@@ -239,7 +237,7 @@ def load_csv(
     report = LoadReport()
     name = _source_name(source)
     for first, chunk in _csv_slices(source, delimiter, header):
-        if decode is decode_field and set(map(len, chunk)) == {arity}:
+        if set(map(len, chunk)) == {arity}:
             columns = list(map(_decode_column, zip(*chunk)))
             if lattice is None:
                 _write(rel, list(zip(*columns)), report)
@@ -251,7 +249,7 @@ def load_csv(
                 rel._join_keyed(keys, columns[-1], lazy, None)
                 report._count(predicate, len(chunk))
                 continue
-        # Not uniformly well-formed (or a caller's decoder): row by row.
+        # Not uniformly well-formed: row by row.
         rows: List[Tuple[Any, ...]] = []
         try:
             for line, fields in enumerate(chunk, start=first):
@@ -267,7 +265,7 @@ def load_csv(
                         line=line,
                     )
                     continue
-                row = tuple(decode(text) for text in fields)
+                row = tuple(map(decode_field, fields))
                 if lattice is not None:
                     try:
                         lattice.validate(row[-1])

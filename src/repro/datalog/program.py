@@ -175,10 +175,6 @@ class Program:
             used.update(rule.body_predicates())
         return frozenset(used) - self.idb_predicates
 
-    @property
-    def all_predicates(self) -> FrozenSet[str]:
-        return frozenset(self.declarations)
-
     def rules_for(self, predicate: str) -> List[Rule]:
         return [rule for rule in self.rules if rule.head.predicate == predicate]
 

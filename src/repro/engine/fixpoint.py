@@ -299,7 +299,7 @@ def fixpoint(
     *,
     write: str = "join",
     worklist: Optional[Worklist] = None,
-    max_iterations: int = 100_000,
+    max_iterations: Optional[int] = 100_000,
     strict: bool = True,
     plan: str = "smart",
     tracer: Tracer = NULL_TRACER,
@@ -319,6 +319,10 @@ def fixpoint(
     governs round 1 only: the solver passes ``strict=False`` for
     aggregate-pushdown frontier components, whose rules derive
     conflicting per-key costs for the join to collapse.
+
+    Past ``max_iterations`` rounds the chain raises
+    ``NonTerminationError``; ``None`` sets no cap, which the solver
+    passes only under a budget that stops every run.
 
     An enabled ``tracer`` gets one ``iteration`` event per round, tagged
     ``scc``.  An active ``supervisor`` is polled once per round and
@@ -443,7 +447,7 @@ def fixpoint(
                 )
             if not (replace or delta):
                 break
-            if iterations >= max_iterations:
+            if max_iterations is not None and iterations >= max_iterations:
                 trend = "not ascending"
                 if ascending:
                     trend = "still ascending — may require transfinite iteration"

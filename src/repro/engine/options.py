@@ -67,7 +67,9 @@ class SolveOptions:
     certified ones, strict naive for anything needing well-founded care.
 
     ``max_iterations`` — the evaluators' hard cap per component; past it
-    they raise ``NonTerminationError`` (a ``Budget`` stops gracefully).
+    they raise ``NonTerminationError``.  A ``Budget`` that sets
+    ``max_iterations`` or a finite ``timeout`` replaces the cap with its
+    graceful stop; under any other budget, or none, the cap holds.
 
     ``plan`` — ``smart`` orders joins by selectivity
     (:mod:`repro.engine.exec`); ``off`` keeps the written schedule order.

@@ -21,6 +21,7 @@ concurrent solves never share them.  See docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -241,6 +242,14 @@ def _solve_traced(
         if budget is not None or cancel is not None
         else NULL_SUPERVISOR
     )
+    # The round cap, decided here only: a budget that stops every run (a
+    # round cap or a finite deadline) replaces it; under any other budget,
+    # or none, ``max_iterations`` holds (docs/ROBUSTNESS.md §2).
+    stops_every_run = budget is not None and (
+        budget.max_iterations is not None
+        or (budget.timeout is not None and budget.timeout < math.inf)
+    )
+    round_cap = None if stops_every_run else opts.max_iterations
 
     # -- shard plan: the analyzer's per-component proofs, resolved once.
     sharding_report: Optional[ShardingReport] = None
@@ -334,7 +343,7 @@ def _solve_traced(
             t_scc = tracer.clock()
         def _sequential(method_name: str) -> FixpointResult:
             common: Dict[str, Any] = dict(
-                max_iterations=opts.max_iterations,
+                max_iterations=round_cap,
                 plan=opts.exec_plan,
                 tracer=tracer,
                 scc=index,

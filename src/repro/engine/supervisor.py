@@ -16,16 +16,15 @@ resource-governance layer that makes such solves *fail predictably*:
   instead of tearing a :class:`~repro.engine.interpretation.Relation`
   mid-mutation;
 * **divergence detection** — two cheap per-round heuristics.  A *cost
-  spiral* is ``N`` consecutive rounds that only revise existing costs
+  spiral* is 8 consecutive rounds that only revise existing costs
   (no new keys) on a component holding a cost predicate over an
   unbounded lattice — the signature of Example 5.1 or of shortest paths
   over a negative cycle, where every round strictly improves values that
-  will never converge.  An *atom-growth alarm* is ``N`` consecutive
-  rounds each multiplying the component's atom count by
-  ``growth_factor``.  Both emit a structured runtime diagnostic
-  (``MAD701`` / ``MAD702``, see docs/ROBUSTNESS.md) and a
-  ``divergence_warning`` telemetry event; with
-  ``Budget(on_divergence="abort")`` they stop the solve.
+  will never converge.  An *atom-growth alarm* is 8 consecutive rounds
+  each at least doubling the component's atom count.  Both emit a
+  structured runtime diagnostic (``MAD701`` / ``MAD702``, see
+  docs/ROBUSTNESS.md) and a ``divergence_warning`` telemetry event;
+  with ``Budget(on_divergence="abort")`` they stop the solve.
 
 A tripped budget raises :class:`SolveInterrupt` at the *boundary*, never
 mid-round: the evaluator attaches its partial fixpoint state and the
@@ -141,10 +140,10 @@ def sigint_cancels(token: CancelToken) -> Iterator[CancelToken]:
             signal.signal(signum, previous[signum])
 
 
-#: ``max_iterations`` for a solve a :class:`Budget` supervises: the
-#: budget's graceful stop should win, never the evaluators' hard cap
-#: (``NonTerminationError``).
-UNCAPPED_ITERATIONS = 10**9
+#: Consecutive suspicious rounds before a divergence heuristic trips.
+_DIVERGENCE_WINDOW = 8
+#: Per-round atom multiplication factor the growth alarm watches for.
+_GROWTH_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -153,13 +152,11 @@ class Budget:
 
     ``max_iterations`` counts fixpoint rounds *globally* across all
     components (under the greedy policy a cost-ordered slice is one
-    round); unlike the evaluators' own hard ``max_iterations`` backstop
-    (which raises :class:`~repro.datalog.errors.NonTerminationError`),
-    exhausting a budget degrades gracefully into a partial
+    round); exhausting a budget degrades gracefully into a partial
     ``SolveResult`` plus checkpoint.  ``max_atoms`` bounds the model
-    size (derived atoms across the whole solve); ``max_cost_updates``
-    bounds cumulative in-place lattice-merge revisions — the quantity a
-    cost spiral burns while ``max_atoms`` stands still.
+    size (derived atoms across the whole solve).  Which budget replaces
+    the evaluators' hard ``max_iterations`` cap is the solver's rule
+    (:func:`repro.engine.solver.solve`).
     """
 
     #: Wall-clock limit in seconds from solve start.
@@ -168,12 +165,6 @@ class Budget:
     max_iterations: Optional[int] = None
     #: Total derived-atom cap across the solve.
     max_atoms: Optional[int] = None
-    #: Cumulative changed-cost (lattice merge) cap across the solve.
-    max_cost_updates: Optional[int] = None
-    #: Consecutive suspicious rounds before a divergence heuristic trips.
-    divergence_window: int = 8
-    #: Per-round atom multiplication factor the growth alarm watches for.
-    growth_factor: float = 2.0
     #: ``"warn"`` — emit MAD701/702 and keep going; ``"abort"`` — stop
     #: the solve with ``status="diverging"``.
     on_divergence: str = "warn"
@@ -181,17 +172,14 @@ class Budget:
     def __post_init__(self) -> None:
         if self.timeout is not None:
             require("timeout", self.timeout, "non-negative number")
-        for name in ("max_iterations", "max_atoms", "max_cost_updates"):
+        for name in ("max_iterations", "max_atoms"):
             if getattr(self, name) is not None:
                 require(name, getattr(self, name), "positive integer")
-        require("growth_factor", self.growth_factor, "finite number above 1")
         if self.on_divergence not in ("warn", "abort"):
             raise ValueError(
                 f"on_divergence must be 'warn' or 'abort', "
                 f"got {self.on_divergence!r}"
             )
-        if self.divergence_window < 2:
-            raise ValueError("divergence_window must be at least 2")
 
     @property
     def bounded(self) -> bool:
@@ -200,7 +188,6 @@ class Budget:
             self.timeout is not None
             or self.max_iterations is not None
             or self.max_atoms is not None
-            or self.max_cost_updates is not None
         )
 
 
@@ -282,7 +269,6 @@ class Supervisor:
         "deadline",
         "started",
         "rounds",
-        "cost_updates",
         "base_atoms",
         "watch_spiral",
         "diagnostics",
@@ -314,8 +300,6 @@ class Supervisor:
         )
         #: Global fixpoint rounds completed so far (all components).
         self.rounds = 0
-        #: Cumulative changed-cost (lattice merge) revisions.
-        self.cost_updates = 0
         #: Atoms settled in components below the current one (set by the
         #: solver before each component).
         self.base_atoms = 0
@@ -407,14 +391,12 @@ class Supervisor:
             return
         budget = self.budget
         self.rounds += 1
-        self.cost_updates += changed_atoms
         self._check_cancel(scc, iteration)
         self._check_deadline(scc, iteration)
         solve_total = self.base_atoms + total_atoms
         for kind, limit, used, what in (
             ("iterations", budget.max_iterations, self.rounds, "fixpoint-round"),
             ("atoms", budget.max_atoms, solve_total, "derived-atom"),
-            ("cost_updates", budget.max_cost_updates, self.cost_updates, "cost-update"),
         ):
             if limit is not None and used >= limit:
                 self._emit_budget(kind, limit, scc, iteration)
@@ -439,14 +421,13 @@ class Supervisor:
         changed_atoms: int,
         total_atoms: int,
     ) -> None:
-        window = self.budget.divergence_window
         # Cost spiral: rounds that only revise existing costs, on a
         # component whose lattice admits unbounded ⊑-ascent.
         if self.watch_spiral and changed_atoms > 0 and new_atoms == 0:
             self._spiral_run += 1
         else:
             self._spiral_run = 0
-        if self._spiral_run >= window:
+        if self._spiral_run >= _DIVERGENCE_WINDOW:
             self._flag(
                 "cost-spiral",
                 scc,
@@ -462,17 +443,17 @@ class Supervisor:
         if (
             last is not None
             and last >= 64
-            and total_atoms >= self.budget.growth_factor * last
+            and total_atoms >= _GROWTH_FACTOR * last
         ):
             self._growth_run += 1
         else:
             self._growth_run = 0
-        if self._growth_run >= window:
+        if self._growth_run >= _DIVERGENCE_WINDOW:
             self._flag(
                 "atom-growth",
                 scc,
                 iteration,
-                f"atom count multiplied by ≥{self.budget.growth_factor:g} "
+                f"atom count multiplied by ≥{_GROWTH_FACTOR:g} "
                 f"for {self._growth_run} consecutive rounds "
                 f"({total_atoms} atoms and climbing)",
             )

@@ -53,7 +53,7 @@ from repro.datalog.errors import (
 )
 from repro.engine.options import OptionError, SolveOptions
 from repro.engine.solver import solve
-from repro.engine.supervisor import UNCAPPED_ITERATIONS, Budget, CancelToken
+from repro.engine.supervisor import Budget, CancelToken
 from repro.obs import FlightRecorder, MetricsRegistry, Tracer, default_dump_path
 from repro.serve.hosting import HostedDatabase
 from repro.util.limits import require
@@ -247,9 +247,6 @@ class RequestSupervisor:
                 options = SolveOptions(
                     method=payload.get("method", self.default_method),
                     **plan,
-                    # Under the request's budget the graceful stop should
-                    # win, never the evaluators' hard cap.
-                    max_iterations=UNCAPPED_ITERATIONS,
                 )
             except OptionError as exc:
                 error = str(exc)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Type
 
 #: A limit's kind → the test its value must pass (NaN fails every one).
@@ -11,9 +10,6 @@ _KINDS: Dict[str, Callable[[Any], bool]] = {
     "non-negative integer": lambda v: isinstance(v, int) and v >= 0,
     "positive number": lambda v: isinstance(v, (int, float)) and v > 0,
     "non-negative number": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "finite number above 1": lambda v: (
-        isinstance(v, (int, float)) and 1 < v < math.inf
-    ),
 }
 
 

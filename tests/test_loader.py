@@ -756,24 +756,6 @@ def test_load_csv_at_the_slice_boundary(monkeypatch, extra, tail):
     )
 
 
-def test_load_csv_custom_decoder_stays_per_field(monkeypatch):
-    def decode(text):
-        if text == "boom":
-            raise RuntimeError("decoder failed")
-        return text.upper()
-
-    text = "a,b,c\nd,e,f\ng,boom,h\ni,j,k\n"
-    assert_same_csv_load(monkeypatch, text, "edge", decode=decode, slice_rows=3)
-    assert "RuntimeError" in observed(
-        load_csv, "edge", io.StringIO(text), decode=decode
-    )
-    # ... and the rows ahead of the failing field were written.
-    interp = fresh_interp(DIFF_DECLS)
-    with pytest.raises(RuntimeError):
-        load_csv(interp, "edge", io.StringIO(text), decode=decode)
-    assert interp["edge"] == {("A", "B", "C"), ("D", "E", "F")}
-
-
 def test_load_csv_reader_failure_keeps_the_rows_before_it(monkeypatch):
     # A source that fails under the reader, two good rows in.
     class Lines:

@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.database import Database
 from repro.engine.options import SolveOptions
-from repro.engine.supervisor import UNCAPPED_ITERATIONS, CancelToken
+from repro.engine.supervisor import CancelToken
 from repro.lattices import PowersetUnion
 from repro.obs import load_dump
 from repro.serve import (
@@ -43,9 +43,7 @@ from repro.serve import supervise
 from repro.serve.supervise import AnswerCache
 
 #: What a request that names no option resolves to (the cache key's tail).
-DEFAULT_OPTIONS = SolveOptions(
-    method="auto", plan="smart", max_iterations=UNCAPPED_ITERATIONS
-)
+DEFAULT_OPTIONS = SolveOptions(method="auto", plan="smart")
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 DIVERGING = (EXAMPLES / "diverging.mad").read_text(encoding="utf-8")

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro import Budget, CancelToken, Checkpoint, Database, sigint_cancels
+from repro.datalog.errors import NonTerminationError
 from repro.engine.checkpoint import CheckpointError
 from repro.engine.supervisor import (
     NULL_SUPERVISOR,
@@ -50,10 +51,6 @@ class TestBudgetValidation:
         with pytest.raises(ValueError):
             Budget(on_divergence="explode")
 
-    def test_rejects_tiny_window(self):
-        with pytest.raises(ValueError):
-            Budget(divergence_window=1)
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -66,10 +63,6 @@ class TestBudgetValidation:
             {"max_iterations": True},
             {"max_iterations": 2.5},
             {"max_atoms": -5},
-            {"max_cost_updates": 0},
-            {"growth_factor": 1.0},
-            {"growth_factor": float("inf")},
-            {"growth_factor": float("nan")},
         ],
         ids=repr,
     )
@@ -81,7 +74,7 @@ class TestBudgetValidation:
         assert str(caught.value).endswith(f", got {value!r}")
 
     def test_integer_limits_read_as_solve_options_does(self):
-        for name in ("max_iterations", "max_atoms", "max_cost_updates"):
+        for name in ("max_iterations", "max_atoms"):
             with pytest.raises(ValueError) as caught:
                 Budget(**{name: 0})
             assert str(caught.value) == f"{name} must be a positive integer, got 0"
@@ -89,8 +82,7 @@ class TestBudgetValidation:
     def test_accepts_the_edges_of_each_range(self):
         Budget(timeout=0.0)
         Budget(timeout=float("inf"))
-        Budget(max_iterations=1, max_atoms=1, max_cost_updates=1)
-        Budget(growth_factor=1.01)
+        Budget(max_iterations=1, max_atoms=1)
 
     def test_bounded_property(self):
         assert not Budget().bounded
@@ -160,12 +152,6 @@ class TestIterationAndAtomBudgets:
         assert result.status == "partial"
         assert "derived-atom budget" in result.reason
 
-    def test_cost_update_budget_gives_partial(self):
-        db = make_db(DIVERGING)
-        result = db.solve(budget=Budget(max_cost_updates=20))
-        assert result.status == "partial"
-        assert "cost-update budget" in result.reason
-
     def test_ample_budget_still_completes(self):
         db = make_db(SHORTEST_PATH)
         result = db.solve(
@@ -176,6 +162,43 @@ class TestIterationAndAtomBudgets:
         assert result.checkpoint is None
         full = make_db(SHORTEST_PATH).solve()
         assert snapshot(result.model) == snapshot(full.model)
+
+
+class TestRoundCapRule:
+    """One budget, one outcome: ``solve()`` lifts the evaluators' round
+    cap exactly when the budget stops every run (a round cap or a finite
+    deadline).  ``max_iterations=200`` keeps the capped cases fast."""
+
+    @pytest.mark.parametrize(
+        "budget, status",
+        [
+            (Budget(max_iterations=300), "partial"),
+            (Budget(timeout=0.3), "timeout"),
+            (Budget(on_divergence="abort"), "diverging"),
+        ],
+        ids=("max_iterations", "timeout", "abort"),
+    )
+    def test_a_budget_that_stops_the_run_returns(self, budget, status):
+        result = make_db(DIVERGING).solve(max_iterations=200, budget=budget)
+        assert result.status == status
+        assert result.checkpoint is not None
+        if status == "partial":
+            assert result.total_iterations == 300
+            assert "fixpoint-round budget of 300" in result.reason
+        if status == "diverging":
+            assert "MAD701" in result.reason
+
+    @pytest.mark.parametrize(
+        "budget",
+        [Budget(max_atoms=10**6), Budget(timeout=float("inf")), None],
+        ids=("max_atoms", "timeout_inf", "no_budget"),
+    )
+    def test_any_other_budget_keeps_the_cap(self, budget):
+        db = make_db(DIVERGING)
+        with pytest.raises(
+            NonTerminationError, match="no fixpoint after 200 iterations"
+        ):
+            db.solve(max_iterations=200, budget=budget)
 
 
 class TestCancellation:
