@@ -216,13 +216,8 @@ def greedy_applicable(program: Program, component: Component) -> Optional[int]:
 AUTO_POLICY: Dict[ComponentClass, Tuple[str, str]] = {
     ComponentClass.STRATIFIED: ("seminaive", "seminaive"),
     # Cost-ordered slices are a cost model (how few revisions the one
-    # delta round takes), not a soundness condition — see engine/greedy.
-    # compare.py, PR 22 → PR 23, 10 pairs: roads_greedy op_p50_ms
-    # A 121.7 [120.25, 127.7] B 79.084 [78.478, 80.016] ms, B wins 100%,
-    # B/A 0.650, improved.  Against whole-delta rounds on the same road
-    # grids (docs/PERFORMANCE.md §8): 36×36 — 94 ms vs semi-naive 130
-    # (the settle-at-a-time loop: 140); 110×110 — 1.24 s vs 2.30 s
-    # (1.66 s).  No measured crossover: slices win at both sizes.
+    # delta round takes), not a soundness condition — see engine/greedy;
+    # the measurement behind the choice is docs/PERFORMANCE.md §8.
     ComponentClass.MONOTONIC: ("seminaive", "greedy"),
     ComponentClass.PSEUDO_MONOTONIC: ("seminaive", "seminaive"),
     ComponentClass.NEEDS_WELL_FOUNDED: ("naive", "naive"),

@@ -334,6 +334,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Solve once under a tracer and print the ranked hot-rule report."""
     from repro.obs import JsonlSink, Tracer
 
+    _checked(require, "top", args.top, "positive integer")
     db = _load_database(args)
     sinks = [JsonlSink(args.trace)] if args.trace else []
     tracer = Tracer(*sinks)
@@ -350,6 +351,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Solve and render the derivation tree of one model atom."""
+    _checked(require, "max_depth", args.max_depth, "non-negative integer")
     # The last positional is the atom; everything before it is rule files.
     args.files = args.args[:-1]
     db = _load_database(args)
@@ -411,6 +413,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
     """Render a flight-recorder dump's human-readable debrief."""
     from repro.obs import load_dump, render_postmortem
 
+    _checked(require, "tail", args.tail, "non-negative integer")
     try:
         header, events = load_dump(args.file)
     except ValueError as exc:

@@ -28,7 +28,7 @@ kernel functions are memoised process-wide by their source text, which
 names no predicate and no constant, so structurally equal rules share
 one.  A probe binding a relation's whole key reads the relation's own
 map; any other keeps a persistent index as a local from its first probe
-on.  Probes are charged to ``IndexStats`` once per call (docs/PERFORMANCE.md).
+on.  Probes are charged to ``IndexStats`` once per call (docs/PERFORMANCE.md §3).
 """
 
 from __future__ import annotations

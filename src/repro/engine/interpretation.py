@@ -122,7 +122,7 @@ class Relation:
     positions, built lazily on first lookup, then maintained in place by
     :meth:`join_rows`, the one way rows enter a relation.  They survive
     across fixpoint rounds — a semi-naive round touches only its delta
-    (see docs/PERFORMANCE.md).
+    (see docs/PERFORMANCE.md §2).
     """
 
     decl: PredicateDecl

@@ -232,6 +232,29 @@ class TestSupervisionFlags:
         assert main(["solve", rules, "--facts", facts, "--query", "s"]) == 0
         assert resumed == capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["profile", "--top", "-1"], "top must be a positive integer, got -1"),
+            (["profile", "--top", "0"], "top must be a positive integer, got 0"),
+            (["explain", "s(a, c)", "--max-depth", "-1"],
+             "max_depth must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_count_flags_reject_out_of_range_values(
+        self, sp_files, capsys, argv, message
+    ):
+        """``--top -1`` used to print "top -1" and drop the coldest rule;
+        ``--max-depth -1`` was accepted.  Each is one usage line now,
+        before any solve runs."""
+        rules, facts = sp_files
+        command, *rest = argv
+        atom = [rest.pop(0)] if command == "explain" else []
+        assert main([command, rules, *atom, "--facts", facts, *rest]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_bad_flag_exits_usage(self, capsys):
         assert main(["solve", "--no-such-flag"]) == 1
 

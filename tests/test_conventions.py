@@ -23,7 +23,7 @@ Invariants the engine's correctness arguments lean on:
 3. **One delta path, documented as generated.**  The per-seed
    evaluators (``_delta_seeds`` / ``_match_row`` / ``_apply_derivation``,
    a kernel reading ``seed[...]``) are gone, not forked, and the kernel
-   sources docs/PERFORMANCE.md prints are the sources the compiler
+   sources docs/PERFORMANCE.md §3 prints are the sources the compiler
    generates today.
 
 4. **One relation backend.**  ``ColumnarRelation`` and the ``storage=``
@@ -108,6 +108,11 @@ Invariants the engine's correctness arguments lean on:
    front door overrides the cap with a sentinel of its own (the old
    ``UNCAPPED`` constant stays gone from ``src/`` and ``tests/``), and
    ``Budget`` holds exactly the four limits its callers set.
+
+16. **PERFORMANCE.md describes the engine, not its history.**  It stays
+   within 700 lines, every citation of one of its sections resolves to
+   a ``## N.`` heading, and its † counter table names every counter
+   perfbench gates exactly.
 
 The checks of 1-4, 8 and 14 are text-based on purpose: they run without
 imports, see every module (including ones tests never load), and the
@@ -292,7 +297,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 22958
+SRC_LINES = 22956
 
 
 def test_the_row_cache_is_gone():
@@ -415,7 +420,7 @@ def test_component_state_holds_its_cdb_only():
 
 
 def test_documented_kernel_is_the_generated_kernel():
-    """docs/PERFORMANCE.md §2 prints Example 3.1's recursive rule under
+    """docs/PERFORMANCE.md §3 prints Example 3.1's recursive rule under
     the seed shape a changed ``s`` row produces, and its ``min`` rule
     under the seed shape a changed ``path`` row produces: as written, and
     as the pushdown rewrites it to read ``path__frontier``, whose whole
@@ -452,6 +457,55 @@ def test_documented_kernel_is_the_generated_kernel():
     assert f"`consts = {consts}`" in text
     consts = "(min.state_create(), min.process, min.convert,\n'path__frontier', 'min')"
     assert f"`consts = {consts}`" in text
+
+
+PERFORMANCE = ROOT / "docs" / "PERFORMANCE.md"
+#: Files that may cite a section of docs/PERFORMANCE.md.
+CITING = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"]
+#: ``PERFORMANCE.md §N`` and ``[PERFORMANCE.md](PERFORMANCE.md) §N``.
+CITATION = re.compile(r"PERFORMANCE\.md(?:\]\([^)\s]*\))?\s+§(\d+)")
+
+
+def test_performance_doc_is_short():
+    lines = len(PERFORMANCE.read_text(encoding="utf-8").splitlines())
+    assert lines <= 700, f"docs/PERFORMANCE.md has {lines} lines; the cap is 700"
+
+
+def test_performance_citations_resolve():
+    """Every ``§N`` cited of docs/PERFORMANCE.md, from the code, the tests
+    and the other documents, and every bare ``§N`` inside it, names one
+    of its ``## N.`` headings."""
+    text = PERFORMANCE.read_text(encoding="utf-8")
+    sections = set(re.findall(r"^## (\d+)\. ", text, re.MULTILINE))
+    paths = [ROOT / name for name in CITING]
+    for tree in ("src", "tests", "docs"):
+        paths += sorted((ROOT / tree).rglob("*.py"))
+        paths += sorted((ROOT / tree).rglob("*.md"))
+    cited = [
+        f"{path.relative_to(ROOT).as_posix()}: §{number}"
+        for path in paths
+        if path != PERFORMANCE
+        for number in CITATION.findall(path.read_text(encoding="utf-8"))
+    ]
+    cited += [f"docs/PERFORMANCE.md: §{n}" for n in re.findall(r"§(\d+)", text)]
+    assert cited, "no citation found: the patterns no longer match"
+    dangling = [c for c in cited if c.rsplit("§", 1)[1] not in sections]
+    assert not dangling, "citations of missing sections:\n  " + "\n  ".join(dangling)
+
+
+def test_every_exact_counter_is_documented():
+    """The † counter table of docs/PERFORMANCE.md has a row for every name
+    in ``perfbench/layers.py:EXACT`` (read as text: perfbench is not a
+    package of this tree)."""
+    layers = (ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8")
+    block = re.search(r"EXACT = frozenset\(\s*\"\"\"(.*?)\"\"\"", layers, re.DOTALL)
+    assert block is not None, "perfbench/layers.py no longer spells EXACT out"
+    exact = block.group(1).split()
+    assert len(exact) >= 20
+    text = PERFORMANCE.read_text(encoding="utf-8")
+    table = text.split("## 6. † counters", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `([\w.]+)` \|", table, re.MULTILINE))
+    assert set(exact) <= rows, sorted(set(exact) - rows)
 
 
 def test_the_answer_cache_added_no_knob():

@@ -302,7 +302,7 @@ class CountingLattice(Lattice):
 class TestKleeneRoundWork:
     """A Kleene round's bookkeeping (``J ⊑ T_P(J)``, the fingerprint)
     reads the entries that differ, not all of ``J``: the deterministic
-    counters behind docs/PERFORMANCE.md §12."""
+    counters behind docs/PERFORMANCE.md §4."""
 
     def test_a_naive_party_solve_reprs_no_row(self):
         reprs = []

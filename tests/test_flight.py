@@ -187,6 +187,24 @@ class TestFlightCli:
         assert "== postmortem: partial ==" in out
         assert "-- captured telemetry --" in out
 
+    def test_postmortem_tail_is_a_count(self, tmp_path, capsys):
+        """``--tail -3`` used to list all but the first three events, and
+        ``--tail 0`` the whole ring under the heading "last 0 events"."""
+        dump = str(tmp_path / "fr.jsonl")
+        argv = ["solve", "--program", "shortest-path", "--facts",
+                self.chain_facts(tmp_path), "--max-iterations", "3",
+                "--flight", dump]  # fmt: skip
+        assert main(argv) == 4
+        capsys.readouterr()
+        assert main(["postmortem", dump, "--tail", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tail must be a non-negative integer, got -3\n"
+        assert main(["postmortem", dump, "--tail", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "-- last 0 events --" in out
+        assert "seq=" not in out
+
     def test_postmortem_on_plain_trace_file_is_usage_error(
         self, tmp_path, capsys
     ):
