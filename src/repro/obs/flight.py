@@ -187,7 +187,7 @@ def render_postmortem(
     lines.append(f"-- last {min(tail, len(events))} events --")
     if not events:
         lines.append("(ring is empty)")
-    for event in events[len(events) - tail:]:
+    for event in events[max(len(events) - tail, 0):]:
         extras = " ".join(
             f"{key}={_short(value)}"
             for key, value in event.items()

@@ -136,6 +136,12 @@ class TestRenderPostmortem:
         listed = [line for line in text.splitlines() if "iteration" in line]
         assert len(listed) == 2
 
+    def test_tail_past_a_short_ring_lists_every_event(self, tmp_path):
+        text = self.render(tmp_path, total=6, capacity=8, tail=10)
+        assert "-- last 6 events --" in text
+        listed = [line for line in text.splitlines() if "iteration" in line]
+        assert len(listed) == 6
+
     def test_empty_ring_renders(self):
         header = {
             "type": "postmortem",
