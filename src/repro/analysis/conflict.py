@@ -10,10 +10,11 @@ unify with mgu θ, either
 2. the conjunction of the two unified bodies contains an instance of an
    integrity constraint (so the bodies can never both be satisfied).
 
-Rules are renamed apart before unification.  Pairs are checked for every
-ordered combination including a rule with itself (self-pairs are trivially
-discharged by the identity containment mapping; genuine single-rule FD
-violations are caught by the cost-respecting check).
+Each rule is renamed apart at most once per side before unification.  Pairs are
+checked for every combination including a rule with itself; a self-pair
+is discharged by the identity containment mapping without unifying (the
+mgu of a head and its renamed copy binds variables only to variables).
+Genuine single-rule FD violations are caught by the cost-respecting check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
 from repro.datalog.atoms import AggregateSubgoal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
@@ -97,9 +98,12 @@ class ConflictReport:
 
 
 def check_pair(r1: Rule, r2: Rule, program: Program) -> PairVerdict:
-    """Definition 2.10 for one (renamed-apart) rule pair."""
-    a = rename_apart(r1, "_1")
-    b = rename_apart(r2, "_2")
+    """Definition 2.10 for one rule pair, renamed apart here."""
+    return _discharge(r1, r2, rename_apart(r1, "_1"), rename_apart(r2, "_2"), program)
+
+
+def _discharge(r1: Rule, r2: Rule, a: Rule, b: Rule, program: Program) -> PairVerdict:
+    """Definition 2.10 for ``r1``, ``r2``, renamed apart as ``a``, ``b``."""
     theta = _unify_noncost_heads(a, b, program)
     if theta is None:
         return PairVerdict(r1, r2, heads_unify=False)
@@ -126,12 +130,14 @@ def check_pair(r1: Rule, r2: Rule, program: Program) -> PairVerdict:
     return PairVerdict(r1, r2, heads_unify=True)
 
 
-def check_conflict_freedom(program: Program) -> ConflictReport:
-    """Definition 2.10 for the whole program."""
-    report = ConflictReport()
-    for rule in program.rules:
-        if not check_rule_cost_respecting(rule, program).ok:
-            report.cost_respecting_failures.append(rule)
+def check_conflict_freedom(
+    program: Program, *, cost_respecting: Optional[List[CostRespectReport]] = None
+) -> ConflictReport:
+    """Definition 2.10 for the whole program (over ``cost_respecting``,
+    the per-rule Definition 2.7 reports, when already computed)."""
+    if cost_respecting is None:
+        cost_respecting = [check_rule_cost_respecting(r, program) for r in program.rules]
+    report = ConflictReport([r.rule for r in cost_respecting if not r.ok])
 
     # Only pairs of rules defining the *same cost predicate* can produce
     # conflicting cost atoms.
@@ -141,8 +147,13 @@ def check_conflict_freedom(program: Program) -> ConflictReport:
             by_predicate.setdefault(rule.head.predicate, []).append(rule)
 
     for rules in by_predicate.values():
-        for r1, r2 in itertools.combinations_with_replacement(rules, 2):
-            verdict = check_pair(r1, r2, program)
+        ones = [rename_apart(rule, "_1") for rule in rules[:-1]]
+        twos = [rename_apart(rule, "_2") for rule in rules[1:]]  # twos[j - 1]: rule j
+        for i, j in itertools.combinations_with_replacement(range(len(rules)), 2):
+            if i == j:  # the identity containment mapping (module docstring)
+                verdict = PairVerdict(rules[i], rules[i], True, via="containment")
+            else:
+                verdict = _discharge(rules[i], rules[j], ones[i], twos[j - 1], program)
             report.pair_verdicts.append(verdict)
             if not verdict.ok:
                 report.undischarged_pairs.append(verdict)

@@ -14,13 +14,18 @@ is no invalidation rule and nothing shared between threads
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.analysis.admissible import (
     ComponentAdmissibility,
+    check_component_admissible,
     check_program_admissible,
 )
-from repro.analysis.classify import ProgramClassification, classify_program
+from repro.analysis.classify import (
+    ProgramClassification,
+    classify_component,
+    classify_program,
+)
 from repro.analysis.conflict import ConflictReport, check_conflict_freedom
 from repro.analysis.dependencies import Component, condense
 from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
@@ -44,7 +49,9 @@ _Compute = Callable[["ProgramFacts"], Any]
 _PASSES: Dict[str, _Compute] = {
     "components": lambda f: condense(f.program),
     "safety": lambda f: check_program_safety(f.program),
-    "conflict": lambda f: check_conflict_freedom(f.program),
+    "conflict": lambda f: check_conflict_freedom(
+        f.program, cost_respecting=f.cost_respecting
+    ),
     "admissibility": lambda f: check_program_admissible(
         f.program, components=f.components
     ),
@@ -65,6 +72,26 @@ def _lint(facts: "ProgramFacts") -> List["Diagnostic"]:
     from repro.analysis.diagnostics import lint_program
 
     return lint_program(facts.program, facts=facts)
+
+
+def _rewrite_classification(f: "ProgramFacts") -> ProgramClassification:
+    """A pushdown rewrite's classification, from the original's: a
+    component with the same CDB and rules keeps its verdict, and a touched
+    one is checked and classified alone against the original's typing.
+    That typing is exact there: a pushdown touches only certified
+    ``MONOTONIC`` components, which have no lattice conflict, and
+    projecting a head drops argument positions and adds none."""
+    original = f.original
+    assert original is not None
+    prior = {c.component.cdb: c for c in original.classification.components}
+    components = []
+    for component in f.components:
+        cls = prior.get(component.cdb)
+        if cls is None or cls.component != component:
+            report = check_component_admissible(component, f.program)
+            cls = classify_component(component, f.program, report, original.typing)
+        components.append(cls)
+    return ProgramClassification(f.program, components, original.typing)
 
 
 #: Per-rule report lists and the default linter's diagnostics: held like
@@ -89,7 +116,7 @@ class ProgramFacts:
     a failed pass is never mistaken for a clean one.
     """
 
-    __slots__ = ("program", "passes_run", *_PASSES, *_HELD)
+    __slots__ = ("program", "original", "passes_run", *_PASSES, *_HELD)
 
     components: List[Component]
     safety: List[SafetyReport]
@@ -107,16 +134,28 @@ class ProgramFacts:
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        self.original: Optional[ProgramFacts] = None
         #: Whole-program passes executed so far: the front end's
         #: deterministic work counter (``analysis.passes_run``).
         self.passes_run = 0
+
+    def rewritten(self, program: Program) -> "ProgramFacts":
+        """The facts of ``program``, this program's pushdown rewrite: its
+        passes count on this object, and its classification derives from
+        this one's (``tests/test_program_facts.py`` checks it)."""
+        facts = ProgramFacts(program)
+        facts.original = self
+        return facts
 
     def __getattr__(self, name: str) -> Any:
         # Reached only while the slot is still empty.
         compute = _PASSES.get(name) or _HELD.get(name)
         if compute is None:
             raise AttributeError(name)
-        self.passes_run += name in _PASSES
+        if name == "classification" and self.original is not None:
+            compute = _rewrite_classification  # derived, not a pass
+        elif name in _PASSES:
+            (self.original or self).passes_run += 1
         value = compute(self)
         setattr(self, name, value)
         return value

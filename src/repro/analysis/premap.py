@@ -174,11 +174,9 @@ class PremapReport:
 
 @dataclass
 class PushdownResult:
-    """The rewrite outcome: the program to evaluate plus provenance."""
+    """The rewrite outcome: the program to evaluate and what was pushed."""
 
-    original: Program
     program: Program
-    report: PremapReport
     #: One entry per applied occurrence.
     applied: Tuple[PushdownPlan, ...] = ()
 
@@ -621,9 +619,7 @@ def apply_pushdown(
         report = analyze_premappability(program)
     applicable = report.applicable
     if not applicable:
-        return PushdownResult(
-            original=program, program=program, report=report
-        )
+        return PushdownResult(program)
 
     plans: Dict[str, PushdownPlan] = {}
     redirected: Dict[int, Rule] = {}
@@ -662,13 +658,5 @@ def apply_pushdown(
         aggregates=dict(program.aggregates),
         name=f"{program.name}+pushdown",
     )
-    ordered = tuple(
-        plans[v.predicate] for v in applicable
-    )
-    return PushdownResult(
-        original=program,
-        program=rewritten,
-        report=report,
-        applied=ordered,
-    )
+    return PushdownResult(rewritten, tuple(plans[v.predicate] for v in applicable))
 

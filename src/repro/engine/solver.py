@@ -22,6 +22,7 @@ concurrent solves never share them.  See docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -204,15 +205,13 @@ def _solve_traced(
     # frontier predicates rely on the lattice join to collapse
     # conflicting per-key costs, so their components run with
     # strict=False; they are stripped from the final model.
-    eval_program = program
     eval_facts = facts
     aux_predicates: FrozenSet[str] = frozenset()
     if opts.pushdown == "auto":
         with tracer.phase("pushdown"):
             rewrite = get_pushdown(program, facts=facts)
         if rewrite.changed:
-            eval_program = rewrite.program
-            eval_facts = ProgramFacts(eval_program)
+            eval_facts = facts.rewritten(rewrite.program)
             aux_predicates = rewrite.aux_predicates
             if tracer.enabled:
                 for applied in rewrite.applied:
@@ -223,19 +222,16 @@ def _solve_traced(
                         auxiliary=applied.auxiliary,
                         aggregate=applied.function,
                     )
+    eval_program = eval_facts.program
 
     #: cdb → classification of what runs (a rewrite changes the SCC
     #: structure), filled only for a reader: auto's method choice, the
     #: shard plan, or the verdicts a traced, checked solve reports.
     classes: Dict[frozenset, ComponentClassification] = {}
     if method == "auto" or plan == "sharded" or (check != "none" and tracer.enabled):
-        if check != "none" and eval_facts is facts:
-            # No span of its own: a checked solve's stream never had one.
-            classification = facts.classification
-        else:
-            with tracer.phase("classify"):
-                classification = eval_facts.classification
-        classes = {c.component.cdb: c for c in classification.components}
+        spanned = check == "none" or aux_predicates  # gated and unrewritten: no span
+        with tracer.phase("classify") if spanned else nullcontext():
+            classes = {c.component.cdb: c for c in eval_facts.classification.components}
 
     supervisor = (
         Supervisor(budget, cancel, tracer=tracer)
@@ -443,8 +439,7 @@ def _solve_traced(
             )
     result.runtime_diagnostics = list(supervisor.diagnostics)
     if tracer.enabled:
-        analysed = (facts,) if eval_facts is facts else (facts, eval_facts)
-        _flush_telemetry(tracer, analysed, result, t_solve)
+        _flush_telemetry(tracer, eval_program, facts.passes_run, result, t_solve)
         if tracer.collect:
             result.telemetry = summarize(tracer.events)
     return result
@@ -522,16 +517,13 @@ def _shard_decision(
 
 def _flush_telemetry(
     tracer: Tracer,
-    analysed: Tuple[ProgramFacts, ...],
+    program: Program,
+    passes_run: int,
     result: SolveResult,
     t_solve: float,
 ) -> None:
-    """Emit the end-of-solve events: per-rule profiles, counters, totals.
-
-    ``analysed`` is the run's facts objects: the program's, then the
-    pushdown rewrite's (the program evaluated) when one ran.
-    """
-    program = analysed[-1].program
+    """Emit the end-of-solve events of ``program``, the program evaluated:
+    per-rule profiles, counters (the run's ``passes_run``), totals."""
     scc_of: Dict[str, int] = {}
     for index, component in enumerate(result.components):
         for predicate in component.cdb:
@@ -560,8 +552,8 @@ def _flush_telemetry(
     solve_wall = round(tracer.clock() - t_solve, 6)
     m = tracer.metrics
     m.counter("solve.components").inc(len(result.components))
-    m.counter("analysis.programs_analyzed").inc(len(analysed))
-    m.counter("analysis.passes_run").inc(sum(f.passes_run for f in analysed))
+    m.counter("analysis.programs_analyzed").inc()
+    m.counter("analysis.passes_run").inc(passes_run)
     m.gauge("solve.atoms").set(float(result.model.total_size()))
     m.timer("solve.wall_s").observe(solve_wall)
     # The merged registry (parent sites + worker snapshots folded at the

@@ -11,12 +11,13 @@ diagnostics.  Not a test module, and imported by nothing under ``src/``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.admissible import check_program_admissible
 from repro.analysis.classify import classify_program
-from repro.analysis.conflict import check_conflict_freedom
+from repro.analysis.conflict import PairVerdict, check_conflict_freedom, check_pair
 from repro.analysis.dependencies import condense
 from repro.analysis.diagnostics import (
     _ADMISSIBILITY_SLUGS,
@@ -352,3 +353,19 @@ def reference_analyze(program: Program) -> ReferenceReport:
         sharding=sharding,
         diagnostics=reference_linter().lint(program),
     )
+
+
+def reference_pair_verdicts(program: Program) -> List[PairVerdict]:
+    """Definition 2.10's pair verdicts as ``check_conflict_freedom`` made
+    them before it renamed each rule once per side: ``check_pair``, which
+    renames both rules apart, on every pair of one cost predicate's
+    rules, a rule with itself included."""
+    by_predicate: Dict[str, List[Any]] = {}
+    for rule in program.rules:
+        if program.is_cost_predicate(rule.head.predicate):
+            by_predicate.setdefault(rule.head.predicate, []).append(rule)
+    return [
+        check_pair(r1, r2, program)
+        for rules in by_predicate.values()
+        for r1, r2 in itertools.combinations_with_replacement(rules, 2)
+    ]

@@ -1,13 +1,22 @@
 """Conflict-freedom (Definition 2.10) and its discharge mechanisms."""
 
+import pytest
+from hypothesis import given, settings
+
 from repro.analysis.conflict import (
     check_conflict_freedom,
     check_pair,
     rename_apart,
 )
 from repro.analysis.facts import ProgramFacts
+from repro.datalog.errors import ReproError
 from repro.datalog.parser import parse_program, parse_rule
+from repro.datalog.program import PredicateDecl, Program
+from repro.lattices import REALS_GE
 from repro.programs import ALL_PROGRAMS, circuit, company_control, shortest_path
+from tests.reference_analysis import reference_pair_verdicts
+from tests.test_facts_differential import SOURCES, _program
+from tests.test_fuzz_analysis import random_program
 
 
 class TestRenameApart:
@@ -27,6 +36,19 @@ class TestDischargeByContainment:
         verdict = check_pair(cv_rules[0], cv_rules[1], program)
         assert verdict.heads_unify
         assert verdict.via == "containment"
+
+    def test_each_pair_is_checked_on_its_own_rules(self):
+        """Three rules of p: the first two are discharged by containment,
+        the third conflicts with both, each pair in its own place."""
+        program = parse_program(
+            "@cost p/2 : reals_le.\n@cost e/2 : reals_le.\n@cost g/2 : reals_le.\n"
+            "@pred f/1.\np(X, C) <- e(X, C).\np(X, C) <- e(X, C), f(X).\n"
+            "p(X, C) <- g(X, C)."
+        )
+        verdicts = check_conflict_freedom(program).pair_verdicts
+        assert [v.via for v in verdicts] == [
+            "containment", "containment", "", "containment", "", "containment"
+        ]
 
     def test_self_pair_discharged_by_identity(self):
         program = parse_program(
@@ -52,6 +74,17 @@ class TestDischargeByConstraint:
         report = check_conflict_freedom(without)
         assert not report.ok
         assert report.undischarged_pairs
+
+    def test_the_two_sides_are_renamed_apart(self):
+        """Each rule's Y is its own: no one value need be in both a and b,
+        so the constraint does not discharge the pair."""
+        program = parse_program(
+            "@cost p/2 : reals_le.\n@cost e/2 : reals_le.\n"
+            "@pred a/1. @pred b/1.\n@constraint a(Z), b(Z).\n"
+            "p(X, C) <- a(Y), e(X, C).\np(X, C) <- b(Y), e(X, C)."
+        )
+        report = check_conflict_freedom(program)
+        assert [v.via for v in report.pair_verdicts] == ["containment", "", "containment"]
 
     def test_circuit_needs_disjointness(self):
         source = circuit.source
@@ -119,3 +152,62 @@ def test_every_catalog_program_matches_its_claim():
         program = paper_program.database().program
         verdict = ProgramFacts(program).conflict_free
         assert verdict == expected, paper_program.name
+
+
+# -- one rename per rule per side ---------------------------------------------------
+
+
+def _cost_program(generated):
+    """The generated rules as a program, every head a cost predicate where
+    the program allows it (so most rules are cost rules), else under the
+    generated declarations; None when neither builds."""
+    rules, declarations = generated
+    heads = {rule.head.predicate: rule.head.arity for rule in rules}
+    every = [PredicateDecl(name, arity, REALS_GE) for name, arity in heads.items()]
+    for decls in (every, declarations):
+        try:
+            return Program(rules, declarations=decls)
+        except ReproError:
+            continue
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_program())
+def test_a_rule_paired_with_itself_is_discharged_by_containment(generated):
+    """The lemma ``check_conflict_freedom`` relies on to discharge a
+    self-pair without unifying: the mgu of a head and its renamed copy
+    binds variables to variables, so the unabridged check always finds
+    the identity containment mapping."""
+    program = _cost_program(generated)
+    if program is None:
+        return
+    for rule in program.rules:
+        if program.is_cost_predicate(rule.head.predicate):
+            verdict = check_pair(rule, rule, program)
+            assert (verdict.heads_unify, verdict.via) == (True, "containment")
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_pair_verdicts_match_the_per_pair_reference(name):
+    """Every example, catalog and lint-corpus program: the verdicts of the
+    renamed-once loop equal ``check_pair`` run on each pair."""
+    program = _program(SOURCES[name], name)
+    if program is None:
+        pytest.skip("does not parse: nothing reaches the analysis")
+    try:
+        expected = reference_pair_verdicts(program)
+    except ReproError as exc:
+        with pytest.raises(type(exc)):
+            check_conflict_freedom(program)
+        return
+    assert check_conflict_freedom(program).pair_verdicts == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_program())
+def test_generated_pair_verdicts_match_the_per_pair_reference(generated):
+    program = _cost_program(generated)
+    if program is not None:
+        expected = reference_pair_verdicts(program)
+        assert check_conflict_freedom(program).pair_verdicts == expected

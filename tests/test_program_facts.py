@@ -34,6 +34,7 @@ from repro.analysis.diagnostics import (
     make_diagnostic,
 )
 from repro.analysis.facts import ProgramFacts
+from repro.analysis.premap import apply_pushdown
 from repro.cli import main as cli_main
 from repro.core.database import Database
 from repro.datalog.errors import ReproError
@@ -41,6 +42,7 @@ from repro.datalog.program import Program
 from repro.engine.solver import solve
 from repro.obs import Tracer
 from repro.programs import ALL_PROGRAMS, shortest_path
+from repro.workloads import ROAD_NETWORK_PROGRAM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.mad"))
@@ -163,25 +165,26 @@ def test_strict_solve_runs_each_pass_at_most_once(name, pass_calls):
 
 
 def test_wide_program_counts(pass_calls):
-    """Eleven pass executions: seven on the program (the gate's three,
-    then what the pushdown reads), four on its pushdown rewrite.  The
-    shard pass and the linter's r-monotonic list are never read."""
+    """Eight pass executions: seven on the program (the gate's three,
+    then what the pushdown reads) and the condensation of its pushdown
+    rewrite, whose other facts derive from the program's.  The shard
+    pass and the linter's r-monotonic list are never read."""
     tracer = Tracer()
     _loaded(wide_text()).solve(method="auto", tracer=tracer)
     by_pass = collections.Counter(name for name, _ in pass_calls.elements())
     assert by_pass == {
         "condense": 2,
-        "check_program_admissible": 2,
-        "infer_types": 2,
-        "classify_program": 2,
+        "check_program_admissible": 1,
+        "infer_types": 1,
+        "classify_program": 1,
         "check_program_safety": 1,
         "check_conflict_freedom": 1,
         "analyze_premappability": 1,
     }
     assert_once(pass_calls)
     metrics = tracer.metrics.snapshot()
-    assert metrics["analysis.passes_run"]["value"] == 11
-    assert metrics["analysis.programs_analyzed"]["value"] == 2
+    assert metrics["analysis.passes_run"]["value"] == 8
+    assert metrics["analysis.programs_analyzed"]["value"] == 1
 
 
 @pytest.mark.parametrize("path", EXAMPLES + CORPUS, ids=lambda p: p.stem)
@@ -216,9 +219,10 @@ def test_cli_front_ends_run_each_pass_at_most_once(command, pass_calls, capsys):
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_examples_stay_within_the_pass_budget(path, pass_calls):
     """CI's analyse-once gate (``lint`` job): a traced solve of an example
-    runs at most 7 passes on the program plus 4 on a pushdown rewrite,
-    and the run's facts account for every pass call — so an adapter or a
-    solver branch that calls a pass itself fails here, without a timer."""
+    runs at most 7 passes on the program plus 1 (the condensation) on a
+    pushdown rewrite, and the run's facts account for every pass call —
+    so an adapter or a solver branch that calls a pass itself fails here,
+    without a timer."""
     from repro.engine.supervisor import Budget
 
     tracer = Tracer()
@@ -227,9 +231,9 @@ def test_examples_stay_within_the_pass_budget(path, pass_calls):
     db.solve(tracer=tracer, budget=Budget(max_iterations=50))
     metrics = tracer.metrics.snapshot()
     passes = metrics["analysis.passes_run"]["value"]
-    programs = metrics["analysis.programs_analyzed"]["value"]
-    assert programs in (1, 2)
-    assert passes <= 7 + 4 * (programs - 1)
+    assert metrics["analysis.programs_analyzed"]["value"] == 1
+    rewritten = any(e["type"] == "rewrite_applied" for e in tracer.events)
+    assert passes <= 7 + 1 * rewritten
     # The per-rule r-monotonic list is held by the facts but not counted.
     calls = {k: n for k, n in pass_calls.items() if k[0] != "check_program_r_monotonic"}
     assert sum(calls.values()) == passes, calls
@@ -276,7 +280,7 @@ def test_strict_solve_reads_only_what_it_gates_on(pass_calls, monkeypatch):
 
 def test_passes_run_is_published_per_traced_solve():
     for kwargs, passes, programs in [
-        ({}, 11, 2),  # gated, pushed down, rewrite classified (traced)
+        ({}, 8, 1),  # gated, pushed down, rewrite condensed (traced)
         ({"pushdown": "off"}, 6, 1),  # the gate's three, classified (traced)
         ({"check": "none", "pushdown": "off"}, 1, 1),  # condense only
         ({"check": "none", "pushdown": "off", "method": "auto"}, 4, 1),
@@ -289,21 +293,30 @@ def test_passes_run_is_published_per_traced_solve():
         assert metrics["analysis.programs_analyzed"]["value"] == programs, kwargs
 
 
-def test_rewrite_is_classified_only_for_a_reader(pass_calls):
-    """Satellite: with an explicit method, a sequential plan and no
-    tracer nobody reads the rewritten program's verdicts."""
+def test_rewrite_is_classified_only_for_a_reader(pass_calls, monkeypatch):
+    """With an explicit method, a sequential plan and no tracer nobody
+    reads the rewritten program's verdicts; a reader gets the two
+    components the rewrite touched classified, and nothing else."""
+    from repro.analysis import facts
+
+    touched = []
+    classify_component = facts.classify_component
+
+    def counted(component, program, *args):
+        touched.append(program.name)
+        return classify_component(component, program, *args)
+
+    monkeypatch.setattr(facts, "classify_component", counted)
     arcs = {"arc": [("a", "b", 1), ("b", "c", 2)]}
     shortest_path.database(arcs).solve(method="seminaive")
-    assert collections.Counter(n for n, _ in pass_calls.elements())[
-        "classify_program"
-    ] == 1
-    pass_calls.clear()
+    assert touched == []
     for kwargs in ({"method": "auto"}, {"tracer": Tracer()}, {"plan": "sharded", "workers": 1}):
         shortest_path.database(arcs).solve(**kwargs)
-        assert collections.Counter(n for n, _ in pass_calls.elements())[
-            "classify_program"
-        ] == 2, kwargs
-        pass_calls.clear()
+        assert touched == ["shortest-path+pushdown"] * 2, kwargs
+        touched.clear()
+    assert collections.Counter(n for n, _ in pass_calls.elements())[
+        "classify_program"
+    ] == 4
 
 
 def test_traced_scc_start_reports_the_rewritten_verdicts():
@@ -318,6 +331,48 @@ def test_traced_scc_start_reports_the_rewritten_verdicts():
     shortest_path.database(arcs).solve(check="none", tracer=tracer)
     starts = [e for e in tracer.events if e["type"] == "scc_start"]
     assert {e["verdict"] for e in starts} == {None}
+
+
+# -- the pushdown rewrite's facts --------------------------------------------------
+
+
+def test_rewrite_facts_equal_a_fresh_analysis_of_the_rewrite():
+    """``ProgramFacts.rewritten`` reuses the program's reports for every
+    component the pushdown left alone and analyses the touched ones
+    against the program's typing; on every program the pushdown changes,
+    the result equals a fresh analysis of the rewritten program."""
+    programs = {
+        **DATABASES,
+        "road_network": lambda: _loaded(ROAD_NETWORK_PROGRAM),
+    }
+    rewritten = []
+    for name, build in programs.items():
+        try:
+            facts = ProgramFacts(build().program)
+            rewrite = apply_pushdown(facts.program, facts.premappability)
+        except ReproError:
+            continue  # does not load or classify: nothing to rewrite
+        if not rewrite.changed:
+            continue
+        rewritten.append(name)
+        passes = facts.passes_run
+        derived = facts.rewritten(rewrite.program)
+        fresh = ProgramFacts(rewrite.program)
+        assert derived.components == fresh.components, name
+        # Verdict, certified, method, aggregate functions and reasons.
+        assert derived.classification.components == (
+            fresh.classification.components
+        ), name
+        assert derived.sharding == fresh.sharding, name
+        # The condensation and the shard pass, counted on the program's
+        # facts; each applied pushdown touched two components (the
+        # frontier's recursion and the interior's reconstruction), and
+        # every other verdict is the program's own object.
+        assert (derived.passes_run, facts.passes_run) == (0, passes + 2), name
+        kept = [id(c) for c in facts.classification.components]
+        touched = [c for c in derived.classification.components if id(c) not in kept]
+        assert len(touched) == 2 * len(rewrite.applied), name
+    assert {"wide", "road_network", "examples/shortest_path"} <= set(rewritten)
 
 
 # -- the linter's public contract ---------------------------------------------------
