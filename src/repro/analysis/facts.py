@@ -60,7 +60,7 @@ _PASSES: Dict[str, _Compute] = {
         f.program, admissibility=f.admissibility, typing=f.typing
     ),
     "premappability": lambda f: analyze_premappability(
-        f.program, classification=f.classification
+        f.program, classification=f.classification, cost_respecting=f.cost_respecting
     ),
     "sharding": lambda f: analyze_sharding(
         f.program, classification=f.classification

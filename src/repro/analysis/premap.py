@@ -71,7 +71,7 @@ from repro.analysis.classify import (
     classify_program,
 )
 from repro.analysis.dependencies import Component
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
 from repro.analysis.wellformed import _is_cdb_aggregate
 from repro.datalog.atoms import AggregateSubgoal, Atom, Subgoal
 from repro.datalog.program import PredicateDecl, Program
@@ -228,8 +228,10 @@ def _occurrence_verdict(
     component: Component,
     program: Program,
     classification: ProgramClassification,
+    fd_report: Optional[CostRespectReport],
 ) -> PremapVerdict:
-    """Decide one aggregate occurrence (module docstring's conditions)."""
+    """Decide one aggregate occurrence (module docstring's conditions);
+    ``fd_report`` is the rule's Def. 2.7 report when already decided."""
     head = rule.head.predicate
     interior = sg.conjuncts[0].predicate
     witnesses: List[PremapWitness] = []
@@ -433,7 +435,7 @@ def _occurrence_verdict(
     )
 
     # -- functional dependencies: keys determine the frontier ------------
-    fd_report = check_rule_cost_respecting(rule, program)
+    fd_report = fd_report or check_rule_cost_respecting(rule, program)
     if not fd_report.ok:
         _fail(
             witnesses,
@@ -527,13 +529,15 @@ def analyze_premappability(
     program: Program,
     *,
     classification: Optional[ProgramClassification] = None,
+    cost_respecting: Optional[List[CostRespectReport]] = None,
 ) -> PremapReport:
     """Premappability verdicts for every recursive aggregate occurrence.
 
     Aggregate occurrences that read lower strata only (stratified
     aggregation) are silently skipped — there is no recursion to push
-    into.  ``classification`` is the program's classification when
-    already computed (``ProgramFacts.premappability`` supplies it).
+    into.  ``classification`` and ``cost_respecting`` (one report per
+    rule, in program order) are the program's when already computed
+    (``ProgramFacts.premappability`` supplies both).
     """
     if classification is None:
         classification = classify_program(program)
@@ -547,14 +551,16 @@ def analyze_premappability(
             for sg in rule.aggregate_subgoals():
                 if not _is_cdb_aggregate(sg, component.cdb):
                     continue
+                index = rule_index[id(rule)]
                 report.verdicts.append(
                     _occurrence_verdict(
                         rule,
-                        rule_index[id(rule)],
+                        index,
                         sg,
                         component,
                         program,
                         classification,
+                        cost_respecting[index] if cost_respecting else None,
                     )
                 )
     return report

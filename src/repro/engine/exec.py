@@ -40,7 +40,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from zlib import crc32
 
 from repro.aggregates.base import EmptyAggregateError
-from repro.analysis.premap import analyze_premappability, apply_pushdown
+from repro.analysis.classify import ComponentClassification
+from repro.analysis.dependencies import Component
+from repro.analysis.premap import PushdownResult, analyze_premappability, apply_pushdown
 from repro.datalog.atoms import (
     AggregateSubgoal,
     Atom,
@@ -641,9 +643,32 @@ def get_plan(
 
 
 def clear_plan_cache(program: Program) -> None:
-    """Drop every cached plan (tests / planners that change statistics)."""
+    """Drop every cached plan, the rewrite and the prepared records
+    (tests / planners that change statistics)."""
     program.__dict__.pop("_exec_plan_cache", None)
     program.__dict__.pop("_pushdown_cache", None)
+    program.__dict__.pop("_prepared", None)
+
+
+@dataclass(eq=False, slots=True)
+class Prepared:
+    """What every solve of one program derives from its rules alone, for
+    one ``(check, pushdown)`` pair: the gate admitted the program under
+    that check; it evaluates ``rewrite.program`` (``None``: itself) in
+    ``components``, bottom-up; and, once a reader asked, ``classes`` maps
+    each component's CDB to its classification.  Verdicts only: no
+    report, no diagnostic, no reference back to the program."""
+
+    rewrite: Optional[PushdownResult]
+    components: List[Component]
+    classes: Optional[Dict[FrozenSet[str], ComponentClassification]] = None
+
+
+def prepared_records(program: Program) -> Dict[Tuple[str, str], Prepared]:
+    """The program's records by ``(check, pushdown)``.  A solve publishes
+    one with ``setdefault``, so concurrent cold solves take no lock and at
+    worst prepare twice."""
+    return program.__dict__.setdefault("_prepared", {})
 
 
 def get_pushdown(

@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.classify import ComponentClassification
 from repro.analysis.dependencies import Component
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.facts import ProgramFacts
@@ -34,7 +33,7 @@ from repro.analysis.sharding import ShardingReport
 from repro.datalog.errors import NotAdmissibleError, SafetyError
 from repro.datalog.program import Program
 from repro.engine.checkpoint import Checkpoint
-from repro.engine.exec import get_pushdown
+from repro.engine.exec import Prepared, get_pushdown, prepared_records
 from repro.engine.interpretation import (
     IndexStats,
     Interpretation,
@@ -192,46 +191,31 @@ def _solve_traced(
     check, method, plan = opts.check, opts.method, opts.plan
     tracer.start(program.name)
     t_solve = tracer.clock()
-    # This run's facts about ``program``: whatever the check, the
-    # pushdown and the method choice below read is decided once.
-    facts = ProgramFacts(program)
-    if check != "none":
-        with tracer.phase("analyze"):
-            _admit(facts, strict=check == "strict")
-
-    # -- aggregate pushdown (Zaniolo et al.): rewrite premappable
-    # extrema before method selection, so classification-driven choices
-    # see the program actually evaluated.  The rewrite's auxiliary
-    # frontier predicates rely on the lattice join to collapse
+    # Who reads the verdicts of what runs: auto's method choice, the
+    # shard plan, or the scc_start events of a traced, checked solve.
+    classify = method == "auto" or plan == "sharded" or (check != "none" and tracer.enabled)
+    ready, facts = _prepare(program, opts, tracer, classify)
+    rewrite = ready.rewrite
+    eval_program = rewrite.program if rewrite is not None else program
+    # Pushdown frontier predicates rely on the lattice join to collapse
     # conflicting per-key costs, so their components run with
     # strict=False; they are stripped from the final model.
-    eval_facts = facts
-    aux_predicates: FrozenSet[str] = frozenset()
-    if opts.pushdown == "auto":
-        with tracer.phase("pushdown"):
-            rewrite = get_pushdown(program, facts=facts)
-        if rewrite.changed:
-            eval_facts = facts.rewritten(rewrite.program)
-            aux_predicates = rewrite.aux_predicates
-            if tracer.enabled:
-                for applied in rewrite.applied:
-                    tracer.emit(
-                        "rewrite_applied",
-                        head=applied.head,
-                        predicate=applied.predicate,
-                        auxiliary=applied.auxiliary,
-                        aggregate=applied.function,
-                    )
-    eval_program = eval_facts.program
-
-    #: cdb → classification of what runs (a rewrite changes the SCC
-    #: structure), filled only for a reader: auto's method choice, the
-    #: shard plan, or the verdicts a traced, checked solve reports.
-    classes: Dict[frozenset, ComponentClassification] = {}
-    if method == "auto" or plan == "sharded" or (check != "none" and tracer.enabled):
-        spanned = check == "none" or aux_predicates  # gated and unrewritten: no span
+    aux_predicates = rewrite.aux_predicates if rewrite is not None else frozenset()
+    if rewrite is not None and tracer.enabled:
+        for applied in rewrite.applied:
+            tracer.emit(
+                "rewrite_applied",
+                head=applied.head,
+                predicate=applied.predicate,
+                auxiliary=applied.auxiliary,
+                aggregate=applied.function,
+            )
+    if classify and ready.classes is None:
+        assert facts is not None
+        spanned = check == "none" or rewrite is not None  # gated and unrewritten: no span
         with tracer.phase("classify") if spanned else nullcontext():
-            classes = {c.component.cdb: c for c in eval_facts.classification.components}
+            ready.classes = {c.component.cdb: c for c in facts.classification.components}
+    classes = (ready.classes or {}) if classify else {}
 
     supervisor = (
         Supervisor(budget, cancel, tracer=tracer)
@@ -250,8 +234,9 @@ def _solve_traced(
     # -- shard plan: the analyzer's per-component proofs, resolved once.
     sharding_report: Optional[ShardingReport] = None
     if plan == "sharded":
+        assert facts is not None  # a sharded solve always reads its facts
         with tracer.phase("shard-plan"):
-            sharding_report = eval_facts.sharding
+            sharding_report = facts.sharding
 
     # The solve's own state (every component's ``I``, then the model)
     # covers every declared predicate; a component's ``J`` holds its CDB.
@@ -267,7 +252,7 @@ def _solve_traced(
         # Components above read it through ``I``, even when none is derived.
         state.relations[name] = Relation.empty(eval_program.declarations[name])
     result = SolveResult(model=state, program=program)
-    for index, component in enumerate(eval_facts.components):
+    for index, component in enumerate(ready.components):
         cls = classes.get(component.cdb)
         chosen: str = method
         if method == "auto":
@@ -439,10 +424,41 @@ def _solve_traced(
             )
     result.runtime_diagnostics = list(supervisor.diagnostics)
     if tracer.enabled:
-        _flush_telemetry(tracer, eval_program, facts.passes_run, result, t_solve)
+        _flush_telemetry(tracer, eval_program, facts, result, t_solve)
         if tracer.collect:
             result.telemetry = summarize(tracer.events)
     return result
+
+
+def _prepare(
+    program: Program, opts: SolveOptions, tracer: Tracer, classify: bool
+) -> Tuple[Prepared, Optional[ProgramFacts]]:
+    """The program's prepared record for this solve's check and pushdown
+    (:class:`~repro.engine.exec.Prepared`), and this run's facts of the
+    program evaluated: ``None`` when the record already holds all this
+    solve reads.  A refused program publishes nothing, so each solve of
+    it analyses again and its error carries fresh diagnostics."""
+    key, records = (opts.check, opts.pushdown), prepared_records(program)
+    record = records.get(key)
+    if record is not None and opts.plan != "sharded":
+        if record.classes is not None or not classify:
+            return record, None
+    facts = ProgramFacts(program)
+    if record is not None:
+        rewrite = record.rewrite
+        return record, facts.rewritten(rewrite.program) if rewrite else facts
+    if opts.check != "none":
+        with tracer.phase("analyze"):
+            _admit(facts, strict=opts.check == "strict")
+    rewrite = None
+    if opts.pushdown == "auto":
+        # Zaniolo et al.'s pushdown rewrites premappable extrema before
+        # the method choice, so the classification is of what runs.
+        with tracer.phase("pushdown"):
+            pushed = get_pushdown(program, facts=facts)
+        rewrite = pushed if pushed.changed else None
+    facts = facts.rewritten(rewrite.program) if rewrite else facts
+    return records.setdefault(key, Prepared(rewrite, facts.components)), facts
 
 
 def _admit(facts: ProgramFacts, *, strict: bool) -> None:
@@ -518,12 +534,13 @@ def _shard_decision(
 def _flush_telemetry(
     tracer: Tracer,
     program: Program,
-    passes_run: int,
+    facts: Optional[ProgramFacts],
     result: SolveResult,
     t_solve: float,
 ) -> None:
     """Emit the end-of-solve events of ``program``, the program evaluated:
-    per-rule profiles, counters (the run's ``passes_run``), totals."""
+    per-rule profiles, counters (the passes ``facts`` ran: none on a
+    prepared solve), totals."""
     scc_of: Dict[str, int] = {}
     for index, component in enumerate(result.components):
         for predicate in component.cdb:
@@ -552,8 +569,9 @@ def _flush_telemetry(
     solve_wall = round(tracer.clock() - t_solve, 6)
     m = tracer.metrics
     m.counter("solve.components").inc(len(result.components))
-    m.counter("analysis.programs_analyzed").inc()
-    m.counter("analysis.passes_run").inc(passes_run)
+    passes = (facts.original or facts).passes_run if facts is not None else 0
+    m.counter("analysis.programs_analyzed").inc(facts is not None)
+    m.counter("analysis.passes_run").inc(passes)
     m.gauge("solve.atoms").set(float(result.model.total_size()))
     m.timer("solve.wall_s").observe(solve_wall)
     # The merged registry (parent sites + worker snapshots folded at the

@@ -9,18 +9,23 @@ request then solves over the shared materialization — safe because
 concurrent solves read one immutable, shared snapshot and write only
 their private copies.  The snapshot is the freshly built EDB itself:
 each relation's container, with no index built on it.
+
+:func:`share_programs` gives the databases of one rule text one
+``Program`` object, so they share what a solve derives from the rules
+alone: the admitted front end, the pushdown rewrite and the compiled
+plans (docs/SERVING.md, "One program per rule text").
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.database import Database
 from repro.datalog.program import Program
 from repro.engine.interpretation import Interpretation
 
-__all__ = ["HostedDatabase", "host_program_text"]
+__all__ = ["HostedDatabase", "host_program_text", "share_programs"]
 
 
 class HostedDatabase:
@@ -29,13 +34,11 @@ class HostedDatabase:
     def __init__(self, name: str, db: Database) -> None:
         self.name = name
         self.db = db
+        #: The program solved: the ``Database``'s, or an equal one that
+        #: :func:`share_programs` gave every database of its rule text.
+        self.program: Program = db.program
         self._lock = threading.Lock()
         self._snapshot: Optional[Interpretation] = None
-
-    @property
-    def program(self) -> Program:
-        """The assembled program (cached by the ``Database``)."""
-        return self.db.program
 
     def snapshot(self) -> Interpretation:
         """The shared read snapshot of the EDB.
@@ -62,3 +65,26 @@ def host_program_text(name: str, source: str) -> HostedDatabase:
     db = Database(name=name)
     db.load(source)
     return HostedDatabase(name, db)
+
+
+def share_programs(databases: Iterable[HostedDatabase]) -> None:
+    """Give the hosted databases whose programs are equal one ``Program``:
+    the same rules, constraints and declarations (lattice and default
+    included) and the same aggregate functions, by type and state.  The
+    name does not count; each database keeps its own EDB snapshot."""
+    shared: Dict[Tuple[Any, ...], List[Program]] = {}
+    for hosted in databases:
+        program = hosted.db.program
+        decls = frozenset(program.declarations.items())
+        peers = shared.setdefault((program.rules, program.constraints, decls), [])
+        aggregates = program.aggregates
+        match = next((p for p in peers if _same_functions(p.aggregates, aggregates)), None)
+        if match is None:
+            peers.append(program)
+        hosted.program = match or program
+
+
+def _same_functions(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
+    return a.keys() == b.keys() and all(
+        type(f) is type(b[name]) and vars(f) == vars(b[name]) for name, f in a.items()
+    )

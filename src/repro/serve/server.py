@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.supervisor import CancelToken
 from repro.obs import FlightRecorder, Tracer
-from repro.serve.hosting import HostedDatabase
+from repro.serve.hosting import HostedDatabase, share_programs
 from repro.serve.supervise import RequestOutcome, RequestSupervisor, encode_body
 from repro.util.limits import require
 
@@ -148,6 +148,7 @@ class SolveServer:
         settings: Optional[ServeSettings] = None,
     ) -> None:
         self.databases = dict(databases)
+        share_programs(self.databases.values())
         self.settings = settings or ServeSettings()
         self.supervisor = RequestSupervisor(
             default_timeout=self.settings.default_timeout,

@@ -319,6 +319,8 @@ class RequestSupervisor:
         # the only telemetry retained.
         tracer = Tracer(flight, collect=False)
         tracer.metrics.counter("serve.cache_misses").inc()
+        # The program may be shared: the trace names this database.
+        tracer.start(hosted.name)
         try:
             result = solve(
                 hosted.program,

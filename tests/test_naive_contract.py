@@ -62,12 +62,14 @@ def _cases():
         {"knows": knows, "requires": list(requires.items())}
     )
     company = company_control.database({"s": random_ownership(12, seed=0)})
-    halfsum = halfsum_limit.database()
     yield "party_invitations", party.program, party.edb(), {}
     yield "company_control", company.program, company.edb(), {}
     # Floats close the chain after 55 rounds; 40 sees it still ascending.
-    yield "halfsum_60", halfsum.program, halfsum.edb(), {"max_iterations": 60}
-    yield "halfsum_40", halfsum.program, halfsum.edb(), {"max_iterations": 40}
+    # One Database per case: a second solve of one program is prepared
+    # and emits no front-end phase, which would shift the pinned seqs.
+    for rounds in (60, 40):
+        halfsum = halfsum_limit.database()
+        yield f"halfsum_{rounds}", halfsum.program, halfsum.edb(), {"max_iterations": rounds}
 
     program = parse_program(OSCILLATING)
     edb = Interpretation(program.declarations)

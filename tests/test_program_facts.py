@@ -8,9 +8,11 @@ tests pin what that buys and what it must not cost:
   run, program), counted by wrapping the pass functions themselves;
 * the deterministic work counter ``analysis.passes_run`` a traced solve
   publishes;
-* nothing is retained once the result is dropped, nothing is stored on
-  the ``Program``, and concurrent solves of one ``Program`` share no
-  facts object;
+* no report is retained once the result is dropped: the ``Program``
+  keeps only its prepared record (verdicts) beside its plans, and
+  concurrent solves of one ``Program`` share no facts object;
+* a later solve of a program is prepared (no pass, no plan compiled),
+  while a change to the database or a refusal analyses again;
 * ``Linter.register`` keeps its public ``fn(program)`` contract.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import gc
+import json
 import pathlib
 import re
 import sys
@@ -26,7 +29,10 @@ import weakref
 
 import pytest
 
+from repro.aggregates.standard import Minimum
 from repro.analysis import analyze_program
+from repro.analysis.classify import ComponentClassification
+from repro.analysis.dependencies import Component
 from repro.analysis.diagnostics import (
     Linter,
     lint_program,
@@ -38,7 +44,9 @@ from repro.analysis.premap import apply_pushdown
 from repro.cli import main as cli_main
 from repro.core.database import Database
 from repro.datalog.errors import ReproError
+from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
+from repro.engine.exec import clear_plan_cache
 from repro.engine.solver import solve
 from repro.obs import Tracer
 from repro.programs import ALL_PROGRAMS, shortest_path
@@ -416,20 +424,29 @@ def test_nothing_is_retained_after_the_result_is_dropped(monkeypatch):
     gc.collect()
     # Not even the live result keeps a report.
     assert all(ref() is None for ref in held) and result.complete
-    # The Program holds what it held before: the compiled plans and the
-    # rewrite (here the plans sit on the rewrite's own Program).
+    # The Program holds the compiled plans, the rewrite (here the plans
+    # sit on the rewrite's own Program) and its prepared record.
     extras = set(program.__dict__) - set(Program([]).__dict__)
-    assert "_pushdown_cache" in extras
-    assert extras <= {"_exec_plan_cache", "_pushdown_cache"}
+    assert {"_pushdown_cache", "_prepared"} <= extras
+    assert extras <= {"_exec_plan_cache", "_pushdown_cache", "_prepared"}
+    # The record holds verdicts of the rewrite, never the program itself.
+    (record,) = program.__dict__["_prepared"].values()
+    assert record.rewrite.program is not program
+    assert all(isinstance(c, Component) for c in record.components)
+    assert all(type(c) is ComponentClassification for c in record.classes.values())
 
 
 def test_concurrent_solves_of_one_program_share_no_facts(monkeypatch):
-    db = shortest_path.database(
-        {"arc": [("a", "b", 1), ("b", "c", 2), ("c", "a", 4), ("a", "c", 9)]}
-    )
-    program, edb = db.program, db.edb()
+    """Concurrent cold solves of one program each analyse with facts of
+    their own and leave one record; once it is there, concurrent solves
+    analyse nothing."""
+    arcs = {"arc": [("a", "b", 1), ("b", "c", 2), ("c", "a", 4), ("a", "c", 9)]}
     queries = {"s": "seminaive", "path": "auto"}
-    sequential = {q: solve(program, edb, method=m)[q] for q, m in queries.items()}
+    sequential = {
+        q: shortest_path.database(arcs).solve(method=m)[q] for q, m in queries.items()
+    }
+    db = shortest_path.database(arcs)
+    program, edb = db.program, db.edb()
 
     built = collections.defaultdict(list)  # thread → its facts objects
     init = ProgramFacts.__init__
@@ -439,20 +456,140 @@ def test_concurrent_solves_of_one_program_share_no_facts(monkeypatch):
         init(self, program)
 
     monkeypatch.setattr(ProgramFacts, "__init__", recording_init)
-    barrier = threading.Barrier(len(queries))
-    answers = {}
 
-    def run(query, method):
-        barrier.wait(timeout=30)
-        answers[query] = solve(program, edb, method=method)[query]
+    def concurrently():
+        barrier = threading.Barrier(len(queries))
+        answers = {}
 
-    threads = [threading.Thread(target=run, args=item) for item in queries.items()]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert answers == sequential
-    assert len(built) == len(queries)  # each solve built its own
+        def run(query, method):
+            barrier.wait(timeout=30)
+            answers[query] = solve(program, edb, method=method)[query]
+
+        threads = [threading.Thread(target=run, args=item) for item in queries.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert answers == sequential
+
+    concurrently()
+    assert built  # whichever solve came first analysed; no lock to wait on
     everything = [facts for per_thread in built.values() for facts in per_thread]
     assert len({id(f) for f in everything}) == len(everything)
+    assert list(program.__dict__["_prepared"]) == [("strict", "auto")]
+    built.clear()
+    concurrently()
+    assert not built
+
+
+# -- a program keeps its admitted front end -------------------------------------
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_a_second_solve_is_prepared(path, pass_calls):
+    """CI's analyse-once gate: a second solve of one ``Database`` runs no
+    pass, compiles no plan and returns the first solve's model."""
+    from repro.engine.supervisor import Budget
+
+    db = _loaded(path.read_text(encoding="utf-8"))
+    first = db.solve(tracer=Tracer(), budget=Budget(max_iterations=50))
+    pass_calls.clear()
+    tracer = Tracer()
+    second = db.solve(tracer=tracer, budget=Budget(max_iterations=50))
+    assert not pass_calls
+    metrics = tracer.metrics.snapshot()
+    assert metrics["analysis.passes_run"]["value"] == 0
+    assert metrics["analysis.programs_analyzed"]["value"] == 0
+    assert tracer.plan_misses == 0 and tracer.plan_hits > 0
+    phases = {e["phase"] for e in tracer.events if e["type"] == "phase_start"}
+    assert not phases & {"analyze", "pushdown", "classify"}
+    assert _rows(second.model) == _rows(first.model)
+    assert (second.status, second.total_iterations) == (first.status, first.total_iterations)
+
+
+def _rows(model):
+    return {name: sorted(map(repr, rel.rows())) for name, rel in model.relations.items()}
+
+
+def _passes(db) -> int:
+    tracer = Tracer()
+    # Lenient: a fact rule of path is not certified conflict-free.
+    db.solve(tracer=tracer, check="lenient")
+    return tracer.metrics.snapshot()["analysis.passes_run"]["value"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda db: db.add_rule(parse_program("far(X, Y) <- s(X, Y, C).").rules[0]),
+        lambda db: db.add_fact("path", "a", "direct", "c", 5),
+        lambda db: db.register_aggregate(Minimum()),
+        lambda db: clear_plan_cache(db.program),
+    ],
+    ids=["add_rule", "add_fact-head", "register_aggregate", "clear_plan_cache"],
+)
+def test_a_change_forces_a_new_analysis(change):
+    db = shortest_path.database({"arc": [("a", "b", 1), ("b", "c", 2)]})
+    cold = _passes(db)
+    assert cold > 0 and _passes(db) == 0
+    before = db.program
+    db.add_fact("arc", "c", "d", 3)  # an EDB row: the program is kept
+    assert db.program is before and _passes(db) == 0
+    change(db)
+    assert _passes(db) > 0
+
+
+@pytest.mark.parametrize("check", ["strict", "lenient"])
+def test_refusals_replay_on_every_solve(check):
+    """A refused program publishes no record: each solve analyses again,
+    and the second refusal carries the same fresh diagnostics."""
+    from tests.test_refusal_golden import GOLDEN, PROGRAMS, _raised
+
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    replayed = 0
+    for name, build in PROGRAMS.items():
+        expected = golden[name][check]
+        if expected == "admitted" or "load" in expected:
+            continue
+        db = build()
+        for _ in range(2):
+            try:
+                db.solve(check=check, max_iterations=60)
+            except Exception as exc:
+                assert _raised(exc) == expected, name
+            else:
+                pytest.fail(f"{name} was admitted")
+        replayed += 1
+    assert replayed
+
+
+def test_cost_respecting_is_checked_once_per_rule(monkeypatch, capsys):
+    """Def. 2.7 is decided once per rule in a ``repro lint`` run and in a
+    traced solve: premappability reads the facts' reports."""
+    import repro.analysis.conflict as conflict_module
+    import repro.analysis.facts as facts_module
+    import repro.analysis.premap as premap_module
+    from repro.engine.supervisor import Budget
+
+    calls = collections.Counter()
+    original = facts_module.check_rule_cost_respecting
+
+    def counted(rule, program):
+        calls[id(rule)] += 1
+        return original(rule, program)
+
+    for module in (facts_module, premap_module, conflict_module):
+        monkeypatch.setattr(module, "check_rule_cost_respecting", counted)
+    for path in EXAMPLES:
+        text = path.read_text(encoding="utf-8")
+        cli_main(["lint", str(path)])
+        assert sum(calls.values()) == len(parse_program(text).rules), path.stem
+        assert set(calls.values()) == {1}, path.stem
+        calls.clear()
+        db = _loaded(text)
+        db.solve(tracer=Tracer(), budget=Budget(max_iterations=50))
+        assert sorted(calls) == sorted(id(rule) for rule in db.program.rules), path.stem
+        assert set(calls.values()) == {1}, path.stem
+        calls.clear()
+    capsys.readouterr()

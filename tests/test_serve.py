@@ -28,8 +28,10 @@ import pytest
 from repro.core.database import Database
 from repro.engine.options import SolveOptions
 from repro.engine.supervisor import CancelToken
+from repro.aggregates.standard import Union
 from repro.lattices import PowersetUnion
-from repro.obs import load_dump
+from repro.obs import Tracer, load_dump
+from repro.programs import shortest_path
 from repro.serve import (
     HostedDatabase,
     RequestSupervisor,
@@ -40,7 +42,9 @@ from repro.serve import (
     host_program_text,
 )
 from repro.serve import supervise
+from repro.serve.hosting import share_programs
 from repro.serve.supervise import AnswerCache
+from repro.workloads import random_digraph
 
 #: What a request that names no option resolves to (the cache key's tail).
 DEFAULT_OPTIONS = SolveOptions(method="auto", plan="smart")
@@ -579,6 +583,110 @@ class TestHostedDatabase:
             assert outcome.http_status == 200
             assert _solves(outcome) == 1
         assert hosted.snapshot().total_size() == before
+
+
+def _sp_hosted(name: str, seed: int) -> HostedDatabase:
+    """Shortest path over its own random digraph: one rule text, own facts."""
+    arcs = random_digraph(8, seed=seed)
+    return HostedDatabase(name, shortest_path.database({"arc": arcs}))
+
+
+class TestSharedPrograms:
+    """Databases of one rule text share one ``Program``: one analysis,
+    one rewrite, one set of plans; each keeps its own facts and answers."""
+
+    def test_one_program_per_rule_text(self):
+        hosted = {f"g{k}": _sp_hosted(f"g{k}", k) for k in range(3)}
+        hosted["tiny"] = host_program_text("tiny", TINY)
+        server = SolveServer(hosted)
+        programs = {name: h.program for name, h in server.databases.items()}
+        assert programs["g0"] is programs["g1"] is programs["g2"]
+        assert programs["tiny"] is not programs["g0"]
+        assert hosted["g1"].snapshot() is not hosted["g0"].snapshot()
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            # Same rules, another lattice on one cost column.
+            "@cost arc/3 : reals_le. @cost path/4 : reals_ge. "
+            "@cost s/3 : reals_ge.",
+            # Same rules, a default value on one cost column.
+            "@cost arc/3 : reals_ge. @cost path/4 : reals_ge. "
+            "@cost s/3 : reals_ge default.",
+        ],
+        ids=["lattice", "default"],
+    )
+    def test_other_declarations_are_not_shared(self, other):
+        rules = (
+            "path(X, direct, Y, C) <- arc(X, Y, C). "
+            "s(X, Y, C) <- C =r min{D : path(X, Z, Y, D)}."
+        )
+        base = "@cost arc/3 : reals_ge. @cost path/4 : reals_ge. @cost s/3 : reals_ge."
+        one, two = host_program_text("one", base + rules), host_program_text("two", other + rules)
+        share_programs([one, two])
+        assert one.program is not two.program
+
+    def test_other_parametric_aggregates_are_not_shared(self):
+        def hosted(name, universe):
+            db = Database(name=name)
+            db.register_aggregate(Union(universe))
+            db.load("@pred tag/2. @pred tags/2. tags(X, S) <- S = union{T : tag(X, T)}.")
+            return HostedDatabase(name, db)
+
+        one, same, other = hosted("one", "ab"), hosted("same", "ab"), hosted("other", "abc")
+        share_programs([one, same, other])
+        assert one.program is same.program
+        assert other.program is not one.program
+
+    def test_concurrent_cold_solves_of_a_shared_program(self):
+        # Each answer against a direct solve of a Database of its own.
+        direct = {
+            f"g{k}": _sp_hosted(f"g{k}", k).db.solve().model.relation("s").rows()
+            for k in range(4)
+        }
+        hosted = [_sp_hosted(name, int(name[1:])) for name in direct]
+        share_programs(hosted)
+        program = hosted[0].program
+        sup = RequestSupervisor()
+        barrier = threading.Barrier(len(hosted))
+        outcomes = {}
+
+        def run(h):
+            barrier.wait(timeout=30)
+            outcomes[h.name] = execute(sup, h, query="s")
+
+        threads = [threading.Thread(target=run, args=(h,)) for h in hosted]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the cold front ends finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for name, rows in direct.items():
+            assert outcomes[name].body["rows"] == sorted(map(list, rows), key=repr)
+        assert list(program.__dict__["_prepared"]) == [("strict", "auto")]
+
+    def test_metrics_count_one_front_end_run(self, tmp_path):
+        hosted = {f"g{k}": _sp_hosted(f"g{k}", k) for k in range(4)}
+        server = SolveServer(hosted, ServeSettings(flight_dir=str(tmp_path)))
+        thread = ServerThread(server)
+        client = ServeClient("127.0.0.1", thread.start(), timeout=30.0)
+        try:
+            for name in hosted:
+                assert client.solve(name, "s")[0] == 200
+            text = client.metrics()
+        finally:
+            thread.drain(timeout=30.0)
+        one_run = Tracer()
+        shortest_path.database().solve(method="auto", tracer=one_run)
+        passes = one_run.metrics.snapshot()["analysis.passes_run"]["value"]
+        assert passes > 0
+        assert f"repro_analysis_passes_run_total {passes}\n" in text
+        assert "repro_analysis_programs_analyzed_total 1\n" in text
 
 
 class TestAnswerCache:

@@ -206,6 +206,26 @@ class TestServeFaultIsolation:
         for name in sorted(snapshot.relations):
             assert not check_relation_indexes(snapshot.relation(name))
 
+    def test_postmortem_names_the_database_of_a_shared_program(self, tmp_path):
+        """Two databases of one rule text share one Program; a crash in
+        the second's request dumps a trace that names the second."""
+        server = SolveServer(
+            {name: host_program_text(name, TINY) for name in ("first", "second")},
+            ServeSettings(default_timeout=10.0, flight_dir=str(tmp_path)),
+        )
+        assert server.databases["first"].program is server.databases["second"].program
+        thread = ServerThread(server)
+        client = ServeClient("127.0.0.1", thread.start(), timeout=30.0)
+        try:
+            with inject(FaultPlan([Fault("rule_firing", at=1)])):
+                status, body = client.solve("second", "path")
+        finally:
+            thread.drain(timeout=30.0)
+        assert status == 500
+        _header, events = load_dump(body["postmortem"])
+        starts = [e for e in events if e["type"] == "trace_start"]
+        assert [e["program"] for e in starts] == ["second"]
+
     def test_concurrent_crashes_each_get_their_own_postmortem(self, served):
         """Collision-safe dump paths: two crashing requests in the same
         flight_dir never clobber each other's postmortems."""
