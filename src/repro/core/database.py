@@ -108,14 +108,20 @@ class Database:
 
         Facts in the text (empty-bodied rules with ground heads) are moved
         to the extensional database rather than kept as rules, so EDB
-        predicates stay extensional.
+        predicates stay extensional: each loads as a row, never a rule.
+        Should a row's arity clash with its predicate's, or the program
+        fail to build, the text is parsed again with its facts as rules
+        and their error is raised, message and span.
         """
-        parsed = parse_program(
-            source,
-            lattices=self._lattices,
-            aggregates=self._aggregates,
-            name=self.name,
-        )
+        options = dict(lattices=self._lattices, aggregates=self._aggregates)
+        rows: List[Tuple[str, Tuple[Any, ...]]] = []
+        try:
+            parsed = parse_program(source, name=self.name, rows=rows, **options)
+            if any(parsed.declarations[p].arity != len(v) for p, v in rows):
+                raise ProgramError("a row's arity clashes with its declaration")
+        except ProgramError:
+            parse_program(source, name=self.name, **options)
+            raise
         for decl in parsed.declarations.values():
             existing = self._declarations.get(decl.name)
             if existing is None:
@@ -138,11 +144,8 @@ class Database:
                         f"and {decl.arity}"
                     )
         for rule in parsed.rules:
-            if rule.is_fact and rule.head.is_ground():
-                values = tuple(arg.value for arg in rule.head.args)  # type: ignore[union-attr]
-                self._facts.append((rule.head.predicate, values))
-            else:
-                self.add_rule(rule)
+            self.add_rule(rule)
+        self._facts.extend(rows)
         self._constraints.extend(parsed.constraints)
         self._program_cache = None
 
@@ -273,13 +276,6 @@ class Database:
                 aggregates=dict(self._aggregates),
                 name=self.name,
             )
-            # Fact predicates may not occur in any rule; make sure they are
-            # declared on the program too.
-            for predicate, args in self._facts:
-                if predicate not in self._program_cache.declarations:
-                    self._program_cache.declarations[predicate] = PredicateDecl(
-                        predicate, len(args)
-                    )
         return self._program_cache
 
     def edb(self) -> Interpretation:

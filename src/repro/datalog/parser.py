@@ -43,7 +43,11 @@ Statements
 * ``@pred p/arity.`` — optional explicit ordinary-predicate declaration.
 * ``@constraint subgoal, ..., subgoal.`` — an integrity constraint
   (Definition 2.9).
-* ``head <- subgoal, ..., subgoal.`` — a rule; ``head.`` — a fact.
+* ``head <- subgoal, ..., subgoal.`` — a rule; ``head.`` — a fact.  A
+  fact that leads its line and ends on it, with ASCII lowercase names and
+  ``inf``, int or float constants (optionally negative), is one lexeme:
+  it becomes its rule, or with ``parse_program(rows=...)`` its row, with
+  no token in between.  Any other fact is lexed token by token.
 
 Aggregate subgoals are written ``C = f{E : atom, ..., atom}`` or the
 restricted form ``C =r f{E : ...}``; the multiset variable and colon are
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.aggregates.base import AggregateFunction
 from repro.datalog.atoms import (
@@ -80,6 +84,7 @@ class TokenKind(enum.Enum):
     NUMBER = "number"
     STRING = "string"
     PUNCT = "punct"
+    FACT = "fact"            # a one-line ground fact (``tokenize(facts=True)``)
     EOF = "eof"
 
 
@@ -104,68 +109,101 @@ class Token(NamedTuple):
 # included) and comments produce no token; a string's backslash escapes
 # any character, a newline included.  A number's "." needs a digit after
 # it, or it is the statement terminator.  "=r" is lexed only when no word
-# character follows it, so "=rate" stays "=", "rate".
+# character follows it, so "=rate" stays "=", "rate".  A ground fact that
+# leads a line and ends on it is one lexeme (module docstring, Statements).
+_CONSTANT = r"(?:-?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+|inf)|[a-z][A-Za-z0-9_]*)"
+_FACT_LEXEME = (
+    rf"^(?P<name>(?!inf[ \t(])[a-z][A-Za-z0-9_]*)[ \t]*\((?P<args>[ \t]*{_CONSTANT}"
+    rf"(?:[ \t]*,[ \t]*{_CONSTANT})*)[ \t]*\)[ \t]*\.(?!\d)"
+)
 _LEXEME = re.compile(
     r"""
       (?P<skip>[ \t\r\n]+)
     | (?P<comment>%[^\n]*)
     | (?P<string>"(?:\\.|[^"\\\n])*")
     | (?P<number>\d+(?:\.\d+)?|\.\d+)
+    | (?P<fact>""" + _FACT_LEXEME + r""")
     | (?P<word>\w+)
     | (?P<punct>=r(?!\w)|<-|<=|>=|!=|[(){},:.=<>+\-*/@])
     | (?P<other>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.MULTILINE,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
-_IDENT, _VARIABLE, _NUMBER, _STRING, _PUNCT, _EOF = TokenKind  # in order
+_IDENT, _VARIABLE, _NUMBER, _STRING, _PUNCT, _FACT, _EOF = TokenKind  # in order
 #: ``Token(...)`` without the Python frame of its generated ``__new__``.
 _new = tuple.__new__
+_INF = float("inf")
 
 
-def tokenize(source: str) -> List[Token]:
+def _constant(text: str) -> Any:
+    """The value of one constant of a fact lexeme."""
+    text = text.strip(" \t")
+    if text[0] == "-":
+        return -_constant(text[1:])
+    if text[0] in "0123456789.":
+        return float(text) if "." in text else int(text)
+    return _INF if text == "inf" else text
+
+
+def tokenize(source: str, *, facts: bool = False) -> List[Token]:
     """Split rule text into tokens, tracking line/column for diagnostics.
 
     A column counts characters from the last newline outside a string,
     so a tab or ``\\r`` is one column and an escaped newline inside a
-    string does not start a line.
+    string does not start a line.  With ``facts``, a fact lexeme that
+    starts a statement is one ``FACT`` token whose value is its row,
+    ``(predicate, values)``; any other is its ordinary tokens.
     """
     tokens: List[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
+    line, line_start, pos = 1, 0, 0
     match = None
-    for match in _LEXEME.finditer(source):
-        group = match.lastgroup
-        text = match[0]
-        start = match.start()
-        if group == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-            continue
-        column = start - line_start + 1
-        if group == "punct":
-            append(_new(Token, (_PUNCT, text, text, line, column)))
-        elif group == "word":
-            first = text[0]
-            if not (first.isalpha() or first == "_"):
-                raise ParseError(f"unexpected character {first!r}", line, column)
-            if text == "inf":
-                append(_new(Token, (_NUMBER, text, float("inf"), line, column)))
-            elif first.isupper() or first == "_":
-                append(_new(Token, (_VARIABLE, text, text, line, column)))
-            else:
-                append(_new(Token, (_IDENT, text, text, line, column)))
-        elif group == "number":
-            value = float(text) if "." in text else int(text)
-            append(_new(Token, (_NUMBER, text, value, line, column)))
-        elif group == "string":
-            value = _ESCAPE.sub(r"\1", text[1:-1])
-            append(_new(Token, (_STRING, text, value, line, column)))
-        elif group == "other":
-            if text == '"':  # a string that does not close on its line
-                raise ParseError("unterminated string literal", line, column)
-            raise ParseError(f"unexpected character {text!r}", line, column)
+    while True:
+        for match in _LEXEME.finditer(source, pos):
+            group = match.lastgroup
+            text = match[0]
+            start = match.start()
+            if group == "skip":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+                continue
+            column = start - line_start + 1
+            if group == "punct":
+                append(_new(Token, (_PUNCT, text, text, line, column)))
+            elif group == "word":
+                first = text[0]
+                if not (first.isalpha() or first == "_"):
+                    raise ParseError(f"unexpected character {first!r}", line, column)
+                if text == "inf":
+                    append(_new(Token, (_NUMBER, text, _INF, line, column)))
+                elif first.isupper() or first == "_":
+                    append(_new(Token, (_VARIABLE, text, text, line, column)))
+                else:
+                    append(_new(Token, (_IDENT, text, text, line, column)))
+            elif group == "number":
+                value = float(text) if "." in text else int(text)
+                append(_new(Token, (_NUMBER, text, value, line, column)))
+            elif group == "fact":
+                name = match["name"]
+                if facts and (not tokens or tokens[-1].text[-1] == "."):
+                    row = (name, tuple(map(_constant, match["args"].split(","))))
+                    append(_new(Token, (_FACT, text, row, line, column)))
+                    continue
+                # Not a statement's start: the name, then lex on after it.
+                append(_new(Token, (_IDENT, name, name, line, column)))
+                pos = match.end("name")
+                break
+            elif group == "string":
+                value = _ESCAPE.sub(r"\1", text[1:-1])
+                append(_new(Token, (_STRING, text, value, line, column)))
+            elif group == "other":
+                if text == '"':  # a string that does not close on its line
+                    raise ParseError("unterminated string literal", line, column)
+                raise ParseError(f"unexpected character {text!r}", line, column)
+        else:
+            break
     # A comment ends at its newline; one that ends the text leaves the
     # end-of-input position where it began.
     end = len(source)
@@ -186,8 +224,11 @@ class Parser:
         aggregates: Optional[Dict[str, AggregateFunction]] = None,
         name: str = "program",
         validate: bool = True,
+        facts: bool = False,
+        rows: Optional[List[Tuple[str, tuple]]] = None,
     ) -> None:
-        self.tokens = tokenize(source)
+        self.tokens = tokenize(source, facts=facts)
+        self.rows = rows
         self.pos = 0
         self.name = name
         self.validate = validate
@@ -258,8 +299,24 @@ class Parser:
     # -- grammar ----------------------------------------------------------------
 
     def parse_program(self) -> Program:
+        rows = self.rows
+        # With ``rows``: each predicate's arity at its first occurrence.
+        seen: Dict[str, int] = {}
         while self.current.kind is not TokenKind.EOF:
-            if self.at_punct("@"):
+            token = self.tokens[self.pos]
+            if token.kind is _FACT:
+                self.pos += 1
+                if rows is not None:
+                    rows.append(token.value)
+                    seen.setdefault(token.value[0], len(token.value[1]))
+                    continue
+                # The fact rule, spanned as its tokens would span it.
+                predicate, values = token.value
+                line, column = token.line, token.column
+                span = Span(line, column, line, column + token.text.rindex(")"))
+                head = Atom(predicate, tuple(map(Constant, values)), span=span)
+                self.rules.append(Rule(head=head, span=token.span))
+            elif self.at_punct("@"):
                 self.parse_declaration()
             elif self.at_punct("<-"):
                 # A headless rule is an integrity constraint (Definition
@@ -271,7 +328,23 @@ class Parser:
                     IntegrityConstraint(tuple(body), span=self.span_from(start))
                 )
             else:
-                self.rules.append(self.parse_rule())
+                rule = self.parse_rule()
+                if rows is not None:
+                    for atom in rule.atoms():
+                        seen.setdefault(atom.predicate, atom.arity)
+                    if not rule.body and rule.head.is_ground():
+                        values = tuple(arg.value for arg in rule.head.args)
+                        rows.append((rule.head.predicate, values))
+                        continue
+                self.rules.append(rule)
+        declarations = self.declarations
+        if rows is not None:
+            # Declare what the rows' fact rules would have inferred, in the
+            # same order; the constraints' own are inferred after them.
+            named = {decl.name for decl in declarations}
+            declarations = declarations + [
+                PredicateDecl(p, arity) for p, arity in seen.items() if p not in named
+            ]
         from repro.aggregates.standard import default_registry
 
         aggregates = default_registry()
@@ -279,7 +352,7 @@ class Parser:
             aggregates.update(self.extra_aggregates)
         return Program(
             rules=self.rules,
-            declarations=self.declarations,
+            declarations=declarations,
             constraints=self.constraints,
             aggregates=aggregates,
             name=self.name,
@@ -499,6 +572,7 @@ def parse_program(
     aggregates: Optional[Dict[str, AggregateFunction]] = None,
     name: str = "program",
     validate: bool = True,
+    rows: Optional[List[Tuple[str, tuple]]] = None,
 ) -> Program:
     """Parse rule text into a :class:`Program`.
 
@@ -506,11 +580,14 @@ def parse_program(
     registries for custom cost domains and aggregate functions.
     ``validate=False`` skips the structural validation pass (the linter
     uses this to report arity/aggregate problems as diagnostics instead of
-    letting construction raise on the first one).
+    letting construction raise on the first one).  Given ``rows``, every
+    ground fact goes there as ``(predicate, values)``, in source order,
+    instead of into the program, whose declarations still cover it; the
+    arity of a row is not checked.
     """
     return Parser(
         source, lattices=lattices, aggregates=aggregates, name=name,
-        validate=validate,
+        validate=validate, facts=True, rows=rows,
     ).parse_program()
 
 

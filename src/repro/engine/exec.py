@@ -677,13 +677,13 @@ def get_pushdown(
     """The cached aggregate-pushdown rewrite of ``program``.
 
     Like rule plans, the rewrite is computed once per program object and
-    cached on it, so repeated solves of one database do not redo it.  On
-    the first (cache-filling) call the premappability verdicts come from
-    ``facts`` (the run's :class:`~repro.analysis.facts.ProgramFacts`;
-    ``solve()`` hands them over) or else from a fresh analysis, reusing
-    ``classification`` when given.  Returns a
-    :class:`~repro.analysis.premap.PushdownResult`; callers check
-    ``.changed`` and evaluate ``.program``.
+    cached on it (as ``()`` if it changed nothing: that result refers back
+    to its program), so later solves do not redo it.  The first call takes
+    the premappability verdicts from ``facts`` (the run's
+    :class:`~repro.analysis.facts.ProgramFacts`; ``solve()`` hands them
+    over) or else from a fresh analysis, reusing ``classification`` when
+    given.  Returns a :class:`~repro.analysis.premap.PushdownResult`;
+    callers check ``.changed`` and evaluate ``.program``.
     """
     cached = program.__dict__.get("_pushdown_cache")
     if cached is None:
@@ -693,8 +693,8 @@ def get_pushdown(
             else analyze_premappability(program, classification=classification)
         )
         cached = apply_pushdown(program, report)
-        program.__dict__["_pushdown_cache"] = cached
-    return cached
+        program.__dict__["_pushdown_cache"] = cached if cached.changed else ()
+    return cached or PushdownResult(program)
 
 
 def seed_columns(pre_bound: FrozenSet[Variable]) -> Tuple[Variable, ...]:

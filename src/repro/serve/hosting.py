@@ -50,6 +50,9 @@ class HostedDatabase:
         with self._lock:
             if self._snapshot is None:
                 self._snapshot = self.db.edb()
+                # The snapshot now holds the rows, and the program the fact
+                # rules: the Database need not keep its facts as well.
+                self.db._facts = []
             return self._snapshot
 
     def predicates(self) -> list:

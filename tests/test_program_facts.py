@@ -46,10 +46,10 @@ from repro.core.database import Database
 from repro.datalog.errors import ReproError
 from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
-from repro.engine.exec import clear_plan_cache
+from repro.engine.exec import clear_plan_cache, get_pushdown
 from repro.engine.solver import solve
 from repro.obs import Tracer
-from repro.programs import ALL_PROGRAMS, shortest_path
+from repro.programs import ALL_PROGRAMS, party_invitations, shortest_path
 from repro.workloads import ROAD_NETWORK_PROGRAM
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -434,6 +434,24 @@ def test_nothing_is_retained_after_the_result_is_dropped(monkeypatch):
     assert record.rewrite.program is not program
     assert all(isinstance(c, Component) for c in record.components)
     assert all(type(c) is ComponentClassification for c in record.classes.values())
+
+
+def test_a_program_the_rewrite_leaves_alone_is_freed_by_reference_counting():
+    """No pushdown applies to party invitations (``count``): the cache
+    keeps no result that refers back to the program, so no cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        db = party_invitations.database()
+        program = db.program
+        assert db.solve(method="auto").complete
+        unchanged = get_pushdown(program)
+        assert unchanged.changed is False and unchanged.program is program
+        held = weakref.ref(program)
+        del db, program, unchanged
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_concurrent_solves_of_one_program_share_no_facts(monkeypatch):

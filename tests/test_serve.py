@@ -15,6 +15,7 @@ fault-injection serve suite is ``test_serve_faults.py``.
 """
 
 import contextlib
+import gc
 import json
 import pathlib
 import random
@@ -22,10 +23,12 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from repro.core.database import Database
+from repro.datalog.errors import ReproError
 from repro.engine.options import SolveOptions
 from repro.engine.supervisor import CancelToken
 from repro.aggregates.standard import Union
@@ -583,6 +586,58 @@ class TestHostedDatabase:
             assert outcome.http_status == 200
             assert _solves(outcome) == 1
         assert hosted.snapshot().total_size() == before
+
+    def test_the_snapshot_takes_over_the_databases_rows(self, tmp_path):
+        """Once materialized, the rows live in the snapshot and the fact
+        rules in the program: the ``Database`` lets its rows go."""
+        hosted = host_program_text("tiny", TINY + "path(d, a).\n")
+        assert len(hosted.db._facts) == 4
+        hosted.snapshot()
+        assert hosted.db._facts == []
+        server = SolveServer(
+            {"tiny": hosted},
+            ServeSettings(flight_dir=str(tmp_path), checkpoint_dir=str(tmp_path)),
+        )
+        thread = ServerThread(server)
+        client = ServeClient("127.0.0.1", thread.start(), timeout=30.0)
+        try:
+            assert client.databases()[1]["databases"] == {"tiny": ["edge", "path"]}
+            # The fact rule of the head predicate path still derives.
+            first = client.solve("tiny", "path")
+            assert first[0] == 200 and ["d", "a"] in first[1]["rows"]
+            assert ["d", "b"] in first[1]["rows"] and len(first[1]["rows"]) == 10
+            # A second solve over the snapshot (another method: no cache hit).
+            second = client.solve("tiny", "path", method="naive")
+            assert sorted(second[1]["rows"]) == sorted(first[1]["rows"])
+        finally:
+            thread.drain(timeout=30.0)
+
+    def test_a_failed_snapshot_keeps_the_rows(self):
+        hosted = host_program_text("w", "@cost w/2 : reals_ge.\nw(a, 1).\nw(a, 2).\n")
+        with pytest.raises(ReproError):
+            hosted.snapshot()
+        assert hosted.db._facts == [("w", ("a", 1)), ("w", ("a", 2))]
+
+    def test_hosted_rows_are_held_once(self):
+        """tracemalloc's retained bytes (docs/ANALYSIS.md, "What a program
+        keeps"): keeping each database's row list alive beside its
+        snapshot, as hosting once did, holds more than hosting does."""
+
+        def retained(keep_rows: bool) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                hosted = [_sp_hosted(f"g{k}", k) for k in range(20)]
+                kept = [h.db._facts for h in hosted] if keep_rows else []
+                for h in hosted:
+                    h.snapshot()
+                gc.collect()
+                assert len(kept) == (20 if keep_rows else 0)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert retained(keep_rows=False) < retained(keep_rows=True)
 
 
 def _sp_hosted(name: str, seed: int) -> HostedDatabase:
