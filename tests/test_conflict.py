@@ -16,7 +16,7 @@ from repro.lattices import REALS_GE
 from repro.programs import ALL_PROGRAMS, circuit, company_control, shortest_path
 from tests.reference_analysis import reference_pair_verdicts
 from tests.test_facts_differential import SOURCES, _program
-from tests.test_fuzz_analysis import random_program
+from tests.generate import random_program
 
 
 class TestRenameApart:

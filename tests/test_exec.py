@@ -25,10 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import LatticeJoin, Minimum
-from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
+from repro.datalog.atoms import AggregateSubgoal
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Variable
 from repro.engine import exec as exec_layer
 from repro.engine.exec import (
     PLAN_MODES,
@@ -74,6 +74,7 @@ from repro.workloads import (
     random_ownership,
     random_party,
 )
+from tests.generate import programs
 
 PAPER_PROGRAMS = [shortest_path, company_control, party_invitations, circuit]
 
@@ -581,55 +582,19 @@ class TestBatchedKernels:
         assert fire(program.rules[0], ctx, seeds) == [("p", (3,)), ("p", (1,))]
 
 
-def _constants(program):
-    """Every constant the program's rules mention."""
-    found = set()
-    for rule in program.rules:
-        atoms = [rule.head]
-        for sg in rule.body:
-            if isinstance(sg, AtomSubgoal):
-                atoms.append(sg.atom)
-            elif isinstance(sg, AggregateSubgoal):
-                atoms.extend(sg.conjuncts)
-        for atom in atoms:
-            found.update(a.value for a in atom.args if isinstance(a, Constant))
-    return sorted(found, key=repr)
-
-
-@st.composite
-def catalog_states(draw):
-    """A catalog program and a random interpretation of *all* its
-    predicates (so recursive bodies have something to join)."""
-    paper = draw(st.sampled_from(ALL_PROGRAMS))
-    program = paper.database().program
-    values = st.sampled_from(_constants(program) + [0, 1, 2, 3])
-    state = Interpretation(program.declarations)
-    for name, decl in sorted(program.declarations.items()):
-        costs = [v for v in (0, 1, 2, 0.5, 2.5) if decl.lattice and v in decl.lattice]
-        row = st.tuples(
-            *[values] * decl.key_arity,
-            *([st.sampled_from(costs)] if decl.is_cost_predicate else []),
-        )
-        for args in draw(st.lists(row, max_size=6)):
-            state.relation(name).join_rows([args])
-    return program, state
-
-
 class TestCatalogKernels:
     @settings(max_examples=60, deadline=None)
-    @given(catalog_states())
+    @given(programs())
     def test_smart_off_and_grounding_agree(self, case):
-        program, state = case
+        """A generated program, its model the state of *all* predicates."""
+        db = case.database()
+        program, state = db.program, db.solve(method="seminaive").model
         cdb = frozenset(program.declarations)
         ctx = EvalContext(program, cdb, state, Interpretation(program.declarations))
         for rule in program.rules:
             if not rule.is_fact:
                 assert_kernel_matches_legacy(rule, ctx)
-        delta = {
-            name: list(rel.rows())
-            for name, rel in state.relations.items()
-            if len(rel)
-        }
+        delta = {name: list(rel.rows()) for name, rel in state.relations.items() if len(rel)}
         assert_batches_match_legacy(program, ctx, delta)
 
 

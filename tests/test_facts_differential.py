@@ -28,7 +28,7 @@ from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
 from repro.programs import ALL_PROGRAMS
 from tests import reference_analysis as reference
-from tests.test_fuzz_analysis import random_program
+from tests.generate import random_program
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = {

@@ -17,7 +17,6 @@ from repro.programs import (
     halfsum_limit,
     party_invitations,
     shortest_path,
-    two_minimal_models,
 )
 from repro.workloads import (
     circuit_oracle,
@@ -106,29 +105,25 @@ WORKLOAD_SEEDS = [0, 1, 2]
 
 
 class TestSemiNaiveEquivalence:
+    """Against the oracles (tests/test_generated_programs.py: vs naive)."""
+
     @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
     def test_shortest_path(self, seed):
         arcs = random_digraph(14, seed=seed)
-        naive = shortest_path.database({"arc": arcs}).solve(method="naive")
         semi = shortest_path.database({"arc": arcs}).solve(method="seminaive")
-        assert naive.model == semi.model
         assert semi.model["s"] == dijkstra_all_pairs(arcs)
 
     @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
     def test_company_control(self, seed):
         shares = random_ownership(12, seed=seed)
-        naive = company_control.database({"s": shares}).solve(method="naive")
         semi = company_control.database({"s": shares}).solve(method="seminaive")
-        assert naive.model == semi.model
         assert set(semi.model["c"]) == company_control_oracle(shares)
 
     @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
     def test_party(self, seed):
         knows, requires = random_party(16, seed=seed)
         facts = {"knows": knows, "requires": list(requires.items())}
-        naive = party_invitations.database(facts).solve(method="naive")
         semi = party_invitations.database(facts).solve(method="seminaive")
-        assert naive.model == semi.model
         assert {g for (g,) in semi.model["coming"]} == party_oracle(
             knows, requires
         )
@@ -141,9 +136,7 @@ class TestSemiNaiveEquivalence:
             "connect": inst.connects,
             "input": inst.inputs,
         }
-        naive = circuit.database(facts).solve(method="naive")
         semi = circuit.database(facts).solve(method="seminaive")
-        assert naive.model == semi.model
         oracle = circuit_oracle(inst)
         mine = {k[0]: v for k, v in semi.model["t"].items()}
         assert all(mine.get(w, 0) == v for w, v in oracle.items())
@@ -163,13 +156,12 @@ class TestGreedy:
 
     @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
     def test_matches_naive_on_nonnegative(self, seed):
+        """Naive's model here is Dijkstra's (tests/test_generated_programs.py)."""
         arcs = random_digraph(14, seed=seed)
         db = shortest_path.database({"arc": arcs})
         component = condense(db.program)[0]
         greedy = greedy_fixpoint(db.program, component, db.edb())
-        naive = db.solve(method="naive")
-        assert greedy.interpretation["s"] == naive.model["s"]
-        assert greedy.interpretation["path"] == naive.model["path"]
+        assert greedy.interpretation["s"] == dijkstra_all_pairs(arcs)
 
     def test_settles_each_key_once(self, monkeypatch):
         """Non-negative weights: popped one at a time every key is
@@ -219,7 +211,6 @@ class TestCostOrderIsNotASoundnessCondition:
         assert result.model["s"][("a", "b")] == 1
         assert result.model["s"][("a", "d")] == 2
         assert is_model(db.program, result.model)
-        assert result.model == db.solve(method="naive").model
 
     @pytest.mark.parametrize("method", ["auto", "greedy", "seminaive"])
     def test_negative_cycle_hits_max_iterations(self, method):

@@ -7,90 +7,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import analyze_program
-from repro.core.builder import V, agg, agg_r, atom, not_, rule
 from repro.datalog.errors import ReproError
-from repro.datalog.program import PredicateDecl, Program
-from repro.lattices import NONNEG_REALS_LE, REALS_GE
-
-var_names = st.sampled_from(["X", "Y", "Z", "C", "D", "E", "N"])
-pred_names = st.sampled_from(["p", "q", "r", "w"])
-consts = st.one_of(st.integers(0, 5), st.sampled_from(["a", "b"]))
-term = st.one_of(var_names.map(V), consts)
-
-
-@st.composite
-def random_atom(draw):
-    name = draw(pred_names)
-    arity = draw(st.integers(1, 3))
-    return atom(name, *[draw(term) for _ in range(arity)])
-
-
-@st.composite
-def random_subgoal(draw):
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return atom_to_subgoal(draw(random_atom()))
-    if kind == 1:
-        return not_(draw(random_atom()))
-    if kind == 2:
-        left = draw(term)
-        right = draw(term)
-        op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
-        proxy = left if hasattr(left, "node") else V("Tmp")
-        comparisons = {
-            "<": proxy.__lt__,
-            "<=": proxy.__le__,
-            ">": proxy.__gt__,
-            ">=": proxy.__ge__,
-            "=": proxy.__eq__,
-            "!=": proxy.__ne__,
-        }
-        return comparisons[op](right)
-    function = draw(st.sampled_from(["sum", "min", "count"]))
-    result = V(draw(st.sampled_from(["Agg", "C", "N"])))
-    inner = draw(random_atom())
-    if function == "count":
-        builder = agg if draw(st.booleans()) else agg_r
-        return builder(result, "count", None, inner)
-    ms = V("E")
-    inner = atom(inner.predicate, *inner.args[:-1], ms)
-    builder = agg if draw(st.booleans()) else agg_r
-    return builder(result, function, ms, inner)
-
-
-def atom_to_subgoal(a):
-    from repro.datalog.atoms import AtomSubgoal
-
-    return AtomSubgoal(a)
-
-
-@st.composite
-def random_program(draw):
-    n_rules = draw(st.integers(1, 4))
-    rules = []
-    for _ in range(n_rules):
-        head = draw(random_atom())
-        body = [draw(random_subgoal()) for _ in range(draw(st.integers(0, 3)))]
-        try:
-            rules.append(rule(head, *body))
-        except (TypeError, ValueError):
-            continue
-    if not rules:
-        rules.append(rule(atom("p", V("X")), atom("q", V("X"))))
-    declarations = []
-    arities = {}
-    for r in rules:
-        arities.setdefault(r.head.predicate, r.head.arity)
-    # Randomly declare some predicates as cost predicates (consistently
-    # with one observed arity; Program validation may still reject).
-    for name, arity in arities.items():
-        if draw(st.booleans()):
-            lattice = draw(st.sampled_from([REALS_GE, NONNEG_REALS_LE]))
-            declarations.append(PredicateDecl(name, arity, lattice))
-    return rules, declarations
+from repro.datalog.program import Program
+from tests.generate import random_program
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,9 +1,9 @@
 """Premappability analysis, the pushdown rewrite, and its surfaces.
 
-The model-equivalence of the rewrite is pinned separately, against
-randomized programs and all three evaluators, in
-``tests/test_pushdown_equivalence.py``; this module covers the analysis
-verdicts, the rewrite's shape, and the CLI/telemetry surfaces.
+The model-equivalence of the rewrite is pinned separately, on generated
+programs under every evaluator, in ``tests/test_generated_programs.py``;
+this module covers the analysis verdicts, the rewrite's shape, and the
+CLI/telemetry surfaces.
 """
 
 import pytest

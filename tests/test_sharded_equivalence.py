@@ -8,9 +8,8 @@ a component SHARDABLE, every derivation is key-local and the aggregate's
 merge algebra is a commutative monoid, so hash-partitioned evaluation
 plus a barrier lattice-merge computes exactly the monolithic model.
 
-Mirrors ``tests/test_pushdown_equivalence.py``; the sum-based program
-additionally checks that the shard merge order does not leak float
-noise past the lattice's tolerance.
+The sum-based program additionally checks that the shard merge order
+does not leak float noise past the lattice's tolerance.
 """
 
 import random
@@ -31,21 +30,14 @@ from repro.workloads import (
     dijkstra_all_pairs,
     random_ownership,
 )
+from tests.generate import typed_rows
 
 #: min over (R ∪ {±∞}, ≥): the paper's shortest-path idiom — the
 #: recursive component keys on the source vertex.
 MIN_PROGRAM = shortest_path.source
 
 #: max over (R ∪ {±∞}, ≤): longest path — terminating on DAGs only.
-MAX_PROGRAM = """
-@cost arc/3  : reals_le.
-@cost path/4 : reals_le.
-@cost s/3    : reals_le.
-@constraint arc(direct, Z, C).
-path(X, direct, Y, C) <- arc(X, Y, C).
-path(X, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C) <- C =r max{D : path(X, Z, Y, D)}.
-"""
+MAX_PROGRAM = MIN_PROGRAM.replace("reals_ge", "reals_le").replace("min{", "max{")
 
 
 def arcs_strategy(*, dag: bool, max_nodes: int = 7):
@@ -68,19 +60,6 @@ def arcs_strategy(*, dag: bool, max_nodes: int = 7):
     return st.lists(
         st.tuples(node, node, weight), min_size=1, max_size=16
     ).map(build)
-
-
-def typed_rows(model):
-    """Every relation's rows, each value as ``(type name, repr)``, in
-    one canonical order: equal only if sharded and sequential agree bit
-    for bit, ``True`` vs ``1`` and ``1.0`` vs ``1`` included."""
-    return {
-        name: sorted(
-            tuple((type(v).__name__, repr(v)) for v in row)
-            for row in rel.rows()
-        )
-        for name, rel in model.relations.items()
-    }
 
 
 def assert_sharded_agrees(source, facts, methods, *, workers=2, shards=8):
