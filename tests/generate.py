@@ -30,6 +30,7 @@ from repro.core.builder import V, agg, agg_r, atom, not_, rule
 from repro.core.database import Database
 from repro.datalog.atoms import AtomSubgoal
 from repro.datalog.program import PredicateDecl
+from repro.programs import shortest_path
 from repro.programs.catalog import PaperProgram
 from repro.lattices import NONNEG_REALS_LE, REALS_GE
 
@@ -285,6 +286,52 @@ def programs(draw) -> Case:
     for block in blocks + [_aggregate] * draw(st.integers(0, 2)):
         block(b)
     return Case("\n".join(b.lines), b.facts, frozenset(b.features))
+
+
+# -- hand-written templates ---------------------------------------------------
+
+#: min over (R ∪ {±∞}, ≥), the paper's shortest-path idiom, read from
+#: above; and over (R ∪ {±∞}, ≤), longest path, terminating on DAGs only.
+MIN_PROGRAM = shortest_path.source + "reach(X, Y) <- s(X, Y, C), C < 1000000.\n"
+MAX_PROGRAM = shortest_path.source.replace("reals_ge", "reals_le").replace("min{", "max{")
+
+#: Two local columns dropped at once (the frontier shrinks 5 -> 3).
+WIDE_PROGRAM = """
+@cost arc/3  : reals_ge.
+@cost path/5 : reals_ge.
+@cost s/3    : reals_ge.
+@constraint arc(direct, Z, C).
+path(X, direct, direct, Y, C) <- arc(X, Y, C).
+path(X, Z, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
+s(X, Y, C) <- C =r min{D : path(X, U, V, Y, D)}.
+"""
+
+#: The catalog's recursive components change one predicate per round.
+#: Here ``a``, ``b``, ``t``, ``near`` and ``sym`` change together, two
+#: rules share each head, and ``sym`` has two seed sources of one shape
+#: — so rule-major derivation order and cross-source dedup both matter.
+BRAIDED = """
+    @cost e/2 : reals_ge.
+    @cost a/2 : reals_ge.
+    @cost b/2 : reals_ge.
+    @cost t/2 : reals_ge.
+    a(X, C) <- e(X, C).
+    b(X, C) <- e(X, C1), C = C1 + 1.
+    a(Y, C) <- t(X, C1), f(X, Y), C = C1 + 1.
+    b(Y, C) <- t(X, C1), g(X, Y), C = C1 + 2.
+    t(X, C) <- a(X, C).
+    t(X, C) <- b(X, C).
+    near(X, Y) <- f(X, Y), t(X, C).
+    near(X, Y) <- g(X, Y), t(Y, C).
+    sym(X, Y) <- near(X, Y), near(Y, X).
+    a(X, C) <- sym(X, Y), e(Y, C).
+"""
+
+#: ``BRAIDED`` without its cost-free predicates, so the three cost
+#: predicates form one component the cost order applies to: a slice
+#: spans predicates.  The max-oriented twin counts down.
+BRAIDED_MIN = BRAIDED[: BRAIDED.index("    near(")]
+BRAIDED_MAX = BRAIDED_MIN.replace("reals_ge", "reals_le").replace("+", "-")
 
 
 # -- the unfiltered grammar ---------------------------------------------------

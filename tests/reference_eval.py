@@ -8,9 +8,12 @@ under the cost-ordered policy.  These are the loops they replaced: one
 seed dict, one interpreted ``evaluate_body``, one ``add_fact`` per head,
 rule-major, for the whole-delta round, for cost-ordered slices of any
 size, and for Dijkstra (one settle per pop).
-``tests/test_generated_programs.py`` requires the same models, row
-order, round and slice counts, and per-rule firings.  Not a test
-module, and imported by nothing under ``src/``.
+:func:`assert_drivers_match_reference` requires the same models, row
+order, round and slice counts, and per-rule firings, and
+:func:`assert_configurations_agree` one typed model from every
+configuration: the generated-program property and the per-template
+tests share both.  Not a test module, and imported by nothing under
+``src/``.
 """
 
 from __future__ import annotations
@@ -21,14 +24,18 @@ import itertools
 from collections import Counter
 from unittest import mock
 
+import pytest
+
+from repro.analysis.dependencies import condense
 from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.terms import Constant
-from repro.engine import fixpoint as fixpoint_module, greedy
-from repro.engine.greedy import greedy_fixpoint
+from repro.engine import fixpoint as fixpoint_module, greedy, solve
+from repro.engine.fixpoint import SEED_SLICE, fixpoint
+from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.grounding import EvalContext, evaluate_body, ground_head
 from repro.engine.interpretation import Interpretation
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from tests.generate import typed_rows
 
 MAX_ROUNDS = 25
@@ -202,3 +209,54 @@ def assert_greedy_matches_slices(program, component, state, direction, size):
     events = [e for e in tracer.events if e["type"] == "iteration"]
     assert [(e["new_atoms"], e["changed_atoms"]) for e in events] == rounds
     return got
+
+
+METHODS = ("naive", "seminaive", "greedy", "auto")
+
+
+def assert_configurations_agree(program, edb):
+    """Every ``method`` × ``plan`` × ``pushdown`` gives one model."""
+    greedy_runs = any(greedy_applicable(program, c) is not None for c in condense(program))
+    methods = METHODS if greedy_runs else ("naive", "seminaive", "auto")
+    models = {}
+    for config in itertools.product(methods, ("off", "smart"), ("off", "auto")):
+        result = solve(program, edb, **dict(zip(("method", "plan", "pushdown"), config)))
+        models[config] = typed_rows(result.model)
+        assert result.complete and models[config] == models["naive", "off", "off"], config
+
+
+def assert_drivers_match_reference(program, edb):
+    """Component by component, the semi-naive and cost-ordered drivers
+    are the tuple-at-a-time reference's: ``J``, round and slice counts
+    (with each slice's new/changed counts), row order under
+    ``plan="off"``; and semi-naive fires each rule once per distinct
+    seed."""
+    state, fired, tracer = edb.copy(), Counter(), Tracer()
+    for component in condense(program):
+        try:
+            expected, rounds, seeds = reference_seminaive(program, component.cdb, state)
+        except TypeError:  # arithmetic over a symbolic constant: both refuse
+            with pytest.raises(TypeError):
+                fixpoint(program, component.cdb, state, strict=False, plan="off")
+            return
+        fired += seeds
+        for plan, order, traced in (("off", list, tracer), ("smart", sorted, NULL_TRACER)):
+            got = fixpoint(program, component.cdb, state, strict=False, plan=plan, tracer=traced)
+            assert got.iterations == rounds
+            # The reference's join order, hence row order, is "off"'s.
+            assert rows_of(got.interpretation, order) == rows_of(expected, order)
+        direction = greedy_applicable(program, component)
+        if direction is not None:
+            # Where settle-once is right (rules derive nothing better
+            # than what they consumed), one-row slices are Dijkstra.
+            dijkstra, settled = reference_greedy(program, component, state, direction)
+            settle_once = rows_of(dijkstra, sorted) == rows_of(expected, sorted)
+        for size in (1, 3, SEED_SLICE) if direction is not None else ():
+            # Any fair order joins its way to the one least model.
+            got = assert_greedy_matches_slices(program, component, state, direction, size)
+            assert rows_of(got.interpretation, sorted) == rows_of(expected, sorted)
+            if size == 1 and settle_once:
+                assert rows_of(got.interpretation) == rows_of(dijkstra)
+                assert got.iterations == settled + 1  # + the empty last round
+        state.absorb(expected)
+    assert Counter({rule: calls for rule, calls, _, _ in tracer.rule_stats()}) == fired

@@ -14,68 +14,19 @@ and one firing per distinct seed.  Programs come from
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import product
-
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 
 from repro.analysis.dependencies import condense
-from repro.engine import solve
 from repro.engine.exec import get_pushdown
-from repro.engine.fixpoint import SEED_SLICE, fixpoint
 from repro.engine.greedy import greedy_applicable
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.programs import circuit, company_control, company_control_r_monotonic
 from repro.programs import party_invitations, shortest_path, student_averages
 from repro.workloads import random_circuit, random_digraph, random_ownership, random_party
 from tests.conftest import examples
-from tests.generate import case, programs, typed_rows
-from tests.reference_eval import assert_greedy_matches_slices, reference_greedy
-from tests.reference_eval import reference_seminaive, rows_of
-
-#: min over (R ∪ {±∞}, ≥), the paper's shortest-path idiom, read from
-#: above; and over (R ∪ {±∞}, ≤), longest path, terminating on DAGs only.
-MIN_PROGRAM = shortest_path.source + "reach(X, Y) <- s(X, Y, C), C < 1000000.\n"
-MAX_PROGRAM = shortest_path.source.replace("reals_ge", "reals_le").replace("min{", "max{")
-
-#: Two local columns dropped at once (the frontier shrinks 5 -> 3).
-WIDE_PROGRAM = """
-@cost arc/3  : reals_ge.
-@cost path/5 : reals_ge.
-@cost s/3    : reals_ge.
-@constraint arc(direct, Z, C).
-path(X, direct, direct, Y, C) <- arc(X, Y, C).
-path(X, Z, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C) <- C =r min{D : path(X, U, V, Y, D)}.
-"""
-
-#: The catalog's recursive components change one predicate per round.
-#: Here ``a``, ``b``, ``t``, ``near`` and ``sym`` change together, two
-#: rules share each head, and ``sym`` has two seed sources of one shape
-#: — so rule-major derivation order and cross-source dedup both matter.
-BRAIDED = """
-    @cost e/2 : reals_ge.
-    @cost a/2 : reals_ge.
-    @cost b/2 : reals_ge.
-    @cost t/2 : reals_ge.
-    a(X, C) <- e(X, C).
-    b(X, C) <- e(X, C1), C = C1 + 1.
-    a(Y, C) <- t(X, C1), f(X, Y), C = C1 + 1.
-    b(Y, C) <- t(X, C1), g(X, Y), C = C1 + 2.
-    t(X, C) <- a(X, C).
-    t(X, C) <- b(X, C).
-    near(X, Y) <- f(X, Y), t(X, C).
-    near(X, Y) <- g(X, Y), t(Y, C).
-    sym(X, Y) <- near(X, Y), near(Y, X).
-    a(X, C) <- sym(X, Y), e(Y, C).
-"""
-
-#: ``BRAIDED`` without its cost-free predicates, so the three cost
-#: predicates form one component the cost order applies to: a slice
-#: spans predicates.  The max-oriented twin counts down.
-BRAIDED_MIN = BRAIDED[: BRAIDED.index("    near(")]
-BRAIDED_MAX = BRAIDED_MIN.replace("reals_ge", "reals_le").replace("+", "-")
+from tests.generate import BRAIDED, BRAIDED_MAX, BRAIDED_MIN, MAX_PROGRAM, MIN_PROGRAM
+from tests.generate import WIDE_PROGRAM, case, programs
+from tests.reference_eval import assert_configurations_agree, assert_drivers_match_reference
 
 #: PR 23's instance: a negative arc, no negative cycle.
 NEGATIVE_ARC = [("a", "b", 2), ("a", "c", 3), ("c", "b", -2), ("b", "d", 1)]
@@ -85,52 +36,6 @@ BRAID = {"e": [(0, 1), (1, 0.5), (2, 2)], "f": [(0, 1), (1, 2), (2, 0)], "g": [(
 RECORDS = [("s", "c", 3.0), ("s", "d", 2.0), ("t", "c", 1.0)]
 KNOWS, REQUIRES = random_party(8, seed=0)
 GATES = random_circuit(8, seed=0, feedback_fraction=0.3)
-METHODS = ("naive", "seminaive", "greedy", "auto")
-
-
-def assert_configurations_agree(program, edb):
-    """Every ``method`` × ``plan`` × ``pushdown`` gives one model."""
-    greedy_runs = any(greedy_applicable(program, c) is not None for c in condense(program))
-    methods = METHODS if greedy_runs else ("naive", "seminaive", "auto")
-    models = {}
-    for config in product(methods, ("off", "smart"), ("off", "auto")):
-        result = solve(program, edb, **dict(zip(("method", "plan", "pushdown"), config)))
-        models[config] = typed_rows(result.model)
-        assert result.complete and models[config] == models["naive", "off", "off"], config
-
-
-def assert_drivers_match_reference(program, edb):
-    """Component by component, the semi-naive and cost-ordered drivers
-    are the tuple-at-a-time reference's: ``J``, round and slice counts
-    (with each slice's new/changed counts), row order under
-    ``plan="off"``; and semi-naive fires each rule once per distinct
-    seed."""
-    state, fired, tracer = edb.copy(), Counter(), Tracer()
-    for component in condense(program):
-        expected, rounds, seeds = reference_seminaive(program, component.cdb, state)
-        fired += seeds
-        for plan, order, traced in (("off", list, tracer), ("smart", sorted, NULL_TRACER)):
-            got = fixpoint(program, component.cdb, state, strict=False, plan=plan, tracer=traced)
-            assert got.iterations == rounds
-            # The reference's join order, hence row order, is "off"'s.
-            assert rows_of(got.interpretation, order) == rows_of(expected, order)
-        direction = greedy_applicable(program, component)
-        if direction is not None:
-            # Where settle-once is right (rules derive nothing better
-            # than what they consumed), one-row slices are Dijkstra.
-            dijkstra, settled = reference_greedy(program, component, state, direction)
-            settle_once = rows_of(dijkstra, sorted) == rows_of(expected, sorted)
-        for size in (1, 3, SEED_SLICE) if direction is not None else ():
-            # Any fair order joins its way to the one least model.
-            got = assert_greedy_matches_slices(program, component, state, direction, size)
-            assert rows_of(got.interpretation, sorted) == rows_of(expected, sorted)
-            if size == 1 and settle_once:
-                assert rows_of(got.interpretation) == rows_of(dijkstra)
-                assert got.iterations == settled + 1  # + the empty last round
-        state.absorb(expected)
-    assert Counter({rule: calls for rule, calls, _, _ in tracer.rule_stats()}) == fired
-
-
 @settings(max_examples=examples(120), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(case(shortest_path.source, arc=random_digraph(6, seed=0)))
 @example(case(shortest_path.source, arc=NEGATIVE_ARC))

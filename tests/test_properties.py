@@ -8,6 +8,7 @@ paper's results:
   (Corollary 3.5's least-ness, sampled);
 * the engine equals the engine-independent oracles (Dijkstra, party,
   company control, circuits);
+* naive ≡ semi-naive ≡ greedy, every plan and pushdown, on shortest path;
 * the parser and pretty-printer are mutually inverse on generated rules;
 * T_P is monotone in J on admissible programs (Lemma 4.1, randomized).
 """
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.engine import Interpretation, apply_tp, is_model, is_premodel
 from repro.programs import party_invitations, shortest_path
 from repro.workloads import dijkstra_all_pairs, party_oracle
+from tests.reference_eval import assert_configurations_agree
 
 # ---------------------------------------------------------------------------
 # Graph strategies
@@ -45,6 +47,13 @@ def test_engine_equals_dijkstra(arcs):
         return
     result = shortest_path.database({"arc": arcs}).solve()
     assert result["s"] == dijkstra_all_pairs(arcs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(arcs_strategy)
+def test_methods_agree(arcs):
+    db = shortest_path.database({"arc": arcs})
+    assert_configurations_agree(db.program, db.edb())
 
 
 @settings(max_examples=20, deadline=None)

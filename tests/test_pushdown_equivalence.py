@@ -1,9 +1,9 @@
 """Differential suite: the pushdown rewrite is model-preserving.
 
-Randomized premappable programs (varying lattice orientation, aggregate,
-interior arity, and EDB) are solved with ``pushdown="auto"`` and
-``pushdown="off"`` under every evaluator that accepts them; the models
-restricted to the original predicates must be identical.  This is the
+Premappable templates (``tests/generate.py``: min and max orientation,
+a wider interior) over random graphs are solved with ``pushdown="auto"``
+and ``"off"`` under every evaluator and plan that accepts them; the
+typed models, original predicates only, must be identical.  This is the
 executable form of the rewrite's correctness argument
 (docs/OPTIMIZATION.md): collapsing the frontier through the lattice join
 commutes with the iterated fixpoint when the occurrence is premappable.
@@ -12,124 +12,52 @@ commutes with the iterated fixpoint when the occurrence is premappable.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.premap import analyze_premappability
-from repro.core.database import Database
+from repro.engine.exec import get_pushdown
+from tests.generate import MAX_PROGRAM, MIN_PROGRAM, WIDE_PROGRAM, case
+from tests.reference_eval import assert_configurations_agree
 
-#: min over (R ∪ {±∞}, ≥): the paper's shortest-path idiom.
-MIN_PROGRAM = """
-@cost arc/3  : reals_ge.
-@cost path/4 : reals_ge.
-@cost s/3    : reals_ge.
-@constraint arc(direct, Z, C).
-path(X, direct, Y, C) <- arc(X, Y, C).
-path(X, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C) <- C =r min{D : path(X, Z, Y, D)}.
-reach(X, Y) <- s(X, Y, C), C < 1000000.
-"""
-
-#: Two local columns dropped at once (the frontier shrinks 5 -> 3).
-WIDE_PROGRAM = """
-@cost arc/3  : reals_ge.
-@cost path/5 : reals_ge.
-@cost s/3    : reals_ge.
-@constraint arc(direct, Z, C).
-path(X, direct, direct, Y, C) <- arc(X, Y, C).
-path(X, Z, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C) <- C =r min{D : path(X, U, V, Y, D)}.
-"""
-
-#: max over (R ∪ {±∞}, ≤): longest path — terminating on DAGs only.
-MAX_PROGRAM = """
-@cost arc/3  : reals_le.
-@cost path/4 : reals_le.
-@cost s/3    : reals_le.
-@constraint arc(direct, Z, C).
-path(X, direct, Y, C) <- arc(X, Y, C).
-path(X, Z, Y, C) <- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-s(X, Y, C) <- C =r min{D : path(X, Z, Y, D)}.
-""".replace("min{", "max{")
+budget = settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def arcs_strategy(*, dag: bool, max_nodes: int = 7):
     """Random small weighted digraphs (DAG-shaped when ``dag``)."""
 
     def build(pairs):
-        arcs = []
-        seen = set()
+        arcs = {}
         for u, v, w in pairs:
             if dag and u >= v:
                 u, v = min(u, v), max(u, v) + 1
-            if u == v or (u, v) in seen:
-                continue
-            seen.add((u, v))
-            arcs.append((u, v, float(w)))
-        return arcs
+            if u != v:
+                arcs.setdefault((u, v), float(w))
+        return [(u, v, w) for (u, v), w in arcs.items()]
 
     node = st.integers(min_value=0, max_value=max_nodes - 1)
     weight = st.integers(min_value=1, max_value=9)
-    return st.lists(
-        st.tuples(node, node, weight), min_size=1, max_size=16
-    ).map(build)
+    return st.lists(st.tuples(node, node, weight), min_size=1, max_size=16).map(build)
 
 
-def solve_both(source, arcs, method):
-    """(model with pushdown, model without) for one evaluator."""
-    models = []
-    for pushdown in ("auto", "off"):
-        db = Database()
-        db.load(source)
-        db.add_facts("arc", arcs)
-        result = db.solve(method=method, pushdown=pushdown)
-        assert result.status == "complete"
-        assert not any(
-            name.endswith("__frontier") for name in result.model.relations
-        )
-        models.append(result.model)
-    return models
+def assert_equivalent(source, arcs):
+    db = case(source, arc=arcs).database()
+    assert get_pushdown(db.program).changed, "template must stay premappable"
+    assert_configurations_agree(db.program, db.edb())
 
 
-def assert_equivalent(source, arcs, methods):
-    db = Database()
-    db.load(source)
-    report = analyze_premappability(db.program)
-    assert report.applicable, "template must stay premappable"
-    for method in methods:
-        optimized, reference = solve_both(source, arcs, method)
-        assert set(optimized.relations) == set(reference.relations)
-        for name in reference.relations:
-            assert optimized[name] == reference[name], (method, name)
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(budget, max_examples=20)
 @given(arcs=arcs_strategy(dag=False))
 def test_min_programs_agree(arcs):
     # Cyclic graphs are the paper's headline case; greedy (Dijkstra-
-    # style) accepts min over non-negative costs, so all three run.
-    assert_equivalent(
-        MIN_PROGRAM, arcs, ("naive", "seminaive", "greedy", "auto")
-    )
+    # style) accepts min over non-negative costs, so it runs too.
+    assert_equivalent(MIN_PROGRAM, arcs)
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget
 @given(arcs=arcs_strategy(dag=False))
 def test_wide_interior_programs_agree(arcs):
-    assert_equivalent(WIDE_PROGRAM, arcs, ("naive", "seminaive"))
+    assert_equivalent(WIDE_PROGRAM, arcs)
 
 
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget
 @given(arcs=arcs_strategy(dag=True))
 def test_max_programs_agree(arcs):
     # Longest path diverges on cycles, so max draws from DAGs.
-    assert_equivalent(MAX_PROGRAM, arcs, ("naive", "seminaive"))
+    assert_equivalent(MAX_PROGRAM, arcs)
