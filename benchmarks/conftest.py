@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one experiment-index row group from DESIGN.md:
 it *asserts* the qualitative claim (who wins / what is undefined / what
-converges), prints the reproduction table, and records it under
-``benchmarks/out/`` so EXPERIMENTS.md can quote measured output.  Timing
-numbers come from pytest-benchmark on top.
+converges), prints the reproduction table, and, under
+``--benchmark-only``, records it under ``benchmarks/out/`` so
+EXPERIMENTS.md can quote measured output.  Timing numbers come from
+pytest-benchmark on top.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 class TableReporter:
     """Collects formatted lines, prints them, and persists them."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, record: bool) -> None:
         self.name = name
+        self.record = record
         self.lines: List[str] = []
 
     def add(self, line: str = "") -> None:
@@ -43,14 +45,19 @@ class TableReporter:
             self.add(fmt.format(*row))
 
     def flush(self) -> None:
-        OUT_DIR.mkdir(exist_ok=True)
         text = "\n".join([f"== {self.name} =="] + self.lines) + "\n"
-        (OUT_DIR / f"{self.name}.txt").write_text(text)
+        if self.record:
+            OUT_DIR.mkdir(exist_ok=True)
+            (OUT_DIR / f"{self.name}.txt").write_text(text)
         print("\n" + text)
 
 
 @pytest.fixture
 def reporter(request):
-    table = TableReporter(request.node.name.replace("/", "_"))
+    # Only the measuring run EXPERIMENTS.md names (--benchmark-only)
+    # rewrites out/, which EXPERIMENTS.md quotes verbatim; a claim check
+    # (--benchmark-disable) asserts and prints without touching it.
+    record = bool(request.config.getoption("benchmark_only", False))
+    table = TableReporter(request.node.name.replace("/", "_"), record)
     yield table
     table.flush()

@@ -72,6 +72,7 @@ from repro.analysis.classify import (
 )
 from repro.analysis.dependencies import Component
 from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
+from repro.analysis.violations import Witness, first_failure
 from repro.analysis.wellformed import _is_cdb_aggregate
 from repro.datalog.atoms import AggregateSubgoal, Atom, Subgoal
 from repro.datalog.program import PredicateDecl, Program
@@ -85,19 +86,6 @@ CHANGES_SEMANTICS = "changes-semantics"
 
 #: Suffix of the auxiliary collapsed-frontier predicate.
 AUX_SUFFIX = "__frontier"
-
-
-@dataclass(frozen=True)
-class PremapWitness:
-    """One checked premappability condition and its outcome."""
-
-    condition: str
-    detail: str
-    ok: bool
-
-    def __str__(self) -> str:
-        mark = "✓" if self.ok else "✗"
-        return f"{mark} {self.condition}: {self.detail}"
 
 
 @dataclass
@@ -114,7 +102,7 @@ class PremapVerdict:
     head: str
     #: The interior predicate the aggregate consumes (first conjunct's).
     predicate: str
-    witnesses: Tuple[PremapWitness, ...] = ()
+    witnesses: Tuple[Witness, ...] = ()
     #: Populated only when ``status == APPLIED`` — everything the
     #: rewriter needs, resolved during analysis.
     plan: Optional["PushdownPlan"] = None
@@ -126,10 +114,7 @@ class PremapVerdict:
     @property
     def witness(self) -> str:
         """The first failing condition's detail (empty when applied)."""
-        for w in self.witnesses:
-            if not w.ok:
-                return w.detail
-        return ""
+        return first_failure(self.witnesses)
 
     def __str__(self) -> str:
         where = f"{self.head} over {self.predicate} ({self.function})"
@@ -195,17 +180,17 @@ class PushdownResult:
 
 
 def _fail(
-    witnesses: List[PremapWitness], condition: str, detail: str
-) -> PremapWitness:
-    w = PremapWitness(condition, detail, ok=False)
+    witnesses: List[Witness], condition: str, detail: str
+) -> Witness:
+    w = Witness(condition, detail, ok=False)
     witnesses.append(w)
     return w
 
 
 def _pass(
-    witnesses: List[PremapWitness], condition: str, detail: str
-) -> PremapWitness:
-    w = PremapWitness(condition, detail, ok=True)
+    witnesses: List[Witness], condition: str, detail: str
+) -> Witness:
+    w = Witness(condition, detail, ok=True)
     witnesses.append(w)
     return w
 
@@ -234,7 +219,7 @@ def _occurrence_verdict(
     ``fd_report`` is the rule's Def. 2.7 report when already decided."""
     head = rule.head.predicate
     interior = sg.conjuncts[0].predicate
-    witnesses: List[PremapWitness] = []
+    witnesses: List[Witness] = []
 
     def verdict(status: str) -> PremapVerdict:
         return PremapVerdict(

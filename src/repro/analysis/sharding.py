@@ -68,6 +68,7 @@ from repro.analysis.classify import (
     classify_program,
 )
 from repro.analysis.dependencies import Component
+from repro.analysis.violations import Witness, first_failure
 from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
@@ -81,19 +82,6 @@ BLOCKED = "blocked"
 #: Key-assignment search budget; components whose position product exceeds
 #: this are BLOCKED with an explicit witness rather than silently skipped.
 MAX_KEY_ASSIGNMENTS = 4096
-
-
-@dataclass(frozen=True)
-class ShardWitness:
-    """One checked shard-safety condition and its outcome."""
-
-    condition: str
-    detail: str
-    ok: bool
-
-    def __str__(self) -> str:
-        mark = "✓" if self.ok else "✗"
-        return f"{mark} {self.condition}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,7 @@ class ComponentShardability:
     component: Component
     status: str
     key: Optional[ShardKey] = None
-    witnesses: Tuple[ShardWitness, ...] = ()
+    witnesses: Tuple[Witness, ...] = ()
     #: Merge-algebra verdicts for every CDB aggregate function probed.
     merge_verdicts: Tuple[MergeAlgebraVerdict, ...] = ()
     #: Human-readable rewrite suggestions (SHARDABLE_AFTER_REWRITE only).
@@ -138,10 +126,7 @@ class ComponentShardability:
     @property
     def witness(self) -> str:
         """The first failing condition's detail (empty when shardable)."""
-        for w in self.witnesses:
-            if not w.ok:
-                return w.detail
-        return ""
+        return first_failure(self.witnesses)
 
     def __str__(self) -> str:
         name = str(self.component)
@@ -350,7 +335,7 @@ def analyze_component_sharding(
 ) -> ComponentShardability:
     """Prove or refute shard-safety for one classified SCC."""
     component = classification.component
-    witnesses: List[ShardWitness] = []
+    witnesses: List[Witness] = []
     merge_verdicts: List[MergeAlgebraVerdict] = []
     rewrites: List[str] = []
     blocked = False
@@ -358,7 +343,7 @@ def analyze_component_sharding(
     # 1. Recursion: a non-recursive component runs once; nothing to shard.
     recursive = bool(component.internal_kinds)
     witnesses.append(
-        ShardWitness(
+        Witness(
             "recursion",
             "component is recursive"
             if recursive
@@ -380,7 +365,7 @@ def analyze_component_sharding(
     )
     if classification.reasons and not cls_ok:
         detail += " — " + "; ".join(classification.reasons)
-    witnesses.append(ShardWitness("classification", detail, cls_ok))
+    witnesses.append(Witness("classification", detail, cls_ok))
     blocked = blocked or not cls_ok
 
     # 3. Defaults: a default-value CDB predicate materializes a row for
@@ -390,7 +375,7 @@ def analyze_component_sharding(
         p for p in component.cdb if program.decl(p).has_default
     )
     witnesses.append(
-        ShardWitness(
+        Witness(
             "defaults",
             "no default-value recursive predicate"
             if not defaulted
@@ -416,7 +401,7 @@ def analyze_component_sharding(
                 if not verdict.holds:
                     algebra_failures.append(str(verdict))
         witnesses.append(
-            ShardWitness(
+            Witness(
                 "merge-algebra",
                 (
                     f"state merge of {', '.join(fn_names)} is "
@@ -437,7 +422,7 @@ def analyze_component_sharding(
             (rule, sg) for rule, sg in occurrences if not sg.restricted
         ]
         witnesses.append(
-            ShardWitness(
+            Witness(
                 "restricted-form",
                 "every recursive aggregate uses the =r form"
                 if not unrestricted
@@ -460,7 +445,7 @@ def analyze_component_sharding(
     if not blocked:
         key, violation = find_shard_key(component, program)
         witnesses.append(
-            ShardWitness(
+            Witness(
                 "grouping-key",
                 key.describe() if key is not None else violation,
                 key is not None,

@@ -7,11 +7,15 @@ code) and *where* in the source it happened (``span``).  To add those
 without breaking every caller that treats violations as strings (reports
 join them, tests substring-match them), :class:`Violation` subclasses
 ``str``: it *is* the message, with the structure riding along.
+
+:class:`Witness` is the other half: one condition an optimizer's proof
+checked (premappability, shard safety), whether it held and why.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.datalog.spans import Span
 
@@ -40,3 +44,25 @@ class Violation(str):
         extra = f" kind={self.kind!r}" if self.kind else ""
         where = f" at {self.span}" if self.span is not None else ""
         return f"<Violation{extra}{where}: {str.__repr__(self)}>"
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One checked condition of an optimizer's proof (pushdown, sharding)
+    and its outcome."""
+
+    condition: str
+    detail: str
+    ok: bool
+
+    def __str__(self) -> str:
+        mark = "✓" if self.ok else "✗"
+        return f"{mark} {self.condition}: {self.detail}"
+
+
+def first_failure(witnesses: Iterable[Witness]) -> str:
+    """The first failing condition's detail (empty when every one holds)."""
+    for w in witnesses:
+        if not w.ok:
+            return w.detail
+    return ""

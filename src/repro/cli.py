@@ -665,16 +665,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal
 
-    from repro.serve import HostedDatabase, ServeSettings, SolveServer
+    from repro.serve import ServeSettings, SolveServer, host_program_text
 
     databases = {}
 
     def _host(name: str, source: str) -> None:
         if name in databases:
             raise CliUsageError(f"duplicate database name {name!r}")
-        db = Database(name=name)
-        db.load(source)
-        databases[name] = HostedDatabase(name, db)
+        databases[name] = host_program_text(name, source)
 
     for spec in args.databases:
         if "=" in spec:

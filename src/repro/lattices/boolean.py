@@ -6,8 +6,9 @@ lattice:
 
 * ``(B, ≤)`` with bottom 0 — the ``OR`` aggregate is monotonic here, and
   ``AND`` is pseudo-monotonic (Example 4.4's circuit program).
-* ``(B, ≥)`` with bottom 1 — the ``AND`` aggregate is monotonic here
-  (Figure 1 row 5): this is the "maximal circuit behaviour" orientation.
+* ``(B, ≥)`` with bottom 1, the dual of ``(B, ≤)`` — the ``AND``
+  aggregate is monotonic here (Figure 1 row 5): this is the "maximal
+  circuit behaviour" orientation.
 
 Values are the ints 0 and 1 (Python ``bool`` is accepted and normalised by
 ``validate`` since ``bool`` is an ``int`` subclass, but the canonical
@@ -19,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.lattices.base import Lattice
+from repro.lattices.combinators import DualLattice
 
 
 def _is_boolean(value: Any) -> bool:
@@ -56,32 +58,11 @@ class BooleanOr(Lattice):
         return iter([0, 1])
 
 
-class BooleanAnd(Lattice):
-    """``(B, ≥)``: 1 ⊑ 0.  The home of monotonic ``AND`` (Figure 1 row 5)."""
+class BooleanAnd(DualLattice):
+    """``(B, ≥)``: 1 ⊑ 0.  The home of monotonic ``AND`` (Figure 1 row 5),
+    the dual of :class:`BooleanOr`."""
 
     name = "bool_ge"
-    is_chain = True
-    numeric_direction = -1
 
-    def leq(self, a: Any, b: Any) -> bool:
-        return int(a) >= int(b)
-
-    def join(self, a: Any, b: Any) -> Any:
-        return int(a) & int(b)
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return int(a) | int(b)
-
-    @property
-    def bottom(self) -> int:
-        return 1
-
-    @property
-    def top(self) -> int:
-        return 0
-
-    def __contains__(self, value: Any) -> bool:
-        return _is_boolean(value)
-
-    def sample(self) -> Optional[Iterator[Any]]:
-        return iter([1, 0])
+    def __init__(self) -> None:
+        super().__init__(BooleanOr(), self.name)

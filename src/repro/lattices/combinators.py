@@ -17,7 +17,11 @@ from repro.lattices.base import Lattice
 class DualLattice(Lattice):
     """The order-dual of a lattice: ⊑ flipped, join/meet and ⊥/⊤ swapped.
 
-    ``DualLattice(DualLattice(L))`` behaves like ``L``.
+    ``DualLattice(DualLattice(L))`` behaves like ``L``.  Carrier, column
+    check (``accepts_all``) and sample are the inner lattice's, the
+    sample reversed.  ``join`` and ``meet`` are bound to the inner
+    ``meet`` and ``join`` themselves, so a dual costs no extra call per
+    operation; a subclass that overrides either keeps its own.
     """
 
     def __init__(self, inner: Lattice, name: str | None = None) -> None:
@@ -26,6 +30,10 @@ class DualLattice(Lattice):
         self.is_chain = inner.is_chain
         if inner.numeric_direction is not None:
             self.numeric_direction = -inner.numeric_direction
+        if type(self).join is DualLattice.join:
+            self.join = inner.meet  # type: ignore[method-assign]
+        if type(self).meet is DualLattice.meet:
+            self.meet = inner.join  # type: ignore[method-assign]
 
     def leq(self, a: Any, b: Any) -> bool:
         return self.inner.leq(b, a)
@@ -47,8 +55,12 @@ class DualLattice(Lattice):
     def __contains__(self, value: Any) -> bool:
         return value in self.inner
 
+    def accepts_all(self, values: Sequence[Any]) -> bool:
+        return self.inner.accepts_all(values)
+
     def sample(self) -> Optional[Iterator[Any]]:
-        return self.inner.sample()
+        provided = self.inner.sample()
+        return None if provided is None else reversed(list(provided))
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self.inner == other.inner  # type: ignore[attr-defined]

@@ -1,14 +1,15 @@
 """Numeric cost lattices from Figure 1 of the paper.
 
 All of these are *chains* (total orders), represented with ordinary Python
-numbers plus IEEE infinities for the limit elements:
+numbers plus IEEE infinities for the limit elements.  The ≤ chains share
+one order (:class:`NumericChain`); the ≥ one is the dual of its ≤ twin:
 
 ==============================  =======  =========  =======  ==========
 Carrier                         order    bottom     top      Figure 1
 ==============================  =======  =========  =======  ==========
 R ∪ {±∞}                        ≤        -∞         +∞       row 1 (max)
 R* ∪ {∞}   (non-negative)       ≤        0          +∞       rows 2, 4
-R ∪ {±∞}                        ≥        +∞         -∞       row 3 (min)
+R ∪ {±∞}   (dual of row 1)      ≥        +∞         -∞       row 3 (min)
 N⁺ ∪ {∞}   (positive ints)      ≤        1          +∞       row 7
 N ∪ {∞}                         ≤        0          +∞       row 8 range
 ==============================  =======  =========  =======  ==========
@@ -25,6 +26,7 @@ from operator import ne
 from typing import Any, FrozenSet, Iterator, Optional, Sequence
 
 from repro.lattices.base import Lattice
+from repro.lattices.combinators import DualLattice
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -56,10 +58,13 @@ def _all_exact(values: Sequence[Any], kinds: FrozenSet[type]) -> bool:
     return seen <= kinds and (float not in seen or not any(map(ne, values, values)))
 
 
-class AscendingReals(Lattice):
-    """``(R ∪ {±∞}, ≤)`` — the domain/range of ``maximum`` (Figure 1 row 1)."""
+class NumericChain(Lattice):
+    """A chain of numbers ordered by ``≤``: join is the larger value,
+    meet the smaller, ⊤ is +∞ unless a subclass bounds it.  The one ≤
+    order of every numeric lattice here; :class:`DescendingReals` is the
+    :class:`~repro.lattices.combinators.DualLattice` of
+    :class:`AscendingReals`."""
 
-    name = "reals_le"
     is_chain = True
     numeric_direction = 1
 
@@ -73,12 +78,18 @@ class AscendingReals(Lattice):
         return a if a <= b else b
 
     @property
-    def bottom(self) -> float:
-        return NEG_INF
+    def top(self) -> Any:
+        return INF
+
+
+class AscendingReals(NumericChain):
+    """``(R ∪ {±∞}, ≤)`` — the domain/range of ``maximum`` (Figure 1 row 1)."""
+
+    name = "reals_le"
 
     @property
-    def top(self) -> float:
-        return INF
+    def bottom(self) -> float:
+        return NEG_INF
 
     def __contains__(self, value: Any) -> bool:
         return _is_real(value)
@@ -90,67 +101,28 @@ class AscendingReals(Lattice):
         return iter([NEG_INF, -2.5, -1, 0, 0.5, 1, 3, 100, INF])
 
 
-class DescendingReals(Lattice):
+class DescendingReals(DualLattice):
     """``(R ∪ {±∞}, ≥)`` — the domain/range of ``minimum`` (Figure 1 row 3).
 
-    ``bottom`` is +∞: the default value of a ``min`` cost predicate, and the
-    value ``min`` assigns to an empty group under the ``=`` form.
+    The dual of :class:`AscendingReals`: ``bottom`` is +∞, the default
+    value of a ``min`` cost predicate and the value ``min`` assigns to an
+    empty group under the ``=`` form.
     """
 
     name = "reals_ge"
-    is_chain = True
-    numeric_direction = -1
 
-    def leq(self, a: Any, b: Any) -> bool:
-        return a >= b
-
-    def join(self, a: Any, b: Any) -> Any:
-        return a if a <= b else b
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return a if a >= b else b
-
-    @property
-    def bottom(self) -> float:
-        return INF
-
-    @property
-    def top(self) -> float:
-        return NEG_INF
-
-    def __contains__(self, value: Any) -> bool:
-        return _is_real(value)
-
-    def accepts_all(self, values: Sequence[Any]) -> bool:
-        return _all_exact(values, _REALS)
-
-    def sample(self) -> Optional[Iterator[Any]]:
-        return iter([INF, 100, 3, 1, 0.5, 0, -1, -2.5, NEG_INF])
+    def __init__(self) -> None:
+        super().__init__(AscendingReals(), self.name)
 
 
-class NonNegativeReals(Lattice):
+class NonNegativeReals(NumericChain):
     """``(R* ∪ {∞}, ≤)`` — the domain/range of ``sum`` (Figure 1 rows 2, 4)."""
 
     name = "nonneg_reals_le"
-    is_chain = True
-    numeric_direction = 1
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return a <= b
-
-    def join(self, a: Any, b: Any) -> Any:
-        return a if a >= b else b
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return a if a <= b else b
 
     @property
     def bottom(self) -> float:
         return 0
-
-    @property
-    def top(self) -> float:
-        return INF
 
     def __contains__(self, value: Any) -> bool:
         return _is_real(value) and value >= 0
@@ -162,29 +134,14 @@ class NonNegativeReals(Lattice):
         return iter([0, 0.25, 0.5, 1, 2, 3.5, 10, INF])
 
 
-class PositiveIntegers(Lattice):
+class PositiveIntegers(NumericChain):
     """``(N⁺ ∪ {∞}, ≤)`` — the domain/range of ``product`` (Figure 1 row 7)."""
 
     name = "pos_ints_le"
-    is_chain = True
-    numeric_direction = 1
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return a <= b
-
-    def join(self, a: Any, b: Any) -> Any:
-        return a if a >= b else b
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return a if a <= b else b
 
     @property
     def bottom(self) -> Any:
         return 1
-
-    @property
-    def top(self) -> float:
-        return INF
 
     def __contains__(self, value: Any) -> bool:
         if value == INF:
@@ -198,29 +155,14 @@ class PositiveIntegers(Lattice):
         return iter([1, 2, 3, 5, 8, 100, INF])
 
 
-class Naturals(Lattice):
+class Naturals(NumericChain):
     """``(N ∪ {∞}, ≤)`` — the range of ``count`` (Figure 1 row 8)."""
 
     name = "naturals_le"
-    is_chain = True
-    numeric_direction = 1
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return a <= b
-
-    def join(self, a: Any, b: Any) -> Any:
-        return a if a >= b else b
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return a if a <= b else b
 
     @property
     def bottom(self) -> Any:
         return 0
-
-    @property
-    def top(self) -> float:
-        return INF
 
     def __contains__(self, value: Any) -> bool:
         if value == INF:
@@ -234,7 +176,7 @@ class Naturals(Lattice):
         return iter([0, 1, 2, 3, 7, 42, INF])
 
 
-class BoundedReals(Lattice):
+class BoundedReals(NumericChain):
     """A closed real interval ``([lo, hi], ≤)``.
 
     Handy for proportions (company control shares live in ``[0, 1]``; the
@@ -242,24 +184,12 @@ class BoundedReals(Lattice):
     the ``sum`` aggregate provides by clamping at ``hi``).
     """
 
-    is_chain = True
-    numeric_direction = 1
-
     def __init__(self, lo: float, hi: float, name: str | None = None) -> None:
         if not (lo < hi):
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
         self.name = name or f"reals[{lo},{hi}]"
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return a <= b
-
-    def join(self, a: Any, b: Any) -> Any:
-        return a if a >= b else b
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return a if a <= b else b
 
     @property
     def bottom(self) -> float:

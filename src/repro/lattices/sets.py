@@ -1,9 +1,10 @@
 """Set-valued and multiset-valued cost lattices (Figure 1 rows 9-11).
 
 Row 9 of Figure 1 is the powerset ``(2^S, ⊆)`` (the home of ``union``),
-row 10 its dual ``(2^S, ⊇)`` (the home of ``intersection``), and row 11
-the domain ``E`` of multigraph edge *multisets* ordered by inclusion (the
-domain of a monotone graph property ``P``).
+row 10 its order dual ``(2^S, ⊇)`` (the home of ``intersection``, built
+as a :class:`DualLattice`), and row 11 the domain ``E`` of multigraph
+edge *multisets* ordered by inclusion (the domain of a monotone graph
+property ``P``).
 
 Elements are ``frozenset`` values (row 9/10) or
 :class:`~repro.util.multiset.FrozenMultiset` values (row 11), so they are
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import Any, FrozenSet, Iterable, Iterator, Optional
 
 from repro.lattices.base import Lattice
+from repro.lattices.combinators import DualLattice
 from repro.util.multiset import FrozenMultiset
 
 
@@ -65,47 +67,16 @@ class PowersetUnion(Lattice):
         return hash((type(self), self.universe))
 
 
-class PowersetIntersection(Lattice):
-    """``(2^S, ⊇)`` with join = ∩, meet = ∪, bottom = S, top = ∅ (row 10)."""
-
-    is_chain = False
+class PowersetIntersection(DualLattice):
+    """``(2^S, ⊇)`` with join = ∩, meet = ∪, bottom = S, top = ∅ (row 10):
+    the dual of :class:`PowersetUnion` over the same universe."""
 
     def __init__(self, universe: Iterable[Any], name: str | None = None) -> None:
-        self.universe: FrozenSet[Any] = frozenset(universe)
-        self.name = name or f"powerset_intersection[{len(self.universe)}]"
-
-    def leq(self, a: Any, b: Any) -> bool:
-        return frozenset(a) >= frozenset(b)
-
-    def join(self, a: Any, b: Any) -> Any:
-        return frozenset(a) & frozenset(b)
-
-    def meet(self, a: Any, b: Any) -> Any:
-        return frozenset(a) | frozenset(b)
-
-    @property
-    def bottom(self) -> FrozenSet[Any]:
-        return self.universe
-
-    @property
-    def top(self) -> FrozenSet[Any]:
-        return frozenset()
-
-    def __contains__(self, value: Any) -> bool:
-        return isinstance(value, frozenset) and value <= self.universe
-
-    def sample(self) -> Optional[Iterator[Any]]:
-        members = sorted(self.universe, key=repr)[:3]
-        subsets = [frozenset(self.universe)]
-        for m in members:
-            subsets += [s - {m} for s in subsets]
-        return iter(subsets)
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.universe == other.universe  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.universe))
+        union = PowersetUnion(universe)
+        self.universe: FrozenSet[Any] = union.universe
+        super().__init__(
+            union, name or f"powerset_intersection[{len(self.universe)}]"
+        )
 
 
 class EdgeMultisets(Lattice):

@@ -64,7 +64,7 @@ class HostedDatabase:
 
 
 def host_program_text(name: str, source: str) -> HostedDatabase:
-    """Host a database assembled from rule text (tests)."""
+    """Host a database assembled from rule text."""
     db = Database(name=name)
     db.load(source)
     return HostedDatabase(name, db)

@@ -114,6 +114,10 @@ Invariants the engine's correctness arguments lean on:
    a ``## N.`` heading, and its † counter table names every counter
    perfbench gates exactly.
 
+17. **EXPERIMENTS.md quotes what ``benchmarks/`` prints.**  A fenced
+   block that opens with ``== NAME ==`` is ``benchmarks/out/NAME.txt``
+   verbatim, and every ``out/NAME.txt`` the file names is quoted so.
+
 The checks of 1-4, 8 and 14 are text-based on purpose: they run without
 imports, see every module (including ones tests never load), and the
 patterns are specific enough to need no allowlist.
@@ -297,7 +301,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 23140
+SRC_LINES = 23028
 
 
 def test_the_row_cache_is_gone():
@@ -494,6 +498,37 @@ def test_performance_citations_resolve():
     assert cited, "no citation found: the patterns no longer match"
     dangling = [c for c in cited if c.rsplit("§", 1)[1] not in sections]
     assert not dangling, "citations of missing sections:\n  " + "\n  ".join(dangling)
+
+
+EXPERIMENTS = ROOT / "EXPERIMENTS.md"
+#: A fenced block opening with ``== NAME ==``, the first line of
+#: ``benchmarks/out/NAME.txt``.
+OUT_QUOTE = re.compile(r"^```\n(== (\w+) ==\n.*?)^```$", re.MULTILINE | re.DOTALL)
+
+
+def test_experiments_quote_benchmark_output_verbatim():
+    """Every block EXPERIMENTS.md quotes from ``benchmarks/out/`` is that
+    file as the last ``pytest benchmarks/ --benchmark-only`` run wrote it,
+    and every ``out/NAME.txt`` its prose names is one of those blocks."""
+    text = EXPERIMENTS.read_text(encoding="utf-8")
+    quoted = {name: block for block, name in OUT_QUOTE.findall(text)}
+    assert {"test_figure1_monotonic_rows", "test_method_scaling_sweep"} <= set(
+        quoted
+    ), "the quote pattern no longer matches"
+    out = ROOT / "benchmarks" / "out"
+    stale = [
+        name
+        for name, block in sorted(quoted.items())
+        if not (out / f"{name}.txt").is_file()
+        or (out / f"{name}.txt").read_text(encoding="utf-8") != block
+    ]
+    assert not stale, (
+        "EXPERIMENTS.md's quote differs from benchmarks/out/ (re-quote the "
+        "file after a --benchmark-only run):\n  " + "\n  ".join(stale)
+    )
+    named = set(re.findall(r"\bout/(test_\w+)\.txt", text))
+    unquoted = sorted(named - set(quoted))
+    assert not unquoted, "named but not quoted:\n  " + "\n  ".join(unquoted)
 
 
 #: ``ROADMAP item N``, also across a line break.
