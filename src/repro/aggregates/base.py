@@ -17,12 +17,14 @@ a cost domain ``D`` into a range ``R``, each equipped with a lattice
 
 Evaluation is *two-phase*, the classic mergeable-aggregate interface
 (``state_create / process / merge / convert``): a mutable-free partial
-state is created empty, folds elements via :meth:`process`, combines with
-other partial states via :meth:`merge`, and produces the final value via
-:meth:`convert`.  ``F(I)`` itself is defined as
-``convert(fold(process, I, state_create()))`` — there is exactly one
-aggregation code path, so the two-phase contract is exercised by every
-solve, not only by sharded ones.
+state is created empty, folds one value at a time via :meth:`process`,
+combines with other partial states via :meth:`merge`, and produces the
+final value via :meth:`convert`.  That is the one aggregation code path:
+the rule kernels fold each group inline through it, the reference folds
+the projected values (with repetition) through :meth:`__call__`, and a
+subclass that redefines ``__call__``, :meth:`fold` or
+:meth:`apply_nonempty` is refused.  So ``F`` may not depend on the order
+of the values.
 
 Why the interface matters: when ``merge`` is associative and commutative
 with ``state_create()`` as identity, a partition of the multiset may be
@@ -39,10 +41,9 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Any
+from typing import Any, Iterable
 
 from repro.lattices.base import Lattice
-from repro.util.multiset import FrozenMultiset
 
 
 class Monotonicity(enum.Enum):
@@ -60,17 +61,14 @@ class EmptyAggregateError(ValueError):
     """``F(∅)`` was requested for a function without an empty value."""
 
 
-#: The methods that define ``F``'s value (see ``exact_fold``).
-_EVALUATION = frozenset({"__call__", "apply_nonempty", "fold", "process"})
-
-
 class AggregateFunction(abc.ABC):
     """A multiset aggregate ``F : M(D) → R`` with declared lattices.
 
     Subclasses implement the two-phase interface
     (:meth:`state_create` / :meth:`process` / :meth:`merge` /
-    :meth:`convert`); the public entry point :meth:`__call__` folds a
-    whole multiset through it and handles the empty multiset uniformly.
+    :meth:`convert`); the public entry point :meth:`__call__` folds the
+    values of a multiset through it, with repetition, and handles the
+    empty multiset uniformly.
     """
 
     #: Name used in rule text, e.g. ``C = min{D : p(X, D)}``.
@@ -82,19 +80,14 @@ class AggregateFunction(abc.ABC):
     #: Whether ``F(∅)`` is defined (see module docstring).
     has_empty_value: bool = True
 
-    #: Declared: for every list of values, in any order and with any
-    #: repetition, ``convert`` of ``process(·, v)`` folded once per value
-    #: is exactly ``F(FrozenMultiset(values))`` — equal and of the same
-    #: type.  The rule kernels then fold a group inline, without building
-    #: its multiset; verified in tests.  A subclass that redefines how
-    #: ``F`` is evaluated drops it unless it declares it again.
-    exact_fold: bool = False
-
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        own = vars(cls)
-        if "exact_fold" not in own and own.keys() & _EVALUATION:
-            cls.exact_fold = False
+        own = sorted(vars(cls).keys() & {"__call__", "apply_nonempty", "fold"})
+        if own:
+            raise TypeError(
+                f"{cls.__name__} redefines {', '.join(own)}: an aggregate is "
+                f"evaluated only through state_create/process/convert"
+            )
 
     def __init__(self, domain: Lattice, range_: Lattice) -> None:
         self.domain = domain
@@ -111,8 +104,8 @@ class AggregateFunction(abc.ABC):
         """
 
     @abc.abstractmethod
-    def process(self, state: Any, value: Any, count: int = 1) -> Any:
-        """Fold ``count`` occurrences of ``value`` into ``state``.
+    def process(self, state: Any, value: Any) -> Any:
+        """Fold one occurrence of ``value`` into ``state``.
 
         States are treated as immutable values: ``process`` returns the
         new state and must not mutate its argument (partial states cross
@@ -141,16 +134,16 @@ class AggregateFunction(abc.ABC):
 
     # -- evaluation ----------------------------------------------------------
 
-    def fold(self, multiset: FrozenMultiset) -> Any:
-        """The partial state of a whole multiset (phase one)."""
+    def fold(self, values: Iterable[Any]) -> Any:
+        """The partial state of ``values``, with repetition (phase one)."""
         state = self.state_create()
-        for value, count in multiset.items():
-            state = self.process(state, value, count)
+        for value in values:
+            state = self.process(state, value)
         return state
 
-    def apply_nonempty(self, multiset: FrozenMultiset) -> Any:
-        """Evaluate ``F`` on a non-empty multiset via the two-phase fold."""
-        return self.convert(self.fold(multiset))
+    def apply_nonempty(self, values: Iterable[Any]) -> Any:
+        """Evaluate ``F`` on non-empty ``values`` via the two-phase fold."""
+        return self.convert(self.fold(values))
 
     def empty_value(self) -> Any:
         """``F(∅)``.
@@ -164,10 +157,9 @@ class AggregateFunction(abc.ABC):
             raise EmptyAggregateError(f"{self.name}(∅) is undefined")
         return self.range_.bottom
 
-    def __call__(self, multiset: FrozenMultiset) -> Any:
-        if not multiset:
-            return self.empty_value()
-        return self.apply_nonempty(multiset)
+    def __call__(self, values: Iterable[Any]) -> Any:
+        values = list(values)
+        return self.apply_nonempty(values) if values else self.empty_value()
 
     # -- metadata ------------------------------------------------------------
 

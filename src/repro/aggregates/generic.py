@@ -46,7 +46,7 @@ class _FoldAggregate(AggregateFunction):
     def state_create(self) -> Any:
         return None
 
-    def process(self, state: Any, value: Any, count: int = 1) -> Any:
+    def process(self, state: Any, value: Any) -> Any:
         return value if state is None else self._combine(state, value)
 
     def merge(self, state: Any, other: Any) -> Any:

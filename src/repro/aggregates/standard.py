@@ -42,7 +42,6 @@ from repro.lattices import (
 )
 from repro.lattices.base import Lattice
 from repro.lattices.sets import PowersetIntersection, PowersetUnion
-from repro.util.multiset import FrozenMultiset
 
 
 class _ExtremumMixin(AggregateFunction):
@@ -57,14 +56,10 @@ class _ExtremumMixin(AggregateFunction):
     #: ``min`` or ``max``; fixed by the concrete subclass.
     _pick: Callable[..., Any]
 
-    # Ties keep the first value seen, exactly as a multiset keeps the
-    # first of equal elements.
-    exact_fold = True
-
     def state_create(self) -> Optional[Any]:
         return None
 
-    def process(self, state: Optional[Any], value: Any, count: int = 1) -> Any:
+    def process(self, state: Optional[Any], value: Any) -> Any:
         return value if state is None else type(self)._pick(state, value)
 
     def merge(self, state: Optional[Any], other: Optional[Any]) -> Optional[Any]:
@@ -142,8 +137,25 @@ class MaximumDescending(Maximum):
         AggregateFunction.__init__(self, REALS_GE, REALS_GE)
 
 
-#: Partial sum state: (running total, every element so far was an int).
-_SumState = Tuple[Any, bool]
+#: An exact partial sum: the total of the ``int`` values, the total of the
+#: finite floats as a non-overlapping expansion (``()`` until a float is
+#: seen), and the total of the infinite ones (``0.0`` until one is seen).
+_SumState = Tuple[int, Tuple[float, ...], float]
+
+
+def _grow(partials: Tuple[float, ...], x: float) -> Tuple[float, ...]:
+    """``partials + x`` as a non-overlapping expansion, exactly: Shewchuk's
+    Grow-Expansion, the algorithm behind ``math.fsum``."""
+    out = []
+    for y in partials:
+        hi = x + y
+        b = hi - x
+        lo = (x - (hi - b)) + (y - b)
+        if lo:
+            out.append(lo)
+        x = hi
+    out.append(x)
+    return tuple(out)
 
 
 class Sum(AggregateFunction):
@@ -152,16 +164,12 @@ class Sum(AggregateFunction):
     Only non-negative values keep ``sum`` monotonic: adding an element can
     then only increase the total.
 
-    The partial state tracks ``(total, all_int)``: integer totals over
-    all-integer multisets finalize as ``int`` so interpretations print
-    cleanly, and the flag merges with ``and`` — associative/commutative
-    alongside ``+``.
-
-    ``fold`` iterates the multiset in sorted value order: float addition
-    is associative only up to rounding, and a canonical order makes the
-    result independent of how the group's rows were derived — sequential
-    evaluators and hash-partitioned shards (docs/PARALLELISM.md) then
-    agree bit for bit, not just within an ulp.
+    The sum is exact: the partial state (:data:`_SumState`) keeps integers
+    as an ``int`` and floats as a non-overlapping expansion, and
+    ``convert`` rounds once — to an ``int`` when every value was one, else
+    to the nearest float.  So the result does not depend on the order in
+    which a group's rows were derived: sequential evaluators and
+    hash-partitioned shards (docs/PARALLELISM.md) agree bit for bit.
     """
 
     name = "sum"
@@ -171,32 +179,45 @@ class Sum(AggregateFunction):
         lattice = domain or NONNEG_REALS_LE
         super().__init__(lattice, lattice)
 
-    def fold(self, multiset: FrozenMultiset) -> _SumState:
-        state = self.state_create()
-        for value, count in sorted(multiset.items()):
-            state = self.process(state, value, count)
-        return state
-
     def state_create(self) -> _SumState:
-        return (0.0, True)
+        return (0, (), 0.0)
 
-    def process(self, state: _SumState, value: Any, count: int = 1) -> _SumState:
-        total, all_int = state
-        if value == INF:
-            return (INF, False)
-        return (total + value * count, all_int and isinstance(value, int))
+    def process(self, state: _SumState, value: Any) -> _SumState:
+        ints, partials, special = state
+        if isinstance(value, int):
+            return (ints + value, partials, special)
+        if value - value:  # ±∞ (or nan): no finite value changes the total
+            return (ints, partials, special + value)
+        partials = _grow(partials, value)
+        if partials[-1] - partials[-1]:  # past the largest float: ±∞
+            return (ints, (0.0,), special + partials[-1])
+        return (ints, partials, special)
 
     def merge(self, state: _SumState, other: _SumState) -> _SumState:
-        return (state[0] + other[0], state[1] and other[1])
+        ints, partials, special = other
+        for x in partials:
+            state = self.process(state, x)
+        return (state[0] + ints, state[1], state[2] + special)
 
-    def convert(self, state: _SumState) -> Any:
-        total, all_int = state
-        if math.isinf(total):
-            return INF
-        # Keep integer totals integral so interpretations print cleanly.
-        if all_int and total == int(total):
-            return int(total)
-        return total
+    def convert(self, state: _SumState, divisor: Optional[int] = None) -> Any:
+        """The exact total, divided by ``divisor`` if one is given,
+        rounded once; an ``int`` when every value was one and there is no
+        divisor."""
+        ints, partials, special = state
+        if special:
+            return special
+        if not partials:
+            return ints if divisor is None else ints / divisor
+        divisor = divisor or 1
+        if not ints and divisor <= 2:
+            # Halving a float rounds only below 2**-1021, where fsum is
+            # exact; ``+ 0.0`` makes a zero total 0.0, as the exact sum is.
+            return (math.fsum(partials) + 0.0) / divisor
+        # Exactly, over 2**1074, which every float's denominator divides.
+        scaled = ints << 1074
+        for n, d in map(float.as_integer_ratio, partials):
+            scaled += n << (1075 - d.bit_length())
+        return scaled / (divisor << 1074)
 
 
 class HalfSum(Sum):
@@ -204,9 +225,8 @@ class HalfSum(Sum):
 
     name = "halfsum"
 
-    def convert(self, state: _SumState) -> Any:
-        total = Sum.convert(self, state)
-        return INF if total == INF else total / 2
+    def convert(self, state: _SumState, divisor: Optional[int] = None) -> Any:
+        return super().convert(state, 2)
 
 
 class Count(AggregateFunction):
@@ -219,7 +239,6 @@ class Count(AggregateFunction):
 
     name = "count"
     classification = Monotonicity.MONOTONIC
-    exact_fold = True
 
     def __init__(self, domain: Lattice | None = None) -> None:
         super().__init__(domain or BOOL_LE, NATURALS_LE)
@@ -227,8 +246,8 @@ class Count(AggregateFunction):
     def state_create(self) -> int:
         return 0
 
-    def process(self, state: int, value: Any, count: int = 1) -> int:
-        return state + count
+    def process(self, state: int, value: Any) -> int:
+        return state + 1
 
     def merge(self, state: int, other: int) -> int:
         return state + other
@@ -253,10 +272,10 @@ class Product(AggregateFunction):
     def state_create(self) -> Any:
         return 1
 
-    def process(self, state: Any, value: Any, count: int = 1) -> Any:
+    def process(self, state: Any, value: Any) -> Any:
         if value == INF or state == INF:
             return INF
-        return state * value**count
+        return state * value
 
     def merge(self, state: Any, other: Any) -> Any:
         if state == INF or other == INF:
@@ -273,14 +292,10 @@ class _BooleanMixin(AggregateFunction):
     #: The binary boolean combiner (``min`` = and, ``max`` = or on bits).
     _combine: Callable[..., int]
 
-    exact_fold = True
-
     def state_create(self) -> Optional[int]:
         return None
 
-    def process(
-        self, state: Optional[int], value: Any, count: int = 1
-    ) -> Optional[int]:
+    def process(self, state: Optional[int], value: Any) -> Optional[int]:
         bit = 1 if int(value) == 1 else 0
         return bit if state is None else type(self)._combine(state, bit)
 
@@ -367,7 +382,6 @@ class Union(AggregateFunction):
 
     name = "union"
     classification = Monotonicity.MONOTONIC
-    exact_fold = True
 
     def __init__(self, universe: Iterable[Any]) -> None:
         lattice = PowersetUnion(universe)
@@ -376,7 +390,7 @@ class Union(AggregateFunction):
     def state_create(self) -> FrozenSet[Any]:
         return frozenset()
 
-    def process(self, state: FrozenSet[Any], value: Any, count: int = 1) -> FrozenSet[Any]:
+    def process(self, state: FrozenSet[Any], value: Any) -> FrozenSet[Any]:
         return state | frozenset(value)
 
     def merge(self, state: FrozenSet[Any], other: FrozenSet[Any]) -> FrozenSet[Any]:
@@ -397,7 +411,6 @@ class Intersection(AggregateFunction):
 
     name = "intersection"
     classification = Monotonicity.MONOTONIC
-    exact_fold = True
 
     def __init__(self, universe: Iterable[Any]) -> None:
         lattice = PowersetIntersection(universe)
@@ -406,9 +419,7 @@ class Intersection(AggregateFunction):
     def state_create(self) -> Optional[frozenset]:
         return None
 
-    def process(
-        self, state: Optional[FrozenSet[Any]], value: Any, count: int = 1
-    ) -> FrozenSet[Any]:
+    def process(self, state: Optional[FrozenSet[Any]], value: Any) -> FrozenSet[Any]:
         s = frozenset(value)
         return s if state is None else state & s
 
@@ -463,7 +474,7 @@ class GraphProperty(AggregateFunction):
     def state_create(self) -> FrozenSet[Any]:
         return frozenset()
 
-    def process(self, state: FrozenSet[Any], value: Any, count: int = 1) -> FrozenSet[Any]:
+    def process(self, state: FrozenSet[Any], value: Any) -> FrozenSet[Any]:
         return state | self._as_edges(value)
 
     def merge(self, state: FrozenSet[Any], other: FrozenSet[Any]) -> FrozenSet[Any]:
@@ -476,8 +487,10 @@ class GraphProperty(AggregateFunction):
         return 1 if self.predicate(frozenset()) else 0
 
 
-#: Partial average state: (running total, element count).
-_AvgState = Tuple[float, int]
+_SUM = Sum()
+
+#: Partial average state: (exact sum state, element count).
+_AvgState = Tuple[_SumState, int]
 
 
 class Average(AggregateFunction):
@@ -488,10 +501,8 @@ class Average(AggregateFunction):
 
     ``average`` itself is famously non-mergeable, but its *state*
     ``(sum, count)`` is — the textbook motivation for the two-phase
-    interface.
-
-    Like :class:`Sum`, ``fold`` iterates in sorted value order so the
-    float total is independent of derivation order.
+    interface.  The sum is :class:`Sum`'s exact state, so the average
+    rounds once.
     """
 
     name = "average"
@@ -501,26 +512,19 @@ class Average(AggregateFunction):
     def __init__(self) -> None:
         super().__init__(REALS_LE, REALS_LE)
 
-    def fold(self, multiset: FrozenMultiset) -> _AvgState:
-        state = self.state_create()
-        for value, count in sorted(multiset.items()):
-            state = self.process(state, value, count)
-        return state
-
     def state_create(self) -> _AvgState:
-        return (0.0, 0)
+        return (_SUM.state_create(), 0)
 
-    def process(self, state: _AvgState, value: Any, count: int = 1) -> _AvgState:
-        return (state[0] + value * count, state[1] + count)
+    def process(self, state: _AvgState, value: Any) -> _AvgState:
+        return (_SUM.process(state[0], value), state[1] + 1)
 
     def merge(self, state: _AvgState, other: _AvgState) -> _AvgState:
-        return (state[0] + other[0], state[1] + other[1])
+        return (_SUM.merge(state[0], other[0]), state[1] + other[1])
 
     def convert(self, state: _AvgState) -> float:
-        total, n = state
-        if n == 0:
+        if state[1] == 0:
             raise EmptyAggregateError(f"{self.name}: empty partial state")
-        return total / n
+        return _SUM.convert(state[0], state[1])
 
 
 def default_registry() -> Dict[str, AggregateFunction]:
@@ -549,10 +553,7 @@ def default_registry() -> Dict[str, AggregateFunction]:
     return {f.name: f for f in functions}
 
 
-# ``FrozenMultiset`` is re-exported for callers that built multisets via
-# this module historically; keep the import live for them.
 __all__ = [
-    "FrozenMultiset",
     "Minimum",
     "MinimumAscending",
     "Maximum",

@@ -67,7 +67,6 @@ from repro.engine.grounding import (
 )
 from repro.testing import faults as _faults
 from repro.engine.interpretation import Key, active_index_stats, binds_key
-from repro.util.multiset import FrozenMultiset
 
 #: Plan modes: "smart" = selectivity-aware join order; "off" = legacy
 #: schedule order (the differential suites' reference; still compiled
@@ -90,7 +89,6 @@ def _unbound(name: str) -> Any:
 #: memoised function) is shared by structurally equal rules.
 _KERNEL_GLOBALS: Dict[str, Any] = {
     "EmptyAggregateError": EmptyAggregateError,
-    "FrozenMultiset": FrozenMultiset,
     "SafetyError": SafetyError,
     "faults": _faults,
     "index_stats": active_index_stats,
@@ -380,9 +378,8 @@ class _KernelWriter:
     ) -> None:
         """An aggregate subgoal (Definition 2.4): the interior conjunction
         runs as nested loops over private registers, folding each value
-        into its group's state: the function's own (``process``, then
-        ``convert``) if it declares ``exact_fold``, else a list of the
-        values, applied as a multiset once per group."""
+        into its group's state with the function's ``process``; each
+        group's state is ``convert``-ed once."""
         grouping = self.rule.grouping_variables(sg)
         free_grouping = sorted(
             (v for v in grouping if v not in bound), key=lambda v: v.name
@@ -408,31 +405,21 @@ class _KernelWriter:
         # implicit boolean aggregation counts each solution as 'true'.
         value = inner[sg.multiset_var] if sg.multiset_var is not None else "1"
         function = self.program.aggregate_function(sg.function)
-        inline = function.exact_fold
-        if inline:
-            start = self.const(function.state_create())
-            process = self.const(function.process)
-            finish = f"{self.const(function.convert)}(m{n})"
-        else:
-            finish = f"{self.const(function)}(FrozenMultiset(m{n}))"
+        start = self.const(function.state_create())
+        process = self.const(function.process)
+        finish = f"{self.const(function.convert)}(m{n})"
+        folds = self.folds
         if free_grouping:
             # =r subgoal generating its grouping bindings: aggregate each
             # group of the inner solutions separately.
             self.line(f"g{n} = {{}}")
             key = self.key(free_grouping, inner)
-            collect = [f"g{n}.setdefault({key}, []).append({value})"]
-            if inline:
-                fold = f"{process}(g{n}.get(k{n}, {start}), {value})"
-                collect = [f"k{n} = {key}", f"g{n}[k{n}] = {fold}"]
-        elif inline:  # the count n<k>: an empty group has a state too
+            fold = f"{process}(g{n}.get(k{n}, {start}), {value})"
+            collect = [f"k{n} = {key}", f"g{n}[k{n}] = {fold}"]
+        else:  # the count n<k>: an empty group has a state too
             self.line(f"m{n}, n{n} = {start}, 0")
             collect = [f"m{n} = {process}(m{n}, {value})", f"n{n} += 1"]
-        else:
-            self.line(f"m{n} = []")
-            collect = [f"m{n}.append({value})"]
-        folds = self.folds
-        if inline and not free_grouping:  # rebound by the interior
-            self.folds = folds + [f"m{n}", f"n{n}"]
+            self.folds = folds + [f"m{n}", f"n{n}"]  # rebound by the interior
         depth, loops, fail = self.depth, self.loops, self.fail
         self.fail = None
         for conjunct in order_conjuncts(
@@ -449,8 +436,8 @@ class _KernelWriter:
             group = _display([regs[v] for v in free_grouping])
             self.loop(f"for {group}, m{n} in g{n}.items():")
         elif sg.restricted:
-            self.require(f"n{n}" if inline else f"m{n}")
-        elif inline:
+            self.require(f"n{n}")
+        else:
             finish += f" if n{n} else {self.const(function.empty_value)}()"
         detail = getattr(function, "name", None) or type(function).__name__
         self.line("if faults._ACTIVE is not None:")  # fault-injection seam

@@ -42,7 +42,6 @@ from repro.datalog.terms import Constant, Variable, evaluate_expr, expr_variable
 from repro.engine.interpretation import Interpretation, Key, Relation
 from repro.engine.interpretation import active_index_stats
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.util.multiset import FrozenMultiset
 
 Bindings = Dict[Variable, Any]
 
@@ -371,15 +370,13 @@ def solve_conjunction(
 
 def _project_multiset(
     sg: AggregateSubgoal, solutions: Sequence[Bindings]
-) -> FrozenMultiset:
+) -> List[Any]:
     """SQL-style projection of the inner solutions onto the multiset
-    variable (duplicates retained); implicit boolean aggregation counts
-    each solution as 'true'."""
+    variable (duplicates retained, in solution order); implicit boolean
+    aggregation counts each solution as 'true'."""
     if sg.multiset_var is not None:
-        return FrozenMultiset(
-            solution[sg.multiset_var] for solution in solutions
-        )
-    return FrozenMultiset([1] * len(solutions))
+        return [solution[sg.multiset_var] for solution in solutions]
+    return [1] * len(solutions)
 
 
 def _eval_aggregate(

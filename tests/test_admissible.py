@@ -115,7 +115,7 @@ class TestNonMonotonicAggregateRejected:
             def state_create(self):
                 return None
 
-            def process(self, state, value, count=1):
+            def process(self, state, value):
                 if state is None:
                     return (value, value)
                 lo, hi = state

@@ -143,8 +143,8 @@ class TestDefaultsAcrossComponents:
             def state_create(self):
                 return 0
 
-            def process(self, state, value, count=1):
-                return state + int(value) * count
+            def process(self, state, value):
+                return state + int(value)
 
             def merge(self, state, other):
                 return state + other

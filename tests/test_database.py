@@ -149,8 +149,8 @@ class TestCustomRegistration:
             def state_create(self):
                 return 0
 
-            def process(self, state, value, count=1):
-                return state + value * value * count
+            def process(self, state, value):
+                return state + value * value
 
             def merge(self, state, other):
                 return state + other

@@ -24,8 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregates import LatticeJoin, Minimum
-from repro.datalog.atoms import AggregateSubgoal
+from repro.aggregates import LatticeJoin
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Variable
@@ -790,25 +789,11 @@ def test_a_scan_binds_exactly_the_rows_of_the_container(predicate, args, rows):
     assert (stats.scans, stats.hits, stats.builds) == (1, 0, 0)
 
 
-class MinimumByCall(Minimum):
-    """A user aggregate that redefines ``__call__`` (and so does not
-    inherit ``exact_fold``)."""
-
-    name = "min_by_call"
-
-    def __call__(self, multiset):
-        return super().__call__(multiset)
-
-
 class TestKernelShapes:
     """What a kernel's source holds: index handles, never
-    ``Relation.lookup``; an inline fold for an ``exact_fold`` aggregate,
-    a ``FrozenMultiset`` per group for any other."""
+    ``Relation.lookup``; an inline fold for every aggregate."""
 
-    AGGREGATES = {
-        "lub": LatticeJoin(REALS_GE, name="lub"),
-        "min_by_call": MinimumByCall(),
-    }
+    AGGREGATES = {"lub": LatticeJoin(REALS_GE, name="lub")}
     RULES = (
         "@cost q/3 : reals_ge.\n@cost p/2 : reals_ge.\n@pred w/1.\n"
         "p(X, C) <- C =r {f}{{D : q(X, Y, D)}}.\n"  # grouping generated
@@ -832,18 +817,13 @@ class TestKernelShapes:
             # Seeded on the grouping variable, as a changed q row seeds it.
             yield compile_rule(rule, program, frozenset({Variable("X")})).source(program)
 
-    @pytest.mark.parametrize("function", ["min", "max", "count", "or", "and"])
-    def test_an_exact_fold_is_inline(self, function):
+    @pytest.mark.parametrize(
+        "function",
+        ["min", "max", "count", "or", "and", "sum", "average", "halfsum", "lub"],
+    )
+    def test_every_aggregate_folds_inline(self, function):
         for source in self.kernels(function):
             assert "FrozenMultiset(" not in source, source
-            assert ".lookup(" not in source
-
-    @pytest.mark.parametrize(
-        "function", ["sum", "average", "halfsum", "lub", "min_by_call"]
-    )
-    def test_any_other_aggregate_is_applied_to_a_multiset(self, function):
-        for source in self.kernels(function):
-            assert "FrozenMultiset(" in source, source
             assert ".lookup(" not in source
 
     @pytest.mark.parametrize("function", ["count", "sum"])
@@ -876,12 +856,7 @@ class TestKernelShapes:
         for plan in plans:
             source = plan.source(program)
             assert ".lookup(" not in source, source
-            if "(FrozenMultiset(" in source:
-                assert any(
-                    not program.aggregate_function(sg.function).exact_fold
-                    for sg in plan.rule.body
-                    if isinstance(sg, AggregateSubgoal)
-                )
+            assert "FrozenMultiset(" not in source, source
 
     @pytest.mark.parametrize("paper", PAPER_PROGRAMS, ids=lambda p: p.name)
     def test_no_solve_builds_an_index_on_a_whole_key(self, paper, monkeypatch):

@@ -37,11 +37,11 @@ def test_shortest_path_methods_and_plans_agree(arcs):
 @settings(max_examples=examples(15), deadline=None)
 @given(st.integers(4, 20), st.integers(0, 1000))
 def test_company_control_methods_and_plans_agree(n, seed):
-    """Bit for bit across methods too: ``Sum.fold`` adds a group's values
-    in sorted order, so the order in which naive, semi-naive and
-    cost-ordered rounds derive them cannot reach the float total.  (It
-    would, were ``sum`` folded inline in derivation order: it declares
-    no ``exact_fold``.)"""
+    """Bit for bit across methods too: ``sum`` is exact and rounds once,
+    in ``convert``, so the order in which naive, semi-naive and
+    cost-ordered rounds derive a group's values cannot reach the float
+    total.  (It would, were the floats added with plain ``+`` as they
+    are folded.)"""
     agree(company_control.source, s=random_ownership(n, seed=seed))
 
 

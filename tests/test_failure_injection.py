@@ -130,7 +130,7 @@ class TestMisdeclaredAggregates:
             def state_create(self):
                 return None
 
-            def process(self, state, value, count=1):
+            def process(self, state, value):
                 return value if state is None else min(state, value)
 
             def merge(self, state, other):

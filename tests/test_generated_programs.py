@@ -34,6 +34,10 @@ ARCS = [(0, 1, 4.0), (1, 2, 1.0), (2, 0, 2.0), (0, 2, 7.0), (2, 3, 1.0), (3, 1, 
 DAG = [(0, 1, 4.0), (1, 2, 1.0), (0, 2, 7.0), (2, 3, 1.0), (1, 3, 5.0)]
 BRAID = {"e": [(0, 1), (1, 0.5), (2, 2)], "f": [(0, 1), (1, 2), (2, 0)], "g": [(1, 0), (2, 1)]}
 RECORDS = [("s", "c", 3.0), ("s", "d", 2.0), ("t", "c", 1.0)]
+#: 0 controls 2 and 1 in one round, and so owns 0.3, 0.1 and 0.2 of 3:
+#: added in derivation order, that is 0.6000000000000001 under naive
+#: evaluation and 0.6 under semi-naive.
+TENTHS = [(0, 2, 0.6), (0, 1, 0.6), (0, 3, 0.3), (1, 3, 0.1), (2, 3, 0.2)]
 KNOWS, REQUIRES = random_party(8, seed=0)
 GATES = random_circuit(8, seed=0, feedback_fraction=0.3)
 @settings(max_examples=examples(120), deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -41,6 +45,7 @@ GATES = random_circuit(8, seed=0, feedback_fraction=0.3)
 @example(case(shortest_path.source, arc=NEGATIVE_ARC))
 @example(case(company_control.source, s=random_ownership(6, seed=0)))
 @example(case(company_control_r_monotonic.source, s=random_ownership(5, seed=1)))
+@example(case(company_control.source, s=TENTHS))
 @example(case(party_invitations.source, knows=KNOWS, requires=list(REQUIRES.items())))
 @example(case(circuit.source, gate=GATES.gates, connect=GATES.connects, input=GATES.inputs))
 @example(case(student_averages.source, record=RECORDS, courses=[("c",), ("e",)]))

@@ -31,6 +31,7 @@ from repro.lattices import (
     ProductLattice,
     check_lattice,
 )
+from tests.conftest import examples
 
 ALL_LATTICES = [
     REALS_LE,
@@ -104,19 +105,19 @@ finite_reals = st.one_of(
 )
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(st.lists(finite_reals, min_size=1, max_size=5, unique=True))
 def test_ascending_reals_axioms_random(sample):
     assert check_lattice(REALS_LE, sample).ok
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(st.lists(finite_reals, min_size=1, max_size=5, unique=True))
 def test_descending_reals_axioms_random(sample):
     assert check_lattice(REALS_GE, sample).ok
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(
     st.lists(
         st.frozensets(st.sampled_from("abcd")), min_size=1, max_size=5, unique=True
@@ -126,7 +127,7 @@ def test_powerset_axioms_random(sample):
     assert check_lattice(PowersetUnion("abcd"), sample).ok
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(
     st.lists(
         st.tuples(st.sampled_from([0, 1]), st.integers(0, 5)),
