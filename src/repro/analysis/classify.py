@@ -25,7 +25,7 @@ verdict:
 
 The verdict maps to a recommended evaluation mode, consumed by
 ``engine.solver`` when ``method="auto"`` — the :data:`AUTO_POLICY`
-table: cost-ordered slices (greedy) for extremal recursion, whole-delta
+table: cost-ordered rounds (greedy) for extremal recursion, whole-delta
 rounds (semi-naive) for the other certified components, naive otherwise.
 """
 
@@ -215,9 +215,9 @@ def greedy_applicable(program: Program, component: Component) -> Optional[int]:
 #: Anything not certified runs "naive" whatever its verdict.
 AUTO_POLICY: Dict[ComponentClass, Tuple[str, str]] = {
     ComponentClass.STRATIFIED: ("seminaive", "seminaive"),
-    # Cost-ordered slices are a cost model (how few revisions the one
-    # delta round takes), not a soundness condition — see engine/greedy;
-    # the measurement behind the choice is docs/PERFORMANCE.md §8.
+    # Cost-ordered rounds are a cost model (which changed rows fire
+    # first, so how few revisions the delta rounds take), not a soundness
+    # condition — see engine/greedy; the measurement: PERFORMANCE.md §8.
     ComponentClass.MONOTONIC: ("seminaive", "greedy"),
     ComponentClass.PSEUDO_MONOTONIC: ("seminaive", "seminaive"),
     ComponentClass.NEEDS_WELL_FOUNDED: ("naive", "naive"),

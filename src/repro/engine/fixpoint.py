@@ -23,9 +23,9 @@ its rows go:
   derivations are *joined* into ``J``; for a monotonic component that
   reproduces the Kleene chain, since unpinned instances would re-derive
   values ⊑-below ``J``.  The solver routes only admissibility-certified
-  components here.  Which derived rows a join round writes is a
-  *worklist policy*: all of them (semi-naive), or the best few by cost
-  (:mod:`repro.engine.greedy`).
+  components here.  A join round writes every row it derives; which
+  changed rows fire next is a *worklist policy*: all of them
+  (semi-naive), or the best bands by cost (:mod:`repro.engine.greedy`).
 
 Property-based tests pin the modes to one another across the paper's
 example programs and randomized workloads.
@@ -55,10 +55,10 @@ DeltaRows = Dict[str, List[Tuple[Any, ...]]]
 Derived = List[Tuple[str, List[Key]]]
 
 
-#: Seeds per kernel call, and rows per cost-ordered slice (a slice of
-#: changed rows is then one kernel call per seed source).  The supervisor
-#: is polled between slices, so this bounds cancel latency; it is large
-#: enough to amortise the call.
+#: Seeds per kernel call, and the fewest live rows a cost-ordered round
+#: fires (it takes whole bands).  The supervisor is polled before every
+#: kernel call, so this bounds cancel latency; it is large enough to
+#: amortise the call.
 SEED_SLICE = 64
 
 #: ``method → write`` mode of its rounds (greedy adds a worklist).
@@ -228,10 +228,10 @@ class DeltaDispatch:
 
 
 class Worklist(Protocol):
-    """What a round writes: a policy over the derived-but-unwritten rows."""
+    """What a round fires: a policy over the changed-but-unfired rows."""
 
-    def select(self, derived: Derived, j: Interpretation) -> Derived:
-        """Take in a round's ``derived`` rows; return those to write now."""
+    def select(self, changed: DeltaRows, j: Interpretation) -> DeltaRows:
+        """Take in a round's ``changed`` rows; return those to fire next."""
 
 
 def cdb_interpretation(program: Program, cdb: FrozenSet[str]) -> Interpretation:
@@ -312,9 +312,9 @@ def fixpoint(
     ``write="replace"`` is Kleene iteration: ``strict`` checks cost
     consistency in every round, and ``iterations`` does not count the
     final round, which reproduced ``J``.  ``write="join"`` fires every
-    rule in round 1 and later the rules the previous round's changed
-    rows can touch, and joins what the ``worklist`` selects (``None``:
-    everything) into ``J``; ``T_P`` is monotone, so any fair schedule
+    rule in round 1, later the rules the changed rows the ``worklist``
+    selects (``None``: all of them) can touch, and joins what they
+    derive into ``J``; ``T_P`` is monotone, so any fair schedule
     reaches the same least fixpoint (Cor. 3.5).  There ``strict``
     governs round 1 only: the solver passes ``strict=False`` for
     aggregate-pushdown frontier components, whose rules derive
@@ -372,8 +372,6 @@ def fixpoint(
                     derived = dispatch.fire(delta, ctx, plan, poll)
                 else:
                     derived = list(fire_all(rules, ctx, plan, poll))
-                if worklist is not None:
-                    derived = worklist.select(derived, j)
                 # Resuming, conflicting cost derivations join instead of
                 # raising: the checkpoint may already hold values above
                 # any single rule instance's derivation.
@@ -390,6 +388,8 @@ def fixpoint(
                     added = len(rel) - size
                     new_atoms += added
                     changed_atoms += len(changed) - added
+            if worklist is not None:
+                delta = worklist.select(delta, j)
             if replace:
                 if resumed:
                     target = j.join(target)

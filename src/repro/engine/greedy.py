@@ -5,77 +5,77 @@ as an *evaluation order*; Zaniolo et al. derive it the same way — an
 extremum premappable into the recursion lets the one semi-naive
 fixpoint settle Dijkstra-style.  So there is no greedy driver here, only
 :class:`CostOrdered`, the policy :func:`greedy_fixpoint` hands to the
-shared round of :mod:`repro.engine.fixpoint`: derived rows wait in a
-priority queue ordered by the *numeric* cost (ascending for min-oriented
-``reals_ge`` components, descending for max-oriented ones) and each
-round writes the best :data:`~repro.engine.fixpoint.SEED_SLICE` of them
-that still improve ``J``, then fires the rows that changed as one batch.
+shared round of :mod:`repro.engine.fixpoint`.  A round writes all it
+derives into ``J``, as semi-naive does, so ``J`` holds each key's best
+pending cost; the policy picks which *changed* rows fire next: whole tie
+bands, best *numeric* cost first (ascending for min-oriented
+``reals_ge`` components, descending for max-oriented ones), until the
+round holds :data:`~repro.engine.fixpoint.SEED_SLICE` rows ``J`` still holds.
 
-Rows are *joined* into ``J``, so a better value derived later still
-revises a key and the least fixpoint is reached whatever the data.  The
-cost order is a cost model, not a soundness condition: when rules only
-derive candidates no better than the costs they consumed (non-negative
-arc weights — the Dijkstra invariant) each key is written once, at its
-final value; where they do not (negative arcs) keys are revised, and a
-program without a finite least fixpoint (a negative cycle) runs into
-``max_iterations`` or its budget exactly as semi-naive does.
+The cost order is a cost model, not a soundness condition: a better
+value derived later still revises a key, so the least fixpoint is
+reached whatever the data.  If rounds fire one band each and none
+writes a row better than those it fired (non-negative arc weights — the
+Dijkstra invariant), every key fires once, at its final value; negative
+arcs re-fire keys, and a negative cycle runs into ``max_iterations`` or
+its budget exactly as semi-naive does.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any, List, Tuple
+from heapq import heappop, heappush
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.classify import greedy_applicable
 from repro.analysis.dependencies import Component
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
 from repro.engine.interpretation import Interpretation, Key
-from repro.engine.fixpoint import (
-    SEED_SLICE,
-    DeltaRows,
-    Derived,
-    FixpointResult,
-    fixpoint,
-)
+from repro.engine.fixpoint import SEED_SLICE, DeltaRows, FixpointResult, fixpoint
 
 __all__ = ["CostOrdered", "greedy_applicable", "greedy_fixpoint"]
 
+_row_cost, _cost, _predicate = itemgetter(-1), itemgetter(0), itemgetter(1)
+
 
 class CostOrdered:
-    """The cost-ordered worklist: derived rows queue by cost, and a round
-    writes the best :data:`SEED_SLICE` that strictly improve ``J``."""
+    """The cost-ordered worklist: changed rows queue in tie bands, and a
+    round fires the best whole bands until :data:`SEED_SLICE` are live."""
 
     def __init__(self, direction: int) -> None:
         #: direction -1 (``reals_ge`` / min): numerically smaller is
-        #: ⊑-greater and goes first, so the heap key is the raw cost;
-        #: for max-oriented components the key is negated.
+        #: ⊑-greater and goes first, so a band's rank is the raw cost;
+        #: for max-oriented components it is negated.
         self.sign = -direction
-        self.heap: List[Tuple[Any, int, str, Key]] = []
-        self.counter = itertools.count()
+        #: The distinct ranks queued, and each one's rows as
+        #: ``(cost, predicate, row)`` in write order.
+        self.heap: List[Any] = []
+        self.bands: Dict[Any, List[Tuple[Any, str, Key]]] = {}
 
-    def select(self, derived: Derived, j: Interpretation) -> Derived:
-        sign, heap, counter = self.sign, self.heap, self.counter
-        for predicate, rows in derived:
-            costs = j.relation(predicate).costs
-            for row in rows:
-                held = costs.get(row[:-1])
-                rank = sign * row[-1]
-                if held is None or rank < sign * held:
-                    heapq.heappush(heap, (rank, next(counter), predicate, row))
-        # Rows queued before ``J`` caught up with them are dropped here;
-        # they cost a pop, not a place in the slice.
-        best: DeltaRows = {}
-        room = SEED_SLICE
-        relations = j.relations
-        while heap and room:
-            rank, _, predicate, row = heapq.heappop(heap)
-            held = relations[predicate].costs.get(row[:-1])
-            if held is None or rank < sign * held:
-                best.setdefault(predicate, []).append(row)
-                room -= 1
-        return list(best.items())
+    def select(self, changed: DeltaRows, j: Interpretation) -> DeltaRows:
+        sign, heap, bands = self.sign, self.heap, self.bands
+        for predicate, rows in changed.items():
+            entries = zip(map(_row_cost, rows), repeat(predicate), rows)
+            for cost, tied in groupby(sorted(entries, key=_cost), _cost):
+                band = bands.get(sign * cost)
+                if band is None:
+                    bands[sign * cost] = list(tied)
+                    heappush(heap, sign * cost)
+                else:
+                    band.extend(tied)
+        # Whole bands to SEED_SLICE rows ``J`` still holds; a row whose key
+        # has improved since is dropped (the better row is in a better band).
+        held = {name: rel.costs.get for name, rel in j.relations.items()}
+        fire: List[Tuple[Any, str, Key]] = []
+        while heap and len(fire) < SEED_SLICE:
+            popped = bands.pop(heappop(heap))
+            while heap and len(fire) + len(popped) < SEED_SLICE:
+                popped += bands.pop(heappop(heap))
+            fire += [e for e in popped if held[e[1]](e[2][:-1]) == e[0]]
+        fire.sort(key=_predicate)  # stable: each predicate's rows in band order
+        return {p: [e[2] for e in es] for p, es in groupby(fire, _predicate)}
 
 
 def greedy_fixpoint(
@@ -83,23 +83,15 @@ def greedy_fixpoint(
 ) -> FixpointResult:
     """Fixpoint of one extremal component in cost order: the shared
     delta round (``options`` are :func:`~repro.engine.fixpoint.fixpoint`'s)
-    under the :class:`CostOrdered` policy.  A slice is a round wherever rounds are
-    counted — events, ``max_iterations``, budgets, the result's
-    ``iterations``; an interrupt leaves ``J`` a sound lower bound (in
-    which, under the Dijkstra invariant, every atom at or ⊑-above the
-    best pending candidate is final).
-    """
+    under the :class:`CostOrdered` policy.  An interrupt leaves ``J`` a
+    sound lower bound whose unfired keys may hold tentative costs (under
+    the Dijkstra invariant, every atom at or ⊑-above the best unfired
+    band is final)."""
     direction = greedy_applicable(program, component)
     if direction is None:
         raise ReproError(
             f"greedy evaluation does not apply to {component}; use the "
             f"naive or semi-naive evaluator"
         )
-    return fixpoint(
-        program,
-        component.cdb,
-        i,
-        strict=False,
-        worklist=CostOrdered(direction),
-        **options,
-    )
+    policy = CostOrdered(direction)
+    return fixpoint(program, component.cdb, i, strict=False, worklist=policy, **options)

@@ -16,14 +16,14 @@ resource-governance layer that makes such solves *fail predictably*:
   instead of tearing a :class:`~repro.engine.interpretation.Relation`
   mid-mutation;
 * **divergence detection** — two cheap per-round heuristics.  A *cost
-  spiral* is 8 consecutive rounds that only revise existing costs
-  (no new keys) on a component holding a cost predicate over an
-  unbounded lattice — the signature of Example 5.1 or of shortest paths
-  over a negative cycle, where every round strictly improves values that
-  will never converge.  An *atom-growth alarm* is 8 consecutive rounds
-  each at least doubling the component's atom count.  Both emit a
-  structured runtime diagnostic (``MAD701`` / ``MAD702``, see
-  docs/ROBUSTNESS.md) and a ``divergence_warning`` telemetry event;
+  spiral* is 8 consecutive rounds that only revise existing costs (no
+  new keys), none fewer than the first, on a component holding a cost
+  predicate over an unbounded lattice — the signature of Example 5.1 or
+  of shortest paths over a negative cycle, where every round strictly
+  improves values that will never converge.  An *atom-growth alarm* is
+  8 consecutive rounds each at least doubling the component's atoms.
+  Both emit a structured runtime diagnostic (``MAD701`` / ``MAD702``,
+  see docs/ROBUSTNESS.md) and a ``divergence_warning`` telemetry event;
   with ``Budget(on_divergence="abort")`` they stop the solve.
 
 A tripped budget raises :class:`SolveInterrupt` at the *boundary*, never
@@ -274,6 +274,7 @@ class Supervisor:
         "diagnostics",
         "_polls",
         "_spiral_run",
+        "_revised",
         "_growth_run",
         "_last_total",
         "_warned",
@@ -309,7 +310,7 @@ class Supervisor:
         #: Structured MAD7xx runtime diagnostics emitted so far.
         self.diagnostics: List["Diagnostic"] = []
         self._polls = 0
-        self._spiral_run = 0
+        self._spiral_run = self._revised = 0
         self._growth_run = 0
         self._last_total: Optional[int] = None
         self._warned: set = set()
@@ -422,11 +423,14 @@ class Supervisor:
         total_atoms: int,
     ) -> None:
         # Cost spiral: rounds that only revise existing costs, on a
-        # component whose lattice admits unbounded ⊑-ascent.
-        if self.watch_spiral and changed_atoms > 0 and new_atoms == 0:
+        # component whose lattice admits unbounded ⊑-ascent; a round that
+        # revises fewer than the run's first restarts it (converging tails).
+        if not (self.watch_spiral and changed_atoms > 0 and new_atoms == 0):
+            self._spiral_run = 0
+        elif self._spiral_run and changed_atoms >= self._revised:
             self._spiral_run += 1
         else:
-            self._spiral_run = 0
+            self._spiral_run, self._revised = 1, changed_atoms
         if self._spiral_run >= _DIVERGENCE_WINDOW:
             self._flag(
                 "cost-spiral",

@@ -6,20 +6,21 @@ batched engine.
 heads through ``Relation.join_rows``; ``greedy_fixpoint`` is that loop
 under the cost-ordered policy.  These are the loops they replaced: one
 seed dict, one interpreted ``evaluate_body``, one ``add_fact`` per head,
-rule-major, for the whole-delta round, for cost-ordered slices of any
-size, and for Dijkstra (one settle per pop).
+rule-major, for the whole-delta round and for cost-ordered rounds of
+any width.  The reference folds each aggregate group's values in
+reverse order (:func:`reversed_folds`), so an aggregate whose result
+depends on that order disagrees with the kernels.
 :func:`assert_drivers_match_reference` requires the same models, row
-order, round and slice counts, and per-rule firings, and
-:func:`assert_configurations_agree` one typed model from every
-configuration: the generated-program property and the per-template
-tests share both.  Not a test module, and imported by nothing under
-``src/``.
+order, round counts, the rows each cost-ordered round fires, and
+per-rule firings, and :func:`assert_configurations_agree` one typed
+model from every configuration: the generated-program property and the
+per-template tests share both.  Not a test module, and imported by
+nothing under ``src/``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import itertools
 from collections import Counter
 from unittest import mock
@@ -30,7 +31,7 @@ from repro.analysis.dependencies import condense
 from repro.datalog.atoms import AggregateSubgoal, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.terms import Constant
-from repro.engine import fixpoint as fixpoint_module, greedy, solve
+from repro.engine import fixpoint as fixpoint_module, greedy, grounding, solve
 from repro.engine.fixpoint import SEED_SLICE, fixpoint
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
 from repro.engine.grounding import EvalContext, evaluate_body, ground_head
@@ -102,11 +103,22 @@ def apply_heads(j, heads):
     return delta, new, changed
 
 
+@contextlib.contextmanager
+def reversed_folds():
+    """The reference folds each aggregate group's values in reverse
+    solution order, the kernels in solution order: an aggregate whose
+    result depends on the order of its values disagrees."""
+    project = grounding._project_multiset
+    with mock.patch.object(grounding, "_project_multiset", lambda sg, s: project(sg, s)[::-1]):
+        yield
+
+
 def first_round_heads(rules, ctx):
     """One ``T_P`` application, all heads grounded before any is written."""
     return [ground_head(rule, b) for rule in rules for b in list(evaluate_body(rule, ctx))]
 
 
+@reversed_folds()
 def reference_seminaive(program, cdb, i):
     """``J``, the round count, and the firings per rule (one unseeded,
     then one per distinct seed) of the component ``cdb`` over ``i``."""
@@ -126,65 +138,45 @@ def reference_seminaive(program, cdb, i):
         heads = reference_heads(rules, cdb, delta, ctx, fired)
 
 
-def _worklist(program, component, i):
-    j = Interpretation(program.declarations)
-    ctx = EvalContext(program, component.cdb, j, i)
-    return component.cdb, list(component.rules), j, ctx, itertools.count(), []
-
-
+@reversed_folds()
 def reference_slices(program, component, i, direction, size):
-    """The cost-ordered policy, tuple at a time: heads that would
-    improve ``J`` queue by cost; a round pops the best ``size`` that
-    still do, writes them predicate by predicate, and re-derives from
-    the rows that changed.  Returns ``J`` and (new, changed) per round."""
-    cdb, rules, j, ctx, counter, heap = _worklist(program, component, i)
-
-    def improves(predicate, args):
-        held = j.relation(predicate).costs.get(args[:-1])
-        return held is None or direction * args[-1] > direction * held
-
+    """The cost-ordered policy, tuple at a time: heads are joined into
+    ``J`` as they are derived, the rows that changed queue by cost, and a
+    round fires whole bands of equal cost, best first, until it holds
+    ``size`` rows that ``J`` still holds.  Returns ``J``, (new, changed)
+    per round, the rows each round fired, and whether no round wrote a
+    row better than the best it fired (the Dijkstra invariant)."""
+    cdb, rules = component.cdb, list(component.rules)
+    j = Interpretation(program.declarations)
+    ctx = EvalContext(program, cdb, j, i)
     heads = first_round_heads(rules, ctx)
-    rounds = []
+    queue, rounds, fired, dijkstra = [], [], [], True
     while True:
-        for predicate, args in heads:
-            if improves(predicate, args):
-                rank = -direction * args[-1]
-                heapq.heappush(heap, (rank, next(counter), predicate, args))
-        best = {}
-        while heap and sum(map(len, best.values())) < size:
-            _, _, predicate, args = heapq.heappop(heap)
-            if improves(predicate, args):
-                best.setdefault(predicate, []).append(args)
-        delta, new, changed = apply_heads(j, [(p, a) for p, rows in best.items() for a in rows])
+        delta, new, changed = apply_heads(j, heads)
         rounds.append((new, changed))
-        if not delta:
-            return j, rounds
-        if len(rounds) >= 40 * MAX_ROUNDS:  # one-row slices: one per atom
+        ranked = [(-direction * row[-1], p, row) for p, rows in delta.items() for row in rows]
+        if fired:  # the Dijkstra invariant: nothing written beats what fired
+            floor = min(-direction * row[-1] for rows in fired[-1].values() for row in rows)
+            dijkstra &= all(rank >= floor for rank, _, _ in ranked)
+        queue += ranked
+        # Whole bands of equal rank, best first, each in write order, until
+        # ``size`` rows that ``J`` still holds.
+        live = [(rank, p, row) for rank, p, row in queue if j.relation(p).costs.get(row[:-1]) == row[-1]]
+        fire, popped = {}, set()
+        for band in sorted({rank for rank, _, _ in queue}):
+            if sum(map(len, fire.values())) >= size:
+                break
+            popped.add(band)
+            for rank, predicate, row in live:
+                if rank == band:
+                    fire.setdefault(predicate, []).append(row)
+        queue = [entry for entry in queue if entry[0] not in popped]
+        if not fire:
+            return j, rounds, fired, dijkstra
+        fired.append(fire)
+        if len(rounds) >= 40 * MAX_ROUNDS:  # one-row bands: one per atom
             raise NonTerminationError("reference", ascending=True)
-        heads = reference_heads(rules, cdb, delta, ctx)
-
-
-def reference_greedy(program, component, i, direction):
-    """Dijkstra: one settle per pop, a settled key is never revised."""
-    cdb, rules, j, ctx, counter, heap = _worklist(program, component, i)
-
-    def push(predicate, args):
-        heapq.heappush(heap, (-direction * args[-1], next(counter), predicate, args))
-
-    for predicate, args in first_round_heads(rules, ctx):
-        push(predicate, args)
-    settled = 0
-    while heap:
-        _, _, predicate, args = heapq.heappop(heap)
-        rel = j.relation(predicate)
-        if args[:-1] in rel.costs:
-            continue
-        rel.join_rows([args])
-        settled += 1
-        for head, head_args in reference_heads(rules, cdb, {predicate: [args]}, ctx):
-            if head_args[:-1] not in j.relation(head).costs:
-                push(head, head_args)
-    return j, settled
+        heads = reference_heads(rules, cdb, fire, ctx)
 
 
 # -- holding the engine to it ---------------------------------------------------
@@ -195,20 +187,48 @@ def rows_of(j, order=list):
     return {name: rows for name, rows in typed_rows(j, order).items() if rows}
 
 
+@contextlib.contextmanager
+def fired_rows():
+    """The rows each cost-ordered round of the engine fires, as a list
+    of ``{predicate: rows}`` (a round that fires nothing ends the run)."""
+    fired, select = [], greedy.CostOrdered.select
+
+    def spy(self, changed, j):
+        fire = select(self, changed, j)
+        if fire:
+            fired.append({p: list(rows) for p, rows in fire.items()})
+        return fire
+
+    with mock.patch.object(greedy.CostOrdered, "select", spy):
+        yield fired
+
+
+def fires_once(fired, j):
+    """Whether each key of ``j`` fired once, at its final value."""
+    rows = [(p, row) for fire in fired for p, rows in fire.items() for row in rows]
+    final = {(p, row) for p, rel in j.relations.items() for row in rel.rows()}
+    return len({(p, row[:-1]) for p, row in rows}) == len(rows) and set(rows) == final
+
+
 def assert_greedy_matches_slices(program, component, state, direction, size):
-    """Model, row order, slice count and per-slice new/changed counts of
-    the engine's cost-ordered rounds of ``size`` rows are the reference's."""
-    expected, rounds = reference_slices(program, component, state, direction, size)
+    """Model, row order, round count, each round's new/changed counts and
+    the rows each round fires of the engine's cost-ordered rounds of at
+    least ``size`` rows are the reference's."""
+    expected, rounds, fired, dijkstra = reference_slices(
+        program, component, state, direction, size
+    )
     tracer = Tracer()
     with contextlib.ExitStack() as stack:
         for module in (fixpoint_module, greedy):  # the dispatch's and the policy's
             stack.enter_context(mock.patch.object(module, "SEED_SLICE", size))
+        got_fired = stack.enter_context(fired_rows())
         got = greedy_fixpoint(program, component, state, plan="off", tracer=tracer)
     assert rows_of(got.interpretation) == rows_of(expected)
     assert got.iterations == len(rounds)
     events = [e for e in tracer.events if e["type"] == "iteration"]
     assert [(e["new_atoms"], e["changed_atoms"]) for e in events] == rounds
-    return got
+    assert got_fired == fired
+    return got, fired, dijkstra
 
 
 METHODS = ("naive", "seminaive", "greedy", "auto")
@@ -227,10 +247,11 @@ def assert_configurations_agree(program, edb):
 
 def assert_drivers_match_reference(program, edb):
     """Component by component, the semi-naive and cost-ordered drivers
-    are the tuple-at-a-time reference's: ``J``, round and slice counts
-    (with each slice's new/changed counts), row order under
-    ``plan="off"``; and semi-naive fires each rule once per distinct
-    seed."""
+    are the tuple-at-a-time reference's: ``J``, round counts (with each
+    cost-ordered round's new/changed counts and fired rows), row order
+    under ``plan="off"``; semi-naive fires each rule once per distinct
+    seed; and where one-band rounds keep the Dijkstra invariant, each
+    key fires once, at its final value."""
     state, fired, tracer = edb.copy(), Counter(), Tracer()
     for component in condense(program):
         try:
@@ -246,17 +267,15 @@ def assert_drivers_match_reference(program, edb):
             # The reference's join order, hence row order, is "off"'s.
             assert rows_of(got.interpretation, order) == rows_of(expected, order)
         direction = greedy_applicable(program, component)
-        if direction is not None:
-            # Where settle-once is right (rules derive nothing better
-            # than what they consumed), one-row slices are Dijkstra.
-            dijkstra, settled = reference_greedy(program, component, state, direction)
-            settle_once = rows_of(dijkstra, sorted) == rows_of(expected, sorted)
         for size in (1, 3, SEED_SLICE) if direction is not None else ():
             # Any fair order joins its way to the one least model.
-            got = assert_greedy_matches_slices(program, component, state, direction, size)
+            got, fires, dijkstra = assert_greedy_matches_slices(
+                program, component, state, direction, size
+            )
             assert rows_of(got.interpretation, sorted) == rows_of(expected, sorted)
-            if size == 1 and settle_once:
-                assert rows_of(got.interpretation) == rows_of(dijkstra)
-                assert got.iterations == settled + 1  # + the empty last round
+            if size == 1 and dijkstra:
+                # Rounds of one band each that write nothing better than
+                # what they fired (non-negative weights): Dijkstra.
+                assert fires_once(fires, got.interpretation)
         state.absorb(expected)
     assert Counter({rule: calls for rule, calls, _, _ in tracer.rule_stats()}) == fired

@@ -301,7 +301,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 23005
+SRC_LINES = 23001
 
 
 def test_the_row_cache_is_gone():
@@ -341,7 +341,7 @@ def test_src_only_shrinks():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4848
+ENGINE_LINES = 4844
 
 
 def test_one_fixpoint_loop():

@@ -164,33 +164,30 @@ class TestGreedy:
         assert greedy.interpretation["s"] == dijkstra_all_pairs(arcs)
 
     def test_settles_each_key_once(self, monkeypatch):
-        """Non-negative weights: popped one at a time every key is
-        written once at its final value (Dijkstra); a wider slice may
-        write a key before a better candidate from the same slice's
-        consequences arrives, and revises it."""
+        """Non-negative weights: with one tie band per round every key
+        fires once, at its final value (Dijkstra); a round of 64 rows
+        fires several bands, and a key fired from one may improve from
+        another's consequences and fire again.  A negative arc re-fires
+        keys at any width."""
         from repro.engine import greedy
-        from repro.obs import Tracer
+        from tests.reference_eval import fired_rows, fires_once
+
+        def fire(arcs, size):
+            monkeypatch.setattr(greedy, "SEED_SLICE", size)
+            db = shortest_path.database({"arc": arcs})
+            with fired_rows() as rounds:
+                result = greedy_fixpoint(db.program, condense(db.program)[0], db.edb())
+            fired = sum(len(rows) for fire in rounds for rows in fire.values())
+            return rounds, result.interpretation, fired
 
         arcs = random_digraph(10, seed=3)
-        db = shortest_path.database({"arc": arcs})
-        component = condense(db.program)[0]
-        for slice_size in (1, 64):
-            monkeypatch.setattr(greedy, "SEED_SLICE", slice_size)
-            tracer = Tracer()
-            result = greedy_fixpoint(
-                db.program, component, db.edb(), tracer=tracer
-            )
-            rounds = [e for e in tracer.events if e["type"] == "iteration"]
-            total = len(result.interpretation["s"]) + len(
-                result.interpretation["path"]
-            )
-            assert sum(e["new_atoms"] for e in rounds) == total
-            assert len(rounds) == result.iterations
-            revised = sum(e["changed_atoms"] for e in rounds)
-            if slice_size == 1:
-                assert revised == 0 and result.iterations == total + 1
-            else:
-                assert revised < total / 2 and result.iterations < total / 8
+        rounds, j, fired = fire(arcs, 1)
+        assert fires_once(rounds, j) and fired == j.total_size()
+        rounds, j, fired = fire(arcs, 64)
+        assert not fires_once(rounds, j)
+        assert fired < 1.1 * j.total_size() and len(rounds) < j.total_size() / 32
+        negative = [("a", "b", 2), ("a", "c", 3), ("c", "b", -2), ("b", "d", 1)]
+        assert not fires_once(*fire(negative, 1)[:2])
 
 
 class TestCostOrderIsNotASoundnessCondition:

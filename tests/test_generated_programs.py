@@ -6,8 +6,9 @@ so every ``method`` × ``plan`` × ``pushdown`` must return it, row for
 row and type for type (Zaniolo et al.'s PreM result says the same of the
 pushdown rewrite).  Each component's semi-naive and cost-ordered runs
 must be the tuple-at-a-time reference's (``tests/reference_eval.py``):
-the same ``J``, round and slice counts, row order under ``plan="off"``,
-and one firing per distinct seed.  Programs come from
+the same ``J``, round counts, fired rows, row order under
+``plan="off"``, and one firing per distinct seed, with each aggregate
+group folded in reverse order on the reference side.  Programs come from
 :func:`tests.generate.programs`; hand-written templates are
 ``@example``\\ s.
 """

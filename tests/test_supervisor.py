@@ -7,7 +7,9 @@ time with a sound partial model and a resumable checkpoint, and a
 resumed solve reproduces the uninterrupted model exactly, per evaluator.
 """
 
+import importlib.util
 import json
+import random
 import signal
 import threading
 import time
@@ -23,8 +25,11 @@ from repro.engine.supervisor import (
     SolveInterrupt,
     Supervisor,
 )
+from repro.obs import Tracer
+from repro.workloads.datasets import ROAD_NETWORK_PROGRAM
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 SHORTEST_PATH = (EXAMPLES / "shortest_path.mad").read_text(encoding="utf-8")
 DIVERGING = (EXAMPLES / "diverging.mad").read_text(encoding="utf-8")
 
@@ -134,6 +139,62 @@ class TestTimeoutOnDivergingProgram:
         assert spiral
         assert spiral[0].severity.name == "WARNING"
         assert "unbounded cost domain" in spiral[0].message
+
+
+def grid_roads(side: int, rng: random.Random) -> list:
+    """The benchmark's road grid (``perfbench/gen.py``): both directions
+    of every street, lengths in [1, 10), plus a few long shortcuts."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.grid_roads(rng, side)
+
+
+class TestCostSpiralRule:
+    """MAD701 counts a round only while revisions do not shrink below
+    the run's first: a negative cycle's revisions hold level (they
+    fluctuate, 4, 4, 5, 5, 4, ...), a converging tail's fall away."""
+
+    def spiral_rounds(self, revisions):
+        supervisor = Supervisor(Budget(on_divergence="abort"))
+        supervisor.enter_component(base_atoms=0, watch_spiral=True)
+        for iteration, changed in enumerate(revisions, 1):
+            supervisor.on_round(
+                scc=0, iteration=iteration, new_atoms=0,
+                changed_atoms=changed, total_atoms=100,
+            )  # fmt: skip
+
+    def test_level_revisions_trip(self):
+        with pytest.raises(SolveInterrupt, match="MAD701"):
+            self.spiral_rounds([4, 4, 5, 5, 4, 4, 5, 5])
+
+    def test_shrinking_revisions_do_not(self):
+        self.spiral_rounds([65, 56, 44, 41, 31, 29, 21, 20, 12, 12, 9, 5, 2, 1])
+
+    def test_a_converging_road_grid_is_not_diverging(self):
+        """Semi-naive shortest paths from one source of a 16x16 road
+        grid end in more than 8 rounds that only revise costs, fewer and
+        fewer; the solve converges, so ``on_divergence="abort"`` must
+        not stop it."""
+        arcs = grid_roads(16, random.Random(0))
+
+        def solve(**kwargs):
+            db = make_db(ROAD_NETWORK_PROGRAM)
+            db.add_facts("arc", arcs)
+            db.add_facts("source", [(11,)])
+            return db.solve(method="seminaive", **kwargs)
+
+        tracer = Tracer()
+        result = solve(budget=Budget(on_divergence="abort"), tracer=tracer)
+        assert result.status == "complete", result.reason
+        assert not result.runtime_diagnostics
+        assert snapshot(result.model) == snapshot(solve().model)
+        run = longest = 0
+        for e in tracer.events:
+            if e["type"] == "iteration":
+                run = run + 1 if e["new_atoms"] == 0 < e["changed_atoms"] else 0
+                longest = max(longest, run)
+        assert longest > 8  # the rule that counted every such round tripped
 
 
 class TestIterationAndAtomBudgets:
