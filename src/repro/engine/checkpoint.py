@@ -67,11 +67,7 @@ def _encode_value(value: Any) -> Any:
     if isinstance(value, tuple):
         return {_TUPLE_TAG: [_encode_value(v) for v in value]}
     if isinstance(value, frozenset):
-        return {
-            _FROZENSET_TAG: sorted(
-                (_encode_value(v) for v in value), key=repr
-            )
-        }
+        return {_FROZENSET_TAG: sorted((_encode_value(v) for v in value), key=repr)}
     raise CheckpointError(
         f"cannot checkpoint value {value!r} of type "
         f"{type(value).__name__}; supported: numbers, strings, bools, "
@@ -84,9 +80,7 @@ def _decode_value(value: Any) -> Any:
         if _TUPLE_TAG in value:
             return tuple(_decode_value(v) for v in value[_TUPLE_TAG])
         if _FROZENSET_TAG in value:
-            return frozenset(
-                _decode_value(v) for v in value[_FROZENSET_TAG]
-            )
+            return frozenset(_decode_value(v) for v in value[_FROZENSET_TAG])
         raise CheckpointError(f"unknown tagged value {value!r}")
     if isinstance(value, list):
         raise CheckpointError(f"bare list {value!r} in checkpoint")
@@ -254,9 +248,7 @@ class Checkpoint:
                 relations=dict(payload.get("relations", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint: {exc}"
-            ) from exc
+            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -269,14 +261,9 @@ class Checkpoint:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{path} is not valid JSON: {exc}"
-            ) from exc
+            raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(payload)
 
     @property
     def total_atoms(self) -> int:
-        return sum(
-            len(payload.get("rows", ()))
-            for payload in self.relations.values()
-        )
+        return sum(len(payload.get("rows", ())) for payload in self.relations.values())

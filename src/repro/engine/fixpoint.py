@@ -9,11 +9,11 @@ write block; the evaluators differ only in what a round fires and where
 its rows go:
 
 * ``write="replace"`` — Kleene iteration (Section 6.2): every rule fires
-  over ``J`` into a fresh interpretation, ``J_{k+1} = T_P(J_k, I)``,
-  until a round reproduces ``J``.  Writes are strict (the paper's
-  standing cost-consistency assumption).  Non-monotonic programs may
-  oscillate and Example 5.1 ascends forever; both raise
-  :class:`~repro.datalog.errors.NonTerminationError`, whose
+  over ``J`` into a fresh interpretation, ``J_{k+1} = T_P(J_k, I)``, which
+  takes ``J``'s indexes, until a round reproduces ``J``.  Writes are
+  strict (the paper's standing cost-consistency assumption).
+  Non-monotonic programs may oscillate and Example 5.1 ascends forever;
+  both raise :class:`~repro.datalog.errors.NonTerminationError`, whose
   ``ascending`` flag tells them apart.
 * ``write="join"`` — delta-driven re-derivation (semi-naive): after the
   first full round, each positive CDB atom subgoal is pinned to the rows
@@ -345,9 +345,9 @@ def fixpoint(
     # round-boundary ``j``.
     poll = (lambda: supervisor.poll(scc, iterations)) if supervise else None
 
-    # A join fixpoint keeps one context: the persistent indexes on the
-    # relations of ``j`` and ``i`` survive across rounds and are updated
-    # in place by ``join_rows``, so each round touches only its delta.
+    # Indexes on ``j`` and ``i`` persist: a join round updates them in
+    # place (``join_rows``), and a Kleene round's successor takes ``j``'s,
+    # patched by the entries that differ (``Relation.carry``).
     ctx = EvalContext(program, cdb, j, i, tracer=tracer)
     dispatch = None if replace else DeltaDispatch(rules, cdb)
     seen = {j.fingerprint(): 0} if replace else {}
@@ -435,6 +435,8 @@ def fixpoint(
                         ascending=False,
                     )
                 seen[fp] = iterations
+                for name, rel in j.relations.items():
+                    target.relations[name].carry(rel)
                 j = target
                 ctx = EvalContext(program, cdb, j, i, tracer=tracer)
             if supervise:

@@ -281,11 +281,7 @@ def match_atom(
         )
     bound_positions = tuple(p for p, v in enumerate(pattern) if v is not None)
     bound_values = tuple(pattern[p] for p in bound_positions)
-    free = [
-        (p, arg)
-        for p, arg in enumerate(atom.args)
-        if pattern[p] is None
-    ]
+    free = [(p, arg) for p, arg in enumerate(atom.args) if pattern[p] is None]
     if bound_positions or decl.has_default:
         rows: Iterable[Key] = rel.lookup(bound_positions, bound_values)
     else:
@@ -387,9 +383,7 @@ def _eval_aggregate(
 ) -> Iterator[Bindings]:
     function = ctx.program.aggregate_function(sg.function)
     grouping = rule.grouping_variables(sg)
-    inner_bindings: Bindings = {
-        v: bindings[v] for v in grouping if v in bindings
-    }
+    inner_bindings: Bindings = {v: bindings[v] for v in grouping if v in bindings}
     free_grouping = sorted(
         (v for v in grouping if v not in bindings), key=lambda v: v.name
     )
@@ -455,9 +449,7 @@ def evaluate_body(
         next_bindings: List[Bindings] = []
         if isinstance(sg, AtomSubgoal):
             if sg.negated:
-                next_bindings = [
-                    b for b in current if _check_negated(sg.atom, ctx, b)
-                ]
+                next_bindings = [b for b in current if _check_negated(sg.atom, ctx, b)]
             else:
                 for b in current:
                     next_bindings.extend(match_atom(sg.atom, ctx, b))

@@ -121,8 +121,9 @@ class Relation:
     owns *persistent incremental indexes*: hash indexes keyed by argument
     positions, built lazily on first lookup, then maintained in place by
     :meth:`join_rows`, the one way rows enter a relation.  They survive
-    across fixpoint rounds — a semi-naive round touches only its delta
-    (see docs/PERFORMANCE.md §2).
+    across fixpoint rounds — a semi-naive round touches only its delta, and
+    a Kleene round's successor takes them by :meth:`carry` (see
+    docs/PERFORMANCE.md §2).
     """
 
     decl: PredicateDecl
@@ -289,8 +290,38 @@ class Relation:
                 raise
         return changed
 
+    def carry(self, old: "Relation") -> None:
+        """Take ``old``'s live indexes (a Kleene round's ``J``, which this
+        ``T_P(J)`` replaces), patched by the entries that differ both ways
+        (:meth:`unequal`); an ordinary relation takes ``old``'s rows, so index
+        and container share row objects.  If the patch raises, the indexes
+        go; the container is whole, so only a non-``Exception`` propagates."""
+        if not old._indexes:
+            return
+        left, entered = old.unequal(self), self.unequal(old)
+        if self.is_cost:
+            left, entered = {k + (v,) for k, v in left}, {k + (v,) for k, v in entered}
+        else:  # ``old`` is dropped: its set becomes the successor's
+            rows = self.tuples = old.tuples
+            rows -= left
+            rows |= entered
+        self._indexes, old._indexes = old._indexes, {}
+        try:
+            if _faults._ACTIVE is not None:
+                _faults.trip("index_update", self.decl.name, self)
+            for positions, index in self._indexes.items():
+                keyer = row_projector(positions)
+                for row in left:
+                    index[keyer(row)].remove(row)
+                for row in entered:
+                    index.setdefault(keyer(row), []).append(row)
+        except BaseException as error:
+            self._drop_indexes()
+            if not isinstance(error, Exception):
+                raise
+
     def _drop_indexes(self) -> None:
-        """Drop every live index (``join_rows``' error path)."""
+        """Drop every live index (the error path of ``join_rows``, ``carry``)."""
         if self._indexes:
             active_index_stats().invalidations += 1
         self._indexes.clear()

@@ -52,9 +52,7 @@ def _check_plain(program: Program) -> None:
             raise ProgramError("magic sets here do not cover built-ins")
     for decl in program.declarations.values():
         if decl.is_cost_predicate:
-            raise ProgramError(
-                "magic sets here do not cover cost predicates"
-            )
+            raise ProgramError("magic sets here do not cover cost predicates")
 
 
 def _adorn(atom: Atom, bound: Set[Variable]) -> Adornment:
@@ -105,9 +103,7 @@ def magic_transform(program: Program, query: QueryPattern) -> MagicProgram:
         raise ProgramError(f"query predicate {predicate} is not derived")
     decl = program.decl(predicate)
     if len(pattern) != decl.arity:
-        raise ProgramError(
-            f"query pattern arity {len(pattern)} != {decl.arity}"
-        )
+        raise ProgramError(f"query pattern arity {len(pattern)} != {decl.arity}")
     query_adornment = "".join(
         "b" if value is not None else "f" for value in pattern
     )

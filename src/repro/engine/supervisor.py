@@ -345,21 +345,15 @@ class Supervisor:
             if self.tracer.enabled:
                 self.tracer.emit("cancelled", scc=scc, iteration=iteration)
                 self.tracer.metrics.counter("supervisor.cancellations").inc()
-            raise SolveInterrupt(
-                "cancelled", reason, scc=scc, iteration=iteration
-            )
+            raise SolveInterrupt("cancelled", reason, scc=scc, iteration=iteration)
 
     def _check_deadline(
         self, scc: Optional[int], iteration: Optional[int]
     ) -> None:
         if self.deadline is not None and self.clock() > self.deadline:
-            reason = (
-                f"wall-clock budget of {self.budget.timeout:g}s exhausted"
-            )
+            reason = f"wall-clock budget of {self.budget.timeout:g}s exhausted"
             self._emit_budget("timeout", self.budget.timeout, scc, iteration)
-            raise SolveInterrupt(
-                "timeout", reason, scc=scc, iteration=iteration
-            )
+            raise SolveInterrupt("timeout", reason, scc=scc, iteration=iteration)
 
     def poll(
         self, scc: Optional[int] = None, iteration: Optional[int] = None
@@ -408,9 +402,7 @@ class Supervisor:
                     scc=scc,
                     iteration=iteration,
                 )
-        self._track_divergence(
-            scc, iteration, new_atoms, changed_atoms, total_atoms
-        )
+        self._track_divergence(scc, iteration, new_atoms, changed_atoms, total_atoms)
 
     # -- divergence heuristics ---------------------------------------------------
 
@@ -483,9 +475,7 @@ class Supervisor:
                 iteration=iteration,
                 detail=detail,
             )
-            self.tracer.metrics.counter(
-                "supervisor.divergence_warnings"
-            ).inc()
+            self.tracer.metrics.counter("supervisor.divergence_warnings").inc()
         if self.budget.on_divergence == "abort":
             raise SolveInterrupt(
                 "diverging",

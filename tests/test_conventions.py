@@ -11,7 +11,8 @@ Invariants the engine's correctness arguments lean on:
    ``merge_tuples`` and their ``_on_insert`` / ``_on_replace`` upkeep)
    stay gone, and direct writes to the raw ``tuples`` / ``costs``
    containers — which bypass the upkeep and resurface torn indexes —
-   appear nowhere but inside ``join_rows``.
+   appear nowhere but inside ``join_rows`` and ``Relation.carry``, which
+   patches a Kleene round's successor's set and indexes together.
 
 2. **Engine hot loops use the supervisor/tracer clocks, not
    ``time.time()``.**  ``time.time()`` is wall-clock (it jumps on NTP
@@ -212,21 +213,29 @@ def test_no_wall_clock_in_engine_hot_loops():
 def test_allowlist_is_not_stale():
     """No file is exempt from the container check: the one writer,
     ``Relation.join_rows`` with its private bulk and row-by-row parts,
-    writes through local aliases the patterns do not see — and it is
-    the only code in its module that does."""
+    writes through local aliases the patterns do not see, and so does
+    ``Relation.carry``, whose in-place set difference and union patch a
+    Kleene round's successor beside its indexes — and they are the only
+    code in their module that does."""
     import inspect
 
     from repro.engine.interpretation import Relation
 
     writes = re.compile(
         r"\btuples\.(add|update)\(|\bcosts\[[^\]]+\]\s*=|\bcosts\.update\("
+        r"|\b\w+\s*[-|]="
     )
     module = (SRC / "engine" / "interpretation.py").read_text(encoding="utf-8")
     writer = "".join(
         inspect.getsource(method)
-        for method in (Relation.join_rows, Relation._join_keyed, Relation._join_each)
+        for method in (
+            Relation.join_rows,
+            Relation._join_keyed,
+            Relation._join_each,
+            Relation.carry,
+        )
     )
-    assert len(writes.findall(module)) == len(writes.findall(writer)) == 4
+    assert len(writes.findall(module)) == len(writes.findall(writer)) == 6
 
 
 SECOND_BACKEND = re.compile(r"columnar|storage=", re.IGNORECASE)

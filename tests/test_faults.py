@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro import Budget, CancelToken, Database
+from repro.engine.interpretation import Relation
+from repro.obs import Tracer
+from repro.programs import party_invitations
 from repro.testing import (
     Fault,
     FaultInjected,
@@ -21,6 +24,7 @@ from repro.testing import (
     inject,
 )
 from repro.testing import faults as faults_mod
+from repro.workloads import random_party
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SHORTEST_PATH = (EXAMPLES / "shortest_path.mad").read_text(encoding="utf-8")
@@ -203,3 +207,62 @@ class TestFaultActionsMeetSupervisor:
             result = db.solve()
         assert result.status == "complete"
         assert seen == [("aggregate_apply", "min")]
+
+
+class TestKleeneCarry:
+    """A Kleene round's successor takes ``J``'s indexes
+    (``Relation.carry``); a fault there costs the indexes, not the solve."""
+
+    @staticmethod
+    def solve_party(carry, plan):
+        knows, requires = random_party(16, seed=1)
+        db = party_invitations.database(
+            {"knows": knows, "requires": list(requires.items())}
+        )
+        tracer = Tracer()
+        with pytest.MonkeyPatch.context() as patch, inject(plan):
+            patch.setattr(Relation, "carry", carry)
+            result = db.solve(method="naive", tracer=tracer)
+        return result, tracer.index_stats
+
+    def test_a_fault_in_the_carry_drops_the_indexes_and_the_solve_goes_on(self):
+        carry = Relation.carry
+        # A clean run finds the first carry of a live index: its relation
+        # and the ordinal of its seam hit among that relation's hits.
+        clean = FaultPlan()
+        first = []
+
+        def observe(rel, old):
+            before = len(clean.log)
+            live = bool(old._indexes)
+            carry(rel, old)
+            if live and not first:
+                name = rel.decl.name
+                assert clean.log[before:] == [("index_update", name)]
+                hits = [
+                    detail
+                    for seam, detail in clean.log[: before + 1]
+                    if seam == "index_update" and name in detail
+                ]
+                first.append((name, len(hits)))
+
+        expected, stats = self.solve_party(observe, clean)
+        ((name, at),) = first
+        assert stats.invalidations == 0
+        dropped = []
+
+        def faulted(rel, old):
+            live = bool(old._indexes)
+            carry(rel, old)
+            if live and not dropped:
+                dropped.append(rel._indexes == {})
+
+        plan = FaultPlan([Fault("index_update", match=name, at=at)])
+        result, faulted_stats = self.solve_party(faulted, plan)
+        assert dropped == [True]
+        assert faulted_stats.invalidations == 1
+        # The next round rebuilds the dropped index from the container.
+        assert faulted_stats.builds == stats.builds + 1
+        assert result.status == "complete"
+        assert result.model == expected.model
+        assert_no_torn_indexes(plan)

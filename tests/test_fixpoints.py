@@ -7,7 +7,7 @@ from repro.datalog.errors import NonTerminationError
 from repro.analysis.dependencies import condense
 from repro.datalog.parser import parse_program
 from repro.engine.greedy import greedy_applicable, greedy_fixpoint
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import Interpretation, Relation
 from repro.engine.fixpoint import apply_tp, fixpoint
 from repro.lattices import REALS_GE
 from repro.lattices.base import Lattice
@@ -311,6 +311,32 @@ class TestKleeneRoundWork:
             Guest(g) for g in party_oracle(knows, requires)
         }
         assert reprs == []
+
+    def test_a_naive_party_solve_builds_each_index_once(self, monkeypatch):
+        """A Kleene round's successor carries ``J``'s indexes, so each
+        ``(relation, positions)`` a solve probes is built once, however
+        many rounds it runs."""
+        from repro.obs import Tracer
+
+        probed = set()
+        index_for = Relation.index_for
+
+        def spy(rel, positions):
+            probed.add((rel.decl.name, positions))
+            return index_for(rel, positions)
+
+        monkeypatch.setattr(Relation, "index_for", spy)
+        rounds = set()
+        for n in (60, 80):
+            probed.clear()
+            knows, requires = random_party(n, seed=3)
+            db = party_invitations.database(
+                {"knows": knows, "requires": list(requires.items())}
+            )
+            tracer = Tracer()
+            rounds.add(db.solve(method="naive", tracer=tracer).total_iterations)
+            assert tracer.index_stats.builds == len(probed) > 0
+        assert len(rounds) == 2
 
     def test_leq_is_called_once_per_changed_entry_per_round(self):
         from repro.core.database import Database
