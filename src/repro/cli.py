@@ -95,6 +95,7 @@ import dataclasses
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.facts import ProgramFacts
 from repro.core.database import Database
 from repro.data.loader import DataLoadError
 from repro.datalog.errors import (
@@ -103,6 +104,7 @@ from repro.datalog.errors import (
     ProgramError,
     ReproError,
 )
+from repro.engine.exec import Prepared
 from repro.engine.options import CHOICES, OptionError, SolveOptions
 from repro.programs import ALL_PROGRAMS
 from repro.util.limits import require
@@ -276,6 +278,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 budget=budget,
                 cancel=cancel,
                 resume=resume,
+                # An explained atom's tree reads beyond the query's cone.
+                query=None if explain else args.query or None,
             )
     except ReproError as exc:
         # The ring holds the solve's final moments — dump it before the
@@ -357,7 +361,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     db = _load_database(args)
     predicate, key = _ground_atom(args.args[-1])
     _check_predicate(db, predicate)
-    result = db.solve(**_solve_options(args))
+    # The tree follows the rules as written, whose cone pushdown can shrink.
+    own = Prepared(None, ProgramFacts(db.program).components).cone(predicate)
+    query = frozenset(p for _, component in own for p in component.cdb)
+    result = db.solve(**_solve_options(args), query=query)
     print(result.explain(predicate, key, max_depth=args.max_depth))
     return 0
 
@@ -437,7 +444,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     re-parseable rule text.  This is exactly the rewrite ``solve``
     applies internally unless ``--pushdown off`` is given.
     """
-    from repro.analysis.facts import ProgramFacts
     from repro.analysis.premap import apply_pushdown
     from repro.datalog.pretty import program_to_text
 
@@ -465,8 +471,6 @@ def cmd_shard_plan(args: argparse.Namespace) -> int:
     the analysis ``solve --plan sharded`` consults before forking.
     """
     import json as json_module
-
-    from repro.analysis.facts import ProgramFacts
 
     db = _load_database(args)
     report = ProgramFacts(db.program).sharding
@@ -824,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume an interrupted solve from a checkpoint saved with "
         "--checkpoint; the final model equals an uninterrupted run's",
     )
-    solve.add_argument("--query", help="print only this predicate")
+    solve.add_argument("--query", help="print only this predicate; solve its cone")
     solve.add_argument(
         "--explain",
         help="derivation tree for one atom, e.g. \"s(a, c)\" "

@@ -33,13 +33,12 @@ on.  Probes are charged to ``IndexStats`` once per call (docs/PERFORMANCE.md §3
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from time import perf_counter
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from repro.aggregates.base import EmptyAggregateError
 from repro.analysis.classify import ComponentClassification
 from repro.analysis.dependencies import Component
 from repro.analysis.premap import PushdownResult, analyze_premappability, apply_pushdown
@@ -88,7 +87,6 @@ def _unbound(name: str) -> Any:
 #: through its ``consts`` argument, so the source text (and hence the
 #: memoised function) is shared by structurally equal rules.
 _KERNEL_GLOBALS: Dict[str, Any] = {
-    "EmptyAggregateError": EmptyAggregateError,
     "SafetyError": SafetyError,
     "faults": _faults,
     "index_stats": active_index_stats,
@@ -435,24 +433,17 @@ class _KernelWriter:
         if free_grouping:
             group = _display([regs[v] for v in free_grouping])
             self.loop(f"for {group}, m{n} in g{n}.items():")
-        elif sg.restricted:
+        elif sg.restricted or not function.has_empty_value:
             self.require(f"n{n}")
-        else:
-            finish += f" if n{n} else {self.const(function.empty_value)}()"
+        else:  # F(∅), once per plan
+            finish += f" if n{n} else {self.const(function.empty_value())}"
         detail = getattr(function, "name", None) or type(function).__name__
         self.line("if faults._ACTIVE is not None:")  # fault-injection seam
         self.line(f"    faults.trip('aggregate_apply', {self.const(detail)})")
         result = sg.result
         check = isinstance(result, Constant) or result in bound
         target = f"v{n}" if check else regs[result]
-        apply = f"{target} = {finish}"
-        if free_grouping:
-            self.line(apply)
-        else:
-            self.line("try:")
-            self.line(f"    {apply}")
-            self.line("except EmptyAggregateError:")
-            self.line(f"    {self.fail}")
+        self.line(f"{target} = {finish}")
         if check:
             self.line(f"if {self.term(result, regs)} != v{n}: {self.fail}")
 
@@ -649,6 +640,22 @@ class Prepared:
     rewrite: Optional[PushdownResult]
     components: List[Component]
     classes: Optional[Dict[FrozenSet[str], ComponentClassification]] = None
+    cones: Dict[Any, List[Tuple[int, Component]]] = field(default_factory=dict)
+
+    def cone(self, query: Any) -> List[Tuple[int, Component]]:
+        """``(index, component)`` of each component that ``query``'s rows
+        (of a predicate, or a frozenset of them) depend on, bottom-up,
+        cached: keep a needed CDB, then need what it reads (Prop. 6.1)."""
+        cone = self.cones.get(query)
+        if cone is None:
+            needed = {query} if isinstance(query, str) else set(query)
+            cone = []
+            for index in reversed(range(len(self.components))):
+                if self.components[index].cdb & needed:
+                    cone.insert(0, (index, self.components[index]))
+                    needed |= self.components[index].ldb
+            cone = self.cones.setdefault(query, cone)
+        return cone
 
 
 def prepared_records(program: Program) -> Dict[Tuple[str, str], Prepared]:

@@ -136,6 +136,7 @@ def solve(
     budget: Optional[Budget] = None,
     cancel: Optional[CancelToken] = None,
     resume: Optional[Checkpoint] = None,
+    query: Any = None,
     **options: Any,
 ) -> SolveResult:
     """Compute the iterated minimal model of ``program`` over ``edb``.
@@ -156,6 +157,10 @@ def solve(
     partial model and a resumable :attr:`SolveResult.checkpoint`.
     ``resume`` seeds evaluation from such a checkpoint; the final model
     is identical to an uninterrupted solve's.  See docs/ROBUSTNESS.md.
+
+    ``query``, a predicate (or a frozenset of them), evaluates only its
+    cone (:meth:`~repro.engine.exec.Prepared.cone`), each component under
+    its full-solve index; every other derived relation stays empty.
     """
     opts = SolveOptions(**options)
     t = tracer if tracer is not None else NULL_TRACER
@@ -163,20 +168,7 @@ def solve(
     # solves cannot cross-contaminate each other's statistics.
     stats = t.index_stats if tracer is not None else IndexStats()
     with use_index_stats(stats):
-        return _solve_traced(program, edb, opts, t, budget, cancel, resume)
-
-
-def _component_initial(
-    state: Interpretation, component: Component, program: Program
-) -> Interpretation:
-    """The restriction of ``state`` to the component's CDB predicates —
-    the evaluator's resume seed (the rest of ``state`` is its ``I``)."""
-    initial = cdb_interpretation(program, component.cdb)
-    for predicate, rel in initial.relations.items():
-        src = state.relations.get(predicate)
-        if src is not None and len(src):
-            rel.join_rows(src.rows())
-    return initial
+        return _solve_traced(program, edb, opts, t, budget, cancel, resume, query)
 
 
 def _solve_traced(
@@ -187,6 +179,7 @@ def _solve_traced(
     budget: Optional[Budget],
     cancel: Optional[CancelToken],
     resume: Optional[Checkpoint],
+    query: Any,
 ) -> SolveResult:
     check, method, plan = opts.check, opts.method, opts.plan
     tracer.start(program.name)
@@ -252,7 +245,8 @@ def _solve_traced(
         # Components above read it through ``I``, even when none is derived.
         state.relations[name] = Relation.empty(eval_program.declarations[name])
     result = SolveResult(model=state, program=program)
-    for index, component in enumerate(ready.components):
+    cone = enumerate(ready.components) if query is None else ready.cone(query)
+    for index, component in cone:
         cls = classes.get(component.cdb)
         chosen: str = method
         if method == "auto":
@@ -294,11 +288,11 @@ def _solve_traced(
 
         if plan == "sharded" and tracer.enabled:
             _shard_plan("sharded" if use_sharded else "fallback", shard_reason)
-        initial = (
-            _component_initial(state, component, eval_program)
-            if resume is not None
-            else None
-        )
+        initial = None
+        if resume is not None:  # the evaluator's seed: ``state`` on the CDB
+            initial = cdb_interpretation(eval_program, component.cdb)
+            for predicate, rel in initial.relations.items():
+                rel.join_rows(state._read(predicate, rel.decl).rows())
         if supervisor.active:
             # The component's own (checkpointed) atoms come back as the
             # evaluator's total_atoms; don't double-count them.
@@ -375,17 +369,10 @@ def _solve_traced(
             # Graceful degradation: fold the evaluator's sound partial
             # state into the model, snapshot a resumable checkpoint, and
             # report instead of raising.
-            partial = interrupt.partial
-            if partial is not None:
-                state.absorb(partial.interpretation)
-                result.components.append(component)
-                result.component_methods.append(chosen)
-                result.component_results.append(partial)
-            result.status = interrupt.status
-            result.reason = interrupt.reason
+            outcome = interrupt.partial
+            result.status, result.reason = interrupt.status, interrupt.reason
             result.interrupted_component = index
-            break
-        if tracer.enabled:
+        if tracer.enabled and result.interrupted_component is None:
             tracer.emit(
                 "scc_end",
                 scc=index,
@@ -396,10 +383,13 @@ def _solve_traced(
             )
         # ``state`` is this solve's own copy (``edb.copy()``), so the
         # finished component folds in without a copy of either side.
-        state.absorb(outcome.interpretation)
-        result.components.append(component)
-        result.component_methods.append(chosen)
-        result.component_results.append(outcome)
+        if outcome is not None:
+            state.absorb(outcome.interpretation)
+            result.components.append(component)
+            result.component_methods.append(chosen)
+            result.component_results.append(outcome)
+        if result.interrupted_component is not None:
+            break
     # Auxiliary frontier atoms never leave the solver: the model and the
     # checkpoint (captured against the original program) carry original
     # predicates only; resume re-derives them from the restored lower
@@ -424,7 +414,7 @@ def _solve_traced(
             )
     result.runtime_diagnostics = list(supervisor.diagnostics)
     if tracer.enabled:
-        _flush_telemetry(tracer, eval_program, facts, result, t_solve)
+        _flush_telemetry(tracer, eval_program, facts, result, t_solve, ready)
         if tracer.collect:
             result.telemetry = summarize(tracer.events)
     return result
@@ -537,14 +527,13 @@ def _flush_telemetry(
     facts: Optional[ProgramFacts],
     result: SolveResult,
     t_solve: float,
+    ready: Prepared,
 ) -> None:
-    """Emit the end-of-solve events of ``program``, the program evaluated:
-    per-rule profiles, counters (the passes ``facts`` ran: none on a
-    prepared solve), totals."""
-    scc_of: Dict[str, int] = {}
-    for index, component in enumerate(result.components):
-        for predicate in component.cdb:
-            scc_of[predicate] = index
+    """Emit the end-of-solve events of ``program``, the program evaluated
+    in ``ready.components``: per-rule profiles, counters (the passes
+    ``facts`` ran: none on a prepared solve), totals."""
+    index = {c.cdb: i for i, c in enumerate(ready.components)}
+    scc_of = {p: index[c.cdb] for c in result.components for p in c.cdb}
     rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
     rows = sorted(
         tracer.rule_stats(),

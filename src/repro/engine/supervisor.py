@@ -214,7 +214,7 @@ class SolveInterrupt(ReproError):
         self.scc = scc
         self.iteration = iteration
         #: Partial component state, attached by the interrupted evaluator.
-        self.partial: Optional[Any] = None  # FixpointResult
+        self.partial: Any = None  # FixpointResult, once attached
         super().__init__(f"solve interrupted ({status}): {reason}")
 
     def attach(self, partial: Any) -> None:

@@ -328,6 +328,7 @@ class RequestSupervisor:
                 tracer=tracer,
                 budget=Budget(timeout=left),
                 cancel=cancel,
+                query=query,
                 **asdict(options),
             )
         except (

@@ -310,7 +310,7 @@ def test_the_settle_at_a_time_loop_is_gone():
 ROW_CACHE = re.compile(r"_rows_cache|rows_list|generation|warm", re.IGNORECASE)
 
 #: Lines of every ``*.py`` under ``src/``; may only go down.
-SRC_LINES = 23001
+SRC_LINES = 23000
 
 
 def test_the_row_cache_is_gone():
@@ -350,7 +350,7 @@ def test_src_only_shrinks():
 SECOND_LOOP = re.compile(r"kleene_fixpoint|engine/(naive|tp)\.py|engine\.(naive|tp)\b")
 
 #: ``wc -l src/repro/engine/*.py`` may only go down.
-ENGINE_LINES = 4844
+ENGINE_LINES = 4838
 
 
 def test_one_fixpoint_loop():
@@ -763,7 +763,8 @@ def test_front_ends_read_facts_instead_of_running_passes():
         "workers",
     ]  # fmt: skip
     assert parameters(solve) == [
-        "program", "edb", "tracer", "budget", "cancel", "resume", "options",
+        "program", "edb", "tracer", "budget", "cancel", "resume", "query",
+        "options",
     ]  # fmt: skip
     assert parameters(Database.solve) == ["self", "kwargs"]
     assert parameters(Database.analyze) == ["self"]

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import LatticeJoin
+from repro.aggregates.standard import Minimum
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Variable
@@ -306,8 +307,8 @@ class TestKernelEdges:
 
     def test_plain_aggregate_over_empty_interior(self):
         """``=`` applies F to the empty multiset: ``count`` gives 0, ``min``
-        the range's bottom, and ``average`` raises EmptyAggregateError —
-        no binding, not an error.  ``=r`` never sees the empty multiset."""
+        the range's bottom, and ``average``, which has no F(∅), gives no
+        binding, not an error.  ``=r`` never sees the empty multiset."""
         program, ctx = setup(
             "@cost n/2 : naturals_le.\n@cost m/2 : reals_ge.\n"
             "@cost a/2 : reals_le.\n@cost r/2 : reals_ge.\n"
@@ -333,6 +334,29 @@ class TestKernelEdges:
         assert assert_kernel_matches_legacy(restricted_rule, ctx) == [
             ("r", ("a", 4.0))
         ]
+
+    def test_f_of_the_empty_multiset_is_bound_when_the_kernel_compiles(
+        self, monkeypatch
+    ):
+        """An ``=`` aggregate's F(∅) is a constant of its plan: computed
+        once per compiled kernel, not once per empty group or call."""
+        calls = []
+        empty_value = Minimum.empty_value
+        monkeypatch.setattr(
+            Minimum, "empty_value", lambda fn: calls.append(fn) or empty_value(fn)
+        )
+        for width in (2, 20):
+            calls.clear()
+            program, ctx = setup(
+                "@cost m/2 : reals_ge.\n@cost q/2 : reals_ge.\n"
+                "m(X, C) <- w(X), C = min{D : q(X, D)}.",
+                {"w": [(i,) for i in range(width)], "q": [(0, 4.0)]},
+            )
+            for _ in range(3):
+                rows = fire(program.rules[0], ctx)
+            assert len(rows) == width
+            assert sorted(rows)[-1] == ("m", (width - 1, float("inf")))
+            assert len(calls) == 1, width
 
     def test_multiset_keeps_duplicates_and_shadows_outer_variable(self):
         """The multiset variable is private to the interior even when a

@@ -549,6 +549,27 @@ class TestRequestSupervisor:
         assert header["status"] == "error"
         assert "disk on fire" in header["reason"]
 
+    def test_a_failing_component_off_the_query_cone_fails_only_what_reads_it(
+        self, tmp_path
+    ):
+        """A query solves its cone (the components its predicate depends
+        on): ``bad`` adds 1 to a string at runtime, and ``path`` never
+        reads it.  The gate still reads the whole program."""
+        sup = RequestSupervisor(flight_dir=str(tmp_path))
+        hosted = host_program_text("t", TINY + "bad(X) <- edge(X, Y), Y + 1 > 2.\n")
+        outcome = execute(sup, hosted, "path")
+        assert outcome.http_status == 200, outcome.body
+        assert ["a", "d"] in outcome.body["rows"]
+        assert outcome.body["atoms"] == 3 + 6  # edge and path: what the cone holds
+        assert not list(tmp_path.iterdir())  # no postmortem
+        for query in (None, "bad"):
+            outcome = execute(sup, hosted, query)
+            assert outcome.http_status == 500, query
+            assert "TypeError" in outcome.body["error"]
+        refused = host_program_text("r", TINY + "bad(X, C) <- edge(X, Y), C = Y + 1.\n")
+        outcome = execute(sup, refused, "path")
+        assert outcome.http_status == 422 and outcome.status == "rejected"
+
     def test_cancelled_solve_maps_to_503(self, tmp_path):
         sup = RequestSupervisor(
             flight_dir=str(tmp_path), checkpoint_dir=str(tmp_path)
